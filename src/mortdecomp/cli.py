@@ -39,7 +39,9 @@ from .dataset import (
 )
 from .decompose import coefficient_decompose, overall_decompose, posterior_decompose
 from .errors import ConfigError, MortdecompError
-from .marginal import CONVENTIONS, marginal_prob, marginalize, mean_mortality
+# mean_mortality and variance_collapse are not called in this module;
+# perfbench/tracing.py wraps them here by name, so they stay imported.
+from .marginal import CONVENTIONS, marginal_prob, marginalize, mean_mortality  # noqa: F401
 from .report import (
     summary_to_dict,
     write_all_tables,
@@ -50,6 +52,7 @@ from .sampler import (
     ChainQualityWarning,
     McmcConfig,
     MIN_ESS_TARGET,
+    PosteriorDraws,
     PriorSpec,
     diagnostics,
     fit,
@@ -58,10 +61,11 @@ from .sampler import (
 )
 from .simulate import SyntheticConfig, SyntheticSurveySpec, synthesize
 from .validation import (
+    VarianceCollapseProfile,
     linear_oracle,
     mc_marginalization_oracle,
     ml_probit_fit,
-    variance_collapse,
+    variance_collapse,  # noqa: F401
 )
 
 
@@ -226,8 +230,7 @@ def _fit_survey(design, prior, mcmc, auto_extend):
     return draws, diag, mcmc, extended
 
 
-def _survey_diagnostics(design, draws, diag, sample, extended, convention):
-    fitted = mean_mortality(design, draws, convention)
+def _survey_diagnostics(fitted, draws, diag, sample, extended):
     records = list(sample.records())
     empirical = 1000.0 * sum(r.outcome for r in records) / len(records)
     out = {
@@ -315,11 +318,7 @@ def run_pipeline(config: RunConfig) -> dict:
             order=list(config.order) if config.order else None,
             convention=config.marginalization,
         )
-        profile = variance_collapse(
-            d2, draws1, draws2,
-            order=list(config.order) if config.order else None,
-            convention=config.marginalization,
-        )
+        profile = VarianceCollapseProfile.from_draws(summary.draws)
 
         stage = "emit"
         emit("draws_s1.csv", lambda p: save_draws(draws1, p, None))
@@ -334,8 +333,8 @@ def run_pipeline(config: RunConfig) -> dict:
         emit("variance_profile.csv", lambda p: write_variance_profile(profile, p))
 
         diag_doc = {
-            "s1": _survey_diagnostics(d1, draws1, diag1, s1, ext1, config.marginalization),
-            "s2": _survey_diagnostics(d2, draws2, diag2, s2, ext2, config.marginalization),
+            "s1": _survey_diagnostics(summary.rate_s1, draws1, diag1, s1, ext1),
+            "s2": _survey_diagnostics(summary.rate_s2, draws2, diag2, s2, ext2),
         }
         emit(
             "diagnostics.json",
@@ -536,6 +535,18 @@ def _cmd_fit(args) -> int:
     return 0
 
 
+def _load_draws_for(csv_path: Path, design) -> PosteriorDraws:
+    """Load saved draws; a sidecar, when present, must match ``design``'s column layout."""
+    sidecar = csv_path.with_suffix(".json")
+    draws = load_draws(csv_path, sidecar if sidecar.exists() else None)
+    if sidecar.exists() and draws.column_groups != design.column_groups:
+        raise ConfigError(
+            f"{csv_path}: draws were fitted under column groups {draws.column_groups}, "
+            f"but this config builds {design.column_groups}"
+        )
+    return draws
+
+
 def _cmd_decompose(args) -> int:
     config = RunConfig.from_file(args.config, _overrides(args))
     out_dir = Path(config.out_dir)
@@ -544,14 +555,14 @@ def _cmd_decompose(args) -> int:
     d1, d2, _ = _build_designs(config, s1, s2)
     draws1_path = Path(args.draws1) if args.draws1 else out_dir / "draws_s1.csv"
     draws2_path = Path(args.draws2) if args.draws2 else out_dir / "draws_s2.csv"
-    draws1 = load_draws(draws1_path, draws1_path.with_suffix(".json") if draws1_path.with_suffix(".json").exists() else None)
-    draws2 = load_draws(draws2_path, draws2_path.with_suffix(".json") if draws2_path.with_suffix(".json").exists() else None)
+    draws1 = _load_draws_for(draws1_path, d1)
+    draws2 = _load_draws_for(draws2_path, d2)
     order = list(config.order) if config.order else None
     summary = posterior_decompose(
         d1, d2, draws1, draws2,
         years_between=config.years_between, order=order, convention=config.marginalization,
     )
-    profile = variance_collapse(d2, draws1, draws2, order=order, convention=config.marginalization)
+    profile = VarianceCollapseProfile.from_draws(summary.draws)
     doc = summary_to_dict(summary)
     write_decomposition_json(doc, out_dir / "decomposition.json")
     write_all_tables(doc, out_dir)

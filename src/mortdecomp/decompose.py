@@ -9,6 +9,10 @@ block at a time, in a caller-chosen order; spline columns of a
 covariate always swap together.  Running the decomposition on every
 retained posterior draw turns those point identities into posterior
 distributions for every component.
+
+Every entry point here runs one kernel that walks each draw once; its
+per-draw matrix (``DecompositionSummary.draws``) also yields the
+variance profile in :mod:`mortdecomp.validation`.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr
 
-from .dataset import DesignMatrix
 from .errors import ConfigError
 from .marginal import MortalitySummary, marginalize_all
 
@@ -48,18 +51,6 @@ def _link_fn(link):
     raise ConfigError(f"unknown link {link!r}")
 
 
-def _coefficients(b) -> np.ndarray:
-    return np.asarray(getattr(b, "coefficients", b), dtype=float)
-
-
-def _check_alignment(design1: DesignMatrix, design2: DesignMatrix) -> None:
-    if design1.n_cols != design2.n_cols or design1.column_groups != design2.column_groups:
-        raise ConfigError(
-            "designs do not share a column layout; both surveys must be built "
-            "against the same schema and knot source"
-        )
-
-
 def validate_order(order, column_groups) -> list[str]:
     wanted = ["intercept"] + list(column_groups)
     if order is None:
@@ -70,105 +61,6 @@ def validate_order(order, column_groups) -> list[str]:
             f"order must be a permutation of {sorted(wanted)}, got {order}"
         )
     return order
-
-
-def overall_decompose(design1, design2, b1, b2, link="probit") -> tuple[float, float]:
-    """Two-part split of the survey-1 minus survey-2 fitted mean.
-
-    Returns ``(x_effect, beta_effect)`` where the first term is the
-    change from swapping the covariate sample under survey 1's
-    coefficients and the second is the change from swapping the
-    coefficients over survey 2's sample.  The two terms add up to the
-    overall difference exactly.
-    """
-    _check_alignment(design1, design2)
-    f = _link_fn(link)
-    b1 = _coefficients(b1)
-    b2 = _coefficients(b2)
-    rate1 = float(np.mean(f(design1.x @ b1)))
-    crossed = float(np.mean(f(design2.x @ b1)))
-    rate2 = float(np.mean(f(design2.x @ b2)))
-    return rate1 - crossed, crossed - rate2
-
-
-def coefficient_decompose(design2, b1, b2, order=None, link="probit") -> dict[str, float]:
-    """Sequential per-covariate split of the coefficient effect.
-
-    Walks from survey 1's coefficients to survey 2's over survey 2's
-    sample, swapping one whole column group at a time in ``order`` (a
-    permutation of the intercept plus every covariate group); each entry
-    is the drop in the fitted mean caused by that swap.  The entries sum
-    to the overall coefficient effect; the split, but not the sum,
-    depends on the order.
-    """
-    order = validate_order(order, design2.column_groups)
-    f = _link_fn(link)
-    b1 = _coefficients(b1)
-    b2 = _coefficients(b2)
-    eta = design2.x @ b1
-    prev_mean = float(np.mean(f(eta)))
-    effects: dict[str, float] = {}
-    for name in order:
-        cols = design2.group_columns(name)
-        delta = b2[cols] - b1[cols]
-        if np.any(delta != 0.0):
-            eta = eta + design2.x[:, cols] @ delta
-            new_mean = float(np.mean(f(eta)))
-        else:
-            new_mean = prev_mean
-        effects[name] = prev_mean - new_mean
-        prev_mean = new_mean
-    return effects
-
-
-@dataclass(frozen=True)
-class DecompositionDraw:
-    """All components of the decomposition for one coefficient pair.
-
-    Construction enforces the two additivity identities: the covariate
-    and coefficient effects sum to the overall difference, and the group
-    effects sum to the coefficient effect, both to 1e-12.
-    """
-
-    rate1: float
-    rate2: float
-    x_effect: float
-    beta_effect: float
-    group_effects: dict[str, float]
-    order: tuple[str, ...]
-
-    def __post_init__(self):
-        if abs(self.x_effect + self.beta_effect - self.overall_diff) > _ADDITIVITY_TOL:
-            raise ValueError("x_effect + beta_effect must equal the overall difference")
-        if abs(sum(self.group_effects.values()) - self.beta_effect) > _ADDITIVITY_TOL:
-            raise ValueError("group effects must sum to the beta effect")
-
-    @property
-    def overall_diff(self) -> float:
-        return self.rate1 - self.rate2
-
-
-def decompose_draw(design1, design2, b1, b2, order=None, link="probit") -> DecompositionDraw:
-    """Overall and per-group decomposition for one coefficient pair."""
-    _check_alignment(design1, design2)
-    order = validate_order(order, design2.column_groups)
-    f = _link_fn(link)
-    b1 = _coefficients(b1)
-    b2 = _coefficients(b2)
-    rate1 = float(np.mean(f(design1.x @ b1)))
-    crossed = float(np.mean(f(design2.x @ b1)))
-    rate2 = float(np.mean(f(design2.x @ b2)))
-    x_effect = rate1 - crossed
-    beta_effect = crossed - rate2
-    effects = coefficient_decompose(design2, b1, b2, order, link)
-    return DecompositionDraw(
-        rate1=rate1,
-        rate2=rate2,
-        x_effect=x_effect,
-        beta_effect=beta_effect,
-        group_effects=effects,
-        order=tuple(order),
-    )
 
 
 @dataclass(frozen=True)
@@ -189,6 +81,124 @@ class DecompositionDraws:
     @property
     def n_draws(self) -> int:
         return self.rate1.size
+
+
+def _decompose_draws(design1, design2, tilde1, tilde2, order=None, link="probit") -> DecompositionDraws:
+    """Decompose every marginal coefficient pair ``(tilde1[l], tilde2[l])``.
+
+    Per pair, K + 3 link passes for K groups: ``rate1``; the crossed mean
+    that starts the swap walk; one per swapped group (skipped when its
+    coefficients are equal); and ``rate2`` straight from ``x2 @ b2``, so
+    the group-sum identity compares two routes.  Draws are walked one at
+    a time (no ``(n, L)`` block); both identities are checked to 1e-12.
+    """
+    if design1.n_cols != design2.n_cols or design1.column_groups != design2.column_groups:
+        raise ConfigError(
+            "designs do not share a column layout; both surveys must be built "
+            "against the same schema and knot source"
+        )
+    order = validate_order(order, design2.column_groups)
+    if tilde1.shape[0] != tilde2.shape[0]:
+        raise ConfigError(
+            f"surveys have unequal retained draw counts ({tilde1.shape[0]} vs {tilde2.shape[0]})"
+        )
+    for tilde in (tilde1, tilde2):
+        if tilde.shape[1] != design1.n_cols:
+            raise ConfigError(
+                f"draws have {tilde.shape[1]} coefficients per draw "
+                f"but the design has {design1.n_cols} columns"
+            )
+    f = _link_fn(link)
+    x1, x2 = design1.x, design2.x
+    blocks = [design2.group_columns(name) for name in order]
+    n_draws = tilde1.shape[0]
+    rate1 = np.empty(n_draws)
+    rate2 = np.empty(n_draws)
+    walk = np.empty((n_draws, len(order) + 1))  # column 0: crossed mean; column j: after swap j
+    for i, (b1, b2) in enumerate(zip(tilde1, tilde2)):
+        rate1[i] = np.mean(f(x1 @ b1))
+        eta = x2 @ b1
+        walk[i, 0] = np.mean(f(eta))
+        for j, cols in enumerate(blocks, start=1):
+            delta = b2[cols] - b1[cols]
+            if np.any(delta != 0.0):
+                eta += x2[:, cols] @ delta
+                walk[i, j] = np.mean(f(eta))
+            else:
+                walk[i, j] = walk[i, j - 1]
+        rate2[i] = np.mean(f(x2 @ b2))
+
+    crossed = walk[:, 0]
+    x_effect = rate1 - crossed
+    beta_effect = crossed - rate2
+    group_effects = walk[:, :-1] - walk[:, 1:]
+    if np.any(np.abs(x_effect + beta_effect - (rate1 - rate2)) > _ADDITIVITY_TOL):
+        raise ValueError("x_effect + beta_effect must equal the overall difference")
+    if np.any(np.abs(group_effects.sum(axis=1) - beta_effect) > _ADDITIVITY_TOL):
+        raise ValueError("group effects must sum to the beta effect")
+    return DecompositionDraws(rate1, rate2, x_effect, beta_effect, group_effects, tuple(order))
+
+
+@dataclass(frozen=True)
+class DecompositionDraw:
+    """All components of the decomposition for one coefficient pair.
+
+    Built by :func:`decompose_draw`, whose kernel enforces the two
+    additivity identities: the covariate and coefficient effects sum to
+    the overall difference, and the group effects sum to the coefficient
+    effect, both to 1e-12.
+    """
+
+    rate1: float
+    rate2: float
+    x_effect: float
+    beta_effect: float
+    group_effects: dict[str, float]
+    order: tuple[str, ...]
+
+    @property
+    def overall_diff(self) -> float:
+        return self.rate1 - self.rate2
+
+
+def decompose_draw(design1, design2, b1, b2, order=None, link="probit") -> DecompositionDraw:
+    """Overall and per-group decomposition for one coefficient pair."""
+    b1, b2 = (np.asarray(b, dtype=float).reshape(1, -1) for b in (b1, b2))
+    d = _decompose_draws(design1, design2, b1, b2, order, link)
+    return DecompositionDraw(
+        rate1=float(d.rate1[0]),
+        rate2=float(d.rate2[0]),
+        x_effect=float(d.x_effect[0]),
+        beta_effect=float(d.beta_effect[0]),
+        group_effects={name: float(v) for name, v in zip(d.order, d.group_effects[0])},
+        order=d.order,
+    )
+
+
+def overall_decompose(design1, design2, b1, b2, link="probit") -> tuple[float, float]:
+    """Two-part split of the survey-1 minus survey-2 fitted mean.
+
+    Returns ``(x_effect, beta_effect)`` where the first term is the
+    change from swapping the covariate sample under survey 1's
+    coefficients and the second is the change from swapping the
+    coefficients over survey 2's sample.  The two terms add up to the
+    overall difference exactly.
+    """
+    d = decompose_draw(design1, design2, b1, b2, link=link)
+    return d.x_effect, d.beta_effect
+
+
+def coefficient_decompose(design2, b1, b2, order=None, link="probit") -> dict[str, float]:
+    """Sequential per-covariate split of the coefficient effect.
+
+    Walks from survey 1's coefficients to survey 2's over survey 2's
+    sample, swapping one whole column group at a time in ``order`` (a
+    permutation of the intercept plus every covariate group); each entry
+    is the drop in the fitted mean caused by that swap.  The entries sum
+    to the overall coefficient effect; the split, but not the sum,
+    depends on the order.
+    """
+    return decompose_draw(design2, design2, b1, b2, order, link).group_effects
 
 
 @dataclass(frozen=True)
@@ -290,56 +300,26 @@ def posterior_decompose(
     of the overall change, and a significance flag (interval excludes
     zero).
     """
-    _check_alignment(design1, design2)
-    if draws1.n_draws != draws2.n_draws:
-        raise ConfigError(
-            f"surveys have unequal retained draw counts ({draws1.n_draws} vs {draws2.n_draws})"
-        )
     if years_between <= 0:
         raise ConfigError(f"years_between must be > 0, got {years_between}")
-    order = validate_order(order, design2.column_groups)
-
     tilde1 = marginalize_all(draws1.beta, draws1.sigma2, convention)
     tilde2 = marginalize_all(draws2.beta, draws2.sigma2, convention)
-
-    n_draws = tilde1.shape[0]
-    k = len(order)
-    rate1 = np.empty(n_draws)
-    rate2 = np.empty(n_draws)
-    x_eff = np.empty(n_draws)
-    beta_eff = np.empty(n_draws)
-    groups = np.empty((n_draws, k))
-    for i in range(n_draws):
-        d = decompose_draw(design1, design2, tilde1[i], tilde2[i], order, link)
-        rate1[i] = d.rate1
-        rate2[i] = d.rate2
-        x_eff[i] = d.x_effect
-        beta_eff[i] = d.beta_effect
-        groups[i] = [d.group_effects[name] for name in order]
-
-    per_draw = DecompositionDraws(
-        rate1=rate1,
-        rate2=rate2,
-        x_effect=x_eff,
-        beta_effect=beta_eff,
-        group_effects=groups,
-        order=tuple(order),
-    )
+    per_draw = _decompose_draws(design1, design2, tilde1, tilde2, order, link)
     overall = per_draw.overall_diff
     components = {
         "overall_diff": _summarize("overall_diff", overall, overall, years_between),
-        "x_effect": _summarize("x_effect", x_eff, overall, years_between),
-        "beta_effect": _summarize("beta_effect", beta_eff, overall, years_between),
+        "x_effect": _summarize("x_effect", per_draw.x_effect, overall, years_between),
+        "beta_effect": _summarize("beta_effect", per_draw.beta_effect, overall, years_between),
     }
-    for j, name in enumerate(order):
-        components[name] = _summarize(name, groups[:, j], overall, years_between)
+    for j, name in enumerate(per_draw.order):
+        components[name] = _summarize(name, per_draw.group_effects[:, j], overall, years_between)
 
     return DecompositionSummary(
         years_between=float(years_between),
-        order=tuple(order),
+        order=per_draw.order,
         components=components,
-        rate_s1=MortalitySummary.from_draws(rate1),
-        rate_s2=MortalitySummary.from_draws(rate2),
+        rate_s1=MortalitySummary.from_draws(per_draw.rate1),
+        rate_s2=MortalitySummary.from_draws(per_draw.rate2),
         convention=convention,
         draws=per_draw,
     )

@@ -35,36 +35,33 @@ class MarginalDraw:
     """Coefficients of the marginal probit for one posterior draw."""
 
     coefficients: np.ndarray
-    source_index: int | None = None
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.coefficients)):
             raise ValueError("marginal coefficients must be finite")
 
 
-def _scale(sigma2: float, convention: str) -> float:
+def _scale(sigma2, convention: str):
+    """Coefficient scale factor for a scalar or an array of ``sigma2`` draws."""
     if convention not in CONVENTIONS:
         raise ConfigError(f"unknown marginalization convention {convention!r}")
-    if sigma2 < 0:
-        raise ValueError(f"sigma2 must be >= 0, got {sigma2}")
+    sigma2 = np.asarray(sigma2, dtype=float)
+    if np.any(sigma2 < 0):
+        raise ValueError(f"sigma2 must be >= 0, got {sigma2.min()}")
     root = np.sqrt(1.0 + sigma2)
     return 1.0 / root if convention == "appendix_divide" else root
 
 
-def marginalize(
-    beta, sigma2: float, convention: str = "appendix_divide", source_index: int | None = None
-) -> MarginalDraw:
+def marginalize(beta, sigma2: float, convention: str = "appendix_divide") -> MarginalDraw:
     """Rescale conditional coefficients into marginal-model coefficients."""
     beta = np.asarray(beta, dtype=float)
-    return MarginalDraw(beta * _scale(float(sigma2), convention), source_index)
+    return MarginalDraw(beta * _scale(float(sigma2), convention))
 
 
 def marginalize_all(beta: np.ndarray, sigma2: np.ndarray, convention: str = "appendix_divide") -> np.ndarray:
     """Vectorised marginalization of an ``(L, p)`` draw matrix."""
     beta = np.asarray(beta, dtype=float)
-    sigma2 = np.asarray(sigma2, dtype=float)
-    scales = np.array([_scale(float(s), convention) for s in np.atleast_1d(sigma2)])
-    return beta * scales[:, None]
+    return beta * _scale(np.atleast_1d(sigma2), convention)[:, None]
 
 
 def marginal_prob(x, coefficients) -> float | np.ndarray:

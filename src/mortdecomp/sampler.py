@@ -444,6 +444,12 @@ def load_draws(csv_path, sidecar_path=None) -> PosteriorDraws:
     column_groups: dict[str, tuple[int, int]] = {}
     if sidecar_path is not None:
         meta = json.loads(Path(sidecar_path).read_text(encoding="utf-8"))
+        n_coefficients = arr.shape[1] - 1
+        if meta.get("n_coefficients", n_coefficients) != n_coefficients:
+            raise ConfigError(
+                f"{sidecar_path}: sidecar records {meta['n_coefficients']} coefficients "
+                f"but {csv_path} has {n_coefficients}"
+            )
         survey_id = meta.get("survey_id", "")
         column_groups = {k: (int(lo), int(hi)) for k, (lo, hi) in meta.get("column_groups", {}).items()}
     return PosteriorDraws(

@@ -1,10 +1,11 @@
-"""Independent reference implementations used to cross-check the core math.
+"""Independent reference implementations used to cross-check the core math,
+and the variance profile of the per-covariate effects.
 
-Each function here deliberately re-derives a quantity along a different
-route than the main modules: the closed-form linear decomposition, direct
-Monte-Carlo integration over the cluster effect, a Newton-Raphson
-maximum-likelihood probit, and the variance profile of partial sums of
-the per-covariate effects.
+Each oracle deliberately re-derives a quantity along a different route
+than the main modules: the closed-form linear decomposition, direct
+Monte-Carlo integration over the cluster effect, and a Newton-Raphson
+maximum-likelihood probit.  The variance profile of partial sums is not
+an oracle: it is read off the decomposition's per-draw group effects.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import log_ndtr, ndtr, ndtri
 
-from .decompose import coefficient_decompose, validate_order
-from .errors import ConfigError, NonConvergenceError
+from .decompose import _decompose_draws
+from .errors import NonConvergenceError
 from .marginal import marginalize_all
 
 __all__ = [
@@ -123,42 +124,37 @@ class VarianceCollapseProfile:
         ):
             raise ValueError("final partial-sum variance must equal the beta-effect variance")
 
+    @classmethod
+    def from_draws(cls, draws) -> "VarianceCollapseProfile":
+        """Profile of the per-draw group effects of a decomposition.
+
+        ``draws`` is a :class:`~mortdecomp.decompose.DecompositionDraws`,
+        such as ``DecompositionSummary.draws``; the profile follows its
+        order.
+        """
+        effects = draws.group_effects
+        if draws.n_draws < 2 or np.allclose(effects.std(axis=0), 0.0):
+            corr = np.eye(len(draws.order))
+        else:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                corr = np.corrcoef(effects.T)
+        return cls(
+            order=draws.order,
+            partial_sum_variance=np.cumsum(effects, axis=1).var(axis=0, ddof=1),
+            beta_effect_variance=float(draws.beta_effect.var(ddof=1)),
+            correlation=np.atleast_2d(corr),
+        )
+
 
 def variance_collapse(design2, draws1, draws2, order=None, convention: str = "appendix_divide") -> VarianceCollapseProfile:
     """Profile of posterior variances as group effects accumulate.
 
     For every paired draw the per-group effects are computed in
-    ``order``; the profile reports the posterior variance of each
-    partial sum together with the pairwise correlation matrix of the
-    individual effects.
+    ``order`` over survey 2's sample; the profile reports the posterior
+    variance of each partial sum together with the pairwise correlation
+    matrix of the individual effects.  For draws already decomposed,
+    ``VarianceCollapseProfile.from_draws`` gives it without a second walk.
     """
-    if draws1.n_draws != draws2.n_draws:
-        raise ConfigError(
-            f"surveys have unequal retained draw counts ({draws1.n_draws} vs {draws2.n_draws})"
-        )
-    order = validate_order(order, design2.column_groups)
     tilde1 = marginalize_all(draws1.beta, draws1.sigma2, convention)
     tilde2 = marginalize_all(draws2.beta, draws2.sigma2, convention)
-
-    n_draws = tilde1.shape[0]
-    effects = np.empty((n_draws, len(order)))
-    beta_effect = np.empty(n_draws)
-    x2 = design2.x
-    for i in range(n_draws):
-        per_group = coefficient_decompose(design2, tilde1[i], tilde2[i], order)
-        effects[i] = [per_group[name] for name in order]
-        beta_effect[i] = float(np.mean(ndtr(x2 @ tilde1[i]))) - float(np.mean(ndtr(x2 @ tilde2[i])))
-
-    partial = np.cumsum(effects, axis=1)
-    variances = partial.var(axis=0, ddof=1)
-    if n_draws < 2 or np.allclose(effects.std(axis=0), 0.0):
-        corr = np.eye(len(order))
-    else:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            corr = np.corrcoef(effects.T)
-    return VarianceCollapseProfile(
-        order=tuple(order),
-        partial_sum_variance=variances,
-        beta_effect_variance=float(beta_effect.var(ddof=1)),
-        correlation=np.atleast_2d(corr),
-    )
+    return VarianceCollapseProfile.from_draws(_decompose_draws(design2, design2, tilde1, tilde2, order))

@@ -216,6 +216,64 @@ class TestCommands:
         doc = json.loads((out / "decomposition.json").read_text())
         assert doc["order"] == ["sex", "intercept"]
 
+    @staticmethod
+    def two_covariate_config(out_dir, covariate_order):
+        cfg = base_config(out_dir)
+        for survey, beta in (("s1", [-1.1, 0.4, -0.3]), ("s2", [-1.4, 0.3, -0.2])):
+            spec = cfg["input"]["dgp"][survey]
+            spec["beta"] = beta
+            spec["covariates"]["residence"] = {
+                "dist": "choice", "values": ["rural", "urban"], "probs": [0.6, 0.4]
+            }
+        specs = {
+            "sex": {"name": "sex", "kind": "binary", "reference": "female"},
+            "residence": {"name": "residence", "kind": "binary", "reference": "rural"},
+        }
+        cfg["schema"] = {"covariates": [specs[name] for name in covariate_order]}
+        return cfg
+
+    def test_decompose_rejects_draws_fitted_under_another_layout(self, tmp_path, capsys):
+        # draws fitted under [sex, residence] have the same width as the
+        # [residence, sex] design; only the sidecar's layout tells them apart
+        out = tmp_path / "out"
+        fitted = write_config(tmp_path, self.two_covariate_config(out, ["sex", "residence"]), "fitted.json")
+        assert main(["fit", "--config", str(fitted), "--survey", "s1"]) == 0
+        assert main(["fit", "--config", str(fitted), "--survey", "s2"]) == 0
+        capsys.readouterr()
+        swapped = write_config(tmp_path, self.two_covariate_config(out, ["residence", "sex"]), "swapped.json")
+        assert main(["decompose", "--config", str(swapped)]) == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[0])
+        assert record["error"]["type"] == "ConfigError"
+        assert "column groups" in record["error"]["message"]
+        assert not (out / "decomposition.json").exists()
+
+    def test_decompose_rejects_draw_width_without_sidecar(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        fitted = write_config(tmp_path, self.two_covariate_config(out, ["sex", "residence"]), "fitted.json")
+        assert main(["fit", "--config", str(fitted), "--survey", "s1"]) == 0
+        assert main(["fit", "--config", str(fitted), "--survey", "s2"]) == 0
+        (out / "draws_s1.json").unlink()
+        (out / "draws_s2.json").unlink()
+        capsys.readouterr()
+        narrow = write_config(tmp_path, base_config(out), "narrow.json")
+        assert main(["decompose", "--config", str(narrow)]) == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[0])
+        assert record["error"]["type"] == "ConfigError"
+        assert "coefficients per draw" in record["error"]["message"]
+
+    def test_decompose_rejects_sidecar_width_mismatch(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, base_config(out))
+        assert main(["run", "--config", str(path)]) == 0
+        sidecar = json.loads((out / "draws_s2.json").read_text())
+        sidecar["n_coefficients"] += 1
+        (out / "draws_s2.json").write_text(json.dumps(sidecar))
+        capsys.readouterr()
+        assert main(["decompose", "--config", str(path)]) == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[0])
+        assert record["error"]["type"] == "ConfigError"
+        assert "coefficients" in record["error"]["message"]
+
     def test_report_rerenders_tables(self, tmp_path, capsys):
         out = tmp_path / "out"
         path = write_config(tmp_path, base_config(out))

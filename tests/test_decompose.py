@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import mortdecomp.decompose as decompose_module
 from mortdecomp.dataset import DesignMatrix
 from mortdecomp.decompose import (
     annualize,
@@ -11,7 +12,7 @@ from mortdecomp.decompose import (
     posterior_decompose,
 )
 from mortdecomp.errors import ConfigError
-from mortdecomp.marginal import marginalize
+from mortdecomp.marginal import marginalize, marginalize_all
 from mortdecomp.sampler import PosteriorDraws
 from mortdecomp.validation import linear_oracle
 
@@ -266,6 +267,76 @@ class TestPosteriorDecompose:
             assert comp.significant == (comp.lower > 0 or comp.upper < 0)
         assert out.components["intercept"].significant
         assert not out.components["g0"].significant
+
+
+def random_draws(rng, center, spread, n):
+    beta = center + rng.normal(scale=spread, size=(n, len(center)))
+    return PosteriorDraws(survey_id="S", beta=beta, sigma2=rng.gamma(4.0, 0.05, size=n), column_groups={})
+
+
+class TestKernel:
+    """posterior_decompose walks every draw once through the shared kernel."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(40)
+        self.d1 = random_design(rng, 17, [1, 2, 3])
+        self.d2 = random_design(rng, 23, [1, 2, 3])
+        center = np.array([-1.1, 0.3, -0.2, 0.1, 0.2, -0.1, 0.05])
+        self.draws1 = random_draws(rng, center, 0.1, 30)
+        self.draws2 = random_draws(rng, center - 0.2, 0.1, 30)
+        self.order = ["g2", "intercept", "g0", "g1"]
+
+    def test_matches_decompose_draw_pair_by_pair(self):
+        out = posterior_decompose(
+            self.d1, self.d2, self.draws1, self.draws2, years_between=10.0, order=self.order
+        )
+        per_draw = out.draws
+        tilde1 = marginalize_all(self.draws1.beta, self.draws1.sigma2)
+        tilde2 = marginalize_all(self.draws2.beta, self.draws2.sigma2)
+        for ell in range(per_draw.n_draws):
+            d = decompose_draw(self.d1, self.d2, tilde1[ell], tilde2[ell], self.order)
+            np.testing.assert_allclose(per_draw.rate1[ell], d.rate1, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(per_draw.rate2[ell], d.rate2, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(per_draw.x_effect[ell], d.x_effect, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(per_draw.beta_effect[ell], d.beta_effect, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(
+                per_draw.group_effects[ell], [d.group_effects[name] for name in self.order], rtol=0, atol=1e-14
+            )
+
+    def test_link_passes_per_draw(self, monkeypatch):
+        # n1 + (K + 2) n2 normal-CDF evaluations per draw: rate1 over
+        # survey 1, then the crossed mean, one per swapped group and the
+        # direct rate2 over survey 2
+        evaluated = []
+        real_ndtr = decompose_module.ndtr
+
+        def counting_ndtr(v):
+            evaluated.append(np.size(v))
+            return real_ndtr(v)
+
+        monkeypatch.setattr(decompose_module, "ndtr", counting_ndtr)
+        posterior_decompose(self.d1, self.d2, self.draws1, self.draws2, years_between=10.0)
+        n1, n2, k = self.d1.n_rows, self.d2.n_rows, len(self.order)
+        assert sum(evaluated) == self.draws1.n_draws * (n1 + (k + 2) * n2)
+
+    def test_identity_link_matches_linear_oracle_per_draw(self):
+        out = posterior_decompose(
+            self.d1, self.d2, self.draws1, self.draws2, years_between=10.0, link="identity"
+        )
+        tilde1 = marginalize_all(self.draws1.beta, self.draws1.sigma2)
+        tilde2 = marginalize_all(self.draws2.beta, self.draws2.sigma2)
+        xbar1, xbar2 = self.d1.x.mean(axis=0), self.d2.x.mean(axis=0)
+        for ell in range(out.draws.n_draws):
+            want = linear_oracle(xbar1, xbar2, tilde1[ell], tilde2[ell])
+            assert abs(out.draws.x_effect[ell] - want[0]) < 1e-12
+            assert abs(out.draws.beta_effect[ell] - want[1]) < 1e-12
+
+    def test_draw_width_must_match_design(self):
+        narrow = constant_draws([-1.0, 0.2], 0.1, 5)
+        with pytest.raises(ConfigError, match="coefficients per draw"):
+            posterior_decompose(self.d1, self.d2, narrow, narrow, years_between=10.0)
+        with pytest.raises(ConfigError, match="coefficients per draw"):
+            decompose_draw(self.d1, self.d2, np.zeros(3), np.zeros(3))
 
 
 class TestAnnualize:

@@ -3,6 +3,7 @@ import pytest
 from scipy.special import ndtr, ndtri
 
 from mortdecomp.dataset import DesignMatrix
+from mortdecomp.decompose import posterior_decompose
 from mortdecomp.errors import ConfigError, NonConvergenceError
 from mortdecomp.sampler import PosteriorDraws
 from mortdecomp.validation import (
@@ -181,6 +182,23 @@ class TestVarianceCollapse:
         assert profile.correlation.shape == (3, 3)
         np.testing.assert_allclose(np.diag(profile.correlation), 1.0)
         assert np.all(np.abs(profile.correlation) <= 1.0 + 1e-12)
+
+    def test_profile_from_decomposition_matches_variance_collapse(self):
+        rng = np.random.default_rng(34)
+        design1 = design_from(
+            np.column_stack([np.ones(30), rng.normal(size=(30, 2))]),
+            groups={"a": (1, 2), "b": (2, 3)},
+        )
+        draws1 = random_draws(rng, np.array([-1.0, 0.2, -0.1]), 0.08, 0.2, 150)
+        draws2 = random_draws(rng, np.array([-1.4, 0.1, 0.1]), 0.08, 0.3, 150)
+        order = ["b", "intercept", "a"]
+        summary = posterior_decompose(design1, self.design, draws1, draws2, years_between=14.0, order=order)
+        derived = VarianceCollapseProfile.from_draws(summary.draws)
+        direct = variance_collapse(self.design, draws1, draws2, order)
+        assert derived.order == direct.order == tuple(order)
+        np.testing.assert_allclose(derived.partial_sum_variance, direct.partial_sum_variance, rtol=0, atol=1e-12)
+        assert abs(derived.beta_effect_variance - direct.beta_effect_variance) < 1e-12
+        np.testing.assert_allclose(derived.correlation, direct.correlation, rtol=0, atol=1e-12)
 
     def test_unequal_draw_counts_rejected(self):
         draws1 = constant_draws([-1.0, 0.2, -0.1], 0.3, 200)
