@@ -62,9 +62,9 @@ dgp = SyntheticConfig(
 print("generating two synthetic surveys ...")
 s1, s2 = synthesize(dgp, seed=20240810)
 for s in (s1, s2):
-    rate = 1000 * sum(r.outcome for r in s.records()) / s.n_births
+    rate = 1000 * int(s.outcome.sum()) / s.n_births
     print(f"  {s.survey_id} ({s.survey_year}): {s.n_births} births, "
-          f"{len(s.clusters)} clusters, empirical rate {rate:.1f} per 1000")
+          f"{s.n_clusters} clusters, empirical rate {rate:.1f} per 1000")
 
 print("\nbuilding shared-basis designs (centering from survey 1's poorest 20%) ...")
 centering = compute_centering(s1, schema)

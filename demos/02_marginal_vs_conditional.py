@@ -36,5 +36,5 @@ print("shrinkage on a realistic coefficient vector, sigma2 = 0.25:")
 beta = np.array([-1.3, 0.4, -0.25])
 tilde = marginalize(beta, 0.25)
 print(f"  conditional: {np.array2string(beta, precision=4)}")
-print(f"  marginal:    {np.array2string(tilde.coefficients, precision=4)}")
-print(f"  ratio:       {tilde.coefficients[0] / beta[0]:.4f} (= 1/sqrt(1.25))")
+print(f"  marginal:    {np.array2string(tilde, precision=4)}")
+print(f"  ratio:       {tilde[0] / beta[0]:.4f} (= 1/sqrt(1.25))")

@@ -59,8 +59,8 @@ print("fitting both surveys ...")
 draws1 = fit(d1, PriorSpec(), McmcConfig(total=1000 + 1000 * 3, burnin=1000, thin=3, target_retained=1000, seed=1))
 draws2 = fit(d2, PriorSpec(), McmcConfig(total=1000 + 1000 * 3, burnin=1000, thin=3, target_retained=1000, seed=2))
 
-b1 = marginalize(draws1.beta.mean(axis=0), float(draws1.sigma2.mean())).coefficients
-b2 = marginalize(draws2.beta.mean(axis=0), float(draws2.sigma2.mean())).coefficients
+b1 = marginalize(draws1.beta.mean(axis=0), float(draws1.sigma2.mean()))
+b2 = marginalize(draws2.beta.mean(axis=0), float(draws2.sigma2.mean()))
 
 print("\nper-group effects at the posterior-mean coefficients, every order:")
 names = ["intercept", "sex", "residence"]

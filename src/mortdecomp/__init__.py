@@ -7,7 +7,6 @@ effects."""
 __version__ = "0.1.0"
 
 from .dataset import (
-    BirthRecord,
     CenteringConstants,
     CovariateSchema,
     CovariateSpec,
@@ -41,7 +40,7 @@ from .errors import (
     SchemaError,
     SingularDesignError,
 )
-from .marginal import MarginalDraw, marginal_prob, marginalize, mean_mortality
+from .marginal import marginal_prob, marginalize, mean_mortality
 from .sampler import (
     FitDiagnostics,
     McmcConfig,

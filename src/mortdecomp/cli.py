@@ -30,6 +30,7 @@ import numpy as np
 from . import __version__
 from .dataset import (
     CovariateSchema,
+    CovariateSpec,
     build_design,
     compute_centering,
     default_schema,
@@ -65,6 +66,7 @@ from .validation import (
     linear_oracle,
     mc_marginalization_oracle,
     ml_probit_fit,
+    random_design,
     variance_collapse,  # noqa: F401
 )
 
@@ -96,14 +98,9 @@ class RunConfig:
     def from_dict(cls, raw: dict, overrides: dict | None = None) -> "RunConfig":
         raw = dict(raw)
         overrides = overrides or {}
-        if "seed" in overrides and overrides["seed"] is not None:
-            raw["seed"] = overrides["seed"]
-        if "out_dir" in overrides and overrides["out_dir"] is not None:
-            raw["out_dir"] = overrides["out_dir"]
-        if "order" in overrides and overrides["order"] is not None:
-            raw["order"] = overrides["order"]
-        if "marginalization" in overrides and overrides["marginalization"] is not None:
-            raw["marginalization"] = overrides["marginalization"]
+        for key in ("seed", "out_dir", "order", "marginalization"):
+            if overrides.get(key) is not None:
+                raw[key] = overrides[key]
 
         if "input" not in raw or not isinstance(raw["input"], dict):
             raise ConfigError("config needs an 'input' object with a 'mode'")
@@ -231,8 +228,7 @@ def _fit_survey(design, prior, mcmc, auto_extend):
 
 
 def _survey_diagnostics(fitted, draws, diag, sample, extended):
-    records = list(sample.records())
-    empirical = 1000.0 * sum(r.outcome for r in records) / len(records)
+    empirical = 1000.0 * int(sample.outcome.sum()) / sample.n_births
     out = {
         "retained": draws.n_draws,
         "acceptance_rate": 1.0,
@@ -372,32 +368,14 @@ class CheckResult:
 def validate_suite(convention: str = "appendix_divide", seed: int = 0, mc_draws: int = 200_000) -> list[CheckResult]:
     """Cross-check suite: linear triangle, Monte-Carlo marginalization grid,
     maximum-likelihood prior limit, and the collapsing-sum identity."""
-    from .dataset import DesignMatrix
-
     results = []
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-
-    def toy_design(n_rows, group_sizes):
-        cols = [np.ones((n_rows, 1))]
-        groups = {}
-        at = 1
-        for k, size in enumerate(group_sizes):
-            cols.append(rng.normal(size=(n_rows, size)))
-            groups[f"g{k}"] = (at, at + size)
-            at += size
-        return DesignMatrix(
-            x=np.hstack(cols),
-            outcome=np.zeros(n_rows, dtype=np.int64),
-            cluster_index=np.zeros(n_rows, dtype=np.int64),
-            column_groups=groups,
-            n_clusters=1,
-        )
 
     # linear triangle: identity link equals the closed-form split
     worst = 0.0
     for _ in range(100):
-        d1 = toy_design(20, [1, 1])
-        d2 = toy_design(20, [1, 1])
+        d1 = random_design(rng, 20, [1, 1])
+        d2 = random_design(rng, 20, [1, 1])
         b1, b2 = rng.normal(size=3), rng.normal(size=3)
         got = overall_decompose(d1, d2, b1, b2, link="identity")
         want = linear_oracle(d1.x.mean(axis=0), d2.x.mean(axis=0), b1, b2)
@@ -427,7 +405,7 @@ def validate_suite(convention: str = "appendix_divide", seed: int = 0, mc_draws:
     results.append(_prior_limit_check(seed))
 
     # collapsing-sum identity on random instances
-    d2 = toy_design(30, [2, 1])
+    d2 = random_design(rng, 30, [2, 1])
     worst = 0.0
     for _ in range(200):
         b1 = rng.normal(scale=0.7, size=4)
@@ -441,8 +419,6 @@ def validate_suite(convention: str = "appendix_divide", seed: int = 0, mc_draws:
 
 
 def _prior_limit_check(seed: int) -> CheckResult:
-    from .dataset import CovariateSpec
-
     schema = CovariateSchema((CovariateSpec("sex", "binary", reference="female"),))
     spec = dict(
         beta=(-1.0, 0.4),
@@ -515,7 +491,7 @@ def _cmd_simulate(args) -> int:
     s1, s2 = synthesize(config.dgp, seed=sim_seed)
     for sample, name in ((s1, "s1.csv"), (s2, "s2.csv")):
         write_survey_csv(sample, out_dir / name)
-        print(f"wrote {out_dir / name} ({sample.n_births} births, {len(sample.clusters)} clusters)")
+        print(f"wrote {out_dir / name} ({sample.n_births} births, {sample.n_clusters} clusters)")
     return 0
 
 
@@ -572,7 +548,10 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    doc = json.loads(Path(args.results).read_text(encoding="utf-8"))
+    try:
+        doc = json.loads(Path(args.results).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{args.results}: invalid JSON ({exc})") from None
     out_dir = Path(args.out or Path(args.results).parent)
     out_dir.mkdir(parents=True, exist_ok=True)
     for path in write_all_tables(doc, out_dir):

@@ -1,12 +1,12 @@
 """Two-survey birth microdata: ingestion, centering and design matrices.
 
-A survey sample is a set of birth records grouped by sampling cluster.
-Design matrices carry an explicit intercept column, spline-expanded
-continuous covariates centered at reference-population means, 0/1 coded
-binary covariates, and a map from covariate name to its contiguous
-column block.  Both surveys of a pair must be built against one shared
-knot source so their bases are identical and coefficient blocks can be
-swapped between them.
+A survey sample holds its births as columns, one array per field, with
+rows grouped by sampling cluster.  Design matrices carry an explicit
+intercept column, spline-expanded continuous covariates centered at
+reference-population means, 0/1 coded binary covariates, and a map from
+covariate name to its contiguous column block.  Both surveys of a pair
+must be built against one shared knot source so their bases are
+identical and coefficient blocks can be swapped between them.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .errors import DegenerateDesignError, EmptyInputError, RowError, SchemaErro
 from .splines import bspline_basis, quantile_knots
 
 __all__ = [
-    "BirthRecord",
     "SurveySample",
     "CovariateSpec",
     "CovariateSchema",
@@ -37,80 +36,106 @@ __all__ = [
 
 AGE_RANGE = (15.0, 45.0)
 
-SEX_LEVELS = ("female", "male")
-RESIDENCE_LEVELS = ("rural", "urban")
-
-# Columns the CSV interface knows how to parse, beyond outcome/cluster_id.
-_FIELD_PARSERS = {
-    "maternal_age": float,
-    "maternal_education": float,
-    "birth_order": int,
-    "birth_interval": float,
-    "wealth_rank": float,
-    "sex": str,
-    "residence": str,
-}
+# Fields a sample can carry beyond outcome and cluster, in CSV column
+# order.  Numeric fields are float64 with NaN as the missing marker; the
+# leveled fields are str.
+_FIELDS = ("maternal_age", "maternal_education", "birth_order", "birth_interval", "wealth_rank", "sex", "residence")
+_LEVELS = {"sex": ("female", "male"), "residence": ("rural", "urban")}
 
 
-@dataclass(frozen=True)
-class BirthRecord:
-    """One birth: outcome, covariates and identifiers.
-
-    Covariates that were not ingested are ``None``; validation of field
-    ranges happens on construction.
-    """
-
-    outcome: int
-    cluster_id: str
-    survey_id: str
-    maternal_age: float | None = None
-    maternal_education: float | None = None
-    birth_order: int | None = None
-    birth_interval: float | None = None
-    sex: str | None = None
-    residence: str | None = None
-    wealth_rank: float | None = None
-
-    def __post_init__(self):
-        if self.outcome not in (0, 1):
-            raise ValueError(f"outcome must be 0 or 1, got {self.outcome!r}")
-        if self.wealth_rank is not None and not 0.0 <= self.wealth_rank <= 1.0:
-            raise ValueError(f"wealth_rank must lie in [0, 1], got {self.wealth_rank}")
-        if self.birth_order is not None and self.birth_order < 1:
-            raise ValueError(f"birth_order must be >= 1, got {self.birth_order}")
-        if self.sex is not None and self.sex not in SEX_LEVELS:
-            raise ValueError(f"sex must be one of {SEX_LEVELS}, got {self.sex!r}")
-        if self.residence is not None and self.residence not in RESIDENCE_LEVELS:
-            raise ValueError(f"residence must be one of {RESIDENCE_LEVELS}, got {self.residence!r}")
+def _field_checks(columns: dict) -> list:
+    """``(bad-row mask, message for row i)`` for each per-birth field invariant."""
+    checks = []
+    if "wealth_rank" in columns:
+        w = columns["wealth_rank"]
+        checks.append(((w < 0.0) | (w > 1.0), lambda i: f"wealth_rank must lie in [0, 1], got {float(w[i])}"))
+    if "birth_order" in columns:
+        b = columns["birth_order"]
+        checks.append((b < 1, lambda i: f"birth_order must be >= 1, got {int(b[i])}"))
+    for name, levels in _LEVELS.items():
+        if name in columns:
+            v = columns[name]
+            message = lambda i, v=v, name=name, levels=levels: f"{name} must be one of {levels}, got {str(v[i])!r}"  # noqa: E731
+            checks.append((~np.isin(v, levels), message))
+    return checks
 
 
-@dataclass(frozen=True)
+def _first_failure(checks: list) -> tuple[int, str] | None:
+    """Earliest failing row and its message; within a row the first check wins."""
+    firsts = [(int(rows[0]), k) for k, (bad, _) in enumerate(checks) if (rows := np.flatnonzero(bad)).size]
+    if not firsts:
+        return None
+    row, k = min(firsts)
+    return row, checks[k][1](row)
+
+
+@dataclass(frozen=True, eq=False)
 class SurveySample:
-    """All births of one survey, grouped by cluster in first-appearance order."""
+    """All births of one survey as columns, grouped by cluster in first-appearance order.
+
+    ``cluster`` holds each birth's code into ``cluster_ids``; codes rise
+    from 0 in row order, so every cluster's births are contiguous.
+    ``columns`` holds one array per ingested or generated field (see
+    ``_FIELDS``).  Arrays are frozen read-only.
+    """
 
     survey_id: str
     survey_year: int
-    clusters: dict[str, list[BirthRecord]]
+    outcome: np.ndarray
+    cluster: np.ndarray
+    cluster_ids: tuple[str, ...]
+    columns: dict[str, np.ndarray]
     dropped_rows: int = 0
 
     def __post_init__(self):
-        for cid, records in self.clusters.items():
-            if not records:
-                raise ValueError(f"cluster {cid!r} is empty")
-            for r in records:
-                if r.survey_id != self.survey_id:
-                    raise ValueError(
-                        f"record in cluster {cid!r} carries survey_id {r.survey_id!r}, "
-                        f"expected {self.survey_id!r}"
-                    )
+        n = self.n_births
+        if self.cluster.shape != (n,) or any(col.shape != (n,) for col in self.columns.values()):
+            raise ValueError("every column needs one entry per birth")
+        for name, col in self.columns.items():
+            if name not in _FIELDS or col.dtype.kind != ("U" if name in _LEVELS else "f"):
+                raise ValueError(f"unexpected column {name!r} of dtype {col.dtype}")
+        steps = np.diff(np.concatenate(([-1], self.cluster, [self.n_clusters])))
+        if steps[0] != 1 or steps[-1] != 1 or np.any((steps != 0) & (steps != 1)):
+            raise ValueError("births must be grouped by cluster, coded 0.. in first-appearance order")
+        outcome = ((self.outcome != 0) & (self.outcome != 1), lambda i: f"outcome must be 0 or 1, got {self.outcome[i]}")
+        failure = _first_failure([outcome, *_field_checks(self.columns)])
+        if failure is not None:
+            raise ValueError(f"birth {failure[0]}: {failure[1]}")
+        for arr in (self.outcome, self.cluster, *self.columns.values()):
+            arr.setflags(write=False)
+
+    @classmethod
+    def from_columns(
+        cls, survey_id: str, survey_year: int, outcome, cluster_id, columns: dict, dropped_rows: int = 0
+    ) -> "SurveySample":
+        """Sample from per-birth values in any row order.
+
+        ``cluster_id`` labels each birth's cluster; rows are regrouped by
+        cluster in first-appearance order with one stable sort, so births
+        keep their order within a cluster.  Numeric columns become float64
+        (``None`` reads as missing), ``sex`` and ``residence`` str.
+        """
+        ids, first, inverse = np.unique(np.asarray(cluster_id, dtype=str), return_index=True, return_inverse=True)
+        by_first = np.argsort(first)
+        codes = np.argsort(by_first)[inverse.reshape(-1)]  # rank of each cluster's first appearance
+        order = np.argsort(codes, kind="stable")
+        return cls(
+            survey_id=survey_id,
+            survey_year=survey_year,
+            outcome=np.asarray(outcome, dtype=np.int64)[order],
+            cluster=codes[order],
+            cluster_ids=tuple(ids[by_first].tolist()),
+            columns={name: np.asarray(v, dtype=str if name in _LEVELS else float)[order] for name, v in columns.items()},
+            dropped_rows=dropped_rows,
+        )
 
     @property
     def n_births(self) -> int:
-        return sum(len(v) for v in self.clusters.values())
+        return self.outcome.shape[0]
 
-    def records(self):
-        for records in self.clusters.values():
-            yield from records
+    @property
+    def n_clusters(self) -> int:
+        return len(self.cluster_ids)
 
 
 @dataclass(frozen=True)
@@ -175,9 +200,9 @@ class CovariateSchema:
             raise SchemaError(f"duplicate covariate names in schema: {names}")
         if "intercept" in names:
             raise SchemaError("'intercept' is implicit and cannot be a covariate name")
-        unknown = [n for n in names if n not in _FIELD_PARSERS]
+        unknown = [n for n in names if n not in _FIELDS]
         if unknown:
-            raise SchemaError(f"schema names unknown record fields: {unknown}")
+            raise SchemaError(f"schema names unknown sample fields: {unknown}")
 
     @property
     def names(self) -> list[str]:
@@ -275,128 +300,146 @@ class DesignMatrix:
         return slice(lo, hi)
 
 
-def _parse_cell(name: str, raw: str, line: int):
-    raw = raw.strip()
-    if raw == "":
-        if name == "birth_interval":
-            return None
-        raise RowError(line, f"empty value for {name!r}")
-    parser = _FIELD_PARSERS[name]
+def _number(cell: str) -> float | None:
+    """A stripped CSV cell as a float (NaN when empty), or None when it does not parse."""
     try:
-        if parser is int:
-            # tolerate "3.0" style integers but reject true fractions
-            f = float(raw)
-            if f != int(f):
-                raise ValueError
-            return int(f)
-        if parser is float:
-            return float(raw)
-        return raw
+        return float(cell) if cell else np.nan
     except ValueError:
-        raise RowError(line, f"could not parse {name}={raw!r}") from None
+        return None
 
 
 def ingest_csv(path, schema: CovariateSchema, survey_year: int, survey_id: str = "S1") -> SurveySample:
     """Read one survey's births from CSV, grouped by cluster.
 
     The header must name every schema covariate plus ``outcome`` and
-    ``cluster_id``.  Rows whose maternal age falls outside [15, 45] are
-    dropped; the count of dropped rows is recorded on the sample.
+    ``cluster_id``; every other known field in the header is read too.
+    Rows whose maternal age falls outside [15, 45] are dropped; the count
+    of dropped rows is recorded on the sample.  A bad row raises
+    ``RowError`` at its CSV line: parse errors (empty, unparseable or
+    non-finite cells) count on every row, range and level errors only on
+    rows that are kept.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(path)
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise EmptyInputError(f"{path}: file is empty")
-        header = [h.strip() for h in reader.fieldnames]
+        header = [h.strip() for h in header]
         required = ["outcome", "cluster_id"] + schema.names
         missing = [c for c in required if c not in header]
         if missing:
             raise SchemaError(f"{path}: missing required column(s): {', '.join(missing)}")
-        parse_fields = [f for f in _FIELD_PARSERS if f in header]
-
-        clusters: dict[str, list[BirthRecord]] = {}
-        dropped = 0
-        n_rows = 0
+        position = {h: j for j, h in enumerate(header)}
+        rows, lines = [], []
         for row in reader:
-            line = reader.line_num
-            n_rows += 1
-            raw_outcome = (row.get("outcome") or "").strip()
-            if raw_outcome not in ("0", "1"):
-                raise RowError(line, f"outcome must be 0 or 1, got {raw_outcome!r}")
-            cluster_id = (row.get("cluster_id") or "").strip()
-            if not cluster_id:
-                raise RowError(line, "empty cluster_id")
-            fields = {name: _parse_cell(name, row.get(name) or "", line) for name in parse_fields}
-            age = fields.get("maternal_age")
-            if age is not None and not AGE_RANGE[0] <= age <= AGE_RANGE[1]:
-                dropped += 1
-                continue
-            try:
-                record = BirthRecord(
-                    outcome=int(raw_outcome),
-                    cluster_id=cluster_id,
-                    survey_id=survey_id,
-                    **fields,
-                )
-            except ValueError as exc:
-                raise RowError(line, str(exc)) from None
-            clusters.setdefault(cluster_id, []).append(record)
-
-    if n_rows == 0:
+            if row:  # blank lines are skipped; short rows read as empty cells
+                if len(row) < len(header):
+                    row += [""] * (len(header) - len(row))
+                rows.append(row)
+                lines.append(reader.line_num)
+    if not rows:
         raise EmptyInputError(f"{path}: header only, no data rows")
-    return SurveySample(survey_id=survey_id, survey_year=survey_year, clusters=clusters, dropped_rows=dropped)
+    table = list(zip(*rows))
+
+    def cells(name):
+        return [c.strip() for c in table[position[name]]]
+
+    raw_outcome = np.array(cells("outcome"))
+    cluster_id = np.array(cells("cluster_id"))
+    checks = [
+        (~np.isin(raw_outcome, ("0", "1")), lambda i: f"outcome must be 0 or 1, got {str(raw_outcome[i])!r}"),
+        (cluster_id == "", lambda i: "empty cluster_id"),
+    ]
+    columns = {}
+    for name in (f for f in _FIELDS if f in position):
+        raw = cells(name)
+        text = np.array(raw)
+        empty = text == ""
+        if name != "birth_interval":
+            checks.append((empty, lambda i, name=name: f"empty value for {name!r}"))
+        if name in _LEVELS:
+            columns[name] = text
+            continue
+        parsed = [_number(c) for c in raw]
+        values, bad = np.array(parsed, dtype=float), np.array([v is None for v in parsed], dtype=bool)
+        if name == "birth_order":  # "3.0" reads as 3; "2.5" does not parse
+            bad |= np.isfinite(values) & (values != np.trunc(values))
+        checks.append((bad, lambda i, name=name, raw=raw: f"could not parse {name}={raw[i]!r}"))
+        checks.append(
+            (~np.isfinite(values) & ~empty & ~bad, lambda i, name=name, raw=raw: f"non-finite value {name}={raw[i]!r}")
+        )
+        columns[name] = values
+
+    age = columns.get("maternal_age")
+    kept = np.ones(len(rows), dtype=bool) if age is None else (age >= AGE_RANGE[0]) & (age <= AGE_RANGE[1])
+    checks += [(bad & kept, message) for bad, message in _field_checks(columns)]
+    failure = _first_failure(checks)
+    if failure is not None:
+        raise RowError(lines[failure[0]], failure[1])
+
+    return SurveySample.from_columns(
+        survey_id,
+        survey_year,
+        outcome=(raw_outcome[kept] == "1").astype(np.int64),
+        cluster_id=cluster_id[kept],
+        columns={name: values[kept] for name, values in columns.items()},
+        dropped_rows=int(len(rows) - kept.sum()),
+    )
 
 
 def write_survey_csv(sample: SurveySample, path) -> None:
     """Write a sample in the CSV layout :func:`ingest_csv` reads.
 
-    Covariate columns that are ``None`` on every record are omitted;
-    birth intervals may be empty per record.
+    Columns missing on every birth are omitted; other missing values are
+    empty cells.  Numbers are written as ``repr(float)``, birth orders as
+    integers.
     """
-    records = list(sample.records())
-    if not records:
+    if sample.n_births == 0:
         raise EmptyInputError("cannot write an empty sample")
-    fields = [
-        name
-        for name in _FIELD_PARSERS
-        if any(getattr(r, name) is not None for r in records)
-    ]
+    cols = sample.columns
+    fields = [f for f in _FIELDS if f in cols and (f in _LEVELS or not np.isnan(cols[f]).all())]
+
+    def cells(name):
+        values = cols[name].tolist()
+        if name in _LEVELS:
+            return values
+        fmt = (lambda v: str(int(v))) if name == "birth_order" else repr
+        return ["" if v != v else fmt(v) for v in values]  # NaN is missing
+
+    table = [sample.outcome.tolist(), *(cells(name) for name in fields)]
+    table.append(np.asarray(sample.cluster_ids)[sample.cluster].tolist())
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["outcome", *fields, "cluster_id"])
-        for r in records:
-            row = [r.outcome]
-            for name in fields:
-                v = getattr(r, name)
-                row.append("" if v is None else (repr(float(v)) if isinstance(v, float) else v))
-            row.append(r.cluster_id)
-            writer.writerow(row)
+        writer.writerows(zip(*table))
 
 
 def pool_samples(*samples: SurveySample) -> SurveySample:
     """Concatenate samples into one pooled sample for knot placement.
 
     Cluster ids are prefixed with their survey id so clusters never
-    merge across surveys.
+    merge across surveys.  The pool keeps the fields every sample has.
     """
     if not samples:
         raise ValueError("need at least one sample to pool")
-    clusters: dict[str, list[BirthRecord]] = {}
-    for s in samples:
-        for cid, records in s.clusters.items():
-            key = f"{s.survey_id}:{cid}"
-            clusters[key] = [
-                BirthRecord(**{**r.__dict__, "survey_id": "pooled", "cluster_id": key})
-                for r in records
-            ]
-    return SurveySample(survey_id="pooled", survey_year=samples[0].survey_year, clusters=clusters)
+    offsets = np.cumsum([0] + [s.n_clusters for s in samples[:-1]])
+    shared = [name for name in samples[0].columns if all(name in s.columns for s in samples)]
+    return SurveySample(
+        survey_id="pooled",
+        survey_year=samples[0].survey_year,
+        outcome=np.concatenate([s.outcome for s in samples]),
+        cluster=np.concatenate([s.cluster + offset for s, offset in zip(samples, offsets)]),
+        cluster_ids=tuple(f"{s.survey_id}:{cid}" for s in samples for cid in s.cluster_ids),
+        columns={name: np.concatenate([s.columns[name] for s in samples]) for name in shared},
+    )
 
 
-def _values(sample: SurveySample, name: str) -> list:
-    return [getattr(r, name) for r in sample.records()]
+def _numeric(sample: SurveySample, name: str) -> np.ndarray:
+    """A numeric column; a field the sample lacks is missing on every birth."""
+    return sample.columns.get(name, np.full(sample.n_births, np.nan))
 
 
 def compute_centering(
@@ -405,7 +448,7 @@ def compute_centering(
     """Mean of each continuous covariate over the poorest households of survey 1.
 
     A household is in the reference population when its wealth rank is
-    at or below ``poor_quantile``.  If no record qualifies for a
+    at or below ``poor_quantile``.  If no birth qualifies for a
     covariate, its full-sample mean is used and the covariate is
     flagged as a fallback.  Missing values (allowed for birth
     intervals) are excluded from the means.
@@ -418,22 +461,21 @@ def compute_centering(
     if not continuous:
         return CenteringConstants({}, poor_quantile=poor_quantile)
 
-    records = list(sample1.records())
-    wealth = [r.wealth_rank for r in records]
-    if any(w is None for w in wealth):
-        raise SchemaError("centering needs wealth_rank on every record")
-    poor = [r for r, w in zip(records, wealth) if w <= poor_quantile]
+    wealth = _numeric(sample1, "wealth_rank")
+    if np.isnan(wealth).any():
+        raise SchemaError("centering needs wealth_rank on every birth")
+    poor = wealth <= poor_quantile
 
     values: dict[str, float] = {}
     fallback: set[str] = set()
     for cov in continuous:
-        vals = [getattr(r, cov.name) for r in poor]
-        vals = [v for v in vals if v is not None]
-        if not vals:
+        col = _numeric(sample1, cov.name)
+        observed = ~np.isnan(col)
+        vals = col[poor & observed]
+        if not vals.size:
             fallback.add(cov.name)
-            vals = [getattr(r, cov.name) for r in records]
-            vals = [v for v in vals if v is not None]
-            if not vals:
+            vals = col[observed]
+            if not vals.size:
                 raise SchemaError(f"covariate {cov.name!r} has no observed values")
         values[cov.name] = float(np.mean(vals))
     return CenteringConstants(values, poor_quantile=poor_quantile, fallback=frozenset(fallback))
@@ -449,30 +491,22 @@ def _continuous_columns(
     center = centering.values.get(cov.name)
     if center is None:
         raise SchemaError(f"no centering constant for continuous covariate {cov.name!r}")
-
-    def centered(values, median):
-        arr = np.array(
-            [median if v is None else float(v) for v in values], dtype=float
-        )
-        return arr - center
-
-    raw = _values(sample, cov.name)
-    src_raw = _values(knot_source, cov.name)
-    if any(v is None for v in raw) and not cov.allow_missing:
+    raw = _numeric(sample, cov.name)
+    src_raw = _numeric(knot_source, cov.name)
+    missing = np.isnan(raw)
+    src_missing = np.isnan(src_raw)
+    if missing.any() and not cov.allow_missing:
         raise SchemaError(f"covariate {cov.name!r} has missing values but allow_missing is off")
-    observed = [v for v in raw if v is not None]
-    src_observed = [v for v in src_raw if v is not None]
-    if not observed or not src_observed:
+    if missing.all() or src_missing.all():
         raise SchemaError(f"covariate {cov.name!r} has no observed values in the sample")
-    median = float(np.median(observed))
-    src_median = float(np.median(src_observed))
+    median = float(np.median(raw[~missing]))
+    src_median = float(np.median(src_raw[~src_missing]))
 
-    knots = quantile_knots(centered(src_raw, src_median), cov.degree, cov.df)
-    basis = bspline_basis(centered(raw, median), knots, cov.degree)
+    knots = quantile_knots(np.where(src_missing, src_median, src_raw) - center, cov.degree, cov.df)
+    basis = bspline_basis(np.where(missing, median, raw) - center, knots, cov.degree)
     cols = basis[:, 1:]  # drop the first basis function: intercept is explicit
     if cov.allow_missing:
-        indicator = np.array([1.0 if v is None else 0.0 for v in raw])
-        cols = np.column_stack([cols, indicator])
+        cols = np.column_stack([cols, missing.astype(float)])
     return cols
 
 
@@ -491,18 +525,16 @@ def build_design(
     """
     if sample.n_births == 0:
         raise EmptyInputError("cannot build a design from an empty sample")
-    records = list(sample.records())
-    n = len(records)
 
-    blocks: list[np.ndarray] = [np.ones((n, 1))]
+    blocks: list[np.ndarray] = [np.ones((sample.n_births, 1))]
     column_groups: dict[str, tuple[int, int]] = {}
     col = 1
     for cov in schema.covariates:
-        vals = [getattr(r, cov.name) for r in records]
         if cov.kind == "binary":
-            if any(v is None for v in vals):
-                raise SchemaError(f"covariate {cov.name!r} is missing from some records")
-            block = np.array([[0.0 if v == cov.reference else 1.0] for v in vals])
+            vals = sample.columns.get(cov.name)
+            if vals is None or (vals.dtype.kind == "f" and np.isnan(vals).any()):
+                raise SchemaError(f"covariate {cov.name!r} is missing from some births")
+            block = (vals != cov.reference).astype(float)[:, None]
         else:
             block = _continuous_columns(cov, sample, centering, knot_source)
         blocks.append(block)
@@ -510,22 +542,17 @@ def build_design(
         col += block.shape[1]
 
     x = np.hstack(blocks)
-    for name, (lo, hi) in column_groups.items():
-        for j in range(lo, hi):
-            colv = x[:, j]
-            if np.all(colv == colv[0]):
-                raise DegenerateDesignError(name, f"column {j} of group {name!r} is constant")
-
-    cluster_ids: dict[str, int] = {}
-    idx = np.empty(n, dtype=np.int64)
-    for i, r in enumerate(records):
-        idx[i] = cluster_ids.setdefault(r.cluster_id, len(cluster_ids))
+    constant = np.flatnonzero(np.all(x == x[0], axis=0)[1:]) + 1
+    if constant.size:
+        j = int(constant[0])
+        name = next(name for name, (lo, hi) in column_groups.items() if lo <= j < hi)
+        raise DegenerateDesignError(name, f"column {j} of group {name!r} is constant")
 
     return DesignMatrix(
         x=x,
-        outcome=np.array([r.outcome for r in records], dtype=np.int64),
-        cluster_index=idx,
+        outcome=sample.outcome,
+        cluster_index=sample.cluster,
         column_groups=column_groups,
-        n_clusters=len(cluster_ids),
+        n_clusters=sample.n_clusters,
         survey_id=sample.survey_id,
     )

@@ -19,7 +19,6 @@ from .errors import ConfigError
 
 __all__ = [
     "CONVENTIONS",
-    "MarginalDraw",
     "MortalitySummary",
     "marginalize",
     "marginalize_all",
@@ -28,17 +27,6 @@ __all__ = [
 ]
 
 CONVENTIONS = ("appendix_divide", "maintext_multiply")
-
-
-@dataclass(frozen=True)
-class MarginalDraw:
-    """Coefficients of the marginal probit for one posterior draw."""
-
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.coefficients)):
-            raise ValueError("marginal coefficients must be finite")
 
 
 def _scale(sigma2, convention: str):
@@ -52,10 +40,12 @@ def _scale(sigma2, convention: str):
     return 1.0 / root if convention == "appendix_divide" else root
 
 
-def marginalize(beta, sigma2: float, convention: str = "appendix_divide") -> MarginalDraw:
+def marginalize(beta, sigma2: float, convention: str = "appendix_divide") -> np.ndarray:
     """Rescale conditional coefficients into marginal-model coefficients."""
-    beta = np.asarray(beta, dtype=float)
-    return MarginalDraw(beta * _scale(float(sigma2), convention))
+    tilde = np.asarray(beta, dtype=float) * _scale(float(sigma2), convention)
+    if not np.all(np.isfinite(tilde)):
+        raise ValueError("marginal coefficients must be finite")
+    return tilde
 
 
 def marginalize_all(beta: np.ndarray, sigma2: np.ndarray, convention: str = "appendix_divide") -> np.ndarray:
@@ -66,8 +56,7 @@ def marginalize_all(beta: np.ndarray, sigma2: np.ndarray, convention: str = "app
 
 def marginal_prob(x, coefficients) -> float | np.ndarray:
     """Probability ``Phi(x' beta)`` for a design row (or matrix of rows)."""
-    coeff = getattr(coefficients, "coefficients", coefficients)
-    eta = np.asarray(x, dtype=float) @ np.asarray(coeff, dtype=float)
+    eta = np.asarray(x, dtype=float) @ np.asarray(coefficients, dtype=float)
     out = ndtr(eta)
     return float(out) if np.ndim(out) == 0 else out
 

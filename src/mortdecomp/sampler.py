@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +51,14 @@ class ChainQualityWarning(UserWarning):
     """Retained draws fall short of the independence target."""
 
 
+def _from_dict(cls, d: dict, section: str):
+    """``cls(**d)``, raising ``ConfigError`` rather than ``TypeError`` on unknown keys."""
+    unknown = set(d) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ConfigError(f"unknown {section} keys: {sorted(unknown)}")
+    return cls(**d)
+
+
 @dataclass(frozen=True)
 class PriorSpec:
     """Independent N(0, beta_sd^2) coefficients and inverse-gamma variance."""
@@ -67,7 +75,7 @@ class PriorSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PriorSpec":
-        return cls(**d)
+        return _from_dict(cls, d, "prior")
 
     def to_dict(self) -> dict:
         return {
@@ -129,7 +137,7 @@ class McmcConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "McmcConfig":
-        return cls(**d)
+        return _from_dict(cls, d, "mcmc")
 
     def to_dict(self) -> dict:
         return {

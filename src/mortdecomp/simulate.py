@@ -10,13 +10,12 @@ compared directly against fitted posteriors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import ndtr
 
 from .dataset import (
-    BirthRecord,
     CovariateSchema,
     SurveySample,
     build_design,
@@ -27,8 +26,8 @@ from .errors import ConfigError
 
 __all__ = ["SyntheticSurveySpec", "SyntheticConfig", "synthesize"]
 
-# Fallback generators for record fields the schema does not mention but
-# every record carries (age drives the ingestion filter; wealth drives
+# Fallback generators for fields the schema does not mention but every
+# synthetic sample carries (age drives the ingestion filter; wealth drives
 # centering).
 _DEFAULT_DISTRIBUTIONS = {
     "maternal_age": {"dist": "uniform", "low": 18.0, "high": 40.0},
@@ -57,6 +56,9 @@ class SyntheticSurveySpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SyntheticSurveySpec":
+        missing = [k for k in ("beta", "sigma2", "n_clusters", "births_per_cluster", "survey_year") if k not in d]
+        if missing:
+            raise ConfigError(f"synthetic survey spec is missing key(s): {', '.join(missing)}")
         return cls(
             beta=tuple(float(b) for b in d["beta"]),
             sigma2=float(d["sigma2"]),
@@ -115,8 +117,7 @@ def _draw(spec: dict, n: int, rng: np.random.Generator) -> np.ndarray:
     elif kind == "choice":
         values = spec["values"]
         probs = spec.get("probs")
-        idx = rng.choice(len(values), size=n, p=probs)
-        out = np.array([values[i] for i in idx], dtype=object)
+        out = np.array(values, dtype=object)[rng.choice(len(values), size=n, p=probs)]
     else:
         raise ConfigError(f"unknown covariate distribution {spec!r}")
     missing_prob = float(spec.get("missing_prob", 0.0))
@@ -126,45 +127,21 @@ def _draw(spec: dict, n: int, rng: np.random.Generator) -> np.ndarray:
     return out
 
 
-def _field_value(name: str, value):
-    if value is None:
-        return None
-    if name in ("sex", "residence"):
-        return str(value)
-    if name == "birth_order":
-        return int(value)
-    return float(value)
-
-
-def _generate_records(
-    spec: SyntheticSurveySpec,
-    schema: CovariateSchema,
-    survey_id: str,
-    rng: np.random.Generator,
-    outcomes: np.ndarray | None = None,
+def _generate_sample(
+    spec: SyntheticSurveySpec, schema: CovariateSchema, survey_id: str, rng: np.random.Generator
 ) -> SurveySample:
+    """Covariates for one survey, with every outcome 0; clusters are consecutive blocks."""
     n = spec.n_clusters * spec.births_per_cluster
-    field_names = list(dict.fromkeys(schema.names + list(_DEFAULT_DISTRIBUTIONS)))
-    draws: dict[str, np.ndarray] = {}
-    for name in field_names:
+    columns = {}
+    for name in dict.fromkeys(schema.names + list(_DEFAULT_DISTRIBUTIONS)):
         dist = spec.covariates.get(name) or _DEFAULT_DISTRIBUTIONS.get(name)
         if dist is None:
             raise ConfigError(f"no distribution configured for covariate {name!r}")
-        draws[name] = _draw(dist, n, rng)
-
-    y = outcomes if outcomes is not None else np.zeros(n, dtype=np.int64)
+        values = _draw(dist, n, rng)
+        columns[name] = np.trunc(values.astype(float)) if name == "birth_order" else values
     width = len(str(spec.n_clusters - 1))
-    clusters: dict[str, list[BirthRecord]] = {}
-    for j in range(spec.n_clusters):
-        cid = f"c{j:0{width}d}"
-        rows = []
-        for i in range(j * spec.births_per_cluster, (j + 1) * spec.births_per_cluster):
-            fields = {name: _field_value(name, draws[name][i]) for name in field_names}
-            rows.append(
-                BirthRecord(outcome=int(y[i]), cluster_id=cid, survey_id=survey_id, **fields)
-            )
-        clusters[cid] = rows
-    return SurveySample(survey_id=survey_id, survey_year=spec.survey_year, clusters=clusters)
+    cluster_id = np.repeat([f"c{j:0{width}d}" for j in range(spec.n_clusters)], spec.births_per_cluster)
+    return SurveySample.from_columns(survey_id, spec.survey_year, np.zeros(n, dtype=np.int64), cluster_id, columns)
 
 
 def synthesize(dgp: SyntheticConfig, seed: int) -> tuple[SurveySample, SurveySample]:
@@ -185,7 +162,7 @@ def synthesize(dgp: SyntheticConfig, seed: int) -> tuple[SurveySample, SurveySam
     # First pass: covariates only, so centering and shared knots exist
     # before any outcome is drawn.
     bare = [
-        _generate_records(spec, dgp.schema, sid, rng)
+        _generate_sample(spec, dgp.schema, sid, rng)
         for spec, sid, rng in zip((dgp.s1, dgp.s2), ("S1", "S2"), cov_rngs)
     ]
     centering = compute_centering(bare[0], dgp.schema, dgp.poor_quantile)
@@ -209,17 +186,5 @@ def synthesize(dgp: SyntheticConfig, seed: int) -> tuple[SurveySample, SurveySam
                 f"linear predictor range [{eta.min():.2f}, {eta.max():.2f}]"
             )
         y = (eff_rng.random(eta.size) < probs).astype(np.int64)
-        # Second pass rebuilds the records with outcomes attached; the
-        # covariate draws are reused, not redrawn.
-        rebuilt: dict[str, list[BirthRecord]] = {}
-        i = 0
-        for cid, records in sample.clusters.items():
-            rebuilt[cid] = [
-                BirthRecord(**{**r.__dict__, "outcome": int(y[i + k])})
-                for k, r in enumerate(records)
-            ]
-            i += len(records)
-        samples.append(
-            SurveySample(survey_id=sid, survey_year=spec.survey_year, clusters=rebuilt)
-        )
+        samples.append(replace(sample, outcome=y))
     return samples[0], samples[1]

@@ -4,8 +4,10 @@ and the variance profile of the per-covariate effects.
 Each oracle deliberately re-derives a quantity along a different route
 than the main modules: the closed-form linear decomposition, direct
 Monte-Carlo integration over the cluster effect, and a Newton-Raphson
-maximum-likelihood probit.  The variance profile of partial sums is not
-an oracle: it is read off the decomposition's per-draw group effects.
+maximum-likelihood probit.  ``random_design`` builds the random designs
+they are checked on, for the CLI cross-check suite and the tests alike.
+The variance profile of partial sums is not an oracle: it is read off
+the decomposition's per-draw group effects.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import log_ndtr, ndtr, ndtri
 
+from .dataset import DesignMatrix
 from .decompose import _decompose_draws
 from .errors import NonConvergenceError
 from .marginal import marginalize_all
@@ -23,6 +26,7 @@ __all__ = [
     "linear_oracle",
     "mc_marginalization_oracle",
     "ml_probit_fit",
+    "random_design",
     "VarianceCollapseProfile",
     "variance_collapse",
 ]
@@ -60,6 +64,24 @@ def mc_marginalization_oracle(beta, sigma2: float, x, n_draws: int, seed: int) -
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     values = ndtr(eta + rng.normal(0.0, np.sqrt(sigma2), size=n_draws))
     return float(values.mean()), float(values.std(ddof=1) / np.sqrt(n_draws))
+
+
+def random_design(rng: np.random.Generator, n_rows: int, group_sizes) -> DesignMatrix:
+    """Intercept plus standard-normal column groups ``g0, g1, ...`` of the given widths."""
+    cols = [np.ones((n_rows, 1))]
+    groups = {}
+    at = 1
+    for k, size in enumerate(group_sizes):
+        cols.append(rng.normal(size=(n_rows, size)))
+        groups[f"g{k}"] = (at, at + size)
+        at += size
+    return DesignMatrix(
+        x=np.hstack(cols),
+        outcome=np.zeros(n_rows, dtype=np.int64),
+        cluster_index=np.zeros(n_rows, dtype=np.int64),
+        column_groups=groups,
+        n_clusters=1,
+    )
 
 
 def _probit_score_info(x: np.ndarray, y: np.ndarray, beta: np.ndarray):

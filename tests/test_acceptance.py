@@ -20,7 +20,6 @@ from mortdecomp.cli import RunConfig, run_pipeline, validate_suite
 from mortdecomp.dataset import (
     CovariateSchema,
     CovariateSpec,
-    DesignMatrix,
     build_design,
     compute_centering,
     pool_samples,
@@ -39,6 +38,7 @@ from mortdecomp.validation import (
     linear_oracle,
     mc_marginalization_oracle,
     ml_probit_fit,
+    random_design,
     variance_collapse,
 )
 
@@ -50,23 +50,6 @@ def report(name: str, ok: bool, detail: str, elapsed: float) -> None:
     line = f"ACCEPTANCE {status} {name}: {detail} [{elapsed:.1f}s]"
     record_acceptance(line)
     print(line, flush=True)
-
-
-def random_design(rng, n_rows, group_sizes):
-    cols = [np.ones((n_rows, 1))]
-    groups = {}
-    at = 1
-    for k, size in enumerate(group_sizes):
-        cols.append(rng.normal(size=(n_rows, size)))
-        groups[f"g{k}"] = (at, at + size)
-        at += size
-    return DesignMatrix(
-        x=np.hstack(cols),
-        outcome=np.zeros(n_rows, dtype=np.int64),
-        cluster_index=np.zeros(n_rows, dtype=np.int64),
-        column_groups=groups,
-        n_clusters=1,
-    )
 
 
 def recovery_dgp(truth=(-1.2, 0.4, -0.35, 0.3), sigma2=0.25, n_clusters=200, births=25):

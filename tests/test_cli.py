@@ -274,6 +274,53 @@ class TestCommands:
         assert record["error"]["type"] == "ConfigError"
         assert "coefficients" in record["error"]["message"]
 
+    @staticmethod
+    def error_record(capsys):
+        return json.loads(capsys.readouterr().err.strip().splitlines()[0])["error"]
+
+    def test_simulate_without_beta_exits_2(self, tmp_path, capsys):
+        cfg = base_config(tmp_path / "out")
+        del cfg["input"]["dgp"]["s2"]["beta"]
+        assert main(["simulate", "--config", str(write_config(tmp_path, cfg))]) == 2
+        record = self.error_record(capsys)
+        assert record["type"] == "ConfigError" and "beta" in record["message"]
+
+    def test_unknown_mcmc_key_exits_2(self, tmp_path, capsys):
+        cfg = base_config(tmp_path / "out")
+        cfg["mcmc"]["sweeps"] = 10
+        assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 2
+        record = self.error_record(capsys)
+        assert record["type"] == "ConfigError" and "sweeps" in record["message"]
+
+    def test_report_on_malformed_results_exits_2(self, tmp_path, capsys):
+        results = tmp_path / "decomposition.json"
+        results.write_text('{"order": [', encoding="utf-8")
+        assert main(["report", "--results", str(results)]) == 2
+        record = self.error_record(capsys)
+        assert record["type"] == "ConfigError" and "invalid JSON" in record["message"]
+
+    def test_decompose_rejects_non_finite_csv_cell(self, tmp_path, capsys):
+        cfg = base_config(tmp_path / "sim")
+        cfg["schema"] = {"covariates": [{"name": "maternal_age", "kind": "continuous_spline", "degree": 1, "df": 1}]}
+        for survey in ("s1", "s2"):
+            cfg["input"]["dgp"][survey]["covariates"] = {}
+        assert main(["simulate", "--config", str(write_config(tmp_path, cfg))]) == 0
+        lines = (tmp_path / "sim" / "s2.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        cells = lines[3].split(",")
+        cells[header.index("maternal_age")] = "inf"
+        lines[3] = ",".join(cells)
+        (tmp_path / "sim" / "s2.csv").write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+
+        cfg["input"] = {"mode": "csv", "s1_path": str(tmp_path / "sim" / "s1.csv"), "s2_path": str(tmp_path / "sim" / "s2.csv")}
+        cfg["survey_years"] = {"s1": 2000, "s2": 2014}
+        cfg["out_dir"] = str(tmp_path / "out")
+        assert main(["decompose", "--config", str(write_config(tmp_path, cfg, "csv.json"))]) == 2
+        record = self.error_record(capsys)
+        assert record["type"] == "RowError"
+        assert record["message"] == "line 4: non-finite value maternal_age='inf'"
+
     def test_report_rerenders_tables(self, tmp_path, capsys):
         out = tmp_path / "out"
         path = write_config(tmp_path, base_config(out))

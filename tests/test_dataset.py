@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mortdecomp.dataset import (
-    BirthRecord,
     CenteringConstants,
     CovariateSchema,
     CovariateSpec,
@@ -12,6 +13,7 @@ from mortdecomp.dataset import (
     ingest_csv,
     pool_samples,
     SurveySample,
+    write_survey_csv,
 )
 from mortdecomp.errors import (
     DegenerateDesignError,
@@ -30,11 +32,14 @@ def write_csv(tmp_path, rows, header=CSV_HEADER, name="survey.csv"):
 
 
 def make_sample(rows, survey_id="S1", survey_year=2000):
-    clusters = {}
-    for r in rows:
-        rec = BirthRecord(survey_id=survey_id, **r)
-        clusters.setdefault(rec.cluster_id, []).append(rec)
-    return SurveySample(survey_id=survey_id, survey_year=survey_year, clusters=clusters)
+    fields = sorted({k for r in rows for k in r} - {"outcome", "cluster_id"})
+    return SurveySample.from_columns(
+        survey_id,
+        survey_year,
+        outcome=[r["outcome"] for r in rows],
+        cluster_id=[r["cluster_id"] for r in rows],
+        columns={name: [r.get(name) for r in rows] for name in fields},
+    )
 
 
 class TestIngest:
@@ -48,12 +53,37 @@ class TestIngest:
             ],
         )
         sample = ingest_csv(path, default_schema(), survey_year=2000)
-        assert len(sample.clusters) == 2
+        assert sample.n_clusters == 2 and sample.cluster_ids == ("a", "b")
         assert sample.n_births == 3
         assert sample.dropped_rows == 0
-        first = sample.clusters["a"][0]
-        assert first.outcome == 0 and first.maternal_age == 25.0
-        assert sample.clusters["a"][1].birth_interval is None
+        np.testing.assert_array_equal(sample.cluster, [0, 0, 1])
+        assert sample.outcome[0] == 0 and sample.columns["maternal_age"][0] == 25.0
+        assert np.isnan(sample.columns["birth_interval"][1])
+        assert sample.columns["sex"][1] == "male"
+        with pytest.raises(ValueError):
+            sample.outcome[0] = 1
+
+    def test_interleaved_clusters_grouped_in_first_appearance_order(self, tmp_path):
+        path = write_csv(
+            tmp_path,
+            [
+                "0,25,6,2,24,female,rural,0.3,z\n",
+                "1,30,2,4,,male,urban,0.1,a\n",
+                "0,22,8,1,,female,rural,0.9,z\n",
+            ],
+        )
+        sample = ingest_csv(path, default_schema(), survey_year=2000)
+        assert sample.cluster_ids == ("z", "a")
+        np.testing.assert_array_equal(sample.cluster, [0, 0, 1])
+        # births keep their file order within a cluster
+        np.testing.assert_array_equal(sample.outcome, [0, 0, 1])
+        np.testing.assert_array_equal(sample.columns["maternal_age"], [25.0, 22.0, 30.0])
+
+    def test_header_names_are_stripped(self, tmp_path):
+        header = CSV_HEADER.replace(",", ", ")
+        path = write_csv(tmp_path, ["0, 25,6,2,24,female,rural,0.3,a\n"], header=header)
+        sample = ingest_csv(path, default_schema(), survey_year=2000)
+        assert sample.columns["maternal_age"][0] == 25.0
 
     def test_missing_cluster_id_column(self, tmp_path):
         header = CSV_HEADER.replace(",cluster_id", "")
@@ -117,7 +147,7 @@ class TestIngest:
         path.write_text("outcome,sex,cluster_id\n0,female,a\n1,male,b\n")
         sample = ingest_csv(path, schema, survey_year=2000)
         assert sample.n_births == 2
-        assert sample.clusters["a"][0].maternal_age is None
+        assert set(sample.columns) == {"sex"}
 
 
 class TestCentering:
@@ -160,7 +190,7 @@ class TestCentering:
 
     def test_empty_sample_errors(self):
         schema = CovariateSchema((CovariateSpec("maternal_age", "continuous_spline", degree=1, df=1),))
-        sample = SurveySample(survey_id="S1", survey_year=2000, clusters={})
+        sample = make_sample([])
         with pytest.raises(EmptyInputError):
             compute_centering(sample, schema)
 
@@ -179,7 +209,7 @@ class TestBuildDesign:
         sample = make_sample(binary_rows(4))
         design = build_design(sample, schema, CenteringConstants.zeros(schema), sample)
         assert design.n_cols == 2
-        sexes = [r.sex for r in sample.records()]
+        sexes = sample.columns["sex"]
         np.testing.assert_array_equal(design.x[:, 1], [1.0 if s == "male" else 0.0 for s in sexes])
         assert design.column_groups == {"sex": (1, 2)}
 
@@ -253,7 +283,7 @@ class TestBuildDesign:
         ]
         sample = make_sample(rows)
         design = build_design(sample, schema, CenteringConstants.zeros(schema), sample)
-        # records iterate cluster-by-cluster: z first (2 rows), then a
+        # births are grouped cluster-by-cluster: z first (2 rows), then a
         np.testing.assert_array_equal(design.cluster_index, [0, 0, 1])
 
     def test_group_map_partitions_columns(self):
@@ -306,10 +336,103 @@ def test_schema_round_trip_and_validation():
         CovariateSpec("sex", "binary")  # no reference level
 
 
-def test_birth_record_invariants():
-    with pytest.raises(ValueError):
-        BirthRecord(outcome=2, cluster_id="a", survey_id="S1")
-    with pytest.raises(ValueError):
-        BirthRecord(outcome=0, cluster_id="a", survey_id="S1", wealth_rank=1.2)
-    with pytest.raises(ValueError):
-        BirthRecord(outcome=0, cluster_id="a", survey_id="S1", birth_order=0)
+def test_field_invariants_raise_row_error(tmp_path):
+    for row, field in [
+        ("2,25,6,2,24,female,rural,0.3,a\n", "outcome"),
+        ("0,25,6,2,24,female,rural,1.2,a\n", "wealth_rank"),
+        ("0,25,6,0,24,female,rural,0.3,a\n", "birth_order"),
+        ("0,25,6,2,24,female,town,0.3,a\n", "residence"),
+    ]:
+        path = write_csv(tmp_path, ["0,25,6,2,24,female,rural,0.3,a\n", row])
+        with pytest.raises(RowError, match=field) as err:
+            ingest_csv(path, default_schema(), survey_year=2000)
+        assert err.value.line_number == 3
+
+
+def test_field_invariants_hold_for_samples_built_in_code():
+    with pytest.raises(ValueError, match="outcome"):
+        make_sample([{"outcome": 2, "cluster_id": "a"}])
+    with pytest.raises(ValueError, match="wealth_rank"):
+        make_sample([{"outcome": 0, "cluster_id": "a", "wealth_rank": 1.2}])
+    with pytest.raises(ValueError, match="birth_order"):
+        make_sample([{"outcome": 0, "cluster_id": "a", "birth_order": 0}])
+
+
+def test_dropped_rows_are_exempt_from_range_checks_but_not_parse_checks(tmp_path):
+    path = write_csv(tmp_path, ["0,14,6,0,24,female,rural,1.5,a\n", "0,25,6,2,24,female,rural,0.3,a\n"])
+    sample = ingest_csv(path, default_schema(), survey_year=2000)
+    assert sample.n_births == 1 and sample.dropped_rows == 1
+    path = write_csv(tmp_path, ["0,14,six,2,24,female,rural,0.3,a\n", "0,25,6,2,24,female,rural,0.3,a\n"])
+    with pytest.raises(RowError, match="maternal_education") as err:
+        ingest_csv(path, default_schema(), survey_year=2000)
+    assert err.value.line_number == 2
+
+
+def test_first_offending_row_wins_across_check_kinds(tmp_path):
+    path = write_csv(
+        tmp_path,
+        [
+            "0,25,6,2,24,female,rural,0.3,a\n",
+            "0,25,6,2,24,female,rural,1.5,a\n",
+            "0,25,6,2.5,24,female,rural,0.3,a\n",
+        ],
+    )
+    with pytest.raises(RowError, match="wealth_rank") as err:
+        ingest_csv(path, default_schema(), survey_year=2000)
+    assert err.value.line_number == 3
+
+
+@pytest.mark.parametrize(
+    "field, row",
+    [
+        ("birth_order", "0,25,6,inf,24,female,rural,0.3,a\n"),
+        ("birth_interval", "0,25,6,2,nan,female,rural,0.3,a\n"),
+        ("maternal_education", "0,25,inf,2,24,female,rural,0.3,a\n"),
+        ("maternal_age", "0,nan,6,2,24,female,rural,0.3,a\n"),
+    ],
+    ids=["birth_order_inf", "birth_interval_nan", "maternal_education_inf", "maternal_age_nan"],
+)
+def test_non_finite_cell_raises_row_error(tmp_path, field, row):
+    path = write_csv(tmp_path, ["0,25,6,2,24,female,rural,0.3,a\n", row])
+    with pytest.raises(RowError, match=f"non-finite value {field}=") as err:
+        ingest_csv(path, default_schema(), survey_year=2000)
+    assert err.value.line_number == 3
+
+
+_finite = dict(allow_nan=False, allow_infinity=False)
+_rows = st.lists(
+    st.fixed_dictionaries(
+        {
+            "outcome": st.integers(0, 1),
+            "cluster_id": st.sampled_from(["a", "b", "c 1", "z,2"]),
+            "maternal_age": st.floats(15, 45, **_finite),
+            "maternal_education": st.floats(-1e6, 1e6, **_finite),
+            "birth_order": st.integers(1, 20),
+            "birth_interval": st.none() | st.floats(0, 1e3, **_finite),
+            "wealth_rank": st.floats(0, 1, **_finite),
+            "sex": st.sampled_from(["female", "male"]),
+            "residence": st.sampled_from(["rural", "urban"]),
+        }
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=_rows)
+def test_write_then_ingest_round_trips_every_column(tmp_path_factory, rows):
+    sample = make_sample(rows)
+    path = tmp_path_factory.mktemp("round_trip") / "s.csv"
+    write_survey_csv(sample, path)
+    schema = CovariateSchema((CovariateSpec("sex", "binary", reference="female"),))
+    again = ingest_csv(path, schema, survey_year=2000)
+    assert again.dropped_rows == 0
+    assert again.cluster_ids == sample.cluster_ids
+    np.testing.assert_array_equal(again.outcome, sample.outcome)
+    np.testing.assert_array_equal(again.cluster, sample.cluster)
+    # a column missing on every birth is not written
+    all_missing = {"birth_interval"} if np.isnan(sample.columns["birth_interval"]).all() else set()
+    assert set(again.columns) == set(sample.columns) - all_missing
+    for name in again.columns:
+        np.testing.assert_array_equal(again.columns[name], sample.columns[name])

@@ -14,7 +14,7 @@ from mortdecomp.decompose import (
 from mortdecomp.errors import ConfigError
 from mortdecomp.marginal import marginalize, marginalize_all
 from mortdecomp.sampler import PosteriorDraws
-from mortdecomp.validation import linear_oracle
+from mortdecomp.validation import linear_oracle, random_design
 
 
 def design_from(x, groups=None):
@@ -28,17 +28,6 @@ def design_from(x, groups=None):
         column_groups=groups,
         n_clusters=1,
     )
-
-
-def random_design(rng, n_rows, group_sizes):
-    cols = [np.ones((n_rows, 1))]
-    groups = {}
-    at = 1
-    for k, size in enumerate(group_sizes):
-        cols.append(rng.normal(size=(n_rows, size)))
-        groups[f"g{k}"] = (at, at + size)
-        at += size
-    return design_from(np.hstack(cols), groups)
 
 
 class TestOverallDecompose:
@@ -179,7 +168,7 @@ class TestDecomposeDraw:
         b1, b2 = rng.normal(size=3), rng.normal(size=3)
         plain = decompose_draw(d1, d2, b1, b2)
         scaled = decompose_draw(
-            d1, d2, marginalize(b1, 0.0).coefficients, marginalize(b2, 0.0).coefficients
+            d1, d2, marginalize(b1, 0.0), marginalize(b2, 0.0)
         )
         assert plain == scaled
 
@@ -200,7 +189,7 @@ class TestPosteriorDecompose:
         draws2 = constant_draws(b2, 0.25, 150)
         out = posterior_decompose(d1, d2, draws1, draws2, years_between=10.0)
         point = decompose_draw(
-            d1, d2, marginalize(b1, 0.5).coefficients, marginalize(b2, 0.25).coefficients
+            d1, d2, marginalize(b1, 0.5), marginalize(b2, 0.25)
         )
         for name, comp in out.components.items():
             assert comp.upper - comp.lower == 0.0

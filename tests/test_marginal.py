@@ -4,7 +4,6 @@ from scipy.special import ndtri
 
 from mortdecomp.errors import ConfigError
 from mortdecomp.marginal import (
-    MarginalDraw,
     marginal_prob,
     marginalize,
     marginalize_all,
@@ -32,11 +31,11 @@ class TestMarginalize:
     def test_zero_variance_is_identity(self):
         beta = np.array([0.7, -0.2, 1.5])
         out = marginalize(beta, 0.0)
-        np.testing.assert_array_equal(out.coefficients, beta)
+        np.testing.assert_array_equal(out, beta)
 
     def test_divide_by_root_one_plus_sigma2(self):
         out = marginalize(np.array([1.0]), 3.0)
-        np.testing.assert_allclose(out.coefficients, [0.5])
+        np.testing.assert_allclose(out, [0.5])
 
     def test_agrees_with_monte_carlo_integration(self):
         beta = np.array([0.7, -0.2])
@@ -49,7 +48,7 @@ class TestMarginalize:
         beta = np.array([0.7, -0.2])
         x = np.array([1.0, 1.0])
         flipped = marginalize(beta, 1.0, convention="maintext_multiply")
-        np.testing.assert_allclose(flipped.coefficients, beta * np.sqrt(2.0))
+        np.testing.assert_allclose(flipped, beta * np.sqrt(2.0))
         estimate, se = mc_marginalization_oracle(beta, 1.0, x, n_draws=10**6, seed=42)
         assert abs(marginal_prob(x, flipped) - estimate) > 3 * se
 
@@ -67,7 +66,7 @@ class TestMarginalize:
         sigma2 = rng.gamma(1.0, 1.0, size=20)
         out = marginalize_all(beta, sigma2)
         for i in range(20):
-            np.testing.assert_allclose(out[i], marginalize(beta[i], sigma2[i]).coefficients)
+            np.testing.assert_allclose(out[i], marginalize(beta[i], sigma2[i]))
 
     def test_monotone_shrinkage(self):
         rng = np.random.default_rng(1)
@@ -78,9 +77,9 @@ class TestMarginalize:
             eta = x @ beta
             if eta == 0:
                 continue
-            eta_t = x @ marginalize(beta, s2).coefficients
+            eta_t = x @ marginalize(beta, s2)
             assert abs(eta_t) < abs(eta)
-            assert abs(marginal_prob(x, marginalize(beta, s2).coefficients) - 0.5) < abs(
+            assert abs(marginal_prob(x, marginalize(beta, s2)) - 0.5) < abs(
                 marginal_prob(x, beta) - 0.5
             )
 
@@ -151,6 +150,6 @@ class TestMeanMortality:
             mean_mortality(design, draws)
 
 
-def test_marginal_draw_requires_finite():
-    with pytest.raises(ValueError):
-        MarginalDraw(np.array([np.inf]))
+def test_marginalize_requires_finite():
+    with pytest.raises(ValueError, match="finite"):
+        marginalize(np.array([np.inf]), 0.0)

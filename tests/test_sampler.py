@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from mortdecomp.dataset import (
-    BirthRecord,
     CenteringConstants,
     CovariateSchema,
     CovariateSpec,
@@ -108,19 +107,13 @@ class TestFit:
 
     def test_all_zero_outcomes_stay_finite(self):
         rng = np.random.default_rng(0)
-        clusters = {
-            f"c{j}": [
-                BirthRecord(
-                    outcome=0,
-                    cluster_id=f"c{j}",
-                    survey_id="S1",
-                    sex="male" if rng.random() < 0.5 else "female",
-                )
-                for _ in range(10)
-            ]
-            for j in range(4)
-        }
-        sample = SurveySample(survey_id="S1", survey_year=2000, clusters=clusters)
+        sample = SurveySample.from_columns(
+            "S1",
+            2000,
+            outcome=np.zeros(40, dtype=np.int64),
+            cluster_id=[f"c{j}" for j in range(4) for _ in range(10)],
+            columns={"sex": ["male" if rng.random() < 0.5 else "female" for _ in range(40)]},
+        )
         schema = CovariateSchema((CovariateSpec("sex", "binary", reference="female"),))
         design = build_design(sample, schema, CenteringConstants.zeros(schema), sample)
         config = McmcConfig(total=3000, burnin=500, thin=2, seed=3, allow_short=True)
@@ -146,13 +139,13 @@ class TestFit:
 
     def test_single_cluster_rejected(self):
         schema = CovariateSchema((CovariateSpec("sex", "binary", reference="female"),))
-        clusters = {
-            "only": [
-                BirthRecord(outcome=i % 2, cluster_id="only", survey_id="S1", sex=s)
-                for i, s in enumerate(["female", "male"] * 5)
-            ]
-        }
-        sample = SurveySample(survey_id="S1", survey_year=2000, clusters=clusters)
+        sample = SurveySample.from_columns(
+            "S1",
+            2000,
+            outcome=[i % 2 for i in range(10)],
+            cluster_id=["only"] * 10,
+            columns={"sex": ["female", "male"] * 5},
+        )
         design = build_design(sample, schema, CenteringConstants.zeros(schema), sample)
         with pytest.raises(ConfigError, match="clusters"):
             fit(design, PriorSpec(), McmcConfig(total=200, burnin=10, thin=1, allow_short=True))
