@@ -43,6 +43,7 @@ from .errors import (
 from .marginal import marginal_prob, marginalize, mean_mortality
 from .sampler import (
     FitDiagnostics,
+    GibbsChain,
     McmcConfig,
     PosteriorDraws,
     PriorSpec,

@@ -39,11 +39,12 @@ from .dataset import (
     write_survey_csv,
 )
 from .decompose import coefficient_decompose, overall_decompose, posterior_decompose
-from .errors import ConfigError, MortdecompError
-# mean_mortality and variance_collapse are not called in this module;
-# perfbench/tracing.py wraps them here by name, so they stay imported.
+from .errors import ConfigError, MortdecompError, require_object
+# diagnostics, mean_mortality and variance_collapse are not called in this
+# module; perfbench/tracing.py wraps them here by name, so they stay imported.
 from .marginal import CONVENTIONS, marginal_prob, marginalize, mean_mortality  # noqa: F401
 from .report import (
+    load_results,
     summary_to_dict,
     write_all_tables,
     write_decomposition_json,
@@ -51,14 +52,17 @@ from .report import (
 )
 from .sampler import (
     ChainQualityWarning,
+    FitDiagnostics,
+    GibbsChain,
     McmcConfig,
     MIN_ESS_TARGET,
     PosteriorDraws,
     PriorSpec,
-    diagnostics,
+    diagnostics,  # noqa: F401
     fit,
     load_draws,
     save_draws,
+    target_shortfall,
 )
 from .simulate import SyntheticConfig, SyntheticSurveySpec, synthesize
 from .validation import (
@@ -96,7 +100,7 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict, overrides: dict | None = None) -> "RunConfig":
-        raw = dict(raw)
+        raw = dict(require_object(raw, "config"))
         overrides = overrides or {}
         for key in ("seed", "out_dir", "order", "marginalization"):
             if overrides.get(key) is not None:
@@ -113,7 +117,10 @@ class RunConfig:
         if mode not in ("synthetic", "csv"):
             raise ConfigError(f"input.mode must be 'synthetic' or 'csv', got {mode!r}")
 
-        schema = CovariateSchema.from_dict(raw["schema"]) if "schema" in raw else default_schema()
+        if "schema" in raw:
+            schema = CovariateSchema.from_dict(require_object(raw["schema"], "schema", ("covariates",)))
+        else:
+            schema = default_schema()
         poor_quantile = float(raw.get("poor_quantile", 0.2))
 
         dgp = None
@@ -121,7 +128,7 @@ class RunConfig:
         if mode == "synthetic":
             if not has_dgp:
                 raise ConfigError("synthetic mode needs input.dgp")
-            dgp_raw = inp["dgp"]
+            dgp_raw = require_object(inp["dgp"], "input.dgp", ("s1", "s2"))
             dgp = SyntheticConfig(
                 schema=schema,
                 s1=SyntheticSurveySpec.from_dict(dgp_raw["s1"]),
@@ -136,7 +143,11 @@ class RunConfig:
             default_years = None
 
         if "survey_years" in raw:
-            years = (int(raw["survey_years"]["s1"]), int(raw["survey_years"]["s2"]))
+            years_raw = require_object(raw["survey_years"], "survey_years", ("s1", "s2"))
+            try:
+                years = (int(years_raw["s1"]), int(years_raw["s2"]))
+            except (TypeError, ValueError):
+                raise ConfigError(f"survey_years must be integers, got {years_raw}") from None
         elif default_years is not None:
             years = default_years
         else:
@@ -144,7 +155,7 @@ class RunConfig:
         if years[1] <= years[0]:
             raise ConfigError(f"survey 2 year must exceed survey 1 year, got {years}")
 
-        mcmc = dict(raw.get("mcmc", {}))
+        mcmc = dict(require_object(raw.get("mcmc", {}), "mcmc"))
         if "seed" in mcmc:
             raise ConfigError("set the top-level seed; per-chain seeds are derived from it")
         McmcConfig.from_dict(mcmc)  # validate shape early
@@ -212,31 +223,50 @@ def _mcmc_for(config: RunConfig, chain_seed: int) -> McmcConfig:
     return McmcConfig.from_dict({**config.mcmc, "seed": chain_seed})
 
 
-def _fit_survey(design, prior, mcmc, auto_extend):
-    draws = fit(design, prior, mcmc)
-    extended = False
-    diag = diagnostics(draws) if draws.n_draws >= 100 else None
-    if auto_extend and (
-        draws.n_draws < mcmc.target_retained
-        or (diag is not None and diag.min_ess < MIN_ESS_TARGET)
-    ):
+@dataclass(frozen=True)
+class SurveyFit:
+    """One survey's retained draws and how the chain that produced them went."""
+
+    draws: PosteriorDraws
+    diagnostics: FitDiagnostics | None  # None below 100 retained draws
+    mcmc: McmcConfig  # the configuration the draws were retained under
+    extended: bool
+    sweeps: int
+    target_met: bool
+
+
+def _fit_survey(design, prior, mcmc, auto_extend) -> SurveyFit:
+    """Fit one survey; a chain short of its target is continued once to ``mcmc.extended()``."""
+    chain = GibbsChain(design, prior, mcmc)
+    draws = fit(design, prior, mcmc, chain)
+    extended = auto_extend and target_shortfall(draws, chain.diagnostics, mcmc) is not None
+    if extended:
         mcmc = mcmc.extended()
-        draws = fit(design, prior, mcmc)
-        diag = diagnostics(draws) if draws.n_draws >= 100 else None
-        extended = True
-    return draws, diag, mcmc, extended
+        draws = fit(design, prior, mcmc, chain)
+    return SurveyFit(
+        draws=draws,
+        diagnostics=chain.diagnostics,
+        mcmc=mcmc,
+        extended=extended,
+        sweeps=chain.sweeps,
+        target_met=chain.diagnostics is not None and target_shortfall(draws, chain.diagnostics, mcmc) is None,
+    )
 
 
-def _survey_diagnostics(fitted, draws, diag, sample, extended):
+def _survey_diagnostics(fitted, survey: SurveyFit, sample):
     empirical = 1000.0 * int(sample.outcome.sum()) / sample.n_births
     out = {
-        "retained": draws.n_draws,
+        "retained": survey.draws.n_draws,
         "acceptance_rate": 1.0,
-        "extended": extended,
+        "extended": survey.extended,
+        "sweeps": survey.sweeps,
+        "ess_target": MIN_ESS_TARGET,
+        "target_met": survey.target_met,
         "empirical_rate_per_1000": empirical,
         "fitted_rate_per_1000": fitted.mean,
         "fitted_minus_empirical_per_1000": fitted.mean - empirical,
     }
+    diag = survey.diagnostics
     if diag is not None:
         out["ess"] = {k: v for k, v in sorted(diag.ess.items())}
         out["min_ess"] = diag.min_ess
@@ -301,8 +331,9 @@ def run_pipeline(config: RunConfig) -> dict:
         with concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
             fut1 = pool.submit(_fit_survey, d1, prior, _mcmc_for(config, fit_seed1), config.auto_extend)
             fut2 = pool.submit(_fit_survey, d2, prior, _mcmc_for(config, fit_seed2), config.auto_extend)
-            draws1, diag1, mcmc1, ext1 = fut1.result()
-            draws2, diag2, mcmc2, ext2 = fut2.result()
+            fit1 = fut1.result()
+            fit2 = fut2.result()
+        draws1, draws2 = fit1.draws, fit2.draws
 
         stage = "decompose"
         summary = posterior_decompose(
@@ -318,9 +349,9 @@ def run_pipeline(config: RunConfig) -> dict:
 
         stage = "emit"
         emit("draws_s1.csv", lambda p: save_draws(draws1, p, None))
-        emit("draws_s1.json", lambda p: save_draws(draws1, out_dir / "draws_s1.csv", p, mcmc1.to_dict()))
+        emit("draws_s1.json", lambda p: save_draws(draws1, out_dir / "draws_s1.csv", p, fit1.mcmc.to_dict()))
         emit("draws_s2.csv", lambda p: save_draws(draws2, p, None))
-        emit("draws_s2.json", lambda p: save_draws(draws2, out_dir / "draws_s2.csv", p, mcmc2.to_dict()))
+        emit("draws_s2.json", lambda p: save_draws(draws2, out_dir / "draws_s2.csv", p, fit2.mcmc.to_dict()))
 
         doc = summary_to_dict(summary)
         emit("decomposition.json", lambda p: write_decomposition_json(doc, p))
@@ -329,8 +360,8 @@ def run_pipeline(config: RunConfig) -> dict:
         emit("variance_profile.csv", lambda p: write_variance_profile(profile, p))
 
         diag_doc = {
-            "s1": _survey_diagnostics(summary.rate_s1, draws1, diag1, s1, ext1),
-            "s2": _survey_diagnostics(summary.rate_s2, draws2, diag2, s2, ext2),
+            "s1": _survey_diagnostics(summary.rate_s1, fit1, s1),
+            "s2": _survey_diagnostics(summary.rate_s2, fit2, s2),
         }
         emit(
             "diagnostics.json",
@@ -439,8 +470,9 @@ def _prior_limit_check(seed: int) -> CheckResult:
     mcmc = McmcConfig(total=1000 + 1500 * 2, burnin=1000, thin=2, target_retained=1500, seed=seed + 2)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ChainQualityWarning)
-        draws = fit(design, flat, mcmc)
-        diag = diagnostics(draws)
+        chain = GibbsChain(design, flat, mcmc)
+        draws = fit(design, flat, mcmc, chain)
+    diag = chain.diagnostics
     mle = ml_probit_fit(design)
     post_mean = draws.beta.mean(axis=0)
     post_sd = draws.beta.std(axis=0, ddof=1)
@@ -503,11 +535,14 @@ def _cmd_fit(args) -> int:
     d1, d2, _ = _build_designs(config, s1, s2)
     _, fit_seed1, fit_seed2 = _derived_seeds(config.seed)
     design, chain_seed = (d1, fit_seed1) if args.survey == "s1" else (d2, fit_seed2)
-    draws, diag, mcmc, extended = _fit_survey(design, config.prior, _mcmc_for(config, chain_seed), config.auto_extend)
+    survey = _fit_survey(design, config.prior, _mcmc_for(config, chain_seed), config.auto_extend)
     stem = f"draws_{args.survey}"
-    save_draws(draws, out_dir / f"{stem}.csv", out_dir / f"{stem}.json", mcmc.to_dict())
-    min_ess = f"{diag.min_ess:.0f}" if diag is not None else "n/a"
-    print(f"wrote {out_dir / (stem + '.csv')} ({draws.n_draws} draws, min ESS {min_ess}, extended={extended})")
+    save_draws(survey.draws, out_dir / f"{stem}.csv", out_dir / f"{stem}.json", survey.mcmc.to_dict())
+    min_ess = f"{survey.diagnostics.min_ess:.0f}" if survey.diagnostics is not None else "n/a"
+    print(
+        f"wrote {out_dir / (stem + '.csv')} ({survey.draws.n_draws} draws, min ESS {min_ess}, "
+        f"extended={survey.extended}, target_met={survey.target_met})"
+    )
     return 0
 
 
@@ -548,10 +583,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    try:
-        doc = json.loads(Path(args.results).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{args.results}: invalid JSON ({exc})") from None
+    doc = load_results(args.results)
     out_dir = Path(args.out or Path(args.results).parent)
     out_dir.mkdir(parents=True, exist_ok=True)
     for path in write_all_tables(doc, out_dir):

@@ -52,3 +52,13 @@ class NonConvergenceError(MortdecompError, RuntimeError):
 
 class ConfigError(MortdecompError, ValueError):
     """A run or model configuration is invalid."""
+
+
+def require_object(value, where: str, keys=()) -> dict:
+    """``value`` if it is a JSON object holding every key in ``keys``; ``ConfigError`` otherwise."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be an object, got {type(value).__name__}")
+    missing = [k for k in keys if k not in value]
+    if missing:
+        raise ConfigError(f"{where} is missing key(s): {', '.join(missing)}")
+    return value

@@ -14,7 +14,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+from numbers import Real
 from pathlib import Path
+
+from .errors import ConfigError, require_object
 
 __all__ = [
     "format_rate",
@@ -22,6 +25,7 @@ __all__ = [
     "format_flag",
     "summary_to_dict",
     "write_decomposition_json",
+    "load_results",
     "write_mortality_table",
     "write_overall_table",
     "write_coef_table",
@@ -84,6 +88,50 @@ def summary_to_dict(summary) -> dict:
 
 def write_decomposition_json(doc: dict, path) -> None:
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+_RATE_FIELDS = ("mean", "lower", "upper")
+_NUMBER_FIELDS = ("mean", "lower", "upper", "annualized", "annualized_lower", "annualized_upper")
+_PERCENT_FIELDS = ("percent", "percent_lower", "percent_upper")
+_COMPONENT_FIELDS = _NUMBER_FIELDS + _PERCENT_FIELDS + ("significant",)
+
+
+def _number(value, where: str, nullable: bool = False) -> None:
+    if (value is None and nullable) or (isinstance(value, Real) and not isinstance(value, bool)):
+        return
+    raise ConfigError(f"{where} must be a number, got {value!r}")
+
+
+def load_results(path) -> dict:
+    """Read a document written by :func:`write_decomposition_json`.
+
+    Raises ``ConfigError`` unless the file is JSON with every field the
+    tables read, of the type :func:`summary_to_dict` writes.
+    """
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+    try:
+        require_object(doc, "results", ("years_between", "order", "rates_per_1000", "components"))
+        _number(doc["years_between"], "years_between")
+        order = doc["order"]
+        if not isinstance(order, list) or not all(isinstance(name, str) for name in order):
+            raise ConfigError(f"order must be a list of group names, got {order!r}")
+        rates = require_object(doc["rates_per_1000"], "rates_per_1000", ("s1", "s2"))
+        for sid in ("s1", "s2"):
+            rate = require_object(rates[sid], f"rates_per_1000.{sid}", _RATE_FIELDS)
+            for key in _RATE_FIELDS:
+                _number(rate[key], f"rates_per_1000.{sid}.{key}")
+        names = ("overall_diff", "x_effect", "beta_effect", *order)
+        components = require_object(doc["components"], "components", names)
+        for name in names:
+            comp = require_object(components[name], f"components.{name}", _COMPONENT_FIELDS)
+            for key in _NUMBER_FIELDS + _PERCENT_FIELDS:
+                _number(comp[key], f"components.{name}.{key}", nullable=key in _PERCENT_FIELDS)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: not a decomposition results document ({exc})") from None
+    return doc
 
 
 def _write_rows(path, header, rows):

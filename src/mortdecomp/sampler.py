@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .dataset import DesignMatrix
-from .errors import ConfigError, SingularDesignError
+from .errors import ConfigError, SingularDesignError, require_object
 
 __all__ = [
     "ChainQualityWarning",
@@ -29,8 +29,10 @@ __all__ = [
     "McmcConfig",
     "PosteriorDraws",
     "FitDiagnostics",
+    "GibbsChain",
     "sample_truncated_normal",
     "fit",
+    "target_shortfall",
     "diagnostics",
     "save_draws",
     "load_draws",
@@ -53,7 +55,7 @@ class ChainQualityWarning(UserWarning):
 
 def _from_dict(cls, d: dict, section: str):
     """``cls(**d)``, raising ``ConfigError`` rather than ``TypeError`` on unknown keys."""
-    unknown = set(d) - {f.name for f in fields(cls)}
+    unknown = set(require_object(d, section)) - {f.name for f in fields(cls)}
     if unknown:
         raise ConfigError(f"unknown {section} keys: {sorted(unknown)}")
     return cls(**d)
@@ -247,7 +249,109 @@ def sample_truncated_normal(mean, sd, side: str, rng: np.random.Generator):
     return float(w[0]) if scalar else w
 
 
-def fit(design: DesignMatrix, prior: PriorSpec, config: McmcConfig) -> PosteriorDraws:
+class GibbsChain:
+    """One Gibbs chain's fixed quantities, state and post-burn-in draws.
+
+    Every post-burn-in (beta, sigma2) draw is kept, one row per sweep, so
+    a chain that has run ``total`` sweeps can be thinned for any shorter
+    configuration with the same seed and burn-in, and can run on to a
+    longer one.  Continuing to ``config.extended().total`` therefore gives
+    the same draws as a fresh chain of that length.
+    """
+
+    def __init__(self, design: DesignMatrix, prior: PriorSpec, config: McmcConfig):
+        x = np.asarray(design.x, dtype=float)
+        n, p = x.shape
+        if design.n_clusters < 2:
+            raise ConfigError("need at least 2 clusters to identify the cluster variance")
+
+        xtx = x.T @ x
+        eigs = np.linalg.eigvalsh(xtx)
+        if eigs[0] <= eigs[-1] * 1e-12:
+            raise SingularDesignError(float(eigs[0]))
+
+        precision = xtx + np.eye(p) / prior.beta_sd**2
+        self.design = design
+        self.prior = prior
+        self.seed = config.seed
+        self.burnin = config.burnin
+        self._cov = np.linalg.inv(precision)
+        self._cov_chol = np.linalg.cholesky(self._cov)
+
+        self._rng = np.random.default_rng(np.random.SeedSequence(config.seed))
+        self._beta = np.zeros(p)
+        self._gamma = np.zeros(design.n_clusters)
+        self._sigma2 = prior.sigma2_scale / (prior.sigma2_shape + 1.0)  # prior mode
+        self._z = np.zeros(n)
+        self.sweeps = 0
+        # row i holds sweep burnin + 1 + i: its beta, then its sigma2
+        self._post = np.empty((config.total - config.burnin, p + 1))
+        # set by fit: the diagnostics of the draws it last took from this chain
+        self.diagnostics: FitDiagnostics | None = None
+
+    def advance(self, total: int) -> None:
+        """Run sweeps until ``total`` have been run in all."""
+        if total <= self.sweeps:
+            return
+        n_post = total - self.burnin
+        if n_post > self._post.shape[0]:
+            grown = np.empty((n_post, self._post.shape[1]))
+            grown[: self._post.shape[0]] = self._post
+            self._post = grown
+        post = self._post
+        p = post.shape[1] - 1
+
+        x = np.asarray(self.design.x, dtype=float)
+        y = np.asarray(self.design.outcome)
+        cl = np.asarray(self.design.cluster_index)
+        n_clusters = self.design.n_clusters
+        prior = self.prior
+        cov, cov_chol, rng, z = self._cov, self._cov_chol, self._rng, self._z
+        beta, gamma, sigma2 = self._beta, self._gamma, self._sigma2
+        idx1 = y == 1
+        idx0 = ~idx1
+        counts = np.bincount(cl, minlength=n_clusters).astype(float)
+        ig_shape = prior.sigma2_shape + 0.5 * n_clusters
+
+        for it in range(self.sweeps + 1, total + 1):
+            eta = x @ beta + gamma[cl]
+            z[idx1] = sample_truncated_normal(eta[idx1], 1.0, "left_of_zero", rng)
+            z[idx0] = sample_truncated_normal(eta[idx0], 1.0, "right_of_zero", rng)
+
+            resid = z - gamma[cl]
+            beta = cov @ (x.T @ resid) + cov_chol @ rng.standard_normal(p)
+
+            resid = z - x @ beta
+            prec = counts + 1.0 / sigma2
+            gamma = np.bincount(cl, weights=resid, minlength=n_clusters) / prec
+            gamma += rng.standard_normal(n_clusters) / np.sqrt(prec)
+
+            sigma2 = 1.0 / rng.gamma(ig_shape, 1.0 / (prior.sigma2_scale + 0.5 * (gamma @ gamma)))
+
+            if it > self.burnin:
+                post[it - self.burnin - 1, :p] = beta
+                post[it - self.burnin - 1, p] = sigma2
+
+        self._beta, self._gamma, self._sigma2 = beta, gamma, sigma2
+        self.sweeps = total
+
+    def draws(self, config: McmcConfig) -> PosteriorDraws:
+        """The draws ``config`` retains: every ``thin``-th post-burn-in sweep."""
+        if config.total > self.sweeps:
+            raise ValueError(f"chain has run {self.sweeps} sweeps, fewer than total={config.total}")
+        thin = config.effective_thin
+        kept = self._post[thin - 1 : config.total - self.burnin : thin]
+        return PosteriorDraws(
+            survey_id=self.design.survey_id,
+            beta=kept[:, :-1].copy(),
+            sigma2=kept[:, -1].copy(),
+            column_groups=dict(self.design.column_groups),
+        )
+
+
+def fit(
+    design: DesignMatrix, prior: PriorSpec, config: McmcConfig, chain: GibbsChain | None = None
+) -> PosteriorDraws:
     """Fit the hierarchical probit by Gibbs sampling.
 
     One sweep draws the latent normals truncated to the side implied by
@@ -256,88 +360,43 @@ def fit(design: DesignMatrix, prior: PriorSpec, config: McmcConfig) -> Posterior
     its normal full conditional, then the cluster variance from its
     inverse-gamma full conditional.  Burn-in is discarded and the rest
     thinned.  The chain is fully determined by ``config.seed``.
+
+    Passing ``chain`` continues that chain (started for the same design,
+    prior, seed and burn-in) instead of starting a new one, so only the
+    sweeps past ``chain.sweeps`` are run.  The draws equal those of a
+    fresh ``fit(design, prior, config)``.  Their diagnostics are left in
+    ``chain.diagnostics``.
+
+    Warns with ``ChainQualityWarning`` when fewer than
+    ``config.target_retained`` draws are retained or, from 100 retained
+    draws on, when the minimum effective sample size is below the target.
     """
-    x = np.asarray(design.x, dtype=float)
-    y = np.asarray(design.outcome)
-    cl = np.asarray(design.cluster_index)
-    n, p = x.shape
-    n_clusters = design.n_clusters
-    if n_clusters < 2:
-        raise ConfigError("need at least 2 clusters to identify the cluster variance")
-
-    xtx = x.T @ x
-    eigs = np.linalg.eigvalsh(xtx)
-    if eigs[0] <= eigs[-1] * 1e-12:
-        raise SingularDesignError(float(eigs[0]))
-
-    precision = xtx + np.eye(p) / prior.beta_sd**2
-    cov = np.linalg.inv(precision)
-    cov_chol = np.linalg.cholesky(cov)
-
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed))
-    idx1 = y == 1
-    idx0 = ~idx1
-    counts = np.bincount(cl, minlength=n_clusters).astype(float)
-
-    beta = np.zeros(p)
-    gamma = np.zeros(n_clusters)
-    sigma2 = prior.sigma2_scale / (prior.sigma2_shape + 1.0)  # prior mode
-    z = np.zeros(n)
-
-    thin = config.effective_thin
-    n_keep = config.retained
-    kept_beta = np.empty((n_keep, p))
-    kept_sigma2 = np.empty(n_keep)
-    k = 0
-    ig_shape = prior.sigma2_shape + 0.5 * n_clusters
-
-    for it in range(1, config.total + 1):
-        eta = x @ beta + gamma[cl]
-        z[idx1] = sample_truncated_normal(eta[idx1], 1.0, "left_of_zero", rng)
-        z[idx0] = sample_truncated_normal(eta[idx0], 1.0, "right_of_zero", rng)
-
-        resid = z - gamma[cl]
-        beta = cov @ (x.T @ resid) + cov_chol @ rng.standard_normal(p)
-
-        resid = z - x @ beta
-        prec = counts + 1.0 / sigma2
-        gamma = np.bincount(cl, weights=resid, minlength=n_clusters) / prec
-        gamma += rng.standard_normal(n_clusters) / np.sqrt(prec)
-
-        sigma2 = 1.0 / rng.gamma(ig_shape, 1.0 / (prior.sigma2_scale + 0.5 * (gamma @ gamma)))
-
-        if it > config.burnin and (it - config.burnin) % thin == 0 and k < n_keep:
-            kept_beta[k] = beta
-            kept_sigma2[k] = sigma2
-            k += 1
-
-    draws = PosteriorDraws(
-        survey_id=design.survey_id,
-        beta=kept_beta,
-        sigma2=kept_sigma2,
-        column_groups=dict(design.column_groups),
-    )
-    _warn_if_underpowered(draws, config)
+    if chain is None:
+        chain = GibbsChain(design, prior, config)
+    elif chain.design is not design or (chain.prior, chain.seed, chain.burnin) != (prior, config.seed, config.burnin):
+        raise ValueError("chain was started for a different design, prior, seed or burn-in")
+    chain.advance(config.total)
+    draws = chain.draws(config)
+    chain.diagnostics = diagnostics(draws) if draws.n_draws >= 100 else None
+    shortfall = target_shortfall(draws, chain.diagnostics, config)
+    if shortfall is not None:
+        warnings.warn(shortfall, ChainQualityWarning, stacklevel=2)
     return draws
 
 
-def _warn_if_underpowered(draws: PosteriorDraws, config: McmcConfig) -> None:
+def target_shortfall(draws: PosteriorDraws, diag: FitDiagnostics | None, config: McmcConfig) -> str | None:
+    """Why ``draws`` fall short of the retained-draw or ESS target; None when no shortfall is seen.
+
+    ``diag`` is ``diagnostics(draws)``, or None below 100 draws, where ESS is not measured.
+    """
     if draws.n_draws < config.target_retained:
-        warnings.warn(
-            f"retained {draws.n_draws} draws, below the target of {config.target_retained}",
-            ChainQualityWarning,
-            stacklevel=3,
+        return f"retained {draws.n_draws} draws, below the target of {config.target_retained}"
+    if diag is not None and diag.min_ess < MIN_ESS_TARGET:
+        return (
+            f"minimum effective sample size {diag.min_ess:.0f} is below {MIN_ESS_TARGET:.0f}; "
+            "consider a longer chain or larger thinning interval"
         )
-        return
-    if draws.n_draws >= 100:
-        diag = diagnostics(draws)
-        if diag.min_ess < MIN_ESS_TARGET:
-            warnings.warn(
-                f"minimum effective sample size {diag.min_ess:.0f} is below {MIN_ESS_TARGET:.0f}; "
-                "consider a longer chain or larger thinning interval",
-                ChainQualityWarning,
-                stacklevel=3,
-            )
+    return None
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from .dataset import (
     compute_centering,
     pool_samples,
 )
-from .errors import ConfigError
+from .errors import ConfigError, require_object
 
 __all__ = ["SyntheticSurveySpec", "SyntheticConfig", "synthesize"]
 
@@ -56,9 +56,7 @@ class SyntheticSurveySpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SyntheticSurveySpec":
-        missing = [k for k in ("beta", "sigma2", "n_clusters", "births_per_cluster", "survey_year") if k not in d]
-        if missing:
-            raise ConfigError(f"synthetic survey spec is missing key(s): {', '.join(missing)}")
+        require_object(d, "synthetic survey spec", ("beta", "sigma2", "n_clusters", "births_per_cluster", "survey_year"))
         return cls(
             beta=tuple(float(b) for b in d["beta"]),
             sigma2=float(d["sigma2"]),

@@ -299,6 +299,57 @@ class TestCommands:
         record = self.error_record(capsys)
         assert record["type"] == "ConfigError" and "invalid JSON" in record["message"]
 
+    @pytest.mark.parametrize(
+        "results, words",
+        [
+            ({}, "years_between"),
+            ([1, 2], "must be an object"),
+            ({"years_between": 14, "order": [], "rates_per_1000": {}, "components": {}}, "s1"),
+        ],
+        ids=["empty_object", "list", "empty_sections"],
+    )
+    def test_report_on_wrong_shape_results_exits_2(self, tmp_path, capsys, results, words):
+        path = tmp_path / "decomposition.json"
+        path.write_text(json.dumps(results), encoding="utf-8")
+        assert main(["report", "--results", str(path)]) == 2
+        record = self.error_record(capsys)
+        assert record["type"] == "ConfigError" and words in record["message"]
+        assert not (tmp_path / "mortality.csv").exists()
+
+    def test_report_on_wrong_field_type_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path, base_config(out)))]) == 0
+        doc = json.loads((out / "decomposition.json").read_text())
+        doc["components"]["x_effect"]["annualized"] = "fast"
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["report", "--results", str(path), "--out", str(tmp_path / "rendered")]) == 2
+        record = self.error_record(capsys)
+        assert record["type"] == "ConfigError" and "components.x_effect.annualized" in record["message"]
+
+    @pytest.mark.parametrize(
+        "malform, words",
+        [
+            (lambda cfg: cfg.update(survey_years={"s1": 2000}), "s2"),
+            (lambda cfg: cfg.update(survey_years={"s1": 2000, "s2": "later"}), "integers"),
+            (lambda cfg: cfg["input"]["dgp"].pop("s2"), "s2"),
+            (lambda cfg: cfg.update(mcmc=5), "mcmc must be an object"),
+            (lambda cfg: cfg.update(prior=[1.0]), "prior must be an object"),
+            (lambda cfg: cfg.update(schema={}), "covariates"),
+        ],
+        ids=[
+            "survey_years_without_s2", "survey_years_not_integers", "dgp_without_s2",
+            "mcmc_not_object", "prior_not_object", "schema_without_covariates",
+        ],
+    )
+    def test_run_on_malformed_config_shape_exits_2(self, tmp_path, capsys, malform, words):
+        cfg = base_config(tmp_path / "out")
+        malform(cfg)
+        assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 2
+        record = self.error_record(capsys)
+        assert record["type"] == "ConfigError" and words in record["message"]
+
     def test_decompose_rejects_non_finite_csv_cell(self, tmp_path, capsys):
         cfg = base_config(tmp_path / "sim")
         cfg["schema"] = {"covariates": [{"name": "maternal_age", "kind": "continuous_spline", "degree": 1, "df": 1}]}
@@ -354,6 +405,20 @@ class TestCommands:
         assert diag["s1"]["extended"] is True
         sidecar = json.loads((tmp_path / "out" / "draws_s1.json").read_text())
         assert sidecar["config"]["total"] == 100 + 2 * 1250
+        # the extension continues the chain: burnin + 2 * (total - burnin) sweeps in all
+        assert diag["s1"]["sweeps"] == 100 + 2 * (1350 - 100)
+        assert diag["s1"]["ess_target"] == 1000
+        assert diag["s1"]["target_met"] is (diag["s1"]["min_ess"] >= 1000)
+
+    def test_run_reports_missed_ess_target(self, tmp_path):
+        out = tmp_path / "out"
+        run_pipeline(RunConfig.from_dict(base_config(out)))
+        diag = json.loads((out / "diagnostics.json").read_text())
+        for sid in ("s1", "s2"):
+            assert diag[sid]["sweeps"] == 1300
+            assert diag[sid]["extended"] is False
+            assert diag[sid]["min_ess"] < 1000
+            assert diag[sid]["target_met"] is False
 
 
 def test_validate_suite_passes_by_default():

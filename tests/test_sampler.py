@@ -15,6 +15,7 @@ from mortdecomp.dataset import (
 from mortdecomp.errors import ConfigError, SingularDesignError
 from mortdecomp.sampler import (
     ChainQualityWarning,
+    GibbsChain,
     McmcConfig,
     PosteriorDraws,
     PriorSpec,
@@ -171,6 +172,46 @@ class TestFit:
         config = McmcConfig(total=300, burnin=100, thin=1, seed=1, allow_short=True)
         with pytest.warns(ChainQualityWarning):
             fit(design, PriorSpec(), config)
+
+    @pytest.mark.parametrize("thin", [None, 1])
+    def test_continued_chain_equals_fresh_extended_chain(self, thin):
+        # extended() resets an explicit thin to derived thinning; the
+        # continuation must still match a fresh chain of the extended length
+        dgp = sex_dgp((-1.0, 0.3), 0.2, n_clusters=20, births=10)
+        design = design_for(dgp, seed=5)
+        config = McmcConfig(total=400, burnin=100, thin=thin, target_retained=100, seed=7)
+        chain = GibbsChain(design, PriorSpec(), config)
+        first = fit(design, PriorSpec(), config, chain)
+        assert chain.sweeps == 400
+        resumed = fit(design, PriorSpec(), config.extended(), chain)
+        assert chain.sweeps == config.extended().total == 700
+        fresh_first = fit(design, PriorSpec(), config)
+        rerun = fit(design, PriorSpec(), config.extended())
+        assert np.array_equal(first.beta, fresh_first.beta)
+        assert np.array_equal(first.sigma2, fresh_first.sigma2)
+        assert np.array_equal(resumed.beta, rerun.beta)
+        assert np.array_equal(resumed.sigma2, rerun.sigma2)
+        assert resumed.n_draws == config.extended().retained
+
+    def test_chain_diagnostics_are_those_of_the_returned_draws(self):
+        dgp = sex_dgp((-1.0, 0.3), 0.2, n_clusters=20, births=10)
+        design = design_for(dgp, seed=5)
+        config = McmcConfig(total=400, burnin=100, thin=1, target_retained=100, seed=7)
+        chain = GibbsChain(design, PriorSpec(), config)
+        draws = fit(design, PriorSpec(), config, chain)
+        assert chain.diagnostics.ess == diagnostics(draws).ess
+
+    def test_chain_rejects_a_different_seed_or_burnin(self):
+        dgp = sex_dgp((-1.0, 0.3), 0.2, n_clusters=20, births=10)
+        design = design_for(dgp, seed=5)
+        config = McmcConfig(total=400, burnin=100, thin=1, target_retained=100, seed=7)
+        chain = GibbsChain(design, PriorSpec(), config)
+        for other in (
+            McmcConfig(total=400, burnin=100, thin=1, target_retained=100, seed=8),
+            McmcConfig(total=400, burnin=50, thin=1, target_retained=100, seed=7),
+        ):
+            with pytest.raises(ValueError, match="different"):
+                fit(design, PriorSpec(), other, chain)
 
 
 class TestMcmcConfig:
