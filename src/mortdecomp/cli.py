@@ -39,7 +39,7 @@ from .dataset import (
     write_survey_csv,
 )
 from .decompose import coefficient_decompose, overall_decompose, posterior_decompose
-from .errors import ConfigError, MortdecompError, require_object
+from .errors import ConfigError, MortdecompError, require_number, require_object
 # diagnostics, mean_mortality and variance_collapse are not called in this
 # module; perfbench/tracing.py wraps them here by name, so they stay imported.
 from .marginal import CONVENTIONS, marginal_prob, marginalize, mean_mortality  # noqa: F401
@@ -121,7 +121,7 @@ class RunConfig:
             schema = CovariateSchema.from_dict(require_object(raw["schema"], "schema", ("covariates",)))
         else:
             schema = default_schema()
-        poor_quantile = float(raw.get("poor_quantile", 0.2))
+        poor_quantile = require_number(raw.get("poor_quantile", 0.2), "poor_quantile")
 
         dgp = None
         csv_paths = None
@@ -133,13 +133,15 @@ class RunConfig:
                 schema=schema,
                 s1=SyntheticSurveySpec.from_dict(dgp_raw["s1"]),
                 s2=SyntheticSurveySpec.from_dict(dgp_raw["s2"]),
-                poor_quantile=float(dgp_raw.get("poor_quantile", poor_quantile)),
+                poor_quantile=require_number(dgp_raw.get("poor_quantile", poor_quantile), "input.dgp.poor_quantile"),
             )
             default_years = (dgp.s1.survey_year, dgp.s2.survey_year)
         else:
             if "s1_path" not in inp or "s2_path" not in inp:
                 raise ConfigError("csv mode needs input.s1_path and input.s2_path")
             csv_paths = (inp["s1_path"], inp["s2_path"])
+            if not all(isinstance(path, str) for path in csv_paths):
+                raise ConfigError(f"input.s1_path and input.s2_path must be strings, got {csv_paths}")
             default_years = None
 
         if "survey_years" in raw:
@@ -166,10 +168,12 @@ class RunConfig:
 
         order = raw.get("order")
         if order is not None:
+            if not isinstance(order, (list, tuple)):
+                raise ConfigError(f"order must be a list of group names, got {order!r}")
             order = tuple(str(o) for o in order)
 
         return cls(
-            seed=int(raw.get("seed", 0)),
+            seed=require_number(raw.get("seed", 0), "seed", int),
             out_dir=str(raw.get("out_dir", "out")),
             input_mode=mode,
             dgp=dgp,
@@ -601,7 +605,7 @@ def _cmd_validate(args) -> int:
         status = "PASS" if check.passed else "FAIL"
         print(f"{status} {check.name}: {check.detail}")
     print(f"{sum(c.passed for c in results)}/{len(results)} checks passed")
-    return 0
+    return 0 if all(c.passed for c in results) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

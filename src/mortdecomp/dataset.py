@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateDesignError, EmptyInputError, RowError, SchemaError
+from .errors import DegenerateDesignError, EmptyInputError, RowError, SchemaError, require_number, require_object
 from .splines import bspline_basis, quantile_knots
 
 __all__ = [
@@ -171,10 +171,11 @@ class CovariateSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "CovariateSpec":
         allowed = {"name", "kind", "degree", "df", "reference", "allow_missing"}
-        unknown = set(d) - allowed
+        unknown = set(require_object(d, "covariate spec", ("name", "kind"))) - allowed
         if unknown:
             raise SchemaError(f"unknown covariate spec keys: {sorted(unknown)}")
-        return cls(**d)
+        numbers = {k: require_number(d[k], f"covariate spec {k}", int) for k in ("degree", "df") if k in d}
+        return cls(**{**d, **numbers})
 
     def to_dict(self) -> dict:
         d = {"name": self.name, "kind": self.kind}
@@ -214,7 +215,10 @@ class CovariateSchema:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CovariateSchema":
-        return cls(tuple(CovariateSpec.from_dict(c) for c in d["covariates"]))
+        covariates = d["covariates"]
+        if not isinstance(covariates, (list, tuple)):
+            raise SchemaError(f"schema covariates must be a list, got {covariates!r}")
+        return cls(tuple(CovariateSpec.from_dict(c) for c in covariates))
 
     def to_dict(self) -> dict:
         return {"covariates": [c.to_dict() for c in self.covariates]}

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+import numbers
+
 
 class MortdecompError(Exception):
     """Base class for all package errors."""
@@ -62,3 +65,20 @@ def require_object(value, where: str, keys=()) -> dict:
     if missing:
         raise ConfigError(f"{where} is missing key(s): {', '.join(missing)}")
     return value
+
+
+def require_number(value, where: str, kind=float):
+    """``kind(value)`` for ``kind`` ``float`` or ``int``.
+
+    ``ConfigError`` unless ``value`` is a finite number, and a whole one
+    for ``int``: strings and booleans are rejected, never converted.
+    """
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if math.isfinite(number) and (kind is float or number.is_integer()):
+            return kind(value)
+    what = "a finite number" if kind is float else "a whole number"
+    raise ConfigError(f"{where} must be {what}, got {value!r}")

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .dataset import DesignMatrix
-from .errors import ConfigError, SingularDesignError, require_object
+from .errors import ConfigError, SingularDesignError, require_number, require_object
 
 __all__ = [
     "ChainQualityWarning",
@@ -53,12 +53,16 @@ class ChainQualityWarning(UserWarning):
     """Retained draws fall short of the independence target."""
 
 
-def _from_dict(cls, d: dict, section: str):
-    """``cls(**d)``, raising ``ConfigError`` rather than ``TypeError`` on unknown keys."""
+def _from_dict(cls, d: dict, section: str, numbers: dict):
+    """``cls(**d)``; ``ConfigError`` on unknown keys or when a field named in ``numbers`` is not a number of its kind."""
     unknown = set(require_object(d, section)) - {f.name for f in fields(cls)}
     if unknown:
         raise ConfigError(f"unknown {section} keys: {sorted(unknown)}")
-    return cls(**d)
+    values = dict(d)
+    for key, kind in numbers.items():
+        if key in values:
+            values[key] = require_number(values[key], f"{section}.{key}", kind)
+    return cls(**values)
 
 
 @dataclass(frozen=True)
@@ -77,7 +81,7 @@ class PriorSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PriorSpec":
-        return _from_dict(cls, d, "prior")
+        return _from_dict(cls, d, "prior", dict.fromkeys(("beta_sd", "sigma2_shape", "sigma2_scale"), float))
 
     def to_dict(self) -> dict:
         return {
@@ -139,7 +143,10 @@ class McmcConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "McmcConfig":
-        return _from_dict(cls, d, "mcmc")
+        ints = ["total", "burnin", "target_retained", "seed"]
+        if require_object(d, "mcmc").get("thin") is not None:  # null derives thin from the target
+            ints.append("thin")
+        return _from_dict(cls, d, "mcmc", dict.fromkeys(ints, int))
 
     def to_dict(self) -> dict:
         return {
@@ -183,43 +190,64 @@ class PosteriorDraws:
         return [f"beta_{j}" for j in range(self.n_coefficients)] + ["sigma2"]
 
 
-def _truncated_std_normal_above(a: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Draw standard normals conditioned on X > a, elementwise."""
+def _far_tail(a: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Robert's exponential rejection draws of X > a; acceptance stays near one in the far tail."""
+    lam = 0.5 * (a + np.sqrt(a * a + 4.0))
+    pending = np.arange(a.size)
+    draws = np.empty(a.size)
+    while pending.size:
+        prop = a[pending] + rng.exponential(1.0, size=pending.size) / lam[pending]
+        accept = rng.random(pending.size) < np.exp(-0.5 * (prop - lam[pending]) ** 2)
+        draws[pending[accept]] = prop[accept]
+        pending = pending[~accept]
+    return draws
+
+
+def _truncated_std_normal_above(a: np.ndarray, rng: np.random.Generator, groups=None) -> np.ndarray:
+    """Draw standard normals conditioned on X > a, elementwise.
+
+    ``groups`` lists index arrays that together cover ``a`` once (default:
+    one group of every element).  The random stream is taken group by
+    group, in order: the group's uniforms for its inverse-CDF draws, then
+    its far-tail rejection draws.  Drawing several groups in one call
+    therefore gives exactly the draws, and leaves ``rng`` in exactly the
+    state, of one call per group.
+    """
     a = np.asarray(a, dtype=float)
-    out = np.empty_like(a)
-    tail = ndtr(-a)
-    extreme = tail < _TAIL_SWITCH
+    # ndtr(a) where a <= 0 (the lower CDF, well conditioned there) and the
+    # upper tail ndtr(-a) where a > 0; a <= 0 leaves an upper tail >= 1/2
+    t = ndtr(-np.abs(a))
+    low = a <= 0.0
+    extreme = (t < _TAIL_SWITCH) & ~low
+    if groups is None:
+        groups = (np.arange(a.size),)
+    u = np.empty_like(a)
+    u[extreme] = 0.5  # placeholder; the rejection draws replace these elements
+    far = []
+    for g in groups:
+        in_far = extreme[g]
+        moderate = g[~in_far]
+        u[moderate] = rng.random(moderate.size)
+        idx = g[in_far]
+        far.append((idx, _far_tail(a[idx], rng)))
+    x = ndtri(np.where(low, t + u * (1.0 - t), (1.0 - u) * t))
+    np.negative(x, out=x, where=~low)
+    for idx, draws in far:
+        x[idx] = draws
+    return x
 
-    moderate = ~extreme
-    if np.any(moderate):
-        am = a[moderate]
-        u = rng.random(am.size)
-        low = am <= 0.0
-        x = np.empty(am.size)
-        if np.any(low):
-            # work from the lower CDF where it is well conditioned
-            fa = ndtr(am[low])
-            x[low] = ndtri(fa + u[low] * (1.0 - fa))
-        high = ~low
-        if np.any(high):
-            # map uniforms onto the upper tail probability directly
-            x[high] = -ndtri((1.0 - u[high]) * tail[moderate][high])
-        out[moderate] = x
 
-    if np.any(extreme):
-        # exponential rejection for far tails; acceptance stays near one
-        idx = np.flatnonzero(extreme)
-        ae = a[idx]
-        lam = 0.5 * (ae + np.sqrt(ae * ae + 4.0))
-        pending = np.arange(idx.size)
-        draws = np.empty(idx.size)
-        while pending.size:
-            prop = ae[pending] + rng.exponential(1.0, size=pending.size) / lam[pending]
-            accept = rng.random(pending.size) < np.exp(-0.5 * (prop - lam[pending]) ** 2)
-            draws[pending[accept]] = prop[accept]
-            pending = pending[~accept]
-        out[idx] = draws
-    return out
+def _latent_draw(eta: np.ndarray, sign: np.ndarray, groups, rng: np.random.Generator) -> np.ndarray:
+    """Latent normals ``z ~ N(eta, 1)`` with ``z > 0`` where ``sign`` is 1 and ``z < 0`` where it is -1.
+
+    One pass draws ``w = sign * z ~ N(sign * eta, 1)`` on (0, inf).  With
+    ``groups`` the indices of the 1s and then of the -1s, the draws and
+    the random stream equal those of a ``sample_truncated_normal`` call
+    for the 1s followed by one for the -1s.
+    """
+    sw = sign * eta
+    w = sw + _truncated_std_normal_above(-sw, rng, groups)
+    return sign * np.maximum(w, np.nextafter(0.0, 1.0))
 
 
 def sample_truncated_normal(mean, sd, side: str, rng: np.random.Generator):
@@ -261,7 +289,7 @@ class GibbsChain:
 
     def __init__(self, design: DesignMatrix, prior: PriorSpec, config: McmcConfig):
         x = np.asarray(design.x, dtype=float)
-        n, p = x.shape
+        p = x.shape[1]
         if design.n_clusters < 2:
             raise ConfigError("need at least 2 clusters to identify the cluster variance")
 
@@ -282,7 +310,10 @@ class GibbsChain:
         self._beta = np.zeros(p)
         self._gamma = np.zeros(design.n_clusters)
         self._sigma2 = prior.sigma2_scale / (prior.sigma2_shape + 1.0)  # prior mode
-        self._z = np.zeros(n)
+        # latent draws: +1 for deaths, -1 for survivors; deaths' uniforms come first
+        death = np.asarray(design.outcome) == 1
+        self._sign = np.where(death, 1.0, -1.0)
+        self._groups = (np.flatnonzero(death), np.flatnonzero(~death))
         self.sweeps = 0
         # row i holds sweep burnin + 1 + i: its beta, then its sigma2
         self._post = np.empty((config.total - config.burnin, p + 1))
@@ -302,28 +333,25 @@ class GibbsChain:
         p = post.shape[1] - 1
 
         x = np.asarray(self.design.x, dtype=float)
-        y = np.asarray(self.design.outcome)
         cl = np.asarray(self.design.cluster_index)
         n_clusters = self.design.n_clusters
         prior = self.prior
-        cov, cov_chol, rng, z = self._cov, self._cov_chol, self._rng, self._z
+        cov, cov_chol, rng = self._cov, self._cov_chol, self._rng
         beta, gamma, sigma2 = self._beta, self._gamma, self._sigma2
-        idx1 = y == 1
-        idx0 = ~idx1
+        sign, groups = self._sign, self._groups
         counts = np.bincount(cl, minlength=n_clusters).astype(float)
         ig_shape = prior.sigma2_shape + 0.5 * n_clusters
+        xb = x @ beta
 
         for it in range(self.sweeps + 1, total + 1):
-            eta = x @ beta + gamma[cl]
-            z[idx1] = sample_truncated_normal(eta[idx1], 1.0, "left_of_zero", rng)
-            z[idx0] = sample_truncated_normal(eta[idx0], 1.0, "right_of_zero", rng)
+            gc = gamma[cl]
+            z = _latent_draw(xb + gc, sign, groups, rng)
 
-            resid = z - gamma[cl]
-            beta = cov @ (x.T @ resid) + cov_chol @ rng.standard_normal(p)
+            beta = cov @ (x.T @ (z - gc)) + cov_chol @ rng.standard_normal(p)
 
-            resid = z - x @ beta
+            xb = x @ beta
             prec = counts + 1.0 / sigma2
-            gamma = np.bincount(cl, weights=resid, minlength=n_clusters) / prec
+            gamma = np.bincount(cl, weights=z - xb, minlength=n_clusters) / prec
             gamma += rng.standard_normal(n_clusters) / np.sqrt(prec)
 
             sigma2 = 1.0 / rng.gamma(ig_shape, 1.0 / (prior.sigma2_scale + 0.5 * (gamma @ gamma)))
@@ -502,15 +530,31 @@ def load_draws(csv_path, sidecar_path=None) -> PosteriorDraws:
     csv_path = Path(csv_path)
     with open(csv_path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [""])
         if header[-1] != "sigma2" or not header[0].startswith("beta_"):
             raise ConfigError(f"{csv_path}: not a draws file (header {header[:3]}...)")
-        rows = [[float(v) for v in row] for row in reader]
+        rows = []
+        for line, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise ConfigError(f"{csv_path}, line {line}: {len(row)} cells under a {len(header)}-column header")
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError:
+                raise ConfigError(f"{csv_path}, line {line}: non-numeric cell in {row}") from None
+    if not rows:
+        raise ConfigError(f"{csv_path}: no draws below the header")
     arr = np.asarray(rows, dtype=float)
+    bad = np.argwhere(~np.isfinite(arr))
+    if bad.size:
+        row, col = bad[0]
+        raise ConfigError(f"{csv_path}, line {row + 2}: non-finite value {header[col]}={float(arr[row, col])}")
     survey_id = ""
     column_groups: dict[str, tuple[int, int]] = {}
     if sidecar_path is not None:
-        meta = json.loads(Path(sidecar_path).read_text(encoding="utf-8"))
+        try:
+            meta = require_object(json.loads(Path(sidecar_path).read_text(encoding="utf-8")), str(sidecar_path))
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{sidecar_path}: invalid JSON ({exc})") from None
         n_coefficients = arr.shape[1] - 1
         if meta.get("n_coefficients", n_coefficients) != n_coefficients:
             raise ConfigError(

@@ -22,7 +22,7 @@ from .dataset import (
     compute_centering,
     pool_samples,
 )
-from .errors import ConfigError, require_object
+from .errors import ConfigError, require_number, require_object
 
 __all__ = ["SyntheticSurveySpec", "SyntheticConfig", "synthesize"]
 
@@ -56,14 +56,18 @@ class SyntheticSurveySpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SyntheticSurveySpec":
-        require_object(d, "synthetic survey spec", ("beta", "sigma2", "n_clusters", "births_per_cluster", "survey_year"))
+        where = "synthetic survey spec"
+        require_object(d, where, ("beta", "sigma2", "n_clusters", "births_per_cluster", "survey_year"))
+        if not isinstance(d["beta"], (list, tuple)):
+            raise ConfigError(f"{where}: beta must be a list of numbers, got {d['beta']!r}")
+        covariates = require_object(d.get("covariates", {}), f"{where}: covariates")
         return cls(
-            beta=tuple(float(b) for b in d["beta"]),
-            sigma2=float(d["sigma2"]),
-            n_clusters=int(d["n_clusters"]),
-            births_per_cluster=int(d["births_per_cluster"]),
-            survey_year=int(d["survey_year"]),
-            covariates={k: dict(v) for k, v in d.get("covariates", {}).items()},
+            beta=tuple(require_number(b, f"{where}: beta") for b in d["beta"]),
+            sigma2=require_number(d["sigma2"], f"{where}: sigma2"),
+            n_clusters=require_number(d["n_clusters"], f"{where}: n_clusters", int),
+            births_per_cluster=require_number(d["births_per_cluster"], f"{where}: births_per_cluster", int),
+            survey_year=require_number(d["survey_year"], f"{where}: survey_year", int),
+            covariates={k: dict(require_object(v, f"{where}: covariates.{k}")) for k, v in covariates.items()},
         )
 
     def to_dict(self) -> dict:

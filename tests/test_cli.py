@@ -337,10 +337,36 @@ class TestCommands:
             (lambda cfg: cfg.update(mcmc=5), "mcmc must be an object"),
             (lambda cfg: cfg.update(prior=[1.0]), "prior must be an object"),
             (lambda cfg: cfg.update(schema={}), "covariates"),
+            # values of the wrong type inside a well-shaped config
+            (lambda cfg: cfg.update(mcmc={"total": "abc"}), "mcmc.total"),
+            (lambda cfg: cfg.update(seed="abc"), "seed"),
+            (lambda cfg: cfg.update(poor_quantile="abc"), "poor_quantile"),
+            (lambda cfg: cfg.update(order=5), "order"),
+            (lambda cfg: cfg["input"]["dgp"]["s1"].update(sigma2="x"), "sigma2"),
+            (lambda cfg: cfg["input"]["dgp"]["s1"].update(beta=5), "beta"),
+            (lambda cfg: cfg["input"]["dgp"]["s2"].update(covariates=[1]), "covariates"),
+            (lambda cfg: cfg.update(schema={"covariates": [5]}), "covariate spec"),
+            # numbers are checked, never converted: no truncation, no strings, no booleans, no NaN
+            (lambda cfg: cfg["mcmc"].update(thin=2.5), "mcmc.thin"),
+            (lambda cfg: cfg["mcmc"].update(total="3000"), "mcmc.total"),
+            (lambda cfg: cfg.update(seed=True), "seed"),
+            (lambda cfg: cfg.update(prior={"beta_sd": "nan"}), "prior.beta_sd"),
+            (lambda cfg: cfg.update(prior={"beta_sd": float("nan")}), "prior.beta_sd"),
+            (lambda cfg: cfg["input"]["dgp"]["s1"].update(n_clusters=30.5), "n_clusters"),
+            (
+                lambda cfg: cfg.update(
+                    input={"mode": "csv", "s1_path": 5, "s2_path": "s2.csv"}, survey_years={"s1": 2000, "s2": 2014}
+                ),
+                "s1_path",
+            ),
         ],
         ids=[
             "survey_years_without_s2", "survey_years_not_integers", "dgp_without_s2",
             "mcmc_not_object", "prior_not_object", "schema_without_covariates",
+            "mcmc_total_not_number", "seed_not_number", "poor_quantile_not_number", "order_not_list",
+            "dgp_sigma2_not_number", "dgp_beta_not_list", "dgp_covariates_not_object", "schema_covariate_not_object",
+            "mcmc_thin_fractional", "mcmc_total_numeric_string", "seed_boolean", "prior_beta_sd_nan_string",
+            "prior_beta_sd_nan", "dgp_n_clusters_fractional", "csv_path_not_string",
         ],
     )
     def test_run_on_malformed_config_shape_exits_2(self, tmp_path, capsys, malform, words):
@@ -349,6 +375,45 @@ class TestCommands:
         assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 2
         record = self.error_record(capsys)
         assert record["type"] == "ConfigError" and words in record["message"]
+
+    @pytest.mark.parametrize(
+        "edit, words",
+        [
+            (lambda cells: cells.__setitem__(1, "abc"), "line 3: non-numeric cell"),
+            (lambda cells: cells.__setitem__(0, "nan"), "line 3: non-finite value beta_0=nan"),
+            (lambda cells: cells.__setitem__(-1, "inf"), "line 3: non-finite value sigma2=inf"),
+            (lambda cells: cells.pop(), "line 3: 2 cells under a 3-column header"),
+        ],
+        ids=["non_numeric", "nan", "inf", "short_row"],
+    )
+    def test_decompose_rejects_malformed_draws_csv(self, tmp_path, capsys, edit, words):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, base_config(out))
+        assert main(["run", "--config", str(path)]) == 0
+        draws_csv = out / "draws_s2.csv"
+        lines = draws_csv.read_text().splitlines()
+        cells = lines[2].split(",")
+        edit(cells)
+        lines[2] = ",".join(cells)
+        draws_csv.write_text("\n".join(lines) + "\n")
+        (out / "decomposition.json").unlink()
+        capsys.readouterr()
+        assert main(["decompose", "--config", str(path)]) == 2
+        record = self.error_record(capsys)
+        assert record["type"] == "ConfigError"
+        assert record["message"].startswith(str(draws_csv)) and words in record["message"]
+        assert not (out / "decomposition.json").exists()
+
+    @pytest.mark.parametrize("text, words", [("{", "invalid JSON"), ("[]", "must be an object")], ids=["truncated", "list"])
+    def test_decompose_rejects_malformed_draws_sidecar(self, tmp_path, capsys, text, words):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, base_config(out))
+        assert main(["run", "--config", str(path)]) == 0
+        (out / "draws_s1.json").write_text(text)
+        capsys.readouterr()
+        assert main(["decompose", "--config", str(path)]) == 2
+        record = self.error_record(capsys)
+        assert record["type"] == "ConfigError" and "draws_s1.json" in record["message"] and words in record["message"]
 
     def test_decompose_rejects_non_finite_csv_cell(self, tmp_path, capsys):
         cfg = base_config(tmp_path / "sim")
@@ -386,7 +451,7 @@ class TestCommands:
         assert main(["validate"]) == 0
         out = capsys.readouterr().out
         assert out.count("PASS") == 4
-        assert main(["validate", "--marginalization", "maintext_multiply"]) == 0
+        assert main(["validate", "--marginalization", "maintext_multiply"]) == 1
         out = capsys.readouterr().out
         assert "FAIL mc_marginalization_grid" in out
 

@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import ndtr, ndtri
 
 from mortdecomp.dataset import (
     CenteringConstants,
@@ -14,11 +15,14 @@ from mortdecomp.dataset import (
 )
 from mortdecomp.errors import ConfigError, SingularDesignError
 from mortdecomp.sampler import (
+    _TAIL_SWITCH,
     ChainQualityWarning,
     GibbsChain,
     McmcConfig,
     PosteriorDraws,
     PriorSpec,
+    _latent_draw,
+    _truncated_std_normal_above,
     diagnostics,
     fit,
     load_draws,
@@ -91,6 +95,135 @@ class TestTruncatedNormal:
             want = m + norm.pdf(a) / norm.sf(a)
             se = draws.std(ddof=1) / np.sqrt(draws.size)
             assert abs(draws.mean() - want) < 4 * se
+
+
+def oracle_std_normal_above(a, rng):
+    """The earlier per-call kernel: inverse CDF on moderate elements, then far-tail rejection."""
+    out = np.empty_like(a)
+    tail = ndtr(-a)
+    extreme = tail < _TAIL_SWITCH
+    moderate = ~extreme
+    if np.any(moderate):
+        am = a[moderate]
+        u = rng.random(am.size)
+        low = am <= 0.0
+        x = np.empty(am.size)
+        if np.any(low):
+            fa = ndtr(am[low])
+            x[low] = ndtri(fa + u[low] * (1.0 - fa))
+        high = ~low
+        if np.any(high):
+            x[high] = -ndtri((1.0 - u[high]) * tail[moderate][high])
+        out[moderate] = x
+    if np.any(extreme):
+        idx = np.flatnonzero(extreme)
+        ae = a[idx]
+        lam = 0.5 * (ae + np.sqrt(ae * ae + 4.0))
+        pending = np.arange(idx.size)
+        draws = np.empty(idx.size)
+        while pending.size:
+            prop = ae[pending] + rng.exponential(1.0, size=pending.size) / lam[pending]
+            accept = rng.random(pending.size) < np.exp(-0.5 * (prop - lam[pending]) ** 2)
+            draws[pending[accept]] = prop[accept]
+            pending = pending[~accept]
+        out[idx] = draws
+    return out
+
+
+def oracle_latent_draw(eta, y, rng):
+    """The earlier sweep's latent step: one truncated-normal call for deaths, then one for survivors."""
+    z = np.empty(eta.size)
+    idx1 = y == 1
+    idx0 = ~idx1
+    sd = 1.0
+    w = eta[idx1] + sd * oracle_std_normal_above(-eta[idx1] / sd, rng)
+    z[idx1] = np.where(w <= 0.0, np.nextafter(0.0, 1.0), w)
+    w = eta[idx0] - sd * oracle_std_normal_above(eta[idx0] / sd, rng)
+    z[idx0] = np.where(w >= 0.0, np.nextafter(0.0, -1.0), w)
+    return z
+
+
+class TestSignedLatentDraw:
+    """The one-pass latent draw equals the earlier two-call draw bit for bit."""
+
+    @staticmethod
+    def both(eta, y, seed):
+        old_rng, new_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        death = y == 1
+        sign = np.where(death, 1.0, -1.0)
+        groups = (np.flatnonzero(death), np.flatnonzero(~death))
+        old = oracle_latent_draw(eta, y, old_rng)
+        new = _latent_draw(eta, sign, groups, new_rng)
+        assert np.array_equal(new, old)
+        assert new_rng.bit_generator.state == old_rng.bit_generator.state
+        # the stream goes on identically after the draw
+        assert np.array_equal(new_rng.random(3), old_rng.random(3))
+        return new
+
+    @pytest.mark.parametrize("death_rate", [0.0, 0.05, 0.5, 1.0], ids=["no_deaths", "rare", "half", "all_deaths"])
+    def test_mixed_and_one_sided_outcomes(self, death_rate):
+        rng = np.random.default_rng(11)
+        for seed in range(20):
+            eta = rng.normal(-1.5, 1.5, size=500)
+            y = (rng.random(500) < death_rate).astype(np.int64)
+            z = self.both(eta, y, seed)
+            assert np.all(z[y == 1] > 0) and np.all(z[y == 0] < 0)
+
+    @pytest.mark.parametrize("far", [40.0, 7.0])
+    def test_far_tail_means_on_both_sides(self, far):
+        rng = np.random.default_rng(12)
+        for seed in range(200):
+            eta = rng.normal(0.0, 1.0, size=60)
+            pick = rng.random(60)
+            eta[pick < 0.15] = -far  # deaths here need the far tail
+            eta[pick > 0.85] = far  # and survivors here
+            y = (rng.random(60) < 0.5).astype(np.int64)
+            self.both(eta, y, seed)
+
+    def test_groups_made_only_of_far_tails(self):
+        y = np.array([1, 1, 0, 0, 1, 0])
+        self.both(np.array([-40.0, -7.0, 0.3, 40.0, -9.0, 7.0]), y, 5)  # every death in the far tail
+        self.both(np.array([0.2, -1.0, 7.0, 40.0, 0.0, 9.0]), y, 6)  # every survivor in the far tail
+        self.both(np.array([-40.0, -7.0, 7.0, 40.0, -9.0, 9.0]), y, 7)  # every element
+
+    def test_chain_equals_the_two_call_sweep(self):
+        # the earlier sweep, written out with the two-call latent draw
+        design = design_for(sex_dgp((-1.5, 0.5), 0.25, n_clusters=30, births=20), seed=21)
+        prior = PriorSpec()
+        config = McmcConfig(total=400, burnin=100, thin=1, seed=4, allow_short=True)
+        x, y, cl, n_clusters = design.x, design.outcome, design.cluster_index, design.n_clusters
+        p = x.shape[1]
+        cov = np.linalg.inv(x.T @ x + np.eye(p) / prior.beta_sd**2)
+        cov_chol = np.linalg.cholesky(cov)
+        rng = np.random.default_rng(np.random.SeedSequence(config.seed))
+        beta, gamma = np.zeros(p), np.zeros(n_clusters)
+        sigma2 = prior.sigma2_scale / (prior.sigma2_shape + 1.0)
+        counts = np.bincount(cl, minlength=n_clusters).astype(float)
+        kept = []
+        for it in range(1, config.total + 1):
+            z = oracle_latent_draw(x @ beta + gamma[cl], y, rng)
+            beta = cov @ (x.T @ (z - gamma[cl])) + cov_chol @ rng.standard_normal(p)
+            prec = counts + 1.0 / sigma2
+            gamma = np.bincount(cl, weights=z - x @ beta, minlength=n_clusters) / prec
+            gamma += rng.standard_normal(n_clusters) / np.sqrt(prec)
+            shape = prior.sigma2_shape + 0.5 * n_clusters
+            sigma2 = 1.0 / rng.gamma(shape, 1.0 / (prior.sigma2_scale + 0.5 * (gamma @ gamma)))
+            if it > config.burnin:
+                kept.append([*beta, sigma2])
+        kept = np.array(kept)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ChainQualityWarning)
+            draws = fit(design, prior, config)
+        assert np.array_equal(draws.beta, kept[:, :-1])
+        assert np.array_equal(draws.sigma2, kept[:, -1])
+
+    @pytest.mark.parametrize("mean", [-40.0, -7.0, 0.0, 0.4, 7.0, 40.0])
+    def test_single_group_kernel_equals_the_earlier_kernel(self, mean):
+        a = np.random.default_rng(13).normal(mean, 1.0, size=300)
+        old_rng, new_rng = np.random.default_rng(3), np.random.default_rng(3)
+        assert np.array_equal(_truncated_std_normal_above(a, new_rng), oracle_std_normal_above(a, old_rng))
+        assert new_rng.bit_generator.state == old_rng.bit_generator.state
 
 
 class TestFit:
