@@ -39,7 +39,7 @@ from .dataset import (
     write_survey_csv,
 )
 from .decompose import coefficient_decompose, overall_decompose, posterior_decompose
-from .errors import ConfigError, MortdecompError, require_number, require_object
+from .errors import ConfigError, MortdecompError, require_bool, require_number, require_object, require_str
 # diagnostics, mean_mortality and variance_collapse are not called in this
 # module; perfbench/tracing.py wraps them here by name, so they stay imported.
 from .marginal import CONVENTIONS, marginal_prob, marginalize, mean_mortality  # noqa: F401
@@ -147,8 +147,8 @@ class RunConfig:
         if "survey_years" in raw:
             years_raw = require_object(raw["survey_years"], "survey_years", ("s1", "s2"))
             try:
-                years = (int(years_raw["s1"]), int(years_raw["s2"]))
-            except (TypeError, ValueError):
+                years = tuple(require_number(years_raw[k], "survey_years", int) for k in ("s1", "s2"))
+            except ConfigError:
                 raise ConfigError(f"survey_years must be integers, got {years_raw}") from None
         elif default_years is not None:
             years = default_years
@@ -170,11 +170,11 @@ class RunConfig:
         if order is not None:
             if not isinstance(order, (list, tuple)):
                 raise ConfigError(f"order must be a list of group names, got {order!r}")
-            order = tuple(str(o) for o in order)
+            order = tuple(require_str(o, f"order[{i}]") for i, o in enumerate(order))
 
         return cls(
             seed=require_number(raw.get("seed", 0), "seed", int),
-            out_dir=str(raw.get("out_dir", "out")),
+            out_dir=require_str(raw.get("out_dir", "out"), "out_dir"),
             input_mode=mode,
             dgp=dgp,
             csv_paths=csv_paths,
@@ -185,7 +185,7 @@ class RunConfig:
             order=order,
             marginalization=marginalization,
             poor_quantile=poor_quantile,
-            auto_extend=bool(raw.get("auto_extend", True)),
+            auto_extend=require_bool(raw.get("auto_extend", True), "auto_extend"),
             echo=raw,
         )
 

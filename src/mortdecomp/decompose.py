@@ -12,11 +12,24 @@ distributions for every component.
 
 Every entry point here runs one kernel that walks each draw once; its
 per-draw matrix (``DecompositionSummary.draws``) also yields the
-variance profile in :mod:`mortdecomp.validation`.
+variance profile in :mod:`mortdecomp.validation`.  The kernel splits the
+draws into contiguous chunks, one per available core, and walks each on
+its own thread (``ndtr`` releases the GIL).  While those threads run
+it holds numpy's OpenBLAS to one thread, so the matrix-vector products
+do not spin the cores the chunks need, and then restores the previous
+count; no environment variable is read or written.  Every draw's
+arithmetic is the same as on one thread, so the outputs are identical
+bytes.  Where numpy's BLAS exports no thread control, the kernel walks
+all draws on the calling thread.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,6 +62,68 @@ def _link_fn(link):
     if link == "identity":
         return lambda v: v
     raise ConfigError(f"unknown link {link!r}")
+
+
+@functools.cache
+def _openblas_threads():
+    """numpy's own OpenBLAS ``(get, set)`` thread-count functions, or ``None``.
+
+    Resolved through numpy's extension module, so they act on the BLAS
+    that numpy's matrix products call; ``None`` on a numpy built against
+    another BLAS.
+    """
+    try:
+        from numpy._core import _multiarray_umath
+
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+        get = lib.scipy_openblas_get_num_threads64_
+        set_ = lib.scipy_openblas_set_num_threads64_
+    except (ImportError, OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+class _OneBlasThread:
+    """Holds OpenBLAS at one thread while any kernel runs in this process.
+
+    The thread count is process-wide, so concurrent kernels share one
+    hold: the first to enter saves the count and sets 1, the last to
+    leave restores it.
+    """
+
+    def __init__(self, controls):
+        self._get, self._set = controls
+        self._lock = threading.Lock()
+        self._holders = 0
+        self._saved = None
+
+    def __enter__(self):
+        with self._lock:
+            if self._holders == 0:
+                self._saved = self._get()
+                self._set(1)
+            self._holders += 1
+
+    def __exit__(self, *exc):
+        with self._lock:
+            self._holders -= 1
+            if self._holders == 0:
+                self._set(self._saved)
+
+
+@functools.cache
+def _one_blas_thread() -> _OneBlasThread | None:
+    controls = _openblas_threads()
+    return None if controls is None else _OneBlasThread(controls)
+
+
+def _available_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
 
 
 def validate_order(order, column_groups) -> list[str]:
@@ -90,7 +165,8 @@ def _decompose_draws(design1, design2, tilde1, tilde2, order=None, link="probit"
     that starts the swap walk; one per swapped group (skipped when its
     coefficients are equal); and ``rate2`` straight from ``x2 @ b2``, so
     the group-sum identity compares two routes.  Draws are walked one at
-    a time (no ``(n, L)`` block); both identities are checked to 1e-12.
+    a time (no ``(n, L)`` block), in contiguous chunks on one thread per
+    core; both identities are checked to 1e-12 on the full arrays.
     """
     if design1.n_cols != design2.n_cols or design1.column_groups != design2.column_groups:
         raise ConfigError(
@@ -115,18 +191,30 @@ def _decompose_draws(design1, design2, tilde1, tilde2, order=None, link="probit"
     rate1 = np.empty(n_draws)
     rate2 = np.empty(n_draws)
     walk = np.empty((n_draws, len(order) + 1))  # column 0: crossed mean; column j: after swap j
-    for i, (b1, b2) in enumerate(zip(tilde1, tilde2)):
-        rate1[i] = np.mean(f(x1 @ b1))
-        eta = x2 @ b1
-        walk[i, 0] = np.mean(f(eta))
-        for j, cols in enumerate(blocks, start=1):
-            delta = b2[cols] - b1[cols]
-            if np.any(delta != 0.0):
-                eta += x2[:, cols] @ delta
-                walk[i, j] = np.mean(f(eta))
-            else:
-                walk[i, j] = walk[i, j - 1]
-        rate2[i] = np.mean(f(x2 @ b2))
+
+    def walk_draws(lo, hi):  # fills rows lo..hi-1 of rate1, rate2 and walk
+        for i in range(lo, hi):
+            b1, b2 = tilde1[i], tilde2[i]
+            rate1[i] = np.mean(f(x1 @ b1))
+            eta = x2 @ b1
+            walk[i, 0] = np.mean(f(eta))
+            for j, cols in enumerate(blocks, start=1):
+                delta = b2[cols] - b1[cols]
+                if np.any(delta != 0.0):
+                    eta += x2[:, cols] @ delta
+                    walk[i, j] = np.mean(f(eta))
+                else:
+                    walk[i, j] = walk[i, j - 1]
+            rate2[i] = np.mean(f(x2 @ b2))
+
+    hold = _one_blas_thread()
+    n_chunks = 1 if hold is None else min(n_draws, _available_cores())
+    if n_chunks <= 1:
+        walk_draws(0, n_draws)
+    else:
+        bounds = [n_draws * c // n_chunks for c in range(n_chunks + 1)]
+        with hold, ThreadPoolExecutor(n_chunks) as pool:
+            list(pool.map(walk_draws, bounds[:-1], bounds[1:]))
 
     crossed = walk[:, 0]
     x_effect = rate1 - crossed

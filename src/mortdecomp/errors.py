@@ -82,3 +82,17 @@ def require_number(value, where: str, kind=float):
             return kind(value)
     what = "a finite number" if kind is float else "a whole number"
     raise ConfigError(f"{where} must be {what}, got {value!r}")
+
+
+def require_bool(value, where: str) -> bool:
+    """``value`` if it is a JSON boolean; ``ConfigError`` otherwise (``"false"`` and ``0`` are not)."""
+    if isinstance(value, bool):
+        return value
+    raise ConfigError(f"{where} must be true or false, got {value!r}")
+
+
+def require_str(value, where: str) -> str:
+    """``value`` if it is a string; ``ConfigError`` otherwise, never converted."""
+    if isinstance(value, str):
+        return value
+    raise ConfigError(f"{where} must be a string, got {value!r}")

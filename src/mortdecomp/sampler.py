@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .dataset import DesignMatrix
-from .errors import ConfigError, SingularDesignError, require_number, require_object
+from .errors import ConfigError, SingularDesignError, require_bool, require_number, require_object, require_str
 
 __all__ = [
     "ChainQualityWarning",
@@ -53,15 +53,19 @@ class ChainQualityWarning(UserWarning):
     """Retained draws fall short of the independence target."""
 
 
-def _from_dict(cls, d: dict, section: str, numbers: dict):
-    """``cls(**d)``; ``ConfigError`` on unknown keys or when a field named in ``numbers`` is not a number of its kind."""
+def _from_dict(cls, d: dict, section: str, kinds: dict):
+    """``cls(**d)``; ``ConfigError`` on unknown keys or when a field named in ``kinds`` is not a value of its kind.
+
+    A kind is ``int`` or ``float`` (see ``require_number``) or ``bool``.
+    """
     unknown = set(require_object(d, section)) - {f.name for f in fields(cls)}
     if unknown:
         raise ConfigError(f"unknown {section} keys: {sorted(unknown)}")
     values = dict(d)
-    for key, kind in numbers.items():
+    for key, kind in kinds.items():
         if key in values:
-            values[key] = require_number(values[key], f"{section}.{key}", kind)
+            where = f"{section}.{key}"
+            values[key] = require_bool(values[key], where) if kind is bool else require_number(values[key], where, kind)
     return cls(**values)
 
 
@@ -146,7 +150,7 @@ class McmcConfig:
         ints = ["total", "burnin", "target_retained", "seed"]
         if require_object(d, "mcmc").get("thin") is not None:  # null derives thin from the target
             ints.append("thin")
-        return _from_dict(cls, d, "mcmc", dict.fromkeys(ints, int))
+        return _from_dict(cls, d, "mcmc", {**dict.fromkeys(ints, int), "allow_short": bool})
 
     def to_dict(self) -> dict:
         return {
@@ -561,8 +565,16 @@ def load_draws(csv_path, sidecar_path=None) -> PosteriorDraws:
                 f"{sidecar_path}: sidecar records {meta['n_coefficients']} coefficients "
                 f"but {csv_path} has {n_coefficients}"
             )
-        survey_id = meta.get("survey_id", "")
-        column_groups = {k: (int(lo), int(hi)) for k, (lo, hi) in meta.get("column_groups", {}).items()}
+        survey_id = require_str(meta.get("survey_id", ""), f"{sidecar_path}: survey_id")
+        groups = require_object(meta.get("column_groups", {}), f"{sidecar_path}: column_groups")
+        for name, span in groups.items():
+            where = f"{sidecar_path}: column_groups.{name}"
+            if not (isinstance(span, list) and len(span) == 2):
+                raise ConfigError(f"{where} must be a [lo, hi] pair, got {span!r}")
+            lo, hi = (require_number(v, where, int) for v in span)
+            if not 0 <= lo < hi <= n_coefficients:
+                raise ConfigError(f"{where} must satisfy 0 <= lo < hi <= {n_coefficients}, got {span}")
+            column_groups[name] = (lo, hi)
     return PosteriorDraws(
         survey_id=survey_id,
         beta=arr[:, :-1],

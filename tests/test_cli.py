@@ -359,6 +359,13 @@ class TestCommands:
                 ),
                 "s1_path",
             ),
+            # non-numeric values are checked, never converted: no truthy strings, no str() of a number
+            (lambda cfg: cfg.update(auto_extend="false"), "auto_extend"),
+            (lambda cfg: cfg["mcmc"].update(allow_short="no"), "mcmc.allow_short"),
+            (lambda cfg: cfg.update(out_dir=5), "out_dir"),
+            (lambda cfg: cfg.update(order=["intercept", 5]), "order[1]"),
+            (lambda cfg: cfg.update(survey_years={"s1": "2000", "s2": 2014}), "integers"),
+            (lambda cfg: cfg.update(survey_years={"s1": 2000, "s2": 2014.7}), "integers"),
         ],
         ids=[
             "survey_years_without_s2", "survey_years_not_integers", "dgp_without_s2",
@@ -367,6 +374,8 @@ class TestCommands:
             "dgp_sigma2_not_number", "dgp_beta_not_list", "dgp_covariates_not_object", "schema_covariate_not_object",
             "mcmc_thin_fractional", "mcmc_total_numeric_string", "seed_boolean", "prior_beta_sd_nan_string",
             "prior_beta_sd_nan", "dgp_n_clusters_fractional", "csv_path_not_string",
+            "auto_extend_string", "mcmc_allow_short_string", "out_dir_number", "order_entry_number",
+            "survey_year_string", "survey_year_fractional",
         ],
     )
     def test_run_on_malformed_config_shape_exits_2(self, tmp_path, capsys, malform, words):
@@ -404,7 +413,21 @@ class TestCommands:
         assert record["message"].startswith(str(draws_csv)) and words in record["message"]
         assert not (out / "decomposition.json").exists()
 
-    @pytest.mark.parametrize("text, words", [("{", "invalid JSON"), ("[]", "must be an object")], ids=["truncated", "list"])
+    @pytest.mark.parametrize(
+        "text, words",
+        [
+            ("{", "invalid JSON"),
+            ("[]", "must be an object"),
+            ('{"column_groups": {"sex": 5}}', "column_groups.sex must be a [lo, hi] pair"),
+            ('{"column_groups": [1]}', "column_groups must be an object"),
+            ('{"column_groups": {"sex": [1, "2"]}}', "column_groups.sex must be a whole number"),
+            ('{"column_groups": {"sex": [1, 1]}}', "0 <= lo < hi <= 2"),
+            ('{"column_groups": {"sex": [1, 3]}}', "0 <= lo < hi <= 2"),
+            ('{"survey_id": 5}', "survey_id must be a string"),
+        ],
+        ids=["truncated", "list", "group_not_pair", "groups_not_object", "bound_not_integer", "empty_span",
+             "span_past_width", "survey_id_number"],
+    )
     def test_decompose_rejects_malformed_draws_sidecar(self, tmp_path, capsys, text, words):
         out = tmp_path / "out"
         path = write_config(tmp_path, base_config(out))

@@ -1,5 +1,13 @@
+import itertools
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import ndtr
 
 import mortdecomp.decompose as decompose_module
 from mortdecomp.dataset import DesignMatrix
@@ -326,6 +334,161 @@ class TestKernel:
             posterior_decompose(self.d1, self.d2, narrow, narrow, years_between=10.0)
         with pytest.raises(ConfigError, match="coefficients per draw"):
             decompose_draw(self.d1, self.d2, np.zeros(3), np.zeros(3))
+
+
+blas_threads = decompose_module._openblas_threads()
+needs_blas_control = pytest.mark.skipif(blas_threads is None, reason="numpy's BLAS exports no thread control")
+
+
+@pytest.fixture
+def blas_at_three():
+    """OpenBLAS at 3 threads, so a restored count differs from the kernel's 1; the old count after."""
+    get, set_ = blas_threads
+    before = get()
+    set_(3)
+    try:
+        yield get()
+    finally:
+        set_(before)
+
+
+class TestThreadedKernel:
+    """Chunks on threads give the one-chunk kernel's bytes and leave BLAS as found."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(41)
+        self.d1 = random_design(rng, 31, [1, 2, 3])
+        self.d2 = random_design(rng, 37, [1, 2, 3])
+        center = np.array([-1.1, 0.3, -0.2, 0.1, 0.2, -0.1, 0.05])
+        self.draws1 = random_draws(rng, center, 0.1, 25)
+        beta2 = self.draws1.beta + rng.normal(scale=0.1, size=self.draws1.beta.shape)
+        beta2[:, 2:4] = self.draws1.beta[:, 2:4]  # g1 keeps survey 1's coefficients: the zero-delta skip
+        beta2[::3, 0] = self.draws1.beta[::3, 0]  # and the intercept on every third draw
+        self.draws2 = PosteriorDraws(survey_id="S2", beta=beta2, sigma2=self.draws1.sigma2, column_groups={})
+        self.order = ["g1", "g2", "intercept", "g0"]
+
+    def decompose(self, n_draws=None, **kwargs):
+        take = slice(None, n_draws)
+        draws1, draws2 = (
+            PosteriorDraws(survey_id=d.survey_id, beta=d.beta[take].copy(), sigma2=d.sigma2[take].copy())
+            for d in (self.draws1, self.draws2)
+        )
+        return posterior_decompose(
+            self.d1, self.d2, draws1, draws2, years_between=10.0, order=self.order, **kwargs
+        ).draws
+
+    def draws_on(self, monkeypatch, cores, n_draws=None, **kwargs):
+        monkeypatch.setattr(decompose_module, "_available_cores", lambda: cores)
+        return self.decompose(n_draws, **kwargs)
+
+    @pytest.mark.parametrize("cores, n_draws", [(2, None), (3, None), (7, None), (8, 3), (4, 1)])
+    def test_threads_give_the_one_chunk_bytes(self, monkeypatch, cores, n_draws):
+        serial = self.draws_on(monkeypatch, 1, n_draws)
+        threaded = self.draws_on(monkeypatch, cores, n_draws)
+        assert np.any(serial.group_effects[:, 0] == 0.0)  # the skip path ran
+        for name in ("rate1", "rate2", "x_effect", "beta_effect", "group_effects"):
+            assert np.array_equal(getattr(threaded, name), getattr(serial, name)), name
+
+    @needs_blas_control
+    def test_chunks_run_on_threads_with_blas_at_one(self, monkeypatch):
+        # each thread's first link pass waits for the other's: one thread
+        # walking both chunks would break the barrier
+        both_running = threading.Barrier(2, timeout=30)
+        seen = []
+
+        def recording_ndtr(v):
+            ident = threading.get_ident()
+            first = ident not in {i for i, _ in seen}
+            seen.append((ident, blas_threads[0]()))
+            if first:
+                both_running.wait()
+            return ndtr(v)
+
+        self.draws_on(monkeypatch, 2, link=recording_ndtr)
+        assert len({ident for ident, _ in seen}) == 2
+        assert {count for _, count in seen} == {1}
+
+    def test_without_blas_control_one_chunk_on_the_calling_thread(self, monkeypatch):
+        serial = self.draws_on(monkeypatch, 1)
+        monkeypatch.setattr(decompose_module, "_one_blas_thread", lambda: None)
+        threads = set()
+
+        def recording_ndtr(v):
+            threads.add(threading.get_ident())
+            return ndtr(v)
+
+        out = self.draws_on(monkeypatch, 4, link=recording_ndtr)
+        assert threads == {threading.get_ident()}
+        assert np.array_equal(out.group_effects, serial.group_effects)
+
+    @needs_blas_control
+    def test_blas_count_restored_after_decompose(self, monkeypatch, blas_at_three):
+        self.draws_on(monkeypatch, 2)
+        assert blas_threads[0]() == blas_at_three
+
+    @needs_blas_control
+    def test_blas_count_restored_when_the_kernel_raises(self, monkeypatch, blas_at_three):
+        narrow = constant_draws([-1.0, 0.2], 0.1, 5)
+        with pytest.raises(ConfigError, match="coefficients per draw"):
+            posterior_decompose(self.d1, self.d2, narrow, narrow, years_between=10.0)
+        assert blas_threads[0]() == blas_at_three
+
+        calls = itertools.count()
+        with pytest.raises(ValueError, match="group effects must sum"):
+            self.draws_on(monkeypatch, 2, link=lambda v: ndtr(v) + 1e-6 * next(calls))
+        assert blas_threads[0]() == blas_at_three
+
+        failing_calls = itertools.count()
+
+        def failing_ndtr(v):
+            if next(failing_calls) == 40:
+                raise FloatingPointError("link failed on a worker thread")
+            return ndtr(v)
+
+        with pytest.raises(FloatingPointError, match="worker thread"):
+            self.draws_on(monkeypatch, 2, link=failing_ndtr)
+        assert blas_threads[0]() == blas_at_three
+
+    def test_concurrent_decompositions_agree_and_restore_blas(self, monkeypatch):
+        # more callers than cores, each running chunks on threads, with
+        # frequent switches: outputs stay the one-chunk bytes and the
+        # shared BLAS hold ends at the count it started from
+        serial = self.draws_on(monkeypatch, 1)
+        monkeypatch.setattr(decompose_module, "_available_cores", lambda: 3)
+        before = blas_threads[0]() if blas_threads else None
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(6) as pool:
+                futures = [pool.submit(self.decompose) for _ in range(12)]
+                results = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for out in results:
+            assert np.array_equal(out.group_effects, serial.group_effects)
+            assert np.array_equal(out.rate1, serial.rate1) and np.array_equal(out.rate2, serial.rate2)
+        if blas_threads:
+            assert blas_threads[0]() == before
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    group_sizes=st.lists(st.integers(1, 3), min_size=1, max_size=4),
+    n_rows=st.tuples(st.integers(2, 30), st.integers(2, 30)),
+    n_draws=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_additivity_identities_hold_through_threaded_decompose(group_sizes, n_rows, n_draws, seed):
+    rng = np.random.default_rng(seed)
+    d1 = random_design(rng, n_rows[0], group_sizes)
+    d2 = random_design(rng, n_rows[1], group_sizes)
+    p = d1.n_cols
+    draws1, draws2 = (random_draws(rng, rng.normal(scale=0.8, size=p), 0.3, n_draws) for _ in range(2))
+    order = list(rng.permutation(["intercept"] + list(d2.column_groups)))
+    out = posterior_decompose(d1, d2, draws1, draws2, years_between=10.0, order=order).draws
+    assert out.order == tuple(order)
+    assert np.all(np.abs(out.x_effect + out.beta_effect - out.overall_diff) <= 1e-12)
+    assert np.all(np.abs(out.group_effects.sum(axis=1) - out.beta_effect) <= 1e-12)
 
 
 class TestAnnualize:
