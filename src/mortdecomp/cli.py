@@ -12,14 +12,23 @@ Subcommands:
 Everything a run emits is deterministic given the config seed: derived
 seeds feed the generator and each survey's chain, and no output embeds
 a timestamp.
+
+``run`` fits the two surveys in two forked processes when numpy's
+OpenBLAS exposes its thread control and at least two cores are
+available, and one after the other in this process otherwise; the
+outputs are the same bytes either way.  A fit process inherits its
+design and chain settings through the fork and sends back its
+``SurveyFit``, or the error it raised, with the warnings it caught.
+From the fits through the decomposition, OpenBLAS is held at one thread.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
+import contextlib
 import hashlib
 import json
+import multiprocessing
 import sys
 import warnings
 from dataclasses import dataclass
@@ -38,7 +47,13 @@ from .dataset import (
     pool_samples,
     write_survey_csv,
 )
-from .decompose import coefficient_decompose, overall_decompose, posterior_decompose
+from .decompose import (
+    _available_cores,
+    _one_blas_thread,
+    coefficient_decompose,
+    overall_decompose,
+    posterior_decompose,
+)
 from .errors import ConfigError, MortdecompError, require_bool, require_number, require_object, require_str
 # diagnostics, mean_mortality and variance_collapse are not called in this
 # module; perfbench/tracing.py wraps them here by name, so they stay imported.
@@ -257,6 +272,62 @@ def _fit_survey(design, prior, mcmc, auto_extend) -> SurveyFit:
     )
 
 
+def _fit_child(conn, design, prior, mcmc, auto_extend) -> None:
+    """Body of a fit process: send ``(SurveyFit or the exception raised, warnings caught)`` to ``conn``."""
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            outcome = _fit_survey(design, prior, mcmc, auto_extend)
+        except Exception as exc:
+            outcome = exc
+    conn.send((outcome, [(w.message, w.category, w.filename, w.lineno) for w in caught]))
+    conn.close()
+
+
+def _fit_surveys(jobs, fork: bool) -> list[SurveyFit]:
+    """``_fit_survey(*job)`` for every job, in order.
+
+    With ``fork``, each job runs in its own forked process, which
+    inherits the design, prior and chain configuration and sends back
+    its ``SurveyFit`` (or the exception it raised) and the warnings it
+    caught.  The warnings are re-issued here in job order, and the first
+    failing job's exception is raised after its warnings, as if the jobs
+    had run one after the other.  Every process is joined before this
+    returns or raises.
+    """
+    if not fork:
+        return [_fit_survey(*job) for job in jobs]
+    ctx = multiprocessing.get_context("fork")
+    children = []
+    try:
+        for job in jobs:
+            recv, send = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_fit_child, args=(send, *job), daemon=True)
+            proc.start()
+            send.close()  # the child holds the only write end, so its death reads as EOF
+            children.append((proc, recv))
+        fits = []
+        for i, (proc, recv) in enumerate(children, start=1):
+            try:
+                outcome, caught = recv.recv()
+            except EOFError:
+                proc.join()
+                raise RuntimeError(
+                    f"the fit process for survey {i} exited with code {proc.exitcode} before sending a result"
+                ) from None
+            for message, category, filename, lineno in caught:
+                warnings.warn_explicit(message, category, filename, lineno)
+            if isinstance(outcome, BaseException):
+                raise outcome
+            fits.append(outcome)
+        return fits
+    finally:
+        for proc, recv in children:
+            recv.close()
+            if proc.is_alive():
+                proc.terminate()
+            proc.join()
+
+
 def _survey_diagnostics(fitted, survey: SurveyFit, sample):
     empirical = 1000.0 * int(sample.outcome.sum()) / sample.n_births
     out = {
@@ -329,27 +400,32 @@ def run_pipeline(config: RunConfig) -> dict:
         stage = "build_design"
         d1, d2, _ = _build_designs(config, s1, s2)
 
-        stage = "fit"
-        _, fit_seed1, fit_seed2 = _derived_seeds(config.seed)
-        prior = config.prior
-        with concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
-            fut1 = pool.submit(_fit_survey, d1, prior, _mcmc_for(config, fit_seed1), config.auto_extend)
-            fut2 = pool.submit(_fit_survey, d2, prior, _mcmc_for(config, fit_seed2), config.auto_extend)
-            fit1 = fut1.result()
-            fit2 = fut2.result()
-        draws1, draws2 = fit1.draws, fit2.draws
+        # One BLAS thread from the fits through the decomposition: the fit
+        # processes then share the cores without oversubscribing them, and
+        # the parent's OpenBLAS pool, which a fork shuts down, is not rebuilt
+        # for the decomposition.  The kernel's own hold nests inside this one.
+        hold = _one_blas_thread()
+        with hold or contextlib.nullcontext():
+            stage = "fit"
+            _, fit_seed1, fit_seed2 = _derived_seeds(config.seed)
+            jobs = [
+                (design, config.prior, _mcmc_for(config, seed), config.auto_extend)
+                for design, seed in ((d1, fit_seed1), (d2, fit_seed2))
+            ]
+            fit1, fit2 = _fit_surveys(jobs, fork=hold is not None and _available_cores() >= 2)
+            draws1, draws2 = fit1.draws, fit2.draws
 
-        stage = "decompose"
-        summary = posterior_decompose(
-            d1,
-            d2,
-            draws1,
-            draws2,
-            years_between=config.years_between,
-            order=list(config.order) if config.order else None,
-            convention=config.marginalization,
-        )
-        profile = VarianceCollapseProfile.from_draws(summary.draws)
+            stage = "decompose"
+            summary = posterior_decompose(
+                d1,
+                d2,
+                draws1,
+                draws2,
+                years_between=config.years_between,
+                order=list(config.order) if config.order else None,
+                convention=config.marginalization,
+            )
+            profile = VarianceCollapseProfile.from_draws(summary.draws)
 
         stage = "emit"
         emit("draws_s1.csv", lambda p: save_draws(draws1, p, None))

@@ -17,7 +17,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateDesignError, EmptyInputError, RowError, SchemaError, require_number, require_object
+from .errors import (
+    DegenerateDesignError,
+    EmptyInputError,
+    RowError,
+    SchemaError,
+    require_bool,
+    require_number,
+    require_object,
+    require_str,
+)
 from .splines import bspline_basis, quantile_knots
 
 __all__ = [
@@ -174,8 +183,11 @@ class CovariateSpec:
         unknown = set(require_object(d, "covariate spec", ("name", "kind"))) - allowed
         if unknown:
             raise SchemaError(f"unknown covariate spec keys: {sorted(unknown)}")
-        numbers = {k: require_number(d[k], f"covariate spec {k}", int) for k in ("degree", "df") if k in d}
-        return cls(**{**d, **numbers})
+        checked = {k: require_str(d[k], f"covariate spec {k}") for k in ("name", "kind")}
+        checked.update({k: require_number(d[k], f"covariate spec {k}", int) for k in ("degree", "df") if k in d})
+        if "allow_missing" in d:
+            checked["allow_missing"] = require_bool(d["allow_missing"], "covariate spec allow_missing")
+        return cls(**{**d, **checked})
 
     def to_dict(self) -> dict:
         d = {"name": self.name, "kind": self.kind}

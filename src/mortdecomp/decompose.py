@@ -86,11 +86,13 @@ def _openblas_threads():
 
 
 class _OneBlasThread:
-    """Holds OpenBLAS at one thread while any kernel runs in this process.
+    """Holds OpenBLAS at one thread while any holder runs in this process.
 
-    The thread count is process-wide, so concurrent kernels share one
-    hold: the first to enter saves the count and sets 1, the last to
-    leave restores it.
+    Holders are the decomposition kernel and ``cli.run_pipeline``, which
+    holds from its fits through its decomposition.  The thread count is
+    process-wide, so concurrent and nested holders share one hold: the
+    first to enter saves the count and sets 1, the last to leave
+    restores it.
     """
 
     def __init__(self, controls):

@@ -7,7 +7,13 @@ import numbers
 
 
 class MortdecompError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.
+
+    Every error pickles to an equal one (same type, message and fields),
+    so an error raised in a worker process reaches the parent unchanged.
+    A subclass whose constructor takes other arguments than the message
+    defines ``__reduce__`` to rebuild itself from those arguments.
+    """
 
 
 class SchemaError(MortdecompError, ValueError):
@@ -19,7 +25,11 @@ class RowError(MortdecompError, ValueError):
 
     def __init__(self, line_number: int, message: str):
         self.line_number = line_number
+        self.reason = message
         super().__init__(f"line {line_number}: {message}")
+
+    def __reduce__(self):
+        return type(self), (self.line_number, self.reason), self.__dict__
 
 
 class EmptyInputError(MortdecompError, ValueError):
@@ -33,6 +43,9 @@ class DegenerateDesignError(MortdecompError, ValueError):
         self.column_name = column_name
         super().__init__(message or f"design column for '{column_name}' is constant across all rows")
 
+    def __reduce__(self):
+        return type(self), (self.column_name, str(self)), self.__dict__
+
 
 class SingularDesignError(MortdecompError, RuntimeError):
     """The coefficient full-conditional precision is numerically singular."""
@@ -43,6 +56,9 @@ class SingularDesignError(MortdecompError, RuntimeError):
             f"design cross-product is numerically singular (smallest eigenvalue {min_eigenvalue:.3e}); "
             "check for collinear columns"
         )
+
+    def __reduce__(self):
+        return type(self), (self.min_eigenvalue,), self.__dict__
 
 
 class NonConvergenceError(MortdecompError, RuntimeError):

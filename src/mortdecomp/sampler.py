@@ -437,7 +437,6 @@ class FitDiagnostics:
 
     ess: dict[str, float]
     autocorrelations: dict[str, np.ndarray]  # lags 1..50
-    traces: dict[str, np.ndarray]
     degenerate: frozenset[str]
     acceptance_rate: float = 1.0  # Gibbs sweeps always accept
 
@@ -495,12 +494,7 @@ def diagnostics(draws: PosteriorDraws) -> FitDiagnostics:
             continue
         acf[name] = np.array([_autocovariance(xc, lag) / g0 for lag in range(1, max_lag + 1)])
         ess[name] = _ess_initial_positive(xc, g0)
-    return FitDiagnostics(
-        ess=ess,
-        autocorrelations=acf,
-        traces=series,
-        degenerate=frozenset(degenerate),
-    )
+    return FitDiagnostics(ess=ess, autocorrelations=acf, degenerate=frozenset(degenerate))
 
 
 def save_draws(draws: PosteriorDraws, csv_path, sidecar_path=None, config_echo: dict | None = None) -> None:
@@ -534,17 +528,20 @@ def load_draws(csv_path, sidecar_path=None) -> PosteriorDraws:
     csv_path = Path(csv_path)
     with open(csv_path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, [""])
-        if header[-1] != "sigma2" or not header[0].startswith("beta_"):
-            raise ConfigError(f"{csv_path}: not a draws file (header {header[:3]}...)")
-        rows = []
-        for line, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ConfigError(f"{csv_path}, line {line}: {len(row)} cells under a {len(header)}-column header")
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError:
-                raise ConfigError(f"{csv_path}, line {line}: non-numeric cell in {row}") from None
+        try:
+            header = next(reader, [])
+            if not header or header[-1] != "sigma2" or not header[0].startswith("beta_"):
+                raise ConfigError(f"{csv_path}: not a draws file (header {header[:3]}...)")
+            rows = []
+            for line, row in enumerate(reader, start=2):
+                if len(row) != len(header):
+                    raise ConfigError(f"{csv_path}, line {line}: {len(row)} cells under a {len(header)}-column header")
+                try:
+                    rows.append([float(v) for v in row])
+                except ValueError:
+                    raise ConfigError(f"{csv_path}, line {line}: non-numeric cell in {row}") from None
+        except csv.Error as exc:
+            raise ConfigError(f"{csv_path}, line {reader.line_num}: {exc}") from None
     if not rows:
         raise ConfigError(f"{csv_path}: no draws below the header")
     arr = np.asarray(rows, dtype=float)
@@ -552,6 +549,10 @@ def load_draws(csv_path, sidecar_path=None) -> PosteriorDraws:
     if bad.size:
         row, col = bad[0]
         raise ConfigError(f"{csv_path}, line {row + 2}: non-finite value {header[col]}={float(arr[row, col])}")
+    negative = np.flatnonzero(arr[:, -1] < 0.0)
+    if negative.size:
+        row = negative[0]
+        raise ConfigError(f"{csv_path}, line {row + 2}: negative variance sigma2={float(arr[row, -1])}")
     survey_id = ""
     column_groups: dict[str, tuple[int, int]] = {}
     if sidecar_path is not None:

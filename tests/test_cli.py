@@ -1,10 +1,17 @@
 import json
+import multiprocessing
+import os
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mortdecomp.cli as cli
 from mortdecomp.cli import RunConfig, main, run_pipeline, validate_suite
-from mortdecomp.errors import ConfigError
+from mortdecomp.decompose import _one_blas_thread, _openblas_threads
+from mortdecomp.errors import ConfigError, MortdecompError, SingularDesignError
+from mortdecomp.sampler import ChainQualityWarning, GibbsChain
 
 
 def base_config(out_dir, mcmc=None):
@@ -141,6 +148,84 @@ class TestPipeline:
             run_pipeline(config)
         assert err.value.stage == "emit"
         assert list((tmp_path / "out").iterdir()) == []
+
+
+def run_with_warnings(config) -> list[tuple]:
+    """Run the pipeline; the chain-quality warnings it issued, as (text, file, line)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run_pipeline(config)
+    return [(str(w.message), w.filename, w.lineno) for w in caught if w.category is ChainQualityWarning]
+
+
+@pytest.mark.skipif(_one_blas_thread() is None, reason="numpy's BLAS exports no thread control, so fits never fork")
+class TestFitProcesses:
+    """The two surveys' fits in forked processes, against the in-process path."""
+
+    @pytest.fixture(autouse=True)
+    def two_cores(self, monkeypatch):
+        monkeypatch.setattr(cli, "_available_cores", lambda: 2)
+
+    def test_outputs_and_warnings_match_in_process_fits(self, tmp_path, monkeypatch):
+        # an auto-extended chain, so the resumed extension crosses the process boundary too
+        cfg = base_config(tmp_path / "forked", mcmc={"total": 1350, "burnin": 100, "thin": 1, "target_retained": 1250})
+        cfg["auto_extend"] = True
+        forked_warnings = run_with_warnings(RunConfig.from_dict(cfg))
+        assert multiprocessing.active_children() == []
+        monkeypatch.setattr(cli, "_available_cores", lambda: 1)
+        cfg["out_dir"] = str(tmp_path / "in_process")
+        in_process_warnings = run_with_warnings(RunConfig.from_dict(cfg))
+
+        forked = json.loads((tmp_path / "forked" / "run_manifest.json").read_text())
+        in_process = json.loads((tmp_path / "in_process" / "run_manifest.json").read_text())
+        assert forked["files"] == in_process["files"]
+        # each chain warns before and after its extension; s1's two come
+        # before s2's, and each one as fit issued it
+        assert len({text for text, _, _ in forked_warnings}) == 4
+        assert forked_warnings == in_process_warnings
+
+    def test_blas_thread_count_restored(self, tmp_path):
+        get, set_ = _openblas_threads()
+        saved = get()
+        try:
+            set_(2)
+            before = get()
+            run_pipeline(RunConfig.from_dict(base_config(tmp_path / "out")))
+            assert get() == before
+        finally:
+            set_(saved)
+
+    def test_fit_error_in_child_reaches_parent(self, tmp_path, monkeypatch):
+        def chain(design, prior, mcmc):
+            if design.survey_id == "S2":
+                raise SingularDesignError(3.5e-17)
+            return GibbsChain(design, prior, mcmc)
+
+        monkeypatch.setattr(cli, "GibbsChain", chain)
+        with pytest.raises(cli._StageFailure) as err:
+            run_pipeline(RunConfig.from_dict(base_config(tmp_path / "out")))
+        assert err.value.stage == "fit"
+        assert type(err.value.cause) is SingularDesignError
+        assert str(err.value.cause) == str(SingularDesignError(3.5e-17))
+        assert err.value.cause.min_eigenvalue == 3.5e-17
+        assert list((tmp_path / "out").iterdir()) == []
+        assert multiprocessing.active_children() == []
+
+    def test_dying_child_ends_run_at_fit(self, tmp_path, monkeypatch):
+        fit_survey = cli._fit_survey
+
+        def die_on_s1(design, *args):
+            if design.survey_id == "S1":
+                os._exit(3)
+            return fit_survey(design, *args)
+
+        monkeypatch.setattr(cli, "_fit_survey", die_on_s1)
+        with pytest.raises(cli._StageFailure) as err:
+            run_pipeline(RunConfig.from_dict(base_config(tmp_path / "out")))
+        assert err.value.stage == "fit"
+        assert "survey 1 exited with code 3" in str(err.value.cause)
+        assert list((tmp_path / "out").iterdir()) == []
+        assert multiprocessing.active_children() == []
 
 
 class TestCommands:
@@ -366,6 +451,8 @@ class TestCommands:
             (lambda cfg: cfg.update(order=["intercept", 5]), "order[1]"),
             (lambda cfg: cfg.update(survey_years={"s1": "2000", "s2": 2014}), "integers"),
             (lambda cfg: cfg.update(survey_years={"s1": 2000, "s2": 2014.7}), "integers"),
+            (lambda cfg: cfg["schema"]["covariates"][0].update(name=["sex"]), "covariate spec name"),
+            (lambda cfg: cfg["schema"]["covariates"][0].update(allow_missing="yes"), "covariate spec allow_missing"),
         ],
         ids=[
             "survey_years_without_s2", "survey_years_not_integers", "dgp_without_s2",
@@ -375,7 +462,7 @@ class TestCommands:
             "mcmc_thin_fractional", "mcmc_total_numeric_string", "seed_boolean", "prior_beta_sd_nan_string",
             "prior_beta_sd_nan", "dgp_n_clusters_fractional", "csv_path_not_string",
             "auto_extend_string", "mcmc_allow_short_string", "out_dir_number", "order_entry_number",
-            "survey_year_string", "survey_year_fractional",
+            "survey_year_string", "survey_year_fractional", "schema_name_not_string", "schema_allow_missing_string",
         ],
     )
     def test_run_on_malformed_config_shape_exits_2(self, tmp_path, capsys, malform, words):
@@ -392,8 +479,9 @@ class TestCommands:
             (lambda cells: cells.__setitem__(0, "nan"), "line 3: non-finite value beta_0=nan"),
             (lambda cells: cells.__setitem__(-1, "inf"), "line 3: non-finite value sigma2=inf"),
             (lambda cells: cells.pop(), "line 3: 2 cells under a 3-column header"),
+            (lambda cells: cells.__setitem__(-1, "-0.5"), "line 3: negative variance sigma2=-0.5"),
         ],
-        ids=["non_numeric", "nan", "inf", "short_row"],
+        ids=["non_numeric", "nan", "inf", "short_row", "negative_sigma2"],
     )
     def test_decompose_rejects_malformed_draws_csv(self, tmp_path, capsys, edit, words):
         out = tmp_path / "out"
@@ -518,3 +606,67 @@ def test_validate_suite_passes_by_default():
         "ml_prior_limit",
         "collapsing_sum_fuzz",
     ]
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+def _paths(value, prefix=()):
+    """Every path (tuple of keys and indices) into a JSON value, the root included."""
+    yield prefix
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _paths(item, prefix + (key,))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _paths(item, prefix + (i,))
+
+
+def _valid_configs():
+    synthetic = base_config("out")
+    synthetic.update(order=["sex", "intercept"], survey_years={"s1": 2000, "s2": 2014}, prior={"beta_sd": 5.0})
+    csv = base_config("out")
+    csv["input"] = {"mode": "csv", "s1_path": "s1.csv", "s2_path": "s2.csv"}
+    csv["survey_years"] = {"s1": 2000, "s2": 2014}
+    return [synthetic, csv]
+
+
+_CONFIG_KEYS = sorted({k for cfg in _valid_configs() for path in _paths(cfg) for k in path if isinstance(k, str)}
+                      | {"marginalization", "poor_quantile", "allow_short", "degree", "df", "allow_missing"})
+
+
+@st.composite
+def mutated_configs(draw):
+    """A valid config with one to three values replaced, deleted or added."""
+    cfg = draw(st.sampled_from(_valid_configs()))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(cfg))))
+        if not path:
+            cfg = draw(json_values)
+            continue
+        parent = cfg
+        for key in path[:-1]:
+            parent = parent[key]
+        action = draw(st.sampled_from(["replace", "delete", "add"]))
+        if action == "replace":
+            parent[path[-1]] = draw(json_values)
+        elif action == "delete":
+            del parent[path[-1]]
+        elif isinstance(parent, dict):
+            parent[draw(st.sampled_from(_CONFIG_KEYS) | st.text(max_size=8))] = draw(json_values)
+        else:
+            parent.insert(path[-1], draw(json_values))
+    return cfg
+
+
+@settings(max_examples=300, deadline=None)
+@given(cfg=mutated_configs())
+def test_config_reader_returns_or_raises_mortdecomp_error(cfg):
+    try:
+        RunConfig.from_dict(cfg)
+    except MortdecompError:
+        pass

@@ -1,7 +1,10 @@
+import json
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr, ndtri
 
 from mortdecomp.dataset import (
@@ -13,7 +16,7 @@ from mortdecomp.dataset import (
     build_design,
     compute_centering,
 )
-from mortdecomp.errors import ConfigError, SingularDesignError
+from mortdecomp.errors import ConfigError, MortdecompError, SingularDesignError
 from mortdecomp.sampler import (
     _TAIL_SWITCH,
     ChainQualityWarning,
@@ -447,6 +450,12 @@ class TestSerialization:
         bad.write_text("a,b\n1,2\n")
         with pytest.raises(ConfigError):
             load_draws(bad)
+        bad.write_text("\nbeta_0,sigma2\n1,2\n")  # a blank first line is no header
+        with pytest.raises(ConfigError, match="not a draws file"):
+            load_draws(bad)
+        bad.write_text("beta_0,sigma2\n1," + "2" * 200_000 + "\n")  # past the csv module's field limit
+        with pytest.raises(ConfigError, match="line 2: field larger than field limit"):
+            load_draws(bad)
 
 
 def test_posterior_draws_invariants():
@@ -454,3 +463,64 @@ def test_posterior_draws_invariants():
         PosteriorDraws(survey_id="S1", beta=np.zeros((5, 2)), sigma2=-np.ones(5))
     with pytest.raises(ValueError):
         PosteriorDraws(survey_id="S1", beta=np.full((5, 2), np.nan), sigma2=np.ones(5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    means=st.lists(st.floats(-40.0, 40.0), min_size=1, max_size=40),
+    sd=st.floats(0.05, 20.0),
+    side=st.sampled_from(["left_of_zero", "right_of_zero"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_truncated_normal_is_finite_on_its_side(means, sd, side, seed):
+    w = sample_truncated_normal(np.array(means), sd, side, np.random.default_rng(seed))
+    assert np.all(np.isfinite(w))
+    assert np.all(w > 0.0) if side == "left_of_zero" else np.all(w < 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pairs=st.lists(st.tuples(st.floats(-40.0, 40.0), st.booleans()), min_size=1, max_size=40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_latent_draw_is_finite_on_its_side(pairs, seed):
+    eta = np.array([m for m, _ in pairs])
+    death = np.array([d for _, d in pairs])
+    sign = np.where(death, 1.0, -1.0)
+    z = _latent_draw(eta, sign, (np.flatnonzero(death), np.flatnonzero(~death)), np.random.default_rng(seed))
+    assert np.all(np.isfinite(z))
+    assert np.all(np.sign(z) == sign)
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=8,
+)
+_cells = st.floats().map(repr) | st.integers().map(str) | st.text(max_size=6)
+_draws_csv = st.text() | st.lists(st.lists(_cells, max_size=4).map(",".join), max_size=5).map(
+    lambda rows: "\n".join(["beta_0,beta_1,sigma2", *rows])
+)
+_sidecar = st.text() | _json_values.map(json.dumps) | st.fixed_dictionaries(
+    {},
+    optional={
+        "survey_id": _json_values,
+        "n_coefficients": _json_values | st.just(2),
+        "column_groups": _json_values | st.dictionaries(st.text(max_size=4), _json_values | st.lists(st.integers(-1, 3), max_size=3)),
+    },
+).map(json.dumps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(csv_text=_draws_csv, sidecar_text=_sidecar | st.none())
+def test_draws_reader_returns_or_raises_mortdecomp_error(tmp_path_factory, csv_text, sidecar_text):
+    folder = tmp_path_factory.mktemp("draws")
+    (folder / "draws.csv").write_text(csv_text, encoding="utf-8")
+    sidecar = None
+    if sidecar_text is not None:
+        sidecar = folder / "draws.json"
+        sidecar.write_text(sidecar_text, encoding="utf-8")
+    try:
+        load_draws(folder / "draws.csv", sidecar)
+    except MortdecompError:
+        pass
