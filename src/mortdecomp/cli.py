@@ -9,6 +9,18 @@ Subcommands:
 * ``report``    re-render the result tables from a decomposition JSON
 * ``validate``  run the internal cross-check suite and print pass/fail lines
 
+Each takes only the flags it reads: ``--config``, ``--seed`` and
+``--out`` for the four that read a run config, plus ``--order`` and
+``--marginalization`` for ``run`` and ``decompose``, ``--survey`` for
+``fit`` and ``--draws1``/``--draws2`` for ``decompose``; ``report``
+takes ``--results`` and ``--out``, ``validate`` ``--seed`` and
+``--marginalization``.
+
+``run`` is ``fit --survey s1``, ``fit --survey s2`` and ``decompose`` in
+one process.  The commands share one function per stage (load the
+samples, build the designs, fit a survey, save its draws, decompose and
+write the tables), so both routes write the same bytes.
+
 Everything a run emits is deterministic given the config seed: derived
 seeds feed the generator and each survey's chain, and no output embeds
 a timestamp.
@@ -31,7 +43,7 @@ import json
 import multiprocessing
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +51,6 @@ import numpy as np
 from . import __version__
 from .dataset import (
     CovariateSchema,
-    CovariateSpec,
     build_design,
     compute_centering,
     default_schema,
@@ -59,6 +70,7 @@ from .errors import ConfigError, MortdecompError, require_bool, require_number, 
 # module; perfbench/tracing.py wraps them here by name, so they stay imported.
 from .marginal import CONVENTIONS, marginal_prob, marginalize, mean_mortality  # noqa: F401
 from .report import (
+    TABLE_FILES,
     load_results,
     summary_to_dict,
     write_all_tables,
@@ -85,6 +97,7 @@ from .validation import (
     linear_oracle,
     mc_marginalization_oracle,
     ml_probit_fit,
+    prior_limit_design,
     random_design,
     variance_collapse,  # noqa: F401
 )
@@ -96,13 +109,12 @@ class RunConfig:
 
     seed: int
     out_dir: str
-    input_mode: str  # "synthetic" | "csv"
-    dgp: SyntheticConfig | None
-    csv_paths: tuple[str, str] | None
+    dgp: SyntheticConfig | None  # None in csv mode
+    csv_paths: tuple[str, str] | None  # None in synthetic mode
     survey_years: tuple[int, int]
     schema: CovariateSchema
     prior: PriorSpec
-    mcmc: dict
+    mcmc: McmcConfig  # each survey's chain runs it under its own derived seed
     order: tuple[str, ...] | None
     marginalization: str
     poor_quantile: float
@@ -112,6 +124,12 @@ class RunConfig:
     @property
     def years_between(self) -> float:
         return float(self.survey_years[1] - self.survey_years[0])
+
+    @property
+    def seeds(self) -> tuple[int, int, int]:
+        """Seeds of the generator, survey 1's chain and survey 2's chain, derived from ``seed``."""
+        children = np.random.SeedSequence(self.seed).spawn(3)
+        return tuple(int(c.generate_state(1)[0]) for c in children)
 
     @classmethod
     def from_dict(cls, raw: dict, overrides: dict | None = None) -> "RunConfig":
@@ -172,10 +190,10 @@ class RunConfig:
         if years[1] <= years[0]:
             raise ConfigError(f"survey 2 year must exceed survey 1 year, got {years}")
 
-        mcmc = dict(require_object(raw.get("mcmc", {}), "mcmc"))
-        if "seed" in mcmc:
+        mcmc_raw = require_object(raw.get("mcmc", {}), "mcmc")
+        if "seed" in mcmc_raw:
             raise ConfigError("set the top-level seed; per-chain seeds are derived from it")
-        McmcConfig.from_dict(mcmc)  # validate shape early
+        mcmc = McmcConfig.from_dict(mcmc_raw)
 
         marginalization = raw.get("marginalization", "appendix_divide")
         if marginalization not in CONVENTIONS:
@@ -190,7 +208,6 @@ class RunConfig:
         return cls(
             seed=require_number(raw.get("seed", 0), "seed", int),
             out_dir=require_str(raw.get("out_dir", "out"), "out_dir"),
-            input_mode=mode,
             dgp=dgp,
             csv_paths=csv_paths,
             survey_years=years,
@@ -216,15 +233,27 @@ class RunConfig:
         return cls.from_dict(raw, overrides)
 
 
-def _derived_seeds(seed: int) -> tuple[int, int, int]:
-    children = np.random.SeedSequence(seed).spawn(3)
-    return tuple(int(c.generate_state(1)[0]) for c in children)
+@dataclass
+class _Outputs:
+    """A command's output directory, the files it has started to write, and its current stage."""
+
+    dir: Path
+    written: list[Path] = field(default_factory=list)
+    stage: str = "configure"
+
+    def __post_init__(self):
+        self.dir.mkdir(parents=True, exist_ok=True)
+
+    def path(self, name: str) -> Path:
+        """``dir / name``, recorded in ``written`` before anything is written there."""
+        path = self.dir / name
+        self.written.append(path)
+        return path
 
 
 def _load_samples(config: RunConfig):
-    sim_seed, _, _ = _derived_seeds(config.seed)
-    if config.input_mode == "synthetic":
-        return synthesize(config.dgp, seed=sim_seed)
+    if config.dgp is not None:
+        return synthesize(config.dgp, seed=config.seeds[0])
     s1 = ingest_csv(config.csv_paths[0], config.schema, config.survey_years[0], survey_id="S1")
     s2 = ingest_csv(config.csv_paths[1], config.schema, config.survey_years[1], survey_id="S2")
     return s1, s2
@@ -233,13 +262,15 @@ def _load_samples(config: RunConfig):
 def _build_designs(config: RunConfig, s1, s2):
     centering = compute_centering(s1, config.schema, config.poor_quantile)
     pooled = pool_samples(s1, s2)
-    d1 = build_design(s1, config.schema, centering, pooled)
-    d2 = build_design(s2, config.schema, centering, pooled)
-    return d1, d2, centering
+    return build_design(s1, config.schema, centering, pooled), build_design(s2, config.schema, centering, pooled)
 
 
-def _mcmc_for(config: RunConfig, chain_seed: int) -> McmcConfig:
-    return McmcConfig.from_dict({**config.mcmc, "seed": chain_seed})
+def _fit_jobs(config: RunConfig, designs) -> list[tuple]:
+    """``_fit_survey`` arguments for each survey's design, with that survey's chain seed."""
+    return [
+        (design, config.prior, replace(config.mcmc, seed=seed), config.auto_extend)
+        for design, seed in zip(designs, config.seeds[1:])
+    ]
 
 
 @dataclass(frozen=True)
@@ -258,17 +289,19 @@ def _fit_survey(design, prior, mcmc, auto_extend) -> SurveyFit:
     """Fit one survey; a chain short of its target is continued once to ``mcmc.extended()``."""
     chain = GibbsChain(design, prior, mcmc)
     draws = fit(design, prior, mcmc, chain)
-    extended = auto_extend and target_shortfall(draws, chain.diagnostics, mcmc) is not None
+    shortfall = target_shortfall(draws, chain.diagnostics, mcmc)
+    extended = auto_extend and shortfall is not None
     if extended:
         mcmc = mcmc.extended()
         draws = fit(design, prior, mcmc, chain)
+        shortfall = target_shortfall(draws, chain.diagnostics, mcmc)
     return SurveyFit(
         draws=draws,
         diagnostics=chain.diagnostics,
         mcmc=mcmc,
         extended=extended,
         sweeps=chain.sweeps,
-        target_met=chain.diagnostics is not None and target_shortfall(draws, chain.diagnostics, mcmc) is None,
+        target_met=chain.diagnostics is not None and shortfall is None,
     )
 
 
@@ -328,11 +361,40 @@ def _fit_surveys(jobs, fork: bool) -> list[SurveyFit]:
             proc.join()
 
 
+def _save_fit(survey: SurveyFit, sid: str, out: _Outputs) -> Path:
+    """Write ``draws_<sid>.csv`` and its sidecar in one ``save_draws`` call; returns the CSV path."""
+    csv_path = out.path(f"draws_{sid}.csv")
+    save_draws(survey.draws, csv_path, out.path(f"draws_{sid}.json"), survey.mcmc.to_dict())
+    return csv_path
+
+
+def _decompose_and_write(config: RunConfig, d1, d2, draws1, draws2, out: _Outputs):
+    """Decompose the paired draws; write ``decomposition.json``, the tables and ``variance_profile.csv``.
+
+    ``out.stage`` is ``decompose`` for the decomposition and ``emit``
+    from the first write on.  Returns the ``DecompositionSummary``.
+    """
+    out.stage = "decompose"
+    order = list(config.order) if config.order else None
+    summary = posterior_decompose(
+        d1, d2, draws1, draws2, years_between=config.years_between, order=order, convention=config.marginalization
+    )
+    profile = VarianceCollapseProfile.from_draws(summary.draws)
+
+    out.stage = "emit"
+    doc = summary_to_dict(summary)
+    write_decomposition_json(doc, out.path("decomposition.json"))
+    out.written.extend(out.dir / name for name in TABLE_FILES)
+    write_all_tables(doc, out.dir)
+    write_variance_profile(profile, out.path("variance_profile.csv"))
+    return summary
+
+
 def _survey_diagnostics(fitted, survey: SurveyFit, sample):
     empirical = 1000.0 * int(sample.outcome.sum()) / sample.n_births
     out = {
         "retained": survey.draws.n_draws,
-        "acceptance_rate": 1.0,
+        "acceptance_rate": 1.0,  # Gibbs sweeps always accept
         "extended": survey.extended,
         "sweeps": survey.sweeps,
         "ess_target": MIN_ESS_TARGET,
@@ -352,10 +414,8 @@ def _survey_diagnostics(fitted, survey: SurveyFit, sample):
     return out
 
 
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    h.update(path.read_bytes())
-    return h.hexdigest()
+def _write_json(doc: dict, path: Path) -> None:
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _versions() -> dict:
@@ -379,26 +439,16 @@ class _StageFailure(Exception):
 def run_pipeline(config: RunConfig) -> dict:
     """Execute the full pipeline; returns {file name: path} for emitted files.
 
-    On any failure the partially written outputs are removed and the
-    originating stage is attached to the raised error.
+    On any failure every output the run started to write is removed and
+    the originating stage is attached to the raised error.
     """
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    stage = "configure"
-
-    def emit(name: str, writer) -> Path:
-        path = out_dir / name
-        writer(path)
-        written.append(path)
-        return path
-
+    out = _Outputs(Path(config.out_dir))
     try:
-        stage = "load_samples"
+        out.stage = "load_samples"
         s1, s2 = _load_samples(config)
 
-        stage = "build_design"
-        d1, d2, _ = _build_designs(config, s1, s2)
+        out.stage = "build_design"
+        d1, d2 = _build_designs(config, s1, s2)
 
         # One BLAS thread from the fits through the decomposition: the fit
         # processes then share the cores without oversubscribing them, and
@@ -406,67 +456,36 @@ def run_pipeline(config: RunConfig) -> dict:
         # for the decomposition.  The kernel's own hold nests inside this one.
         hold = _one_blas_thread()
         with hold or contextlib.nullcontext():
-            stage = "fit"
-            _, fit_seed1, fit_seed2 = _derived_seeds(config.seed)
-            jobs = [
-                (design, config.prior, _mcmc_for(config, seed), config.auto_extend)
-                for design, seed in ((d1, fit_seed1), (d2, fit_seed2))
-            ]
-            fit1, fit2 = _fit_surveys(jobs, fork=hold is not None and _available_cores() >= 2)
-            draws1, draws2 = fit1.draws, fit2.draws
+            out.stage = "fit"
+            fork = hold is not None and _available_cores() >= 2
+            fit1, fit2 = _fit_surveys(_fit_jobs(config, (d1, d2)), fork)
+            summary = _decompose_and_write(config, d1, d2, fit1.draws, fit2.draws, out)
 
-            stage = "decompose"
-            summary = posterior_decompose(
-                d1,
-                d2,
-                draws1,
-                draws2,
-                years_between=config.years_between,
-                order=list(config.order) if config.order else None,
-                convention=config.marginalization,
-            )
-            profile = VarianceCollapseProfile.from_draws(summary.draws)
-
-        stage = "emit"
-        emit("draws_s1.csv", lambda p: save_draws(draws1, p, None))
-        emit("draws_s1.json", lambda p: save_draws(draws1, out_dir / "draws_s1.csv", p, fit1.mcmc.to_dict()))
-        emit("draws_s2.csv", lambda p: save_draws(draws2, p, None))
-        emit("draws_s2.json", lambda p: save_draws(draws2, out_dir / "draws_s2.csv", p, fit2.mcmc.to_dict()))
-
-        doc = summary_to_dict(summary)
-        emit("decomposition.json", lambda p: write_decomposition_json(doc, p))
-        for path in write_all_tables(doc, out_dir):
-            written.append(path)
-        emit("variance_profile.csv", lambda p: write_variance_profile(profile, p))
-
+        _save_fit(fit1, "s1", out)
+        _save_fit(fit2, "s2", out)
         diag_doc = {
             "s1": _survey_diagnostics(summary.rate_s1, fit1, s1),
             "s2": _survey_diagnostics(summary.rate_s2, fit2, s2),
         }
-        emit(
-            "diagnostics.json",
-            lambda p: Path(p).write_text(json.dumps(diag_doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"),
-        )
+        _write_json(diag_doc, out.path("diagnostics.json"))
 
-        stage = "manifest"
+        out.stage = "manifest"
         manifest = {
             "config": config.echo,
             "seed": config.seed,
             "versions": _versions(),
-            "files": {p.name: _sha256(p) for p in sorted(written, key=lambda q: q.name)},
+            "files": {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.written},
         }
-        manifest_path = out_dir / "run_manifest.json"
-        manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-        written.append(manifest_path)
+        _write_json(manifest, out.path("run_manifest.json"))
     except BaseException as exc:
-        for path in written:
+        for path in out.written:
             try:
                 path.unlink()
             except OSError:
                 pass
-        raise _StageFailure(stage, exc) from exc
+        raise _StageFailure(out.stage, exc) from exc
 
-    return {p.name: p for p in written}
+    return {p.name: p for p in out.written}
 
 
 @dataclass(frozen=True)
@@ -530,22 +549,7 @@ def validate_suite(convention: str = "appendix_divide", seed: int = 0, mc_draws:
 
 
 def _prior_limit_check(seed: int) -> CheckResult:
-    schema = CovariateSchema((CovariateSpec("sex", "binary", reference="female"),))
-    spec = dict(
-        beta=(-1.0, 0.4),
-        sigma2=0.0,
-        n_clusters=50,
-        births_per_cluster=100,
-        survey_year=2000,
-        covariates={"sex": {"dist": "choice", "values": ["female", "male"], "probs": [0.5, 0.5]}},
-    )
-    dgp = SyntheticConfig(
-        schema=schema,
-        s1=SyntheticSurveySpec.from_dict(spec),
-        s2=SyntheticSurveySpec.from_dict({**spec, "survey_year": 2014}),
-    )
-    s1, _ = synthesize(dgp, seed=seed + 1)
-    design = build_design(s1, schema, compute_centering(s1, schema), s1)
+    design = prior_limit_design(births_per_cluster=100, seed=seed + 1)
     flat = PriorSpec(beta_sd=1e6, sigma2_shape=1e6, sigma2_scale=10.0)  # sigma2 pinned near 1e-5
     mcmc = McmcConfig(total=1000 + 1500 * 2, burnin=1000, thin=2, target_retained=1500, seed=seed + 2)
     with warnings.catch_warnings():
@@ -573,10 +577,11 @@ def _error_record(stage: str, exc: BaseException) -> str:
 
 
 def _overrides(args) -> dict:
+    order = getattr(args, "order", None)
     return {
         "seed": args.seed,
         "out_dir": args.out,
-        "order": args.order.split(",") if getattr(args, "order", None) else None,
+        "order": order.split(",") if order else None,
         "marginalization": getattr(args, "marginalization", None),
     }
 
@@ -595,32 +600,25 @@ def _cmd_run(args) -> int:
 
 def _cmd_simulate(args) -> int:
     config = RunConfig.from_file(args.config, _overrides(args))
-    if config.input_mode != "synthetic":
+    if config.dgp is None:
         raise ConfigError("simulate needs a config with input.mode = 'synthetic'")
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    sim_seed, _, _ = _derived_seeds(config.seed)
-    s1, s2 = synthesize(config.dgp, seed=sim_seed)
-    for sample, name in ((s1, "s1.csv"), (s2, "s2.csv")):
-        write_survey_csv(sample, out_dir / name)
-        print(f"wrote {out_dir / name} ({sample.n_births} births, {sample.n_clusters} clusters)")
+    out = _Outputs(Path(config.out_dir))
+    for sample, name in zip(_load_samples(config), ("s1.csv", "s2.csv")):
+        path = out.path(name)
+        write_survey_csv(sample, path)
+        print(f"wrote {path} ({sample.n_births} births, {sample.n_clusters} clusters)")
     return 0
 
 
 def _cmd_fit(args) -> int:
     config = RunConfig.from_file(args.config, _overrides(args))
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    s1, s2 = _load_samples(config)
-    d1, d2, _ = _build_designs(config, s1, s2)
-    _, fit_seed1, fit_seed2 = _derived_seeds(config.seed)
-    design, chain_seed = (d1, fit_seed1) if args.survey == "s1" else (d2, fit_seed2)
-    survey = _fit_survey(design, config.prior, _mcmc_for(config, chain_seed), config.auto_extend)
-    stem = f"draws_{args.survey}"
-    save_draws(survey.draws, out_dir / f"{stem}.csv", out_dir / f"{stem}.json", survey.mcmc.to_dict())
+    out = _Outputs(Path(config.out_dir))
+    designs = _build_designs(config, *_load_samples(config))
+    survey = _fit_survey(*_fit_jobs(config, designs)[("s1", "s2").index(args.survey)])
+    csv_path = _save_fit(survey, args.survey, out)
     min_ess = f"{survey.diagnostics.min_ess:.0f}" if survey.diagnostics is not None else "n/a"
     print(
-        f"wrote {out_dir / (stem + '.csv')} ({survey.draws.n_draws} draws, min ESS {min_ess}, "
+        f"wrote {csv_path} ({survey.draws.n_draws} draws, min ESS {min_ess}, "
         f"extended={survey.extended}, target_met={survey.target_met})"
     )
     return 0
@@ -640,48 +638,42 @@ def _load_draws_for(csv_path: Path, design) -> PosteriorDraws:
 
 def _cmd_decompose(args) -> int:
     config = RunConfig.from_file(args.config, _overrides(args))
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    s1, s2 = _load_samples(config)
-    d1, d2, _ = _build_designs(config, s1, s2)
-    draws1_path = Path(args.draws1) if args.draws1 else out_dir / "draws_s1.csv"
-    draws2_path = Path(args.draws2) if args.draws2 else out_dir / "draws_s2.csv"
-    draws1 = _load_draws_for(draws1_path, d1)
-    draws2 = _load_draws_for(draws2_path, d2)
-    order = list(config.order) if config.order else None
-    summary = posterior_decompose(
-        d1, d2, draws1, draws2,
-        years_between=config.years_between, order=order, convention=config.marginalization,
-    )
-    profile = VarianceCollapseProfile.from_draws(summary.draws)
-    doc = summary_to_dict(summary)
-    write_decomposition_json(doc, out_dir / "decomposition.json")
-    write_all_tables(doc, out_dir)
-    write_variance_profile(profile, out_dir / "variance_profile.csv")
-    print(f"wrote decomposition tables to {out_dir}")
+    out = _Outputs(Path(config.out_dir))
+    d1, d2 = _build_designs(config, *_load_samples(config))
+    draws1 = _load_draws_for(Path(args.draws1) if args.draws1 else out.dir / "draws_s1.csv", d1)
+    draws2 = _load_draws_for(Path(args.draws2) if args.draws2 else out.dir / "draws_s2.csv", d2)
+    _decompose_and_write(config, d1, d2, draws1, draws2, out)
+    print(f"wrote decomposition tables to {out.dir}")
     return 0
 
 
 def _cmd_report(args) -> int:
     doc = load_results(args.results)
-    out_dir = Path(args.out or Path(args.results).parent)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for path in write_all_tables(doc, out_dir):
+    out = _Outputs(Path(args.out or Path(args.results).parent))
+    for path in write_all_tables(doc, out.dir):
         print(f"wrote {path}")
     return 0
 
 
 def _cmd_validate(args) -> int:
-    convention = args.marginalization or "appendix_divide"
-    if args.config:
-        config = RunConfig.from_file(args.config, _overrides(args))
-        convention = config.marginalization
-    results = validate_suite(convention=convention, seed=args.seed or 0)
+    results = validate_suite(convention=args.marginalization, seed=args.seed)
     for check in results:
         status = "PASS" if check.passed else "FAIL"
         print(f"{status} {check.name}: {check.detail}")
     print(f"{sum(c.passed for c in results)}/{len(results)} checks passed")
     return 0 if all(c.passed for c in results) else 1
+
+
+_MARGINALIZATION_HELP = "coefficient rescaling convention for integrating cluster effects"
+
+# The flags of the subcommands that read a run configuration.
+_CONFIG_FLAGS = {
+    "--config": dict(required=True, help="JSON run configuration"),
+    "--seed": dict(type=int, default=None, help="override the config seed"),
+    "--out": dict(default=None, help="override the output directory"),
+    "--order": dict(default=None, help="comma-separated decomposition order"),
+    "--marginalization": dict(choices=list(CONVENTIONS), default=None, help=_MARGINALIZATION_HELP),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -693,32 +685,25 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
-        p.add_argument("--config", required=config_required, help="JSON run configuration")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--out", default=None, help="override the output directory")
-        p.add_argument("--order", default=None, help="comma-separated decomposition order")
-        p.add_argument(
-            "--marginalization",
-            choices=list(CONVENTIONS),
-            default=None,
-            help="coefficient rescaling convention for integrating cluster effects",
-        )
+    def add(name, help, *flags):
+        p = sub.add_parser(name, help=help)
+        for flag in ("--config", "--seed", "--out", *flags):
+            p.add_argument(flag, **_CONFIG_FLAGS[flag])
+        return p
 
-    common(sub.add_parser("run", help="full pipeline"))
-    common(sub.add_parser("simulate", help="write synthetic survey CSVs"))
-    p_fit = sub.add_parser("fit", help="fit one survey")
-    common(p_fit)
-    p_fit.add_argument("--survey", choices=["s1", "s2"], required=True)
-    p_dec = sub.add_parser("decompose", help="decompose saved draws")
-    common(p_dec)
+    add("run", "full pipeline", "--order", "--marginalization")
+    add("simulate", "write synthetic survey CSVs")
+    add("fit", "fit one survey").add_argument("--survey", choices=["s1", "s2"], required=True)
+    p_dec = add("decompose", "decompose saved draws", "--order", "--marginalization")
     p_dec.add_argument("--draws1", default=None, help="survey 1 draws CSV (default <out>/draws_s1.csv)")
     p_dec.add_argument("--draws2", default=None, help="survey 2 draws CSV (default <out>/draws_s2.csv)")
     p_rep = sub.add_parser("report", help="re-render tables from a decomposition JSON")
     p_rep.add_argument("--results", required=True, help="path to decomposition.json")
     p_rep.add_argument("--out", default=None, help="output directory (default: alongside results)")
     p_val = sub.add_parser("validate", help="run the cross-check suite")
-    common(p_val, config_required=False)
+    p_val.add_argument("--seed", type=int, default=0, help="seed of the randomized checks")
+    p_val.add_argument("--marginalization", choices=list(CONVENTIONS), default="appendix_divide",
+                       help=_MARGINALIZATION_HELP)
 
     return parser
 

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DegenerateDesignError,
     EmptyInputError,
     RowError,
@@ -187,6 +188,15 @@ class CovariateSpec:
         checked.update({k: require_number(d[k], f"covariate spec {k}", int) for k in ("degree", "df") if k in d})
         if "allow_missing" in d:
             checked["allow_missing"] = require_bool(d["allow_missing"], "covariate spec allow_missing")
+        reference = d.get("reference")
+        if reference is not None:
+            levels = _LEVELS.get(checked["name"])
+            if levels is None:
+                require_number(reference, "covariate spec reference")
+            elif not (isinstance(reference, str) and reference in levels):
+                raise ConfigError(
+                    f"covariate spec reference for {checked['name']!r} must be one of {levels}, got {reference!r}"
+                )
         return cls(**{**d, **checked})
 
     def to_dict(self) -> dict:

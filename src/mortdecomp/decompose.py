@@ -326,9 +326,6 @@ class DecompositionSummary:
     convention: str = "appendix_divide"
     draws: DecompositionDraws | None = field(default=None, repr=False, compare=False)
 
-    def component_names(self) -> list[str]:
-        return list(self.components)
-
 
 def annualize(total_per_1000: float, years_between: float) -> float:
     """Spread a total per-1000 change over the years between surveys."""

@@ -28,6 +28,9 @@ __all__ = [
 
 CONVENTIONS = ("appendix_divide", "maintext_multiply")
 
+# Draws per matrix product in ``mean_mortality``: bounds the (rows x draws) block.
+_CHUNK = 128
+
 
 def _scale(sigma2, convention: str):
     """Coefficient scale factor for a scalar or an array of ``sigma2`` draws."""
@@ -76,7 +79,7 @@ class MortalitySummary:
         return cls(per_draw=rates, mean=float(rates.mean() * 1000), lower=float(lo * 1000), upper=float(hi * 1000))
 
 
-def mean_mortality(design, draws, convention: str = "appendix_divide", chunk: int = 128) -> MortalitySummary:
+def mean_mortality(design, draws, convention: str = "appendix_divide") -> MortalitySummary:
     """Posterior summary of ``mean_i Phi(x_i' beta_tilde)`` scaled to per-1000.
 
     Each retained draw is marginalized and averaged over the design's
@@ -92,7 +95,7 @@ def mean_mortality(design, draws, convention: str = "appendix_divide", chunk: in
     tilde = marginalize_all(beta, draws.sigma2, convention)
     n_draws = tilde.shape[0]
     rates = np.empty(n_draws)
-    for start in range(0, n_draws, chunk):
-        block = tilde[start : start + chunk]
-        rates[start : start + chunk] = ndtr(design.x @ block.T).mean(axis=0)
+    for start in range(0, n_draws, _CHUNK):
+        block = tilde[start : start + _CHUNK]
+        rates[start : start + _CHUNK] = ndtr(design.x @ block.T).mean(axis=0)
     return MortalitySummary.from_draws(rates)

@@ -30,8 +30,12 @@ __all__ = [
     "write_overall_table",
     "write_coef_table",
     "write_variance_profile",
+    "TABLE_FILES",
     "write_all_tables",
 ]
+
+# File names of the tables ``write_all_tables`` writes, in writing order.
+TABLE_FILES = ("mortality.csv", "overall_decomp.csv", "coef_decomp.csv")
 
 
 def format_rate(value: float) -> str:
@@ -217,15 +221,8 @@ def write_variance_profile(profile, path) -> None:
 
 
 def write_all_tables(doc: dict, out_dir) -> list[Path]:
-    out_dir = Path(out_dir)
-    paths = {
-        "mortality.csv": write_mortality_table,
-        "overall_decomp.csv": write_overall_table,
-        "coef_decomp.csv": write_coef_table,
-    }
-    written = []
-    for name, writer in paths.items():
-        target = out_dir / name
-        writer(doc, target)
-        written.append(target)
-    return written
+    """Write the three tables under ``out_dir`` as ``TABLE_FILES``; returns their paths."""
+    paths = [Path(out_dir) / name for name in TABLE_FILES]
+    for path, writer in zip(paths, (write_mortality_table, write_overall_table, write_coef_table)):
+        writer(doc, path)
+    return paths

@@ -438,7 +438,6 @@ class FitDiagnostics:
     ess: dict[str, float]
     autocorrelations: dict[str, np.ndarray]  # lags 1..50
     degenerate: frozenset[str]
-    acceptance_rate: float = 1.0  # Gibbs sweeps always accept
 
     @property
     def min_ess(self) -> float:

@@ -70,42 +70,19 @@ class SyntheticSurveySpec:
             covariates={k: dict(require_object(v, f"{where}: covariates.{k}")) for k, v in covariates.items()},
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "beta": list(self.beta),
-            "sigma2": self.sigma2,
-            "n_clusters": self.n_clusters,
-            "births_per_cluster": self.births_per_cluster,
-            "survey_year": self.survey_year,
-            "covariates": {k: dict(v) for k, v in self.covariates.items()},
-        }
-
 
 @dataclass(frozen=True)
 class SyntheticConfig:
-    """Full data-generating process for a pair of surveys."""
+    """Full data-generating process for a pair of surveys.
+
+    A run config's ``input.dgp`` object is read into one by
+    ``mortdecomp.cli.RunConfig.from_dict``.
+    """
 
     schema: CovariateSchema
     s1: SyntheticSurveySpec
     s2: SyntheticSurveySpec
     poor_quantile: float = 0.2
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SyntheticConfig":
-        return cls(
-            schema=CovariateSchema.from_dict(d["schema"]),
-            s1=SyntheticSurveySpec.from_dict(d["s1"]),
-            s2=SyntheticSurveySpec.from_dict(d["s2"]),
-            poor_quantile=float(d.get("poor_quantile", 0.2)),
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": self.schema.to_dict(),
-            "s1": self.s1.to_dict(),
-            "s2": self.s2.to_dict(),
-            "poor_quantile": self.poor_quantile,
-        }
 
 
 def _draw(spec: dict, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -5,28 +5,31 @@ Each oracle deliberately re-derives a quantity along a different route
 than the main modules: the closed-form linear decomposition, direct
 Monte-Carlo integration over the cluster effect, and a Newton-Raphson
 maximum-likelihood probit.  ``random_design`` builds the random designs
-they are checked on, for the CLI cross-check suite and the tests alike.
+they are checked on, and ``prior_limit_design`` the synthetic survey the
+prior-limit check fits, for the CLI cross-check suite and the tests alike.
 The variance profile of partial sums is not an oracle: it is read off
 the decomposition's per-draw group effects.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import log_ndtr, ndtr, ndtri
 
-from .dataset import DesignMatrix
+from .dataset import CovariateSchema, CovariateSpec, DesignMatrix, build_design, compute_centering
 from .decompose import _decompose_draws
 from .errors import NonConvergenceError
 from .marginal import marginalize_all
+from .simulate import SyntheticConfig, SyntheticSurveySpec, synthesize
 
 __all__ = [
     "linear_oracle",
     "mc_marginalization_oracle",
     "ml_probit_fit",
     "random_design",
+    "prior_limit_design",
     "VarianceCollapseProfile",
     "variance_collapse",
 ]
@@ -82,6 +85,26 @@ def random_design(rng: np.random.Generator, n_rows: int, group_sizes) -> DesignM
         column_groups=groups,
         n_clusters=1,
     )
+
+
+def prior_limit_design(births_per_cluster: int, seed: int) -> DesignMatrix:
+    """Design of a synthetic survey with no cluster variance, on which a flat-prior
+    fit with sigma2 pinned near zero should recover ``ml_probit_fit``'s estimate.
+
+    Fifty clusters of ``births_per_cluster`` births; intercept and binary
+    ``sex`` with coefficients (-1.0, 0.4); ``seed`` seeds the generator.
+    """
+    schema = CovariateSchema((CovariateSpec("sex", "binary", reference="female"),))
+    spec = SyntheticSurveySpec(
+        beta=(-1.0, 0.4),
+        sigma2=0.0,
+        n_clusters=50,
+        births_per_cluster=births_per_cluster,
+        survey_year=2000,
+        covariates={"sex": {"dist": "choice", "values": ["female", "male"], "probs": [0.5, 0.5]}},
+    )
+    sample, _ = synthesize(SyntheticConfig(schema, spec, replace(spec, survey_year=2014)), seed=seed)
+    return build_design(sample, schema, compute_centering(sample, schema), sample)
 
 
 def _probit_score_info(x: np.ndarray, y: np.ndarray, beta: np.ndarray):

@@ -38,6 +38,7 @@ from mortdecomp.validation import (
     linear_oracle,
     mc_marginalization_oracle,
     ml_probit_fit,
+    prior_limit_design,
     random_design,
     variance_collapse,
 )
@@ -236,21 +237,7 @@ def test_frequentist_coverage():
 
 def test_prior_limit_matches_ml_probit():
     started = time.time()
-    schema = CovariateSchema((CovariateSpec("sex", "binary", reference="female"),))
-    spec = dict(
-        beta=(-1.0, 0.4),
-        sigma2=0.0,
-        n_clusters=50,
-        births_per_cluster=400,
-        survey_year=2000,
-        covariates={"sex": {"dist": "choice", "values": ["female", "male"], "probs": [0.5, 0.5]}},
-    )
-    dgp = SyntheticConfig(
-        schema=schema,
-        s1=SyntheticSurveySpec.from_dict(spec),
-        s2=SyntheticSurveySpec.from_dict({**spec, "survey_year": 2014}),
-    )
-    design = design_for(dgp, seed=53)
+    design = prior_limit_design(births_per_cluster=400, seed=53)
     flat = PriorSpec(beta_sd=1e6, sigma2_shape=1e6, sigma2_scale=10.0)  # pins sigma2 near 1e-5
     config = McmcConfig(total=1000 + 1500 * 2, burnin=1000, thin=2, target_retained=1500, seed=63)
     draws = fit(design, flat, config)

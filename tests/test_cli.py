@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mortdecomp.cli as cli
+import mortdecomp.report
 from mortdecomp.cli import RunConfig, main, run_pipeline, validate_suite
 from mortdecomp.decompose import _one_blas_thread, _openblas_threads
 from mortdecomp.errors import ConfigError, MortdecompError, SingularDesignError
@@ -137,13 +138,18 @@ class TestPipeline:
         out = tmp_path / "out"
         assert list(out.iterdir()) == []
 
-    def test_failure_after_emission_starts_cleans_up(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize(
+        "module, writer",
+        [(cli, "write_variance_profile"), (mortdecomp.report, "write_overall_table")],
+        ids=["variance_profile", "overall_table"],
+    )
+    def test_failure_after_emission_starts_cleans_up(self, tmp_path, monkeypatch, module, writer):
         config = RunConfig.from_dict(base_config(tmp_path / "out"))
 
         def boom(*args, **kwargs):
-            raise RuntimeError("profile exploded")
+            raise RuntimeError(f"{writer} exploded")
 
-        monkeypatch.setattr(cli, "write_variance_profile", boom)
+        monkeypatch.setattr(module, writer, boom)
         with pytest.raises(cli._StageFailure) as err:
             run_pipeline(config)
         assert err.value.stage == "emit"
@@ -288,9 +294,10 @@ class TestCommands:
         assert main(["decompose", "--config", str(path2)]) == 0
         capsys.readouterr()
 
-        a = json.loads((onepass / "decomposition.json").read_text())
-        b = json.loads((twopass / "decomposition.json").read_text())
-        assert a == b
+        shared = EXPECTED_FILES - {"diagnostics.json", "run_manifest.json"}
+        assert {p.name for p in twopass.iterdir()} == shared
+        for name in sorted(shared):
+            assert (twopass / name).read_bytes() == (onepass / name).read_bytes(), name
 
     def test_decompose_respects_order_override(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -453,6 +460,10 @@ class TestCommands:
             (lambda cfg: cfg.update(survey_years={"s1": 2000, "s2": 2014.7}), "integers"),
             (lambda cfg: cfg["schema"]["covariates"][0].update(name=["sex"]), "covariate spec name"),
             (lambda cfg: cfg["schema"]["covariates"][0].update(allow_missing="yes"), "covariate spec allow_missing"),
+            # a binary reference must be one of the field's levels, not a list, number or misspelling
+            (lambda cfg: cfg["schema"]["covariates"][0].update(reference=["female"]), "covariate spec reference"),
+            (lambda cfg: cfg["schema"]["covariates"][0].update(reference=5), "covariate spec reference"),
+            (lambda cfg: cfg["schema"]["covariates"][0].update(reference="femal"), "covariate spec reference"),
         ],
         ids=[
             "survey_years_without_s2", "survey_years_not_integers", "dgp_without_s2",
@@ -463,6 +474,7 @@ class TestCommands:
             "prior_beta_sd_nan", "dgp_n_clusters_fractional", "csv_path_not_string",
             "auto_extend_string", "mcmc_allow_short_string", "out_dir_number", "order_entry_number",
             "survey_year_string", "survey_year_fractional", "schema_name_not_string", "schema_allow_missing_string",
+            "schema_reference_list", "schema_reference_number", "schema_reference_misspelt",
         ],
     )
     def test_run_on_malformed_config_shape_exits_2(self, tmp_path, capsys, malform, words):
@@ -565,6 +577,26 @@ class TestCommands:
         assert main(["validate", "--marginalization", "maintext_multiply"]) == 1
         out = capsys.readouterr().out
         assert "FAIL mc_marginalization_grid" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--config", "c.json", "--order", "sex"],
+            ["simulate", "--config", "c.json", "--marginalization", "appendix_divide"],
+            ["fit", "--config", "c.json", "--survey", "s1", "--order", "sex"],
+            ["fit", "--config", "c.json", "--survey", "s1", "--marginalization", "maintext_multiply"],
+            ["validate", "--config", "c.json"],
+            ["validate", "--out", "out"],
+            ["validate", "--order", "sex"],
+        ],
+        ids=["simulate_order", "simulate_marginalization", "fit_order", "fit_marginalization",
+             "validate_config", "validate_out", "validate_order"],
+    )
+    def test_flag_the_subcommand_does_not_read_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_missing_config_exits_2(self, capsys):
         assert main(["run", "--config", "/nonexistent/config.json"]) == 2

@@ -416,11 +416,6 @@ class TestDiagnostics:
         assert np.all(np.abs(acf) <= 1.0)
         assert np.all(np.abs(acf) < 0.1)  # white noise
 
-    def test_acceptance_rate_is_one(self):
-        rng = np.random.default_rng(3)
-        diag = diagnostics(self.draws_from_trace(rng.standard_normal(200)))
-        assert diag.acceptance_rate == 1.0
-
     def test_requires_100_draws(self):
         rng = np.random.default_rng(3)
         with pytest.raises(ValueError):

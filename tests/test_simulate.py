@@ -124,12 +124,6 @@ def test_beta_length_must_match_design():
         synthesize(dgp, seed=1)
 
 
-def test_config_round_trip():
-    dgp = intercept_only_config(n_clusters=3, births=4)
-    again = SyntheticConfig.from_dict(dgp.to_dict())
-    assert again == dgp
-
-
 def test_missing_prob_produces_missing_intervals():
     schema = CovariateSchema(
         (CovariateSpec("birth_interval", "continuous_spline", degree=1, df=2, allow_missing=True),)
