@@ -22,8 +22,8 @@ from mortdecomp import (
     SyntheticConfig,
     SyntheticSurveySpec,
     build_design,
-    coefficient_decompose,
     compute_centering,
+    decompose_draws,
     fit,
     marginalize,
     pool_samples,
@@ -66,7 +66,8 @@ print("\nper-group effects at the posterior-mean coefficients, every order:")
 names = ["intercept", "sex", "residence"]
 print(f"  {'order':<34}{'intercept':>10}{'sex':>8}{'residence':>10}{'total':>9}")
 for order in itertools.permutations(names):
-    effects = coefficient_decompose(d2, b1, b2, list(order))
+    d = decompose_draws(d2, d2, b1, b2, list(order))
+    effects = dict(zip(order, d.group_effects[0]))
     total = sum(effects.values())
     print(
         f"  {' -> '.join(order):<34}"

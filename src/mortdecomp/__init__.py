@@ -21,12 +21,10 @@ from .dataset import (
 )
 from .decompose import (
     ComponentSummary,
-    DecompositionDraw,
+    DecompositionDraws,
     DecompositionSummary,
     annualize,
-    coefficient_decompose,
-    decompose_draw,
-    overall_decompose,
+    decompose_draws,
     percent_of,
     posterior_decompose,
 )

@@ -61,8 +61,7 @@ from .dataset import (
 from .decompose import (
     _available_cores,
     _one_blas_thread,
-    coefficient_decompose,
-    overall_decompose,
+    decompose_draws,
     posterior_decompose,
 )
 from .errors import ConfigError, MortdecompError, require_bool, require_number, require_object, require_str
@@ -133,16 +132,16 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict, overrides: dict | None = None) -> "RunConfig":
-        raw = dict(require_object(raw, "config"))
+        optional = ("seed", "out_dir", "schema", "survey_years", "poor_quantile", "prior", "mcmc", "order",
+                    "marginalization", "auto_extend")
+        raw = dict(require_object(raw, "config", ("input",), optional))
         overrides = overrides or {}
         for key in ("seed", "out_dir", "order", "marginalization"):
             if overrides.get(key) is not None:
                 raw[key] = overrides[key]
 
-        if "input" not in raw or not isinstance(raw["input"], dict):
-            raise ConfigError("config needs an 'input' object with a 'mode'")
-        inp = raw["input"]
-        mode = inp.get("mode")
+        inp = require_object(raw["input"], "input", ("mode",), ("dgp", "s1_path", "s2_path"))
+        mode = inp["mode"]
         has_dgp = "dgp" in inp
         has_csv = "s1_path" in inp or "s2_path" in inp
         if has_dgp and has_csv:
@@ -151,22 +150,24 @@ class RunConfig:
             raise ConfigError(f"input.mode must be 'synthetic' or 'csv', got {mode!r}")
 
         if "schema" in raw:
-            schema = CovariateSchema.from_dict(require_object(raw["schema"], "schema", ("covariates",)))
+            schema = CovariateSchema.from_dict(require_object(raw["schema"], "schema", ("covariates",), ()))
         else:
             schema = default_schema()
         poor_quantile = require_number(raw.get("poor_quantile", 0.2), "poor_quantile")
+        if not 0.0 < poor_quantile <= 1.0:
+            raise ConfigError(f"poor_quantile must lie in (0, 1], got {poor_quantile}")
 
         dgp = None
         csv_paths = None
         if mode == "synthetic":
             if not has_dgp:
                 raise ConfigError("synthetic mode needs input.dgp")
-            dgp_raw = require_object(inp["dgp"], "input.dgp", ("s1", "s2"))
+            dgp_raw = require_object(inp["dgp"], "input.dgp", ("s1", "s2"), ())
             dgp = SyntheticConfig(
                 schema=schema,
-                s1=SyntheticSurveySpec.from_dict(dgp_raw["s1"]),
-                s2=SyntheticSurveySpec.from_dict(dgp_raw["s2"]),
-                poor_quantile=require_number(dgp_raw.get("poor_quantile", poor_quantile), "input.dgp.poor_quantile"),
+                s1=SyntheticSurveySpec.from_dict(dgp_raw["s1"], "input.dgp.s1"),
+                s2=SyntheticSurveySpec.from_dict(dgp_raw["s2"], "input.dgp.s2"),
+                poor_quantile=poor_quantile,
             )
             default_years = (dgp.s1.survey_year, dgp.s2.survey_year)
         else:
@@ -178,7 +179,7 @@ class RunConfig:
             default_years = None
 
         if "survey_years" in raw:
-            years_raw = require_object(raw["survey_years"], "survey_years", ("s1", "s2"))
+            years_raw = require_object(raw["survey_years"], "survey_years", ("s1", "s2"), ())
             try:
                 years = tuple(require_number(years_raw[k], "survey_years", int) for k in ("s1", "s2"))
             except ConfigError:
@@ -507,9 +508,9 @@ def validate_suite(convention: str = "appendix_divide", seed: int = 0, mc_draws:
         d1 = random_design(rng, 20, [1, 1])
         d2 = random_design(rng, 20, [1, 1])
         b1, b2 = rng.normal(size=3), rng.normal(size=3)
-        got = overall_decompose(d1, d2, b1, b2, link="identity")
+        got = decompose_draws(d1, d2, b1, b2, link="identity")
         want = linear_oracle(d1.x.mean(axis=0), d2.x.mean(axis=0), b1, b2)
-        worst = max(worst, abs(got[0] - want[0]), abs(got[1] - want[1]))
+        worst = max(worst, abs(got.x_effect[0] - want[0]), abs(got.beta_effect[0] - want[1]))
     results.append(CheckResult("linear_triangle", worst < 1e-12, f"max deviation {worst:.2e} (tol 1e-12)"))
 
     # Monte-Carlo marginalization across the (x'beta, sigma2) grid
@@ -541,9 +542,8 @@ def validate_suite(convention: str = "appendix_divide", seed: int = 0, mc_draws:
         b1 = rng.normal(scale=0.7, size=4)
         b2 = rng.normal(scale=0.7, size=4)
         order = list(rng.permutation(["intercept", "g0", "g1"]))
-        effects = coefficient_decompose(d2, b1, b2, order)
-        _, beta_eff = overall_decompose(d2, d2, b1, b2)
-        worst = max(worst, abs(sum(effects.values()) - beta_eff))
+        d = decompose_draws(d2, d2, b1, b2, order)
+        worst = max(worst, abs(sum(d.group_effects[0]) - d.beta_effect[0]))
     results.append(CheckResult("collapsing_sum_fuzz", worst < 1e-12, f"max deviation {worst:.2e} (tol 1e-12)"))
     return results
 

@@ -180,10 +180,7 @@ class CovariateSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CovariateSpec":
-        allowed = {"name", "kind", "degree", "df", "reference", "allow_missing"}
-        unknown = set(require_object(d, "covariate spec", ("name", "kind"))) - allowed
-        if unknown:
-            raise SchemaError(f"unknown covariate spec keys: {sorted(unknown)}")
+        require_object(d, "covariate spec", ("name", "kind"), ("degree", "df", "reference", "allow_missing"))
         checked = {k: require_str(d[k], f"covariate spec {k}") for k in ("name", "kind")}
         checked.update({k: require_number(d[k], f"covariate spec {k}", int) for k in ("degree", "df") if k in d})
         if "allow_missing" in d:

@@ -10,17 +10,20 @@ covariate always swap together.  Running the decomposition on every
 retained posterior draw turns those point identities into posterior
 distributions for every component.
 
-Every entry point here runs one kernel that walks each draw once; its
-per-draw matrix (``DecompositionSummary.draws``) also yields the
-variance profile in :mod:`mortdecomp.validation`.  The kernel splits the
-draws into contiguous chunks, one per available core, and walks each on
-its own thread (``ndtr`` releases the GIL).  While those threads run
-it holds numpy's OpenBLAS to one thread, so the matrix-vector products
-do not spin the cores the chunks need, and then restores the previous
-count; no environment variable is read or written.  Every draw's
-arithmetic is the same as on one thread, so the outputs are identical
-bytes.  Where numpy's BLAS exports no thread control, the kernel walks
-all draws on the calling thread.
+:func:`decompose_draws` is the one kernel: it decomposes a matrix of
+coefficient pairs, or a single pair, walking each pair once.
+:func:`posterior_decompose` marginalizes two surveys' draws, runs the
+kernel and summarizes each component; its per-draw matrix
+(``DecompositionSummary.draws``) also yields the variance profile in
+:mod:`mortdecomp.validation`.  The kernel splits the draws into
+contiguous chunks, one per available core, and walks each on its own
+thread (``ndtr`` releases the GIL).  While those threads run it holds
+numpy's OpenBLAS to one thread, so the matrix-vector products do not
+spin the cores the chunks need, and then restores the previous count;
+no environment variable is read or written.  Every draw's arithmetic is
+the same as on one thread, so the outputs are identical bytes.  Where
+numpy's BLAS exports no thread control, the kernel walks all draws on
+the calling thread.
 """
 
 from __future__ import annotations
@@ -39,13 +42,10 @@ from .errors import ConfigError
 from .marginal import MortalitySummary, marginalize_all
 
 __all__ = [
-    "DecompositionDraw",
     "DecompositionDraws",
     "ComponentSummary",
     "DecompositionSummary",
-    "overall_decompose",
-    "coefficient_decompose",
-    "decompose_draw",
+    "decompose_draws",
     "posterior_decompose",
     "annualize",
     "percent_of",
@@ -160,8 +160,22 @@ class DecompositionDraws:
         return self.rate1.size
 
 
-def _decompose_draws(design1, design2, tilde1, tilde2, order=None, link="probit") -> DecompositionDraws:
+def decompose_draws(design1, design2, tilde1, tilde2, order=None, link="probit") -> DecompositionDraws:
     """Decompose every marginal coefficient pair ``(tilde1[l], tilde2[l])``.
+
+    ``tilde1`` and ``tilde2`` are ``(L, p)`` matrices of draws; a 1-D
+    coefficient vector counts as one draw.  Per pair, ``x_effect`` is
+    the change from swapping the covariate sample under survey 1's
+    coefficients, and ``beta_effect`` the change from swapping the
+    coefficients over survey 2's sample; the two add up to
+    ``rate1 - rate2``.  The swap walk goes from survey 1's coefficients
+    to survey 2's over survey 2's sample, one whole column group at a
+    time in ``order`` (a permutation of the intercept plus every group;
+    default: the intercept, then the design's groups), so the spline
+    columns of a covariate swap together.  Each entry of
+    ``group_effects`` is the drop in the fitted mean caused by one swap;
+    the entries sum to ``beta_effect``, and the order changes the split
+    but not the sum.
 
     Per pair, K + 3 link passes for K groups: ``rate1``; the crossed mean
     that starts the swap walk; one per swapped group (skipped when its
@@ -170,6 +184,7 @@ def _decompose_draws(design1, design2, tilde1, tilde2, order=None, link="probit"
     a time (no ``(n, L)`` block), in contiguous chunks on one thread per
     core; both identities are checked to 1e-12 on the full arrays.
     """
+    tilde1, tilde2 = np.atleast_2d(tilde1, tilde2)
     if design1.n_cols != design2.n_cols or design1.column_groups != design2.column_groups:
         raise ConfigError(
             "designs do not share a column layout; both surveys must be built "
@@ -227,68 +242,6 @@ def _decompose_draws(design1, design2, tilde1, tilde2, order=None, link="probit"
     if np.any(np.abs(group_effects.sum(axis=1) - beta_effect) > _ADDITIVITY_TOL):
         raise ValueError("group effects must sum to the beta effect")
     return DecompositionDraws(rate1, rate2, x_effect, beta_effect, group_effects, tuple(order))
-
-
-@dataclass(frozen=True)
-class DecompositionDraw:
-    """All components of the decomposition for one coefficient pair.
-
-    Built by :func:`decompose_draw`, whose kernel enforces the two
-    additivity identities: the covariate and coefficient effects sum to
-    the overall difference, and the group effects sum to the coefficient
-    effect, both to 1e-12.
-    """
-
-    rate1: float
-    rate2: float
-    x_effect: float
-    beta_effect: float
-    group_effects: dict[str, float]
-    order: tuple[str, ...]
-
-    @property
-    def overall_diff(self) -> float:
-        return self.rate1 - self.rate2
-
-
-def decompose_draw(design1, design2, b1, b2, order=None, link="probit") -> DecompositionDraw:
-    """Overall and per-group decomposition for one coefficient pair."""
-    b1, b2 = (np.asarray(b, dtype=float).reshape(1, -1) for b in (b1, b2))
-    d = _decompose_draws(design1, design2, b1, b2, order, link)
-    return DecompositionDraw(
-        rate1=float(d.rate1[0]),
-        rate2=float(d.rate2[0]),
-        x_effect=float(d.x_effect[0]),
-        beta_effect=float(d.beta_effect[0]),
-        group_effects={name: float(v) for name, v in zip(d.order, d.group_effects[0])},
-        order=d.order,
-    )
-
-
-def overall_decompose(design1, design2, b1, b2, link="probit") -> tuple[float, float]:
-    """Two-part split of the survey-1 minus survey-2 fitted mean.
-
-    Returns ``(x_effect, beta_effect)`` where the first term is the
-    change from swapping the covariate sample under survey 1's
-    coefficients and the second is the change from swapping the
-    coefficients over survey 2's sample.  The two terms add up to the
-    overall difference exactly.
-    """
-    d = decompose_draw(design1, design2, b1, b2, link=link)
-    return d.x_effect, d.beta_effect
-
-
-def coefficient_decompose(design2, b1, b2, order=None, link="probit") -> dict[str, float]:
-    """Sequential per-covariate split of the coefficient effect.
-
-    Walks from survey 1's coefficients to survey 2's over survey 2's
-    sample, swapping one whole column group at a time in ``order`` (a
-    permutation of the intercept plus every covariate group); each entry
-    is the drop in the fitted mean caused by that swap.  The entries sum
-    to the overall coefficient effect; the split, but not the sum,
-    depends on the order.
-    """
-    return decompose_draw(design2, design2, b1, b2, order, link).group_effects
 
 
 @dataclass(frozen=True)
@@ -391,7 +344,7 @@ def posterior_decompose(
         raise ConfigError(f"years_between must be > 0, got {years_between}")
     tilde1 = marginalize_all(draws1.beta, draws1.sigma2, convention)
     tilde2 = marginalize_all(draws2.beta, draws2.sigma2, convention)
-    per_draw = _decompose_draws(design1, design2, tilde1, tilde2, order, link)
+    per_draw = decompose_draws(design1, design2, tilde1, tilde2, order, link)
     overall = per_draw.overall_diff
     components = {
         "overall_diff": _summarize("overall_diff", overall, overall, years_between),

@@ -73,13 +73,18 @@ class ConfigError(MortdecompError, ValueError):
     """A run or model configuration is invalid."""
 
 
-def require_object(value, where: str, keys=()) -> dict:
-    """``value`` if it is a JSON object holding every key in ``keys``; ``ConfigError`` otherwise."""
+def require_object(value, where: str, keys=(), allowed=None) -> dict:
+    """``value`` if it is a JSON object holding every key in ``keys`` and, when ``allowed``
+    is given, no key outside ``keys`` and ``allowed``; ``ConfigError`` otherwise."""
     if not isinstance(value, dict):
         raise ConfigError(f"{where} must be an object, got {type(value).__name__}")
     missing = [k for k in keys if k not in value]
     if missing:
         raise ConfigError(f"{where} is missing key(s): {', '.join(missing)}")
+    if allowed is not None:
+        unknown = sorted(set(value) - set(keys) - set(allowed))
+        if unknown:
+            raise ConfigError(f"{where} has unknown key(s): {', '.join(unknown)}")
     return value
 
 

@@ -14,10 +14,9 @@ from __future__ import annotations
 import csv
 import json
 import math
-from numbers import Real
 from pathlib import Path
 
-from .errors import ConfigError, require_object
+from .errors import ConfigError, require_number, require_object
 
 __all__ = [
     "format_rate",
@@ -100,12 +99,6 @@ _PERCENT_FIELDS = ("percent", "percent_lower", "percent_upper")
 _COMPONENT_FIELDS = _NUMBER_FIELDS + _PERCENT_FIELDS + ("significant",)
 
 
-def _number(value, where: str, nullable: bool = False) -> None:
-    if (value is None and nullable) or (isinstance(value, Real) and not isinstance(value, bool)):
-        return
-    raise ConfigError(f"{where} must be a number, got {value!r}")
-
-
 def load_results(path) -> dict:
     """Read a document written by :func:`write_decomposition_json`.
 
@@ -118,7 +111,7 @@ def load_results(path) -> dict:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
     try:
         require_object(doc, "results", ("years_between", "order", "rates_per_1000", "components"))
-        _number(doc["years_between"], "years_between")
+        require_number(doc["years_between"], "years_between")
         order = doc["order"]
         if not isinstance(order, list) or not all(isinstance(name, str) for name in order):
             raise ConfigError(f"order must be a list of group names, got {order!r}")
@@ -126,13 +119,14 @@ def load_results(path) -> dict:
         for sid in ("s1", "s2"):
             rate = require_object(rates[sid], f"rates_per_1000.{sid}", _RATE_FIELDS)
             for key in _RATE_FIELDS:
-                _number(rate[key], f"rates_per_1000.{sid}.{key}")
+                require_number(rate[key], f"rates_per_1000.{sid}.{key}")
         names = ("overall_diff", "x_effect", "beta_effect", *order)
         components = require_object(doc["components"], "components", names)
         for name in names:
             comp = require_object(components[name], f"components.{name}", _COMPONENT_FIELDS)
             for key in _NUMBER_FIELDS + _PERCENT_FIELDS:
-                _number(comp[key], f"components.{name}.{key}", nullable=key in _PERCENT_FIELDS)
+                if not (key in _PERCENT_FIELDS and comp[key] is None):
+                    require_number(comp[key], f"components.{name}.{key}")
     except ConfigError as exc:
         raise ConfigError(f"{path}: not a decomposition results document ({exc})") from None
     return doc

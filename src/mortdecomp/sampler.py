@@ -58,10 +58,7 @@ def _from_dict(cls, d: dict, section: str, kinds: dict):
 
     A kind is ``int`` or ``float`` (see ``require_number``) or ``bool``.
     """
-    unknown = set(require_object(d, section)) - {f.name for f in fields(cls)}
-    if unknown:
-        raise ConfigError(f"unknown {section} keys: {sorted(unknown)}")
-    values = dict(d)
+    values = dict(require_object(d, section, allowed=[f.name for f in fields(cls)]))
     for key, kind in kinds.items():
         if key in values:
             where = f"{section}.{key}"
@@ -86,13 +83,6 @@ class PriorSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "PriorSpec":
         return _from_dict(cls, d, "prior", dict.fromkeys(("beta_sd", "sigma2_shape", "sigma2_scale"), float))
-
-    def to_dict(self) -> dict:
-        return {
-            "beta_sd": self.beta_sd,
-            "sigma2_shape": self.sigma2_shape,
-            "sigma2_scale": self.sigma2_scale,
-        }
 
 
 @dataclass(frozen=True)

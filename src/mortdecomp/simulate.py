@@ -10,12 +10,14 @@ compared directly against fitted posteriors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import ndtr
 
 from .dataset import (
+    _FIELDS,
     CovariateSchema,
     SurveySample,
     build_design,
@@ -26,18 +28,63 @@ from .errors import ConfigError, require_number, require_object
 
 __all__ = ["SyntheticSurveySpec", "SyntheticConfig", "synthesize"]
 
+# Each distribution kind and its required keys (optional: ``missing_prob``; ``probs`` for ``choice``).
+_DIST_KEYS = {"uniform": ("low", "high"), "normal": ("mean", "sd"), "beta": ("a", "b"), "choice": ("values",)}
+# The tolerance ``Generator.choice`` allows on the sum of its probabilities.
+_PROBS_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
+
 # Fallback generators for fields the schema does not mention but every
 # synthetic sample carries (age drives the ingestion filter; wealth drives
 # centering).
 _DEFAULT_DISTRIBUTIONS = {
-    "maternal_age": {"dist": "uniform", "low": 18.0, "high": 40.0},
-    "wealth_rank": {"dist": "uniform", "low": 0.0, "high": 1.0},
+    "maternal_age": {"dist": "uniform", "low": 18.0, "high": 40.0, "missing_prob": 0.0},
+    "wealth_rank": {"dist": "uniform", "low": 0.0, "high": 1.0, "missing_prob": 0.0},
 }
+
+
+def _check_distribution(spec, where: str) -> dict:
+    """``spec`` with ``missing_prob`` defaulting to 0 and ``probs`` to ``None``, or ``ConfigError``.
+
+    Values are finite numbers, with ``high - low`` finite, ``sd >= 0``,
+    ``a, b > 0`` and ``missing_prob`` in [0, 1]; ``choice`` ``values`` are
+    strings or numbers, and ``probs`` are non-negative, one per value,
+    summing to 1.
+    """
+    kind = require_object(spec, where, ("dist",))["dist"]
+    if not isinstance(kind, str) or kind not in _DIST_KEYS:
+        raise ConfigError(f"{where}.dist must be one of {sorted(_DIST_KEYS)}, got {kind!r}")
+    optional = ("missing_prob", "probs") if kind == "choice" else ("missing_prob",)
+    require_object(spec, where, ("dist", *_DIST_KEYS[kind]), optional)
+    checked = {"dist": kind, "missing_prob": require_number(spec.get("missing_prob", 0.0), f"{where}.missing_prob")}
+    if not 0.0 <= checked["missing_prob"] <= 1.0:
+        raise ConfigError(f"{where}.missing_prob must lie in [0, 1], got {checked['missing_prob']}")
+    if kind != "choice":
+        checked.update((k, require_number(spec[k], f"{where}.{k}")) for k in _DIST_KEYS[kind])
+        if kind == "uniform" and not math.isfinite(checked["high"] - checked["low"]):
+            raise ConfigError(f"{where}.high - {where}.low must be finite, got {checked['low']} to {checked['high']}")
+        if kind == "normal" and checked["sd"] < 0.0:
+            raise ConfigError(f"{where}.sd must be >= 0, got {checked['sd']}")
+        if kind == "beta" and min(checked["a"], checked["b"]) <= 0.0:
+            raise ConfigError(f"{where}.a and {where}.b must be > 0, got {checked['a']} and {checked['b']}")
+        return checked
+    values, probs = spec["values"], spec.get("probs")
+    if not isinstance(values, list) or not values:
+        raise ConfigError(f"{where}.values must be a non-empty list, got {values!r}")
+    for value in values:
+        if not isinstance(value, str):
+            require_number(value, f"{where}.values")
+    if probs is not None:
+        if not isinstance(probs, list) or len(probs) != len(values):
+            raise ConfigError(f"{where}.probs must be a list of {len(values)} numbers, got {probs!r}")
+        probs = [require_number(q, f"{where}.probs") for q in probs]
+        if min(probs) < 0.0 or abs(math.fsum(probs) - 1.0) > _PROBS_ATOL:
+            raise ConfigError(f"{where}.probs must be non-negative and sum to 1, got {probs}")
+    return {**checked, "values": values, "probs": probs}
 
 
 @dataclass(frozen=True)
 class SyntheticSurveySpec:
-    """Truth for one survey: design-space coefficients and cluster variance."""
+    """Truth for one survey: design-space coefficients, cluster variance and checked covariate distributions."""
 
     beta: tuple[float, ...]
     sigma2: float
@@ -53,22 +100,27 @@ class SyntheticSurveySpec:
             raise ConfigError(f"births_per_cluster must be positive, got {self.births_per_cluster}")
         if self.sigma2 < 0:
             raise ConfigError(f"sigma2 must be >= 0, got {self.sigma2}")
+        require_object(self.covariates, "covariates", allowed=_FIELDS)
+        checked = {name: _check_distribution(spec, f"covariates.{name}") for name, spec in self.covariates.items()}
+        object.__setattr__(self, "covariates", checked)
 
     @classmethod
-    def from_dict(cls, d: dict) -> "SyntheticSurveySpec":
-        where = "synthetic survey spec"
-        require_object(d, where, ("beta", "sigma2", "n_clusters", "births_per_cluster", "survey_year"))
+    def from_dict(cls, d: dict, where: str = "synthetic survey spec") -> "SyntheticSurveySpec":
+        require_object(d, where, ("beta", "sigma2", "n_clusters", "births_per_cluster", "survey_year"), ("covariates",))
         if not isinstance(d["beta"], (list, tuple)):
             raise ConfigError(f"{where}: beta must be a list of numbers, got {d['beta']!r}")
-        covariates = require_object(d.get("covariates", {}), f"{where}: covariates")
-        return cls(
+        fields = dict(
             beta=tuple(require_number(b, f"{where}: beta") for b in d["beta"]),
             sigma2=require_number(d["sigma2"], f"{where}: sigma2"),
             n_clusters=require_number(d["n_clusters"], f"{where}: n_clusters", int),
             births_per_cluster=require_number(d["births_per_cluster"], f"{where}: births_per_cluster", int),
             survey_year=require_number(d["survey_year"], f"{where}: survey_year", int),
-            covariates={k: dict(require_object(v, f"{where}: covariates.{k}")) for k, v in covariates.items()},
+            covariates=require_object(d.get("covariates", {}), f"{where}: covariates"),
         )
+        try:
+            return cls(**fields)
+        except ConfigError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -86,41 +138,46 @@ class SyntheticConfig:
 
 
 def _draw(spec: dict, n: int, rng: np.random.Generator) -> np.ndarray:
-    kind = spec.get("dist")
+    """``n`` values from a spec checked by ``_check_distribution``."""
+    kind = spec["dist"]
     if kind == "uniform":
         out = rng.uniform(spec["low"], spec["high"], size=n)
     elif kind == "normal":
         out = rng.normal(spec["mean"], spec["sd"], size=n)
     elif kind == "beta":
         out = rng.beta(spec["a"], spec["b"], size=n)
-    elif kind == "choice":
-        values = spec["values"]
-        probs = spec.get("probs")
-        out = np.array(values, dtype=object)[rng.choice(len(values), size=n, p=probs)]
     else:
-        raise ConfigError(f"unknown covariate distribution {spec!r}")
-    missing_prob = float(spec.get("missing_prob", 0.0))
-    if missing_prob > 0.0:
+        values = spec["values"]
+        out = np.array(values, dtype=object)[rng.choice(len(values), size=n, p=spec["probs"])]
+    if spec["missing_prob"] > 0.0:
         out = np.asarray(out, dtype=object)
-        out[rng.random(n) < missing_prob] = None
+        out[rng.random(n) < spec["missing_prob"]] = None
     return out
 
 
 def _generate_sample(
     spec: SyntheticSurveySpec, schema: CovariateSchema, survey_id: str, rng: np.random.Generator
 ) -> SurveySample:
-    """Covariates for one survey, with every outcome 0; clusters are consecutive blocks."""
+    """Covariates for one survey, with every outcome 0; clusters are consecutive blocks.
+
+    ``ConfigError`` naming the survey when the generated values break an
+    invariant of ``SurveySample``.
+    """
     n = spec.n_clusters * spec.births_per_cluster
     columns = {}
     for name in dict.fromkeys(schema.names + list(_DEFAULT_DISTRIBUTIONS)):
         dist = spec.covariates.get(name) or _DEFAULT_DISTRIBUTIONS.get(name)
         if dist is None:
             raise ConfigError(f"no distribution configured for covariate {name!r}")
-        values = _draw(dist, n, rng)
-        columns[name] = np.trunc(values.astype(float)) if name == "birth_order" else values
+        columns[name] = _draw(dist, n, rng)
     width = len(str(spec.n_clusters - 1))
     cluster_id = np.repeat([f"c{j:0{width}d}" for j in range(spec.n_clusters)], spec.births_per_cluster)
-    return SurveySample.from_columns(survey_id, spec.survey_year, np.zeros(n, dtype=np.int64), cluster_id, columns)
+    try:
+        if "birth_order" in columns:
+            columns["birth_order"] = np.trunc(columns["birth_order"].astype(float))
+        return SurveySample.from_columns(survey_id, spec.survey_year, np.zeros(n, dtype=np.int64), cluster_id, columns)
+    except ValueError as exc:
+        raise ConfigError(f"survey {survey_id}: the generated covariates are not a valid sample ({exc})") from None
 
 
 def synthesize(dgp: SyntheticConfig, seed: int) -> tuple[SurveySample, SurveySample]:

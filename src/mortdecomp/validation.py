@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import log_ndtr, ndtr, ndtri
 
 from .dataset import CovariateSchema, CovariateSpec, DesignMatrix, build_design, compute_centering
-from .decompose import _decompose_draws
+from .decompose import decompose_draws
 from .errors import NonConvergenceError
 from .marginal import marginalize_all
 from .simulate import SyntheticConfig, SyntheticSurveySpec, synthesize
@@ -202,4 +202,4 @@ def variance_collapse(design2, draws1, draws2, order=None, convention: str = "ap
     """
     tilde1 = marginalize_all(draws1.beta, draws1.sigma2, convention)
     tilde2 = marginalize_all(draws2.beta, draws2.sigma2, convention)
-    return VarianceCollapseProfile.from_draws(_decompose_draws(design2, design2, tilde1, tilde2, order))
+    return VarianceCollapseProfile.from_draws(decompose_draws(design2, design2, tilde1, tilde2, order))

@@ -26,8 +26,7 @@ from mortdecomp.dataset import (
 )
 from mortdecomp.decompose import (
     annualize,
-    decompose_draw,
-    overall_decompose,
+    decompose_draws,
     percent_of,
 )
 from mortdecomp.marginal import marginal_prob, marginalize
@@ -101,9 +100,9 @@ def test_additivity_identities():
         b1 = rng.normal(scale=0.8, size=p)
         b2 = rng.normal(scale=0.8, size=p)
         order = list(rng.permutation(["intercept"] + [f"g{k}" for k in range(n_groups)]))
-        d = decompose_draw(d1, d2, b1, b2, order)
-        worst_overall = max(worst_overall, abs(d.x_effect + d.beta_effect - d.overall_diff))
-        worst_groups = max(worst_groups, abs(sum(d.group_effects.values()) - d.beta_effect))
+        d = decompose_draws(d1, d2, b1, b2, order)
+        worst_overall = max(worst_overall, abs(d.x_effect[0] + d.beta_effect[0] - d.overall_diff[0]))
+        worst_groups = max(worst_groups, abs(sum(d.group_effects[0]) - d.beta_effect[0]))
     elapsed = time.time() - started
     ok = worst_overall < 1e-12 and worst_groups < 1e-12 and elapsed < 10
     report(
@@ -126,9 +125,9 @@ def test_linear_oracle_equivalence():
         d1 = random_design(rng, 20, [1, 1])
         d2 = random_design(rng, 20, [1, 1])
         b1, b2 = rng.normal(size=3), rng.normal(size=3)
-        got = overall_decompose(d1, d2, b1, b2, link="identity")
+        got = decompose_draws(d1, d2, b1, b2, link="identity")
         want = linear_oracle(d1.x.mean(axis=0), d2.x.mean(axis=0), b1, b2)
-        worst = max(worst, abs(got[0] - want[0]), abs(got[1] - want[1]))
+        worst = max(worst, abs(got.x_effect[0] - want[0]), abs(got.beta_effect[0] - want[1]))
     elapsed = time.time() - started
     ok = worst < 1e-12 and elapsed < 1
     report(

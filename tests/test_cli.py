@@ -50,6 +50,29 @@ def base_config(out_dir, mcmc=None):
     }
 
 
+def covariates(cfg, survey="s1"):
+    """The distribution specs of one survey's generator in a ``base_config``."""
+    return cfg["input"]["dgp"][survey]["covariates"]
+
+
+# Generator specs and poor_quantile values that the config reader rejects,
+# each with a word its message must contain.
+MALFORMED_GENERATOR = {
+    "uniform_low_string": (lambda cfg: covariates(cfg).update(maternal_age={"dist": "uniform", "low": "a", "high": 1}), "low"),
+    "uniform_without_bounds": (lambda cfg: covariates(cfg).update(maternal_age={"dist": "uniform"}), "low"),
+    "uniform_range_overflow": (
+        lambda cfg: covariates(cfg).update(maternal_age={"dist": "uniform", "low": -1e308, "high": 1e308}), "high"
+    ),
+    "normal_negative_sd": (lambda cfg: covariates(cfg).update(maternal_age={"dist": "normal", "mean": 0, "sd": -1}), "sd"),
+    "choice_values_number": (lambda cfg: covariates(cfg).update(sex={"dist": "choice", "values": 5}), "values"),
+    "choice_probs_sum": (lambda cfg: covariates(cfg)["sex"].update(probs=[0.9, 0.3]), "probs"),
+    "missing_prob_string": (lambda cfg: covariates(cfg)["sex"].update(missing_prob="x"), "missing_prob"),
+    "missing_prob_numeric_string": (lambda cfg: covariates(cfg)["sex"].update(missing_prob="0.5"), "missing_prob"),
+    "poor_quantile_above_one": (lambda cfg: cfg.update(poor_quantile=5), "poor_quantile"),
+    "poor_quantile_zero": (lambda cfg: cfg.update(poor_quantile=0), "poor_quantile"),
+}
+
+
 def write_config(tmp_path, cfg, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg), encoding="utf-8")
@@ -370,12 +393,22 @@ class TestCommands:
     def error_record(capsys):
         return json.loads(capsys.readouterr().err.strip().splitlines()[0])["error"]
 
-    def test_simulate_without_beta_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "malform, words",
+        [
+            (lambda cfg: cfg["input"]["dgp"]["s2"].pop("beta"), "beta"),
+            *MALFORMED_GENERATOR.values(),
+            # generated values that break a sample invariant
+            (lambda cfg: covariates(cfg).update(sex={"dist": "choice", "values": ["f", "m"]}), "sex"),
+        ],
+        ids=["without_beta", *MALFORMED_GENERATOR, "sex_levels_unknown"],
+    )
+    def test_simulate_without_beta_exits_2(self, tmp_path, capsys, malform, words):
         cfg = base_config(tmp_path / "out")
-        del cfg["input"]["dgp"]["s2"]["beta"]
+        malform(cfg)
         assert main(["simulate", "--config", str(write_config(tmp_path, cfg))]) == 2
         record = self.error_record(capsys)
-        assert record["type"] == "ConfigError" and "beta" in record["message"]
+        assert record["type"] == "ConfigError" and words in record["message"]
 
     def test_unknown_mcmc_key_exits_2(self, tmp_path, capsys):
         cfg = base_config(tmp_path / "out")
@@ -408,17 +441,27 @@ class TestCommands:
         assert record["type"] == "ConfigError" and words in record["message"]
         assert not (tmp_path / "mortality.csv").exists()
 
-    def test_report_on_wrong_field_type_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("components.x_effect", "annualized", "fast"),
+            ("rates_per_1000.s1", "mean", float("nan")),
+            ("components.x_effect", "annualized", float("inf")),
+        ],
+        ids=["fast", "nan", "infinity"],
+    )
+    def test_report_on_wrong_field_type_exits_2(self, tmp_path, capsys, section, key, value):
         out = tmp_path / "out"
         assert main(["run", "--config", str(write_config(tmp_path, base_config(out)))]) == 0
         doc = json.loads((out / "decomposition.json").read_text())
-        doc["components"]["x_effect"]["annualized"] = "fast"
+        first, second = section.split(".")
+        doc[first][second][key] = value
         path = tmp_path / "edited.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         capsys.readouterr()
         assert main(["report", "--results", str(path), "--out", str(tmp_path / "rendered")]) == 2
         record = self.error_record(capsys)
-        assert record["type"] == "ConfigError" and "components.x_effect.annualized" in record["message"]
+        assert record["type"] == "ConfigError" and f"{section}.{key}" in record["message"]
 
     @pytest.mark.parametrize(
         "malform, words",
@@ -464,6 +507,17 @@ class TestCommands:
             (lambda cfg: cfg["schema"]["covariates"][0].update(reference=["female"]), "covariate spec reference"),
             (lambda cfg: cfg["schema"]["covariates"][0].update(reference=5), "covariate spec reference"),
             (lambda cfg: cfg["schema"]["covariates"][0].update(reference="femal"), "covariate spec reference"),
+            *MALFORMED_GENERATOR.values(),
+            # unknown keys are rejected in every section, not ignored
+            (lambda cfg: cfg.update(auto_extnd=False), "auto_extnd"),
+            (lambda cfg: cfg["input"].update(s1_pth="s1.csv"), "s1_pth"),
+            (lambda cfg: cfg["input"]["dgp"].update(s3=cfg["input"]["dgp"]["s2"]), "s3"),
+            (lambda cfg: cfg["input"]["dgp"]["s1"].update(covariate={}), "covariate"),
+            (lambda cfg: cfg.update(survey_years={"s1": 2000, "s2": 2014, "s3": 2020}), "s3"),
+            (lambda cfg: cfg["schema"].update(covariats=[]), "covariats"),
+            (lambda cfg: covariates(cfg)["sex"].update(prob=[0.9, 0.1]), "prob"),
+            (lambda cfg: covariates(cfg).update(sexx=covariates(cfg)["sex"]), "sexx"),
+            (lambda cfg: cfg["input"]["dgp"].update(poor_quantile=0.5), "poor_quantile"),
         ],
         ids=[
             "survey_years_without_s2", "survey_years_not_integers", "dgp_without_s2",
@@ -475,6 +529,10 @@ class TestCommands:
             "auto_extend_string", "mcmc_allow_short_string", "out_dir_number", "order_entry_number",
             "survey_year_string", "survey_year_fractional", "schema_name_not_string", "schema_allow_missing_string",
             "schema_reference_list", "schema_reference_number", "schema_reference_misspelt",
+            *MALFORMED_GENERATOR,
+            "top_level_unknown_key", "input_unknown_key", "dgp_unknown_survey", "dgp_survey_unknown_key",
+            "survey_years_unknown_key", "schema_unknown_key", "dist_unknown_key", "dgp_covariate_unknown_field",
+            "dgp_poor_quantile",
         ],
     )
     def test_run_on_malformed_config_shape_exits_2(self, tmp_path, capsys, malform, words):

@@ -13,9 +13,7 @@ import mortdecomp.decompose as decompose_module
 from mortdecomp.dataset import DesignMatrix
 from mortdecomp.decompose import (
     annualize,
-    coefficient_decompose,
-    decompose_draw,
-    overall_decompose,
+    decompose_draws,
     percent_of,
     posterior_decompose,
 )
@@ -44,42 +42,42 @@ class TestOverallDecompose:
         d1 = random_design(rng, 15, [1, 2])
         d2 = random_design(rng, 20, [1, 2])
         b = rng.normal(size=4)
-        x_eff, beta_eff = overall_decompose(d1, d2, b, b.copy())
-        assert beta_eff == 0.0
-        assert x_eff != 0.0
+        d = decompose_draws(d1, d2, b, b.copy())
+        assert d.beta_effect[0] == 0.0
+        assert d.x_effect[0] != 0.0
 
     def test_equal_designs_zero_x_effect(self):
         rng = np.random.default_rng(1)
         d = random_design(rng, 15, [2])
         b1, b2 = rng.normal(size=3), rng.normal(size=3)
-        x_eff, beta_eff = overall_decompose(d, d, b1, b2)
-        assert x_eff == 0.0
-        assert beta_eff != 0.0
+        out = decompose_draws(d, d, b1, b2)
+        assert out.x_effect[0] == 0.0
+        assert out.beta_effect[0] != 0.0
 
     def test_identity_link_matches_linear_oracle(self):
         rng = np.random.default_rng(2)
         d1 = random_design(rng, 20, [1, 1])
         d2 = random_design(rng, 20, [1, 1])
         b1, b2 = rng.normal(size=3), rng.normal(size=3)
-        got = overall_decompose(d1, d2, b1, b2, link="identity")
+        d = decompose_draws(d1, d2, b1, b2, link="identity")
         want = linear_oracle(d1.x.mean(axis=0), d2.x.mean(axis=0), b1, b2)
-        np.testing.assert_allclose(got, want, atol=1e-12)
+        np.testing.assert_allclose((d.x_effect[0], d.beta_effect[0]), want, atol=1e-12)
 
     def test_mismatched_layouts_rejected(self):
         rng = np.random.default_rng(3)
         d1 = random_design(rng, 10, [1])
         d2 = random_design(rng, 10, [1, 1])
         with pytest.raises(ConfigError):
-            overall_decompose(d1, d2, np.zeros(2), np.zeros(2))
+            decompose_draws(d1, d2, np.zeros(2), np.zeros(2))
 
     def test_swap_symmetry_negates_overall(self):
         rng = np.random.default_rng(4)
         d1 = random_design(rng, 12, [2])
         d2 = random_design(rng, 18, [2])
         b1, b2 = rng.normal(size=3), rng.normal(size=3)
-        x_a, beta_a = overall_decompose(d1, d2, b1, b2)
-        x_b, beta_b = overall_decompose(d2, d1, b2, b1)
-        np.testing.assert_allclose(x_a + beta_a, -(x_b + beta_b), atol=1e-15)
+        a = decompose_draws(d1, d2, b1, b2)
+        b = decompose_draws(d2, d1, b2, b1)
+        np.testing.assert_allclose(a.x_effect + a.beta_effect, -(b.x_effect + b.beta_effect), atol=1e-15)
 
 
 class TestCoefficientDecompose:
@@ -87,8 +85,8 @@ class TestCoefficientDecompose:
         rng = np.random.default_rng(5)
         d2 = random_design(rng, 10, [1, 2])
         b = rng.normal(size=4)
-        effects = coefficient_decompose(d2, b, b.copy())
-        assert all(v == 0.0 for v in effects.values())
+        d = decompose_draws(d2, d2, b, b.copy())
+        assert all(v == 0.0 for v in d.group_effects[0])
 
     def test_intercept_only_difference_collapses(self):
         rng = np.random.default_rng(6)
@@ -96,10 +94,10 @@ class TestCoefficientDecompose:
         b1 = rng.normal(size=4)
         b2 = b1.copy()
         b2[0] += 0.8
-        effects = coefficient_decompose(d2, b1, b2)
-        _, beta_eff = overall_decompose(d2, d2, b1, b2)
+        d = decompose_draws(d2, d2, b1, b2)
+        effects = dict(zip(d.order, d.group_effects[0]))
         assert effects["g0"] == 0.0 and effects["g1"] == 0.0
-        np.testing.assert_allclose(effects["intercept"], beta_eff, atol=1e-15)
+        np.testing.assert_allclose(effects["intercept"], d.beta_effect[0], atol=1e-15)
 
     def test_collapsing_sum_identity_fuzz(self):
         rng = np.random.default_rng(7)
@@ -109,9 +107,8 @@ class TestCoefficientDecompose:
             b1 = rng.normal(scale=0.8, size=7)
             b2 = rng.normal(scale=0.8, size=7)
             order = list(rng.permutation(names))
-            effects = coefficient_decompose(d2, b1, b2, order)
-            _, beta_eff = overall_decompose(d2, d2, b1, b2)
-            assert abs(sum(effects.values()) - beta_eff) < 1e-12
+            d = decompose_draws(d2, d2, b1, b2, order)
+            assert abs(sum(d.group_effects[0]) - d.beta_effect[0]) < 1e-12
 
     def test_spline_columns_swap_together(self):
         rng = np.random.default_rng(8)
@@ -119,10 +116,10 @@ class TestCoefficientDecompose:
         b1 = rng.normal(size=4)
         b2 = b1.copy()
         b2[1:4] = rng.normal(size=3)  # entire group changes at once
-        effects = coefficient_decompose(d2, b1, b2)
-        _, beta_eff = overall_decompose(d2, d2, b1, b2)
+        d = decompose_draws(d2, d2, b1, b2)
+        effects = dict(zip(d.order, d.group_effects[0]))
         assert effects["intercept"] == 0.0
-        np.testing.assert_allclose(effects["g0"], beta_eff, atol=1e-15)
+        np.testing.assert_allclose(effects["g0"], d.beta_effect[0], atol=1e-15)
 
     def test_group_effect_may_exceed_total_when_others_offset(self):
         # Mirrors the published pattern where the intercept swap alone
@@ -131,8 +128,9 @@ class TestCoefficientDecompose:
         d2 = design_from(np.column_stack([np.ones(50), np.linspace(0, 1, 50)]))
         b1 = np.array([-1.0, -0.5])
         b2 = np.array([-1.4, 0.1])  # intercept falls, slope effect offsets
-        effects = coefficient_decompose(d2, b1, b2, ["intercept", "g1"])
-        _, beta_eff = overall_decompose(d2, d2, b1, b2)
+        d = decompose_draws(d2, d2, b1, b2, ["intercept", "g1"])
+        effects = dict(zip(d.order, d.group_effects[0]))
+        beta_eff = d.beta_effect[0]
         assert effects["intercept"] > beta_eff > 0
         assert effects["g1"] < 0
 
@@ -140,9 +138,9 @@ class TestCoefficientDecompose:
         rng = np.random.default_rng(9)
         d2 = random_design(rng, 10, [1])
         with pytest.raises(ConfigError):
-            coefficient_decompose(d2, np.zeros(2), np.ones(2), ["g1"])
+            decompose_draws(d2, d2, np.zeros(2), np.ones(2), ["g1"])
         with pytest.raises(ConfigError):
-            coefficient_decompose(d2, np.zeros(2), np.ones(2), ["intercept", "g1", "g1"])
+            decompose_draws(d2, d2, np.zeros(2), np.ones(2), ["intercept", "g1", "g1"])
 
     def test_order_invariance_of_total(self):
         rng = np.random.default_rng(10)
@@ -154,8 +152,8 @@ class TestCoefficientDecompose:
             ["g1", "g0", "intercept"],
             ["g0", "intercept", "g1"],
         ):
-            effects = coefficient_decompose(d2, b1, b2, order)
-            totals.append(sum(effects.values()))
+            d = decompose_draws(d2, d2, b1, b2, order)
+            totals.append(sum(d.group_effects[0]))
         assert max(totals) - min(totals) < 1e-13
 
 
@@ -165,20 +163,22 @@ class TestDecomposeDraw:
         d1 = random_design(rng, 35, [1, 2])
         d2 = random_design(rng, 25, [1, 2])
         b1, b2 = rng.normal(size=4), rng.normal(size=4)
-        d = decompose_draw(d1, d2, b1, b2)
-        assert abs(d.x_effect + d.beta_effect - d.overall_diff) < 1e-12
-        assert abs(sum(d.group_effects.values()) - d.beta_effect) < 1e-12
+        d = decompose_draws(d1, d2, b1, b2)
+        assert abs(d.x_effect[0] + d.beta_effect[0] - d.overall_diff[0]) < 1e-12
+        assert abs(sum(d.group_effects[0]) - d.beta_effect[0]) < 1e-12
 
     def test_marginalization_with_zero_variance_reproduces_conditional(self):
         rng = np.random.default_rng(12)
         d1 = random_design(rng, 15, [2])
         d2 = random_design(rng, 15, [2])
         b1, b2 = rng.normal(size=3), rng.normal(size=3)
-        plain = decompose_draw(d1, d2, b1, b2)
-        scaled = decompose_draw(
+        plain = decompose_draws(d1, d2, b1, b2)
+        scaled = decompose_draws(
             d1, d2, marginalize(b1, 0.0), marginalize(b2, 0.0)
         )
-        assert plain == scaled
+        for name in ("rate1", "rate2", "x_effect", "beta_effect", "group_effects"):
+            assert np.array_equal(getattr(plain, name), getattr(scaled, name)), name
+        assert plain.order == scaled.order
 
 
 def constant_draws(beta_row, sigma2, n):
@@ -196,16 +196,16 @@ class TestPosteriorDecompose:
         draws1 = constant_draws(b1, 0.5, 150)
         draws2 = constant_draws(b2, 0.25, 150)
         out = posterior_decompose(d1, d2, draws1, draws2, years_between=10.0)
-        point = decompose_draw(
+        point = decompose_draws(
             d1, d2, marginalize(b1, 0.5), marginalize(b2, 0.25)
         )
         for name, comp in out.components.items():
             assert comp.upper - comp.lower == 0.0
             np.testing.assert_allclose(comp.mean, comp.lower, rtol=1e-14)
-        np.testing.assert_allclose(out.components["x_effect"].mean, point.x_effect, atol=1e-14)
-        np.testing.assert_allclose(out.components["beta_effect"].mean, point.beta_effect, atol=1e-14)
+        np.testing.assert_allclose(out.components["x_effect"].mean, point.x_effect[0], atol=1e-14)
+        np.testing.assert_allclose(out.components["beta_effect"].mean, point.beta_effect[0], atol=1e-14)
         np.testing.assert_allclose(
-            out.components["overall_diff"].mean, point.overall_diff, atol=1e-14
+            out.components["overall_diff"].mean, point.overall_diff[0], atol=1e-14
         )
 
     def test_percent_point_is_ratio_of_means(self):
@@ -291,14 +291,12 @@ class TestKernel:
         tilde1 = marginalize_all(self.draws1.beta, self.draws1.sigma2)
         tilde2 = marginalize_all(self.draws2.beta, self.draws2.sigma2)
         for ell in range(per_draw.n_draws):
-            d = decompose_draw(self.d1, self.d2, tilde1[ell], tilde2[ell], self.order)
-            np.testing.assert_allclose(per_draw.rate1[ell], d.rate1, rtol=0, atol=1e-14)
-            np.testing.assert_allclose(per_draw.rate2[ell], d.rate2, rtol=0, atol=1e-14)
-            np.testing.assert_allclose(per_draw.x_effect[ell], d.x_effect, rtol=0, atol=1e-14)
-            np.testing.assert_allclose(per_draw.beta_effect[ell], d.beta_effect, rtol=0, atol=1e-14)
-            np.testing.assert_allclose(
-                per_draw.group_effects[ell], [d.group_effects[name] for name in self.order], rtol=0, atol=1e-14
-            )
+            d = decompose_draws(self.d1, self.d2, tilde1[ell], tilde2[ell], self.order)
+            np.testing.assert_allclose(per_draw.rate1[ell], d.rate1[0], rtol=0, atol=1e-14)
+            np.testing.assert_allclose(per_draw.rate2[ell], d.rate2[0], rtol=0, atol=1e-14)
+            np.testing.assert_allclose(per_draw.x_effect[ell], d.x_effect[0], rtol=0, atol=1e-14)
+            np.testing.assert_allclose(per_draw.beta_effect[ell], d.beta_effect[0], rtol=0, atol=1e-14)
+            np.testing.assert_allclose(per_draw.group_effects[ell], d.group_effects[0], rtol=0, atol=1e-14)
 
     def test_link_passes_per_draw(self, monkeypatch):
         # n1 + (K + 2) n2 normal-CDF evaluations per draw: rate1 over
@@ -333,7 +331,7 @@ class TestKernel:
         with pytest.raises(ConfigError, match="coefficients per draw"):
             posterior_decompose(self.d1, self.d2, narrow, narrow, years_between=10.0)
         with pytest.raises(ConfigError, match="coefficients per draw"):
-            decompose_draw(self.d1, self.d2, np.zeros(3), np.zeros(3))
+            decompose_draws(self.d1, self.d2, np.zeros(3), np.zeros(3))
 
 
 blas_threads = decompose_module._openblas_threads()
