@@ -43,7 +43,7 @@ import json
 import multiprocessing
 import sys
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +63,7 @@ from .decompose import (
     _one_blas_thread,
     decompose_draws,
     posterior_decompose,
+    validate_order,
 )
 from .errors import ConfigError, MortdecompError, require_bool, require_number, require_object, require_str
 # diagnostics, mean_mortality and variance_collapse are not called in this
@@ -88,7 +89,6 @@ from .sampler import (
     fit,
     load_draws,
     save_draws,
-    target_shortfall,
 )
 from .simulate import SyntheticConfig, SyntheticSurveySpec, synthesize
 from .validation import (
@@ -114,7 +114,7 @@ class RunConfig:
     schema: CovariateSchema
     prior: PriorSpec
     mcmc: McmcConfig  # each survey's chain runs it under its own derived seed
-    order: tuple[str, ...] | None
+    order: tuple[str, ...]  # the intercept and every schema covariate
     marginalization: str
     poor_quantile: float
     auto_extend: bool
@@ -215,7 +215,7 @@ class RunConfig:
             schema=schema,
             prior=PriorSpec.from_dict(raw.get("prior", {})),
             mcmc=mcmc,
-            order=order,
+            order=tuple(validate_order(order, schema.names)),
             marginalization=marginalization,
             poor_quantile=poor_quantile,
             auto_extend=require_bool(raw.get("auto_extend", True), "auto_extend"),
@@ -290,19 +290,17 @@ def _fit_survey(design, prior, mcmc, auto_extend) -> SurveyFit:
     """Fit one survey; a chain short of its target is continued once to ``mcmc.extended()``."""
     chain = GibbsChain(design, prior, mcmc)
     draws = fit(design, prior, mcmc, chain)
-    shortfall = target_shortfall(draws, chain.diagnostics, mcmc)
-    extended = auto_extend and shortfall is not None
+    extended = auto_extend and chain.shortfall is not None
     if extended:
         mcmc = mcmc.extended()
         draws = fit(design, prior, mcmc, chain)
-        shortfall = target_shortfall(draws, chain.diagnostics, mcmc)
     return SurveyFit(
         draws=draws,
         diagnostics=chain.diagnostics,
         mcmc=mcmc,
         extended=extended,
         sweeps=chain.sweeps,
-        target_met=chain.diagnostics is not None and shortfall is None,
+        target_met=chain.diagnostics is not None and chain.shortfall is None,
     )
 
 
@@ -365,7 +363,7 @@ def _fit_surveys(jobs, fork: bool) -> list[SurveyFit]:
 def _save_fit(survey: SurveyFit, sid: str, out: _Outputs) -> Path:
     """Write ``draws_<sid>.csv`` and its sidecar in one ``save_draws`` call; returns the CSV path."""
     csv_path = out.path(f"draws_{sid}.csv")
-    save_draws(survey.draws, csv_path, out.path(f"draws_{sid}.json"), survey.mcmc.to_dict())
+    save_draws(survey.draws, csv_path, out.path(f"draws_{sid}.json"), asdict(survey.mcmc))
     return csv_path
 
 
@@ -376,9 +374,9 @@ def _decompose_and_write(config: RunConfig, d1, d2, draws1, draws2, out: _Output
     from the first write on.  Returns the ``DecompositionSummary``.
     """
     out.stage = "decompose"
-    order = list(config.order) if config.order else None
     summary = posterior_decompose(
-        d1, d2, draws1, draws2, years_between=config.years_between, order=order, convention=config.marginalization
+        d1, d2, draws1, draws2, years_between=config.years_between, order=config.order,
+        convention=config.marginalization,
     )
     profile = VarianceCollapseProfile.from_draws(summary.draws)
 
@@ -554,9 +552,8 @@ def _prior_limit_check(seed: int) -> CheckResult:
     mcmc = McmcConfig(total=1000 + 1500 * 2, burnin=1000, thin=2, target_retained=1500, seed=seed + 2)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ChainQualityWarning)
-        chain = GibbsChain(design, flat, mcmc)
-        draws = fit(design, flat, mcmc, chain)
-    diag = chain.diagnostics
+        survey = _fit_survey(design, flat, mcmc, auto_extend=False)
+    draws, diag = survey.draws, survey.diagnostics
     mle = ml_probit_fit(design)
     post_mean = draws.beta.mean(axis=0)
     post_sd = draws.beta.std(axis=0, ddof=1)
@@ -587,12 +584,7 @@ def _overrides(args) -> dict:
 
 
 def _cmd_run(args) -> int:
-    config = RunConfig.from_file(args.config, _overrides(args))
-    try:
-        files = run_pipeline(config)
-    except _StageFailure as fail:
-        print(_error_record(fail.stage, fail.cause), file=sys.stderr)
-        return 1
+    files = run_pipeline(RunConfig.from_file(args.config, _overrides(args)))
     for name in sorted(files):
         print(f"wrote {files[name]}")
     return 0
@@ -624,24 +616,18 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _load_draws_for(csv_path: Path, design) -> PosteriorDraws:
-    """Load saved draws; a sidecar, when present, must match ``design``'s column layout."""
+def _load_draws_for(csv_path: Path) -> PosteriorDraws:
+    """Load saved draws, with the sidecar next to them when there is one."""
     sidecar = csv_path.with_suffix(".json")
-    draws = load_draws(csv_path, sidecar if sidecar.exists() else None)
-    if sidecar.exists() and draws.column_groups != design.column_groups:
-        raise ConfigError(
-            f"{csv_path}: draws were fitted under column groups {draws.column_groups}, "
-            f"but this config builds {design.column_groups}"
-        )
-    return draws
+    return load_draws(csv_path, sidecar if sidecar.exists() else None)
 
 
 def _cmd_decompose(args) -> int:
     config = RunConfig.from_file(args.config, _overrides(args))
     out = _Outputs(Path(config.out_dir))
     d1, d2 = _build_designs(config, *_load_samples(config))
-    draws1 = _load_draws_for(Path(args.draws1) if args.draws1 else out.dir / "draws_s1.csv", d1)
-    draws2 = _load_draws_for(Path(args.draws2) if args.draws2 else out.dir / "draws_s2.csv", d2)
+    draws1 = _load_draws_for(Path(args.draws1) if args.draws1 else out.dir / "draws_s1.csv")
+    draws2 = _load_draws_for(Path(args.draws2) if args.draws2 else out.dir / "draws_s2.csv")
     _decompose_and_write(config, d1, d2, draws1, draws2, out)
     print(f"wrote decomposition tables to {out.dir}")
     return 0

@@ -70,6 +70,14 @@ def _field_checks(columns: dict) -> list:
     return checks
 
 
+def in_age_range(columns: dict, n: int) -> np.ndarray:
+    """Mask of the births whose mother's age lies in ``AGE_RANGE``; every birth when no age is recorded."""
+    if "maternal_age" not in columns:
+        return np.ones(n, dtype=bool)
+    age = np.asarray(columns["maternal_age"], dtype=float)
+    return (age >= AGE_RANGE[0]) & (age <= AGE_RANGE[1])
+
+
 def _first_failure(checks: list) -> tuple[int, str] | None:
     """Earliest failing row and its message; within a row the first check wins."""
     firsts = [(int(rows[0]), k) for k, (bad, _) in enumerate(checks) if (rows := np.flatnonzero(bad)).size]
@@ -396,8 +404,7 @@ def ingest_csv(path, schema: CovariateSchema, survey_year: int, survey_id: str =
         )
         columns[name] = values
 
-    age = columns.get("maternal_age")
-    kept = np.ones(len(rows), dtype=bool) if age is None else (age >= AGE_RANGE[0]) & (age <= AGE_RANGE[1])
+    kept = in_age_range(columns, len(rows))
     checks += [(bad & kept, message) for bad, message in _field_checks(columns)]
     failure = _first_failure(checks)
     if failure is not None:

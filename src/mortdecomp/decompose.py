@@ -39,7 +39,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .errors import ConfigError
-from .marginal import MortalitySummary, marginalize_all
+from .marginal import MortalitySummary, marginalize
 
 __all__ = [
     "DecompositionDraws",
@@ -338,12 +338,19 @@ def posterior_decompose(
     decomposed, and every component is summarized by its posterior
     mean, 95% equal-tailed interval, annualized per-1000 value, percent
     of the overall change, and a significance flag (interval excludes
-    zero).
+    zero).  Draws that record column groups must have been fitted under
+    their design's.
     """
     if years_between <= 0:
         raise ConfigError(f"years_between must be > 0, got {years_between}")
-    tilde1 = marginalize_all(draws1.beta, draws1.sigma2, convention)
-    tilde2 = marginalize_all(draws2.beta, draws2.sigma2, convention)
+    for k, design, draws in ((1, design1, draws1), (2, design2, draws2)):
+        if draws.column_groups and draws.column_groups != design.column_groups:
+            raise ConfigError(
+                f"survey {k}: draws were fitted under column groups {draws.column_groups}, "
+                f"but the design has {design.column_groups}"
+            )
+    tilde1 = marginalize(draws1.beta, draws1.sigma2, convention)
+    tilde2 = marginalize(draws2.beta, draws2.sigma2, convention)
     per_draw = decompose_draws(design1, design2, tilde1, tilde2, order, link)
     overall = per_draw.overall_diff
     components = {

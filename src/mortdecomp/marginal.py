@@ -21,7 +21,6 @@ __all__ = [
     "CONVENTIONS",
     "MortalitySummary",
     "marginalize",
-    "marginalize_all",
     "marginal_prob",
     "mean_mortality",
 ]
@@ -43,18 +42,16 @@ def _scale(sigma2, convention: str):
     return 1.0 / root if convention == "appendix_divide" else root
 
 
-def marginalize(beta, sigma2: float, convention: str = "appendix_divide") -> np.ndarray:
-    """Rescale conditional coefficients into marginal-model coefficients."""
-    tilde = np.asarray(beta, dtype=float) * _scale(float(sigma2), convention)
+def marginalize(beta, sigma2, convention: str = "appendix_divide") -> np.ndarray:
+    """Rescale conditional coefficients into marginal-model coefficients.
+
+    ``beta`` is one coefficient vector with a scalar ``sigma2``, or an
+    ``(L, p)`` draw matrix with one ``sigma2`` per row.
+    """
+    tilde = np.asarray(beta, dtype=float) * _scale(sigma2, convention)[..., None]
     if not np.all(np.isfinite(tilde)):
         raise ValueError("marginal coefficients must be finite")
     return tilde
-
-
-def marginalize_all(beta: np.ndarray, sigma2: np.ndarray, convention: str = "appendix_divide") -> np.ndarray:
-    """Vectorised marginalization of an ``(L, p)`` draw matrix."""
-    beta = np.asarray(beta, dtype=float)
-    return beta * _scale(np.atleast_1d(sigma2), convention)[:, None]
 
 
 def marginal_prob(x, coefficients) -> float | np.ndarray:
@@ -92,7 +89,7 @@ def mean_mortality(design, draws, convention: str = "appendix_divide") -> Mortal
             f"draws have {beta.shape[1] if beta.ndim == 2 else 'bad'} coefficients per draw "
             f"but the design has {design.x.shape[1]} columns"
         )
-    tilde = marginalize_all(beta, draws.sigma2, convention)
+    tilde = marginalize(beta, draws.sigma2, convention)
     n_draws = tilde.shape[0]
     rates = np.empty(n_draws)
     for start in range(0, n_draws, _CHUNK):

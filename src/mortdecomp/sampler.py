@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +32,6 @@ __all__ = [
     "GibbsChain",
     "sample_truncated_normal",
     "fit",
-    "target_shortfall",
     "diagnostics",
     "save_draws",
     "load_draws",
@@ -126,14 +125,7 @@ class McmcConfig:
 
     def extended(self) -> "McmcConfig":
         """Same chain with the post-burn-in phase doubled (for one retry)."""
-        return McmcConfig(
-            total=self.burnin + 2 * (self.total - self.burnin),
-            burnin=self.burnin,
-            thin=None,
-            target_retained=self.target_retained,
-            seed=self.seed,
-            allow_short=self.allow_short,
-        )
+        return replace(self, total=self.burnin + 2 * (self.total - self.burnin), thin=None)
 
     @classmethod
     def from_dict(cls, d: dict) -> "McmcConfig":
@@ -141,16 +133,6 @@ class McmcConfig:
         if require_object(d, "mcmc").get("thin") is not None:  # null derives thin from the target
             ints.append("thin")
         return _from_dict(cls, d, "mcmc", {**dict.fromkeys(ints, int), "allow_short": bool})
-
-    def to_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "burnin": self.burnin,
-            "thin": self.thin,
-            "target_retained": self.target_retained,
-            "seed": self.seed,
-            "allow_short": self.allow_short,
-        }
 
 
 @dataclass(frozen=True)
@@ -311,8 +293,10 @@ class GibbsChain:
         self.sweeps = 0
         # row i holds sweep burnin + 1 + i: its beta, then its sigma2
         self._post = np.empty((config.total - config.burnin, p + 1))
-        # set by fit: the diagnostics of the draws it last took from this chain
+        # set by fit for the draws it last took from this chain: their
+        # diagnostics, and why they fall short of the target (None if they do not)
         self.diagnostics: FitDiagnostics | None = None
+        self.shortfall: str | None = None
 
     def advance(self, total: int) -> None:
         """Run sweeps until ``total`` have been run in all."""
@@ -387,7 +371,8 @@ def fit(
     prior, seed and burn-in) instead of starting a new one, so only the
     sweeps past ``chain.sweeps`` are run.  The draws equal those of a
     fresh ``fit(design, prior, config)``.  Their diagnostics are left in
-    ``chain.diagnostics``.
+    ``chain.diagnostics``, and the shortfall warned about (or None) in
+    ``chain.shortfall``.
 
     Warns with ``ChainQualityWarning`` when fewer than
     ``config.target_retained`` draws are retained or, from 100 retained
@@ -399,26 +384,18 @@ def fit(
         raise ValueError("chain was started for a different design, prior, seed or burn-in")
     chain.advance(config.total)
     draws = chain.draws(config)
-    chain.diagnostics = diagnostics(draws) if draws.n_draws >= 100 else None
-    shortfall = target_shortfall(draws, chain.diagnostics, config)
-    if shortfall is not None:
-        warnings.warn(shortfall, ChainQualityWarning, stacklevel=2)
-    return draws
-
-
-def target_shortfall(draws: PosteriorDraws, diag: FitDiagnostics | None, config: McmcConfig) -> str | None:
-    """Why ``draws`` fall short of the retained-draw or ESS target; None when no shortfall is seen.
-
-    ``diag`` is ``diagnostics(draws)``, or None below 100 draws, where ESS is not measured.
-    """
+    chain.diagnostics = diag = diagnostics(draws) if draws.n_draws >= 100 else None
+    chain.shortfall = None
     if draws.n_draws < config.target_retained:
-        return f"retained {draws.n_draws} draws, below the target of {config.target_retained}"
-    if diag is not None and diag.min_ess < MIN_ESS_TARGET:
-        return (
+        chain.shortfall = f"retained {draws.n_draws} draws, below the target of {config.target_retained}"
+    elif diag is not None and diag.min_ess < MIN_ESS_TARGET:
+        chain.shortfall = (
             f"minimum effective sample size {diag.min_ess:.0f} is below {MIN_ESS_TARGET:.0f}; "
             "consider a longer chain or larger thinning interval"
         )
-    return None
+    if chain.shortfall is not None:
+        warnings.warn(chain.shortfall, ChainQualityWarning, stacklevel=2)
+    return draws
 
 
 @dataclass(frozen=True)
@@ -434,56 +411,42 @@ class FitDiagnostics:
         return min(self.ess.values())
 
 
-def _autocovariance(xc: np.ndarray, lag: int) -> float:
-    n = xc.size
-    return float(xc[: n - lag] @ xc[lag:]) / n
-
-
-def _ess_initial_positive(xc: np.ndarray, g0: float) -> float:
-    """Effective sample size via Geyer's initial positive sequence."""
-    n = xc.size
-    tau = 0.0
-    m = 0
-    while 2 * m + 1 < n:
-        rho_even = 1.0 if m == 0 else _autocovariance(xc, 2 * m) / g0
-        rho_odd = _autocovariance(xc, 2 * m + 1) / g0
-        pair = rho_even + rho_odd
-        if m > 0 and pair <= 0.0:
-            break
-        tau += 2.0 * pair
-        m += 1
-    tau -= 1.0
-    tau = max(tau, 1e-12)
-    return float(min(n / tau, n))
-
-
 def diagnostics(draws: PosteriorDraws) -> FitDiagnostics:
     """ESS and short-lag autocorrelations for every monitored parameter.
 
-    ESS uses the initial-positive-sequence truncation of the summed
-    autocorrelations; a constant trace is flagged degenerate and
-    reported at the full draw count.
+    One real FFT of the zero-padded (draws x parameters) trace matrix
+    gives every parameter's autocovariances at lags 0..n-1.  ESS is
+    ``n / tau`` with ``tau = -1 + 2 * sum_m (rho(2m) + rho(2m+1))``, the
+    sum stopped before the first non-positive pair past the first
+    (Geyer's initial positive sequence).  A constant trace is flagged
+    degenerate; its autocorrelations are zero, so its ESS is the full
+    draw count.
     """
     n = draws.n_draws
     if n < 100:
         raise ValueError(f"diagnostics need at least 100 retained draws, got {n}")
-    series = {name: trace for name, trace in zip(draws.parameter_names(), list(draws.beta.T) + [draws.sigma2])}
-    max_lag = min(_ACF_MAX_LAG, n - 2)
+    xc = np.column_stack((draws.beta, draws.sigma2))
+    xc -= xc.mean(axis=0)
+    g0 = np.einsum("ij,ij->j", xc, xc) / n
+    degenerate = g0 == 0.0
+    size = 1 << (2 * n - 1).bit_length()  # a power of two >= 2n - 1: no circular wrap below lag n
+    spectrum = np.fft.rfft(xc, size, axis=0)
+    acov = np.fft.irfft(spectrum.real**2 + spectrum.imag**2, size, axis=0)[:n] / n
+    rho = acov / np.where(degenerate, 1.0, g0)
 
-    ess: dict[str, float] = {}
-    acf: dict[str, np.ndarray] = {}
-    degenerate: set[str] = set()
-    for name, trace in series.items():
-        xc = trace - trace.mean()
-        g0 = float(xc @ xc) / n
-        if g0 == 0.0:
-            degenerate.add(name)
-            ess[name] = float(n)
-            acf[name] = np.zeros(max_lag)
-            continue
-        acf[name] = np.array([_autocovariance(xc, lag) / g0 for lag in range(1, max_lag + 1)])
-        ess[name] = _ess_initial_positive(xc, g0)
-    return FitDiagnostics(ess=ess, autocorrelations=acf, degenerate=frozenset(degenerate))
+    m = n // 2  # the pairs rho(2m) + rho(2m+1) with 2m + 1 < n
+    pairs = rho[0 : 2 * m : 2] + rho[1 : 2 * m : 2]
+    pairs[0] = 1.0 + rho[1]  # > 0: a lag-1 autocorrelation of -1 needs a zero trace
+    tau = 2.0 * np.sum(pairs, axis=0, where=np.logical_and.accumulate(pairs > 0.0, axis=0)) - 1.0
+    ess = np.minimum(n / np.maximum(tau, 1e-12), n)
+
+    names = draws.parameter_names()
+    acf = np.ascontiguousarray(rho[1 : min(_ACF_MAX_LAG, n - 2) + 1].T)
+    return FitDiagnostics(
+        ess=dict(zip(names, ess.tolist())),
+        autocorrelations=dict(zip(names, acf)),
+        degenerate=frozenset(name for name, flat in zip(names, degenerate) if flat),
+    )
 
 
 def save_draws(draws: PosteriorDraws, csv_path, sidecar_path=None, config_echo: dict | None = None) -> None:

@@ -18,10 +18,12 @@ from scipy.special import ndtr
 
 from .dataset import (
     _FIELDS,
+    AGE_RANGE,
     CovariateSchema,
     SurveySample,
     build_design,
     compute_centering,
+    in_age_range,
     pool_samples,
 )
 from .errors import ConfigError, require_number, require_object
@@ -160,8 +162,10 @@ def _generate_sample(
 ) -> SurveySample:
     """Covariates for one survey, with every outcome 0; clusters are consecutive blocks.
 
+    Births to mothers outside ``AGE_RANGE`` are dropped after the draws,
+    as ``ingest_csv`` drops them, and counted in ``dropped_rows``.
     ``ConfigError`` naming the survey when the generated values break an
-    invariant of ``SurveySample``.
+    invariant of ``SurveySample`` or no birth is kept.
     """
     n = spec.n_clusters * spec.births_per_cluster
     columns = {}
@@ -175,7 +179,13 @@ def _generate_sample(
     try:
         if "birth_order" in columns:
             columns["birth_order"] = np.trunc(columns["birth_order"].astype(float))
-        return SurveySample.from_columns(survey_id, spec.survey_year, np.zeros(n, dtype=np.int64), cluster_id, columns)
+        kept = in_age_range(columns, n)
+        if not kept.any():
+            raise ValueError(f"no maternal age lies in {list(AGE_RANGE)}")
+        return SurveySample.from_columns(
+            survey_id, spec.survey_year, np.zeros(int(kept.sum()), dtype=np.int64), cluster_id[kept],
+            {name: values[kept] for name, values in columns.items()}, dropped_rows=n - int(kept.sum()),
+        )
     except ValueError as exc:
         raise ConfigError(f"survey {survey_id}: the generated covariates are not a valid sample ({exc})") from None
 

@@ -21,7 +21,7 @@ from scipy.special import log_ndtr, ndtr, ndtri
 from .dataset import CovariateSchema, CovariateSpec, DesignMatrix, build_design, compute_centering
 from .decompose import decompose_draws
 from .errors import NonConvergenceError
-from .marginal import marginalize_all
+from .marginal import marginalize
 from .simulate import SyntheticConfig, SyntheticSurveySpec, synthesize
 
 __all__ = [
@@ -200,6 +200,6 @@ def variance_collapse(design2, draws1, draws2, order=None, convention: str = "ap
     matrix of the individual effects.  For draws already decomposed,
     ``VarianceCollapseProfile.from_draws`` gives it without a second walk.
     """
-    tilde1 = marginalize_all(draws1.beta, draws1.sigma2, convention)
-    tilde2 = marginalize_all(draws2.beta, draws2.sigma2, convention)
+    tilde1 = marginalize(draws1.beta, draws1.sigma2, convention)
+    tilde2 = marginalize(draws2.beta, draws2.sigma2, convention)
     return VarianceCollapseProfile.from_draws(decompose_draws(design2, design2, tilde1, tilde2, order))

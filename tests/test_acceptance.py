@@ -12,6 +12,7 @@ import itertools
 import math
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -270,7 +271,7 @@ def fitted_pair():
     d2 = build_design(s2, dgp.schema, centering, pooled)
     config = McmcConfig(total=1000 + 300 * 4, burnin=1000, thin=4, target_retained=300, seed=5)
     draws1 = fit(d1, PriorSpec(), config)
-    draws2 = fit(d2, PriorSpec(), McmcConfig(**{**config.to_dict(), "seed": 6}))
+    draws2 = fit(d2, PriorSpec(), replace(config, seed=6))
     return d1, d2, draws1, draws2
 
 

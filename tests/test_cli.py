@@ -2,6 +2,7 @@ import json
 import multiprocessing
 import os
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -282,11 +283,19 @@ class TestCommands:
         assert main(["run", "--config", str(path)]) == 2
         assert "error" in capsys.readouterr().err
 
-    def test_simulate_then_csv_run_round_trip(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "maternal_age", [None, {"dist": "uniform", "low": 10, "high": 50}], ids=["default", "ages_10_to_50"]
+    )
+    def test_simulate_then_csv_run_round_trip(self, tmp_path, capsys, maternal_age):
+        # synthetic births to mothers outside ages 15-45 are dropped as
+        # ingest_csv drops them, so both routes fit the same samples
         sim_dir = tmp_path / "sim"
         cfg = base_config(sim_dir)
+        if maternal_age is not None:
+            covariates(cfg)["maternal_age"] = maternal_age
         path = write_config(tmp_path, cfg)
         assert main(["simulate", "--config", str(path)]) == 0
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "synthetic_out")]) == 0
         capsys.readouterr()
         assert (sim_dir / "s1.csv").exists() and (sim_dir / "s2.csv").exists()
 
@@ -301,7 +310,8 @@ class TestCommands:
         csv_path = write_config(tmp_path, csv_cfg, "csv_config.json")
         assert main(["run", "--config", str(csv_path)]) == 0
         capsys.readouterr()
-        assert (tmp_path / "csv_out" / "decomposition.json").exists()
+        for name in ("decomposition.json", "draws_s1.csv", "diagnostics.json"):
+            assert (tmp_path / "csv_out" / name).read_bytes() == (tmp_path / "synthetic_out" / name).read_bytes(), name
 
     def test_fit_then_decompose_matches_run(self, tmp_path, capsys):
         onepass = tmp_path / "onepass"
@@ -330,6 +340,14 @@ class TestCommands:
         capsys.readouterr()
         doc = json.loads((out / "decomposition.json").read_text())
         assert doc["order"] == ["sex", "intercept"]
+
+    def test_run_rejects_an_unknown_order_group_before_fitting(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, base_config(out))
+        assert main(["run", "--config", str(path), "--order", "sex,bogus"]) == 2
+        record = self.error_record(capsys)
+        assert record["stage"] == "configure" and "order must be a permutation" in record["message"]
+        assert not list(out.glob("draws_*"))
 
     @staticmethod
     def two_covariate_config(out_dir, covariate_order):
@@ -400,8 +418,9 @@ class TestCommands:
             *MALFORMED_GENERATOR.values(),
             # generated values that break a sample invariant
             (lambda cfg: covariates(cfg).update(sex={"dist": "choice", "values": ["f", "m"]}), "sex"),
+            (lambda cfg: covariates(cfg).update(maternal_age={"dist": "uniform", "low": 50, "high": 60}), "S1"),
         ],
-        ids=["without_beta", *MALFORMED_GENERATOR, "sex_levels_unknown"],
+        ids=["without_beta", *MALFORMED_GENERATOR, "sex_levels_unknown", "no_age_in_range"],
     )
     def test_simulate_without_beta_exits_2(self, tmp_path, capsys, malform, words):
         cfg = base_config(tmp_path / "out")
@@ -499,6 +518,10 @@ class TestCommands:
             (lambda cfg: cfg["mcmc"].update(allow_short="no"), "mcmc.allow_short"),
             (lambda cfg: cfg.update(out_dir=5), "out_dir"),
             (lambda cfg: cfg.update(order=["intercept", 5]), "order[1]"),
+            # the order is checked against the schema when the config is read, before any fit
+            (lambda cfg: cfg.update(order=["intercept", "bogus"]), "order must be a permutation"),
+            (lambda cfg: cfg.update(order=["sex"]), "order must be a permutation"),
+            (lambda cfg: cfg.update(order=["intercept", "sex", "sex"]), "order must be a permutation"),
             (lambda cfg: cfg.update(survey_years={"s1": "2000", "s2": 2014}), "integers"),
             (lambda cfg: cfg.update(survey_years={"s1": 2000, "s2": 2014.7}), "integers"),
             (lambda cfg: cfg["schema"]["covariates"][0].update(name=["sex"]), "covariate spec name"),
@@ -527,6 +550,7 @@ class TestCommands:
             "mcmc_thin_fractional", "mcmc_total_numeric_string", "seed_boolean", "prior_beta_sd_nan_string",
             "prior_beta_sd_nan", "dgp_n_clusters_fractional", "csv_path_not_string",
             "auto_extend_string", "mcmc_allow_short_string", "out_dir_number", "order_entry_number",
+            "order_unknown_group", "order_without_intercept", "order_duplicate_group",
             "survey_year_string", "survey_year_fractional", "schema_name_not_string", "schema_allow_missing_string",
             "schema_reference_list", "schema_reference_number", "schema_reference_misspelt",
             *MALFORMED_GENERATOR,
@@ -760,3 +784,18 @@ def test_config_reader_returns_or_raises_mortdecomp_error(cfg):
         RunConfig.from_dict(cfg)
     except MortdecompError:
         pass
+
+
+def test_names_the_benchmark_reaches_still_exist(monkeypatch):
+    # perfbench/ imports and wraps program names; a renamed or deleted one
+    # fails here in seconds, not only in a traced benchmark run
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import tracing
+    import workloads  # noqa: F401
+
+    tracer = tracing.Tracer()
+    try:
+        tracing.instrument(tracer)
+    finally:
+        tracer.restore()
+    from mortdecomp import sample_truncated_normal  # noqa: F401

@@ -2,6 +2,7 @@ import itertools
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from mortdecomp.decompose import (
     posterior_decompose,
 )
 from mortdecomp.errors import ConfigError
-from mortdecomp.marginal import marginalize, marginalize_all
+from mortdecomp.marginal import marginalize
 from mortdecomp.sampler import PosteriorDraws
 from mortdecomp.validation import linear_oracle, random_design
 
@@ -288,8 +289,8 @@ class TestKernel:
             self.d1, self.d2, self.draws1, self.draws2, years_between=10.0, order=self.order
         )
         per_draw = out.draws
-        tilde1 = marginalize_all(self.draws1.beta, self.draws1.sigma2)
-        tilde2 = marginalize_all(self.draws2.beta, self.draws2.sigma2)
+        tilde1 = marginalize(self.draws1.beta, self.draws1.sigma2)
+        tilde2 = marginalize(self.draws2.beta, self.draws2.sigma2)
         for ell in range(per_draw.n_draws):
             d = decompose_draws(self.d1, self.d2, tilde1[ell], tilde2[ell], self.order)
             np.testing.assert_allclose(per_draw.rate1[ell], d.rate1[0], rtol=0, atol=1e-14)
@@ -318,8 +319,8 @@ class TestKernel:
         out = posterior_decompose(
             self.d1, self.d2, self.draws1, self.draws2, years_between=10.0, link="identity"
         )
-        tilde1 = marginalize_all(self.draws1.beta, self.draws1.sigma2)
-        tilde2 = marginalize_all(self.draws2.beta, self.draws2.sigma2)
+        tilde1 = marginalize(self.draws1.beta, self.draws1.sigma2)
+        tilde2 = marginalize(self.draws2.beta, self.draws2.sigma2)
         xbar1, xbar2 = self.d1.x.mean(axis=0), self.d2.x.mean(axis=0)
         for ell in range(out.draws.n_draws):
             want = linear_oracle(xbar1, xbar2, tilde1[ell], tilde2[ell])
@@ -332,6 +333,21 @@ class TestKernel:
             posterior_decompose(self.d1, self.d2, narrow, narrow, years_between=10.0)
         with pytest.raises(ConfigError, match="coefficients per draw"):
             decompose_draws(self.d1, self.d2, np.zeros(3), np.zeros(3))
+
+
+def test_decompose_rejects_draws_fitted_under_another_layout():
+    # same width, groups swapped: only the recorded layout tells them apart
+    rng = np.random.default_rng(41)
+    d1 = random_design(rng, 20, [1, 1])
+    d2 = random_design(rng, 20, [1, 1])
+    assert d2.column_groups == {"g0": (1, 2), "g1": (2, 3)}
+    center = np.array([-1.0, 0.2, -0.1])
+    fitted = random_draws(rng, center, 0.1, 10)
+    swapped = replace(fitted, column_groups={"g1": (1, 2), "g0": (2, 3)})
+    with pytest.raises(ConfigError, match="survey 2: draws were fitted under column groups"):
+        posterior_decompose(d1, d2, fitted, swapped, years_between=10.0)
+    matching = replace(fitted, column_groups=dict(d2.column_groups))
+    posterior_decompose(d1, d2, matching, matching, years_between=10.0)
 
 
 blas_threads = decompose_module._openblas_threads()

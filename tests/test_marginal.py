@@ -6,7 +6,6 @@ from mortdecomp.errors import ConfigError
 from mortdecomp.marginal import (
     marginal_prob,
     marginalize,
-    marginalize_all,
     mean_mortality,
 )
 from mortdecomp.sampler import PosteriorDraws
@@ -64,9 +63,10 @@ class TestMarginalize:
         rng = np.random.default_rng(0)
         beta = rng.normal(size=(20, 3))
         sigma2 = rng.gamma(1.0, 1.0, size=20)
-        out = marginalize_all(beta, sigma2)
+        out = marginalize(beta, sigma2)
+        assert out.shape == (20, 3)
         for i in range(20):
-            np.testing.assert_allclose(out[i], marginalize(beta[i], sigma2[i]))
+            np.testing.assert_array_equal(out[i], marginalize(beta[i], sigma2[i]))
 
     def test_monotone_shrinkage(self):
         rng = np.random.default_rng(1)
