@@ -12,6 +12,7 @@ identical and coefficient blocks can be swapped between them.
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -339,16 +340,49 @@ def _number(cell: str) -> float | None:
         return None
 
 
+def _parse_numbers(cells) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Raw CSV cells as ``(values, bad, empty)``: floats (NaN where a cell is
+    empty or does not parse), the mask of cells that do not parse, and
+    the mask of cells that are empty once stripped.
+
+    The whole column parses in one call, and ``float`` strips each cell
+    itself, so a column of numbers and empty cells is never stripped.  A
+    blank or bad cell fails that call; only then is the column stripped
+    and parsed cell by cell.
+    """
+    try:
+        values = np.array([c or "nan" for c in cells], dtype=float)
+    except ValueError:
+        stripped = [c.strip() for c in cells]
+        parsed = [_number(c) for c in stripped]
+        bad = np.array([v is None for v in parsed], dtype=bool)
+        return np.array(parsed, dtype=float), bad, np.array(stripped) == ""
+    empty = np.zeros(values.shape, dtype=bool)
+    missing = np.flatnonzero(np.isnan(values))  # empty cells, and "nan" text
+    empty[missing] = [cells[i] == "" for i in missing]
+    return values, np.zeros(values.shape, dtype=bool), empty
+
+
+def _csv_line(path: Path, index: int) -> int:
+    """The CSV line on which the ``index``-th non-blank data row ends."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)  # header
+        rows = (reader.line_num for row in reader if row)
+        return next(itertools.islice(rows, index, None))
+
+
 def ingest_csv(path, schema: CovariateSchema, survey_year: int, survey_id: str = "S1") -> SurveySample:
     """Read one survey's births from CSV, grouped by cluster.
 
     The header must name every schema covariate plus ``outcome`` and
     ``cluster_id``; every other known field in the header is read too.
     Rows whose maternal age falls outside [15, 45] are dropped; the count
-    of dropped rows is recorded on the sample.  A bad row raises
-    ``RowError`` at its CSV line: parse errors (empty, unparseable or
-    non-finite cells) count on every row, range and level errors only on
-    rows that are kept.
+    of dropped rows is recorded on the sample, and a file with no row
+    left raises ``EmptyInputError``.  A bad row raises ``RowError`` at
+    its CSV line: parse errors (empty, unparseable or non-finite cells)
+    count on every row, range and level errors only on rows that are
+    kept.
     """
     path = Path(path)
     if not path.exists():
@@ -364,16 +398,12 @@ def ingest_csv(path, schema: CovariateSchema, survey_year: int, survey_id: str =
         if missing:
             raise SchemaError(f"{path}: missing required column(s): {', '.join(missing)}")
         position = {h: j for j, h in enumerate(header)}
-        rows, lines = [], []
-        for row in reader:
-            if row:  # blank lines are skipped; short rows read as empty cells
-                if len(row) < len(header):
-                    row += [""] * (len(header) - len(row))
-                rows.append(row)
-                lines.append(reader.line_num)
+        rows = [row for row in reader if row]  # blank lines are skipped
     if not rows:
         raise EmptyInputError(f"{path}: header only, no data rows")
-    table = list(zip(*rows))
+    n = len(rows)
+    table = list(itertools.zip_longest(*rows, fillvalue=""))  # short rows read as empty cells
+    table += [("",) * n] * (len(header) - len(table))
 
     def cells(name):
         return [c.strip() for c in table[position[name]]]
@@ -386,29 +416,35 @@ def ingest_csv(path, schema: CovariateSchema, survey_year: int, survey_id: str =
     ]
     columns = {}
     for name in (f for f in _FIELDS if f in position):
-        raw = cells(name)
-        text = np.array(raw)
-        empty = text == ""
+        if name in _LEVELS:
+            columns[name] = text = np.array(cells(name))
+            checks.append((text == "", lambda i, name=name: f"empty value for {name!r}"))
+            continue
+        raw = table[position[name]]
+        values, bad, empty = _parse_numbers(raw)
         if name != "birth_interval":
             checks.append((empty, lambda i, name=name: f"empty value for {name!r}"))
-        if name in _LEVELS:
-            columns[name] = text
-            continue
-        parsed = [_number(c) for c in raw]
-        values, bad = np.array(parsed, dtype=float), np.array([v is None for v in parsed], dtype=bool)
         if name == "birth_order":  # "3.0" reads as 3; "2.5" does not parse
             bad |= np.isfinite(values) & (values != np.trunc(values))
-        checks.append((bad, lambda i, name=name, raw=raw: f"could not parse {name}={raw[i]!r}"))
+        checks.append((bad, lambda i, name=name, raw=raw: f"could not parse {name}={raw[i].strip()!r}"))
         checks.append(
-            (~np.isfinite(values) & ~empty & ~bad, lambda i, name=name, raw=raw: f"non-finite value {name}={raw[i]!r}")
+            (
+                ~np.isfinite(values) & ~empty & ~bad,
+                lambda i, name=name, raw=raw: f"non-finite value {name}={raw[i].strip()!r}",
+            )
         )
         columns[name] = values
 
-    kept = in_age_range(columns, len(rows))
+    kept = in_age_range(columns, n)
     checks += [(bad & kept, message) for bad, message in _field_checks(columns)]
     failure = _first_failure(checks)
     if failure is not None:
-        raise RowError(lines[failure[0]], failure[1])
+        raise RowError(_csv_line(path, failure[0]), failure[1])
+    if not kept.any():
+        raise EmptyInputError(
+            f"{path}: no births left after the maternal_age filter "
+            f"[{AGE_RANGE[0]:g}, {AGE_RANGE[1]:g}]: all {n} rows dropped"
+        )
 
     return SurveySample.from_columns(
         survey_id,
@@ -416,7 +452,7 @@ def ingest_csv(path, schema: CovariateSchema, survey_year: int, survey_id: str =
         outcome=(raw_outcome[kept] == "1").astype(np.int64),
         cluster_id=cluster_id[kept],
         columns={name: values[kept] for name, values in columns.items()},
-        dropped_rows=int(len(rows) - kept.sum()),
+        dropped_rows=int(n - kept.sum()),
     )
 
 

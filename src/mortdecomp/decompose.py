@@ -11,7 +11,11 @@ retained posterior draw turns those point identities into posterior
 distributions for every component.
 
 :func:`decompose_draws` is the one kernel: it decomposes a matrix of
-coefficient pairs, or a single pair, walking each pair once.
+coefficient pairs, or a single pair, walking each pair once with K + 3
+link passes for K swapped groups.  Each pass runs over a design's
+distinct rows, weighting each by its count, when at most half of the
+rows are distinct (categorical covariates repeat rows); otherwise it
+runs over every row, as ``np.mean`` of the per-row values.
 :func:`posterior_decompose` marginalizes two surveys' draws, runs the
 kernel and summarizes each component; its per-draw matrix
 (``DecompositionSummary.draws``) also yields the variance profile in
@@ -128,6 +132,37 @@ def _available_cores() -> int:
         return os.cpu_count() or 1
 
 
+_FOLD = np.uint64(0x9E3779B97F4A7C15)  # odd multiplier for the row-key fold
+
+
+def _distinct_rows(x: np.ndarray):
+    """``(rows, mean)``: the rows of ``x`` to evaluate, and how to average over them.
+
+    When at most half of the rows of ``x`` are distinct, ``rows`` holds
+    the distinct rows and ``mean`` weights each by its count over the
+    row total; otherwise ``rows`` is ``x`` and ``mean`` is ``np.mean``,
+    the per-row arithmetic.  Rows are compared by their bytes.  Equal
+    rows fold their bit patterns into equal keys, so more than ``n / 2``
+    distinct keys means more than ``n / 2`` distinct rows; that check
+    costs the key vector and its sort, never a copy of the design, and
+    sends a design of distinct rows to the per-row path ungrouped.
+    """
+    x = np.ascontiguousarray(x, dtype=float)
+    n, p = x.shape
+    key = np.zeros(n, dtype=np.uint64)
+    for col in x.view(np.uint64).T:
+        key *= _FOLD
+        key += col
+    if 2 * np.unique(key).size > n:
+        return x, np.mean
+    view = x.view(np.dtype((np.void, x.itemsize * p))).ravel()
+    _, first, counts = np.unique(view, return_index=True, return_counts=True)
+    if 2 * first.size > n:  # keys collided: the rows are still mostly distinct
+        return x, np.mean
+    weights = counts / n
+    return x[first], lambda v: weights @ v
+
+
 def validate_order(order, column_groups) -> list[str]:
     wanted = ["intercept"] + list(column_groups)
     if order is None:
@@ -180,9 +215,14 @@ def decompose_draws(design1, design2, tilde1, tilde2, order=None, link="probit")
     Per pair, K + 3 link passes for K groups: ``rate1``; the crossed mean
     that starts the swap walk; one per swapped group (skipped when its
     coefficients are equal); and ``rate2`` straight from ``x2 @ b2``, so
-    the group-sum identity compares two routes.  Draws are walked one at
-    a time (no ``(n, L)`` block), in contiguous chunks on one thread per
-    core; both identities are checked to 1e-12 on the full arrays.
+    the group-sum identity compares two routes.  Each design's distinct
+    rows are found once per call: when at most half of its rows are
+    distinct, its passes evaluate only those rows and each mean weights
+    them by count over the row total; otherwise its passes evaluate every
+    row and keep the per-row arithmetic bit for bit.  Draws are walked
+    one at a time (no ``(n, L)`` block), in contiguous chunks on one
+    thread per core; both identities are checked to 1e-12 on the full
+    arrays.
     """
     tilde1, tilde2 = np.atleast_2d(tilde1, tilde2)
     if design1.n_cols != design2.n_cols or design1.column_groups != design2.column_groups:
@@ -202,7 +242,7 @@ def decompose_draws(design1, design2, tilde1, tilde2, order=None, link="probit")
                 f"but the design has {design1.n_cols} columns"
             )
     f = _link_fn(link)
-    x1, x2 = design1.x, design2.x
+    (x1, mean1), (x2, mean2) = _distinct_rows(design1.x), _distinct_rows(design2.x)
     blocks = [design2.group_columns(name) for name in order]
     n_draws = tilde1.shape[0]
     rate1 = np.empty(n_draws)
@@ -212,17 +252,17 @@ def decompose_draws(design1, design2, tilde1, tilde2, order=None, link="probit")
     def walk_draws(lo, hi):  # fills rows lo..hi-1 of rate1, rate2 and walk
         for i in range(lo, hi):
             b1, b2 = tilde1[i], tilde2[i]
-            rate1[i] = np.mean(f(x1 @ b1))
+            rate1[i] = mean1(f(x1 @ b1))
             eta = x2 @ b1
-            walk[i, 0] = np.mean(f(eta))
+            walk[i, 0] = mean2(f(eta))
             for j, cols in enumerate(blocks, start=1):
                 delta = b2[cols] - b1[cols]
                 if np.any(delta != 0.0):
                     eta += x2[:, cols] @ delta
-                    walk[i, j] = np.mean(f(eta))
+                    walk[i, j] = mean2(f(eta))
                 else:
                     walk[i, j] = walk[i, j - 1]
-            rate2[i] = np.mean(f(x2 @ b2))
+            rate2[i] = mean2(f(x2 @ b2))
 
     hold = _one_blas_thread()
     n_chunks = 1 if hold is None else min(n_draws, _available_cores())

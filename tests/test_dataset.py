@@ -1,9 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mortdecomp.dataset import (
+    _number,
+    _parse_numbers,
     CenteringConstants,
     CovariateSchema,
     CovariateSpec,
@@ -15,6 +19,7 @@ from mortdecomp.dataset import (
     SurveySample,
     write_survey_csv,
 )
+from mortdecomp.cli import main
 from mortdecomp.errors import (
     DegenerateDesignError,
     EmptyInputError,
@@ -436,3 +441,82 @@ def test_write_then_ingest_round_trips_every_column(tmp_path_factory, rows):
     assert set(again.columns) == set(sample.columns) - all_missing
     for name in again.columns:
         np.testing.assert_array_equal(again.columns[name], sample.columns[name])
+
+
+def test_row_error_lines_count_blank_lines_short_rows_and_quoted_line_breaks(tmp_path):
+    schema = CovariateSchema((CovariateSpec("sex", "binary", reference="female"),))
+    header = "outcome,sex,cluster_id\n"
+    path = write_csv(tmp_path, ["0,female,a\n", "\n", "1,female\n"], header=header)
+    with pytest.raises(RowError, match="^line 4: empty cluster_id$"):
+        ingest_csv(path, schema, survey_year=2000)
+    path = write_csv(
+        tmp_path,
+        ["0,female,a\n", "\n", "1,male,b\n", '0,female,"c\nd"\n', "0,mal,e\n"],
+        header=header,
+        name="quoted.csv",
+    )
+    with pytest.raises(RowError, match="^line 7: sex must be one of") as err:
+        ingest_csv(path, schema, survey_year=2000)
+    assert err.value.line_number == 7
+
+
+def test_every_row_outside_the_age_filter_raises_at_ingest(tmp_path):
+    path = write_csv(tmp_path, ["0,50,6,2,24,female,rural,0.3,a\n", "1,14,6,2,24,male,urban,0.5,b\n"])
+    with pytest.raises(EmptyInputError, match="maternal_age filter \\[15, 45\\]: all 2 rows dropped") as err:
+        ingest_csv(path, default_schema(), survey_year=2000)
+    assert str(path) in str(err.value)
+
+
+def test_run_on_a_csv_emptied_by_the_age_filter_fails_at_load_samples(tmp_path, capsys):
+    schema = {"covariates": [{"name": "sex", "kind": "binary", "reference": "female"}]}
+    paths = []
+    for k, age in ((1, 50.0), (2, 30.0)):
+        rows = [f"{k % 2},{age},{'female' if i % 2 else 'male'},c{i % 3}\n" for i in range(12)]
+        paths.append(str(write_csv(tmp_path, rows, header="outcome,maternal_age,sex,cluster_id\n", name=f"s{k}.csv")))
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps(
+            {
+                "seed": 1,
+                "out_dir": str(tmp_path / "out"),
+                "input": {"mode": "csv", "s1_path": paths[0], "s2_path": paths[1]},
+                "survey_years": {"s1": 2000, "s2": 2014},
+                "schema": schema,
+                "mcmc": {"total": 60, "burnin": 10, "thin": 1, "target_retained": 50},
+                "auto_extend": False,
+            }
+        ),
+        encoding="utf-8",
+    )
+    assert main(["run", "--config", str(config)]) == 1
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[0])
+    assert record["error"]["stage"] == "load_samples"
+    assert record["error"]["type"] == "EmptyInputError"
+    assert paths[0] in record["error"]["message"] and "maternal_age" in record["error"]["message"]
+
+
+_cells = st.one_of(
+    st.text(max_size=10),
+    st.sampled_from(["", "  ", "inf", "-inf", "Infinity", "nan", "NaN", "1_000", "1__0", " 2.5 ", "\t3\n", "1e400", "+.5"]),
+    st.floats().map(repr),
+    st.floats().map(lambda v: f" {v!r}  "),
+    st.tuples(st.sampled_from(["", " ", "\t", "\u2007", "\x1c", "\xa0"]), st.floats().map(repr)).map("".join),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cells=st.lists(_cells, min_size=1, max_size=8))
+def test_bulk_parse_matches_the_per_cell_parse(cells):
+    # the bulk parse runs whenever a column has no blank or bad cell:
+    # check each cell alone as well as the whole column
+    for column in [cells] + [[c] for c in cells]:
+        stripped = [c.strip() for c in column]
+        parsed = [_number(c) for c in stripped]
+        values, bad = np.array(parsed, dtype=float), np.array([v is None for v in parsed], dtype=bool)
+        empty = np.array(stripped) == ""
+        got_values, got_bad, got_empty = _parse_numbers(column)
+        assert np.array_equal(got_values, values, equal_nan=True)
+        assert np.array_equal(np.signbit(got_values), np.signbit(values))
+        assert np.array_equal(got_bad, bad) and np.array_equal(got_empty, empty)
+        # the ingest's non-finite mask
+        assert np.array_equal(~np.isfinite(got_values) & ~got_empty & ~got_bad, ~np.isfinite(values) & ~empty & ~bad)

@@ -505,6 +505,99 @@ def test_additivity_identities_hold_through_threaded_decompose(group_sizes, n_ro
     assert np.all(np.abs(out.group_effects.sum(axis=1) - out.beta_effect) <= 1e-12)
 
 
+def per_row_reference(d1, d2, tilde1, tilde2, order):
+    """The decomposition walked by hand: every mean over every row with ``np.mean``."""
+    blocks = [d2.group_columns(name) for name in order]
+    fields = {name: [] for name in ("rate1", "rate2", "x_effect", "beta_effect", "group_effects")}
+    for b1, b2 in zip(tilde1, tilde2):
+        rate1 = np.mean(ndtr(d1.x @ b1))
+        eta = d2.x @ b1
+        walk = [np.mean(ndtr(eta))]
+        for cols in blocks:
+            delta = b2[cols] - b1[cols]
+            if np.any(delta != 0.0):
+                eta += d2.x[:, cols] @ delta
+                walk.append(np.mean(ndtr(eta)))
+            else:
+                walk.append(walk[-1])
+        rate2 = np.mean(ndtr(d2.x @ b2))
+        walk = np.array(walk)
+        for name, value in zip(fields, (rate1, rate2, rate1 - walk[0], walk[0] - rate2, walk[:-1] - walk[1:])):
+            fields[name].append(value)
+    return {name: np.array(values) for name, values in fields.items()}
+
+
+def binary_design(rng, n_rows, n_binary):
+    """Intercept plus ``n_binary`` 0/1 columns: at most ``2 ** n_binary`` distinct rows."""
+    return design_from(np.column_stack([np.ones(n_rows), rng.integers(0, 2, size=(n_rows, n_binary))]))
+
+
+def design_with_distinct(rng, n_rows, n_distinct):
+    """Intercept plus two normal columns, with exactly ``n_distinct`` distinct rows."""
+    rows = np.column_stack([np.ones(n_distinct), rng.normal(size=(n_distinct, 2))])
+    return design_from(rows[np.concatenate([np.arange(n_distinct), rng.integers(0, n_distinct, n_rows - n_distinct)])])
+
+
+def ndtr_evals_per_draw(monkeypatch, d1, d2, tilde1, tilde2):
+    evaluated = []
+
+    def counting_ndtr(v):
+        evaluated.append(np.size(v))
+        return ndtr(v)
+
+    monkeypatch.setattr(decompose_module, "ndtr", counting_ndtr)
+    decompose_draws(d1, d2, tilde1, tilde2)
+    return sum(evaluated) / tilde1.shape[0]
+
+
+class TestDistinctRows:
+    """A design with at most half its rows distinct is walked over those rows, weighted by count."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(60)
+        self.d1 = binary_design(rng, 240, 3)
+        self.d2 = binary_design(rng, 300, 3)
+        self.tilde1 = rng.normal(-1.0, 0.4, size=(25, 4))
+        self.tilde2 = self.tilde1 + rng.normal(0.0, 0.2, size=(25, 4))
+        self.order = ["g2", "intercept", "g3", "g1"]
+
+    def test_repeated_rows_match_the_per_row_reference(self):
+        self.tilde2[::4, 2] = self.tilde1[::4, 2]  # the zero-delta skip runs too
+        out = decompose_draws(self.d1, self.d2, self.tilde1, self.tilde2, self.order)
+        want = per_row_reference(self.d1, self.d2, self.tilde1, self.tilde2, self.order)
+        for name, value in want.items():
+            np.testing.assert_allclose(getattr(out, name), value, rtol=0, atol=1e-15, err_msg=name)
+
+    def test_link_passes_run_over_the_distinct_rows(self, monkeypatch):
+        u1, u2 = (np.unique(d.x, axis=0).shape[0] for d in (self.d1, self.d2))
+        assert u1 == u2 == 8
+        k = len(self.order)  # the intercept swaps as a group of its own
+        per_draw = ndtr_evals_per_draw(monkeypatch, self.d1, self.d2, self.tilde1, self.tilde2)
+        assert per_draw == u1 + (k + 2) * u2
+
+    @pytest.mark.parametrize("extra, collapsed", [(0, True), (1, False)], ids=["half", "half_plus_one"])
+    def test_collapse_only_when_at_most_half_the_rows_are_distinct(self, monkeypatch, extra, collapsed):
+        rng = np.random.default_rng(61)
+        n = 200
+        d1 = design_with_distinct(rng, n, n // 2 + extra)
+        d2 = design_with_distinct(rng, n, n // 2 + extra)
+        tilde1, tilde2 = rng.normal(-1.0, 0.3, size=(2, 6, 3))
+        rows = n // 2 + extra if collapsed else n
+        k = len(d2.column_groups) + 1
+        assert ndtr_evals_per_draw(monkeypatch, d1, d2, tilde1, tilde2) == rows + (k + 2) * rows
+
+    def test_distinct_rows_keep_the_per_row_bytes(self):
+        rng = np.random.default_rng(62)
+        d1, d2 = random_design(rng, 90, [1, 2]), random_design(rng, 110, [1, 2])
+        tilde1 = rng.normal(-1.0, 0.4, size=(20, 4))
+        tilde2 = tilde1 + rng.normal(0.0, 0.2, size=(20, 4))
+        order = ["g1", "intercept", "g0"]
+        tilde2[::4, 0] = tilde1[::4, 0]
+        out = decompose_draws(d1, d2, tilde1, tilde2, order)
+        for name, value in per_row_reference(d1, d2, tilde1, tilde2, order).items():
+            assert np.array_equal(getattr(out, name), value), name
+
+
 class TestAnnualize:
     def test_paper_fixture_values(self):
         assert abs(annualize(75.0, 14.0) - 5.3571428571) < 1e-9
