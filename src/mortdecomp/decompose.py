@@ -11,27 +11,33 @@ retained posterior draw turns those point identities into posterior
 distributions for every component.
 
 :func:`decompose_draws` is the one kernel: it decomposes a matrix of
-coefficient pairs, or a single pair, walking each pair once with K + 3
-link passes for K swapped groups.  Each pass runs over a design's
-distinct rows, weighting each by its count, when at most half of the
-rows are distinct (categorical covariates repeat rows); otherwise it
-runs over every row, as ``np.mean`` of the per-row values.
+coefficient pairs, or a single pair, with K + 3 link passes per pair for
+K swapped groups.  Every mean is one weighted sum over a design's rows:
+over its distinct rows, each weighted by its count, when at most half of
+the rows are distinct (categorical covariates repeat rows); otherwise
+over every row, each weighted ``1 / n``.  The kernel takes the draws in
+blocks of 16 and walks each block over tiles of 1024 design rows with
+matrix products, running all of the block's link passes on a tile while
+the tile and the block's linear predictor stay in cache (the cache
+blocking of Goto & van de Geijn, 2008, ACM TOMS 34(3)).
 :func:`posterior_decompose` marginalizes two surveys' draws, runs the
 kernel and summarizes each component; its per-draw matrix
 (``DecompositionSummary.draws``) also yields the variance profile in
-:mod:`mortdecomp.validation`.  The kernel splits the draws into
-contiguous chunks, one per available core, and walks each on its own
-thread (``ndtr`` releases the GIL).  While those threads run it holds
-numpy's OpenBLAS to one thread, so the matrix-vector products do not
-spin the cores the chunks need, and then restores the previous count;
-no environment variable is read or written.  Every draw's arithmetic is
-the same as on one thread, so the outputs are identical bytes.  Where
-numpy's BLAS exports no thread control, the kernel walks all draws on
-the calling thread.
+:mod:`mortdecomp.validation`.  The kernel splits the blocks into
+contiguous runs, one per available core, and walks each on its own
+thread (``ndtr`` releases the GIL).  While it walks, on one thread or
+several, it holds numpy's OpenBLAS to one thread, so the matrix
+products do not spin the cores the runs need and split no product
+across threads, and then restores the previous count; no environment
+variable is read or written.  Blocks are counted from draw 0 whatever
+the core count, so every draw's arithmetic is the same as on one thread
+and the outputs are identical bytes.  Where numpy's BLAS exports no
+thread control, the kernel walks all blocks on the calling thread.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import os
@@ -134,18 +140,27 @@ def _available_cores() -> int:
 
 _FOLD = np.uint64(0x9E3779B97F4A7C15)  # odd multiplier for the row-key fold
 
+# The walk takes draws in blocks of _DRAW_BLOCK, counted from draw 0, and
+# each design in tiles of _ROW_TILE rows: a block's linear predictor on one
+# tile is _DRAW_BLOCK * _ROW_TILE = 16384 elements, so the tile, the
+# predictor and its link values stay in a core's L2 cache (about 1 MB in
+# all) while every link pass of the block runs on the tile.
+_DRAW_BLOCK = 16
+_ROW_TILE = 1024
+
 
 def _distinct_rows(x: np.ndarray):
-    """``(rows, mean)``: the rows of ``x`` to evaluate, and how to average over them.
+    """``(rows, weights)``: the rows of ``x`` to evaluate, and each one's weight in the mean.
 
     When at most half of the rows of ``x`` are distinct, ``rows`` holds
-    the distinct rows and ``mean`` weights each by its count over the
-    row total; otherwise ``rows`` is ``x`` and ``mean`` is ``np.mean``,
-    the per-row arithmetic.  Rows are compared by their bytes.  Equal
-    rows fold their bit patterns into equal keys, so more than ``n / 2``
-    distinct keys means more than ``n / 2`` distinct rows; that check
-    costs the key vector and its sort, never a copy of the design, and
-    sends a design of distinct rows to the per-row path ungrouped.
+    the distinct rows and ``weights`` each one's count over the row
+    total; otherwise ``rows`` is ``x`` and every weight is ``1 / n``.  A
+    mean over ``x`` is then ``weights @ values`` either way.  Rows are
+    compared by their bytes.  Equal rows fold their bit patterns into
+    equal keys, so more than ``n / 2`` distinct keys means more than
+    ``n / 2`` distinct rows; that check costs the key vector and its
+    sort, never a copy of the design, and sends a design of distinct rows
+    to the per-row path ungrouped.
     """
     x = np.ascontiguousarray(x, dtype=float)
     n, p = x.shape
@@ -154,13 +169,12 @@ def _distinct_rows(x: np.ndarray):
         key *= _FOLD
         key += col
     if 2 * np.unique(key).size > n:
-        return x, np.mean
+        return x, np.full(n, 1.0 / n)
     view = x.view(np.dtype((np.void, x.itemsize * p))).ravel()
     _, first, counts = np.unique(view, return_index=True, return_counts=True)
     if 2 * first.size > n:  # keys collided: the rows are still mostly distinct
-        return x, np.mean
-    weights = counts / n
-    return x[first], lambda v: weights @ v
+        return x, np.full(n, 1.0 / n)
+    return x[first], counts / n
 
 
 def validate_order(order, column_groups) -> list[str]:
@@ -213,16 +227,21 @@ def decompose_draws(design1, design2, tilde1, tilde2, order=None, link="probit")
     but not the sum.
 
     Per pair, K + 3 link passes for K groups: ``rate1``; the crossed mean
-    that starts the swap walk; one per swapped group (skipped when its
-    coefficients are equal); and ``rate2`` straight from ``x2 @ b2``, so
-    the group-sum identity compares two routes.  Each design's distinct
-    rows are found once per call: when at most half of its rows are
-    distinct, its passes evaluate only those rows and each mean weights
-    them by count over the row total; otherwise its passes evaluate every
-    row and keep the per-row arithmetic bit for bit.  Draws are walked
-    one at a time (no ``(n, L)`` block), in contiguous chunks on one
-    thread per core; both identities are checked to 1e-12 on the full
-    arrays.
+    that starts the swap walk; one per swapped group; and ``rate2``
+    straight from ``x2 @ b2``, so the group-sum identity compares two
+    routes.  A group's pass is skipped for a block of draws only when
+    every draw in the block has equal coefficients for it; a draw whose
+    coefficients are equal in a block that does run the pass takes the
+    previous walk entry after the block, so its group effect is exactly
+    ``0.0`` either way.  Each design's distinct rows are found once per
+    call: when at most half of its rows are distinct, its passes
+    evaluate only those rows and each mean weights them by count over
+    the row total; otherwise its passes evaluate every row, each
+    weighted ``1 / n``.  Draws are walked in blocks of 16 counted from
+    draw 0, each block over tiles of 1024 design rows with matrix
+    products (no ``(n, L)`` array); runs of whole blocks go to one
+    thread per core, so a draw's arithmetic does not depend on the core
+    count.  Both identities are checked to 1e-12 on the full arrays.
     """
     tilde1, tilde2 = np.atleast_2d(tilde1, tilde2)
     if design1.n_cols != design2.n_cols or design1.column_groups != design2.column_groups:
@@ -242,36 +261,45 @@ def decompose_draws(design1, design2, tilde1, tilde2, order=None, link="probit")
                 f"but the design has {design1.n_cols} columns"
             )
     f = _link_fn(link)
-    (x1, mean1), (x2, mean2) = _distinct_rows(design1.x), _distinct_rows(design2.x)
-    blocks = [design2.group_columns(name) for name in order]
+    (x1, w1), (x2, w2) = _distinct_rows(design1.x), _distinct_rows(design2.x)
+    group_cols = [design2.group_columns(name) for name in order]
     n_draws = tilde1.shape[0]
-    rate1 = np.empty(n_draws)
-    rate2 = np.empty(n_draws)
-    walk = np.empty((n_draws, len(order) + 1))  # column 0: crossed mean; column j: after swap j
+    rate1 = np.zeros(n_draws)
+    rate2 = np.zeros(n_draws)
+    walk = np.zeros((n_draws, len(order) + 1))  # column 0: crossed mean; column j: after swap j
 
-    def walk_draws(lo, hi):  # fills rows lo..hi-1 of rate1, rate2 and walk
-        for i in range(lo, hi):
-            b1, b2 = tilde1[i], tilde2[i]
-            rate1[i] = mean1(f(x1 @ b1))
-            eta = x2 @ b1
-            walk[i, 0] = mean2(f(eta))
-            for j, cols in enumerate(blocks, start=1):
-                delta = b2[cols] - b1[cols]
-                if np.any(delta != 0.0):
-                    eta += x2[:, cols] @ delta
-                    walk[i, j] = mean2(f(eta))
-                else:
-                    walk[i, j] = walk[i, j - 1]
-            rate2[i] = mean2(f(x2 @ b2))
+    def walk_block(lo, hi):  # fills rows lo..hi-1 of rate1, rate2 and walk
+        b1, b2 = tilde1[lo:hi], tilde2[lo:hi]
+        deltas = [b2[:, cols] - b1[:, cols] for cols in group_cols]
+        swaps = [(j, cols, delta) for j, (cols, delta) in enumerate(zip(group_cols, deltas), start=1) if np.any(delta)]
+        for r in range(0, x1.shape[0], _ROW_TILE):
+            rate1[lo:hi] += f(b1 @ x1[r : r + _ROW_TILE].T) @ w1[r : r + _ROW_TILE]
+        for r in range(0, x2.shape[0], _ROW_TILE):
+            xt, w = x2[r : r + _ROW_TILE].T, w2[r : r + _ROW_TILE]
+            eta = b1 @ xt
+            walk[lo:hi, 0] += f(eta) @ w
+            for j, cols, delta in swaps:
+                eta += delta @ xt[cols]
+                walk[lo:hi, j] += f(eta) @ w
+            rate2[lo:hi] += f(b2 @ xt) @ w
+        for j, delta in enumerate(deltas, start=1):
+            same = lo + np.flatnonzero(~np.any(delta, axis=1))
+            walk[same, j] = walk[same, j - 1]
 
+    def walk_blocks(first, last):  # blocks first..last-1
+        for start in range(first * _DRAW_BLOCK, min(last * _DRAW_BLOCK, n_draws), _DRAW_BLOCK):
+            walk_block(start, min(start + _DRAW_BLOCK, n_draws))
+
+    n_blocks = -(-n_draws // _DRAW_BLOCK)
     hold = _one_blas_thread()
-    n_chunks = 1 if hold is None else min(n_draws, _available_cores())
-    if n_chunks <= 1:
-        walk_draws(0, n_draws)
-    else:
-        bounds = [n_draws * c // n_chunks for c in range(n_chunks + 1)]
-        with hold, ThreadPoolExecutor(n_chunks) as pool:
-            list(pool.map(walk_draws, bounds[:-1], bounds[1:]))
+    n_chunks = 1 if hold is None else min(n_blocks, _available_cores())
+    with hold or contextlib.nullcontext():
+        if n_chunks <= 1:
+            walk_blocks(0, n_blocks)
+        else:
+            bounds = [n_blocks * c // n_chunks for c in range(n_chunks + 1)]
+            with ThreadPoolExecutor(n_chunks) as pool:
+                list(pool.map(walk_blocks, bounds[:-1], bounds[1:]))
 
     crossed = walk[:, 0]
     x_effect = rate1 - crossed

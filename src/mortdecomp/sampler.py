@@ -205,7 +205,8 @@ def _truncated_std_normal_above(a: np.ndarray, rng: np.random.Generator, groups=
         moderate = g[~in_far]
         u[moderate] = rng.random(moderate.size)
         idx = g[in_far]
-        far.append((idx, _far_tail(a[idx], rng)))
+        if idx.size:  # an empty call would draw nothing
+            far.append((idx, _far_tail(a[idx], rng)))
     x = ndtri(np.where(low, t + u * (1.0 - t), (1.0 - u) * t))
     np.negative(x, out=x, where=~low)
     for idx, draws in far:

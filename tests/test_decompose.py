@@ -422,6 +422,21 @@ class TestThreadedKernel:
         assert len({ident for ident, _ in seen}) == 2
         assert {count for _, count in seen} == {1}
 
+    @needs_blas_control
+    def test_one_chunk_also_walks_with_blas_at_one(self, monkeypatch, blas_at_three):
+        # a product split across BLAS threads could round differently from
+        # the threaded walk's, so the one-chunk walk holds BLAS at one too
+        seen = []
+
+        def recording_ndtr(v):
+            seen.append((threading.get_ident(), blas_threads[0]()))
+            return ndtr(v)
+
+        self.draws_on(monkeypatch, 1, link=recording_ndtr)
+        assert {ident for ident, _ in seen} == {threading.get_ident()}
+        assert {count for _, count in seen} == {1}
+        assert blas_threads[0]() == blas_at_three
+
     def test_without_blas_control_one_chunk_on_the_calling_thread(self, monkeypatch):
         serial = self.draws_on(monkeypatch, 1)
         monkeypatch.setattr(decompose_module, "_one_blas_thread", lambda: None)
@@ -452,15 +467,19 @@ class TestThreadedKernel:
             self.draws_on(monkeypatch, 2, link=lambda v: ndtr(v) + 1e-6 * next(calls))
         assert blas_threads[0]() == blas_at_three
 
+        # two blocks of six passes each: call 9 is in the second block's walk
         failing_calls = itertools.count()
+        raised_on = []
 
         def failing_ndtr(v):
-            if next(failing_calls) == 40:
+            if next(failing_calls) == 9:
+                raised_on.append(threading.get_ident())
                 raise FloatingPointError("link failed on a worker thread")
             return ndtr(v)
 
         with pytest.raises(FloatingPointError, match="worker thread"):
             self.draws_on(monkeypatch, 2, link=failing_ndtr)
+        assert raised_on and raised_on[0] != threading.get_ident()
         assert blas_threads[0]() == blas_at_three
 
     def test_concurrent_decompositions_agree_and_restore_blas(self, monkeypatch):
@@ -586,7 +605,7 @@ class TestDistinctRows:
         k = len(d2.column_groups) + 1
         assert ndtr_evals_per_draw(monkeypatch, d1, d2, tilde1, tilde2) == rows + (k + 2) * rows
 
-    def test_distinct_rows_keep_the_per_row_bytes(self):
+    def test_distinct_rows_match_the_per_row_reference(self):
         rng = np.random.default_rng(62)
         d1, d2 = random_design(rng, 90, [1, 2]), random_design(rng, 110, [1, 2])
         tilde1 = rng.normal(-1.0, 0.4, size=(20, 4))
@@ -595,7 +614,85 @@ class TestDistinctRows:
         tilde2[::4, 0] = tilde1[::4, 0]
         out = decompose_draws(d1, d2, tilde1, tilde2, order)
         for name, value in per_row_reference(d1, d2, tilde1, tilde2, order).items():
-            assert np.array_equal(getattr(out, name), value), name
+            np.testing.assert_allclose(getattr(out, name), value, rtol=0, atol=1e-15, err_msg=name)
+
+
+class TestTiledWalk:
+    """Blocks of draws walk tiles of design rows: more than one of each, neither a whole multiple."""
+
+    n_draws = 3 * decompose_module._DRAW_BLOCK + 5
+    order = ["g1", "intercept", "g2", "g0"]
+
+    def designs(self, rng, n_distinct=None):
+        """Two designs walked over more than one row tile, neither row count a multiple of the tile."""
+        tile = decompose_module._ROW_TILE
+        n1, n2 = 2 * tile + 331, 2 * tile + 517
+        if n_distinct is None:
+            designs = random_design(rng, n1, [1, 2, 1]), random_design(rng, n2, [1, 2, 1])
+        else:
+            designs = design_with_distinct(rng, n1, n_distinct), design_with_distinct(rng, n2, n_distinct)
+        walked = [decompose_module._distinct_rows(d.x)[0].shape[0] for d in designs]
+        assert min(walked) > tile and all(w % tile for w in walked)
+        assert (walked == [n1, n2]) == (n_distinct is None)
+        return designs
+
+    def coefficients(self, rng, p):
+        tilde1 = rng.normal(-1.0, 0.4, size=(self.n_draws, p))
+        return tilde1, tilde1 + rng.normal(0.0, 0.2, size=(self.n_draws, p))
+
+    @pytest.mark.parametrize("n_distinct", [None, 1200], ids=["per_row", "collapsed"])
+    def test_many_tiles_and_blocks_match_the_per_row_reference(self, n_distinct):
+        rng = np.random.default_rng(70)
+        d1, d2 = self.designs(rng, n_distinct)
+        tilde1, tilde2 = self.coefficients(rng, d1.n_cols)
+        order = ["intercept"] + list(d2.column_groups) if n_distinct else self.order
+        tilde2[::5, 1] = tilde1[::5, 1]  # the zero-delta copy runs too
+        out = decompose_draws(d1, d2, tilde1, tilde2, order)
+        for name, value in per_row_reference(d1, d2, tilde1, tilde2, order).items():
+            np.testing.assert_allclose(getattr(out, name), value, rtol=0, atol=1e-15, err_msg=name)
+
+    @pytest.mark.parametrize("cores", [2, 3, 7])
+    def test_core_count_leaves_the_bytes(self, monkeypatch, cores):
+        rng = np.random.default_rng(71)
+        d1, d2 = self.designs(rng)
+        tilde1, tilde2 = self.coefficients(rng, d1.n_cols)
+        tilde1, tilde2 = np.tile(tilde1, (3, 1)), np.tile(tilde2, (3, 1))  # ten blocks, the last short
+        runs = {}
+        for n in (1, cores):
+            monkeypatch.setattr(decompose_module, "_available_cores", lambda n=n: n)
+            runs[n] = decompose_draws(d1, d2, tilde1, tilde2, self.order)
+        for name in ("rate1", "rate2", "x_effect", "beta_effect", "group_effects"):
+            assert np.array_equal(getattr(runs[cores], name), getattr(runs[1], name)), name
+
+    def test_link_passes_per_draw_over_tiles(self, monkeypatch):
+        rng = np.random.default_rng(72)
+        d1, d2 = self.designs(rng)
+        tilde1, tilde2 = self.coefficients(rng, d1.n_cols)
+        per_draw = ndtr_evals_per_draw(monkeypatch, d1, d2, tilde1, tilde2)
+        assert per_draw == d1.n_rows + (len(self.order) + 2) * d2.n_rows
+
+    def test_zero_delta_in_a_whole_block_and_in_part_of_one(self, monkeypatch):
+        rng = np.random.default_rng(73)
+        d1, d2 = self.designs(rng)
+        tilde1, tilde2 = self.coefficients(rng, d1.n_cols)
+        block = decompose_module._DRAW_BLOCK
+        g0 = d2.group_columns("g0")
+        tilde2[:block, g0] = tilde1[:block, g0]  # every draw of block 0
+        some = np.arange(block, 2 * block, 3)
+        tilde2[some, g0] = tilde1[some, g0]  # a third of block 1
+        j = self.order.index("g0")
+
+        per_draw = ndtr_evals_per_draw(monkeypatch, d1, d2, tilde1, tilde2)
+        skipped = block * d2.n_rows  # g0's pass over block 0 only
+        assert per_draw * self.n_draws == self.n_draws * (d1.n_rows + (len(self.order) + 2) * d2.n_rows) - skipped
+
+        out = decompose_draws(d1, d2, tilde1, tilde2, self.order)
+        zero = np.zeros(self.n_draws, dtype=bool)
+        zero[:block] = zero[some] = True
+        assert np.all(out.group_effects[zero, j] == 0.0)
+        assert np.all(out.group_effects[~zero, j] != 0.0)
+        for name, value in per_row_reference(d1, d2, tilde1, tilde2, self.order).items():
+            np.testing.assert_allclose(getattr(out, name), value, rtol=0, atol=1e-15, err_msg=name)
 
 
 class TestAnnualize:

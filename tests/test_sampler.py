@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr, ndtri
 
+import mortdecomp.sampler as sampler_module
 from mortdecomp.dataset import (
     CenteringConstants,
     CovariateSchema,
@@ -188,6 +189,20 @@ class TestSignedLatentDraw:
         self.both(np.array([-40.0, -7.0, 0.3, 40.0, -9.0, 7.0]), y, 5)  # every death in the far tail
         self.both(np.array([0.2, -1.0, 7.0, 40.0, 0.0, 9.0]), y, 6)  # every survivor in the far tail
         self.both(np.array([-40.0, -7.0, 7.0, 40.0, -9.0, 9.0]), y, 7)  # every element
+
+    def test_far_tail_runs_only_for_a_group_that_reaches_it(self, monkeypatch):
+        sizes = []
+        real_far_tail = sampler_module._far_tail
+
+        def recording_far_tail(a, rng):
+            sizes.append(a.size)
+            return real_far_tail(a, rng)
+
+        monkeypatch.setattr(sampler_module, "_far_tail", recording_far_tail)
+        y = np.array([1, 1, 0, 0, 1, 0])
+        self.both(np.array([-40.0, 0.5, 0.3, -0.2, -9.0, 1.0]), y, 8)  # two deaths in the far tail
+        self.both(np.array([0.2, -1.0, 0.3, -0.2, 0.0, 1.0]), y, 9)  # none at all
+        assert sizes == [2]
 
     def test_chain_equals_the_two_call_sweep(self):
         # the earlier sweep, written out with the two-call latent draw
