@@ -65,7 +65,8 @@ from .decompose import (
     posterior_decompose,
     validate_order,
 )
-from .errors import ConfigError, MortdecompError, require_bool, require_number, require_object, require_str
+from .errors import ConfigError, MortdecompError, read_json, write_json
+from .errors import require_bool, require_number, require_object, require_str
 # diagnostics, mean_mortality and variance_collapse are not called in this
 # module; perfbench/tracing.py wraps them here by name, so they stay imported.
 from .marginal import CONVENTIONS, marginal_prob, marginalize, mean_mortality  # noqa: F401
@@ -224,14 +225,7 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path, overrides: dict | None = None) -> "RunConfig":
-        text = Path(path).read_text(encoding="utf-8")
-        if not text.strip():
-            raise ConfigError(f"{path}: config file is empty")
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON ({exc})") from None
-        return cls.from_dict(raw, overrides)
+        return cls.from_dict(read_json(path), overrides)
 
 
 @dataclass
@@ -404,17 +398,11 @@ def _survey_diagnostics(fitted, survey: SurveyFit, sample):
     }
     diag = survey.diagnostics
     if diag is not None:
-        out["ess"] = {k: v for k, v in sorted(diag.ess.items())}
+        out["ess"] = dict(diag.ess)  # write_json sorts the keys
         out["min_ess"] = diag.min_ess
-        out["lag1_autocorrelation"] = {
-            k: float(v[0]) for k, v in sorted(diag.autocorrelations.items())
-        }
+        out["lag1_autocorrelation"] = {k: float(v[0]) for k, v in diag.autocorrelations.items()}
         out["degenerate"] = sorted(diag.degenerate)
     return out
-
-
-def _write_json(doc: dict, path: Path) -> None:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _versions() -> dict:
@@ -466,7 +454,7 @@ def run_pipeline(config: RunConfig) -> dict:
             "s1": _survey_diagnostics(summary.rate_s1, fit1, s1),
             "s2": _survey_diagnostics(summary.rate_s2, fit2, s2),
         }
-        _write_json(diag_doc, out.path("diagnostics.json"))
+        write_json(diag_doc, out.path("diagnostics.json"))
 
         out.stage = "manifest"
         manifest = {
@@ -475,7 +463,7 @@ def run_pipeline(config: RunConfig) -> dict:
             "versions": _versions(),
             "files": {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.written},
         }
-        _write_json(manifest, out.path("run_manifest.json"))
+        write_json(manifest, out.path("run_manifest.json"))
     except BaseException as exc:
         for path in out.written:
             try:
@@ -712,7 +700,7 @@ def main(argv=None) -> int:
     except _StageFailure as fail:
         print(_error_record(fail.stage, fail.cause), file=sys.stderr)
         return 1
-    except (MortdecompError, FileNotFoundError) as exc:
+    except (MortdecompError, OSError) as exc:
         print(_error_record("configure", exc), file=sys.stderr)
         print(f"error: {exc}", file=sys.stderr)
         print(f"run 'mortdecomp {args.command} --help' for usage", file=sys.stderr)

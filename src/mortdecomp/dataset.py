@@ -385,20 +385,20 @@ def ingest_csv(path, schema: CovariateSchema, survey_year: int, survey_id: str =
     kept.
     """
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(path)
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise EmptyInputError(f"{path}: file is empty")
-        header = [h.strip() for h in header]
-        required = ["outcome", "cluster_id"] + schema.names
-        missing = [c for c in required if c not in header]
-        if missing:
-            raise SchemaError(f"{path}: missing required column(s): {', '.join(missing)}")
-        position = {h: j for j, h in enumerate(header)}
-        rows = [row for row in reader if row]  # blank lines are skipped
+        try:
+            lines = list(csv.reader(fh))
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    if not lines:
+        raise EmptyInputError(f"{path}: file is empty")
+    header = [h.strip() for h in lines[0]]
+    required = ["outcome", "cluster_id"] + schema.names
+    missing = [c for c in required if c not in header]
+    if missing:
+        raise SchemaError(f"{path}: missing required column(s): {', '.join(missing)}")
+    position = {h: j for j, h in enumerate(header)}
+    rows = [row for row in lines[1:] if row]  # blank lines are skipped
     if not rows:
         raise EmptyInputError(f"{path}: header only, no data rows")
     n = len(rows)

@@ -1,9 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types, the ``require_*`` checks on input values, and the package's
+one JSON reader (:func:`read_json`) and writer (:func:`write_json`): every
+JSON file the package reads or writes goes through them."""
 
 from __future__ import annotations
 
+import json
 import math
 import numbers
+from pathlib import Path
 
 
 class MortdecompError(Exception):
@@ -80,7 +84,7 @@ def require_object(value, where: str, keys=(), allowed=None) -> dict:
         raise ConfigError(f"{where} must be an object, got {type(value).__name__}")
     missing = [k for k in keys if k not in value]
     if missing:
-        raise ConfigError(f"{where} is missing key(s): {', '.join(missing)}")
+        raise ConfigError(f"missing key(s): {', '.join(f'{where}.{k}' for k in missing)}")
     if allowed is not None:
         unknown = sorted(set(value) - set(keys) - set(allowed))
         if unknown:
@@ -117,3 +121,23 @@ def require_str(value, where: str) -> str:
     if isinstance(value, str):
         return value
     raise ConfigError(f"{where} must be a string, got {value!r}")
+
+
+def read_json(path):
+    """The JSON document in the UTF-8 file ``path``; ``ConfigError`` naming the file when it is
+    empty (or only whitespace), is not UTF-8 or is not JSON, ``OSError`` when it cannot be read."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    if not text.strip():
+        raise ConfigError(f"{path}: file is empty")
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+
+
+def write_json(doc, path) -> None:
+    """Write ``doc`` to ``path`` as UTF-8 JSON with a two-space indent, sorted keys and a trailing newline."""
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")

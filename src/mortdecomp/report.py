@@ -12,11 +12,12 @@ recomputation.
 from __future__ import annotations
 
 import csv
-import json
 import math
+from dataclasses import fields
 from pathlib import Path
 
-from .errors import ConfigError, require_number, require_object
+from .decompose import ComponentSummary
+from .errors import ConfigError, read_json, require_bool, require_number, require_object, write_json
 
 __all__ = [
     "format_rate",
@@ -61,54 +62,43 @@ def _clean(value):
     return value
 
 
+# A component's keys in the document are the fields of ComponentSummary
+# but its name, which keys the component; a percent field may be null.
+_COMPONENT_KEYS = tuple(f.name for f in fields(ComponentSummary) if f.name != "name")
+_ANNUALIZED_FIELDS = ("annualized", "annualized_lower", "annualized_upper")
+_PERCENT_FIELDS = ("percent", "percent_lower", "percent_upper")
+_RATE_FIELDS = ("mean", "lower", "upper")  # MortalitySummary's per_draw is not written
+
+
 def summary_to_dict(summary) -> dict:
     """Full-precision JSON form of a DecompositionSummary."""
-    components = {}
-    for name, comp in summary.components.items():
-        components[name] = {
-            "mean": comp.mean,
-            "lower": comp.lower,
-            "upper": comp.upper,
-            "annualized": comp.annualized,
-            "annualized_lower": comp.annualized_lower,
-            "annualized_upper": comp.annualized_upper,
-            "percent": _clean(comp.percent),
-            "percent_lower": _clean(comp.percent_lower),
-            "percent_upper": _clean(comp.percent_upper),
-            "significant": comp.significant,
-        }
     return {
         "years_between": summary.years_between,
         "order": list(summary.order),
         "convention": summary.convention,
         "rates_per_1000": {
-            "s1": {"mean": summary.rate_s1.mean, "lower": summary.rate_s1.lower, "upper": summary.rate_s1.upper},
-            "s2": {"mean": summary.rate_s2.mean, "lower": summary.rate_s2.lower, "upper": summary.rate_s2.upper},
+            sid: {key: getattr(rate, key) for key in _RATE_FIELDS}
+            for sid, rate in (("s1", summary.rate_s1), ("s2", summary.rate_s2))
         },
-        "components": components,
+        "components": {
+            name: {key: _clean(getattr(comp, key)) for key in _COMPONENT_KEYS}
+            for name, comp in summary.components.items()
+        },
     }
 
 
 def write_decomposition_json(doc: dict, path) -> None:
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
-_RATE_FIELDS = ("mean", "lower", "upper")
-_NUMBER_FIELDS = ("mean", "lower", "upper", "annualized", "annualized_lower", "annualized_upper")
-_PERCENT_FIELDS = ("percent", "percent_lower", "percent_upper")
-_COMPONENT_FIELDS = _NUMBER_FIELDS + _PERCENT_FIELDS + ("significant",)
+    """Write the document :func:`summary_to_dict` returns, as :func:`~mortdecomp.errors.write_json` does."""
+    write_json(doc, path)
 
 
 def load_results(path) -> dict:
     """Read a document written by :func:`write_decomposition_json`.
 
-    Raises ``ConfigError`` unless the file is JSON with every field the
-    tables read, of the type :func:`summary_to_dict` writes.
+    Raises ``ConfigError`` unless the file is JSON with every field
+    :func:`summary_to_dict` writes, of the type it writes.
     """
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+    doc = read_json(path)
     try:
         require_object(doc, "results", ("years_between", "order", "rates_per_1000", "components"))
         require_number(doc["years_between"], "years_between")
@@ -123,10 +113,13 @@ def load_results(path) -> dict:
         names = ("overall_diff", "x_effect", "beta_effect", *order)
         components = require_object(doc["components"], "components", names)
         for name in names:
-            comp = require_object(components[name], f"components.{name}", _COMPONENT_FIELDS)
-            for key in _NUMBER_FIELDS + _PERCENT_FIELDS:
-                if not (key in _PERCENT_FIELDS and comp[key] is None):
-                    require_number(comp[key], f"components.{name}.{key}")
+            comp = require_object(components[name], f"components.{name}", _COMPONENT_KEYS)
+            for key in _COMPONENT_KEYS:
+                where = f"components.{name}.{key}"
+                if key == "significant":
+                    require_bool(comp[key], where)
+                elif not (key in _PERCENT_FIELDS and comp[key] is None):
+                    require_number(comp[key], where)
     except ConfigError as exc:
         raise ConfigError(f"{path}: not a decomposition results document ({exc})") from None
     return doc
@@ -142,8 +135,7 @@ def _write_rows(path, header, rows):
 def write_mortality_table(doc: dict, path) -> None:
     """Per-survey rates, their difference, and the annualized decline."""
     overall = doc["components"]["overall_diff"]
-    s1 = doc["rates_per_1000"]["s1"]
-    s2 = doc["rates_per_1000"]["s2"]
+    rates = doc["rates_per_1000"]
     header = [
         "years_between",
         "s1", "s1_lower", "s1_upper",
@@ -152,56 +144,38 @@ def write_mortality_table(doc: dict, path) -> None:
         "diff_per_year", "diff_per_year_lower", "diff_per_year_upper",
     ]
     row = [
-        format_rate(doc["years_between"]),
-        format_rate(s1["mean"]), format_rate(s1["lower"]), format_rate(s1["upper"]),
-        format_rate(s2["mean"]), format_rate(s2["lower"]), format_rate(s2["upper"]),
-        format_rate(overall["mean"] * 1000), format_rate(overall["lower"] * 1000),
-        format_rate(overall["upper"] * 1000),
-        format_rate(overall["annualized"]), format_rate(overall["annualized_lower"]),
-        format_rate(overall["annualized_upper"]),
+        doc["years_between"],
+        *(rates[sid][key] for sid in ("s1", "s2") for key in _RATE_FIELDS),
+        *(overall[key] * 1000 for key in _RATE_FIELDS),
+        *(overall[key] for key in _ANNUALIZED_FIELDS),
     ]
-    _write_rows(path, header, [row])
+    _write_rows(path, header, [[format_rate(value) for value in row]])
+
+
+def _write_component_table(doc: dict, path, names, percents: bool) -> None:
+    """One row per component in ``names``: its annualized effect, the percent
+    columns when ``percents``, and its significance flag."""
+    percent_keys = _PERCENT_FIELDS if percents else ()
+    rows = []
+    for name in names:
+        comp = doc["components"][name]
+        rows.append([
+            name,
+            *(format_rate(comp[key]) for key in _ANNUALIZED_FIELDS),
+            *(format_percent(comp[key]) for key in percent_keys),
+            format_flag(comp["significant"]),
+        ])
+    _write_rows(path, ["component", "effect_per_year", "lower", "upper", *percent_keys, "significant"], rows)
 
 
 def write_overall_table(doc: dict, path) -> None:
     """Covariate-distribution and coefficient effects with percent shares."""
-    header = [
-        "component",
-        "effect_per_year", "lower", "upper",
-        "percent", "percent_lower", "percent_upper",
-        "significant",
-    ]
-    rows = []
-    for name in ("x_effect", "beta_effect"):
-        comp = doc["components"][name]
-        rows.append(
-            [
-                name,
-                format_rate(comp["annualized"]), format_rate(comp["annualized_lower"]),
-                format_rate(comp["annualized_upper"]),
-                format_percent(comp["percent"]),
-                format_percent(comp["percent_lower"]), format_percent(comp["percent_upper"]),
-                format_flag(comp["significant"]),
-            ]
-        )
-    _write_rows(path, header, rows)
+    _write_component_table(doc, path, ("x_effect", "beta_effect"), percents=True)
 
 
 def write_coef_table(doc: dict, path) -> None:
     """Per-covariate coefficient effects in decomposition order."""
-    header = ["component", "effect_per_year", "lower", "upper", "significant"]
-    rows = []
-    for name in ["beta_effect"] + list(doc["order"]):
-        comp = doc["components"][name]
-        rows.append(
-            [
-                name,
-                format_rate(comp["annualized"]), format_rate(comp["annualized_lower"]),
-                format_rate(comp["annualized_upper"]),
-                format_flag(comp["significant"]),
-            ]
-        )
-    _write_rows(path, header, rows)
+    _write_component_table(doc, path, ("beta_effect", *doc["order"]), percents=False)
 
 
 def write_variance_profile(profile, path) -> None:

@@ -12,7 +12,6 @@ accept/reject step.
 from __future__ import annotations
 
 import csv
-import json
 import warnings
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -21,7 +20,8 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .dataset import DesignMatrix
-from .errors import ConfigError, SingularDesignError, require_bool, require_number, require_object, require_str
+from .errors import ConfigError, SingularDesignError, read_json, write_json
+from .errors import require_bool, require_number, require_object, require_str
 
 __all__ = [
     "ChainQualityWarning",
@@ -457,7 +457,7 @@ def save_draws(draws: PosteriorDraws, csv_path, sidecar_path=None, config_echo: 
     survey id, column groups and whatever configuration echo is passed.
     """
     csv_path = Path(csv_path)
-    header = [f"beta_{j}" for j in range(draws.n_coefficients)] + ["sigma2"]
+    header = draws.parameter_names()
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -471,9 +471,7 @@ def save_draws(draws: PosteriorDraws, csv_path, sidecar_path=None, config_echo: 
             "n_coefficients": draws.n_coefficients,
             "config": config_echo or {},
         }
-        Path(sidecar_path).write_text(
-            json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        write_json(sidecar, sidecar_path)
 
 
 def load_draws(csv_path, sidecar_path=None) -> PosteriorDraws:
@@ -495,6 +493,8 @@ def load_draws(csv_path, sidecar_path=None) -> PosteriorDraws:
                     raise ConfigError(f"{csv_path}, line {line}: non-numeric cell in {row}") from None
         except csv.Error as exc:
             raise ConfigError(f"{csv_path}, line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{csv_path}: not UTF-8 text ({exc.reason})") from None
     if not rows:
         raise ConfigError(f"{csv_path}: no draws below the header")
     arr = np.asarray(rows, dtype=float)
@@ -509,10 +509,7 @@ def load_draws(csv_path, sidecar_path=None) -> PosteriorDraws:
     survey_id = ""
     column_groups: dict[str, tuple[int, int]] = {}
     if sidecar_path is not None:
-        try:
-            meta = require_object(json.loads(Path(sidecar_path).read_text(encoding="utf-8")), str(sidecar_path))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{sidecar_path}: invalid JSON ({exc})") from None
+        meta = require_object(read_json(sidecar_path), str(sidecar_path))
         n_coefficients = arr.shape[1] - 1
         if meta.get("n_coefficients", n_coefficients) != n_coefficients:
             raise ConfigError(

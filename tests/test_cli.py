@@ -2,6 +2,7 @@ import json
 import multiprocessing
 import os
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 import mortdecomp.cli as cli
 import mortdecomp.report
 from mortdecomp.cli import RunConfig, main, run_pipeline, validate_suite
-from mortdecomp.decompose import _one_blas_thread, _openblas_threads
+from mortdecomp.decompose import ComponentSummary, _one_blas_thread, _openblas_threads
 from mortdecomp.errors import ConfigError, MortdecompError, SingularDesignError
 from mortdecomp.sampler import ChainQualityWarning, GibbsChain
 
@@ -85,6 +86,15 @@ EXPECTED_FILES = {
     "decomposition.json", "mortality.csv", "overall_decomp.csv", "coef_decomp.csv",
     "variance_profile.csv", "diagnostics.json", "run_manifest.json",
 }
+
+
+@pytest.fixture(scope="module")
+def finished_run(tmp_path_factory):
+    """The config and output directory of one ``run`` of ``base_config``; tests must not write there."""
+    root = tmp_path_factory.mktemp("finished_run")
+    path = write_config(root, base_config(root / "out"))
+    assert main(["run", "--config", str(path)]) == 0
+    return path, root / "out"
 
 
 class TestRunConfig:
@@ -683,6 +693,86 @@ class TestCommands:
     def test_missing_config_exits_2(self, capsys):
         assert main(["run", "--config", "/nonexistent/config.json"]) == 2
         assert "for usage" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "case",
+        ["config_bytes", "config_directory", "results_bytes", "draws_bytes", "draws_directory"],
+    )
+    def test_unreadable_input_exits_2(self, tmp_path, capsys, finished_run, case):
+        config, out = finished_run
+        bad = tmp_path / "bad"
+        if case.endswith("_bytes"):
+            source = {"config": config, "results": out / "decomposition.json", "draws": out / "draws_s1.csv"}
+            text = source[case.removesuffix("_bytes")].read_bytes()
+            bad.write_bytes(text[:40] + b"\xff" + text[40:])
+        else:
+            bad.mkdir()
+        argv = {
+            "config": ["run", "--config", str(bad), "--out", str(tmp_path / "out")],
+            "results": ["report", "--results", str(bad)],
+            "draws": ["decompose", "--config", str(config), "--out", str(tmp_path / "out"), "--draws1", str(bad)],
+        }[case.split("_")[0]]
+        capsys.readouterr()
+        assert main(argv) == 2
+        record = self.error_record(capsys)
+        if case.endswith("_bytes"):
+            assert record["type"] == "ConfigError"
+            assert record["message"].startswith(f"{bad}: not UTF-8 text")
+        else:
+            assert record["type"] == "IsADirectoryError" and str(bad) in record["message"]
+        assert not (tmp_path / "out" / "decomposition.json").exists()
+
+    @pytest.mark.parametrize("command, code", [("decompose", 2), ("run", 1)])
+    def test_survey_csv_that_is_not_utf8(self, tmp_path, capsys, command, code):
+        cfg = base_config(tmp_path / "sim")
+        assert main(["simulate", "--config", str(write_config(tmp_path, cfg))]) == 0
+        s2 = tmp_path / "sim" / "s2.csv"
+        s2.write_bytes(s2.read_bytes().replace(b"male", b"m\xe4le", 1))
+        cfg["input"] = {"mode": "csv", "s1_path": str(tmp_path / "sim" / "s1.csv"), "s2_path": str(s2)}
+        cfg["survey_years"] = {"s1": 2000, "s2": 2014}
+        cfg["out_dir"] = str(tmp_path / "out")
+        capsys.readouterr()
+        assert main([command, "--config", str(write_config(tmp_path, cfg, "csv.json"))]) == code
+        error = self.error_record(capsys)
+        # run's stages fail with exit code 1, naming the stage; the other commands reject input with 2
+        assert error["stage"] == ("load_samples" if command == "run" else "configure")
+        assert error["type"] == "ConfigError" and error["message"].startswith(f"{s2}: not UTF-8 text")
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [("components.x_effect", f.name) for f in fields(ComponentSummary) if f.name != "name"]
+        + [("rates_per_1000.s1", key) for key in ("mean", "lower", "upper")],
+    )
+    def test_every_results_field_is_required(self, tmp_path, capsys, finished_run, section, key):
+        doc = json.loads((finished_run[1] / "decomposition.json").read_text())
+        fields_doc = doc
+        for part in section.split("."):
+            fields_doc = fields_doc[part]
+        del fields_doc[key]
+        path = tmp_path / "decomposition.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["report", "--results", str(path)]) == 2
+        record = self.error_record(capsys)
+        assert record["type"] == "ConfigError" and f"{section}.{key}" in record["message"]
+
+    def test_null_percents_are_accepted(self, tmp_path, capsys, finished_run):
+        doc = json.loads((finished_run[1] / "decomposition.json").read_text())
+        for comp in doc["components"].values():
+            comp.update(percent=None, percent_lower=None, percent_upper=None)
+        path = tmp_path / "decomposition.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["report", "--results", str(path)]) == 0
+        overall = (tmp_path / "overall_decomp.csv").read_text().splitlines()
+        assert all(row.split(",")[4:7] == ["", "", ""] for row in overall[1:])
+
+    def test_every_json_file_has_one_format(self, finished_run):
+        out = finished_run[1]
+        names = sorted(p.name for p in out.glob("*.json"))
+        assert names == ["decomposition.json", "diagnostics.json", "draws_s1.json", "draws_s2.json",
+                         "run_manifest.json"]
+        for name in names:
+            text = (out / name).read_text(encoding="utf-8")
+            assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", name
 
     def test_auto_extend_retries_once(self, tmp_path):
         # a deliberately under-thinned chain trips the independence

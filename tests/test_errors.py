@@ -1,3 +1,4 @@
+import json
 import pickle
 
 import numpy as np
@@ -11,6 +12,8 @@ from mortdecomp.errors import (
     RowError,
     SchemaError,
     SingularDesignError,
+    read_json,
+    write_json,
 )
 
 
@@ -37,3 +40,29 @@ def test_errors_survive_pickling(error):
     assert vars(back).keys() == vars(error).keys()
     for name, value in vars(error).items():
         assert np.array_equal(getattr(back, name), value), name
+
+
+def test_write_json_layout_and_read_json_round_trip(tmp_path):
+    doc = {"b": [1, 2.5, None], "a": {"z": True, "y": "\u00e9"}}
+    path = tmp_path / "doc.json"
+    write_json(doc, path)
+    assert path.read_bytes() == (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    assert read_json(path) == doc
+
+
+@pytest.mark.parametrize(
+    "data, words",
+    [
+        (b"", "file is empty"),
+        (b" \n\t", "file is empty"),
+        (b'{"a": "\xff"}', "not UTF-8 text (invalid start byte at byte 7)"),
+        (b'{"a": ', "invalid JSON"),
+    ],
+    ids=["empty", "whitespace", "bad_bytes", "invalid_json"],
+)
+def test_read_json_names_the_file(tmp_path, data, words):
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
+    with pytest.raises(ConfigError) as err:
+        read_json(path)
+    assert str(err.value).startswith(f"{path}: {words}")
