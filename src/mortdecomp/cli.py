@@ -25,13 +25,16 @@ Everything a run emits is deterministic given the config seed: derived
 seeds feed the generator and each survey's chain, and no output embeds
 a timestamp.
 
-``run`` fits the two surveys in two forked processes when numpy's
-OpenBLAS exposes its thread control and at least two cores are
-available, and one after the other in this process otherwise; the
-outputs are the same bytes either way.  A fit process inherits its
-design and chain settings through the fork and sends back its
-``SurveyFit``, or the error it raised, with the warnings it caught.
-From the fits through the decomposition, OpenBLAS is held at one thread.
+Per-survey work runs in two forked processes, one per survey, when
+numpy's OpenBLAS exposes its thread control and at least two cores are
+available, and one survey after the other in this process otherwise;
+the outputs are the same bytes either way.  In csv mode every command
+that reads the samples reads the two CSV files that way, and ``run``
+fits the two surveys that way too.  A survey process inherits its
+inputs (a CSV path, or a design and chain settings) through the fork
+and sends back its ``SurveySample`` or ``SurveyFit``, or the error it
+raised, with the warnings it caught.  ``run`` holds OpenBLAS at one
+thread from reading the samples through the decomposition.
 """
 
 from __future__ import annotations
@@ -247,11 +250,14 @@ class _Outputs:
 
 
 def _load_samples(config: RunConfig):
+    """Both surveys' samples: synthesized, or each survey's CSV read by ``_per_survey``."""
     if config.dgp is not None:
         return synthesize(config.dgp, seed=config.seeds[0])
-    s1 = ingest_csv(config.csv_paths[0], config.schema, config.survey_years[0], survey_id="S1")
-    s2 = ingest_csv(config.csv_paths[1], config.schema, config.survey_years[1], survey_id="S2")
-    return s1, s2
+    jobs = [
+        (path, config.schema, year, sid)
+        for path, year, sid in zip(config.csv_paths, config.survey_years, ("S1", "S2"))
+    ]
+    return tuple(_per_survey(ingest_csv, jobs))
 
 
 def _build_designs(config: RunConfig, s1, s2):
@@ -298,54 +304,55 @@ def _fit_survey(design, prior, mcmc, auto_extend) -> SurveyFit:
     )
 
 
-def _fit_child(conn, design, prior, mcmc, auto_extend) -> None:
-    """Body of a fit process: send ``(SurveyFit or the exception raised, warnings caught)`` to ``conn``."""
+def _survey_child(conn, job, args) -> None:
+    """Body of a survey process: send ``(job(*args) or the exception raised, warnings caught)`` to ``conn``."""
     with warnings.catch_warnings(record=True) as caught:
         try:
-            outcome = _fit_survey(design, prior, mcmc, auto_extend)
+            outcome = job(*args)
         except Exception as exc:
             outcome = exc
     conn.send((outcome, [(w.message, w.category, w.filename, w.lineno) for w in caught]))
     conn.close()
 
 
-def _fit_surveys(jobs, fork: bool) -> list[SurveyFit]:
-    """``_fit_survey(*job)`` for every job, in order.
+def _per_survey(job, jobs: list[tuple]) -> list:
+    """``job(*args)`` for every survey's ``args`` in ``jobs``, in order.
 
-    With ``fork``, each job runs in its own forked process, which
-    inherits the design, prior and chain configuration and sends back
-    its ``SurveyFit`` (or the exception it raised) and the warnings it
-    caught.  The warnings are re-issued here in job order, and the first
-    failing job's exception is raised after its warnings, as if the jobs
-    had run one after the other.  Every process is joined before this
+    When numpy's OpenBLAS exposes its thread control and at least two
+    cores are available, each survey's job runs in its own forked
+    process, which inherits ``job`` and its arguments and sends back the
+    result (or the exception it raised) and the warnings it caught.  The
+    warnings are re-issued here in survey order, and the first failing
+    survey's exception is raised after its warnings, as if the jobs had
+    run one after the other.  Every process is joined before this
     returns or raises.
     """
-    if not fork:
-        return [_fit_survey(*job) for job in jobs]
+    if _one_blas_thread() is None or _available_cores() < 2:
+        return [job(*args) for args in jobs]
     ctx = multiprocessing.get_context("fork")
     children = []
     try:
-        for job in jobs:
+        for args in jobs:
             recv, send = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_fit_child, args=(send, *job), daemon=True)
+            proc = ctx.Process(target=_survey_child, args=(send, job, args), daemon=True)
             proc.start()
             send.close()  # the child holds the only write end, so its death reads as EOF
             children.append((proc, recv))
-        fits = []
+        results = []
         for i, (proc, recv) in enumerate(children, start=1):
             try:
                 outcome, caught = recv.recv()
             except EOFError:
                 proc.join()
                 raise RuntimeError(
-                    f"the fit process for survey {i} exited with code {proc.exitcode} before sending a result"
+                    f"the process for survey {i} exited with code {proc.exitcode} before sending a result"
                 ) from None
             for message, category, filename, lineno in caught:
                 warnings.warn_explicit(message, category, filename, lineno)
             if isinstance(outcome, BaseException):
                 raise outcome
-            fits.append(outcome)
-        return fits
+            results.append(outcome)
+        return results
     finally:
         for proc, recv in children:
             recv.close()
@@ -431,21 +438,20 @@ def run_pipeline(config: RunConfig) -> dict:
     """
     out = _Outputs(Path(config.out_dir))
     try:
-        out.stage = "load_samples"
-        s1, s2 = _load_samples(config)
+        # One BLAS thread from the samples through the decomposition: the
+        # survey processes then share the cores without oversubscribing
+        # them, and the parent's OpenBLAS pool, which each fork shuts down,
+        # is not rebuilt between the forks or for the decomposition.  The
+        # kernel's own hold nests inside this one.
+        with _one_blas_thread() or contextlib.nullcontext():
+            out.stage = "load_samples"
+            s1, s2 = _load_samples(config)
 
-        out.stage = "build_design"
-        d1, d2 = _build_designs(config, s1, s2)
+            out.stage = "build_design"
+            d1, d2 = _build_designs(config, s1, s2)
 
-        # One BLAS thread from the fits through the decomposition: the fit
-        # processes then share the cores without oversubscribing them, and
-        # the parent's OpenBLAS pool, which a fork shuts down, is not rebuilt
-        # for the decomposition.  The kernel's own hold nests inside this one.
-        hold = _one_blas_thread()
-        with hold or contextlib.nullcontext():
             out.stage = "fit"
-            fork = hold is not None and _available_cores() >= 2
-            fit1, fit2 = _fit_surveys(_fit_jobs(config, (d1, d2)), fork)
+            fit1, fit2 = _per_survey(_fit_survey, _fit_jobs(config, (d1, d2)))
             summary = _decompose_and_write(config, d1, d2, fit1.draws, fit2.draws, out)
 
         _save_fit(fit1, "s1", out)

@@ -79,6 +79,23 @@ def in_age_range(columns: dict, n: int) -> np.ndarray:
     return (age >= AGE_RANGE[0]) & (age <= AGE_RANGE[1])
 
 
+class FrozenArrays:
+    """Base of the records whose arrays are read-only: ``_freeze`` sets
+    every array ``_arrays`` names read-only, on creation and again on
+    unpickling, since a pickled array comes back writeable."""
+
+    def _arrays(self) -> tuple[np.ndarray, ...]:
+        raise NotImplementedError
+
+    def _freeze(self) -> None:
+        for arr in self._arrays():
+            arr.setflags(write=False)
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._freeze()
+
+
 def _first_failure(checks: list) -> tuple[int, str] | None:
     """Earliest failing row and its message; within a row the first check wins."""
     firsts = [(int(rows[0]), k) for k, (bad, _) in enumerate(checks) if (rows := np.flatnonzero(bad)).size]
@@ -89,7 +106,7 @@ def _first_failure(checks: list) -> tuple[int, str] | None:
 
 
 @dataclass(frozen=True, eq=False)
-class SurveySample:
+class SurveySample(FrozenArrays):
     """All births of one survey as columns, grouped by cluster in first-appearance order.
 
     ``cluster`` holds each birth's code into ``cluster_ids``; codes rise
@@ -120,8 +137,10 @@ class SurveySample:
         failure = _first_failure([outcome, *_field_checks(self.columns)])
         if failure is not None:
             raise ValueError(f"birth {failure[0]}: {failure[1]}")
-        for arr in (self.outcome, self.cluster, *self.columns.values()):
-            arr.setflags(write=False)
+        self._freeze()
+
+    def _arrays(self):
+        return (self.outcome, self.cluster, *self.columns.values())
 
     @classmethod
     def from_columns(
@@ -290,7 +309,7 @@ class CenteringConstants:
 
 
 @dataclass(frozen=True)
-class DesignMatrix:
+class DesignMatrix(FrozenArrays):
     """Expanded covariate matrix with named column groups.
 
     ``x`` has a leading all-ones intercept column; ``column_groups``
@@ -306,8 +325,7 @@ class DesignMatrix:
     survey_id: str = ""
 
     def __post_init__(self):
-        for arr in (self.x, self.outcome, self.cluster_index):
-            arr.setflags(write=False)
+        self._freeze()
         n, p = self.x.shape
         if not np.all(self.x[:, 0] == 1.0):
             raise ValueError("design column 0 must be the all-ones intercept")
@@ -316,6 +334,9 @@ class DesignMatrix:
             raise ValueError("column groups must partition columns 1..p-1 without overlap")
         if self.outcome.shape != (n,) or self.cluster_index.shape != (n,):
             raise ValueError("outcome and cluster_index must have one entry per row")
+
+    def _arrays(self):
+        return (self.x, self.outcome, self.cluster_index)
 
     @property
     def n_rows(self) -> int:
@@ -382,12 +403,17 @@ def ingest_csv(path, schema: CovariateSchema, survey_year: int, survey_id: str =
     left raises ``EmptyInputError``.  A bad row raises ``RowError`` at
     its CSV line: parse errors (empty, unparseable or non-finite cells)
     count on every row, range and level errors only on rows that are
-    kept.
+    kept.  A file that is not UTF-8, or that the CSV reader rejects (a
+    field over its size limit, say), raises ``ConfigError`` naming the
+    file, and the line for the CSV reader.
     """
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
         try:
-            lines = list(csv.reader(fh))
+            lines = list(reader)
+        except csv.Error as exc:
+            raise ConfigError(f"{path}, line {reader.line_num}: {exc}") from None
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not lines:

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .dataset import DesignMatrix
+from .dataset import DesignMatrix, FrozenArrays
 from .errors import ConfigError, SingularDesignError, read_json, write_json
 from .errors import require_bool, require_number, require_object, require_str
 
@@ -136,8 +136,8 @@ class McmcConfig:
 
 
 @dataclass(frozen=True)
-class PosteriorDraws:
-    """Retained (beta, sigma2) draws for one survey."""
+class PosteriorDraws(FrozenArrays):
+    """Retained (beta, sigma2) draws for one survey; the arrays are frozen read-only."""
 
     survey_id: str
     beta: np.ndarray  # (L, p)
@@ -145,14 +145,16 @@ class PosteriorDraws:
     column_groups: dict[str, tuple[int, int]] = field(default_factory=dict)
 
     def __post_init__(self):
-        self.beta.setflags(write=False)
-        self.sigma2.setflags(write=False)
+        self._freeze()
         if self.beta.ndim != 2 or self.sigma2.shape != (self.beta.shape[0],):
             raise ValueError("beta must be (L, p) with one sigma2 entry per draw")
         if not (np.all(np.isfinite(self.beta)) and np.all(np.isfinite(self.sigma2))):
             raise ValueError("posterior draws must be finite")
         if np.any(self.sigma2 < 0):
             raise ValueError("sigma2 draws must be >= 0")
+
+    def _arrays(self):
+        return (self.beta, self.sigma2)
 
     @property
     def n_draws(self) -> int:
@@ -179,52 +181,88 @@ def _far_tail(a: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return draws
 
 
-def _truncated_std_normal_above(a: np.ndarray, rng: np.random.Generator, groups=None) -> np.ndarray:
+class _LatentLayout:
+    """The latent step's fixed layout for one set of outcomes, with reused work buffers.
+
+    ``sign`` is 1 for deaths and -1 for survivors.  The random stream
+    serves the deaths first, then the survivors: ``groups`` holds the two
+    index arrays and ``position`` each birth's place in the stream.  Built
+    once per chain; a draw writes into the buffers, so each result it
+    returns holds only until the next draw.
+    """
+
+    def __init__(self, outcome):
+        death = np.asarray(outcome) == 1
+        self.sign = np.where(death, 1.0, -1.0)
+        self.neg_sign = -self.sign
+        self.groups = (np.flatnonzero(death), np.flatnonzero(~death))
+        self.position = np.empty(death.size, dtype=np.intp)
+        self.position[np.concatenate(self.groups)] = np.arange(death.size)
+        self.a, self.t, self.r, self.u, self.z = (np.empty(death.size) for _ in range(5))
+        self.high, self.far = (np.empty(death.size, dtype=bool) for _ in range(2))
+
+
+def _truncated_std_normal_above(a: np.ndarray, rng: np.random.Generator, layout: _LatentLayout | None = None):
     """Draw standard normals conditioned on X > a, elementwise.
 
-    ``groups`` lists index arrays that together cover ``a`` once (default:
-    one group of every element).  The random stream is taken group by
-    group, in order: the group's uniforms for its inverse-CDF draws, then
-    its far-tail rejection draws.  Drawing several groups in one call
-    therefore gives exactly the draws, and leaves ``rng`` in exactly the
-    state, of one call per group.
+    The random stream is taken group by group in ``layout.groups``
+    (default: one group of every element): the group's uniforms for its
+    inverse-CDF draws, then its far-tail rejection draws.  Drawing several
+    groups in one call therefore gives exactly the draws, and leaves
+    ``rng`` in exactly the state, of one call per group.  When no element
+    reaches the far tail, one ``random`` call draws every uniform, each
+    element taking the one at its ``layout.position``; it yields the
+    doubles of the per-group calls.  Returns a buffer of ``layout``.
     """
     a = np.asarray(a, dtype=float)
+    if layout is None:
+        layout = _LatentLayout(np.ones(a.size))  # every element a death: one group
+    t, u, high, far = layout.t, layout.u, layout.high, layout.far
     # ndtr(a) where a <= 0 (the lower CDF, well conditioned there) and the
     # upper tail ndtr(-a) where a > 0; a <= 0 leaves an upper tail >= 1/2
-    t = ndtr(-np.abs(a))
-    low = a <= 0.0
-    extreme = (t < _TAIL_SWITCH) & ~low
-    if groups is None:
-        groups = (np.arange(a.size),)
-    u = np.empty_like(a)
-    u[extreme] = 0.5  # placeholder; the rejection draws replace these elements
-    far = []
-    for g in groups:
-        in_far = extreme[g]
-        moderate = g[~in_far]
-        u[moderate] = rng.random(moderate.size)
-        idx = g[in_far]
-        if idx.size:  # an empty call would draw nothing
-            far.append((idx, _far_tail(a[idx], rng)))
-    x = ndtri(np.where(low, t + u * (1.0 - t), (1.0 - u) * t))
-    np.negative(x, out=x, where=~low)
-    for idx, draws in far:
+    ndtr(np.copysign(a, -1.0, out=t), out=t)
+    np.greater(a, 0.0, out=high)
+    np.logical_and(np.less(t, _TAIL_SWITCH, out=far), high, out=far)
+    tails = []
+    if far.any():
+        u[far] = 0.5  # placeholder; the rejection draws replace these elements
+        for g in layout.groups:
+            in_far = far[g]
+            moderate = g[~in_far]
+            u[moderate] = rng.random(moderate.size)
+            idx = g[in_far]
+            if idx.size:  # an empty call would draw nothing
+                tails.append((idx, _far_tail(a[idx], rng)))
+    else:
+        # positions are in range: "clip" skips take's buffered bounds check
+        np.take(rng.random(out=layout.r), layout.position, out=u, mode="clip")
+    # x = ndtri(t + u (1 - t)) where a <= 0 and -ndtri((1 - u) t) where a > 0;
+    # the second case runs on its own elements only, since in a chain they
+    # are the births whose mean lies on the wrong side, chiefly deaths
+    upper = np.flatnonzero(high)
+    q = layout.r
+    np.add(np.multiply(np.subtract(1.0, t, out=q), u, out=q), t, out=q)
+    q[upper] = (1.0 - u[upper]) * t[upper]
+    x = ndtri(q, out=q)
+    x[upper] = -x[upper]
+    for idx, draws in tails:
         x[idx] = draws
     return x
 
 
-def _latent_draw(eta: np.ndarray, sign: np.ndarray, groups, rng: np.random.Generator) -> np.ndarray:
-    """Latent normals ``z ~ N(eta, 1)`` with ``z > 0`` where ``sign`` is 1 and ``z < 0`` where it is -1.
+def _latent_draw(eta: np.ndarray, layout: _LatentLayout, rng: np.random.Generator) -> np.ndarray:
+    """Latent normals ``z ~ N(eta, 1)`` with ``z > 0`` where ``layout.sign`` is 1 and ``z < 0`` where it is -1.
 
-    One pass draws ``w = sign * z ~ N(sign * eta, 1)`` on (0, inf).  With
-    ``groups`` the indices of the 1s and then of the -1s, the draws and
-    the random stream equal those of a ``sample_truncated_normal`` call
-    for the 1s followed by one for the -1s.
+    One pass draws ``w = sign * z ~ N(sign * eta, 1)`` on (0, inf), that
+    is ``sign * eta`` plus a standard normal above ``a = -sign * eta``.
+    The draws and the random stream equal those of a
+    ``sample_truncated_normal`` call for the deaths followed by one for
+    the survivors.  Returns a buffer of ``layout``.
     """
-    sw = sign * eta
-    w = sw + _truncated_std_normal_above(-sw, rng, groups)
-    return sign * np.maximum(w, np.nextafter(0.0, 1.0))
+    a = np.multiply(eta, layout.neg_sign, out=layout.a)
+    w = _truncated_std_normal_above(a, rng, layout)
+    np.maximum(np.subtract(w, a, out=w), np.nextafter(0.0, 1.0), out=w)
+    return np.multiply(w, layout.sign, out=layout.z)
 
 
 def sample_truncated_normal(mean, sd, side: str, rng: np.random.Generator):
@@ -287,10 +325,7 @@ class GibbsChain:
         self._beta = np.zeros(p)
         self._gamma = np.zeros(design.n_clusters)
         self._sigma2 = prior.sigma2_scale / (prior.sigma2_shape + 1.0)  # prior mode
-        # latent draws: +1 for deaths, -1 for survivors; deaths' uniforms come first
-        death = np.asarray(design.outcome) == 1
-        self._sign = np.where(death, 1.0, -1.0)
-        self._groups = (np.flatnonzero(death), np.flatnonzero(~death))
+        self._layout = _LatentLayout(design.outcome)
         self.sweeps = 0
         # row i holds sweep burnin + 1 + i: its beta, then its sigma2
         self._post = np.empty((config.total - config.burnin, p + 1))
@@ -317,20 +352,21 @@ class GibbsChain:
         prior = self.prior
         cov, cov_chol, rng = self._cov, self._cov_chol, self._rng
         beta, gamma, sigma2 = self._beta, self._gamma, self._sigma2
-        sign, groups = self._sign, self._groups
+        layout = self._layout
         counts = np.bincount(cl, minlength=n_clusters).astype(float)
         ig_shape = prior.sigma2_shape + 0.5 * n_clusters
         xb = x @ beta
+        gc, eta, resid = (np.empty(x.shape[0]) for _ in range(3))
 
         for it in range(self.sweeps + 1, total + 1):
-            gc = gamma[cl]
-            z = _latent_draw(xb + gc, sign, groups, rng)
+            np.take(gamma, cl, out=gc, mode="clip")  # codes are in range, as in the latent step
+            z = _latent_draw(np.add(xb, gc, out=eta), layout, rng)
 
-            beta = cov @ (x.T @ (z - gc)) + cov_chol @ rng.standard_normal(p)
+            beta = cov @ (x.T @ np.subtract(z, gc, out=resid)) + cov_chol @ rng.standard_normal(p)
 
             xb = x @ beta
             prec = counts + 1.0 / sigma2
-            gamma = np.bincount(cl, weights=z - xb, minlength=n_clusters) / prec
+            gamma = np.bincount(cl, weights=np.subtract(z, xb, out=resid), minlength=n_clusters) / prec
             gamma += rng.standard_normal(n_clusters) / np.sqrt(prec)
 
             sigma2 = 1.0 / rng.gamma(ig_shape, 1.0 / (prior.sigma2_scale + 0.5 * (gamma @ gamma)))

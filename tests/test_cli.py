@@ -1,6 +1,7 @@
 import json
 import multiprocessing
 import os
+import pickle
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -224,6 +225,14 @@ class TestFitProcesses:
         assert len({text for text, _, _ in forked_warnings}) == 4
         assert forked_warnings == in_process_warnings
 
+    def test_forked_draws_stay_read_only(self, tmp_path):
+        config = RunConfig.from_dict(base_config(tmp_path / "out"))
+        designs = cli._build_designs(config, *cli._load_samples(config))
+        fits = cli._per_survey(cli._fit_survey, cli._fit_jobs(config, designs))
+        assert multiprocessing.active_children() == []
+        for survey in fits:
+            assert not survey.draws.beta.flags.writeable and not survey.draws.sigma2.flags.writeable
+
     def test_blas_thread_count_restored(self, tmp_path):
         get, set_ = _openblas_threads()
         saved = get()
@@ -266,6 +275,109 @@ class TestFitProcesses:
         assert "survey 1 exited with code 3" in str(err.value.cause)
         assert list((tmp_path / "out").iterdir()) == []
         assert multiprocessing.active_children() == []
+
+
+@pytest.fixture(scope="module")
+def simulated_csvs(tmp_path_factory):
+    """The directory of ``s1.csv`` and ``s2.csv`` simulated from ``base_config``; tests must not write there."""
+    root = tmp_path_factory.mktemp("simulated")
+    assert main(["simulate", "--config", str(write_config(root, base_config(root / "sim")))]) == 0
+    return root / "sim"
+
+
+def csv_config(out_dir, s1_path, s2_path) -> dict:
+    """``base_config`` reading its two surveys from CSV files."""
+    cfg = base_config(out_dir)
+    cfg["input"] = {"mode": "csv", "s1_path": str(s1_path), "s2_path": str(s2_path)}
+    cfg["survey_years"] = {"s1": 2000, "s2": 2014}
+    return cfg
+
+
+def copy_with_outcome(src, dst, line: int, outcome: str):
+    """Copy a survey CSV, replacing the outcome cell on one line (1 is the header)."""
+    lines = src.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[line - 1] = outcome + lines[line - 1][lines[line - 1].index(","):]
+    dst.write_text("".join(lines), encoding="utf-8")
+    return dst
+
+
+def copy_with_huge_cell(src, dst, line: int):
+    """Copy a survey CSV, appending a cell over the CSV reader's 131072-character field limit to one line."""
+    lines = src.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[line - 1] = lines[line - 1].rstrip("\n") + "," + "x" * 200_000 + "\n"
+    dst.write_text("".join(lines), encoding="utf-8")
+    return dst
+
+
+def first_error_record(capsys) -> dict:
+    return json.loads(capsys.readouterr().err.strip().splitlines()[0])["error"]
+
+
+@pytest.mark.skipif(_one_blas_thread() is None, reason="numpy's BLAS exports no thread control, so reads never fork")
+class TestIngestProcesses:
+    """The two surveys' CSV files read in forked processes, against the in-process path."""
+
+    @staticmethod
+    def use_cores(monkeypatch, cores):
+        monkeypatch.setattr(cli, "_available_cores", lambda: cores)
+
+    def test_samples_match_in_process_reads_and_are_read_only(self, tmp_path, simulated_csvs, monkeypatch):
+        config = RunConfig.from_dict(csv_config(tmp_path / "out", simulated_csvs / "s1.csv", simulated_csvs / "s2.csv"))
+        read = cli.ingest_csv
+        monkeypatch.setattr(cli, "ingest_csv", lambda *args: (read(*args), os.getpid()))  # and the reading process
+        samples = {}
+        for cores in (2, 1):
+            self.use_cores(monkeypatch, cores)
+            reads = cli._load_samples(config)
+            assert multiprocessing.active_children() == []
+            pids = {pid for _, pid in reads}
+            assert len(pids) == 2 and os.getpid() not in pids if cores == 2 else pids == {os.getpid()}
+            samples[cores] = [sample for sample, _ in reads]
+        assert [pickle.dumps(s) for s in samples[2]] == [pickle.dumps(s) for s in samples[1]]
+        for sample in (*samples[2], *samples[1]):
+            assert not any(arr.flags.writeable for arr in (sample.outcome, sample.cluster, *sample.columns.values()))
+
+    @pytest.mark.parametrize("bad", [("s2",), ("s1", "s2")], ids=["s2_bad", "both_bad"])
+    def test_a_bad_csv_fails_alike_forked_or_not(self, tmp_path, simulated_csvs, monkeypatch, capsys, bad):
+        # s1's bad cell sits on a later line than s2's, so the error shows which survey won
+        paths = [
+            copy_with_outcome(simulated_csvs / "s1.csv", tmp_path / "s1.csv", 6, "9") if "s1" in bad
+            else simulated_csvs / "s1.csv",
+            copy_with_outcome(simulated_csvs / "s2.csv", tmp_path / "s2.csv", 4, "7"),
+        ]
+        records = []
+        for cores in (2, 1):
+            self.use_cores(monkeypatch, cores)
+            out = tmp_path / f"out_{cores}"
+            config = write_config(tmp_path, csv_config(out, *paths))
+            assert main(["run", "--config", str(config)]) == 1
+            records.append(first_error_record(capsys))
+            assert multiprocessing.active_children() == []
+            assert list(out.iterdir()) == []
+        assert records[0] == records[1]
+        assert records[0]["stage"] == "load_samples" and records[0]["type"] == "RowError"
+        want = "line 6: outcome must be 0 or 1, got '9'" if "s1" in bad else "line 4: outcome must be 0 or 1, got '7'"
+        assert records[0]["message"] == want
+
+    def test_csv_reader_error_ends_run_at_load_samples(self, tmp_path, simulated_csvs, monkeypatch, capsys):
+        self.use_cores(monkeypatch, 2)
+        huge = copy_with_huge_cell(simulated_csvs / "s2.csv", tmp_path / "s2.csv", 3)
+        config = write_config(tmp_path, csv_config(tmp_path / "out", simulated_csvs / "s1.csv", huge))
+        assert main(["run", "--config", str(config)]) == 1
+        record = first_error_record(capsys)
+        assert record["stage"] == "load_samples" and record["type"] == "ConfigError"
+        assert record["message"].startswith(f"{huge}, line 3: field larger than field limit")
+        assert multiprocessing.active_children() == []
+        assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_csv_reader_error_exits_2_in_decompose(tmp_path, simulated_csvs, capsys):
+    huge = copy_with_huge_cell(simulated_csvs / "s1.csv", tmp_path / "s1.csv", 5)
+    config = write_config(tmp_path, csv_config(tmp_path / "out", huge, simulated_csvs / "s2.csv"))
+    assert main(["decompose", "--config", str(config)]) == 2
+    record = first_error_record(capsys)
+    assert record["type"] == "ConfigError"
+    assert record["message"].startswith(f"{huge}, line 5: field larger than field limit")
 
 
 class TestCommands:

@@ -1,4 +1,6 @@
 import json
+import pickle
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from mortdecomp.dataset import (
 )
 from mortdecomp.cli import main
 from mortdecomp.errors import (
+    ConfigError,
     DegenerateDesignError,
     EmptyInputError,
     RowError,
@@ -339,6 +342,28 @@ def test_schema_round_trip_and_validation():
         CovariateSpec("maternal_age", "continuous_spline", degree=3, df=2)
     with pytest.raises(SchemaError):
         CovariateSpec("sex", "binary")  # no reference level
+
+
+def test_samples_and_designs_stay_read_only_across_a_pickle():
+    # samples read in a survey process reach the parent through a pickle
+    sample = make_sample(
+        [{"outcome": k % 2, "cluster_id": f"c{k % 3}", "sex": ("female", "male")[k % 2], "wealth_rank": k / 10}
+         for k in range(8)]
+    )
+    schema = CovariateSchema((CovariateSpec("sex", "binary", reference="female"),))
+    design = build_design(sample, schema, CenteringConstants.zeros(schema), sample)
+    sample_back, design_back = pickle.loads(pickle.dumps((sample, design)))
+    for arr in (sample_back.outcome, sample_back.cluster, *sample_back.columns.values(),
+                design_back.x, design_back.outcome, design_back.cluster_index):
+        assert not arr.flags.writeable
+    assert pickle.dumps(sample_back) == pickle.dumps(sample)
+    assert np.array_equal(design_back.x, design.x) and design_back.column_groups == design.column_groups
+
+
+def test_csv_reader_error_names_the_file_and_line(tmp_path):
+    path = write_csv(tmp_path, ["0,25,6,2,24,female,rural,0.3,a\n", "1,30,2,4,," + "x" * 200_000 + ",urban,0.1,a\n"])
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}, line 3: field larger than field limit"):
+        ingest_csv(path, default_schema(), survey_year=2000)
 
 
 def test_field_invariants_raise_row_error(tmp_path):

@@ -1,4 +1,5 @@
 import json
+import pickle
 import warnings
 
 import numpy as np
@@ -25,6 +26,7 @@ from mortdecomp.sampler import (
     McmcConfig,
     PosteriorDraws,
     PriorSpec,
+    _LatentLayout,
     _latent_draw,
     _truncated_std_normal_above,
     diagnostics,
@@ -147,17 +149,38 @@ def oracle_latent_draw(eta, y, rng):
     return z
 
 
+def oracle_chain(design, prior, config):
+    """The earlier sweep, written out with the two-call latent draw: each retained sweep's (beta, sigma2)."""
+    x, y, cl, n_clusters = design.x, design.outcome, design.cluster_index, design.n_clusters
+    p = x.shape[1]
+    cov = np.linalg.inv(x.T @ x + np.eye(p) / prior.beta_sd**2)
+    cov_chol = np.linalg.cholesky(cov)
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed))
+    beta, gamma = np.zeros(p), np.zeros(n_clusters)
+    sigma2 = prior.sigma2_scale / (prior.sigma2_shape + 1.0)
+    counts = np.bincount(cl, minlength=n_clusters).astype(float)
+    kept = []
+    for it in range(1, config.total + 1):
+        z = oracle_latent_draw(x @ beta + gamma[cl], y, rng)
+        beta = cov @ (x.T @ (z - gamma[cl])) + cov_chol @ rng.standard_normal(p)
+        prec = counts + 1.0 / sigma2
+        gamma = np.bincount(cl, weights=z - x @ beta, minlength=n_clusters) / prec
+        gamma += rng.standard_normal(n_clusters) / np.sqrt(prec)
+        shape = prior.sigma2_shape + 0.5 * n_clusters
+        sigma2 = 1.0 / rng.gamma(shape, 1.0 / (prior.sigma2_scale + 0.5 * (gamma @ gamma)))
+        if it > config.burnin:
+            kept.append([*beta, sigma2])
+    return np.array(kept)
+
+
 class TestSignedLatentDraw:
     """The one-pass latent draw equals the earlier two-call draw bit for bit."""
 
     @staticmethod
     def both(eta, y, seed):
         old_rng, new_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        death = y == 1
-        sign = np.where(death, 1.0, -1.0)
-        groups = (np.flatnonzero(death), np.flatnonzero(~death))
         old = oracle_latent_draw(eta, y, old_rng)
-        new = _latent_draw(eta, sign, groups, new_rng)
+        new = _latent_draw(eta, _LatentLayout(y), new_rng)
         assert np.array_equal(new, old)
         assert new_rng.bit_generator.state == old_rng.bit_generator.state
         # the stream goes on identically after the draw
@@ -205,34 +228,43 @@ class TestSignedLatentDraw:
         assert sizes == [2]
 
     def test_chain_equals_the_two_call_sweep(self):
-        # the earlier sweep, written out with the two-call latent draw
         design = design_for(sex_dgp((-1.5, 0.5), 0.25, n_clusters=30, births=20), seed=21)
         prior = PriorSpec()
         config = McmcConfig(total=400, burnin=100, thin=1, seed=4, allow_short=True)
-        x, y, cl, n_clusters = design.x, design.outcome, design.cluster_index, design.n_clusters
-        p = x.shape[1]
-        cov = np.linalg.inv(x.T @ x + np.eye(p) / prior.beta_sd**2)
-        cov_chol = np.linalg.cholesky(cov)
-        rng = np.random.default_rng(np.random.SeedSequence(config.seed))
-        beta, gamma = np.zeros(p), np.zeros(n_clusters)
-        sigma2 = prior.sigma2_scale / (prior.sigma2_shape + 1.0)
-        counts = np.bincount(cl, minlength=n_clusters).astype(float)
-        kept = []
-        for it in range(1, config.total + 1):
-            z = oracle_latent_draw(x @ beta + gamma[cl], y, rng)
-            beta = cov @ (x.T @ (z - gamma[cl])) + cov_chol @ rng.standard_normal(p)
-            prec = counts + 1.0 / sigma2
-            gamma = np.bincount(cl, weights=z - x @ beta, minlength=n_clusters) / prec
-            gamma += rng.standard_normal(n_clusters) / np.sqrt(prec)
-            shape = prior.sigma2_shape + 0.5 * n_clusters
-            sigma2 = 1.0 / rng.gamma(shape, 1.0 / (prior.sigma2_scale + 0.5 * (gamma @ gamma)))
-            if it > config.burnin:
-                kept.append([*beta, sigma2])
-        kept = np.array(kept)
+        kept = oracle_chain(design, prior, config)
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ChainQualityWarning)
             draws = fit(design, prior, config)
+        assert np.array_equal(draws.beta, kept[:, :-1])
+        assert np.array_equal(draws.sigma2, kept[:, -1])
+
+    def test_chain_with_far_tail_sweeps_equals_the_two_call_sweep(self, monkeypatch):
+        # A probit chain's latent draws reach the 1e-10 tail only on data
+        # a fitted model all but rules out, so the switch is raised to the
+        # 2.3% tail: the chain then mixes sweeps that take the far-tail
+        # rejection sampler with sweeps that fill every uniform in one call.
+        monkeypatch.setattr(sampler_module, "_TAIL_SWITCH", ndtr(-2.0))
+        monkeypatch.setitem(globals(), "_TAIL_SWITCH", ndtr(-2.0))  # the oracle's switch
+        far_sweeps = []
+        kernel = sampler_module._truncated_std_normal_above
+
+        def recording_kernel(a, rng, layout=None):
+            x = kernel(a, rng, layout)
+            far_sweeps.append(bool(layout.far.any()))
+            return x
+
+        monkeypatch.setattr(sampler_module, "_truncated_std_normal_above", recording_kernel)
+        design = design_for(sex_dgp((-1.5, 0.5), 0.25, n_clusters=10, births=20), seed=21)
+        prior = PriorSpec()
+        config = McmcConfig(total=400, burnin=100, thin=1, seed=4, allow_short=True)
+        kept = oracle_chain(design, prior, config)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ChainQualityWarning)
+            draws = fit(design, prior, config)
+        assert len(far_sweeps) == config.total
+        assert 10 <= sum(far_sweeps) <= config.total - 10
         assert np.array_equal(draws.beta, kept[:, :-1])
         assert np.array_equal(draws.sigma2, kept[:, -1])
 
@@ -475,6 +507,15 @@ def test_posterior_draws_invariants():
         PosteriorDraws(survey_id="S1", beta=np.full((5, 2), np.nan), sigma2=np.ones(5))
 
 
+def test_posterior_draws_stay_read_only_across_a_pickle():
+    # draws fitted in a survey process reach the parent through a pickle
+    draws = PosteriorDraws(survey_id="S1", beta=np.zeros((5, 2)), sigma2=np.ones(5), column_groups={"a": (1, 2)})
+    back = pickle.loads(pickle.dumps(draws))
+    assert not back.beta.flags.writeable and not back.sigma2.flags.writeable
+    assert np.array_equal(back.beta, draws.beta) and np.array_equal(back.sigma2, draws.sigma2)
+    assert (back.survey_id, back.column_groups) == (draws.survey_id, draws.column_groups)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     means=st.lists(st.floats(-40.0, 40.0), min_size=1, max_size=40),
@@ -497,7 +538,7 @@ def test_latent_draw_is_finite_on_its_side(pairs, seed):
     eta = np.array([m for m, _ in pairs])
     death = np.array([d for _, d in pairs])
     sign = np.where(death, 1.0, -1.0)
-    z = _latent_draw(eta, sign, (np.flatnonzero(death), np.flatnonzero(~death)), np.random.default_rng(seed))
+    z = _latent_draw(eta, _LatentLayout(death), np.random.default_rng(seed))
     assert np.all(np.isfinite(z))
     assert np.all(np.sign(z) == sign)
 
