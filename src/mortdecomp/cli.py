@@ -61,18 +61,12 @@ from .dataset import (
     pool_samples,
     write_survey_csv,
 )
-from .decompose import (
-    _available_cores,
-    _one_blas_thread,
-    decompose_draws,
-    posterior_decompose,
-    validate_order,
-)
+from .decompose import _available_cores, _one_blas_thread, posterior_decompose, validate_order
 from .errors import ConfigError, MortdecompError, read_json, write_json
 from .errors import require_bool, require_number, require_object, require_str
 # diagnostics, mean_mortality and variance_collapse are not called in this
 # module; perfbench/tracing.py wraps them here by name, so they stay imported.
-from .marginal import CONVENTIONS, marginal_prob, marginalize, mean_mortality  # noqa: F401
+from .marginal import CONVENTIONS, mean_mortality  # noqa: F401
 from .report import (
     TABLE_FILES,
     load_results,
@@ -82,7 +76,6 @@ from .report import (
     write_variance_profile,
 )
 from .sampler import (
-    ChainQualityWarning,
     FitDiagnostics,
     GibbsChain,
     McmcConfig,
@@ -95,15 +88,7 @@ from .sampler import (
     save_draws,
 )
 from .simulate import SyntheticConfig, SyntheticSurveySpec, synthesize
-from .validation import (
-    VarianceCollapseProfile,
-    linear_oracle,
-    mc_marginalization_oracle,
-    ml_probit_fit,
-    prior_limit_design,
-    random_design,
-    variance_collapse,  # noqa: F401
-)
+from .validation import VarianceCollapseProfile, validate_suite, variance_collapse  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -210,8 +195,12 @@ class RunConfig:
                 raise ConfigError(f"order must be a list of group names, got {order!r}")
             order = tuple(require_str(o, f"order[{i}]") for i, o in enumerate(order))
 
+        seed = require_number(raw.get("seed", 0), "seed", int)
+        if seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {seed}")
+
         return cls(
-            seed=require_number(raw.get("seed", 0), "seed", int),
+            seed=seed,
             out_dir=require_str(raw.get("out_dir", "out"), "out_dir"),
             dgp=dgp,
             csv_paths=csv_paths,
@@ -481,85 +470,6 @@ def run_pipeline(config: RunConfig) -> dict:
     return {p.name: p for p in out.written}
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
-
-
-def validate_suite(convention: str = "appendix_divide", seed: int = 0, mc_draws: int = 200_000) -> list[CheckResult]:
-    """Cross-check suite: linear triangle, Monte-Carlo marginalization grid,
-    maximum-likelihood prior limit, and the collapsing-sum identity."""
-    results = []
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-
-    # linear triangle: identity link equals the closed-form split
-    worst = 0.0
-    for _ in range(100):
-        d1 = random_design(rng, 20, [1, 1])
-        d2 = random_design(rng, 20, [1, 1])
-        b1, b2 = rng.normal(size=3), rng.normal(size=3)
-        got = decompose_draws(d1, d2, b1, b2, link="identity")
-        want = linear_oracle(d1.x.mean(axis=0), d2.x.mean(axis=0), b1, b2)
-        worst = max(worst, abs(got.x_effect[0] - want[0]), abs(got.beta_effect[0] - want[1]))
-    results.append(CheckResult("linear_triangle", worst < 1e-12, f"max deviation {worst:.2e} (tol 1e-12)"))
-
-    # Monte-Carlo marginalization across the (x'beta, sigma2) grid
-    worst_units = 0.0
-    for eta in (-2.0, -1.0, 0.0, 1.0, 2.0):
-        for sigma2 in (0.0, 0.25, 1.0, 4.0):
-            estimate, se = mc_marginalization_oracle([eta], sigma2, [1.0], mc_draws, seed=seed + 17)
-            prob = marginal_prob([1.0], marginalize([eta], sigma2, convention))
-            if se == 0.0:
-                deviation_units = 0.0 if prob == estimate else np.inf
-            else:
-                deviation_units = abs(prob - estimate) / se
-            worst_units = max(worst_units, deviation_units)
-    results.append(
-        CheckResult(
-            "mc_marginalization_grid",
-            bool(worst_units <= 3.0),
-            f"max deviation {worst_units:.2f} MC standard errors (tol 3), convention {convention}",
-        )
-    )
-
-    # prior limit: flat-coefficient, variance-pinned fit approaches the MLE
-    results.append(_prior_limit_check(seed))
-
-    # collapsing-sum identity on random instances
-    d2 = random_design(rng, 30, [2, 1])
-    worst = 0.0
-    for _ in range(200):
-        b1 = rng.normal(scale=0.7, size=4)
-        b2 = rng.normal(scale=0.7, size=4)
-        order = list(rng.permutation(["intercept", "g0", "g1"]))
-        d = decompose_draws(d2, d2, b1, b2, order)
-        worst = max(worst, abs(sum(d.group_effects[0]) - d.beta_effect[0]))
-    results.append(CheckResult("collapsing_sum_fuzz", worst < 1e-12, f"max deviation {worst:.2e} (tol 1e-12)"))
-    return results
-
-
-def _prior_limit_check(seed: int) -> CheckResult:
-    design = prior_limit_design(births_per_cluster=100, seed=seed + 1)
-    flat = PriorSpec(beta_sd=1e6, sigma2_shape=1e6, sigma2_scale=10.0)  # sigma2 pinned near 1e-5
-    mcmc = McmcConfig(total=1000 + 1500 * 2, burnin=1000, thin=2, target_retained=1500, seed=seed + 2)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ChainQualityWarning)
-        survey = _fit_survey(design, flat, mcmc, auto_extend=False)
-    draws, diag = survey.draws, survey.diagnostics
-    mle = ml_probit_fit(design)
-    post_mean = draws.beta.mean(axis=0)
-    post_sd = draws.beta.std(axis=0, ddof=1)
-    mc_se = post_sd / np.sqrt([diag.ess[f"beta_{j}"] for j in range(draws.n_coefficients)])
-    units = np.abs(post_mean - mle) / mc_se
-    return CheckResult(
-        "ml_prior_limit",
-        bool(np.all(units <= 2.0)),
-        f"max deviation {units.max():.2f} MC standard errors (tol 2)",
-    )
-
-
 def _error_record(stage: str, exc: BaseException) -> str:
     return json.dumps(
         {"error": {"stage": stage, "type": type(exc).__name__, "message": str(exc)}},
@@ -620,8 +530,17 @@ def _cmd_decompose(args) -> int:
     config = RunConfig.from_file(args.config, _overrides(args))
     out = _Outputs(Path(config.out_dir))
     d1, d2 = _build_designs(config, *_load_samples(config))
-    draws1 = _load_draws_for(Path(args.draws1) if args.draws1 else out.dir / "draws_s1.csv")
-    draws2 = _load_draws_for(Path(args.draws2) if args.draws2 else out.dir / "draws_s2.csv")
+    paths = [Path(args.draws1) if args.draws1 else out.dir / "draws_s1.csv",
+             Path(args.draws2) if args.draws2 else out.dir / "draws_s2.csv"]
+    draws1, draws2 = (_load_draws_for(path) for path in paths)
+    # A sidecar records the survey its draws were fitted to; draws without one cannot be checked.
+    for path, draws, design, other in zip(paths, (draws1, draws2), (d1, d2), (d2, d1)):
+        if draws.survey_id and draws.survey_id != design.survey_id:
+            hint = "; the two draws files look swapped" if draws.survey_id == other.survey_id else ""
+            raise ConfigError(
+                f"{path} holds draws fitted to survey {draws.survey_id}, "
+                f"but decompose pairs it with survey {design.survey_id}{hint}"
+            )
     _decompose_and_write(config, d1, d2, draws1, draws2, out)
     print(f"wrote decomposition tables to {out.dir}")
     return 0

@@ -1,18 +1,21 @@
 """Independent reference implementations used to cross-check the core math,
-and the variance profile of the per-covariate effects.
+the cross-checks built on them, and the variance profile of the
+per-covariate effects.
 
 Each oracle deliberately re-derives a quantity along a different route
 than the main modules: the closed-form linear decomposition, direct
 Monte-Carlo integration over the cluster effect, and a Newton-Raphson
 maximum-likelihood probit.  ``random_design`` builds the random designs
-they are checked on, and ``prior_limit_design`` the synthetic survey the
-prior-limit check fits, for the CLI cross-check suite and the tests alike.
-The variance profile of partial sums is not an oracle: it is read off
-the decomposition's per-draw group effects.
+they are checked on.  Each of the four ``*_deviation`` cross-checks
+returns its worst deviation; ``validate_suite`` (``mortdecomp validate``)
+and the acceptance tests call them at their own seeds, sizes and
+tolerances.  The variance profile of partial sums is not an oracle: it
+is read off the decomposition's per-draw group effects.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -20,8 +23,9 @@ from scipy.special import log_ndtr, ndtr, ndtri
 
 from .dataset import CovariateSchema, CovariateSpec, DesignMatrix, build_design, compute_centering
 from .decompose import decompose_draws
-from .errors import NonConvergenceError
-from .marginal import marginalize
+from .errors import ConfigError, NonConvergenceError
+from .marginal import marginal_prob, marginalize
+from .sampler import ChainQualityWarning, McmcConfig, PriorSpec, diagnostics, fit
 from .simulate import SyntheticConfig, SyntheticSurveySpec, synthesize
 
 __all__ = [
@@ -29,7 +33,12 @@ __all__ = [
     "mc_marginalization_oracle",
     "ml_probit_fit",
     "random_design",
-    "prior_limit_design",
+    "linear_triangle_deviation",
+    "marginalization_grid_deviation",
+    "prior_limit_deviation",
+    "additivity_deviation",
+    "CheckResult",
+    "validate_suite",
     "VarianceCollapseProfile",
     "variance_collapse",
 ]
@@ -87,26 +96,6 @@ def random_design(rng: np.random.Generator, n_rows: int, group_sizes) -> DesignM
     )
 
 
-def prior_limit_design(births_per_cluster: int, seed: int) -> DesignMatrix:
-    """Design of a synthetic survey with no cluster variance, on which a flat-prior
-    fit with sigma2 pinned near zero should recover ``ml_probit_fit``'s estimate.
-
-    Fifty clusters of ``births_per_cluster`` births; intercept and binary
-    ``sex`` with coefficients (-1.0, 0.4); ``seed`` seeds the generator.
-    """
-    schema = CovariateSchema((CovariateSpec("sex", "binary", reference="female"),))
-    spec = SyntheticSurveySpec(
-        beta=(-1.0, 0.4),
-        sigma2=0.0,
-        n_clusters=50,
-        births_per_cluster=births_per_cluster,
-        survey_year=2000,
-        covariates={"sex": {"dist": "choice", "values": ["female", "male"], "probs": [0.5, 0.5]}},
-    )
-    sample, _ = synthesize(SyntheticConfig(schema, spec, replace(spec, survey_year=2014)), seed=seed)
-    return build_design(sample, schema, compute_centering(sample, schema), sample)
-
-
 def _probit_score_info(x: np.ndarray, y: np.ndarray, beta: np.ndarray):
     """Gradient and observed information of the probit log-likelihood."""
     eta = x @ beta
@@ -147,6 +136,116 @@ def ml_probit_fit(design, tol: float = 1e-8, max_iter: int = 100) -> np.ndarray:
     raise NonConvergenceError(
         f"probit Newton-Raphson did not converge in {max_iter} iterations", last_iterate=beta
     )
+
+
+def linear_triangle_deviation(rng: np.random.Generator, n_fixtures: int) -> float:
+    """Worst gap between the identity-link decomposition and ``linear_oracle``
+    over ``n_fixtures`` pairs of 20-row random designs."""
+    worst = 0.0
+    for _ in range(n_fixtures):
+        d1 = random_design(rng, 20, [1, 1])
+        d2 = random_design(rng, 20, [1, 1])
+        b1, b2 = rng.normal(size=3), rng.normal(size=3)
+        got = decompose_draws(d1, d2, b1, b2, link="identity")
+        want = linear_oracle(d1.x.mean(axis=0), d2.x.mean(axis=0), b1, b2)
+        worst = max(worst, abs(got.x_effect[0] - want[0]), abs(got.beta_effect[0] - want[1]))
+    return worst
+
+
+def marginalization_grid_deviation(n_draws: int, seed: int, convention: str = "appendix_divide") -> float:
+    """Worst gap, in Monte-Carlo standard errors, between ``marginalize`` and
+    ``mc_marginalization_oracle`` over x'beta in -2..2 and sigma2 in {0, 0.25, 1, 4}.
+
+    Point (eta, sigma2) is seeded ``seed + int(1000 * eta + 7 * sigma2)``,
+    so ``seed`` must be at least 2000.  A gap at an exact sigma2 = 0 point is infinite.
+    """
+    worst = 0.0
+    for eta in (-2.0, -1.0, 0.0, 1.0, 2.0):
+        for sigma2 in (0.0, 0.25, 1.0, 4.0):
+            estimate, se = mc_marginalization_oracle(
+                [eta], sigma2, [1.0], n_draws, seed=seed + int(1000 * eta + 7 * sigma2)
+            )
+            prob = marginal_prob([1.0], marginalize([eta], sigma2, convention))
+            if se == 0.0:
+                worst = max(worst, 0.0 if prob == estimate else np.inf)
+            else:
+                worst = max(worst, abs(prob - estimate) / se)
+    return worst
+
+
+def prior_limit_deviation(births_per_cluster: int, data_seed: int, chain_seed: int) -> float:
+    """Worst gap, in Monte-Carlo standard errors (posterior sd over root ESS),
+    between a flat-prior posterior mean and ``ml_probit_fit``.
+
+    The survey has no cluster variance: fifty clusters of
+    ``births_per_cluster`` births, intercept and binary ``sex`` with
+    coefficients (-1.0, 0.4).  The chain pins sigma2 near 1e-5.
+    """
+    schema = CovariateSchema((CovariateSpec("sex", "binary", reference="female"),))
+    spec = SyntheticSurveySpec(
+        beta=(-1.0, 0.4),
+        sigma2=0.0,
+        n_clusters=50,
+        births_per_cluster=births_per_cluster,
+        survey_year=2000,
+        covariates={"sex": {"dist": "choice", "values": ["female", "male"], "probs": [0.5, 0.5]}},
+    )
+    sample, _ = synthesize(SyntheticConfig(schema, spec, replace(spec, survey_year=2014)), seed=data_seed)
+    design = build_design(sample, schema, compute_centering(sample, schema), sample)
+    flat = PriorSpec(beta_sd=1e6, sigma2_shape=1e6, sigma2_scale=10.0)
+    mcmc = McmcConfig(total=1000 + 1500 * 2, burnin=1000, thin=2, target_retained=1500, seed=chain_seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ChainQualityWarning)
+        draws = fit(design, flat, mcmc)
+    ess = diagnostics(draws).ess
+    mc_se = draws.beta.std(axis=0, ddof=1) / np.sqrt([ess[f"beta_{j}"] for j in range(draws.n_coefficients)])
+    return float(np.max(np.abs(draws.beta.mean(axis=0) - ml_probit_fit(design)) / mc_se))
+
+
+def additivity_deviation(rng: np.random.Generator, n_instances: int) -> tuple[float, float]:
+    """Worst ``|x_effect + beta_effect - overall_diff|`` and ``|sum(group_effects) - beta_effect|``
+    over random designs, coefficients and orders."""
+    worst_overall = 0.0
+    worst_groups = 0.0
+    for _ in range(n_instances):
+        n_groups = int(rng.integers(1, 4))
+        sizes = [int(rng.integers(1, 4)) for _ in range(n_groups)]
+        d1 = random_design(rng, int(rng.integers(10, 40)), sizes)
+        d2 = random_design(rng, int(rng.integers(10, 40)), sizes)
+        p = d1.n_cols
+        b1 = rng.normal(scale=0.8, size=p)
+        b2 = rng.normal(scale=0.8, size=p)
+        order = list(rng.permutation(["intercept"] + [f"g{k}" for k in range(n_groups)]))
+        d = decompose_draws(d1, d2, b1, b2, order)
+        worst_overall = max(worst_overall, abs(d.x_effect[0] + d.beta_effect[0] - d.overall_diff[0]))
+        worst_groups = max(worst_groups, abs(sum(d.group_effects[0]) - d.beta_effect[0]))
+    return worst_overall, worst_groups
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    name: str
+    passed: bool
+    detail: str
+
+
+def validate_suite(convention: str = "appendix_divide", seed: int = 0) -> list[CheckResult]:
+    """The ``mortdecomp validate`` checks, seeded from ``seed`` (a ``ConfigError`` if negative)."""
+    if seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    linear = linear_triangle_deviation(rng, 100)
+    grid = marginalization_grid_deviation(200_000, seed + 12345, convention)
+    prior = prior_limit_deviation(100, seed + 1, seed + 2)
+    overall, groups = additivity_deviation(rng, 200)
+    return [
+        CheckResult("linear_triangle", linear < 1e-12, f"max deviation {linear:.2e} (tol 1e-12)"),
+        CheckResult("mc_marginalization_grid", bool(grid <= 3.0),
+                    f"max deviation {grid:.2f} MC standard errors (tol 3), convention {convention}"),
+        CheckResult("ml_prior_limit", bool(prior <= 2.0), f"max deviation {prior:.2f} MC standard errors (tol 2)"),
+        CheckResult("collapsing_sum_fuzz", overall < 1e-12 and groups < 1e-12,
+                    f"max |sum(groups)-beta| {groups:.2e}, max |x+beta-overall| {overall:.2e} (tol 1e-12)"),
+    ]
 
 
 @dataclass(frozen=True)

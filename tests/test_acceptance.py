@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mortdecomp.cli import RunConfig, run_pipeline, validate_suite
+from mortdecomp.cli import RunConfig, run_pipeline
 from mortdecomp.dataset import (
     CovariateSchema,
     CovariateSpec,
@@ -25,21 +25,16 @@ from mortdecomp.dataset import (
     compute_centering,
     pool_samples,
 )
-from mortdecomp.decompose import (
-    annualize,
-    decompose_draws,
-    percent_of,
-)
-from mortdecomp.marginal import marginal_prob, marginalize
+from mortdecomp.decompose import annualize, percent_of
 from mortdecomp.report import format_percent, format_rate
 from mortdecomp.sampler import McmcConfig, PriorSpec, diagnostics, fit
 from mortdecomp.simulate import SyntheticConfig, SyntheticSurveySpec, synthesize
 from mortdecomp.validation import (
-    linear_oracle,
-    mc_marginalization_oracle,
-    ml_probit_fit,
-    prior_limit_design,
-    random_design,
+    additivity_deviation,
+    linear_triangle_deviation,
+    marginalization_grid_deviation,
+    prior_limit_deviation,
+    validate_suite,
     variance_collapse,
 )
 
@@ -89,21 +84,7 @@ def design_for(dgp, seed, pooled_knots=False):
 
 def test_additivity_identities():
     started = time.time()
-    rng = np.random.default_rng(20240810)
-    worst_overall = 0.0
-    worst_groups = 0.0
-    for _ in range(1000):
-        n_groups = int(rng.integers(1, 4))
-        sizes = [int(rng.integers(1, 4)) for _ in range(n_groups)]
-        d1 = random_design(rng, int(rng.integers(10, 40)), sizes)
-        d2 = random_design(rng, int(rng.integers(10, 40)), sizes)
-        p = d1.n_cols
-        b1 = rng.normal(scale=0.8, size=p)
-        b2 = rng.normal(scale=0.8, size=p)
-        order = list(rng.permutation(["intercept"] + [f"g{k}" for k in range(n_groups)]))
-        d = decompose_draws(d1, d2, b1, b2, order)
-        worst_overall = max(worst_overall, abs(d.x_effect[0] + d.beta_effect[0] - d.overall_diff[0]))
-        worst_groups = max(worst_groups, abs(sum(d.group_effects[0]) - d.beta_effect[0]))
+    worst_overall, worst_groups = additivity_deviation(np.random.default_rng(20240810), 1000)
     elapsed = time.time() - started
     ok = worst_overall < 1e-12 and worst_groups < 1e-12 and elapsed < 10
     report(
@@ -120,15 +101,7 @@ def test_additivity_identities():
 
 def test_linear_oracle_equivalence():
     started = time.time()
-    rng = np.random.default_rng(7)
-    worst = 0.0
-    for _ in range(100):
-        d1 = random_design(rng, 20, [1, 1])
-        d2 = random_design(rng, 20, [1, 1])
-        b1, b2 = rng.normal(size=3), rng.normal(size=3)
-        got = decompose_draws(d1, d2, b1, b2, link="identity")
-        want = linear_oracle(d1.x.mean(axis=0), d2.x.mean(axis=0), b1, b2)
-        worst = max(worst, abs(got.x_effect[0] - want[0]), abs(got.beta_effect[0] - want[1]))
+    worst = linear_triangle_deviation(np.random.default_rng(7), 100)
     elapsed = time.time() - started
     ok = worst < 1e-12 and elapsed < 1
     report(
@@ -143,27 +116,16 @@ def test_linear_oracle_equivalence():
 
 def test_marginalization_oracle_grid():
     started = time.time()
-    worst_units = 0.0
-    exact_ok = True
-    for eta in (-2.0, -1.0, 0.0, 1.0, 2.0):
-        for sigma2 in (0.0, 0.25, 1.0, 4.0):
-            estimate, se = mc_marginalization_oracle(
-                [eta], sigma2, [1.0], n_draws=10**6, seed=int(1000 * eta + 7 * sigma2) + 12345
-            )
-            prob = marginal_prob([1.0], marginalize([eta], sigma2))
-            if se == 0.0:
-                exact_ok = exact_ok and prob == estimate
-            else:
-                worst_units = max(worst_units, abs(prob - estimate) / se)
+    # an inexact sigma2 = 0 point reads as an infinite deviation
+    worst_units = marginalization_grid_deviation(n_draws=10**6, seed=12345)
     elapsed = time.time() - started
-    ok = exact_ok and worst_units <= 3.0 and elapsed < 30
+    ok = worst_units <= 3.0 and elapsed < 30
     report(
         "marginalization_oracle",
         ok,
         f"20 grid points x 1e6 draws, max deviation {worst_units:.2f} MC standard errors (tol 3)",
         elapsed,
     )
-    assert exact_ok
     assert worst_units <= 3.0
     assert elapsed < 30
 
@@ -237,26 +199,16 @@ def test_frequentist_coverage():
 
 def test_prior_limit_matches_ml_probit():
     started = time.time()
-    design = prior_limit_design(births_per_cluster=400, seed=53)
-    flat = PriorSpec(beta_sd=1e6, sigma2_shape=1e6, sigma2_scale=10.0)  # pins sigma2 near 1e-5
-    config = McmcConfig(total=1000 + 1500 * 2, burnin=1000, thin=2, target_retained=1500, seed=63)
-    draws = fit(design, flat, config)
-    diag = diagnostics(draws)
-    mle = ml_probit_fit(design)
-    post_mean = draws.beta.mean(axis=0)
-    mc_se = draws.beta.std(axis=0, ddof=1) / np.sqrt(
-        [diag.ess[f"beta_{j}"] for j in range(draws.n_coefficients)]
-    )
-    units = np.abs(post_mean - mle) / mc_se
+    units = prior_limit_deviation(births_per_cluster=400, data_seed=53, chain_seed=63)
     elapsed = time.time() - started
-    ok = bool(np.all(units <= 2.0) and elapsed <= 120)
+    ok = bool(units <= 2.0 and elapsed <= 120)
     report(
         "prior_limit_vs_ml_probit",
         ok,
-        f"max deviation {units.max():.2f} MC standard errors (tol 2)",
+        f"max deviation {units:.2f} MC standard errors (tol 2)",
         elapsed,
     )
-    assert np.all(units <= 2.0)
+    assert units <= 2.0
     assert elapsed <= 120
 
 

@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 
 import mortdecomp.cli as cli
 import mortdecomp.report
-from mortdecomp.cli import RunConfig, main, run_pipeline, validate_suite
+from mortdecomp.cli import RunConfig, main, run_pipeline
 from mortdecomp.decompose import ComponentSummary, _one_blas_thread, _openblas_threads
 from mortdecomp.errors import ConfigError, MortdecompError, SingularDesignError
 from mortdecomp.sampler import ChainQualityWarning, GibbsChain
+from mortdecomp.validation import validate_suite
 
 
 def base_config(out_dir, mcmc=None):
@@ -529,6 +530,30 @@ class TestCommands:
         assert record["error"]["type"] == "ConfigError"
         assert "coefficients" in record["error"]["message"]
 
+    def test_decompose_refuses_swapped_draws_files(self, tmp_path, capsys, finished_run):
+        config, run_out = finished_run
+        argv = ["decompose", "--config", str(config), "--out", str(tmp_path / "out"),
+                "--draws1", str(run_out / "draws_s2.csv"), "--draws2", str(run_out / "draws_s1.csv")]
+        assert main(argv) == 2
+        record = self.error_record(capsys)
+        assert record["type"] == "ConfigError"
+        assert record["message"] == (
+            f"{run_out / 'draws_s2.csv'} holds draws fitted to survey S2, but decompose pairs it with "
+            "survey S1; the two draws files look swapped"
+        )
+        assert not (tmp_path / "out" / "decomposition.json").exists()
+
+    def test_decompose_reads_draws_without_a_sidecar(self, tmp_path, capsys, finished_run):
+        # no sidecar records a survey, so nothing can be checked against it
+        config, run_out = finished_run
+        bare = tmp_path / "bare"
+        bare.mkdir()
+        for sid in ("s1", "s2"):
+            (bare / f"draws_{sid}.csv").write_bytes((run_out / f"draws_{sid}.csv").read_bytes())
+        assert main(["decompose", "--config", str(config), "--out", str(bare)]) == 0
+        capsys.readouterr()
+        assert (bare / "decomposition.json").read_bytes() == (run_out / "decomposition.json").read_bytes()
+
     @staticmethod
     def error_record(capsys):
         return json.loads(capsys.readouterr().err.strip().splitlines()[0])["error"]
@@ -626,6 +651,7 @@ class TestCommands:
             (lambda cfg: cfg["mcmc"].update(thin=2.5), "mcmc.thin"),
             (lambda cfg: cfg["mcmc"].update(total="3000"), "mcmc.total"),
             (lambda cfg: cfg.update(seed=True), "seed"),
+            (lambda cfg: cfg.update(seed=-5), "seed must be a non-negative integer"),
             (lambda cfg: cfg.update(prior={"beta_sd": "nan"}), "prior.beta_sd"),
             (lambda cfg: cfg.update(prior={"beta_sd": float("nan")}), "prior.beta_sd"),
             (lambda cfg: cfg["input"]["dgp"]["s1"].update(n_clusters=30.5), "n_clusters"),
@@ -669,7 +695,8 @@ class TestCommands:
             "mcmc_not_object", "prior_not_object", "schema_without_covariates",
             "mcmc_total_not_number", "seed_not_number", "poor_quantile_not_number", "order_not_list",
             "dgp_sigma2_not_number", "dgp_beta_not_list", "dgp_covariates_not_object", "schema_covariate_not_object",
-            "mcmc_thin_fractional", "mcmc_total_numeric_string", "seed_boolean", "prior_beta_sd_nan_string",
+            "mcmc_thin_fractional", "mcmc_total_numeric_string", "seed_boolean", "seed_negative",
+            "prior_beta_sd_nan_string",
             "prior_beta_sd_nan", "dgp_n_clusters_fractional", "csv_path_not_string",
             "auto_extend_string", "mcmc_allow_short_string", "out_dir_number", "order_entry_number",
             "order_unknown_group", "order_without_intercept", "order_duplicate_group",
@@ -781,6 +808,17 @@ class TestCommands:
         assert main(["validate", "--marginalization", "maintext_multiply"]) == 1
         out = capsys.readouterr().out
         assert "FAIL mc_marginalization_grid" in out
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_negative_seed_flag_exits_2(self, tmp_path, capsys, command):
+        argv = [command, "--seed", "-1"]
+        if command == "run":
+            argv += ["--config", str(write_config(tmp_path, base_config(tmp_path / "out")))]
+        assert main(argv) == 2
+        record = self.error_record(capsys)
+        assert record["stage"] == "configure" and record["type"] == "ConfigError"
+        assert record["message"] == "seed must be a non-negative integer, got -1"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "argv",

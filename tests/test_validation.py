@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr, ndtri
 
+from mortdecomp import validation
 from mortdecomp.dataset import DesignMatrix
 from mortdecomp.decompose import posterior_decompose
 from mortdecomp.errors import ConfigError, NonConvergenceError
@@ -9,6 +10,7 @@ from mortdecomp.sampler import PosteriorDraws
 from mortdecomp.validation import (
     VarianceCollapseProfile,
     linear_oracle,
+    marginalization_grid_deviation,
     mc_marginalization_oracle,
     ml_probit_fit,
     variance_collapse,
@@ -69,6 +71,24 @@ class TestMcMarginalizationOracle:
     def test_draw_floor(self):
         with pytest.raises(ValueError):
             mc_marginalization_oracle([1.0], 1.0, [1.0], 100, seed=0)
+
+    def test_grid_fails_when_only_an_exact_point_is_off(self, monkeypatch):
+        # sigma2 = 0 points have no standard error, so any gap there must fail the grid
+        assert np.isfinite(marginalization_grid_deviation(10**4, seed=12345))
+        marginalize, marginal_prob = validation.marginalize, validation.marginal_prob
+        exact = []
+
+        def tracking_marginalize(beta, sigma2, convention):
+            exact.append(sigma2 == 0.0)
+            return marginalize(beta, sigma2, convention)
+
+        def perturbed_prob(x, coefficients):
+            return marginal_prob(x, coefficients) + (1e-15 if exact[-1] else 0.0)
+
+        monkeypatch.setattr(validation, "marginalize", tracking_marginalize)
+        monkeypatch.setattr(validation, "marginal_prob", perturbed_prob)
+        assert marginalization_grid_deviation(10**4, seed=12345) == np.inf
+        assert exact.count(True) == 5
 
 
 class TestMlProbit:
