@@ -222,18 +222,40 @@ class RunConfig:
 
 @dataclass
 class _Outputs:
-    """A command's output directory, the files it has started to write, and its current stage."""
+    """A command's output directory, the files it has started to write, and its current stage.
+
+    The directory is made at the first write, not before the inputs are
+    read.  Used as a context manager, a command that fails removes the
+    directories it made (deepest first) while they are empty, so a
+    refused command leaves no empty output directory behind.
+    """
 
     dir: Path
     written: list[Path] = field(default_factory=list)
     stage: str = "configure"
+    made: list[Path] = field(default_factory=list)  # directories this command created, deepest first
 
-    def __post_init__(self):
-        self.dir.mkdir(parents=True, exist_ok=True)
+    def __enter__(self) -> "_Outputs":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is not None:
+            for directory in self.made:
+                try:
+                    directory.rmdir()
+                except OSError:
+                    break
+
+    def mkdir(self) -> Path:
+        """``dir``, created with any missing parents if it does not exist yet."""
+        if not self.dir.is_dir():
+            self.made = [d for d in (self.dir, *self.dir.parents) if not d.exists()]
+            self.dir.mkdir(parents=True, exist_ok=True)
+        return self.dir
 
     def path(self, name: str) -> Path:
         """``dir / name``, recorded in ``written`` before anything is written there."""
-        path = self.dir / name
+        path = self.mkdir() / name
         self.written.append(path)
         return path
 
@@ -422,50 +444,51 @@ class _StageFailure(Exception):
 def run_pipeline(config: RunConfig) -> dict:
     """Execute the full pipeline; returns {file name: path} for emitted files.
 
-    On any failure every output the run started to write is removed and
-    the originating stage is attached to the raised error.
+    On any failure every output the run started to write is removed, and
+    the output directory too when the run made it, and the originating
+    stage is attached to the raised error.
     """
-    out = _Outputs(Path(config.out_dir))
-    try:
-        # One BLAS thread from the samples through the decomposition: the
-        # survey processes then share the cores without oversubscribing
-        # them, and the parent's OpenBLAS pool, which each fork shuts down,
-        # is not rebuilt between the forks or for the decomposition.  The
-        # kernel's own hold nests inside this one.
-        with _one_blas_thread() or contextlib.nullcontext():
-            out.stage = "load_samples"
-            s1, s2 = _load_samples(config)
+    with _Outputs(Path(config.out_dir)) as out:
+        try:
+            # One BLAS thread from the samples through the decomposition: the
+            # survey processes then share the cores without oversubscribing
+            # them, and the parent's OpenBLAS pool, which each fork shuts down,
+            # is not rebuilt between the forks or for the decomposition.  The
+            # kernel's own hold nests inside this one.
+            with _one_blas_thread() or contextlib.nullcontext():
+                out.stage = "load_samples"
+                s1, s2 = _load_samples(config)
 
-            out.stage = "build_design"
-            d1, d2 = _build_designs(config, s1, s2)
+                out.stage = "build_design"
+                d1, d2 = _build_designs(config, s1, s2)
 
-            out.stage = "fit"
-            fit1, fit2 = _per_survey(_fit_survey, _fit_jobs(config, (d1, d2)))
-            summary = _decompose_and_write(config, d1, d2, fit1.draws, fit2.draws, out)
+                out.stage = "fit"
+                fit1, fit2 = _per_survey(_fit_survey, _fit_jobs(config, (d1, d2)))
+                summary = _decompose_and_write(config, d1, d2, fit1.draws, fit2.draws, out)
 
-        _save_fit(fit1, "s1", out)
-        _save_fit(fit2, "s2", out)
-        diag_doc = {
-            "s1": _survey_diagnostics(summary.rate_s1, fit1, s1),
-            "s2": _survey_diagnostics(summary.rate_s2, fit2, s2),
-        }
-        write_json(diag_doc, out.path("diagnostics.json"))
+            _save_fit(fit1, "s1", out)
+            _save_fit(fit2, "s2", out)
+            diag_doc = {
+                "s1": _survey_diagnostics(summary.rate_s1, fit1, s1),
+                "s2": _survey_diagnostics(summary.rate_s2, fit2, s2),
+            }
+            write_json(diag_doc, out.path("diagnostics.json"))
 
-        out.stage = "manifest"
-        manifest = {
-            "config": config.echo,
-            "seed": config.seed,
-            "versions": _versions(),
-            "files": {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.written},
-        }
-        write_json(manifest, out.path("run_manifest.json"))
-    except BaseException as exc:
-        for path in out.written:
-            try:
-                path.unlink()
-            except OSError:
-                pass
-        raise _StageFailure(out.stage, exc) from exc
+            out.stage = "manifest"
+            manifest = {
+                "config": config.echo,
+                "seed": config.seed,
+                "versions": _versions(),
+                "files": {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.written},
+            }
+            write_json(manifest, out.path("run_manifest.json"))
+        except BaseException as exc:
+            for path in out.written:
+                try:
+                    path.unlink()
+                except OSError:
+                    pass
+            raise _StageFailure(out.stage, exc) from exc
 
     return {p.name: p for p in out.written}
 
@@ -498,20 +521,20 @@ def _cmd_simulate(args) -> int:
     config = RunConfig.from_file(args.config, _overrides(args))
     if config.dgp is None:
         raise ConfigError("simulate needs a config with input.mode = 'synthetic'")
-    out = _Outputs(Path(config.out_dir))
-    for sample, name in zip(_load_samples(config), ("s1.csv", "s2.csv")):
-        path = out.path(name)
-        write_survey_csv(sample, path)
-        print(f"wrote {path} ({sample.n_births} births, {sample.n_clusters} clusters)")
+    with _Outputs(Path(config.out_dir)) as out:
+        for sample, name in zip(_load_samples(config), ("s1.csv", "s2.csv")):
+            path = out.path(name)
+            write_survey_csv(sample, path)
+            print(f"wrote {path} ({sample.n_births} births, {sample.n_clusters} clusters)")
     return 0
 
 
 def _cmd_fit(args) -> int:
     config = RunConfig.from_file(args.config, _overrides(args))
-    out = _Outputs(Path(config.out_dir))
     designs = _build_designs(config, *_load_samples(config))
     survey = _fit_survey(*_fit_jobs(config, designs)[("s1", "s2").index(args.survey)])
-    csv_path = _save_fit(survey, args.survey, out)
+    with _Outputs(Path(config.out_dir)) as out:
+        csv_path = _save_fit(survey, args.survey, out)
     min_ess = f"{survey.diagnostics.min_ess:.0f}" if survey.diagnostics is not None else "n/a"
     print(
         f"wrote {csv_path} ({survey.draws.n_draws} draws, min ESS {min_ess}, "
@@ -528,29 +551,35 @@ def _load_draws_for(csv_path: Path) -> PosteriorDraws:
 
 def _cmd_decompose(args) -> int:
     config = RunConfig.from_file(args.config, _overrides(args))
-    out = _Outputs(Path(config.out_dir))
+    out_dir = Path(config.out_dir)
     d1, d2 = _build_designs(config, *_load_samples(config))
-    paths = [Path(args.draws1) if args.draws1 else out.dir / "draws_s1.csv",
-             Path(args.draws2) if args.draws2 else out.dir / "draws_s2.csv"]
+    paths = [Path(args.draws1) if args.draws1 else out_dir / "draws_s1.csv",
+             Path(args.draws2) if args.draws2 else out_dir / "draws_s2.csv"]
     draws1, draws2 = (_load_draws_for(path) for path in paths)
     # A sidecar records the survey its draws were fitted to; draws without one cannot be checked.
     for path, draws, design, other in zip(paths, (draws1, draws2), (d1, d2), (d2, d1)):
-        if draws.survey_id and draws.survey_id != design.survey_id:
+        if not draws.survey_id:
+            warnings.warn(
+                f"{path} records no survey (no sidecar, or none with a survey_id), "
+                f"so decompose cannot check that it was fitted to survey {design.survey_id}"
+            )
+        elif draws.survey_id != design.survey_id:
             hint = "; the two draws files look swapped" if draws.survey_id == other.survey_id else ""
             raise ConfigError(
                 f"{path} holds draws fitted to survey {draws.survey_id}, "
                 f"but decompose pairs it with survey {design.survey_id}{hint}"
             )
-    _decompose_and_write(config, d1, d2, draws1, draws2, out)
-    print(f"wrote decomposition tables to {out.dir}")
+    with _Outputs(out_dir) as out:
+        _decompose_and_write(config, d1, d2, draws1, draws2, out)
+    print(f"wrote decomposition tables to {out_dir}")
     return 0
 
 
 def _cmd_report(args) -> int:
     doc = load_results(args.results)
-    out = _Outputs(Path(args.out or Path(args.results).parent))
-    for path in write_all_tables(doc, out.dir):
-        print(f"wrote {path}")
+    with _Outputs(Path(args.out or Path(args.results).parent)) as out:
+        for path in write_all_tables(doc, out.mkdir()):
+            print(f"wrote {path}")
     return 0
 
 

@@ -46,8 +46,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
+from ._phi import ndtr
 from .errors import ConfigError
 from .marginal import MortalitySummary, marginalize
 

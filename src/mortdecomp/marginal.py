@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
+from ._phi import ndtr
 from .errors import ConfigError
 
 __all__ = [

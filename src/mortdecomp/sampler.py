@@ -17,8 +17,8 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
+from ._phi import ndtr, ndtri
 from .dataset import DesignMatrix, FrozenArrays
 from .errors import ConfigError, SingularDesignError, read_json, write_json
 from .errors import require_bool, require_number, require_object, require_str

@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import ndtr
 
+from ._phi import ndtr
 from .dataset import (
     _FIELDS,
     AGE_RANGE,

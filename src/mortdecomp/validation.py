@@ -19,8 +19,8 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr, ndtri
 
+from ._phi import log_ndtr, ndtr, ndtri
 from .dataset import CovariateSchema, CovariateSpec, DesignMatrix, build_design, compute_centering
 from .decompose import decompose_draws
 from .errors import ConfigError, NonConvergenceError
@@ -60,13 +60,14 @@ def linear_oracle(xbar1, xbar2, beta1, beta2) -> tuple[float, float]:
     return float((xbar1 - xbar2) @ beta1), float(xbar2 @ (beta1 - beta2))
 
 
-def mc_marginalization_oracle(beta, sigma2: float, x, n_draws: int, seed: int) -> tuple[float, float]:
+def mc_marginalization_oracle(beta, sigma2: float, x, n_draws: int, seed: int | tuple[int, ...]) -> tuple[float, float]:
     """Monte-Carlo estimate of the cluster-effect-integrated probability.
 
     Averages ``Phi(x' beta + g)`` over ``g ~ N(0, sigma2)`` and returns
     the estimate with its Monte-Carlo standard error.  With ``sigma2``
     zero the integral is degenerate and the exact value is returned with
-    a zero standard error.
+    a zero standard error.  ``seed`` is the entropy of the draws'
+    ``SeedSequence``: an int or a tuple of ints.
     """
     if n_draws < 10_000:
         raise ValueError(f"need at least 1e4 draws for a usable oracle, got {n_draws}")
@@ -156,20 +157,19 @@ def marginalization_grid_deviation(n_draws: int, seed: int, convention: str = "a
     """Worst gap, in Monte-Carlo standard errors, between ``marginalize`` and
     ``mc_marginalization_oracle`` over x'beta in -2..2 and sigma2 in {0, 0.25, 1, 4}.
 
-    Point (eta, sigma2) is seeded ``seed + int(1000 * eta + 7 * sigma2)``,
-    so ``seed`` must be at least 2000.  A gap at an exact sigma2 = 0 point is infinite.
+    Point k of the grid draws from ``SeedSequence((seed, k))``, so no two
+    points, of one seed or of two, share a stream.  A gap at an exact
+    sigma2 = 0 point is infinite.
     """
     worst = 0.0
-    for eta in (-2.0, -1.0, 0.0, 1.0, 2.0):
-        for sigma2 in (0.0, 0.25, 1.0, 4.0):
-            estimate, se = mc_marginalization_oracle(
-                [eta], sigma2, [1.0], n_draws, seed=seed + int(1000 * eta + 7 * sigma2)
-            )
-            prob = marginal_prob([1.0], marginalize([eta], sigma2, convention))
-            if se == 0.0:
-                worst = max(worst, 0.0 if prob == estimate else np.inf)
-            else:
-                worst = max(worst, abs(prob - estimate) / se)
+    grid = [(eta, sigma2) for eta in (-2.0, -1.0, 0.0, 1.0, 2.0) for sigma2 in (0.0, 0.25, 1.0, 4.0)]
+    for k, (eta, sigma2) in enumerate(grid):
+        estimate, se = mc_marginalization_oracle([eta], sigma2, [1.0], n_draws, seed=(seed, k))
+        prob = marginal_prob([1.0], marginalize([eta], sigma2, convention))
+        if se == 0.0:
+            worst = max(worst, 0.0 if prob == estimate else np.inf)
+        else:
+            worst = max(worst, abs(prob - estimate) / se)
     return worst
 
 

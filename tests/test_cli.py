@@ -172,7 +172,7 @@ class TestPipeline:
             run_pipeline(config)
         assert err.value.stage == "decompose"
         out = tmp_path / "out"
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "module, writer",
@@ -189,7 +189,7 @@ class TestPipeline:
         with pytest.raises(cli._StageFailure) as err:
             run_pipeline(config)
         assert err.value.stage == "emit"
-        assert list((tmp_path / "out").iterdir()) == []
+        assert not (tmp_path / "out").exists()
 
 
 def run_with_warnings(config) -> list[tuple]:
@@ -258,7 +258,7 @@ class TestFitProcesses:
         assert type(err.value.cause) is SingularDesignError
         assert str(err.value.cause) == str(SingularDesignError(3.5e-17))
         assert err.value.cause.min_eigenvalue == 3.5e-17
-        assert list((tmp_path / "out").iterdir()) == []
+        assert not (tmp_path / "out").exists()
         assert multiprocessing.active_children() == []
 
     def test_dying_child_ends_run_at_fit(self, tmp_path, monkeypatch):
@@ -274,7 +274,7 @@ class TestFitProcesses:
             run_pipeline(RunConfig.from_dict(base_config(tmp_path / "out")))
         assert err.value.stage == "fit"
         assert "survey 1 exited with code 3" in str(err.value.cause)
-        assert list((tmp_path / "out").iterdir()) == []
+        assert not (tmp_path / "out").exists()
         assert multiprocessing.active_children() == []
 
 
@@ -354,7 +354,7 @@ class TestIngestProcesses:
             assert main(["run", "--config", str(config)]) == 1
             records.append(first_error_record(capsys))
             assert multiprocessing.active_children() == []
-            assert list(out.iterdir()) == []
+            assert not out.exists()
         assert records[0] == records[1]
         assert records[0]["stage"] == "load_samples" and records[0]["type"] == "RowError"
         want = "line 6: outcome must be 0 or 1, got '9'" if "s1" in bad else "line 4: outcome must be 0 or 1, got '7'"
@@ -369,7 +369,7 @@ class TestIngestProcesses:
         assert record["stage"] == "load_samples" and record["type"] == "ConfigError"
         assert record["message"].startswith(f"{huge}, line 3: field larger than field limit")
         assert multiprocessing.active_children() == []
-        assert list((tmp_path / "out").iterdir()) == []
+        assert not (tmp_path / "out").exists()
 
 
 def test_csv_reader_error_exits_2_in_decompose(tmp_path, simulated_csvs, capsys):
@@ -397,7 +397,7 @@ class TestCommands:
         record = json.loads(captured.err.strip().splitlines()[0])
         assert record["error"]["stage"] == "load_samples"
         assert "length" in record["error"]["message"]
-        assert list((tmp_path / "out_bad").iterdir()) == []
+        assert not (tmp_path / "out_bad").exists()
 
     def test_config_error_exits_2(self, tmp_path, capsys):
         cfg = base_config(tmp_path / "out")
@@ -553,6 +553,47 @@ class TestCommands:
         assert main(["decompose", "--config", str(config), "--out", str(bare)]) == 0
         capsys.readouterr()
         assert (bare / "decomposition.json").read_bytes() == (run_out / "decomposition.json").read_bytes()
+
+    @pytest.mark.parametrize("unchecked", ["no_sidecar", "sidecar_without_survey_id"])
+    def test_decompose_warns_once_per_draws_file_it_cannot_check(self, tmp_path, capsys, finished_run, unchecked):
+        config, run_out = finished_run
+        for sid in ("s1", "s2"):
+            (tmp_path / f"draws_{sid}.csv").write_bytes((run_out / f"draws_{sid}.csv").read_bytes())
+        sidecar = json.loads((run_out / "draws_s1.json").read_text())
+        del sidecar["survey_id"]
+        if unchecked == "sidecar_without_survey_id":
+            (tmp_path / "draws_s1.json").write_text(json.dumps(sidecar))
+        (tmp_path / "draws_s2.json").write_bytes((run_out / "draws_s2.json").read_bytes())
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["decompose", "--config", str(config), "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        messages = [str(w.message) for w in caught if "records no survey" in str(w.message)]
+        assert messages == [
+            f"{tmp_path / 'draws_s1.csv'} records no survey (no sidecar, or none with a survey_id), "
+            "so decompose cannot check that it was fitted to survey S1"
+        ]
+
+    @pytest.mark.parametrize("command", ["decompose_swapped", "fit_missing_csv", "simulate_bad_generator", "run_bad_beta"])
+    def test_refused_command_leaves_no_output_directory(self, tmp_path, capsys, finished_run, command):
+        config, run_out = finished_run
+        out = tmp_path / "new" / "swapped"
+        if command == "decompose_swapped":
+            argv = ["decompose", "--config", str(config), "--out", str(out),
+                    "--draws1", str(run_out / "draws_s2.csv"), "--draws2", str(run_out / "draws_s1.csv")]
+        elif command == "fit_missing_csv":
+            csv_path = write_config(tmp_path, csv_config(out, tmp_path / "absent.csv", tmp_path / "absent.csv"))
+            argv = ["fit", "--config", str(csv_path), "--survey", "s1"]
+        else:
+            cfg = base_config(out)
+            if command == "simulate_bad_generator":
+                covariates(cfg).update(sex={"dist": "choice", "values": ["f", "m"]})
+            else:
+                cfg["input"]["dgp"]["s1"]["beta"] = [-1.1]
+            argv = [command.split("_")[0], "--config", str(write_config(tmp_path, cfg))]
+        assert main(argv) == (1 if command == "run_bad_beta" else 2)
+        capsys.readouterr()
+        assert not (tmp_path / "new").exists()
 
     @staticmethod
     def error_record(capsys):

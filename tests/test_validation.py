@@ -90,6 +90,23 @@ class TestMcMarginalizationOracle:
         assert marginalization_grid_deviation(10**4, seed=12345) == np.inf
         assert exact.count(True) == 5
 
+    def test_grid_points_of_nearby_seeds_draw_independent_streams(self, monkeypatch):
+        # each point's stream is the state its SeedSequence hands the generator;
+        # seeds s and s + 6 once shared one (offsets 7 * 1.0 and 1 + int(7 * 0.25))
+        oracle = validation.mc_marginalization_oracle
+        streams = []
+
+        def recording_oracle(beta, sigma2, x, n_draws, seed):
+            if sigma2 > 0.0:
+                streams.append(tuple(np.random.SeedSequence(seed).generate_state(4)))
+            return oracle(beta, sigma2, x, n_draws, seed)
+
+        monkeypatch.setattr(validation, "mc_marginalization_oracle", recording_oracle)
+        for seed in (12345, 12351):
+            marginalization_grid_deviation(10**4, seed=seed)
+        assert len(streams) == 30
+        assert len(set(streams)) == 30
+
 
 class TestMlProbit:
     def test_intercept_only_closed_form(self):
