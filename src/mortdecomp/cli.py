@@ -26,15 +26,17 @@ seeds feed the generator and each survey's chain, and no output embeds
 a timestamp.
 
 Per-survey work runs in two forked processes, one per survey, when
-numpy's OpenBLAS exposes its thread control and at least two cores are
-available, and one survey after the other in this process otherwise;
-the outputs are the same bytes either way.  In csv mode every command
-that reads the samples reads the two CSV files that way, and ``run``
-fits the two surveys that way too.  A survey process inherits its
-inputs (a CSV path, or a design and chain settings) through the fork
-and sends back its ``SurveySample`` or ``SurveyFit``, or the error it
-raised, with the warnings it caught.  ``run`` holds OpenBLAS at one
-thread from reading the samples through the decomposition.
+``decompose._workers`` grants two workers (numpy's OpenBLAS exposes its
+thread control and at least two cores are available), and one survey
+after the other in this process otherwise; the outputs are the same
+bytes either way.  In csv mode every command that reads the samples
+reads the two CSV files that way, and ``run`` fits the two surveys that
+way too.  A survey process inherits its inputs (a CSV path, or a design
+and chain settings) through the fork and sends back its
+``SurveySample`` or ``SurveyFit``, or the error it raised, with the
+warnings it caught.  ``run`` holds OpenBLAS at one thread from reading
+the samples through the decomposition.  A command that fails removes
+every file it started to write and the output directories it made.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ from .dataset import (
     pool_samples,
     write_survey_csv,
 )
-from .decompose import _available_cores, _one_blas_thread, posterior_decompose, validate_order
+from .decompose import _one_blas_thread, _workers, posterior_decompose, validate_order
 from .errors import ConfigError, MortdecompError, read_json, write_json
 from .errors import require_bool, require_number, require_object, require_str
 # diagnostics, mean_mortality and variance_collapse are not called in this
@@ -225,9 +227,10 @@ class _Outputs:
     """A command's output directory, the files it has started to write, and its current stage.
 
     The directory is made at the first write, not before the inputs are
-    read.  Used as a context manager, a command that fails removes the
-    directories it made (deepest first) while they are empty, so a
-    refused command leaves no empty output directory behind.
+    read.  Used as a context manager, a command that fails removes every
+    file in ``written``, then the directories it made (deepest first)
+    while they are empty, so a failed command leaves none of its outputs
+    and no empty output directory behind.
     """
 
     dir: Path
@@ -240,6 +243,9 @@ class _Outputs:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         if exc_type is not None:
+            for path in self.written:
+                with contextlib.suppress(OSError):
+                    path.unlink()
             for directory in self.made:
                 try:
                     directory.rmdir()
@@ -329,16 +335,15 @@ def _survey_child(conn, job, args) -> None:
 def _per_survey(job, jobs: list[tuple]) -> list:
     """``job(*args)`` for every survey's ``args`` in ``jobs``, in order.
 
-    When numpy's OpenBLAS exposes its thread control and at least two
-    cores are available, each survey's job runs in its own forked
-    process, which inherits ``job`` and its arguments and sends back the
-    result (or the exception it raised) and the warnings it caught.  The
-    warnings are re-issued here in survey order, and the first failing
-    survey's exception is raised after its warnings, as if the jobs had
-    run one after the other.  Every process is joined before this
-    returns or raises.
+    When ``decompose._workers`` grants a worker per survey, each survey's
+    job runs in its own forked process, which inherits ``job`` and its
+    arguments and sends back the result (or the exception it raised) and
+    the warnings it caught.  The warnings are re-issued here in survey
+    order, and the first failing survey's exception is raised after its
+    warnings, as if the jobs had run one after the other.  Every process
+    is joined before this returns or raises.
     """
-    if _one_blas_thread() is None or _available_cores() < 2:
+    if _workers(len(jobs)) < 2:
         return [job(*args) for args in jobs]
     ctx = multiprocessing.get_context("fork")
     children = []
@@ -379,6 +384,13 @@ def _save_fit(survey: SurveyFit, sid: str, out: _Outputs) -> Path:
     return csv_path
 
 
+def _write_tables(doc: dict, out: _Outputs) -> list[Path]:
+    """Write the ``TABLE_FILES`` tables into ``out``, all recorded before the first is written."""
+    for name in TABLE_FILES:
+        out.path(name)
+    return write_all_tables(doc, out.dir)
+
+
 def _decompose_and_write(config: RunConfig, d1, d2, draws1, draws2, out: _Outputs):
     """Decompose the paired draws; write ``decomposition.json``, the tables and ``variance_profile.csv``.
 
@@ -395,8 +407,7 @@ def _decompose_and_write(config: RunConfig, d1, d2, draws1, draws2, out: _Output
     out.stage = "emit"
     doc = summary_to_dict(summary)
     write_decomposition_json(doc, out.path("decomposition.json"))
-    out.written.extend(out.dir / name for name in TABLE_FILES)
-    write_all_tables(doc, out.dir)
+    _write_tables(doc, out)
     write_variance_profile(profile, out.path("variance_profile.csv"))
     return summary
 
@@ -444,9 +455,9 @@ class _StageFailure(Exception):
 def run_pipeline(config: RunConfig) -> dict:
     """Execute the full pipeline; returns {file name: path} for emitted files.
 
-    On any failure every output the run started to write is removed, and
-    the output directory too when the run made it, and the originating
-    stage is attached to the raised error.
+    On any failure ``_Outputs`` removes every output the run started to
+    write, and the output directory too when the run made it; the
+    originating stage is attached to the raised error.
     """
     with _Outputs(Path(config.out_dir)) as out:
         try:
@@ -455,7 +466,7 @@ def run_pipeline(config: RunConfig) -> dict:
             # them, and the parent's OpenBLAS pool, which each fork shuts down,
             # is not rebuilt between the forks or for the decomposition.  The
             # kernel's own hold nests inside this one.
-            with _one_blas_thread() or contextlib.nullcontext():
+            with _one_blas_thread():
                 out.stage = "load_samples"
                 s1, s2 = _load_samples(config)
 
@@ -483,11 +494,6 @@ def run_pipeline(config: RunConfig) -> dict:
             }
             write_json(manifest, out.path("run_manifest.json"))
         except BaseException as exc:
-            for path in out.written:
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
             raise _StageFailure(out.stage, exc) from exc
 
     return {p.name: p for p in out.written}
@@ -578,7 +584,7 @@ def _cmd_decompose(args) -> int:
 def _cmd_report(args) -> int:
     doc = load_results(args.results)
     with _Outputs(Path(args.out or Path(args.results).parent)) as out:
-        for path in write_all_tables(doc, out.mkdir()):
+        for path in _write_tables(doc, out):
             print(f"wrote {path}")
     return 0
 

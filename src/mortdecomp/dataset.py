@@ -24,10 +24,12 @@ from .errors import (
     EmptyInputError,
     RowError,
     SchemaError,
+    read_csv,
     require_bool,
     require_number,
     require_object,
     require_str,
+    write_csv,
 )
 from .splines import bspline_basis, quantile_knots
 
@@ -408,14 +410,7 @@ def ingest_csv(path, schema: CovariateSchema, survey_year: int, survey_id: str =
     file, and the line for the CSV reader.
     """
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            lines = list(reader)
-        except csv.Error as exc:
-            raise ConfigError(f"{path}, line {reader.line_num}: {exc}") from None
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    lines = read_csv(path)
     if not lines:
         raise EmptyInputError(f"{path}: file is empty")
     header = [h.strip() for h in lines[0]]
@@ -503,10 +498,7 @@ def write_survey_csv(sample: SurveySample, path) -> None:
 
     table = [sample.outcome.tolist(), *(cells(name) for name in fields)]
     table.append(np.asarray(sample.cluster_ids)[sample.cluster].tolist())
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["outcome", *fields, "cluster_id"])
-        writer.writerows(zip(*table))
+    write_csv(path, ["outcome", *fields, "cluster_id"], zip(*table))
 
 
 def pool_samples(*samples: SurveySample) -> SurveySample:

@@ -33,11 +33,11 @@ variable is read or written.  Blocks are counted from draw 0 whatever
 the core count, so every draw's arithmetic is the same as on one thread
 and the outputs are identical bytes.  Where numpy's BLAS exports no
 thread control, the kernel walks all blocks on the calling thread.
+``_workers`` owns that rule, and the CLI asks it before it forks.
 """
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import functools
 import os
@@ -126,9 +126,9 @@ class _OneBlasThread:
 
 
 @functools.cache
-def _one_blas_thread() -> _OneBlasThread | None:
-    controls = _openblas_threads()
-    return None if controls is None else _OneBlasThread(controls)
+def _one_blas_thread() -> _OneBlasThread:
+    """The process's one hold; where numpy's BLAS exports no thread control it holds nothing."""
+    return _OneBlasThread(_openblas_threads() or (lambda: 1, lambda count: None))
 
 
 def _available_cores() -> int:
@@ -136,6 +136,12 @@ def _available_cores() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # not on every platform
         return os.cpu_count() or 1
+
+
+def _workers(n: int) -> int:
+    """How many workers share ``n`` jobs: one per available core, at most ``n``, when numpy's
+    OpenBLAS exports its thread control, so each worker can be held at one BLAS thread; else 1."""
+    return 1 if _openblas_threads() is None else min(n, _available_cores())
 
 
 _FOLD = np.uint64(0x9E3779B97F4A7C15)  # odd multiplier for the row-key fold
@@ -291,9 +297,8 @@ def decompose_draws(design1, design2, tilde1, tilde2, order=None, link="probit")
             walk_block(start, min(start + _DRAW_BLOCK, n_draws))
 
     n_blocks = -(-n_draws // _DRAW_BLOCK)
-    hold = _one_blas_thread()
-    n_chunks = 1 if hold is None else min(n_blocks, _available_cores())
-    with hold or contextlib.nullcontext():
+    n_chunks = _workers(n_blocks)
+    with _one_blas_thread():
         if n_chunks <= 1:
             walk_blocks(0, n_blocks)
         else:

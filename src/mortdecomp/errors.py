@@ -1,9 +1,11 @@
 """Exception types, the ``require_*`` checks on input values, and the package's
-one JSON reader (:func:`read_json`) and writer (:func:`write_json`): every
-JSON file the package reads or writes goes through them."""
+one JSON reader (:func:`read_json`) and writer (:func:`write_json`) and one
+CSV reader (:func:`read_csv`) and writer (:func:`write_csv`): every JSON or
+CSV file the package reads or writes goes through them."""
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import numbers
@@ -141,3 +143,25 @@ def read_json(path):
 def write_json(doc, path) -> None:
     """Write ``doc`` to ``path`` as UTF-8 JSON with a two-space indent, sorted keys and a trailing newline."""
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def read_csv(path) -> list[list[str]]:
+    """The rows of the UTF-8 CSV file ``path``, header first, a blank line as ``[]``; ``ConfigError``
+    naming the file when it is not UTF-8, and the file and line when the CSV reader rejects it (a
+    field over its size limit, say), ``OSError`` when it cannot be read."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            return list(reader)
+        except csv.Error as exc:
+            raise ConfigError(f"{path}, line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def write_csv(path, header, rows) -> None:
+    """Write ``header``, then every row of ``rows``, to ``path`` as UTF-8 CSV in the csv module's default dialect."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)

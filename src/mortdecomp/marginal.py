@@ -27,9 +27,6 @@ __all__ = [
 
 CONVENTIONS = ("appendix_divide", "maintext_multiply")
 
-# Draws per matrix product in ``mean_mortality``: bounds the (rows x draws) block.
-_CHUNK = 128
-
 
 def _scale(sigma2, convention: str):
     """Coefficient scale factor for a scalar or an array of ``sigma2`` draws."""
@@ -80,19 +77,10 @@ def mean_mortality(design, draws, convention: str = "appendix_divide") -> Mortal
     """Posterior summary of ``mean_i Phi(x_i' beta_tilde)`` scaled to per-1000.
 
     Each retained draw is marginalized and averaged over the design's
-    rows; the summary reports the posterior mean and the 95%
-    equal-tailed interval of that average.
+    rows by ``decompose_draws``; the summary reports the posterior mean
+    and the 95% equal-tailed interval of that average.
     """
-    beta = np.asarray(draws.beta, dtype=float)
-    if beta.ndim != 2 or beta.shape[1] != design.x.shape[1]:
-        raise ValueError(
-            f"draws have {beta.shape[1] if beta.ndim == 2 else 'bad'} coefficients per draw "
-            f"but the design has {design.x.shape[1]} columns"
-        )
-    tilde = marginalize(beta, draws.sigma2, convention)
-    n_draws = tilde.shape[0]
-    rates = np.empty(n_draws)
-    for start in range(0, n_draws, _CHUNK):
-        block = tilde[start : start + _CHUNK]
-        rates[start : start + _CHUNK] = ndtr(design.x @ block.T).mean(axis=0)
-    return MortalitySummary.from_draws(rates)
+    from .decompose import decompose_draws  # decompose imports this module
+
+    tilde = marginalize(draws.beta, draws.sigma2, convention)
+    return MortalitySummary.from_draws(decompose_draws(design, design, tilde, tilde).rate1)

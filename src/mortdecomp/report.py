@@ -11,13 +11,12 @@ recomputation.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import fields
 from pathlib import Path
 
 from .decompose import ComponentSummary
-from .errors import ConfigError, read_json, require_bool, require_number, require_object, write_json
+from .errors import ConfigError, read_json, require_bool, require_number, require_object, write_csv, write_json
 
 __all__ = [
     "format_rate",
@@ -125,13 +124,6 @@ def load_results(path) -> dict:
     return doc
 
 
-def _write_rows(path, header, rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def write_mortality_table(doc: dict, path) -> None:
     """Per-survey rates, their difference, and the annualized decline."""
     overall = doc["components"]["overall_diff"]
@@ -149,7 +141,7 @@ def write_mortality_table(doc: dict, path) -> None:
         *(overall[key] * 1000 for key in _RATE_FIELDS),
         *(overall[key] for key in _ANNUALIZED_FIELDS),
     ]
-    _write_rows(path, header, [[format_rate(value) for value in row]])
+    write_csv(path, header, [[format_rate(value) for value in row]])
 
 
 def _write_component_table(doc: dict, path, names, percents: bool) -> None:
@@ -165,7 +157,7 @@ def _write_component_table(doc: dict, path, names, percents: bool) -> None:
             *(format_percent(comp[key]) for key in percent_keys),
             format_flag(comp["significant"]),
         ])
-    _write_rows(path, ["component", "effect_per_year", "lower", "upper", *percent_keys, "significant"], rows)
+    write_csv(path, ["component", "effect_per_year", "lower", "upper", *percent_keys, "significant"], rows)
 
 
 def write_overall_table(doc: dict, path) -> None:
@@ -185,7 +177,7 @@ def write_variance_profile(profile, path) -> None:
         [m + 1, name, repr(float(var))]
         for m, (name, var) in enumerate(zip(profile.order, profile.partial_sum_variance))
     ]
-    _write_rows(path, header, rows)
+    write_csv(path, header, rows)
 
 
 def write_all_tables(doc: dict, out_dir) -> list[Path]:

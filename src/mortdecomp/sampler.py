@@ -11,7 +11,6 @@ accept/reject step.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -20,7 +19,7 @@ import numpy as np
 
 from ._phi import ndtr, ndtri
 from .dataset import DesignMatrix, FrozenArrays
-from .errors import ConfigError, SingularDesignError, read_json, write_json
+from .errors import ConfigError, SingularDesignError, read_csv, read_json, write_csv, write_json
 from .errors import require_bool, require_number, require_object, require_str
 
 __all__ = [
@@ -492,13 +491,8 @@ def save_draws(draws: PosteriorDraws, csv_path, sidecar_path=None, config_echo: 
     The CSV carries full round-trip precision; the sidecar records the
     survey id, column groups and whatever configuration echo is passed.
     """
-    csv_path = Path(csv_path)
-    header = draws.parameter_names()
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for b, s2 in zip(draws.beta, draws.sigma2):
-            writer.writerow([repr(float(v)) for v in b] + [repr(float(s2))])
+    rows = ([repr(float(v)) for v in b] + [repr(float(s2))] for b, s2 in zip(draws.beta, draws.sigma2))
+    write_csv(csv_path, draws.parameter_names(), rows)
     if sidecar_path is not None:
         sidecar = {
             "survey_id": draws.survey_id,
@@ -513,24 +507,17 @@ def save_draws(draws: PosteriorDraws, csv_path, sidecar_path=None, config_echo: 
 def load_draws(csv_path, sidecar_path=None) -> PosteriorDraws:
     """Read draws written by :func:`save_draws`."""
     csv_path = Path(csv_path)
-    with open(csv_path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    header, *lines = read_csv(csv_path) or [[]]
+    if not header or header[-1] != "sigma2" or not header[0].startswith("beta_"):
+        raise ConfigError(f"{csv_path}: not a draws file (header {header[:3]}...)")
+    rows = []
+    for line, row in enumerate(lines, start=2):
+        if len(row) != len(header):
+            raise ConfigError(f"{csv_path}, line {line}: {len(row)} cells under a {len(header)}-column header")
         try:
-            header = next(reader, [])
-            if not header or header[-1] != "sigma2" or not header[0].startswith("beta_"):
-                raise ConfigError(f"{csv_path}: not a draws file (header {header[:3]}...)")
-            rows = []
-            for line, row in enumerate(reader, start=2):
-                if len(row) != len(header):
-                    raise ConfigError(f"{csv_path}, line {line}: {len(row)} cells under a {len(header)}-column header")
-                try:
-                    rows.append([float(v) for v in row])
-                except ValueError:
-                    raise ConfigError(f"{csv_path}, line {line}: non-numeric cell in {row}") from None
-        except csv.Error as exc:
-            raise ConfigError(f"{csv_path}, line {reader.line_num}: {exc}") from None
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"{csv_path}: not UTF-8 text ({exc.reason})") from None
+            rows.append([float(v) for v in row])
+        except ValueError:
+            raise ConfigError(f"{csv_path}, line {line}: non-numeric cell in {row}") from None
     if not rows:
         raise ConfigError(f"{csv_path}: no draws below the header")
     arr = np.asarray(rows, dtype=float)

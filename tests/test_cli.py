@@ -2,18 +2,22 @@ import json
 import multiprocessing
 import os
 import pickle
+import threading
 import warnings
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mortdecomp.cli as cli
+import mortdecomp.decompose as decompose_module
 import mortdecomp.report
+from mortdecomp._phi import ndtr
 from mortdecomp.cli import RunConfig, main, run_pipeline
-from mortdecomp.decompose import ComponentSummary, _one_blas_thread, _openblas_threads
+from mortdecomp.decompose import ComponentSummary, _openblas_threads
 from mortdecomp.errors import ConfigError, MortdecompError, SingularDesignError
 from mortdecomp.sampler import ChainQualityWarning, GibbsChain
 from mortdecomp.validation import validate_suite
@@ -200,13 +204,13 @@ def run_with_warnings(config) -> list[tuple]:
     return [(str(w.message), w.filename, w.lineno) for w in caught if w.category is ChainQualityWarning]
 
 
-@pytest.mark.skipif(_one_blas_thread() is None, reason="numpy's BLAS exports no thread control, so fits never fork")
+@pytest.mark.skipif(_openblas_threads() is None, reason="numpy's BLAS exports no thread control, so fits never fork")
 class TestFitProcesses:
     """The two surveys' fits in forked processes, against the in-process path."""
 
     @pytest.fixture(autouse=True)
     def two_cores(self, monkeypatch):
-        monkeypatch.setattr(cli, "_available_cores", lambda: 2)
+        monkeypatch.setattr(decompose_module, "_available_cores", lambda: 2)
 
     def test_outputs_and_warnings_match_in_process_fits(self, tmp_path, monkeypatch):
         # an auto-extended chain, so the resumed extension crosses the process boundary too
@@ -214,7 +218,7 @@ class TestFitProcesses:
         cfg["auto_extend"] = True
         forked_warnings = run_with_warnings(RunConfig.from_dict(cfg))
         assert multiprocessing.active_children() == []
-        monkeypatch.setattr(cli, "_available_cores", lambda: 1)
+        monkeypatch.setattr(decompose_module, "_available_cores", lambda: 1)
         cfg["out_dir"] = str(tmp_path / "in_process")
         in_process_warnings = run_with_warnings(RunConfig.from_dict(cfg))
 
@@ -314,13 +318,13 @@ def first_error_record(capsys) -> dict:
     return json.loads(capsys.readouterr().err.strip().splitlines()[0])["error"]
 
 
-@pytest.mark.skipif(_one_blas_thread() is None, reason="numpy's BLAS exports no thread control, so reads never fork")
+@pytest.mark.skipif(_openblas_threads() is None, reason="numpy's BLAS exports no thread control, so reads never fork")
 class TestIngestProcesses:
     """The two surveys' CSV files read in forked processes, against the in-process path."""
 
     @staticmethod
     def use_cores(monkeypatch, cores):
-        monkeypatch.setattr(cli, "_available_cores", lambda: cores)
+        monkeypatch.setattr(decompose_module, "_available_cores", lambda: cores)
 
     def test_samples_match_in_process_reads_and_are_read_only(self, tmp_path, simulated_csvs, monkeypatch):
         config = RunConfig.from_dict(csv_config(tmp_path / "out", simulated_csvs / "s1.csv", simulated_csvs / "s2.csv"))
@@ -379,6 +383,26 @@ def test_csv_reader_error_exits_2_in_decompose(tmp_path, simulated_csvs, capsys)
     record = first_error_record(capsys)
     assert record["type"] == "ConfigError"
     assert record["message"].startswith(f"{huge}, line 5: field larger than field limit")
+
+
+def test_without_blas_control_one_worker_for_surveys_and_kernel(tmp_path, monkeypatch):
+    # decompose._workers is the one rule both callers ask: no thread control means one worker
+    decompose_module._one_blas_thread()  # the shared hold, built while the real controls resolve
+    monkeypatch.setattr(decompose_module, "_openblas_threads", lambda: None)
+    monkeypatch.setattr(decompose_module, "_available_cores", lambda: 2)
+    assert cli._per_survey(os.getpid, [(), ()]) == [os.getpid(), os.getpid()]
+
+    config = RunConfig.from_dict(base_config(tmp_path / "out"))
+    d1, d2 = cli._build_designs(config, *cli._load_samples(config))
+    tilde = np.random.default_rng(5).normal(-0.5, 0.3, size=(3 * decompose_module._DRAW_BLOCK, d1.n_cols))
+    threads = set()
+
+    def recording_ndtr(v):
+        threads.add(threading.get_ident())
+        return ndtr(v)
+
+    decompose_module.decompose_draws(d1, d2, tilde, tilde + 0.1, link=recording_ndtr)
+    assert threads == {threading.get_ident()}
 
 
 class TestCommands:
@@ -512,7 +536,8 @@ class TestCommands:
         (out / "draws_s2.json").unlink()
         capsys.readouterr()
         narrow = write_config(tmp_path, base_config(out), "narrow.json")
-        assert main(["decompose", "--config", str(narrow)]) == 2
+        with pytest.warns(UserWarning, match="records no survey"):
+            assert main(["decompose", "--config", str(narrow)]) == 2
         record = json.loads(capsys.readouterr().err.strip().splitlines()[0])
         assert record["error"]["type"] == "ConfigError"
         assert "coefficients per draw" in record["error"]["message"]
@@ -550,7 +575,8 @@ class TestCommands:
         bare.mkdir()
         for sid in ("s1", "s2"):
             (bare / f"draws_{sid}.csv").write_bytes((run_out / f"draws_{sid}.csv").read_bytes())
-        assert main(["decompose", "--config", str(config), "--out", str(bare)]) == 0
+        with pytest.warns(UserWarning, match="records no survey"):
+            assert main(["decompose", "--config", str(config), "--out", str(bare)]) == 0
         capsys.readouterr()
         assert (bare / "decomposition.json").read_bytes() == (run_out / "decomposition.json").read_bytes()
 
@@ -594,6 +620,37 @@ class TestCommands:
         assert main(argv) == (1 if command == "run_bad_beta" else 2)
         capsys.readouterr()
         assert not (tmp_path / "new").exists()
+
+    @pytest.mark.parametrize("command, squatted", [
+        ("decompose", "coef_decomp.csv"),
+        ("fit", "draws_s1.json"),
+        ("simulate", "s2.csv"),
+        ("report", "overall_decomp.csv"),
+    ])
+    def test_failed_command_removes_the_files_it_started(self, tmp_path, capsys, finished_run, command, squatted):
+        # a directory squats on one of the command's later outputs, so
+        # writing there fails after earlier outputs were written
+        config, run_out = finished_run
+        out = tmp_path / "out"
+        out.mkdir()
+        inputs = {
+            "decompose": ["draws_s1.csv", "draws_s1.json", "draws_s2.csv", "draws_s2.json"],
+            "report": ["decomposition.json"],
+        }.get(command, [])
+        for name in inputs:
+            (out / name).write_bytes((run_out / name).read_bytes())
+        (out / squatted).mkdir()
+        if command == "report":
+            argv = ["report", "--results", str(out / "decomposition.json")]
+        else:
+            argv = [command, "--config", str(config), "--out", str(out)]
+            argv += ["--survey", "s1"] if command == "fit" else []
+        assert main(argv) == 2
+        capsys.readouterr()
+        for name in inputs:
+            assert (out / name).read_bytes() == (run_out / name).read_bytes(), name
+        assert sorted(p.name for p in out.iterdir()) == sorted([*inputs, squatted])
+        assert (out / squatted).is_dir()
 
     @staticmethod
     def error_record(capsys):

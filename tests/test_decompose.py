@@ -439,7 +439,7 @@ class TestThreadedKernel:
 
     def test_without_blas_control_one_chunk_on_the_calling_thread(self, monkeypatch):
         serial = self.draws_on(monkeypatch, 1)
-        monkeypatch.setattr(decompose_module, "_one_blas_thread", lambda: None)
+        monkeypatch.setattr(decompose_module, "_openblas_threads", lambda: None)
         threads = set()
 
         def recording_ndtr(v):

@@ -12,7 +12,9 @@ from mortdecomp.errors import (
     RowError,
     SchemaError,
     SingularDesignError,
+    read_csv,
     read_json,
+    write_csv,
     write_json,
 )
 
@@ -66,3 +68,33 @@ def test_read_json_names_the_file(tmp_path, data, words):
     with pytest.raises(ConfigError) as err:
         read_json(path)
     assert str(err.value).startswith(f"{path}: {words}")
+
+
+def test_write_csv_and_read_csv_round_trip(tmp_path):
+    rows = [["1", "a,b", 'say "hi"'], ["2", "", "\u00e9"]]
+    path = tmp_path / "table.csv"
+    write_csv(path, ["n", "text", "quote"], iter(rows))
+    assert path.read_bytes() == 'n,text,quote\r\n1,"a,b","say ""hi"""\r\n2,,\u00e9\r\n'.encode("utf-8")
+    assert read_csv(path) == [["n", "text", "quote"], *rows]
+
+
+def test_read_csv_reads_blank_lines_as_empty_rows(tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_text("a,b\n\n1,2\n\n", encoding="utf-8")
+    assert read_csv(path) == [["a", "b"], [], ["1", "2"], []]
+
+
+@pytest.mark.parametrize(
+    "data, words",
+    [
+        (b"a,b\n1,2\n3," + b"4" * 200_000 + b"\n", ", line 3: field larger than field limit"),
+        (b"a,b\n1,\xff\n", ": not UTF-8 text (invalid start byte)"),
+    ],
+    ids=["field_limit", "bad_bytes"],
+)
+def test_read_csv_names_the_file(tmp_path, data, words):
+    path = tmp_path / "table.csv"
+    path.write_bytes(data)
+    with pytest.raises(ConfigError) as err:
+        read_csv(path)
+    assert str(err.value).startswith(f"{path}{words}")
