@@ -11,15 +11,21 @@ retained posterior draw turns those point identities into posterior
 distributions for every component.
 
 :func:`decompose_draws` is the one kernel: it decomposes a matrix of
-coefficient pairs, or a single pair, with K + 3 link passes per pair for
-K swapped groups.  Every mean is one weighted sum over a design's rows:
-over its distinct rows, each weighted by its count, when at most half of
-the rows are distinct (categorical covariates repeat rows); otherwise
-over every row, each weighted ``1 / n``.  The kernel takes the draws in
-blocks of 16 and walks each block over tiles of 1024 design rows with
-matrix products, running all of the block's link passes on a tile while
-the tile and the block's linear predictor stay in cache (the cache
-blocking of Goto & van de Geijn, 2008, ACM TOMS 34(3)).
+coefficient pairs, or a single pair, with at most K + 3 link passes per
+pair for K swapped groups.  Every mean is one weighted sum over a
+design's rows: over its distinct rows, each weighted by its count, when
+at most half of the rows are distinct (categorical covariates repeat
+rows); otherwise over every row, each weighted ``1 / n``.  Both designs'
+rows are walked in one order: sorted by which swap groups are zero on
+the row, then by a reference linear predictor.  A swap then moves the
+linear predictor on contiguous runs of rows only, and its pass
+evaluates the link on those runs alone; within a run the link meets its
+arguments in rising order, which ``ndtr``'s branches favour.  The
+kernel takes the draws in blocks of 16 and walks each block over tiles
+of 1024 design rows with matrix products, running all of the block's
+link passes on a tile while the tile and the block's linear predictor
+stay in cache (the cache blocking of Goto & van de Geijn, 2008, ACM TOMS
+34(3)).
 :func:`posterior_decompose` marginalizes two surveys' draws, runs the
 kernel and summarizes each component; its per-draw matrix
 (``DecompositionSummary.draws``) also yields the variance profile in
@@ -150,7 +156,9 @@ _FOLD = np.uint64(0x9E3779B97F4A7C15)  # odd multiplier for the row-key fold
 # each design in tiles of _ROW_TILE rows: a block's linear predictor on one
 # tile is _DRAW_BLOCK * _ROW_TILE = 16384 elements, so the tile, the
 # predictor and its link values stay in a core's L2 cache (about 1 MB in
-# all) while every link pass of the block runs on the tile.
+# all) while every link pass of the block runs on the tile.  A worker
+# gathers each tile's rows once, in the walk's row order, into a buffer of
+# its own and walks all of its blocks over it.
 _DRAW_BLOCK = 16
 _ROW_TILE = 1024
 
@@ -181,6 +189,42 @@ def _distinct_rows(x: np.ndarray):
     if 2 * first.size > n:  # keys collided: the rows are still mostly distinct
         return x, np.full(n, 1.0 / n)
     return x[first], counts / n
+
+
+def _tiles(x: np.ndarray, group_cols, ref: np.ndarray):
+    """``(rows, tiles)``: the rows of ``x`` that the kernel evaluates, and its walk over them.
+
+    ``rows`` and their weights come from :func:`_distinct_rows`.  The walk
+    sorts them, stably, by their zero pattern, and ties by the linear
+    predictor ``rows @ ref``.  The pattern flags each swap group whose
+    columns are all zero on the row (``-0.0`` counts as zero); patterns
+    compare flag by flag in swap order, a row on which the group is
+    nonzero first.
+    Rows that a swap leaves unmoved then lie together, and within a
+    pattern the link meets its arguments in rising order, so its branches
+    run in streaks.  Both designs follow this one rule, so equal designs
+    are walked alike.  ``tiles`` is ``[(index, weights, runs), ...]``, one
+    entry per tile of ``_ROW_TILE`` rows in that order: ``index`` picks
+    the tile's rows, ``weights`` holds their weights, and ``runs[j]``
+    lists the ``(start, stop)`` runs of the tile where group ``j`` is
+    nonzero, or is ``None`` when that is every row.
+    """
+    rows, weights = _distinct_rows(x)
+    zero = np.column_stack([~np.any(rows[:, cols], axis=1) for cols in group_cols])
+    order = np.lexsort([rows @ ref, *zero.T[::-1]])  # the last key sorts first: the first group's flag
+    tiles = []
+    for r in range(0, order.size, _ROW_TILE):
+        index = order[r : r + _ROW_TILE]
+        tiles.append((index, weights[index], [_nonzero_runs(~z) for z in zero[index].T]))
+    return rows, tiles
+
+
+def _nonzero_runs(nonzero: np.ndarray):
+    """The ``(start, stop)`` runs of true entries of ``nonzero``, or ``None`` when every entry is true."""
+    if nonzero.all():
+        return None
+    edges = np.flatnonzero(np.diff(nonzero, prepend=False, append=False)).tolist()
+    return list(zip(edges[::2], edges[1::2]))
 
 
 def validate_order(order, column_groups) -> list[str]:
@@ -232,22 +276,36 @@ def decompose_draws(design1, design2, tilde1, tilde2, order=None, link="probit")
     the entries sum to ``beta_effect``, and the order changes the split
     but not the sum.
 
-    Per pair, K + 3 link passes for K groups: ``rate1``; the crossed mean
-    that starts the swap walk; one per swapped group; and ``rate2``
-    straight from ``x2 @ b2``, so the group-sum identity compares two
-    routes.  A group's pass is skipped for a block of draws only when
-    every draw in the block has equal coefficients for it; a draw whose
-    coefficients are equal in a block that does run the pass takes the
-    previous walk entry after the block, so its group effect is exactly
-    ``0.0`` either way.  Each design's distinct rows are found once per
-    call: when at most half of its rows are distinct, its passes
-    evaluate only those rows and each mean weights them by count over
-    the row total; otherwise its passes evaluate every row, each
-    weighted ``1 / n``.  Draws are walked in blocks of 16 counted from
-    draw 0, each block over tiles of 1024 design rows with matrix
-    products (no ``(n, L)`` array); runs of whole blocks go to one
-    thread per core, so a draw's arithmetic does not depend on the core
-    count.  Both identities are checked to 1e-12 on the full arrays.
+    Per pair, at most K + 3 link passes for K groups: ``rate1``; the
+    crossed mean that starts the swap walk; one per swapped group; and
+    ``rate2`` straight from ``x2 @ b2``, so the group-sum identity
+    compares two routes.  When ``design1`` is ``design2`` the crossed
+    mean is ``rate1``'s pass, and a block of draws whose coefficients are
+    equal in every group takes ``rate2`` from the crossed mean.  A
+    group's pass is skipped for a block of draws only when every draw in
+    the block has equal coefficients for it; a draw whose coefficients
+    are equal in a block that does run the pass takes the previous walk
+    entry after the block, so its group effect is exactly ``0.0`` either
+    way.  Each design's distinct rows are found once per call: when at
+    most half of its rows are distinct, its passes evaluate only those
+    rows and each mean weights them by count over the row total;
+    otherwise its passes evaluate every row, each weighted ``1 / n``.
+
+    Both designs' rows are walked in one order, sorted by which groups
+    are all zero on the row and then by the linear predictor under the
+    mean over all draws of ``(tilde1 + tilde2) / 2``; equal designs are
+    therefore walked alike, and their ``x_effect`` is exactly ``0.0``.  A
+    swap's pass evaluates the link only on the runs of rows where its
+    group is nonzero, keeping every other row's value from the previous
+    pass, so a pass costs the rows its group moves.  The order, and with
+    it the last bits of every output, depends on the set of draws in the
+    call: a draw decomposed alone and in a matrix can differ in its last
+    bits.  Draws are walked in blocks of 16 counted from draw 0, each
+    block over tiles of 1024 design rows with matrix products (no
+    ``(n, L)`` array); runs of whole blocks go to one thread per core,
+    each gathering a tile's rows once for all of its blocks, so a draw's
+    arithmetic does not depend on the core count.  Both identities are
+    checked to 1e-12 on the full arrays.
     """
     tilde1, tilde2 = np.atleast_2d(tilde1, tilde2)
     if design1.n_cols != design2.n_cols or design1.column_groups != design2.column_groups:
@@ -267,44 +325,76 @@ def decompose_draws(design1, design2, tilde1, tilde2, order=None, link="probit")
                 f"but the design has {design1.n_cols} columns"
             )
     f = _link_fn(link)
-    (x1, w1), (x2, w2) = _distinct_rows(design1.x), _distinct_rows(design2.x)
     group_cols = [design2.group_columns(name) for name in order]
-    n_draws = tilde1.shape[0]
+    n_draws, p = tilde1.shape
+    one_design = design1 is design2  # the crossed pass is then rate1's
     rate1 = np.zeros(n_draws)
     rate2 = np.zeros(n_draws)
     walk = np.zeros((n_draws, len(order) + 1))  # column 0: crossed mean; column j: after swap j
 
-    def walk_block(lo, hi):  # fills rows lo..hi-1 of rate1, rate2 and walk
-        b1, b2 = tilde1[lo:hi], tilde2[lo:hi]
-        deltas = [b2[:, cols] - b1[:, cols] for cols in group_cols]
-        swaps = [(j, cols, delta) for j, (cols, delta) in enumerate(zip(group_cols, deltas), start=1) if np.any(delta)]
-        for r in range(0, x1.shape[0], _ROW_TILE):
-            rate1[lo:hi] += f(b1 @ x1[r : r + _ROW_TILE].T) @ w1[r : r + _ROW_TILE]
-        for r in range(0, x2.shape[0], _ROW_TILE):
-            xt, w = x2[r : r + _ROW_TILE].T, w2[r : r + _ROW_TILE]
-            eta = b1 @ xt
-            walk[lo:hi, 0] += f(eta) @ w
-            for j, cols, delta in swaps:
-                eta += delta @ xt[cols]
-                walk[lo:hi, j] += f(eta) @ w
-            rate2[lo:hi] += f(b2 @ xt) @ w
-        for j, delta in enumerate(deltas, start=1):
-            same = lo + np.flatnonzero(~np.any(delta, axis=1))
-            walk[same, j] = walk[same, j - 1]
+    def walk_blocks(first, last, xbuf, etabuf):  # blocks first..last-1, over every tile
+        blocks = []
+        for lo in range(first * _DRAW_BLOCK, min(last * _DRAW_BLOCK, n_draws), _DRAW_BLOCK):
+            hi = min(lo + _DRAW_BLOCK, n_draws)
+            b1, b2 = tilde1[lo:hi], tilde2[lo:hi]
+            deltas = [b2[:, cols] - b1[:, cols] for cols in group_cols]
+            swaps = [(j, cols, d) for j, (cols, d) in enumerate(zip(group_cols, deltas), start=1) if np.any(d)]
+            blocks.append((lo, hi, b1, b2, deltas, swaps))
 
-    def walk_blocks(first, last):  # blocks first..last-1
-        for start in range(first * _DRAW_BLOCK, min(last * _DRAW_BLOCK, n_draws), _DRAW_BLOCK):
-            walk_block(start, min(start + _DRAW_BLOCK, n_draws))
+        def gather(x, index):  # the tile's rows of x in this worker's buffer, as a (p, m) view
+            return np.take(x, index, axis=0, out=xbuf[: index.size]).T
+
+        def eta_buffer(lo, hi, m):  # a contiguous (hi - lo, m) view of this worker's predictor buffer
+            return etabuf[: (hi - lo) * m].reshape(hi - lo, m)
+
+        for index, w, _ in tiles1:
+            xt = gather(x1, index)
+            for lo, hi, b1, *_ in blocks:
+                rate1[lo:hi] += f(np.matmul(b1, xt, out=eta_buffer(lo, hi, index.size))) @ w
+        for index, w, runs in tiles2:
+            xt = gather(x2, index)
+            for lo, hi, b1, b2, _, swaps in blocks:
+                eta = np.matmul(b1, xt, out=eta_buffer(lo, hi, index.size))
+                phi = f(eta)
+                mean = phi @ w
+                walk[lo:hi, 0] += mean
+                for j, cols, delta in swaps:
+                    if runs[j - 1] is None:  # the group is nonzero on every row of the tile
+                        eta += delta @ xt[cols]
+                        phi = f(eta)
+                        mean = phi @ w
+                    elif runs[j - 1]:  # only the runs move; other rows keep their link values (no run: mean stands)
+                        if phi is eta:
+                            phi = eta.copy()
+                        for a, b in runs[j - 1]:
+                            eta[:, a:b] += delta @ xt[cols, a:b]
+                            phi[:, a:b] = f(eta[:, a:b])
+                        mean = phi @ w
+                    walk[lo:hi, j] += mean
+                if swaps:
+                    rate2[lo:hi] += f(np.matmul(b2, xt, out=eta)) @ w
+        for lo, hi, _, _, deltas, swaps in blocks:
+            for j, delta in enumerate(deltas, start=1):
+                same = lo + np.flatnonzero(~np.any(delta, axis=1))
+                walk[same, j] = walk[same, j - 1]
+            if not swaps:  # b2 equals b1 on every draw of the block
+                rate2[lo:hi] = walk[lo:hi, 0]
 
     n_blocks = -(-n_draws // _DRAW_BLOCK)
-    n_chunks = _workers(n_blocks)
+    n_chunks = max(_workers(n_blocks), 1)
+    bounds = [n_blocks * c // n_chunks for c in range(n_chunks + 1)]
+    buffers = [(np.empty((_ROW_TILE, p)), np.empty(_DRAW_BLOCK * _ROW_TILE)) for _ in range(n_chunks)]
     with _one_blas_thread():
-        if n_chunks <= 1:
-            walk_blocks(0, n_blocks)
+        ref = (tilde1 + tilde2).mean(axis=0) / 2 if n_draws else np.zeros(p)
+        x2, tiles2 = _tiles(design2.x, group_cols, ref)
+        x1, tiles1 = (x2, []) if one_design else _tiles(design1.x, group_cols, ref)
+        if n_chunks == 1:
+            walk_blocks(0, n_blocks, *buffers[0])
         else:
-            bounds = [n_blocks * c // n_chunks for c in range(n_chunks + 1)]
             with ThreadPoolExecutor(n_chunks) as pool:
-                list(pool.map(walk_blocks, bounds[:-1], bounds[1:]))
+                list(pool.map(walk_blocks, bounds[:-1], bounds[1:], *zip(*buffers)))
+    if one_design:
+        rate1[:] = walk[:, 0]
 
     crossed = walk[:, 0]
     x_effect = rate1 - crossed

@@ -557,7 +557,7 @@ def design_with_distinct(rng, n_rows, n_distinct):
     return design_from(rows[np.concatenate([np.arange(n_distinct), rng.integers(0, n_distinct, n_rows - n_distinct)])])
 
 
-def ndtr_evals_per_draw(monkeypatch, d1, d2, tilde1, tilde2):
+def ndtr_evals_per_draw(monkeypatch, d1, d2, tilde1, tilde2, order=None):
     evaluated = []
 
     def counting_ndtr(v):
@@ -565,8 +565,13 @@ def ndtr_evals_per_draw(monkeypatch, d1, d2, tilde1, tilde2):
         return ndtr(v)
 
     monkeypatch.setattr(decompose_module, "ndtr", counting_ndtr)
-    decompose_draws(d1, d2, tilde1, tilde2)
+    decompose_draws(d1, d2, tilde1, tilde2, order)
     return sum(evaluated) / tilde1.shape[0]
+
+
+def nonzero_rows(x, design, order):
+    """The rows of ``x`` on which each swap group in ``order`` has a nonzero column, summed over the groups."""
+    return sum(int(np.any(x[:, design.group_columns(name)] != 0.0, axis=1).sum()) for name in order)
 
 
 class TestDistinctRows:
@@ -590,9 +595,10 @@ class TestDistinctRows:
     def test_link_passes_run_over_the_distinct_rows(self, monkeypatch):
         u1, u2 = (np.unique(d.x, axis=0).shape[0] for d in (self.d1, self.d2))
         assert u1 == u2 == 8
-        k = len(self.order)  # the intercept swaps as a group of its own
         per_draw = ndtr_evals_per_draw(monkeypatch, self.d1, self.d2, self.tilde1, self.tilde2)
-        assert per_draw == u1 + (k + 2) * u2
+        # rate1, the crossed mean and rate2, then each swap over the distinct rows its group moves:
+        # the intercept on all 8, each binary column on the 4 where it is 1
+        assert per_draw == u1 + 2 * u2 + nonzero_rows(np.unique(self.d2.x, axis=0), self.d2, self.order)
 
     @pytest.mark.parametrize("extra, collapsed", [(0, True), (1, False)], ids=["half", "half_plus_one"])
     def test_collapse_only_when_at_most_half_the_rows_are_distinct(self, monkeypatch, extra, collapsed):
@@ -693,6 +699,130 @@ class TestTiledWalk:
         assert np.all(out.group_effects[~zero, j] != 0.0)
         for name, value in per_row_reference(d1, d2, tilde1, tilde2, self.order).items():
             np.testing.assert_allclose(getattr(out, name), value, rtol=0, atol=1e-15, err_msg=name)
+
+
+def zero_heavy_design(rng, n_rows):
+    """Intercept, a normal column, two binary groups and a spline-like pair that is zero at its minimum.
+
+    ``sex`` is zero (as ``-0.0``) on about 40% of rows, ``urban`` on 70%
+    and ``spline`` on half, so most swaps move only part of the sample;
+    the normal column keeps every row distinct.
+    """
+    u = np.maximum(rng.normal(size=n_rows), 0.0)
+    x = np.column_stack([
+        np.ones(n_rows),
+        rng.normal(size=n_rows),
+        np.where(rng.random(n_rows) < 0.6, 1.0, -0.0),
+        (rng.random(n_rows) < 0.3).astype(float),
+        u,
+        np.maximum(u - 0.5, 0.0) ** 2,
+    ])
+    return design_from(x, {"age": (1, 2), "sex": (2, 3), "urban": (3, 4), "spline": (4, 6)})
+
+
+class TestSparseSwaps:
+    """A swap evaluates the link only on the rows its group moves, in one row order for both designs."""
+
+    n_draws = 3 * decompose_module._DRAW_BLOCK + 5
+    order = ["spline", "intercept", "sex", "age", "urban"]
+
+    def setup_method(self):
+        rng = np.random.default_rng(80)
+        tile = decompose_module._ROW_TILE
+        self.d1, self.d2 = zero_heavy_design(rng, 2 * tile + 331), zero_heavy_design(rng, 2 * tile + 517)
+        self.tilde1 = rng.normal(-1.0, 0.4, size=(self.n_draws, self.d1.n_cols))
+        self.tilde2 = self.tilde1 + rng.normal(0.0, 0.2, size=self.tilde1.shape)
+        block = decompose_module._DRAW_BLOCK
+        sex, spline = self.d2.group_columns("sex"), self.d2.group_columns("spline")
+        self.tilde2[:block, sex] = self.tilde1[:block, sex]  # sex swaps nothing in block 0
+        third = slice(block, 2 * block, 3)
+        self.tilde2[third, spline] = self.tilde1[third, spline]  # nor spline on a third of block 1
+        self.tilde2[2 * block : 3 * block] = self.tilde1[2 * block : 3 * block]  # block 2 swaps nothing at all
+
+    def decompose(self, d1=None, d2=None, **kwargs):
+        return decompose_draws(d1 or self.d1, d2 or self.d2, self.tilde1, self.tilde2, self.order, **kwargs)
+
+    def test_link_evaluations_per_draw(self, monkeypatch):
+        tilde2 = self.tilde1 + np.random.default_rng(81).normal(0.0, 0.2, size=self.tilde1.shape)
+        n1, n2 = self.d1.n_rows, self.d2.n_rows
+        assert decompose_module._distinct_rows(self.d2.x)[0].shape[0] == n2  # walked row by row
+        moved = nonzero_rows(self.d2.x, self.d2, self.order)
+        assert moved < len(self.order) * n2
+        per_draw = ndtr_evals_per_draw(monkeypatch, self.d1, self.d2, self.tilde1, tilde2, self.order)
+        assert per_draw == n1 + 2 * n2 + moved
+
+    def test_matches_the_per_row_reference(self):
+        out = self.decompose()
+        block = decompose_module._DRAW_BLOCK
+        assert np.all(out.group_effects[2 * block : 3 * block] == 0.0)
+        assert np.all(out.beta_effect[2 * block : 3 * block] == 0.0)
+        for name, value in per_row_reference(self.d1, self.d2, self.tilde1, self.tilde2, self.order).items():
+            np.testing.assert_allclose(getattr(out, name), value, rtol=0, atol=1e-15, err_msg=name)
+
+    def test_identity_link_matches_the_linear_oracle(self):
+        out = self.decompose(link="identity")
+        xbar1, xbar2 = self.d1.x.mean(axis=0), self.d2.x.mean(axis=0)
+        for ell in range(self.n_draws):
+            want = linear_oracle(xbar1, xbar2, self.tilde1[ell], self.tilde2[ell])
+            np.testing.assert_allclose((out.x_effect[ell], out.beta_effect[ell]), want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("shuffled", ["d1", "d2"])
+    def test_row_order_of_either_design_moves_no_output(self, shuffled):
+        design = getattr(self, shuffled)
+        rows = np.random.default_rng(82).permutation(design.n_rows)
+        out = self.decompose(**{shuffled: design_from(design.x[rows], design.column_groups)})
+        want = self.decompose()
+        for name in ("rate1", "rate2", "x_effect", "beta_effect", "group_effects"):
+            np.testing.assert_allclose(getattr(out, name), getattr(want, name), rtol=0, atol=1e-15, err_msg=name)
+
+    def test_equal_designs_give_exactly_zero_x_effect(self):
+        copy = design_from(self.d2.x, self.d2.column_groups)
+        assert copy is not self.d2
+        out = self.decompose(d1=copy)
+        assert np.all(out.x_effect == 0.0)
+        assert np.array_equal(out.rate1, self.decompose(d1=self.d2).rate1)
+
+    @pytest.mark.parametrize("cores", [2, 3])
+    def test_core_count_leaves_the_bytes(self, monkeypatch, cores):
+        runs = {}
+        for n in (1, cores):
+            monkeypatch.setattr(decompose_module, "_available_cores", lambda n=n: n)
+            runs[n] = self.decompose()
+        for name in ("rate1", "rate2", "x_effect", "beta_effect", "group_effects"):
+            assert np.array_equal(getattr(runs[cores], name), getattr(runs[1], name)), name
+
+
+def zeroed(design, shares, rng):
+    """``design`` with each group's columns set to ``0.0`` or ``-0.0`` on a ``shares[k]`` fraction of rows."""
+    x = design.x.copy()
+    for (lo, hi), share in zip(design.column_groups.values(), shares):
+        rows = rng.random(design.n_rows) < share
+        x[rows, lo:hi] = rng.choice([0.0, -0.0])
+    return design_from(x, design.column_groups)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    group_sizes=st.lists(st.integers(1, 3), min_size=1, max_size=4),
+    shares=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+    n_rows=st.tuples(st.integers(2, 2600), st.integers(2, 2600)),
+    n_draws=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sparse_swaps_keep_the_identities_and_the_per_row_reference(group_sizes, shares, n_rows, n_draws, seed):
+    rng = np.random.default_rng(seed)
+    d1, d2 = (zeroed(random_design(rng, n, group_sizes), shares, rng) for n in n_rows)
+    p = d1.n_cols
+    draws1, draws2 = (random_draws(rng, rng.normal(scale=0.8, size=p), 0.3, n_draws) for _ in range(2))
+    order = list(rng.permutation(["intercept"] + list(d2.column_groups)))
+    out = posterior_decompose(d1, d2, draws1, draws2, years_between=10.0, order=order).draws
+    assert np.all(np.abs(out.x_effect + out.beta_effect - out.overall_diff) <= 1e-12)
+    assert np.all(np.abs(out.group_effects.sum(axis=1) - out.beta_effect) <= 1e-12)
+    # the reference sums each mean in another order; over up to 2600 rows that moves the last
+    # bits by a few 1e-15 (seen up to 7e-15), while one row evaluated wrongly moves a mean by 1e-5
+    tilde1, tilde2 = (marginalize(d.beta, d.sigma2) for d in (draws1, draws2))
+    for name, value in per_row_reference(d1, d2, tilde1, tilde2, order).items():
+        np.testing.assert_allclose(getattr(out, name), value, rtol=0, atol=1e-13, err_msg=name)
 
 
 class TestAnnualize:

@@ -143,6 +143,29 @@ class TestMeanMortality:
         np.testing.assert_allclose(out.per_draw, want, atol=1e-12)
         np.testing.assert_allclose(out.mean, want.mean() * 1000, atol=1e-9)
 
+    def test_one_link_evaluation_per_row_per_draw(self, monkeypatch):
+        # 500 distinct rows (no collapse) and 32 draws: two blocks of 16
+        import mortdecomp.decompose as decompose_module
+        from scipy.special import ndtr
+
+        rng = np.random.default_rng(10)
+        design = simple_design(np.column_stack([np.ones(500), rng.normal(size=(500, 2))]))
+        draws = PosteriorDraws(
+            survey_id="S1", beta=rng.normal(-1.0, 0.3, size=(32, 3)), sigma2=rng.gamma(1.0, 0.5, size=32),
+            column_groups={},
+        )
+        evaluated = []
+
+        def counting_ndtr(v):
+            evaluated.append(np.size(v))
+            return ndtr(v)
+
+        monkeypatch.setattr(decompose_module, "ndtr", counting_ndtr)
+        out = mean_mortality(design, draws)
+        assert sum(evaluated) == 500 * 32
+        tilde = marginalize(draws.beta, draws.sigma2)
+        np.testing.assert_allclose(out.per_draw, ndtr(design.x @ tilde.T).mean(axis=0), rtol=0, atol=1e-15)
+
     def test_dimension_mismatch_rejected(self):
         design = simple_design(np.ones((5, 1)))
         draws = self.constant_draws([0.0, 1.0])
