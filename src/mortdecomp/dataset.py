@@ -399,7 +399,8 @@ def ingest_csv(path, schema: CovariateSchema, survey_year: int, survey_id: str =
     """Read one survey's births from CSV, grouped by cluster.
 
     The header must name every schema covariate plus ``outcome`` and
-    ``cluster_id``; every other known field in the header is read too.
+    ``cluster_id``; every other known field in the header is read too,
+    and no field the reader knows may be named twice.
     Rows whose maternal age falls outside [15, 45] are dropped; the count
     of dropped rows is recorded on the sample, and a file with no row
     left raises ``EmptyInputError``.  A bad row raises ``RowError`` at
@@ -414,6 +415,9 @@ def ingest_csv(path, schema: CovariateSchema, survey_year: int, survey_id: str =
     if not lines:
         raise EmptyInputError(f"{path}: file is empty")
     header = [h.strip() for h in lines[0]]
+    repeated = next((h for h in ("outcome", "cluster_id", *_FIELDS) if header.count(h) > 1), None)
+    if repeated:
+        raise SchemaError(f"{path}: column {repeated!r} appears more than once in the header")
     required = ["outcome", "cluster_id"] + schema.names
     missing = [c for c in required if c not in header]
     if missing:

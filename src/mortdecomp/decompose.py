@@ -17,15 +17,16 @@ design's rows: over its distinct rows, each weighted by its count, when
 at most half of the rows are distinct (categorical covariates repeat
 rows); otherwise over every row, each weighted ``1 / n``.  Both designs'
 rows are walked in one order: sorted by which swap groups are zero on
-the row, then by a reference linear predictor.  A swap then moves the
-linear predictor on contiguous runs of rows only, and its pass
-evaluates the link on those runs alone; within a run the link meets its
-arguments in rising order, which ``ndtr``'s branches favour.  The
-kernel takes the draws in blocks of 16 and walks each block over tiles
-of 1024 design rows with matrix products, running all of the block's
-link passes on a tile while the tile and the block's linear predictor
-stay in cache (the cache blocking of Goto & van de Geijn, 2008, ACM TOMS
-34(3)).
+the row, then by a reference linear predictor, so a swap moves the
+linear predictor on contiguous runs of rows, and within a run the link
+meets its arguments in rising order, which ``ndtr``'s branches favour.
+Every pass writes the link into the worker's buffer over the rows it
+moves (a whole tile, or a swap's runs) and takes the mean of the whole
+buffer.  The kernel takes the draws in blocks of 16 and walks each block
+over tiles of 1024 design rows with matrix products, running all of the
+block's link passes on a tile while the tile and the block's linear
+predictor stay in cache (the cache blocking of Goto & van de Geijn,
+2008, ACM TOMS 34(3)).
 :func:`posterior_decompose` marginalizes two surveys' draws, runs the
 kernel and summarizes each component; its per-draw matrix
 (``DecompositionSummary.draws``) also yields the variance profile in
@@ -76,7 +77,7 @@ def _link_fn(link):
     if link == "probit":
         return ndtr
     if link == "identity":
-        return lambda v: v
+        return np.positive
     raise ConfigError(f"unknown link {link!r}")
 
 
@@ -158,7 +159,8 @@ _FOLD = np.uint64(0x9E3779B97F4A7C15)  # odd multiplier for the row-key fold
 # predictor and its link values stay in a core's L2 cache (about 1 MB in
 # all) while every link pass of the block runs on the tile.  A worker
 # gathers each tile's rows once, in the walk's row order, into a buffer of
-# its own and walks all of its blocks over it.
+# its own and walks all of its blocks over it, with its own predictor and
+# link buffers.
 _DRAW_BLOCK = 16
 _ROW_TILE = 1024
 
@@ -207,7 +209,7 @@ def _tiles(x: np.ndarray, group_cols, ref: np.ndarray):
     entry per tile of ``_ROW_TILE`` rows in that order: ``index`` picks
     the tile's rows, ``weights`` holds their weights, and ``runs[j]``
     lists the ``(start, stop)`` runs of the tile where group ``j`` is
-    nonzero, or is ``None`` when that is every row.
+    nonzero.
     """
     rows, weights = _distinct_rows(x)
     zero = np.column_stack([~np.any(rows[:, cols], axis=1) for cols in group_cols])
@@ -220,9 +222,7 @@ def _tiles(x: np.ndarray, group_cols, ref: np.ndarray):
 
 
 def _nonzero_runs(nonzero: np.ndarray):
-    """The ``(start, stop)`` runs of true entries of ``nonzero``, or ``None`` when every entry is true."""
-    if nonzero.all():
-        return None
+    """The ``(start, stop)`` runs of true entries of ``nonzero``: none, one over every entry, or several."""
     edges = np.flatnonzero(np.diff(nonzero, prepend=False, append=False)).tolist()
     return list(zip(edges[::2], edges[1::2]))
 
@@ -294,18 +294,22 @@ def decompose_draws(design1, design2, tilde1, tilde2, order=None, link="probit")
     Both designs' rows are walked in one order, sorted by which groups
     are all zero on the row and then by the linear predictor under the
     mean over all draws of ``(tilde1 + tilde2) / 2``; equal designs are
-    therefore walked alike, and their ``x_effect`` is exactly ``0.0``.  A
-    swap's pass evaluates the link only on the runs of rows where its
-    group is nonzero, keeping every other row's value from the previous
-    pass, so a pass costs the rows its group moves.  The order, and with
-    it the last bits of every output, depends on the set of draws in the
-    call: a draw decomposed alone and in a matrix can differ in its last
-    bits.  Draws are walked in blocks of 16 counted from draw 0, each
-    block over tiles of 1024 design rows with matrix products (no
-    ``(n, L)`` array); runs of whole blocks go to one thread per core,
-    each gathering a tile's rows once for all of its blocks, so a draw's
-    arithmetic does not depend on the core count.  Both identities are
-    checked to 1e-12 on the full arrays.
+    therefore walked alike, and their ``x_effect`` is exactly ``0.0``.
+    Every pass writes the link into one buffer over the rows it moves: a
+    swap's pass only over the runs of rows where its group is nonzero,
+    the others keeping their values, so it costs the rows its group
+    moves.  The order, and with it the last bits of every output,
+    depends on the set of draws in the call: a draw decomposed alone and
+    in a matrix can differ in its last bits.  Draws are walked in blocks
+    of 16 counted from draw 0, each block over tiles of 1024 design rows
+    with matrix products (no ``(n, L)`` array); runs of whole blocks go
+    to one thread per core, each gathering a tile's rows once for all of
+    its blocks, so a draw's arithmetic does not depend on the core
+    count.  Both identities are checked to 1e-12 on the full arrays, and
+    a NaN fails them.  A non-finite draw raises ``ConfigError``.
+    ``link`` is ``"probit"``, ``"identity"`` or a callable with the
+    ufunc protocol ``f(v, out=None)`` that writes into ``out`` and
+    returns it.
     """
     tilde1, tilde2 = np.atleast_2d(tilde1, tilde2)
     if design1.n_cols != design2.n_cols or design1.column_groups != design2.column_groups:
@@ -318,12 +322,15 @@ def decompose_draws(design1, design2, tilde1, tilde2, order=None, link="probit")
         raise ConfigError(
             f"surveys have unequal retained draw counts ({tilde1.shape[0]} vs {tilde2.shape[0]})"
         )
-    for tilde in (tilde1, tilde2):
+    for k, tilde in ((1, tilde1), (2, tilde2)):
         if tilde.shape[1] != design1.n_cols:
             raise ConfigError(
                 f"draws have {tilde.shape[1]} coefficients per draw "
                 f"but the design has {design1.n_cols} columns"
             )
+        bad = np.flatnonzero(~np.isfinite(tilde).all(axis=1))
+        if bad.size:
+            raise ConfigError(f"survey {k}: draw {bad[0]} has a non-finite coefficient: {tilde[bad[0]].tolist()}")
     f = _link_fn(link)
     group_cols = [design2.group_columns(name) for name in order]
     n_draws, p = tilde1.shape
@@ -332,7 +339,7 @@ def decompose_draws(design1, design2, tilde1, tilde2, order=None, link="probit")
     rate2 = np.zeros(n_draws)
     walk = np.zeros((n_draws, len(order) + 1))  # column 0: crossed mean; column j: after swap j
 
-    def walk_blocks(first, last, xbuf, etabuf):  # blocks first..last-1, over every tile
+    def walk_blocks(first, last, xbuf, etaphi):  # blocks first..last-1, over every tile
         blocks = []
         for lo in range(first * _DRAW_BLOCK, min(last * _DRAW_BLOCK, n_draws), _DRAW_BLOCK):
             hi = min(lo + _DRAW_BLOCK, n_draws)
@@ -344,35 +351,27 @@ def decompose_draws(design1, design2, tilde1, tilde2, order=None, link="probit")
         def gather(x, index):  # the tile's rows of x in this worker's buffer, as a (p, m) view
             return np.take(x, index, axis=0, out=xbuf[: index.size]).T
 
-        def eta_buffer(lo, hi, m):  # a contiguous (hi - lo, m) view of this worker's predictor buffer
-            return etabuf[: (hi - lo) * m].reshape(hi - lo, m)
+        def link(eta, phi, runs):  # the link of eta into phi on the runs; phi keeps its other columns
+            for a, b in runs:
+                f(eta[:, a:b], out=phi[:, a:b])
+            return phi
 
         for index, w, _ in tiles1:
-            xt = gather(x1, index)
+            xt, m = gather(x1, index), index.size
             for lo, hi, b1, *_ in blocks:
-                rate1[lo:hi] += f(np.matmul(b1, xt, out=eta_buffer(lo, hi, index.size))) @ w
+                eta, phi = etaphi[:, : (hi - lo) * m].reshape(2, hi - lo, m)  # contiguous views
+                rate1[lo:hi] += link(np.matmul(b1, xt, out=eta), phi, [(0, m)]) @ w
         for index, w, runs in tiles2:
-            xt = gather(x2, index)
+            xt, m = gather(x2, index), index.size
             for lo, hi, b1, b2, _, swaps in blocks:
-                eta = np.matmul(b1, xt, out=eta_buffer(lo, hi, index.size))
-                phi = f(eta)
-                mean = phi @ w
-                walk[lo:hi, 0] += mean
+                eta, phi = etaphi[:, : (hi - lo) * m].reshape(2, hi - lo, m)
+                walk[lo:hi, 0] += link(np.matmul(b1, xt, out=eta), phi, [(0, m)]) @ w
                 for j, cols, delta in swaps:
-                    if runs[j - 1] is None:  # the group is nonzero on every row of the tile
-                        eta += delta @ xt[cols]
-                        phi = f(eta)
-                        mean = phi @ w
-                    elif runs[j - 1]:  # only the runs move; other rows keep their link values (no run: mean stands)
-                        if phi is eta:
-                            phi = eta.copy()
-                        for a, b in runs[j - 1]:
-                            eta[:, a:b] += delta @ xt[cols, a:b]
-                            phi[:, a:b] = f(eta[:, a:b])
-                        mean = phi @ w
-                    walk[lo:hi, j] += mean
+                    for a, b in runs[j - 1]:  # the rows the group moves; the others keep eta and phi
+                        eta[:, a:b] += delta @ xt[cols, a:b]
+                    walk[lo:hi, j] += link(eta, phi, runs[j - 1]) @ w
                 if swaps:
-                    rate2[lo:hi] += f(np.matmul(b2, xt, out=eta)) @ w
+                    rate2[lo:hi] += link(np.matmul(b2, xt, out=eta), phi, [(0, m)]) @ w
         for lo, hi, _, _, deltas, swaps in blocks:
             for j, delta in enumerate(deltas, start=1):
                 same = lo + np.flatnonzero(~np.any(delta, axis=1))
@@ -383,7 +382,7 @@ def decompose_draws(design1, design2, tilde1, tilde2, order=None, link="probit")
     n_blocks = -(-n_draws // _DRAW_BLOCK)
     n_chunks = max(_workers(n_blocks), 1)
     bounds = [n_blocks * c // n_chunks for c in range(n_chunks + 1)]
-    buffers = [(np.empty((_ROW_TILE, p)), np.empty(_DRAW_BLOCK * _ROW_TILE)) for _ in range(n_chunks)]
+    buffers = [(np.empty((_ROW_TILE, p)), np.empty((2, _DRAW_BLOCK * _ROW_TILE))) for _ in range(n_chunks)]
     with _one_blas_thread():
         ref = (tilde1 + tilde2).mean(axis=0) / 2 if n_draws else np.zeros(p)
         x2, tiles2 = _tiles(design2.x, group_cols, ref)
@@ -400,9 +399,9 @@ def decompose_draws(design1, design2, tilde1, tilde2, order=None, link="probit")
     x_effect = rate1 - crossed
     beta_effect = crossed - rate2
     group_effects = walk[:, :-1] - walk[:, 1:]
-    if np.any(np.abs(x_effect + beta_effect - (rate1 - rate2)) > _ADDITIVITY_TOL):
+    if not np.all(np.abs(x_effect + beta_effect - (rate1 - rate2)) <= _ADDITIVITY_TOL):
         raise ValueError("x_effect + beta_effect must equal the overall difference")
-    if np.any(np.abs(group_effects.sum(axis=1) - beta_effect) > _ADDITIVITY_TOL):
+    if not np.all(np.abs(group_effects.sum(axis=1) - beta_effect) <= _ADDITIVITY_TOL):
         raise ValueError("group effects must sum to the beta effect")
     return DecompositionDraws(rate1, rate2, x_effect, beta_effect, group_effects, tuple(order))
 

@@ -505,11 +505,21 @@ def save_draws(draws: PosteriorDraws, csv_path, sidecar_path=None, config_echo: 
 
 
 def load_draws(csv_path, sidecar_path=None) -> PosteriorDraws:
-    """Read draws written by :func:`save_draws`."""
+    """Read draws written by :func:`save_draws`.
+
+    The header must be ``beta_0, ..., beta_{p-1}, sigma2`` in that order,
+    and a sidecar that records ``n_draws`` or ``n_coefficients`` must
+    agree with the CSV; each mismatch raises ``ConfigError`` naming the
+    file.
+    """
     csv_path = Path(csv_path)
     header, *lines = read_csv(csv_path) or [[]]
-    if not header or header[-1] != "sigma2" or not header[0].startswith("beta_"):
-        raise ConfigError(f"{csv_path}: not a draws file (header {header[:3]}...)")
+    names = [f"beta_{j}" for j in range(max(len(header) - 1, 1))] + ["sigma2"]
+    if header != names:
+        col, got = next((j, h) for j, (h, want) in enumerate(zip(header + [""], names)) if h != want)
+        raise ConfigError(
+            f"{csv_path}: not a draws file: header column {col + 1} is {got!r}, expected {names[col]!r}"
+        )
     rows = []
     for line, row in enumerate(lines, start=2):
         if len(row) != len(header):
@@ -538,6 +548,10 @@ def load_draws(csv_path, sidecar_path=None) -> PosteriorDraws:
             raise ConfigError(
                 f"{sidecar_path}: sidecar records {meta['n_coefficients']} coefficients "
                 f"but {csv_path} has {n_coefficients}"
+            )
+        if "n_draws" in meta and require_number(meta["n_draws"], f"{sidecar_path}: n_draws", int) != arr.shape[0]:
+            raise ConfigError(
+                f"{sidecar_path}: sidecar records {meta['n_draws']} draws but {csv_path} has {arr.shape[0]}"
             )
         survey_id = require_str(meta.get("survey_id", ""), f"{sidecar_path}: survey_id")
         groups = require_object(meta.get("column_groups", {}), f"{sidecar_path}: column_groups")

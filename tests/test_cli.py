@@ -397,9 +397,9 @@ def test_without_blas_control_one_worker_for_surveys_and_kernel(tmp_path, monkey
     tilde = np.random.default_rng(5).normal(-0.5, 0.3, size=(3 * decompose_module._DRAW_BLOCK, d1.n_cols))
     threads = set()
 
-    def recording_ndtr(v):
+    def recording_ndtr(v, out=None):
         threads.add(threading.get_ident())
-        return ndtr(v)
+        return ndtr(v, out=out)
 
     decompose_module.decompose_draws(d1, d2, tilde, tilde + 0.1, link=recording_ndtr)
     assert threads == {threading.get_ident()}

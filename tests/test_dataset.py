@@ -99,6 +99,20 @@ class TestIngest:
         with pytest.raises(SchemaError, match="cluster_id"):
             ingest_csv(path, default_schema(), survey_year=2000)
 
+    @pytest.mark.parametrize(
+        "header, row, name",
+        [
+            (CSV_HEADER.replace("\n", ",outcome\n"), "0,25,6,2,24,female,rural,0.3,a,1\n", "outcome"),
+            (CSV_HEADER.replace(",sex,", ",sex, sex ,"), "0,25,6,2,24,female,male,rural,0.3,a\n", "sex"),
+        ],
+        ids=["outcome_twice", "sex_twice_after_stripping"],
+    )
+    def test_repeated_header_name_raises_schema_error(self, tmp_path, header, row, name):
+        # reading one copy of the name would silently ignore the other
+        path = write_csv(tmp_path, [row], header=header)
+        with pytest.raises(SchemaError, match=f"{re.escape(str(path))}: column '{name}' appears more than once"):
+            ingest_csv(path, default_schema(), survey_year=2000)
+
     def test_underage_row_dropped_and_counted(self, tmp_path):
         path = write_csv(
             tmp_path,

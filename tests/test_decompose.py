@@ -181,6 +181,31 @@ class TestDecomposeDraw:
             assert np.array_equal(getattr(plain, name), getattr(scaled, name)), name
         assert plain.order == scaled.order
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("survey", [1, 2])
+    def test_non_finite_draw_is_refused(self, survey, value):
+        # a NaN draw would otherwise come back as a NaN beta_effect with no error
+        rng = np.random.default_rng(14)
+        d1, d2 = random_design(rng, 15, [1, 2]), random_design(rng, 15, [1, 2])
+        tilde = [rng.normal(size=(6, 4)), rng.normal(size=(6, 4))]
+        tilde[survey - 1][3, 2] = value
+        with pytest.raises(ConfigError, match=f"survey {survey}: draw 3 has a non-finite coefficient"):
+            decompose_draws(d1, d2, *tilde)
+
+    def test_nan_link_values_fail_the_identity_checks(self):
+        rng = np.random.default_rng(15)
+        d1, d2 = random_design(rng, 15, [1, 2]), random_design(rng, 15, [1, 2])
+        b1, b2 = rng.normal(size=4), rng.normal(size=4)
+        with pytest.raises(ValueError, match="must equal the overall difference"):
+            decompose_draws(d1, d2, b1, b2, link=lambda v, out=None: np.multiply(ndtr(v), np.nan, out=out))
+        calls = itertools.count()
+
+        def nan_on_the_first_swap(v, out=None):  # calls: rate1, the crossed mean, then the intercept's swap
+            return np.multiply(ndtr(v), np.nan if next(calls) == 2 else 1.0, out=out)
+
+        with pytest.raises(ValueError, match="group effects must sum"):
+            decompose_draws(d1, d2, b1, b2, link=nan_on_the_first_swap)
+
 
 def constant_draws(beta_row, sigma2, n):
     beta = np.tile(np.asarray(beta_row, dtype=float), (n, 1))
@@ -306,9 +331,9 @@ class TestKernel:
         evaluated = []
         real_ndtr = decompose_module.ndtr
 
-        def counting_ndtr(v):
+        def counting_ndtr(v, out=None):
             evaluated.append(np.size(v))
-            return real_ndtr(v)
+            return real_ndtr(v, out=out)
 
         monkeypatch.setattr(decompose_module, "ndtr", counting_ndtr)
         posterior_decompose(self.d1, self.d2, self.draws1, self.draws2, years_between=10.0)
@@ -410,13 +435,13 @@ class TestThreadedKernel:
         both_running = threading.Barrier(2, timeout=30)
         seen = []
 
-        def recording_ndtr(v):
+        def recording_ndtr(v, out=None):
             ident = threading.get_ident()
             first = ident not in {i for i, _ in seen}
             seen.append((ident, blas_threads[0]()))
             if first:
                 both_running.wait()
-            return ndtr(v)
+            return ndtr(v, out=out)
 
         self.draws_on(monkeypatch, 2, link=recording_ndtr)
         assert len({ident for ident, _ in seen}) == 2
@@ -428,9 +453,9 @@ class TestThreadedKernel:
         # the threaded walk's, so the one-chunk walk holds BLAS at one too
         seen = []
 
-        def recording_ndtr(v):
+        def recording_ndtr(v, out=None):
             seen.append((threading.get_ident(), blas_threads[0]()))
-            return ndtr(v)
+            return ndtr(v, out=out)
 
         self.draws_on(monkeypatch, 1, link=recording_ndtr)
         assert {ident for ident, _ in seen} == {threading.get_ident()}
@@ -442,9 +467,9 @@ class TestThreadedKernel:
         monkeypatch.setattr(decompose_module, "_openblas_threads", lambda: None)
         threads = set()
 
-        def recording_ndtr(v):
+        def recording_ndtr(v, out=None):
             threads.add(threading.get_ident())
-            return ndtr(v)
+            return ndtr(v, out=out)
 
         out = self.draws_on(monkeypatch, 4, link=recording_ndtr)
         assert threads == {threading.get_ident()}
@@ -464,18 +489,18 @@ class TestThreadedKernel:
 
         calls = itertools.count()
         with pytest.raises(ValueError, match="group effects must sum"):
-            self.draws_on(monkeypatch, 2, link=lambda v: ndtr(v) + 1e-6 * next(calls))
+            self.draws_on(monkeypatch, 2, link=lambda v, out=None: np.add(ndtr(v), 1e-6 * next(calls), out=out))
         assert blas_threads[0]() == blas_at_three
 
         # two blocks of six passes each: call 9 is in the second block's walk
         failing_calls = itertools.count()
         raised_on = []
 
-        def failing_ndtr(v):
+        def failing_ndtr(v, out=None):
             if next(failing_calls) == 9:
                 raised_on.append(threading.get_ident())
                 raise FloatingPointError("link failed on a worker thread")
-            return ndtr(v)
+            return ndtr(v, out=out)
 
         with pytest.raises(FloatingPointError, match="worker thread"):
             self.draws_on(monkeypatch, 2, link=failing_ndtr)
@@ -560,9 +585,9 @@ def design_with_distinct(rng, n_rows, n_distinct):
 def ndtr_evals_per_draw(monkeypatch, d1, d2, tilde1, tilde2, order=None):
     evaluated = []
 
-    def counting_ndtr(v):
+    def counting_ndtr(v, out=None):
         evaluated.append(np.size(v))
-        return ndtr(v)
+        return ndtr(v, out=out)
 
     monkeypatch.setattr(decompose_module, "ndtr", counting_ndtr)
     decompose_draws(d1, d2, tilde1, tilde2, order)

@@ -1,5 +1,6 @@
 import json
 import pickle
+import re
 import warnings
 
 import numpy as np
@@ -498,6 +499,41 @@ class TestSerialization:
         bad.write_text("beta_0,sigma2\n1," + "2" * 200_000 + "\n")  # past the csv module's field limit
         with pytest.raises(ConfigError, match="line 2: field larger than field limit"):
             load_draws(bad)
+
+    @pytest.mark.parametrize(
+        "header, column, got, want",
+        [
+            ("beta_1,beta_0,sigma2", 1, "beta_1", "beta_0"),
+            ("beta_0,beta_0,sigma2", 2, "beta_0", "beta_1"),
+            ("beta_0,wealth,sigma2", 2, "wealth", "beta_1"),
+            ("beta_0,beta_1,sigma", 3, "sigma", "sigma2"),
+        ],
+        ids=["permuted", "repeated", "renamed", "no_sigma2"],
+    )
+    def test_header_must_name_the_coefficients_in_order(self, tmp_path, header, column, got, want):
+        # columns are assigned by position, so a misnamed one would feed the wrong coefficient
+        bad = tmp_path / "draws.csv"
+        bad.write_text(f"{header}\n1.0,2.0,0.5\n")
+        message = f"{bad}: not a draws file: header column {column} is {got!r}, expected {want!r}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_draws(bad)
+
+    def test_sidecar_draw_count_must_match_the_csv(self, tmp_path):
+        rng = np.random.default_rng(7)
+        draws = PosteriorDraws(survey_id="S1", beta=rng.standard_normal((10, 2)), sigma2=np.ones(10))
+        csv_path, sidecar = tmp_path / "draws.csv", tmp_path / "draws.json"
+        save_draws(draws, csv_path, sidecar)
+        csv_path.write_text("".join(csv_path.read_text().splitlines(keepends=True)[:6]))  # header and 5 draws
+        with pytest.raises(ConfigError, match=re.escape(f"{sidecar}: sidecar records 10 draws but {csv_path} has 5")):
+            load_draws(csv_path, sidecar)
+        meta = json.loads(sidecar.read_text())
+        meta["n_draws"] = "10"
+        sidecar.write_text(json.dumps(meta))
+        with pytest.raises(ConfigError, match="n_draws must be a whole number"):
+            load_draws(csv_path, sidecar)
+        del meta["n_draws"]  # a sidecar without the count is still read
+        sidecar.write_text(json.dumps(meta))
+        assert load_draws(csv_path, sidecar).n_draws == 5
 
 
 def test_posterior_draws_invariants():
