@@ -25,10 +25,8 @@ from .errors import (
     RowError,
     SchemaError,
     read_csv,
-    require_bool,
+    read_fields,
     require_number,
-    require_object,
-    require_str,
     write_csv,
 )
 from .splines import bspline_basis, quantile_knots
@@ -54,6 +52,8 @@ AGE_RANGE = (15.0, 45.0)
 # leveled fields are str.
 _FIELDS = ("maternal_age", "maternal_education", "birth_order", "birth_interval", "wealth_rank", "sex", "residence")
 _LEVELS = {"sex": ("female", "male"), "residence": ("rural", "urban")}
+# The keys a covariate spec of each kind takes besides ``name`` and ``kind``.
+_KIND_KEYS = {"continuous_spline": ("degree", "df", "allow_missing"), "binary": ("reference",)}
 
 
 def _field_checks(columns: dict) -> list:
@@ -185,7 +185,8 @@ class CovariateSpec:
     ``df`` counts design columns contributed by the spline expansion;
     ``allow_missing`` turns on median imputation plus a missingness
     indicator column (the indicator belongs to the covariate's column
-    group).
+    group).  A binary's ``reference`` is one of its field's levels, or a
+    number for a numeric field.
     """
 
     name: str
@@ -196,46 +197,32 @@ class CovariateSpec:
     allow_missing: bool = False
 
     def __post_init__(self):
-        if self.kind not in ("continuous_spline", "binary"):
+        if self.kind not in _KIND_KEYS:
             raise SchemaError(f"unknown covariate kind {self.kind!r} for {self.name!r}")
         if self.kind == "continuous_spline":
             if self.degree < 0:
                 raise SchemaError(f"{self.name}: spline degree must be >= 0")
             if self.df < max(self.degree, 1):
-                raise SchemaError(
-                    f"{self.name}: df must be >= max(degree, 1), got df={self.df} degree={self.degree}"
-                )
-        if self.kind == "binary" and self.reference is None:
+                raise SchemaError(f"{self.name}: df must be >= max(degree, 1), got df={self.df} degree={self.degree}")
+        elif self.reference is None:
             raise SchemaError(f"{self.name}: binary covariate needs a reference level")
+        elif self.name not in _LEVELS:
+            require_number(self.reference, f"{self.name}: reference")
+        elif not (isinstance(self.reference, str) and self.reference in _LEVELS[self.name]):
+            raise SchemaError(f"{self.name}: reference must be one of {_LEVELS[self.name]}, got {self.reference!r}")
 
     @classmethod
-    def from_dict(cls, d: dict) -> "CovariateSpec":
-        require_object(d, "covariate spec", ("name", "kind"), ("degree", "df", "reference", "allow_missing"))
-        checked = {k: require_str(d[k], f"covariate spec {k}") for k in ("name", "kind")}
-        checked.update({k: require_number(d[k], f"covariate spec {k}", int) for k in ("degree", "df") if k in d})
-        if "allow_missing" in d:
-            checked["allow_missing"] = require_bool(d["allow_missing"], "covariate spec allow_missing")
-        reference = d.get("reference")
-        if reference is not None:
-            levels = _LEVELS.get(checked["name"])
-            if levels is None:
-                require_number(reference, "covariate spec reference")
-            elif not (isinstance(reference, str) and reference in levels):
-                raise ConfigError(
-                    f"covariate spec reference for {checked['name']!r} must be one of {levels}, got {reference!r}"
-                )
-        return cls(**{**d, **checked})
+    def from_dict(cls, d: dict, where: str) -> "CovariateSpec":
+        """The spec in the config object ``d``, read by ``read_fields``; a key its kind does not take is refused."""
+        spec = read_fields(cls, d, where, {"name": str, "kind": str, "degree": int, "df": int, "allow_missing": bool})
+        refused = sorted(set(d) - {"name", "kind", *_KIND_KEYS[spec.kind]})
+        if refused:
+            raise ConfigError(f"{where}: a {spec.kind} covariate takes no {', '.join(refused)}")
+        return spec
 
     def to_dict(self) -> dict:
-        d = {"name": self.name, "kind": self.kind}
-        if self.kind == "continuous_spline":
-            d["degree"] = self.degree
-            d["df"] = self.df
-            if self.allow_missing:
-                d["allow_missing"] = True
-        else:
-            d["reference"] = self.reference
-        return d
+        keys = ("name", "kind", *_KIND_KEYS[self.kind])
+        return {k: getattr(self, k) for k in keys if k != "allow_missing" or self.allow_missing}
 
 
 @dataclass(frozen=True)
@@ -267,7 +254,7 @@ class CovariateSchema:
         covariates = d["covariates"]
         if not isinstance(covariates, (list, tuple)):
             raise SchemaError(f"schema covariates must be a list, got {covariates!r}")
-        return cls(tuple(CovariateSpec.from_dict(c) for c in covariates))
+        return cls(tuple(CovariateSpec.from_dict(c, f"schema.covariates[{i}]") for i, c in enumerate(covariates)))
 
     def to_dict(self) -> dict:
         return {"covariates": [c.to_dict() for c in self.covariates]}
@@ -302,12 +289,11 @@ class CenteringConstants:
     """
 
     values: dict[str, float]
-    poor_quantile: float
     fallback: frozenset[str] = frozenset()
 
     @classmethod
     def zeros(cls, schema: CovariateSchema) -> "CenteringConstants":
-        return cls({c.name: 0.0 for c in schema.continuous}, poor_quantile=1.0)
+        return cls({c.name: 0.0 for c in schema.continuous})
 
 
 @dataclass(frozen=True)
@@ -547,7 +533,7 @@ def compute_centering(
         raise EmptyInputError("cannot compute centering constants on an empty sample")
     continuous = schema.continuous
     if not continuous:
-        return CenteringConstants({}, poor_quantile=poor_quantile)
+        return CenteringConstants({})
 
     wealth = _numeric(sample1, "wealth_rank")
     if np.isnan(wealth).any():
@@ -566,7 +552,7 @@ def compute_centering(
             if not vals.size:
                 raise SchemaError(f"covariate {cov.name!r} has no observed values")
         values[cov.name] = float(np.mean(vals))
-    return CenteringConstants(values, poor_quantile=poor_quantile, fallback=frozenset(fallback))
+    return CenteringConstants(values, frozenset(fallback))
 
 
 def _continuous_columns(

@@ -1,11 +1,13 @@
-"""Exception types, the ``require_*`` checks on input values, and the package's
-one JSON reader (:func:`read_json`) and writer (:func:`write_json`) and one
-CSV reader (:func:`read_csv`) and writer (:func:`write_csv`): every JSON or
-CSV file the package reads or writes goes through them."""
+"""Exception types, the ``require_*`` checks on input values, the one reader of a
+config section (:func:`read_fields`), and the package's one JSON reader
+(:func:`read_json`) and writer (:func:`write_json`) and one CSV reader
+(:func:`read_csv`) and writer (:func:`write_csv`): every config section, JSON
+file and CSV file the package reads or writes goes through them."""
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 import numbers
@@ -123,6 +125,38 @@ def require_str(value, where: str) -> str:
     if isinstance(value, str):
         return value
     raise ConfigError(f"{where} must be a string, got {value!r}")
+
+
+def read_fields(cls, value, where: str, kinds: dict):
+    """``cls(**value)`` for the dataclass ``cls`` and the JSON object ``value``, config section ``where``.
+
+    The fields without a default are required, and no other key is taken.  ``kinds`` maps a field to
+    ``int``, ``float``, ``bool``, ``str`` or ``tuple`` (a list of finite numbers); a field whose default
+    is ``None`` also takes ``null``.  ``ConfigError`` naming ``<where>.<key>`` otherwise, and prefixed
+    ``<where>:`` when ``cls`` refuses the values."""
+    fields = dataclasses.fields(cls)
+    required = [f.name for f in fields if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING]
+    values = dict(require_object(value, where, required, [f.name for f in fields]))
+    nullable = {f.name for f in fields if f.default is None}
+    for key, kind in kinds.items():
+        if key in values and not (values[key] is None and key in nullable):
+            values[key] = _read_kind(values[key], f"{where}.{key}", kind)
+    try:
+        return cls(**values)
+    except MortdecompError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
+def _read_kind(value, where: str, kind):
+    if kind is bool:
+        return require_bool(value, where)
+    if kind is str:
+        return require_str(value, where)
+    if kind is not tuple:
+        return require_number(value, where, kind)
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{where} must be a list of numbers, got {value!r}")
+    return tuple(require_number(v, where) for v in value)
 
 
 def read_json(path):

@@ -12,7 +12,7 @@ accept/reject step.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +20,7 @@ import numpy as np
 from ._phi import ndtr, ndtri
 from .dataset import DesignMatrix, FrozenArrays
 from .errors import ConfigError, SingularDesignError, read_csv, read_json, write_csv, write_json
-from .errors import require_bool, require_number, require_object, require_str
+from .errors import read_fields, require_number, require_object, require_str
 
 __all__ = [
     "ChainQualityWarning",
@@ -51,19 +51,6 @@ class ChainQualityWarning(UserWarning):
     """Retained draws fall short of the independence target."""
 
 
-def _from_dict(cls, d: dict, section: str, kinds: dict):
-    """``cls(**d)``; ``ConfigError`` on unknown keys or when a field named in ``kinds`` is not a value of its kind.
-
-    A kind is ``int`` or ``float`` (see ``require_number``) or ``bool``.
-    """
-    values = dict(require_object(d, section, allowed=[f.name for f in fields(cls)]))
-    for key, kind in kinds.items():
-        if key in values:
-            where = f"{section}.{key}"
-            values[key] = require_bool(values[key], where) if kind is bool else require_number(values[key], where, kind)
-    return cls(**values)
-
-
 @dataclass(frozen=True)
 class PriorSpec:
     """Independent N(0, beta_sd^2) coefficients and inverse-gamma variance."""
@@ -80,7 +67,7 @@ class PriorSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PriorSpec":
-        return _from_dict(cls, d, "prior", dict.fromkeys(("beta_sd", "sigma2_shape", "sigma2_scale"), float))
+        return read_fields(cls, d, "prior", dict.fromkeys(("beta_sd", "sigma2_shape", "sigma2_scale"), float))
 
 
 @dataclass(frozen=True)
@@ -89,7 +76,7 @@ class McmcConfig:
 
     ``thin=None`` derives the largest thinning interval that still
     retains ``target_retained`` draws.  Configurations that would retain
-    fewer than the target are rejected unless ``allow_short`` is set.
+    fewer than the target are rejected.
     """
 
     total: int = 15000
@@ -97,7 +84,6 @@ class McmcConfig:
     thin: int | None = None
     target_retained: int = 1250
     seed: int = 0
-    allow_short: bool = False
 
     def __post_init__(self):
         if self.burnin < 0 or self.total <= self.burnin:
@@ -106,10 +92,10 @@ class McmcConfig:
             raise ConfigError(f"thin must be >= 1, got {self.thin}")
         if self.target_retained < 1:
             raise ConfigError("target_retained must be >= 1")
-        if self.retained < self.target_retained and not self.allow_short:
+        if self.retained < self.target_retained:
             raise ConfigError(
                 f"configuration retains {self.retained} draws "
-                f"(< target {self.target_retained}); lengthen the chain or set allow_short"
+                f"(< target {self.target_retained}); lengthen the chain or lower target_retained"
             )
 
     @property
@@ -128,10 +114,7 @@ class McmcConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "McmcConfig":
-        ints = ["total", "burnin", "target_retained", "seed"]
-        if require_object(d, "mcmc").get("thin") is not None:  # null derives thin from the target
-            ints.append("thin")
-        return _from_dict(cls, d, "mcmc", {**dict.fromkeys(ints, int), "allow_short": bool})
+        return read_fields(cls, d, "mcmc", dict.fromkeys(("total", "burnin", "thin", "target_retained", "seed"), int))
 
 
 @dataclass(frozen=True)
@@ -410,9 +393,8 @@ def fit(
     ``chain.diagnostics``, and the shortfall warned about (or None) in
     ``chain.shortfall``.
 
-    Warns with ``ChainQualityWarning`` when fewer than
-    ``config.target_retained`` draws are retained or, from 100 retained
-    draws on, when the minimum effective sample size is below the target.
+    Warns with ``ChainQualityWarning`` when, from 100 retained draws on,
+    the minimum effective sample size is below the target.
     """
     if chain is None:
         chain = GibbsChain(design, prior, config)
@@ -422,14 +404,11 @@ def fit(
     draws = chain.draws(config)
     chain.diagnostics = diag = diagnostics(draws) if draws.n_draws >= 100 else None
     chain.shortfall = None
-    if draws.n_draws < config.target_retained:
-        chain.shortfall = f"retained {draws.n_draws} draws, below the target of {config.target_retained}"
-    elif diag is not None and diag.min_ess < MIN_ESS_TARGET:
+    if diag is not None and diag.min_ess < MIN_ESS_TARGET:
         chain.shortfall = (
             f"minimum effective sample size {diag.min_ess:.0f} is below {MIN_ESS_TARGET:.0f}; "
             "consider a longer chain or larger thinning interval"
         )
-    if chain.shortfall is not None:
         warnings.warn(chain.shortfall, ChainQualityWarning, stacklevel=2)
     return draws
 
@@ -507,10 +486,10 @@ def save_draws(draws: PosteriorDraws, csv_path, sidecar_path=None, config_echo: 
 def load_draws(csv_path, sidecar_path=None) -> PosteriorDraws:
     """Read draws written by :func:`save_draws`.
 
-    The header must be ``beta_0, ..., beta_{p-1}, sigma2`` in that order,
-    and a sidecar that records ``n_draws`` or ``n_coefficients`` must
-    agree with the CSV; each mismatch raises ``ConfigError`` naming the
-    file.
+    The header must be ``beta_0, ..., beta_{p-1}, sigma2`` in that order;
+    blank lines below it are skipped, as ``ingest_csv`` skips them.  A
+    sidecar that records ``n_draws`` or ``n_coefficients`` must agree with
+    the CSV; each mismatch raises ``ConfigError`` naming the file.
     """
     csv_path = Path(csv_path)
     header, *lines = read_csv(csv_path) or [[]]
@@ -520,8 +499,9 @@ def load_draws(csv_path, sidecar_path=None) -> PosteriorDraws:
         raise ConfigError(
             f"{csv_path}: not a draws file: header column {col + 1} is {got!r}, expected {names[col]!r}"
         )
+    numbered = [(line, row) for line, row in enumerate(lines, start=2) if row]
     rows = []
-    for line, row in enumerate(lines, start=2):
+    for line, row in numbered:
         if len(row) != len(header):
             raise ConfigError(f"{csv_path}, line {line}: {len(row)} cells under a {len(header)}-column header")
         try:
@@ -534,11 +514,11 @@ def load_draws(csv_path, sidecar_path=None) -> PosteriorDraws:
     bad = np.argwhere(~np.isfinite(arr))
     if bad.size:
         row, col = bad[0]
-        raise ConfigError(f"{csv_path}, line {row + 2}: non-finite value {header[col]}={float(arr[row, col])}")
+        raise ConfigError(f"{csv_path}, line {numbered[row][0]}: non-finite value {header[col]}={float(arr[row, col])}")
     negative = np.flatnonzero(arr[:, -1] < 0.0)
     if negative.size:
         row = negative[0]
-        raise ConfigError(f"{csv_path}, line {row + 2}: negative variance sigma2={float(arr[row, -1])}")
+        raise ConfigError(f"{csv_path}, line {numbered[row][0]}: negative variance sigma2={float(arr[row, -1])}")
     survey_id = ""
     column_groups: dict[str, tuple[int, int]] = {}
     if sidecar_path is not None:

@@ -26,7 +26,7 @@ from .dataset import (
     in_age_range,
     pool_samples,
 )
-from .errors import ConfigError, require_number, require_object
+from .errors import ConfigError, read_fields, require_number, require_object
 
 __all__ = ["SyntheticSurveySpec", "SyntheticConfig", "synthesize"]
 
@@ -108,21 +108,9 @@ class SyntheticSurveySpec:
 
     @classmethod
     def from_dict(cls, d: dict, where: str = "synthetic survey spec") -> "SyntheticSurveySpec":
-        require_object(d, where, ("beta", "sigma2", "n_clusters", "births_per_cluster", "survey_year"), ("covariates",))
-        if not isinstance(d["beta"], (list, tuple)):
-            raise ConfigError(f"{where}: beta must be a list of numbers, got {d['beta']!r}")
-        fields = dict(
-            beta=tuple(require_number(b, f"{where}: beta") for b in d["beta"]),
-            sigma2=require_number(d["sigma2"], f"{where}: sigma2"),
-            n_clusters=require_number(d["n_clusters"], f"{where}: n_clusters", int),
-            births_per_cluster=require_number(d["births_per_cluster"], f"{where}: births_per_cluster", int),
-            survey_year=require_number(d["survey_year"], f"{where}: survey_year", int),
-            covariates=require_object(d.get("covariates", {}), f"{where}: covariates"),
-        )
-        try:
-            return cls(**fields)
-        except ConfigError as exc:
-            raise ConfigError(f"{where}: {exc}") from None
+        """The spec in the config object ``d``; ``ConfigError`` naming ``<where>.<key>``."""
+        ints = dict.fromkeys(("n_clusters", "births_per_cluster", "survey_year"), int)
+        return read_fields(cls, d, where, {"beta": tuple, "sigma2": float, **ints})
 
 
 @dataclass(frozen=True)

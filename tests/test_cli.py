@@ -744,7 +744,7 @@ class TestCommands:
             (lambda cfg: cfg["input"]["dgp"]["s1"].update(sigma2="x"), "sigma2"),
             (lambda cfg: cfg["input"]["dgp"]["s1"].update(beta=5), "beta"),
             (lambda cfg: cfg["input"]["dgp"]["s2"].update(covariates=[1]), "covariates"),
-            (lambda cfg: cfg.update(schema={"covariates": [5]}), "covariate spec"),
+            (lambda cfg: cfg.update(schema={"covariates": [5]}), "schema.covariates[0] must be an object"),
             # numbers are checked, never converted: no truncation, no strings, no booleans, no NaN
             (lambda cfg: cfg["mcmc"].update(thin=2.5), "mcmc.thin"),
             (lambda cfg: cfg["mcmc"].update(total="3000"), "mcmc.total"),
@@ -761,7 +761,6 @@ class TestCommands:
             ),
             # non-numeric values are checked, never converted: no truthy strings, no str() of a number
             (lambda cfg: cfg.update(auto_extend="false"), "auto_extend"),
-            (lambda cfg: cfg["mcmc"].update(allow_short="no"), "mcmc.allow_short"),
             (lambda cfg: cfg.update(out_dir=5), "out_dir"),
             (lambda cfg: cfg.update(order=["intercept", 5]), "order[1]"),
             # the order is checked against the schema when the config is read, before any fit
@@ -770,12 +769,12 @@ class TestCommands:
             (lambda cfg: cfg.update(order=["intercept", "sex", "sex"]), "order must be a permutation"),
             (lambda cfg: cfg.update(survey_years={"s1": "2000", "s2": 2014}), "integers"),
             (lambda cfg: cfg.update(survey_years={"s1": 2000, "s2": 2014.7}), "integers"),
-            (lambda cfg: cfg["schema"]["covariates"][0].update(name=["sex"]), "covariate spec name"),
-            (lambda cfg: cfg["schema"]["covariates"][0].update(allow_missing="yes"), "covariate spec allow_missing"),
+            (lambda cfg: cfg["schema"]["covariates"][0].update(name=["sex"]), "schema.covariates[0].name"),
+            (lambda cfg: cfg["schema"]["covariates"][0].update(allow_missing="yes"), "schema.covariates[0].allow_missing"),
             # a binary reference must be one of the field's levels, not a list, number or misspelling
-            (lambda cfg: cfg["schema"]["covariates"][0].update(reference=["female"]), "covariate spec reference"),
-            (lambda cfg: cfg["schema"]["covariates"][0].update(reference=5), "covariate spec reference"),
-            (lambda cfg: cfg["schema"]["covariates"][0].update(reference="femal"), "covariate spec reference"),
+            (lambda cfg: cfg["schema"]["covariates"][0].update(reference=["female"]), "schema.covariates[0]: sex: reference"),
+            (lambda cfg: cfg["schema"]["covariates"][0].update(reference=5), "schema.covariates[0]: sex: reference"),
+            (lambda cfg: cfg["schema"]["covariates"][0].update(reference="femal"), "schema.covariates[0]: sex: reference"),
             *MALFORMED_GENERATOR.values(),
             # unknown keys are rejected in every section, not ignored
             (lambda cfg: cfg.update(auto_extnd=False), "auto_extnd"),
@@ -787,6 +786,15 @@ class TestCommands:
             (lambda cfg: covariates(cfg)["sex"].update(prob=[0.9, 0.1]), "prob"),
             (lambda cfg: covariates(cfg).update(sexx=covariates(cfg)["sex"]), "sexx"),
             (lambda cfg: cfg["input"]["dgp"].update(poor_quantile=0.5), "poor_quantile"),
+            (lambda cfg: cfg["mcmc"].update(allow_short="no"), "mcmc has unknown key(s): allow_short"),
+            # a key that the covariate's kind does not take is rejected, not ignored
+            (lambda cfg: cfg["schema"]["covariates"][0].update(degree=3), "a binary covariate takes no degree"),
+            (
+                lambda cfg: cfg["schema"]["covariates"].append(
+                    {"name": "wealth_rank", "kind": "continuous_spline", "reference": 0.5}
+                ),
+                "schema.covariates[1]: a continuous_spline covariate takes no reference",
+            ),
         ],
         ids=[
             "survey_years_without_s2", "survey_years_not_integers", "dgp_without_s2",
@@ -796,14 +804,14 @@ class TestCommands:
             "mcmc_thin_fractional", "mcmc_total_numeric_string", "seed_boolean", "seed_negative",
             "prior_beta_sd_nan_string",
             "prior_beta_sd_nan", "dgp_n_clusters_fractional", "csv_path_not_string",
-            "auto_extend_string", "mcmc_allow_short_string", "out_dir_number", "order_entry_number",
+            "auto_extend_string", "out_dir_number", "order_entry_number",
             "order_unknown_group", "order_without_intercept", "order_duplicate_group",
             "survey_year_string", "survey_year_fractional", "schema_name_not_string", "schema_allow_missing_string",
             "schema_reference_list", "schema_reference_number", "schema_reference_misspelt",
             *MALFORMED_GENERATOR,
             "top_level_unknown_key", "input_unknown_key", "dgp_unknown_survey", "dgp_survey_unknown_key",
             "survey_years_unknown_key", "schema_unknown_key", "dist_unknown_key", "dgp_covariate_unknown_field",
-            "dgp_poor_quantile",
+            "dgp_poor_quantile", "mcmc_allow_short_string", "binary_degree", "spline_reference",
         ],
     )
     def test_run_on_malformed_config_shape_exits_2(self, tmp_path, capsys, malform, words):

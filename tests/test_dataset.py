@@ -341,9 +341,20 @@ class TestBuildDesign:
         schema = CovariateSchema((CovariateSpec("maternal_education", "continuous_spline", degree=1, df=1),))
         rows = [{"outcome": 0, "cluster_id": "a", "wealth_rank": 0.1} for _ in range(4)]
         sample = make_sample(rows)
-        centering = CenteringConstants({"maternal_education": 0.0}, poor_quantile=0.2)
+        centering = CenteringConstants({"maternal_education": 0.0})
         with pytest.raises(SchemaError):
             build_design(sample, schema, centering, sample)
+
+
+def test_binary_reference_is_checked_whenever_a_spec_is_built():
+    # built in code as when read from a config: a misspelt level would leave the column constant
+    with pytest.raises(SchemaError, match=r"sex: reference must be one of \('female', 'male'\), got 'femal'"):
+        CovariateSpec("sex", "binary", reference="femal")
+    with pytest.raises(SchemaError, match="residence: reference"):
+        CovariateSpec("residence", "binary", reference=0)
+    with pytest.raises(ConfigError, match="birth_order: reference"):
+        CovariateSpec("birth_order", "binary", reference="first")  # a numeric field splits at a number
+    assert CovariateSpec("birth_order", "binary", reference=1).reference == 1
 
 
 def test_schema_round_trip_and_validation():

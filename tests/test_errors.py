@@ -1,5 +1,6 @@
 import json
 import pickle
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from mortdecomp.errors import (
     SchemaError,
     SingularDesignError,
     read_csv,
+    read_fields,
     read_json,
     write_csv,
     write_json,
@@ -42,6 +44,56 @@ def test_errors_survive_pickling(error):
     assert vars(back).keys() == vars(error).keys()
     for name, value in vars(error).items():
         assert np.array_equal(getattr(back, name), value), name
+
+
+@dataclass(frozen=True)
+class Section:
+    size: int
+    scale: float = 1.0
+    thin: int | None = None
+    flag: bool = False
+    label: str = "x"
+    values: tuple = ()
+
+    def __post_init__(self):
+        if self.size < 1:
+            raise ConfigError(f"size must be >= 1, got {self.size}")
+
+
+SECTION_KINDS = {"size": int, "scale": float, "thin": int, "flag": bool, "label": str, "values": tuple}
+
+
+def test_read_fields_reads_every_kind_and_null_for_a_none_default():
+    raw = {"size": 2, "scale": 3, "thin": None, "flag": True, "label": "y", "values": [1, 2.5]}
+    read = read_fields(Section, raw, "sec", SECTION_KINDS)
+    assert read == Section(2, 3.0, None, True, "y", (1.0, 2.5))
+    assert type(read.scale) is float
+    assert read_fields(Section, {"size": 2, "thin": 4}, "sec", SECTION_KINDS) == Section(2, thin=4)
+
+
+@pytest.mark.parametrize(
+    "value, words",
+    [
+        ([], "sec must be an object, got list"),
+        ({}, "missing key(s): sec.size"),
+        ({"size": 2, "sise": 1}, "sec has unknown key(s): sise"),
+        ({"size": 2.5}, "sec.size must be a whole number"),
+        ({"size": "2"}, "sec.size must be a whole number"),
+        ({"size": 2, "scale": None}, "sec.scale must be a finite number"),  # null only for a None default
+        ({"size": 2, "thin": 1.5}, "sec.thin must be a whole number"),
+        ({"size": 2, "flag": "yes"}, "sec.flag must be true or false"),
+        ({"size": 2, "label": 5}, "sec.label must be a string"),
+        ({"size": 2, "values": 5}, "sec.values must be a list of numbers"),
+        ({"size": 2, "values": [1, "2"]}, "sec.values must be a finite number"),
+        ({"size": 0}, "sec: size must be >= 1, got 0"),
+    ],
+    ids=["not_object", "missing", "unknown", "fractional", "string_number", "null", "nullable_fractional",
+         "bool_string", "str_number", "list_number", "list_entry_string", "refused_by_the_class"],
+)
+def test_read_fields_names_the_section_and_key(value, words):
+    with pytest.raises(ConfigError) as err:
+        read_fields(Section, value, "sec", SECTION_KINDS)
+    assert words in str(err.value)
 
 
 def test_write_json_layout_and_read_json_round_trip(tmp_path):

@@ -231,7 +231,7 @@ class TestSignedLatentDraw:
     def test_chain_equals_the_two_call_sweep(self):
         design = design_for(sex_dgp((-1.5, 0.5), 0.25, n_clusters=30, births=20), seed=21)
         prior = PriorSpec()
-        config = McmcConfig(total=400, burnin=100, thin=1, seed=4, allow_short=True)
+        config = McmcConfig(total=400, burnin=100, thin=1, target_retained=300, seed=4)
         kept = oracle_chain(design, prior, config)
 
         with warnings.catch_warnings():
@@ -258,7 +258,7 @@ class TestSignedLatentDraw:
         monkeypatch.setattr(sampler_module, "_truncated_std_normal_above", recording_kernel)
         design = design_for(sex_dgp((-1.5, 0.5), 0.25, n_clusters=10, births=20), seed=21)
         prior = PriorSpec()
-        config = McmcConfig(total=400, burnin=100, thin=1, seed=4, allow_short=True)
+        config = McmcConfig(total=400, burnin=100, thin=1, target_retained=300, seed=4)
         kept = oracle_chain(design, prior, config)
 
         with warnings.catch_warnings():
@@ -301,7 +301,7 @@ class TestFit:
         )
         schema = CovariateSchema((CovariateSpec("sex", "binary", reference="female"),))
         design = build_design(sample, schema, CenteringConstants.zeros(schema), sample)
-        config = McmcConfig(total=3000, burnin=500, thin=2, seed=3, allow_short=True)
+        config = McmcConfig(total=3000, burnin=500, thin=2, seed=3)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ChainQualityWarning)
             draws = fit(design, PriorSpec(), config)
@@ -312,12 +312,12 @@ class TestFit:
     def test_same_seed_identical_draws(self):
         dgp = sex_dgp((-1.0, 0.3), 0.1, n_clusters=20, births=10)
         design = design_for(dgp, seed=5)
-        config = McmcConfig(total=400, burnin=100, thin=1, seed=11, allow_short=True)
+        config = McmcConfig(total=400, burnin=100, thin=1, target_retained=300, seed=11)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ChainQualityWarning)
             a = fit(design, PriorSpec(), config)
             b = fit(design, PriorSpec(), config)
-            c = fit(design, PriorSpec(), McmcConfig(total=400, burnin=100, thin=1, seed=12, allow_short=True))
+            c = fit(design, PriorSpec(), McmcConfig(total=400, burnin=100, thin=1, target_retained=300, seed=12))
         assert a.beta.tobytes() == b.beta.tobytes()
         assert a.sigma2.tobytes() == b.sigma2.tobytes()
         assert a.beta.tobytes() != c.beta.tobytes()
@@ -333,7 +333,7 @@ class TestFit:
         )
         design = build_design(sample, schema, CenteringConstants.zeros(schema), sample)
         with pytest.raises(ConfigError, match="clusters"):
-            fit(design, PriorSpec(), McmcConfig(total=200, burnin=10, thin=1, allow_short=True))
+            fit(design, PriorSpec(), McmcConfig(total=200, burnin=10, thin=1, target_retained=190))
 
     def test_collinear_design_names_smallest_eigenvalue(self):
         rng = np.random.default_rng(4)
@@ -347,13 +347,13 @@ class TestFit:
             n_clusters=4,
         )
         with pytest.raises(SingularDesignError) as err:
-            fit(design, PriorSpec(), McmcConfig(total=200, burnin=10, thin=1, allow_short=True))
+            fit(design, PriorSpec(), McmcConfig(total=200, burnin=10, thin=1, target_retained=190))
         assert err.value.min_eigenvalue < 1e-8
 
     def test_warns_when_short_of_target(self):
         dgp = sex_dgp((-1.0, 0.3), 0.1, n_clusters=10, births=10)
         design = design_for(dgp, seed=5)
-        config = McmcConfig(total=300, burnin=100, thin=1, seed=1, allow_short=True)
+        config = McmcConfig(total=300, burnin=100, thin=1, target_retained=200, seed=1)
         with pytest.warns(ChainQualityWarning):
             fit(design, PriorSpec(), config)
 
@@ -407,8 +407,6 @@ class TestMcmcConfig:
     def test_short_chain_rejected_without_override(self):
         with pytest.raises(ConfigError):
             McmcConfig(total=600, burnin=500, thin=1)
-        cfg = McmcConfig(total=600, burnin=500, thin=1, allow_short=True)
-        assert cfg.retained == 100
 
     def test_extension_doubles_sampling_phase(self):
         cfg = McmcConfig(total=15000, burnin=5000)
@@ -499,6 +497,22 @@ class TestSerialization:
         bad.write_text("beta_0,sigma2\n1," + "2" * 200_000 + "\n")  # past the csv module's field limit
         with pytest.raises(ConfigError, match="line 2: field larger than field limit"):
             load_draws(bad)
+
+    def test_blank_lines_below_the_header_are_skipped(self, tmp_path):
+        # as ingest_csv skips them; an error still names the line of the file it is on
+        path = tmp_path / "draws.csv"
+        path.write_text("beta_0,sigma2\n0.5,1.0\n-0.5,2.0\n")
+        want = load_draws(path)
+        for text in ("beta_0,sigma2\n0.5,1.0\n-0.5,2.0\n\n", "beta_0,sigma2\n0.5,1.0\n\n-0.5,2.0\n"):
+            path.write_text(text)
+            got = load_draws(path)
+            np.testing.assert_array_equal(got.beta, want.beta)
+            np.testing.assert_array_equal(got.sigma2, want.sigma2)
+        for row, words in (("-0.5,abc", "non-numeric cell"), ("nan,2.0", "non-finite value beta_0=nan"),
+                           ("-0.5,-2.0", "negative variance sigma2=-2.0"), ("-0.5", "1 cells under a 2-column header")):
+            path.write_text(f"beta_0,sigma2\n\n0.5,1.0\n\n{row}\n")
+            with pytest.raises(ConfigError, match=f"line 5: {re.escape(words)}"):
+                load_draws(path)
 
     @pytest.mark.parametrize(
         "header, column, got, want",
