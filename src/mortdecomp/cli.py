@@ -46,6 +46,7 @@ import contextlib
 import hashlib
 import json
 import multiprocessing
+import signal
 import sys
 import warnings
 from dataclasses import asdict, dataclass, field, replace
@@ -226,11 +227,10 @@ class RunConfig:
 class _Outputs:
     """A command's output directory, the files it has started to write, and its current stage.
 
-    The directory is made at the first write, not before the inputs are
-    read.  Used as a context manager, a command that fails removes every
-    file in ``written``, then the directories it made (deepest first)
-    while they are empty, so a failed command leaves none of its outputs
-    and no empty output directory behind.
+    Every command opens one once its configuration is read; the directory is made at the first write.
+    Used as a context manager, a command that fails removes every file in ``written``, then the
+    directories it made (deepest first) while they are empty, so a failed command leaves none of its
+    outputs and no empty output directory behind; its error leaves with ``stage`` set on it.
     """
 
     dir: Path
@@ -243,6 +243,7 @@ class _Outputs:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         if exc_type is not None:
+            exc.stage = self.stage
             for path in self.written:
                 with contextlib.suppress(OSError):
                     path.unlink()
@@ -281,6 +282,14 @@ def _build_designs(config: RunConfig, s1, s2):
     centering = compute_centering(s1, config.schema, config.poor_quantile)
     pooled = pool_samples(s1, s2)
     return build_design(s1, config.schema, centering, pooled), build_design(s2, config.schema, centering, pooled)
+
+
+def _designs(config: RunConfig, out: _Outputs):
+    """Both surveys' designs, read at stage ``load_samples`` and built at stage ``build_design``."""
+    out.stage = "load_samples"
+    samples = _load_samples(config)
+    out.stage = "build_design"
+    return _build_designs(config, *samples)
 
 
 def _fit_jobs(config: RunConfig, designs) -> list[tuple]:
@@ -323,6 +332,7 @@ def _fit_survey(design, prior, mcmc, auto_extend) -> SurveyFit:
 
 def _survey_child(conn, job, args) -> None:
     """Body of a survey process: send ``(job(*args) or the exception raised, warnings caught)`` to ``conn``."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's, which then ends this process
     with warnings.catch_warnings(record=True) as caught:
         try:
             outcome = job(*args)
@@ -365,7 +375,7 @@ def _per_survey(job, jobs: list[tuple]) -> list:
                 ) from None
             for message, category, filename, lineno in caught:
                 warnings.warn_explicit(message, category, filename, lineno)
-            if isinstance(outcome, BaseException):
+            if isinstance(outcome, Exception):
                 raise outcome
             results.append(outcome)
         return results
@@ -412,8 +422,8 @@ def _decompose_and_write(config: RunConfig, d1, d2, draws1, draws2, out: _Output
     return summary
 
 
-def _survey_diagnostics(fitted, survey: SurveyFit, sample):
-    empirical = 1000.0 * int(sample.outcome.sum()) / sample.n_births
+def _survey_diagnostics(fitted, survey: SurveyFit, design):
+    empirical = 1000.0 * int(design.outcome.sum()) / design.n_rows
     out = {
         "retained": survey.draws.n_draws,
         "acceptance_rate": 1.0,  # Gibbs sweeps always accept
@@ -445,65 +455,43 @@ def _versions() -> dict:
     }
 
 
-class _StageFailure(Exception):
-    def __init__(self, stage: str, cause: BaseException):
-        self.stage = stage
-        self.cause = cause
-        super().__init__(f"[{stage}] {cause}")
-
-
 def run_pipeline(config: RunConfig) -> dict:
     """Execute the full pipeline; returns {file name: path} for emitted files.
 
     On any failure ``_Outputs`` removes every output the run started to
-    write, and the output directory too when the run made it; the
-    originating stage is attached to the raised error.
+    write, and the output directory too when the run made it; the error
+    leaves with the stage it was raised in as its ``stage``.
     """
     with _Outputs(Path(config.out_dir)) as out:
-        try:
-            # One BLAS thread from the samples through the decomposition: the
-            # survey processes then share the cores without oversubscribing
-            # them, and the parent's OpenBLAS pool, which each fork shuts down,
-            # is not rebuilt between the forks or for the decomposition.  The
-            # kernel's own hold nests inside this one.
-            with _one_blas_thread():
-                out.stage = "load_samples"
-                s1, s2 = _load_samples(config)
+        # One BLAS thread from the samples through the decomposition: the
+        # survey processes then share the cores without oversubscribing
+        # them, and the parent's OpenBLAS pool, which each fork shuts down,
+        # is not rebuilt between the forks or for the decomposition.  The
+        # kernel's own hold nests inside this one.
+        with _one_blas_thread():
+            d1, d2 = _designs(config, out)
+            out.stage = "fit"
+            fit1, fit2 = _per_survey(_fit_survey, _fit_jobs(config, (d1, d2)))
+            summary = _decompose_and_write(config, d1, d2, fit1.draws, fit2.draws, out)
 
-                out.stage = "build_design"
-                d1, d2 = _build_designs(config, s1, s2)
+        _save_fit(fit1, "s1", out)
+        _save_fit(fit2, "s2", out)
+        diag_doc = {
+            "s1": _survey_diagnostics(summary.rate_s1, fit1, d1),
+            "s2": _survey_diagnostics(summary.rate_s2, fit2, d2),
+        }
+        write_json(diag_doc, out.path("diagnostics.json"))
 
-                out.stage = "fit"
-                fit1, fit2 = _per_survey(_fit_survey, _fit_jobs(config, (d1, d2)))
-                summary = _decompose_and_write(config, d1, d2, fit1.draws, fit2.draws, out)
-
-            _save_fit(fit1, "s1", out)
-            _save_fit(fit2, "s2", out)
-            diag_doc = {
-                "s1": _survey_diagnostics(summary.rate_s1, fit1, s1),
-                "s2": _survey_diagnostics(summary.rate_s2, fit2, s2),
-            }
-            write_json(diag_doc, out.path("diagnostics.json"))
-
-            out.stage = "manifest"
-            manifest = {
-                "config": config.echo,
-                "seed": config.seed,
-                "versions": _versions(),
-                "files": {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.written},
-            }
-            write_json(manifest, out.path("run_manifest.json"))
-        except BaseException as exc:
-            raise _StageFailure(out.stage, exc) from exc
+        out.stage = "manifest"
+        manifest = {
+            "config": config.echo,
+            "seed": config.seed,
+            "versions": _versions(),
+            "files": {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.written},
+        }
+        write_json(manifest, out.path("run_manifest.json"))
 
     return {p.name: p for p in out.written}
-
-
-def _error_record(stage: str, exc: BaseException) -> str:
-    return json.dumps(
-        {"error": {"stage": stage, "type": type(exc).__name__, "message": str(exc)}},
-        sort_keys=True,
-    )
 
 
 def _overrides(args) -> dict:
@@ -528,7 +516,10 @@ def _cmd_simulate(args) -> int:
     if config.dgp is None:
         raise ConfigError("simulate needs a config with input.mode = 'synthetic'")
     with _Outputs(Path(config.out_dir)) as out:
-        for sample, name in zip(_load_samples(config), ("s1.csv", "s2.csv")):
+        out.stage = "load_samples"
+        samples = _load_samples(config)
+        out.stage = "emit"
+        for sample, name in zip(samples, ("s1.csv", "s2.csv")):
             path = out.path(name)
             write_survey_csv(sample, path)
             print(f"wrote {path} ({sample.n_births} births, {sample.n_clusters} clusters)")
@@ -537,9 +528,11 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_fit(args) -> int:
     config = RunConfig.from_file(args.config, _overrides(args))
-    designs = _build_designs(config, *_load_samples(config))
-    survey = _fit_survey(*_fit_jobs(config, designs)[("s1", "s2").index(args.survey)])
     with _Outputs(Path(config.out_dir)) as out:
+        designs = _designs(config, out)
+        out.stage = "fit"
+        survey = _fit_survey(*_fit_jobs(config, designs)[("s1", "s2").index(args.survey)])
+        out.stage = "emit"
         csv_path = _save_fit(survey, args.survey, out)
     min_ess = f"{survey.diagnostics.min_ess:.0f}" if survey.diagnostics is not None else "n/a"
     print(
@@ -558,32 +551,34 @@ def _load_draws_for(csv_path: Path) -> PosteriorDraws:
 def _cmd_decompose(args) -> int:
     config = RunConfig.from_file(args.config, _overrides(args))
     out_dir = Path(config.out_dir)
-    d1, d2 = _build_designs(config, *_load_samples(config))
-    paths = [Path(args.draws1) if args.draws1 else out_dir / "draws_s1.csv",
-             Path(args.draws2) if args.draws2 else out_dir / "draws_s2.csv"]
-    draws1, draws2 = (_load_draws_for(path) for path in paths)
-    # A sidecar records the survey its draws were fitted to; draws without one cannot be checked.
-    for path, draws, design, other in zip(paths, (draws1, draws2), (d1, d2), (d2, d1)):
-        if not draws.survey_id:
-            warnings.warn(
-                f"{path} records no survey (no sidecar, or none with a survey_id), "
-                f"so decompose cannot check that it was fitted to survey {design.survey_id}"
-            )
-        elif draws.survey_id != design.survey_id:
-            hint = "; the two draws files look swapped" if draws.survey_id == other.survey_id else ""
-            raise ConfigError(
-                f"{path} holds draws fitted to survey {draws.survey_id}, "
-                f"but decompose pairs it with survey {design.survey_id}{hint}"
-            )
     with _Outputs(out_dir) as out:
+        d1, d2 = _designs(config, out)
+        out.stage = "load_draws"
+        paths = [Path(args.draws1) if args.draws1 else out_dir / "draws_s1.csv",
+                 Path(args.draws2) if args.draws2 else out_dir / "draws_s2.csv"]
+        draws1, draws2 = (_load_draws_for(path) for path in paths)
+        # A sidecar records the survey its draws were fitted to; draws without one cannot be checked.
+        for path, draws, design, other in zip(paths, (draws1, draws2), (d1, d2), (d2, d1)):
+            if not draws.survey_id:
+                warnings.warn(
+                    f"{path} records no survey (no sidecar, or none with a survey_id), "
+                    f"so decompose cannot check that it was fitted to survey {design.survey_id}"
+                )
+            elif draws.survey_id != design.survey_id:
+                hint = "; the two draws files look swapped" if draws.survey_id == other.survey_id else ""
+                raise ConfigError(
+                    f"{path} holds draws fitted to survey {draws.survey_id}, "
+                    f"but decompose pairs it with survey {design.survey_id}{hint}"
+                )
         _decompose_and_write(config, d1, d2, draws1, draws2, out)
     print(f"wrote decomposition tables to {out_dir}")
     return 0
 
 
 def _cmd_report(args) -> int:
-    doc = load_results(args.results)
     with _Outputs(Path(args.out or Path(args.results).parent)) as out:
+        doc = load_results(args.results)
+        out.stage = "emit"
         for path in _write_tables(doc, out):
             print(f"wrote {path}")
     return 0
@@ -653,15 +648,17 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand.  An error prints its JSON record, naming its stage (``configure`` before the
+    command opened its outputs), as stderr's first line, and exits 2 for refused input (a
+    ``MortdecompError`` or ``OSError``), 1 otherwise; Ctrl-C and ``SystemExit`` are not caught."""
+    args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except _StageFailure as fail:
-        print(_error_record(fail.stage, fail.cause), file=sys.stderr)
-        return 1
-    except (MortdecompError, OSError) as exc:
-        print(_error_record("configure", exc), file=sys.stderr)
+    except Exception as exc:
+        record = {"stage": getattr(exc, "stage", "configure"), "type": type(exc).__name__, "message": str(exc)}
+        print(json.dumps({"error": record}, sort_keys=True), file=sys.stderr)
+        if not isinstance(exc, (MortdecompError, OSError)):
+            return 1
         print(f"error: {exc}", file=sys.stderr)
         print(f"run 'mortdecomp {args.command} --help' for usage", file=sys.stderr)
         return 2

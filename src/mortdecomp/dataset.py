@@ -11,7 +11,6 @@ identical and coefficient blocks can be swapped between them.
 
 from __future__ import annotations
 
-import csv
 import itertools
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,6 +23,7 @@ from .errors import (
     EmptyInputError,
     RowError,
     SchemaError,
+    csv_line,
     read_csv,
     read_fields,
     require_number,
@@ -372,15 +372,6 @@ def _parse_numbers(cells) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return values, np.zeros(values.shape, dtype=bool), empty
 
 
-def _csv_line(path: Path, index: int) -> int:
-    """The CSV line on which the ``index``-th non-blank data row ends."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)  # header
-        rows = (reader.line_num for row in reader if row)
-        return next(itertools.islice(rows, index, None))
-
-
 def ingest_csv(path, schema: CovariateSchema, survey_year: int, survey_id: str = "S1") -> SurveySample:
     """Read one survey's births from CSV, grouped by cluster.
 
@@ -450,7 +441,7 @@ def ingest_csv(path, schema: CovariateSchema, survey_year: int, survey_id: str =
     checks += [(bad & kept, message) for bad, message in _field_checks(columns)]
     failure = _first_failure(checks)
     if failure is not None:
-        raise RowError(_csv_line(path, failure[0]), failure[1])
+        raise RowError(csv_line(path, failure[0]), failure[1])
     if not kept.any():
         raise EmptyInputError(
             f"{path}: no births left after the maternal_age filter "

@@ -1,13 +1,13 @@
-"""Exception types, the ``require_*`` checks on input values, the one reader of a
-config section (:func:`read_fields`), and the package's one JSON reader
-(:func:`read_json`) and writer (:func:`write_json`) and one CSV reader
-(:func:`read_csv`) and writer (:func:`write_csv`): every config section, JSON
-file and CSV file the package reads or writes goes through them."""
+"""Exception types, the ``require_*`` checks on input values, the one reader of a config section
+(:func:`read_fields`), and the package's one JSON reader (:func:`read_json`) and writer (:func:`write_json`)
+and one CSV reader (:func:`read_csv`, with :func:`csv_line`, the one rule for a bad record's line) and writer
+(:func:`write_csv`): every config section, JSON file and CSV file the package reads or writes goes through them."""
 
 from __future__ import annotations
 
 import csv
 import dataclasses
+import itertools
 import json
 import math
 import numbers
@@ -180,17 +180,30 @@ def write_json(doc, path) -> None:
 
 
 def read_csv(path) -> list[list[str]]:
-    """The rows of the UTF-8 CSV file ``path``, header first, a blank line as ``[]``; ``ConfigError``
-    naming the file when it is not UTF-8, and the file and line when the CSV reader rejects it (a
-    field over its size limit, say), ``OSError`` when it cannot be read."""
+    """The rows of the UTF-8 CSV file ``path``, header first, a blank line as ``[]``, and a leading
+    byte-order mark dropped; ``ConfigError`` naming the file when it is not UTF-8, and the file and
+    line when the CSV reader rejects it (a field over its size limit, say), ``OSError`` when it cannot
+    be read."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
+            if fh.read(1) != "\ufeff":
+                fh.seek(0)
             return list(reader)
         except csv.Error as exc:
             raise ConfigError(f"{path}, line {reader.line_num}: {exc}") from None
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def csv_line(path, index: int) -> int:
+    """The line of the CSV file ``path`` on which its ``index``-th non-blank record below the header
+    ends, counting from 0: the line a reader of :func:`read_csv`'s rows names for a bad record."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)  # header
+        ends = (reader.line_num for row in reader if row)
+        return next(itertools.islice(ends, index, None))
 
 
 def write_csv(path, header, rows) -> None:

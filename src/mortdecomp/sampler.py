@@ -19,7 +19,7 @@ import numpy as np
 
 from ._phi import ndtr, ndtri
 from .dataset import DesignMatrix, FrozenArrays
-from .errors import ConfigError, SingularDesignError, read_csv, read_json, write_csv, write_json
+from .errors import ConfigError, SingularDesignError, csv_line, read_csv, read_json, write_csv, write_json
 from .errors import read_fields, require_number, require_object, require_str
 
 __all__ = [
@@ -499,40 +499,38 @@ def load_draws(csv_path, sidecar_path=None) -> PosteriorDraws:
         raise ConfigError(
             f"{csv_path}: not a draws file: header column {col + 1} is {got!r}, expected {names[col]!r}"
         )
-    numbered = [(line, row) for line, row in enumerate(lines, start=2) if row]
+
+    def at(i: int) -> str:  # the file and line of the i-th draw
+        return f"{csv_path}, line {csv_line(csv_path, i)}"
+
     rows = []
-    for line, row in numbered:
+    for i, row in enumerate(filter(None, lines)):  # blank lines are skipped
         if len(row) != len(header):
-            raise ConfigError(f"{csv_path}, line {line}: {len(row)} cells under a {len(header)}-column header")
+            raise ConfigError(f"{at(i)}: {len(row)} cells under a {len(header)}-column header")
         try:
             rows.append([float(v) for v in row])
         except ValueError:
-            raise ConfigError(f"{csv_path}, line {line}: non-numeric cell in {row}") from None
+            raise ConfigError(f"{at(i)}: non-numeric cell in {row}") from None
     if not rows:
         raise ConfigError(f"{csv_path}: no draws below the header")
     arr = np.asarray(rows, dtype=float)
     bad = np.argwhere(~np.isfinite(arr))
     if bad.size:
         row, col = bad[0]
-        raise ConfigError(f"{csv_path}, line {numbered[row][0]}: non-finite value {header[col]}={float(arr[row, col])}")
+        raise ConfigError(f"{at(row)}: non-finite value {header[col]}={float(arr[row, col])}")
     negative = np.flatnonzero(arr[:, -1] < 0.0)
     if negative.size:
         row = negative[0]
-        raise ConfigError(f"{csv_path}, line {numbered[row][0]}: negative variance sigma2={float(arr[row, -1])}")
+        raise ConfigError(f"{at(row)}: negative variance sigma2={float(arr[row, -1])}")
     survey_id = ""
     column_groups: dict[str, tuple[int, int]] = {}
     if sidecar_path is not None:
         meta = require_object(read_json(sidecar_path), str(sidecar_path))
         n_coefficients = arr.shape[1] - 1
-        if meta.get("n_coefficients", n_coefficients) != n_coefficients:
-            raise ConfigError(
-                f"{sidecar_path}: sidecar records {meta['n_coefficients']} coefficients "
-                f"but {csv_path} has {n_coefficients}"
-            )
-        if "n_draws" in meta and require_number(meta["n_draws"], f"{sidecar_path}: n_draws", int) != arr.shape[0]:
-            raise ConfigError(
-                f"{sidecar_path}: sidecar records {meta['n_draws']} draws but {csv_path} has {arr.shape[0]}"
-            )
+        for noun, count in (("coefficients", n_coefficients), ("draws", arr.shape[0])):
+            key = f"n_{noun}"
+            if key in meta and require_number(meta[key], f"{sidecar_path}: {key}", int) != count:
+                raise ConfigError(f"{sidecar_path}: sidecar records {meta[key]} {noun} but {csv_path} has {count}")
         survey_id = require_str(meta.get("survey_id", ""), f"{sidecar_path}: survey_id")
         groups = require_object(meta.get("column_groups", {}), f"{sidecar_path}: column_groups")
         for name, span in groups.items():

@@ -172,7 +172,7 @@ class TestPipeline:
             raise RuntimeError("decompose exploded")
 
         monkeypatch.setattr(cli, "posterior_decompose", boom)
-        with pytest.raises(cli._StageFailure) as err:
+        with pytest.raises(RuntimeError) as err:
             run_pipeline(config)
         assert err.value.stage == "decompose"
         out = tmp_path / "out"
@@ -190,7 +190,7 @@ class TestPipeline:
             raise RuntimeError(f"{writer} exploded")
 
         monkeypatch.setattr(module, writer, boom)
-        with pytest.raises(cli._StageFailure) as err:
+        with pytest.raises(RuntimeError) as err:
             run_pipeline(config)
         assert err.value.stage == "emit"
         assert not (tmp_path / "out").exists()
@@ -256,12 +256,12 @@ class TestFitProcesses:
             return GibbsChain(design, prior, mcmc)
 
         monkeypatch.setattr(cli, "GibbsChain", chain)
-        with pytest.raises(cli._StageFailure) as err:
+        with pytest.raises(SingularDesignError) as err:
             run_pipeline(RunConfig.from_dict(base_config(tmp_path / "out")))
         assert err.value.stage == "fit"
-        assert type(err.value.cause) is SingularDesignError
-        assert str(err.value.cause) == str(SingularDesignError(3.5e-17))
-        assert err.value.cause.min_eigenvalue == 3.5e-17
+        assert type(err.value) is SingularDesignError
+        assert str(err.value) == str(SingularDesignError(3.5e-17))
+        assert err.value.min_eigenvalue == 3.5e-17
         assert not (tmp_path / "out").exists()
         assert multiprocessing.active_children() == []
 
@@ -274,10 +274,10 @@ class TestFitProcesses:
             return fit_survey(design, *args)
 
         monkeypatch.setattr(cli, "_fit_survey", die_on_s1)
-        with pytest.raises(cli._StageFailure) as err:
+        with pytest.raises(RuntimeError) as err:
             run_pipeline(RunConfig.from_dict(base_config(tmp_path / "out")))
         assert err.value.stage == "fit"
-        assert "survey 1 exited with code 3" in str(err.value.cause)
+        assert "survey 1 exited with code 3" in str(err.value)
         assert not (tmp_path / "out").exists()
         assert multiprocessing.active_children() == []
 
@@ -355,7 +355,7 @@ class TestIngestProcesses:
             self.use_cores(monkeypatch, cores)
             out = tmp_path / f"out_{cores}"
             config = write_config(tmp_path, csv_config(out, *paths))
-            assert main(["run", "--config", str(config)]) == 1
+            assert main(["run", "--config", str(config)]) == 2
             records.append(first_error_record(capsys))
             assert multiprocessing.active_children() == []
             assert not out.exists()
@@ -368,7 +368,7 @@ class TestIngestProcesses:
         self.use_cores(monkeypatch, 2)
         huge = copy_with_huge_cell(simulated_csvs / "s2.csv", tmp_path / "s2.csv", 3)
         config = write_config(tmp_path, csv_config(tmp_path / "out", simulated_csvs / "s1.csv", huge))
-        assert main(["run", "--config", str(config)]) == 1
+        assert main(["run", "--config", str(config)]) == 2
         record = first_error_record(capsys)
         assert record["stage"] == "load_samples" and record["type"] == "ConfigError"
         assert record["message"].startswith(f"{huge}, line 3: field larger than field limit")
@@ -383,6 +383,20 @@ def test_csv_reader_error_exits_2_in_decompose(tmp_path, simulated_csvs, capsys)
     record = first_error_record(capsys)
     assert record["type"] == "ConfigError"
     assert record["message"].startswith(f"{huge}, line 5: field larger than field limit")
+
+
+def test_a_bad_csv_fails_alike_in_every_command(tmp_path, simulated_csvs, capsys):
+    bad = copy_with_outcome(simulated_csvs / "s2.csv", tmp_path / "s2.csv", 4, "7")
+    config = write_config(tmp_path, csv_config(tmp_path / "out", simulated_csvs / "s1.csv", bad))
+    first_lines = []
+    for command in (["run"], ["fit", "--survey", "s2"], ["decompose"]):
+        assert main([*command, "--config", str(config)]) == 2
+        first_lines.append(capsys.readouterr().err.splitlines()[0])
+    assert first_lines[0] == first_lines[1] == first_lines[2]
+    assert json.loads(first_lines[0])["error"] == {
+        "stage": "load_samples", "type": "RowError", "message": "line 4: outcome must be 0 or 1, got '7'"
+    }
+    assert not (tmp_path / "out").exists()
 
 
 def test_without_blas_control_one_worker_for_surveys_and_kernel(tmp_path, monkeypatch):
@@ -417,11 +431,40 @@ class TestCommands:
         bad_path = write_config(tmp_path, bad, "bad.json")
         code = main(["run", "--config", str(bad_path)])
         captured = capsys.readouterr()
-        assert code == 1
+        assert code == 2
         record = json.loads(captured.err.strip().splitlines()[0])
         assert record["error"]["stage"] == "load_samples"
         assert "length" in record["error"]["message"]
         assert not (tmp_path / "out_bad").exists()
+
+    @pytest.mark.parametrize("name", ["build_design", "write_variance_profile"])
+    def test_interrupt_propagates_and_removes_outputs(self, tmp_path, monkeypatch, name):
+        # before any output is written, and after some are
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, name, interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            main(["run", "--config", str(write_config(tmp_path, base_config(tmp_path / "out")))])
+        assert not (tmp_path / "out").exists()
+
+    def test_unexpected_error_exits_1_with_its_stage(self, tmp_path, capsys, finished_run, monkeypatch):
+        config, run_out = finished_run
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("decompose exploded")
+
+        monkeypatch.setattr(cli, "posterior_decompose", boom)
+        out = tmp_path / "out"
+        argv = ["decompose", "--config", str(config), "--out", str(out),
+                "--draws1", str(run_out / "draws_s1.csv"), "--draws2", str(run_out / "draws_s2.csv")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert json.loads(err.splitlines()[0]) == {
+            "error": {"stage": "decompose", "type": "RuntimeError", "message": "decompose exploded"}
+        }
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_config_error_exits_2(self, tmp_path, capsys):
         cfg = base_config(tmp_path / "out")
@@ -617,7 +660,7 @@ class TestCommands:
             else:
                 cfg["input"]["dgp"]["s1"]["beta"] = [-1.1]
             argv = [command.split("_")[0], "--config", str(write_config(tmp_path, cfg))]
-        assert main(argv) == (1 if command == "run_bad_beta" else 2)
+        assert main(argv) == 2
         capsys.readouterr()
         assert not (tmp_path / "new").exists()
 
@@ -978,7 +1021,7 @@ class TestCommands:
             assert record["type"] == "IsADirectoryError" and str(bad) in record["message"]
         assert not (tmp_path / "out" / "decomposition.json").exists()
 
-    @pytest.mark.parametrize("command, code", [("decompose", 2), ("run", 1)])
+    @pytest.mark.parametrize("command, code", [("decompose", 2), ("run", 2)])
     def test_survey_csv_that_is_not_utf8(self, tmp_path, capsys, command, code):
         cfg = base_config(tmp_path / "sim")
         assert main(["simulate", "--config", str(write_config(tmp_path, cfg))]) == 0
@@ -990,8 +1033,7 @@ class TestCommands:
         capsys.readouterr()
         assert main([command, "--config", str(write_config(tmp_path, cfg, "csv.json"))]) == code
         error = self.error_record(capsys)
-        # run's stages fail with exit code 1, naming the stage; the other commands reject input with 2
-        assert error["stage"] == ("load_samples" if command == "run" else "configure")
+        assert error["stage"] == "load_samples"
         assert error["type"] == "ConfigError" and error["message"].startswith(f"{s2}: not UTF-8 text")
 
     @pytest.mark.parametrize(

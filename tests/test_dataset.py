@@ -391,6 +391,14 @@ def test_csv_reader_error_names_the_file_and_line(tmp_path):
         ingest_csv(path, default_schema(), survey_year=2000)
 
 
+def test_a_leading_byte_order_mark_is_skipped(tmp_path):
+    path = write_csv(tmp_path, ["0,25,6,2,24,female,rural,0.3,a\n", "1,30,2,4,,male,urban,0.1,b\n"])
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())  # as Excel's "CSV UTF-8" saves it
+    want = ingest_csv(path, default_schema(), survey_year=2000)
+    assert pickle.dumps(ingest_csv(marked, default_schema(), survey_year=2000)) == pickle.dumps(want)
+
+
 def test_field_invariants_raise_row_error(tmp_path):
     for row, field in [
         ("2,25,6,2,24,female,rural,0.3,a\n", "outcome"),
@@ -538,7 +546,7 @@ def test_run_on_a_csv_emptied_by_the_age_filter_fails_at_load_samples(tmp_path, 
         ),
         encoding="utf-8",
     )
-    assert main(["run", "--config", str(config)]) == 1
+    assert main(["run", "--config", str(config)]) == 2
     record = json.loads(capsys.readouterr().err.strip().splitlines()[0])
     assert record["error"]["stage"] == "load_samples"
     assert record["error"]["type"] == "EmptyInputError"

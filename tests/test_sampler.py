@@ -514,6 +514,21 @@ class TestSerialization:
             with pytest.raises(ConfigError, match=f"line 5: {re.escape(words)}"):
                 load_draws(path)
 
+    def test_an_error_names_the_line_after_a_quoted_line_break(self, tmp_path):
+        # the second draw's first cell spans lines 3 and 4, so the bad draw below it is on line 5
+        path = tmp_path / "draws.csv"
+        path.write_text('beta_0,sigma2\n0.5,1.0\n"0.25\n",1.0\n-0.5,abc\n')
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}, line 5: non-numeric cell"):
+            load_draws(path)
+
+    def test_a_leading_byte_order_mark_is_skipped(self, tmp_path):
+        path, marked = tmp_path / "draws.csv", tmp_path / "marked.csv"
+        path.write_text("beta_0,sigma2\n0.5,1.0\n-0.5,2.0\n")
+        marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())  # as Excel's "CSV UTF-8" saves it
+        want, got = load_draws(path), load_draws(marked)
+        np.testing.assert_array_equal(got.beta, want.beta)
+        np.testing.assert_array_equal(got.sigma2, want.sigma2)
+
     @pytest.mark.parametrize(
         "header, column, got, want",
         [
@@ -548,6 +563,17 @@ class TestSerialization:
         del meta["n_draws"]  # a sidecar without the count is still read
         sidecar.write_text(json.dumps(meta))
         assert load_draws(csv_path, sidecar).n_draws == 5
+
+    @pytest.mark.parametrize("count", ["1", True], ids=["string", "boolean"])
+    def test_sidecar_coefficient_count_must_be_a_whole_number(self, tmp_path, count):
+        draws = PosteriorDraws(survey_id="S1", beta=np.zeros((3, 1)), sigma2=np.ones(3))
+        csv_path, sidecar = tmp_path / "draws.csv", tmp_path / "draws.json"
+        save_draws(draws, csv_path, sidecar)
+        meta = json.loads(sidecar.read_text())
+        meta["n_coefficients"] = count  # the CSV has one coefficient, so neither may read as 1
+        sidecar.write_text(json.dumps(meta))
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(sidecar))}: n_coefficients must be a whole number"):
+            load_draws(csv_path, sidecar)
 
 
 def test_posterior_draws_invariants():
