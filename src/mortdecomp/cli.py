@@ -520,9 +520,9 @@ def _cmd_simulate(args) -> int:
         samples = _load_samples(config)
         out.stage = "emit"
         for sample, name in zip(samples, ("s1.csv", "s2.csv")):
-            path = out.path(name)
-            write_survey_csv(sample, path)
-            print(f"wrote {path} ({sample.n_births} births, {sample.n_clusters} clusters)")
+            write_survey_csv(sample, out.path(name))
+    for sample, path in zip(samples, out.written):  # only once both files stay
+        print(f"wrote {path} ({sample.n_births} births, {sample.n_clusters} clusters)")
     return 0
 
 
@@ -647,17 +647,24 @@ _COMMANDS = {
 }
 
 
+# The stages in which a command writes its outputs: an ``OSError`` there is a failed write, not refused input.
+_WRITE_STAGES = ("emit", "manifest")
+
+
 def main(argv=None) -> int:
     """Run one subcommand.  An error prints its JSON record, naming its stage (``configure`` before the
     command opened its outputs), as stderr's first line, and exits 2 for refused input (a
-    ``MortdecompError`` or ``OSError``), 1 otherwise; Ctrl-C and ``SystemExit`` are not caught."""
+    ``MortdecompError``, or an ``OSError`` outside ``_WRITE_STAGES``), 1 otherwise; Ctrl-C and
+    ``SystemExit`` are not caught."""
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except Exception as exc:
-        record = {"stage": getattr(exc, "stage", "configure"), "type": type(exc).__name__, "message": str(exc)}
+        stage = getattr(exc, "stage", "configure")
+        record = {"stage": stage, "type": type(exc).__name__, "message": str(exc)}
         print(json.dumps({"error": record}, sort_keys=True), file=sys.stderr)
-        if not isinstance(exc, (MortdecompError, OSError)):
+        refused = isinstance(exc, MortdecompError) or (isinstance(exc, OSError) and stage not in _WRITE_STAGES)
+        if not refused:
             return 1
         print(f"error: {exc}", file=sys.stderr)
         print(f"run 'mortdecomp {args.command} --help' for usage", file=sys.stderr)

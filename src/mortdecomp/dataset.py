@@ -11,6 +11,8 @@ identical and coefficient blocks can be swapped between them.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import itertools
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,8 +25,8 @@ from .errors import (
     EmptyInputError,
     RowError,
     SchemaError,
-    csv_line,
-    read_csv,
+    csv_record,
+    read_csv_blocks,
     read_fields,
     require_number,
     write_csv,
@@ -54,6 +56,10 @@ _FIELDS = ("maternal_age", "maternal_education", "birth_order", "birth_interval"
 _LEVELS = {"sex": ("female", "male"), "residence": ("rural", "urban")}
 # The keys a covariate spec of each kind takes besides ``name`` and ``kind``.
 _KIND_KEYS = {"continuous_spline": ("degree", "df", "allow_missing"), "binary": ("reference",)}
+# Rows the data layer handles at a time: ``ingest_csv`` parses this many CSV rows, ``write_survey_csv``
+# formats this many births, and ``build_design`` evaluates a spline basis on this many.  One block's
+# cells are the only per-cell Python objects the CSV functions hold.
+_BLOCK_ROWS = 4096
 
 
 def _field_checks(columns: dict) -> list:
@@ -372,6 +378,33 @@ def _parse_numbers(cells) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return values, np.zeros(values.shape, dtype=bool), empty
 
 
+def _header_fault(path: Path, header: list[str], schema: CovariateSchema) -> SchemaError | None:
+    """The ``SchemaError`` a survey CSV's stripped ``header`` earns, or None."""
+    repeated = next((h for h in ("outcome", "cluster_id", *_FIELDS) if header.count(h) > 1), None)
+    if repeated:
+        return SchemaError(f"{path}: column {repeated!r} appears more than once in the header")
+    missing = [c for c in ["outcome", "cluster_id"] + schema.names if c not in header]
+    if missing:
+        return SchemaError(f"{path}: missing required column(s): {', '.join(missing)}")
+    return None
+
+
+def _read_block(rows: list[list[str]], width: int, position: dict, fields: list[str]) -> dict:
+    """Non-blank CSV rows under a ``width``-column header as arrays: the stripped ``outcome``,
+    ``cluster_id`` and leveled cells as str, and each numeric field as floats with its
+    ``("bad", name)`` and ``("empty", name)`` masks (see ``_parse_numbers``)."""
+    table = list(itertools.zip_longest(*rows, fillvalue=""))  # short rows read as empty cells
+    table += [("",) * len(rows)] * (width - len(table))
+    block = {}
+    for name in ("outcome", "cluster_id", *fields):
+        cells = table[position[name]]
+        if name in _FIELDS and name not in _LEVELS:
+            block[name], block["bad", name], block["empty", name] = _parse_numbers(cells)
+        else:
+            block[name] = np.array([c.strip() for c in cells])
+    return block
+
+
 def ingest_csv(path, schema: CovariateSchema, survey_year: int, survey_id: str = "S1") -> SurveySample:
     """Read one survey's births from CSV, grouped by cluster.
 
@@ -380,80 +413,86 @@ def ingest_csv(path, schema: CovariateSchema, survey_year: int, survey_id: str =
     and no field the reader knows may be named twice.
     Rows whose maternal age falls outside [15, 45] are dropped; the count
     of dropped rows is recorded on the sample, and a file with no row
-    left raises ``EmptyInputError``.  A bad row raises ``RowError`` at
-    its CSV line: parse errors (empty, unparseable or non-finite cells)
-    count on every row, range and level errors only on rows that are
-    kept.  A file that is not UTF-8, or that the CSV reader rejects (a
-    field over its size limit, say), raises ``ConfigError`` naming the
-    file, and the line for the CSV reader.
+    left raises ``EmptyInputError``.  A bad row raises ``RowError`` naming
+    the file and the row's CSV line: parse errors (empty, unparseable or
+    non-finite cells) count on every row, range and level errors only on
+    rows that are kept.  A file that is not UTF-8, or that the CSV reader
+    rejects (a field over its size limit, say), raises ``ConfigError``
+    naming the file, and the line for the CSV reader; those faults come
+    first, wherever they are in the file.
+
+    The rows are parsed ``_BLOCK_ROWS`` at a time into typed columns and
+    check masks, which are joined once the file is read; a message that
+    quotes a cell reads that row again.
     """
     path = Path(path)
-    lines = read_csv(path)
-    if not lines:
-        raise EmptyInputError(f"{path}: file is empty")
-    header = [h.strip() for h in lines[0]]
-    repeated = next((h for h in ("outcome", "cluster_id", *_FIELDS) if header.count(h) > 1), None)
-    if repeated:
-        raise SchemaError(f"{path}: column {repeated!r} appears more than once in the header")
-    required = ["outcome", "cluster_id"] + schema.names
-    missing = [c for c in required if c not in header]
-    if missing:
-        raise SchemaError(f"{path}: missing required column(s): {', '.join(missing)}")
-    position = {h: j for j, h in enumerate(header)}
-    rows = [row for row in lines[1:] if row]  # blank lines are skipped
-    if not rows:
+    with contextlib.closing(read_csv_blocks(path, _BLOCK_ROWS)) as blocks:
+        first = next(blocks, None)
+        if first is None:
+            raise EmptyInputError(f"{path}: file is empty")
+        header = [h.strip() for h in first[0]]
+        refused = _header_fault(path, header, schema)
+        if refused is not None:
+            for _ in blocks:  # the CSV reader's faults further down come first
+                pass
+            raise refused
+        position = {h: j for j, h in enumerate(header)}
+        fields = [f for f in _FIELDS if f in position]
+        parts = [
+            _read_block(rows, len(header), position, fields)
+            for block in itertools.chain([first[1:]], blocks)
+            if (rows := [row for row in block if row])  # blank lines are skipped
+        ]
+    if not parts:
         raise EmptyInputError(f"{path}: header only, no data rows")
-    n = len(rows)
-    table = list(itertools.zip_longest(*rows, fillvalue=""))  # short rows read as empty cells
-    table += [("",) * n] * (len(header) - len(table))
+    table = {key: np.concatenate([part.pop(key) for part in parts]) for key in list(parts[0])}
+    del parts
+    record = functools.lru_cache(maxsize=1)(functools.partial(csv_record, path))
 
-    def cells(name):
-        return [c.strip() for c in table[position[name]]]
+    def cell(i, name):  # the stripped cell of ``name`` on data row ``i``, read again for a message
+        row = record(i)[1]
+        return row[position[name]].strip() if position[name] < len(row) else ""
 
-    raw_outcome = np.array(cells("outcome"))
-    cluster_id = np.array(cells("cluster_id"))
+    raw_outcome = table.pop("outcome")
+    cluster_id = table.pop("cluster_id")
+    n = raw_outcome.size
     checks = [
         (~np.isin(raw_outcome, ("0", "1")), lambda i: f"outcome must be 0 or 1, got {str(raw_outcome[i])!r}"),
         (cluster_id == "", lambda i: "empty cluster_id"),
     ]
     columns = {}
-    for name in (f for f in _FIELDS if f in position):
+    for name in fields:
+        columns[name] = values = table.pop(name)
         if name in _LEVELS:
-            columns[name] = text = np.array(cells(name))
-            checks.append((text == "", lambda i, name=name: f"empty value for {name!r}"))
+            checks.append((values == "", lambda i, name=name: f"empty value for {name!r}"))
             continue
-        raw = table[position[name]]
-        values, bad, empty = _parse_numbers(raw)
+        bad, empty = table.pop(("bad", name)), table.pop(("empty", name))
         if name != "birth_interval":
             checks.append((empty, lambda i, name=name: f"empty value for {name!r}"))
         if name == "birth_order":  # "3.0" reads as 3; "2.5" does not parse
             bad |= np.isfinite(values) & (values != np.trunc(values))
-        checks.append((bad, lambda i, name=name, raw=raw: f"could not parse {name}={raw[i].strip()!r}"))
+        checks.append((bad, lambda i, name=name: f"could not parse {name}={cell(i, name)!r}"))
         checks.append(
-            (
-                ~np.isfinite(values) & ~empty & ~bad,
-                lambda i, name=name, raw=raw: f"non-finite value {name}={raw[i].strip()!r}",
-            )
+            (~np.isfinite(values) & ~empty & ~bad, lambda i, name=name: f"non-finite value {name}={cell(i, name)!r}")
         )
-        columns[name] = values
 
     kept = in_age_range(columns, n)
     checks += [(bad & kept, message) for bad, message in _field_checks(columns)]
     failure = _first_failure(checks)
     if failure is not None:
-        raise RowError(csv_line(path, failure[0]), failure[1])
+        raise RowError(path, record(failure[0])[0], failure[1])
     if not kept.any():
         raise EmptyInputError(
             f"{path}: no births left after the maternal_age filter "
             f"[{AGE_RANGE[0]:g}, {AGE_RANGE[1]:g}]: all {n} rows dropped"
         )
-
+    del checks  # its messages hold the columns
     return SurveySample.from_columns(
         survey_id,
         survey_year,
         outcome=(raw_outcome[kept] == "1").astype(np.int64),
         cluster_id=cluster_id[kept],
-        columns={name: values[kept] for name, values in columns.items()},
+        columns={name: columns.pop(name)[kept] for name in fields},
         dropped_rows=int(n - kept.sum()),
     )
 
@@ -463,23 +502,29 @@ def write_survey_csv(sample: SurveySample, path) -> None:
 
     Columns missing on every birth are omitted; other missing values are
     empty cells.  Numbers are written as ``repr(float)``, birth orders as
-    integers.
+    integers.  Births are formatted and written ``_BLOCK_ROWS`` at a time.
     """
     if sample.n_births == 0:
         raise EmptyInputError("cannot write an empty sample")
     cols = sample.columns
     fields = [f for f in _FIELDS if f in cols and (f in _LEVELS or not np.isnan(cols[f]).all())]
+    ids = np.asarray(sample.cluster_ids)
 
-    def cells(name):
-        values = cols[name].tolist()
+    def cells(name, rows):
+        values = cols[name][rows].tolist()
         if name in _LEVELS:
             return values
         fmt = (lambda v: str(int(v))) if name == "birth_order" else repr
         return ["" if v != v else fmt(v) for v in values]  # NaN is missing
 
-    table = [sample.outcome.tolist(), *(cells(name) for name in fields)]
-    table.append(np.asarray(sample.cluster_ids)[sample.cluster].tolist())
-    write_csv(path, ["outcome", *fields, "cluster_id"], zip(*table))
+    def block(start):
+        rows = slice(start, start + _BLOCK_ROWS)
+        table = [sample.outcome[rows].tolist(), *(cells(name, rows) for name in fields)]
+        table.append(ids[sample.cluster[rows]].tolist())
+        return zip(*table)
+
+    blocks = map(block, range(0, sample.n_births, _BLOCK_ROWS))
+    write_csv(path, ["outcome", *fields, "cluster_id"], itertools.chain.from_iterable(blocks))
 
 
 def pool_samples(*samples: SurveySample) -> SurveySample:
@@ -551,8 +596,9 @@ def _continuous_columns(
     sample: SurveySample,
     centering: CenteringConstants,
     knot_source: SurveySample,
-) -> np.ndarray:
-    """Centered, spline-expanded columns for one continuous covariate."""
+    out: np.ndarray,
+) -> None:
+    """Write one continuous covariate's centered, spline-expanded columns into ``out``."""
     center = centering.values.get(cov.name)
     if center is None:
         raise SchemaError(f"no centering constant for continuous covariate {cov.name!r}")
@@ -567,12 +613,16 @@ def _continuous_columns(
     median = float(np.median(raw[~missing]))
     src_median = float(np.median(src_raw[~src_missing]))
 
-    knots = quantile_knots(np.where(src_missing, src_median, src_raw) - center, cov.degree, cov.df)
-    basis = bspline_basis(np.where(missing, median, raw) - center, knots, cov.degree)
-    cols = basis[:, 1:]  # drop the first basis function: intercept is explicit
+    src = np.where(src_missing, src_median, src_raw)
+    src -= center
+    knots = quantile_knots(src, cov.degree, cov.df)
+    del src
+    values = np.where(missing, median, raw)
+    values -= center
+    for a in range(0, values.size, _BLOCK_ROWS):  # the first basis function is dropped: the intercept is explicit
+        out[a : a + _BLOCK_ROWS, : cov.df] = bspline_basis(values[a : a + _BLOCK_ROWS], knots, cov.degree)[:, 1:]
     if cov.allow_missing:
-        cols = np.column_stack([cols, missing.astype(float)])
-    return cols
+        out[:, cov.df] = missing
 
 
 def build_design(
@@ -586,28 +636,33 @@ def build_design(
     ``knot_source`` fixes the spline knots (normally the pooled pair of
     surveys) so that designs built for different samples share one
     basis.  Cluster ordinals follow first appearance.  Raises
-    ``DegenerateDesignError`` if any produced column is constant.
+    ``DegenerateDesignError`` if any produced column is constant.  Each
+    covariate's columns are written into one preallocated ``x``: a binary
+    takes one column, a spline ``df`` and one more for its missingness
+    indicator.
     """
     if sample.n_births == 0:
         raise EmptyInputError("cannot build a design from an empty sample")
 
-    blocks: list[np.ndarray] = [np.ones((sample.n_births, 1))]
     column_groups: dict[str, tuple[int, int]] = {}
     col = 1
     for cov in schema.covariates:
+        width = 1 if cov.kind == "binary" else cov.df + cov.allow_missing
+        column_groups[cov.name] = (col, col + width)
+        col += width
+    x = np.empty((sample.n_births, col))
+    x[:, 0] = 1.0
+    for cov in schema.covariates:
+        lo, hi = column_groups[cov.name]
         if cov.kind == "binary":
             vals = sample.columns.get(cov.name)
             if vals is None or (vals.dtype.kind == "f" and np.isnan(vals).any()):
                 raise SchemaError(f"covariate {cov.name!r} is missing from some births")
-            block = (vals != cov.reference).astype(float)[:, None]
+            x[:, lo] = vals != cov.reference
         else:
-            block = _continuous_columns(cov, sample, centering, knot_source)
-        blocks.append(block)
-        column_groups[cov.name] = (col, col + block.shape[1])
-        col += block.shape[1]
+            _continuous_columns(cov, sample, centering, knot_source, x[:, lo:hi])
 
-    x = np.hstack(blocks)
-    constant = np.flatnonzero(np.all(x == x[0], axis=0)[1:]) + 1
+    constant = np.flatnonzero((x.max(axis=0) == x.min(axis=0))[1:]) + 1
     if constant.size:
         j = int(constant[0])
         name = next(name for name, (lo, hi) in column_groups.items() if lo <= j < hi)

@@ -1,7 +1,8 @@
 """Exception types, the ``require_*`` checks on input values, the one reader of a config section
 (:func:`read_fields`), and the package's one JSON reader (:func:`read_json`) and writer (:func:`write_json`)
-and one CSV reader (:func:`read_csv`, with :func:`csv_line`, the one rule for a bad record's line) and writer
-(:func:`write_csv`): every config section, JSON file and CSV file the package reads or writes goes through them."""
+and one CSV reader (:func:`read_csv_blocks`, whole-file as :func:`read_csv`, with :func:`csv_record`, the one
+rule for a bad record's line) and writer (:func:`write_csv`): every config section, JSON file and CSV file the
+package reads or writes goes through them."""
 
 from __future__ import annotations
 
@@ -29,15 +30,16 @@ class SchemaError(MortdecompError, ValueError):
 
 
 class RowError(MortdecompError, ValueError):
-    """A data row could not be parsed; carries the 1-based file line number."""
+    """A data row could not be parsed; carries the file and its 1-based line number."""
 
-    def __init__(self, line_number: int, message: str):
+    def __init__(self, path, line_number: int, message: str):
+        self.path = str(path)
         self.line_number = line_number
         self.reason = message
-        super().__init__(f"line {line_number}: {message}")
+        super().__init__(f"{path}, line {line_number}: {message}")
 
     def __reduce__(self):
-        return type(self), (self.line_number, self.reason), self.__dict__
+        return type(self), (self.path, self.line_number, self.reason), self.__dict__
 
 
 class EmptyInputError(MortdecompError, ValueError):
@@ -179,31 +181,38 @@ def write_json(doc, path) -> None:
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def read_csv(path) -> list[list[str]]:
-    """The rows of the UTF-8 CSV file ``path``, header first, a blank line as ``[]``, and a leading
-    byte-order mark dropped; ``ConfigError`` naming the file when it is not UTF-8, and the file and
-    line when the CSV reader rejects it (a field over its size limit, say), ``OSError`` when it cannot
-    be read."""
+def read_csv_blocks(path, size: int):
+    """The rows of the UTF-8 CSV file ``path`` in lists of at most ``size`` rows, header first, a blank
+    line as ``[]``, and a leading byte-order mark dropped; ``ConfigError`` naming the file when it is
+    not UTF-8, and the file and line when the CSV reader rejects it (a field over its size limit, say),
+    raised when the block that holds the fault is read; ``OSError`` when it cannot be read."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             if fh.read(1) != "\ufeff":
                 fh.seek(0)
-            return list(reader)
+            while block := list(itertools.islice(reader, size)):
+                yield block
         except csv.Error as exc:
             raise ConfigError(f"{path}, line {reader.line_num}: {exc}") from None
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
-def csv_line(path, index: int) -> int:
+def read_csv(path) -> list[list[str]]:
+    """Every row of :func:`read_csv_blocks` in one list."""
+    return [row for block in read_csv_blocks(path, 4096) for row in block]
+
+
+def csv_record(path, index: int) -> tuple[int, list[str]]:
     """The line of the CSV file ``path`` on which its ``index``-th non-blank record below the header
-    ends, counting from 0: the line a reader of :func:`read_csv`'s rows names for a bad record."""
+    ends, counting from 0, and that record's cells: the line a reader of :func:`read_csv_blocks`' rows
+    names for a bad record."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         next(reader)  # header
-        ends = (reader.line_num for row in reader if row)
-        return next(itertools.islice(ends, index, None))
+        records = ((reader.line_num, row) for row in reader if row)
+        return next(itertools.islice(records, index, None))
 
 
 def write_csv(path, header, rows) -> None:

@@ -18,7 +18,9 @@ import numpy as np
 from ._phi import ndtr
 from .dataset import (
     _FIELDS,
+    _LEVELS,
     AGE_RANGE,
+    CenteringConstants,
     CovariateSchema,
     SurveySample,
     build_design,
@@ -127,9 +129,16 @@ class SyntheticConfig:
     poor_quantile: float = 0.2
 
 
-def _draw(spec: dict, n: int, rng: np.random.Generator) -> np.ndarray:
-    """``n`` values from a spec checked by ``_check_distribution``."""
+def _draw(spec: dict, n: int, rng: np.random.Generator, numeric: bool) -> np.ndarray:
+    """``n`` values from a spec checked by ``_check_distribution``.
+
+    For a ``numeric`` field, unless the spec chooses among strings, the
+    values are float64 with NaN where missing.  Otherwise they are
+    objects with None where missing, which ``SurveySample.from_columns``
+    converts, or refuses, as it does any value it is given.
+    """
     kind = spec["dist"]
+    numeric = numeric and not (kind == "choice" and any(isinstance(v, str) for v in spec["values"]))
     if kind == "uniform":
         out = rng.uniform(spec["low"], spec["high"], size=n)
     elif kind == "normal":
@@ -137,11 +146,13 @@ def _draw(spec: dict, n: int, rng: np.random.Generator) -> np.ndarray:
     elif kind == "beta":
         out = rng.beta(spec["a"], spec["b"], size=n)
     else:
-        values = spec["values"]
-        out = np.array(values, dtype=object)[rng.choice(len(values), size=n, p=spec["probs"])]
+        values = np.array(spec["values"], dtype=float if numeric else object)
+        out = values[rng.choice(len(values), size=n, p=spec["probs"])]
     if spec["missing_prob"] > 0.0:
-        out = np.asarray(out, dtype=object)
-        out[rng.random(n) < spec["missing_prob"]] = None
+        missing = rng.random(n) < spec["missing_prob"]
+        if not numeric:
+            out = np.asarray(out, dtype=object)
+        out[missing] = np.nan if numeric else None
     return out
 
 
@@ -161,7 +172,7 @@ def _generate_sample(
         dist = spec.covariates.get(name) or _DEFAULT_DISTRIBUTIONS.get(name)
         if dist is None:
             raise ConfigError(f"no distribution configured for covariate {name!r}")
-        columns[name] = _draw(dist, n, rng)
+        columns[name] = _draw(dist, n, rng, name not in _LEVELS)
     width = len(str(spec.n_clusters - 1))
     cluster_id = np.repeat([f"c{j:0{width}d}" for j in range(spec.n_clusters)], spec.births_per_cluster)
     try:
@@ -176,6 +187,35 @@ def _generate_sample(
         )
     except ValueError as exc:
         raise ConfigError(f"survey {survey_id}: the generated covariates are not a valid sample ({exc})") from None
+
+
+def _with_outcomes(
+    spec: SyntheticSurveySpec,
+    sample: SurveySample,
+    sid: str,
+    schema: CovariateSchema,
+    centering: CenteringConstants,
+    knot_source: SurveySample,
+    rng: np.random.Generator,
+) -> SurveySample:
+    """``sample`` with outcomes drawn on its design from ``spec``'s truth; the design lives only in this call."""
+    design = build_design(sample, schema, centering, knot_source)
+    beta = np.asarray(spec.beta, dtype=float)
+    if beta.shape != (design.n_cols,):
+        raise ConfigError(
+            f"{sid}: beta has length {beta.size} but the design has "
+            f"{design.n_cols} columns (intercept + expanded covariates)"
+        )
+    gamma = rng.normal(0.0, np.sqrt(spec.sigma2), size=spec.n_clusters)
+    eta = design.x @ beta + gamma[design.cluster_index]
+    probs = ndtr(eta)
+    if probs.min() <= 0.0 or probs.max() >= 1.0:
+        raise ConfigError(
+            "DGP implies event probabilities of exactly 0 or 1; "
+            f"linear predictor range [{eta.min():.2f}, {eta.max():.2f}]"
+        )
+    y = (rng.random(eta.size) < probs).astype(np.int64)
+    return replace(sample, outcome=y)
 
 
 def synthesize(dgp: SyntheticConfig, seed: int) -> tuple[SurveySample, SurveySample]:
@@ -202,23 +242,8 @@ def synthesize(dgp: SyntheticConfig, seed: int) -> tuple[SurveySample, SurveySam
     centering = compute_centering(bare[0], dgp.schema, dgp.poor_quantile)
     knot_source = pool_samples(*bare)
 
-    samples = []
-    for spec, sample, sid, eff_rng in zip((dgp.s1, dgp.s2), bare, ("S1", "S2"), effect_rngs):
-        design = build_design(sample, dgp.schema, centering, knot_source)
-        beta = np.asarray(spec.beta, dtype=float)
-        if beta.shape != (design.n_cols,):
-            raise ConfigError(
-                f"{sid}: beta has length {beta.size} but the design has "
-                f"{design.n_cols} columns (intercept + expanded covariates)"
-            )
-        gamma = eff_rng.normal(0.0, np.sqrt(spec.sigma2), size=spec.n_clusters)
-        eta = design.x @ beta + gamma[design.cluster_index]
-        probs = ndtr(eta)
-        if probs.min() <= 0.0 or probs.max() >= 1.0:
-            raise ConfigError(
-                "DGP implies event probabilities of exactly 0 or 1; "
-                f"linear predictor range [{eta.min():.2f}, {eta.max():.2f}]"
-            )
-        y = (eff_rng.random(eta.size) < probs).astype(np.int64)
-        samples.append(replace(sample, outcome=y))
-    return samples[0], samples[1]
+    s1, s2 = [
+        _with_outcomes(spec, sample, sid, dgp.schema, centering, knot_source, rng)
+        for spec, sample, sid, rng in zip((dgp.s1, dgp.s2), bare, ("S1", "S2"), effect_rngs)
+    ]
+    return s1, s2

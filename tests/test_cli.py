@@ -361,7 +361,9 @@ class TestIngestProcesses:
             assert not out.exists()
         assert records[0] == records[1]
         assert records[0]["stage"] == "load_samples" and records[0]["type"] == "RowError"
-        want = "line 6: outcome must be 0 or 1, got '9'" if "s1" in bad else "line 4: outcome must be 0 or 1, got '7'"
+        want = f"{paths[0]}, line 6: outcome must be 0 or 1, got '9'" if "s1" in bad else (
+            f"{paths[1]}, line 4: outcome must be 0 or 1, got '7'"
+        )
         assert records[0]["message"] == want
 
     def test_csv_reader_error_ends_run_at_load_samples(self, tmp_path, simulated_csvs, monkeypatch, capsys):
@@ -394,7 +396,7 @@ def test_a_bad_csv_fails_alike_in_every_command(tmp_path, simulated_csvs, capsys
         first_lines.append(capsys.readouterr().err.splitlines()[0])
     assert first_lines[0] == first_lines[1] == first_lines[2]
     assert json.loads(first_lines[0])["error"] == {
-        "stage": "load_samples", "type": "RowError", "message": "line 4: outcome must be 0 or 1, got '7'"
+        "stage": "load_samples", "type": "RowError", "message": f"{bad}, line 4: outcome must be 0 or 1, got '7'"
     }
     assert not (tmp_path / "out").exists()
 
@@ -665,6 +667,7 @@ class TestCommands:
         assert not (tmp_path / "new").exists()
 
     @pytest.mark.parametrize("command, squatted", [
+        ("run", "diagnostics.json"),
         ("decompose", "coef_decomp.csv"),
         ("fit", "draws_s1.json"),
         ("simulate", "s2.csv"),
@@ -688,8 +691,12 @@ class TestCommands:
         else:
             argv = [command, "--config", str(config), "--out", str(out)]
             argv += ["--survey", "s1"] if command == "fit" else []
-        assert main(argv) == 2
-        capsys.readouterr()
+        # a failed write is not refused input: exit 1, the record, no usage hint and no "wrote" line
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        record = json.loads(captured.err.splitlines()[0])["error"]
+        assert record["stage"] == "emit" and record["type"] == "IsADirectoryError"
+        assert "for usage" not in captured.err and "wrote" not in captured.out
         for name in inputs:
             assert (out / name).read_bytes() == (run_out / name).read_bytes(), name
         assert sorted(p.name for p in out.iterdir()) == sorted([*inputs, squatted])
@@ -938,7 +945,7 @@ class TestCommands:
         assert main(["decompose", "--config", str(write_config(tmp_path, cfg, "csv.json"))]) == 2
         record = self.error_record(capsys)
         assert record["type"] == "RowError"
-        assert record["message"] == "line 4: non-finite value maternal_age='inf'"
+        assert record["message"] == f"{tmp_path / 'sim' / 's2.csv'}, line 4: non-finite value maternal_age='inf'"
 
     def test_report_rerenders_tables(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -1,3 +1,4 @@
+import csv
 import json
 import pickle
 import re
@@ -7,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak
+from mortdecomp import dataset
 from mortdecomp.dataset import (
     _number,
     _parse_numbers,
@@ -26,9 +29,12 @@ from mortdecomp.errors import (
     ConfigError,
     DegenerateDesignError,
     EmptyInputError,
+    MortdecompError,
     RowError,
     SchemaError,
 )
+from mortdecomp.simulate import synthesize
+from mortdecomp.splines import bspline_basis, quantile_knots
 
 CSV_HEADER = "outcome,maternal_age,maternal_education,birth_order,birth_interval,sex,residence,wealth_rank,cluster_id\n"
 
@@ -505,7 +511,7 @@ def test_row_error_lines_count_blank_lines_short_rows_and_quoted_line_breaks(tmp
     schema = CovariateSchema((CovariateSpec("sex", "binary", reference="female"),))
     header = "outcome,sex,cluster_id\n"
     path = write_csv(tmp_path, ["0,female,a\n", "\n", "1,female\n"], header=header)
-    with pytest.raises(RowError, match="^line 4: empty cluster_id$"):
+    with pytest.raises(RowError, match=f"^{re.escape(str(path))}, line 4: empty cluster_id$"):
         ingest_csv(path, schema, survey_year=2000)
     path = write_csv(
         tmp_path,
@@ -513,7 +519,7 @@ def test_row_error_lines_count_blank_lines_short_rows_and_quoted_line_breaks(tmp
         header=header,
         name="quoted.csv",
     )
-    with pytest.raises(RowError, match="^line 7: sex must be one of") as err:
+    with pytest.raises(RowError, match=f"^{re.escape(str(path))}, line 7: sex must be one of") as err:
         ingest_csv(path, schema, survey_year=2000)
     assert err.value.line_number == 7
 
@@ -578,3 +584,172 @@ def test_bulk_parse_matches_the_per_cell_parse(cells):
         assert np.array_equal(got_bad, bad) and np.array_equal(got_empty, empty)
         # the ingest's non-finite mask
         assert np.array_equal(~np.isfinite(got_values) & ~got_empty & ~got_bad, ~np.isfinite(values) & ~empty & ~bad)
+
+
+# The data layer in bounded memory: CSV files are read and written in blocks of
+# dataset._BLOCK_ROWS rows, and a design is filled in place.  The bounds are for
+# the 20000-birth surveys of the large_dgp fixture, and each lies between the
+# peak of a whole-file reader or writer, or of an hstacked design (21.2 MB,
+# 11.0 MB, x + 5.1 MB), and that of the block code (10.5 MB, 2.4 MB, x + 1.3 MB).
+
+
+@pytest.fixture(scope="module")
+def large_pair(large_dgp):
+    return synthesize(large_dgp, seed=2)
+
+
+@pytest.fixture(scope="module")
+def large_csv(large_pair, tmp_path_factory):
+    path = tmp_path_factory.mktemp("large") / "s1.csv"
+    write_survey_csv(large_pair[0], path)
+    return path
+
+
+def test_ingest_peak_memory_is_bounded(large_csv):
+    sample, peak = traced_peak(ingest_csv, large_csv, default_schema(), 1998)
+    assert sample.n_births == 20_000
+    assert peak < 15.0, f"ingest_csv peaked {peak:.1f} MB above its start"
+
+
+def test_large_csv_reads_alike_in_any_blocks(large_csv, monkeypatch):
+    # 10**6 rows hold the whole file in one block, as the reader held it before blocks
+    pickles = []
+    for block_rows in (4096, 1000, 10**6):
+        monkeypatch.setattr(dataset, "_BLOCK_ROWS", block_rows)
+        pickles.append(pickle.dumps(ingest_csv(large_csv, default_schema(), 1998)))
+    assert pickles[0] == pickles[1] == pickles[2]
+
+
+def test_write_peak_memory_does_not_grow_with_the_sample(large_pair, tmp_path):
+    # one block's cells at a time: the bound holds at any sample size
+    _, peak = traced_peak(write_survey_csv, large_pair[0], tmp_path / "s1.csv")
+    assert peak < 5.0, f"write_survey_csv peaked {peak:.1f} MB above its start"
+
+
+def test_design_is_built_in_place(large_pair):
+    s1, s2 = large_pair
+    schema = default_schema()
+    centering, pooled = compute_centering(s1, schema), pool_samples(s1, s2)
+    design, peak = traced_peak(build_design, s1, schema, centering, pooled)
+    x_mb = design.x.nbytes / 1e6
+    assert peak < x_mb + 2.5, f"build_design peaked {peak:.1f} MB for a {x_mb:.1f} MB x"
+
+
+def hstacked_x(sample, schema, centering, knot_source):
+    """The design's ``x`` as one block per covariate, joined by ``np.hstack``: the reference for the in-place fill."""
+    blocks = [np.ones((sample.n_births, 1))]
+    for cov in schema.covariates:
+        if cov.kind == "binary":
+            blocks.append((sample.columns[cov.name] != cov.reference).astype(float)[:, None])
+            continue
+        raw, src = sample.columns[cov.name], knot_source.columns[cov.name]
+        missing, src_missing = np.isnan(raw), np.isnan(src)
+        center = centering.values[cov.name]
+        src_median, median = float(np.median(src[~src_missing])), float(np.median(raw[~missing]))
+        knots = quantile_knots(np.where(src_missing, src_median, src) - center, cov.degree, cov.df)
+        cols = bspline_basis(np.where(missing, median, raw) - center, knots, cov.degree)[:, 1:]
+        blocks.append(np.column_stack([cols, missing.astype(float)]) if cov.allow_missing else cols)
+    return np.hstack(blocks)
+
+
+@pytest.mark.parametrize("block_rows", [7, 4096])
+def test_design_equals_the_hstacked_blocks_bit_for_bit(large_pair, monkeypatch, block_rows):
+    monkeypatch.setattr(dataset, "_BLOCK_ROWS", block_rows)
+    s1, s2 = large_pair
+    schema = default_schema()
+    centering, pooled = compute_centering(s1, schema), pool_samples(s1, s2)
+    for sample in (s1, s2):
+        want = hstacked_x(sample, schema, centering, pooled)
+        assert build_design(sample, schema, centering, pooled).x.tobytes() == want.tobytes()
+
+
+def per_cell_csv(sample, path):
+    """``sample`` written one birth at a time with ``csv.writer``: the bytes ``write_survey_csv`` must give."""
+    fields = [f for f in ("maternal_age", "maternal_education", "birth_order", "birth_interval", "wealth_rank",
+                          "sex", "residence") if f in sample.columns]
+    fields = [f for f in fields if sample.columns[f].dtype.kind == "U" or not np.isnan(sample.columns[f]).all()]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["outcome", *fields, "cluster_id"])
+        for i in range(sample.n_births):
+            row = [str(int(sample.outcome[i]))]
+            for name in fields:
+                v = sample.columns[name][i]
+                if sample.columns[name].dtype.kind == "U":
+                    row.append(str(v))
+                else:
+                    row.append("" if np.isnan(v) else str(int(v)) if name == "birth_order" else repr(float(v)))
+            writer.writerow([*row, sample.cluster_ids[sample.cluster[i]]])
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 4096])
+def test_written_csv_equals_a_per_cell_writer(tmp_path, monkeypatch, block_rows):
+    monkeypatch.setattr(dataset, "_BLOCK_ROWS", block_rows)
+    rows = [
+        {"outcome": k % 2, "cluster_id": ('say "c", 1', "z,2", "a")[k % 3], "maternal_age": 15.0 + k / 3,
+         "birth_order": 1 + k % 4, "birth_interval": None if k % 3 else 12.5 * k, "wealth_rank": k / 7,
+         "sex": ("female", "male")[k % 2], "residence": ("rural", "urban")[k // 2 % 2]}
+        for k in range(7)
+    ]
+    sample = make_sample(rows)
+    write_survey_csv(sample, tmp_path / "blocks.csv")
+    per_cell_csv(sample, tmp_path / "cells.csv")
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
+    assert b'"say ""c"", 1"' in (tmp_path / "cells.csv").read_bytes()
+
+
+def test_large_written_csv_equals_a_per_cell_writer(large_pair, large_csv, tmp_path):
+    per_cell_csv(large_pair[0], tmp_path / "cells.csv")
+    assert large_csv.read_bytes() == (tmp_path / "cells.csv").read_bytes()
+
+
+GOOD = "0,25,6,2,24,female,rural,0.3,a\n"
+
+
+def ingested(path, schema=None):
+    """The pickled sample that ``ingest_csv`` reads from ``path``, or the type and text of its error."""
+    try:
+        return pickle.dumps(ingest_csv(path, schema or default_schema(), survey_year=2000))
+    except MortdecompError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize(
+    "header, body, want",
+    [
+        ("outcome,maternal_age,maternal_education,birth_order,sex,residence,wealth_rank,cluster_id,birth_interval\n",
+         "0,25,6,2,female,rural,0.3,a,24\n\n1,30,2,4,male,urban,0.1,b\n\n\n0,22,8,1,female,rural,0.9,b\n"
+         "1,31,9,3,male,rural,0.4,a,36\n",
+         4),
+        (CSV_HEADER, GOOD * 5 + "0,banana,6,2,24,female,rural,0.3,a\n",
+         ("RowError", "{path}, line 7: could not parse maternal_age='banana'")),
+        (CSV_HEADER, GOOD * 2 + "0,25,6,2,inf,female,rural,0.3,a\n" + GOOD * 3,
+         ("RowError", "{path}, line 4: non-finite value birth_interval='inf'")),
+        (CSV_HEADER, GOOD + "0,14,6,0,24,female,rural,1.5,a\n" + GOOD + "1,44,6,2,,male,urban,0.3,b\n", 3),
+        (CSV_HEADER, GOOD + '0,25,6,2,24,female,rural,0.3,"c\nd"\n' + GOOD + "0,25,6,2,24,female,town,0.3,a\n",
+         ("RowError", "{path}, line 6: residence must be one of ('rural', 'urban'), got 'town'")),
+        (CSV_HEADER,
+         GOOD + "0,banana,6,2,24,female,rural,0.3,a\n" + GOOD * 3 + "0,25,6,2,24," + "x" * 200_000 + ",rural,0.3,a\n",
+         ("ConfigError", "{path}, line 7: field larger than field limit (131072)")),
+        (CSV_HEADER, GOOD + "7,25,6,2,24,female,rural,0.3,a\n" + GOOD * 400 + "0,25,6,2,24,f\xffmale,rural,0.3,a\n",
+         ("ConfigError", "{path}: not UTF-8 text (invalid start byte)")),
+        (CSV_HEADER.replace("cluster_id", "cluster"), GOOD * 400 + "0,25,6,2,24,f\xffmale,rural,0.3,a\n",
+         ("ConfigError", "{path}: not UTF-8 text (invalid start byte)")),
+    ],
+    ids=["blank_lines_and_short_rows", "bad_cell_in_the_last_block", "bad_cell_first_in_a_block",
+         "row_dropped_by_the_age_filter", "quoted_cell_spanning_lines", "csv_error_in_a_later_block",
+         "bad_byte_in_a_later_block", "bad_byte_after_a_bad_header"],
+)
+def test_block_boundaries_change_nothing(tmp_path, monkeypatch, header, body, want):
+    # one block holds the whole file, as the reader held it before blocks
+    path = tmp_path / "survey.csv"
+    path.write_bytes((header + body).encode("utf-8").replace(b"\xc3\xbf", b"\xff"))
+    outcomes = {}
+    for block_rows in (1, 2, 3, 10**6):
+        monkeypatch.setattr(dataset, "_BLOCK_ROWS", block_rows)
+        outcomes[block_rows] = ingested(path)
+    assert all(outcome == outcomes[10**6] for outcome in outcomes.values()), outcomes
+    if isinstance(want, int):
+        assert pickle.loads(outcomes[10**6]).n_births == want
+    else:
+        assert outcomes[10**6] == (want[0], want[1].format(path=path))

@@ -27,7 +27,7 @@ from mortdecomp.errors import (
         ConfigError("bad config"),
         SchemaError("bad schema"),
         EmptyInputError("no rows"),
-        RowError(7, "non-numeric cell 'x'"),
+        RowError("s2.csv", 7, "non-numeric cell 'x'"),
         DegenerateDesignError("sex"),
         DegenerateDesignError("sex", "column 3 of group 'sex' is constant"),
         SingularDesignError(1.25e-19),

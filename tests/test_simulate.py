@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from scipy.special import ndtr, ndtri
 
+from conftest import traced_peak
 from mortdecomp.dataset import CovariateSchema, CovariateSpec, write_survey_csv
 from mortdecomp.errors import ConfigError
-from mortdecomp.simulate import SyntheticConfig, SyntheticSurveySpec, synthesize
+from mortdecomp.simulate import SyntheticConfig, SyntheticSurveySpec, _draw, synthesize
 
 
 def intercept_only_config(sigma2=0.0, n_clusters=100, births=1000, rate=0.1):
@@ -144,3 +145,26 @@ def test_missing_prob_produces_missing_intervals():
     s1, _ = synthesize(dgp, seed=5)
     missing = np.isnan(s1.columns["birth_interval"]).sum()
     assert 0.2 < missing / s1.n_births < 0.4
+
+
+def test_synthesize_peak_memory_is_bounded(large_dgp):
+    # object draws and two designs alive at once peak at 21.4 MB; typed draws and one design, 13.5 MB
+    (s1, s2), peak = traced_peak(synthesize, large_dgp, 2)
+    assert s1.n_births == s2.n_births == 20_000
+    assert peak < 17.5, f"synthesize peaked {peak:.1f} MB above its start"
+
+
+def test_numeric_draws_are_typed_and_other_values_are_converted_as_given():
+    spec = {"dist": "choice", "values": [1, 2], "probs": None, "missing_prob": 0.5}
+    draw = _draw(spec, 50, np.random.default_rng(0), numeric=True)
+    assert draw.dtype == np.float64 and np.isnan(draw).any()
+    schema = CovariateSchema((CovariateSpec("sex", "binary", reference="female"),))
+    for covariates, words in [
+        ({"maternal_age": {"dist": "choice", "values": ["a", 20]}}, "could not convert string to float: 'a'"),
+        ({"sex": {"dist": "choice", "values": ["female", "male"], "missing_prob": 0.5}}, "got 'None'"),
+    ]:
+        spec = dict(beta=(0.0, 0.1), sigma2=0.0, n_clusters=5, births_per_cluster=4, survey_year=2000,
+                    covariates={"sex": {"dist": "choice", "values": ["female", "male"]}, **covariates})
+        dgp = SyntheticConfig(schema, SyntheticSurveySpec(**spec), SyntheticSurveySpec(**{**spec, "survey_year": 2014}))
+        with pytest.raises(ConfigError, match=f"survey S1: the generated covariates are not a valid sample .*{words}"):
+            synthesize(dgp, seed=1)
