@@ -1,18 +1,18 @@
 """Two-survey birth microdata: ingestion, centering and design matrices.
 
-A survey sample holds its births as columns, one array per field, with
-rows grouped by sampling cluster.  Design matrices carry an explicit
-intercept column, spline-expanded continuous covariates centered at
-reference-population means, 0/1 coded binary covariates, and a map from
-covariate name to its contiguous column block.  Both surveys of a pair
-must be built against one shared knot source so their bases are
-identical and coefficient blocks can be swapped between them.
+A survey sample holds its births as columns, one array per field, in
+the order they were read.  Design matrices carry an explicit intercept
+column, B-spline-expanded continuous covariates (each value and the
+knots shifted by a reference-population mean, which leaves the basis
+unchanged), 0/1 coded binary covariates, and a map from covariate name
+to its contiguous column block.  Both surveys of a pair must be built
+against one shared knot source so their bases are identical and
+coefficient blocks can be swapped between them.
 """
 
 from __future__ import annotations
 
 import contextlib
-import functools
 import itertools
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,7 +25,7 @@ from .errors import (
     EmptyInputError,
     RowError,
     SchemaError,
-    csv_record,
+    csv_line,
     read_csv_blocks,
     read_fields,
     require_number,
@@ -115,10 +115,11 @@ def _first_failure(checks: list) -> tuple[int, str] | None:
 
 @dataclass(frozen=True, eq=False)
 class SurveySample(FrozenArrays):
-    """All births of one survey as columns, grouped by cluster in first-appearance order.
+    """All births of one survey as columns, in the order they were read.
 
-    ``cluster`` holds each birth's code into ``cluster_ids``; codes rise
-    from 0 in row order, so every cluster's births are contiguous.
+    ``cluster`` holds each birth's code into ``cluster_ids``, which lists
+    the clusters in first-appearance order: the first birth's code is 0,
+    and each later code is at most one above the highest code before it.
     ``columns`` holds one array per ingested or generated field (see
     ``_FIELDS``).  Arrays are frozen read-only.
     """
@@ -138,9 +139,9 @@ class SurveySample(FrozenArrays):
         for name, col in self.columns.items():
             if name not in _FIELDS or col.dtype.kind != ("U" if name in _LEVELS else "f"):
                 raise ValueError(f"unexpected column {name!r} of dtype {col.dtype}")
-        steps = np.diff(np.concatenate(([-1], self.cluster, [self.n_clusters])))
-        if steps[0] != 1 or steps[-1] != 1 or np.any((steps != 0) & (steps != 1)):
-            raise ValueError("births must be grouped by cluster, coded 0.. in first-appearance order")
+        highest = np.maximum.accumulate(np.concatenate(([-1], self.cluster)))  # the highest code up to each birth
+        if np.any(self.cluster < 0) or np.any(self.cluster > highest[:-1] + 1) or highest[-1] != self.n_clusters - 1:
+            raise ValueError("cluster codes must run 0..n_clusters-1 in first-appearance order")
         outcome = ((self.outcome != 0) & (self.outcome != 1), lambda i: f"outcome must be 0 or 1, got {self.outcome[i]}")
         failure = _first_failure([outcome, *_field_checks(self.columns)])
         if failure is not None:
@@ -154,24 +155,22 @@ class SurveySample(FrozenArrays):
     def from_columns(
         cls, survey_id: str, survey_year: int, outcome, cluster_id, columns: dict, dropped_rows: int = 0
     ) -> "SurveySample":
-        """Sample from per-birth values in any row order.
+        """Sample from per-birth values, kept in the order given.
 
-        ``cluster_id`` labels each birth's cluster; rows are regrouped by
-        cluster in first-appearance order with one stable sort, so births
-        keep their order within a cluster.  Numeric columns become float64
-        (``None`` reads as missing), ``sex`` and ``residence`` str.
+        ``cluster_id`` labels each birth's cluster; clusters are coded in
+        first-appearance order.  Numeric columns become float64 (``None``
+        reads as missing), ``sex`` and ``residence`` str.  An array already
+        of its column's dtype is taken as it is, and frozen read-only.
         """
         ids, first, inverse = np.unique(np.asarray(cluster_id, dtype=str), return_index=True, return_inverse=True)
         by_first = np.argsort(first)
-        codes = np.argsort(by_first)[inverse.reshape(-1)]  # rank of each cluster's first appearance
-        order = np.argsort(codes, kind="stable")
         return cls(
             survey_id=survey_id,
             survey_year=survey_year,
-            outcome=np.asarray(outcome, dtype=np.int64)[order],
-            cluster=codes[order],
+            outcome=np.asarray(outcome, dtype=np.int64),
+            cluster=np.argsort(by_first)[inverse.reshape(-1)],  # rank of each cluster's first appearance
             cluster_ids=tuple(ids[by_first].tolist()),
-            columns={name: np.asarray(v, dtype=str if name in _LEVELS else float)[order] for name, v in columns.items()},
+            columns={name: np.asarray(v, dtype=str if name in _LEVELS else float) for name, v in columns.items()},
             dropped_rows=dropped_rows,
         )
 
@@ -389,24 +388,47 @@ def _header_fault(path: Path, header: list[str], schema: CovariateSchema) -> Sch
     return None
 
 
-def _read_block(rows: list[list[str]], width: int, position: dict, fields: list[str]) -> dict:
-    """Non-blank CSV rows under a ``width``-column header as arrays: the stripped ``outcome``,
-    ``cluster_id`` and leveled cells as str, and each numeric field as floats with its
-    ``("bad", name)`` and ``("empty", name)`` masks (see ``_parse_numbers``)."""
+def _read_block(rows: list[list[str]], start: int, width: int, position: dict, fields: list[str]) -> tuple:
+    """Non-blank CSV rows ``start``, ``start + 1``, ... under a ``width``-column header, parsed and checked:
+    ``(kept, None)``, with the columns of the rows the age filter keeps (``outcome`` as 0/1, ``cluster_id``
+    and the leveled fields as stripped str, the numeric fields as floats), or ``({}, (row, message))`` for
+    the first bad row; within a row the first check wins."""
     table = list(itertools.zip_longest(*rows, fillvalue=""))  # short rows read as empty cells
     table += [("",) * len(rows)] * (width - len(table))
-    block = {}
-    for name in ("outcome", "cluster_id", *fields):
+    outcome = np.array([c.strip() for c in table[position["outcome"]]])
+    cluster_id = np.array([c.strip() for c in table[position["cluster_id"]]])
+    checks = [
+        (~np.isin(outcome, ("0", "1")), lambda i: f"outcome must be 0 or 1, got {str(outcome[i])!r}"),
+        (cluster_id == "", lambda i: "empty cluster_id"),
+    ]
+    columns = {}
+    for name in fields:
         cells = table[position[name]]
-        if name in _FIELDS and name not in _LEVELS:
-            block[name], block["bad", name], block["empty", name] = _parse_numbers(cells)
-        else:
-            block[name] = np.array([c.strip() for c in cells])
-    return block
+        if name in _LEVELS:
+            columns[name] = values = np.array([c.strip() for c in cells])
+            checks.append((values == "", lambda i, name=name: f"empty value for {name!r}"))
+            continue
+        values, bad, empty = _parse_numbers(cells)
+        columns[name] = values
+        if name != "birth_interval":
+            checks.append((empty, lambda i, name=name: f"empty value for {name!r}"))
+        if name == "birth_order":  # "3.0" reads as 3; "2.5" does not parse
+            bad |= np.isfinite(values) & (values != np.trunc(values))
+        for wrong, what in ((bad, "could not parse"), (~np.isfinite(values) & ~empty & ~bad, "non-finite value")):
+            checks.append((wrong, lambda i, what=what, name=name, cells=cells: f"{what} {name}={cells[i].strip()!r}"))
+
+    kept = in_age_range(columns, len(rows))
+    checks += [(bad & kept, message) for bad, message in _field_checks(columns)]
+    failure = _first_failure(checks)
+    if failure is not None:
+        return {}, (start + failure[0], failure[1])
+    part = {"outcome": (outcome[kept] == "1").astype(np.int64), "cluster_id": cluster_id[kept]}
+    part.update((name, values[kept]) for name, values in columns.items())
+    return part, None
 
 
 def ingest_csv(path, schema: CovariateSchema, survey_year: int, survey_id: str = "S1") -> SurveySample:
-    """Read one survey's births from CSV, grouped by cluster.
+    """Read one survey's births from CSV, in file order.
 
     The header must name every schema covariate plus ``outcome`` and
     ``cluster_id``; every other known field in the header is read too,
@@ -421,9 +443,9 @@ def ingest_csv(path, schema: CovariateSchema, survey_year: int, survey_id: str =
     naming the file, and the line for the CSV reader; those faults come
     first, wherever they are in the file.
 
-    The rows are parsed ``_BLOCK_ROWS`` at a time into typed columns and
-    check masks, which are joined once the file is read; a message that
-    quotes a cell reads that row again.
+    The rows are parsed, checked and filtered ``_BLOCK_ROWS`` at a time,
+    and only the kept columns are joined once the file is read.  After a
+    bad row the rest of the file is read but not parsed.
     """
     path = Path(path)
     with contextlib.closing(read_csv_blocks(path, _BLOCK_ROWS)) as blocks:
@@ -438,63 +460,26 @@ def ingest_csv(path, schema: CovariateSchema, survey_year: int, survey_id: str =
             raise refused
         position = {h: j for j, h in enumerate(header)}
         fields = [f for f in _FIELDS if f in position]
-        parts = [
-            _read_block(rows, len(header), position, fields)
-            for block in itertools.chain([first[1:]], blocks)
-            if (rows := [row for row in block if row])  # blank lines are skipped
-        ]
-    if not parts:
-        raise EmptyInputError(f"{path}: header only, no data rows")
-    table = {key: np.concatenate([part.pop(key) for part in parts]) for key in list(parts[0])}
-    del parts
-    record = functools.lru_cache(maxsize=1)(functools.partial(csv_record, path))
-
-    def cell(i, name):  # the stripped cell of ``name`` on data row ``i``, read again for a message
-        row = record(i)[1]
-        return row[position[name]].strip() if position[name] < len(row) else ""
-
-    raw_outcome = table.pop("outcome")
-    cluster_id = table.pop("cluster_id")
-    n = raw_outcome.size
-    checks = [
-        (~np.isin(raw_outcome, ("0", "1")), lambda i: f"outcome must be 0 or 1, got {str(raw_outcome[i])!r}"),
-        (cluster_id == "", lambda i: "empty cluster_id"),
-    ]
-    columns = {}
-    for name in fields:
-        columns[name] = values = table.pop(name)
-        if name in _LEVELS:
-            checks.append((values == "", lambda i, name=name: f"empty value for {name!r}"))
-            continue
-        bad, empty = table.pop(("bad", name)), table.pop(("empty", name))
-        if name != "birth_interval":
-            checks.append((empty, lambda i, name=name: f"empty value for {name!r}"))
-        if name == "birth_order":  # "3.0" reads as 3; "2.5" does not parse
-            bad |= np.isfinite(values) & (values != np.trunc(values))
-        checks.append((bad, lambda i, name=name: f"could not parse {name}={cell(i, name)!r}"))
-        checks.append(
-            (~np.isfinite(values) & ~empty & ~bad, lambda i, name=name: f"non-finite value {name}={cell(i, name)!r}")
-        )
-
-    kept = in_age_range(columns, n)
-    checks += [(bad & kept, message) for bad, message in _field_checks(columns)]
-    failure = _first_failure(checks)
+        n, parts, failure = 0, [], None
+        for block in itertools.chain([first[1:]], blocks):
+            rows = [row for row in block if row]  # blank lines are skipped
+            if rows and failure is None:
+                part, failure = _read_block(rows, n, len(header), position, fields)
+                parts.append(part)
+            n += len(rows)
     if failure is not None:
-        raise RowError(path, record(failure[0])[0], failure[1])
-    if not kept.any():
+        raise RowError(path, csv_line(path, failure[0]), failure[1])
+    if not n:
+        raise EmptyInputError(f"{path}: header only, no data rows")
+    columns = {key: np.concatenate([part.pop(key) for part in parts]) for key in list(parts[0])}
+    del parts
+    outcome, cluster_id = columns.pop("outcome"), columns.pop("cluster_id")
+    if not outcome.size:
         raise EmptyInputError(
             f"{path}: no births left after the maternal_age filter "
             f"[{AGE_RANGE[0]:g}, {AGE_RANGE[1]:g}]: all {n} rows dropped"
         )
-    del checks  # its messages hold the columns
-    return SurveySample.from_columns(
-        survey_id,
-        survey_year,
-        outcome=(raw_outcome[kept] == "1").astype(np.int64),
-        cluster_id=cluster_id[kept],
-        columns={name: columns.pop(name)[kept] for name in fields},
-        dropped_rows=int(n - kept.sum()),
-    )
+    return SurveySample.from_columns(survey_id, survey_year, outcome, cluster_id, columns, n - outcome.size)
 
 
 def write_survey_csv(sample: SurveySample, path) -> None:

@@ -1,6 +1,6 @@
 """Exception types, the ``require_*`` checks on input values, the one reader of a config section
 (:func:`read_fields`), and the package's one JSON reader (:func:`read_json`) and writer (:func:`write_json`)
-and one CSV reader (:func:`read_csv_blocks`, whole-file as :func:`read_csv`, with :func:`csv_record`, the one
+and one CSV reader (:func:`read_csv_blocks`, whole-file as :func:`read_csv`, with :func:`csv_line`, the one
 rule for a bad record's line) and writer (:func:`write_csv`): every config section, JSON file and CSV file the
 package reads or writes goes through them."""
 
@@ -204,15 +204,14 @@ def read_csv(path) -> list[list[str]]:
     return [row for block in read_csv_blocks(path, 4096) for row in block]
 
 
-def csv_record(path, index: int) -> tuple[int, list[str]]:
+def csv_line(path, index: int) -> int:
     """The line of the CSV file ``path`` on which its ``index``-th non-blank record below the header
-    ends, counting from 0, and that record's cells: the line a reader of :func:`read_csv_blocks`' rows
-    names for a bad record."""
+    ends, counting from 0: the line a reader of :func:`read_csv_blocks`' rows names for a bad record."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         next(reader)  # header
-        records = ((reader.line_num, row) for row in reader if row)
-        return next(itertools.islice(records, index, None))
+        ends = (reader.line_num for row in reader if row)
+        return next(itertools.islice(ends, index, None))
 
 
 def write_csv(path, header, rows) -> None:

@@ -19,7 +19,7 @@ import numpy as np
 
 from ._phi import ndtr, ndtri
 from .dataset import DesignMatrix, FrozenArrays
-from .errors import ConfigError, SingularDesignError, csv_record, read_csv, read_json, write_csv, write_json
+from .errors import ConfigError, SingularDesignError, csv_line, read_csv, read_json, write_csv, write_json
 from .errors import read_fields, require_number, require_object, require_str
 
 __all__ = [
@@ -501,7 +501,7 @@ def load_draws(csv_path, sidecar_path=None) -> PosteriorDraws:
         )
 
     def at(i: int) -> str:  # the file and line of the i-th draw
-        return f"{csv_path}, line {csv_record(csv_path, i)[0]}"
+        return f"{csv_path}, line {csv_line(csv_path, i)}"
 
     rows = []
     for i, row in enumerate(filter(None, lines)):  # blank lines are skipped

@@ -17,6 +17,7 @@ import mortdecomp.decompose as decompose_module
 import mortdecomp.report
 from mortdecomp._phi import ndtr
 from mortdecomp.cli import RunConfig, main, run_pipeline
+from mortdecomp.dataset import CovariateSchema, ingest_csv
 from mortdecomp.decompose import ComponentSummary, _openblas_threads
 from mortdecomp.errors import ConfigError, MortdecompError, SingularDesignError
 from mortdecomp.sampler import ChainQualityWarning, GibbsChain
@@ -505,24 +506,33 @@ class TestCommands:
         for name in ("decomposition.json", "draws_s1.csv", "diagnostics.json"):
             assert (tmp_path / "csv_out" / name).read_bytes() == (tmp_path / "synthetic_out" / name).read_bytes(), name
 
-    def test_fit_then_decompose_matches_run(self, tmp_path, capsys):
-        onepass = tmp_path / "onepass"
-        cfg = base_config(onepass)
-        path = write_config(tmp_path, cfg)
-        assert main(["run", "--config", str(path)]) == 0
+    def test_fit_then_decompose_matches_run(self, tmp_path, capsys, simulated_csvs):
+        # also on a csv pair whose clusters are interleaved: its births are fitted in file order
+        for survey in ("s1", "s2"):
+            header, *body = (simulated_csvs / f"{survey}.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+            (tmp_path / f"{survey}.csv").write_text(header + "".join(body[::2] + body[1::2]), encoding="utf-8")
+        schema = CovariateSchema.from_dict(base_config(tmp_path)["schema"])
+        assert np.any(np.diff(ingest_csv(tmp_path / "s1.csv", schema, 2000).cluster) < 0)
+        configs = {
+            "synthetic": base_config,
+            "interleaved_csv": lambda out: csv_config(out, tmp_path / "s1.csv", tmp_path / "s2.csv"),
+        }
+        for mode, config in configs.items():
+            onepass = tmp_path / mode / "onepass"
+            path = write_config(tmp_path, config(onepass))
+            assert main(["run", "--config", str(path)]) == 0
 
-        twopass = tmp_path / "twopass"
-        cfg2 = dict(base_config(twopass))
-        path2 = write_config(tmp_path, cfg2, "config2.json")
-        assert main(["fit", "--config", str(path2), "--survey", "s1"]) == 0
-        assert main(["fit", "--config", str(path2), "--survey", "s2"]) == 0
-        assert main(["decompose", "--config", str(path2)]) == 0
-        capsys.readouterr()
+            twopass = tmp_path / mode / "twopass"
+            path2 = write_config(tmp_path, config(twopass), "config2.json")
+            assert main(["fit", "--config", str(path2), "--survey", "s1"]) == 0
+            assert main(["fit", "--config", str(path2), "--survey", "s2"]) == 0
+            assert main(["decompose", "--config", str(path2)]) == 0
+            capsys.readouterr()
 
-        shared = EXPECTED_FILES - {"diagnostics.json", "run_manifest.json"}
-        assert {p.name for p in twopass.iterdir()} == shared
-        for name in sorted(shared):
-            assert (twopass / name).read_bytes() == (onepass / name).read_bytes(), name
+            shared = EXPECTED_FILES - {"diagnostics.json", "run_manifest.json"}
+            assert {p.name for p in twopass.iterdir()} == shared
+            for name in sorted(shared):
+                assert (twopass / name).read_bytes() == (onepass / name).read_bytes(), (mode, name)
 
     def test_decompose_respects_order_override(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -77,7 +77,7 @@ class TestIngest:
         with pytest.raises(ValueError):
             sample.outcome[0] = 1
 
-    def test_interleaved_clusters_grouped_in_first_appearance_order(self, tmp_path):
+    def test_interleaved_clusters_keep_file_order(self, tmp_path):
         path = write_csv(
             tmp_path,
             [
@@ -88,10 +88,10 @@ class TestIngest:
         )
         sample = ingest_csv(path, default_schema(), survey_year=2000)
         assert sample.cluster_ids == ("z", "a")
-        np.testing.assert_array_equal(sample.cluster, [0, 0, 1])
-        # births keep their file order within a cluster
-        np.testing.assert_array_equal(sample.outcome, [0, 0, 1])
-        np.testing.assert_array_equal(sample.columns["maternal_age"], [25.0, 22.0, 30.0])
+        np.testing.assert_array_equal(sample.cluster, [0, 1, 0])
+        # births keep their file order
+        np.testing.assert_array_equal(sample.outcome, [0, 1, 0])
+        np.testing.assert_array_equal(sample.columns["maternal_age"], [25.0, 30.0, 22.0])
 
     def test_header_names_are_stripped(self, tmp_path):
         header = CSV_HEADER.replace(",", ", ")
@@ -311,8 +311,9 @@ class TestBuildDesign:
         ]
         sample = make_sample(rows)
         design = build_design(sample, schema, CenteringConstants.zeros(schema), sample)
-        # births are grouped cluster-by-cluster: z first (2 rows), then a
-        np.testing.assert_array_equal(design.cluster_index, [0, 0, 1])
+        # births keep their order; z, seen first, is cluster 0
+        np.testing.assert_array_equal(design.cluster_index, [0, 1, 0])
+        np.testing.assert_array_equal(design.x[:, 1], [1.0, 0.0, 0.0])
 
     def test_group_map_partitions_columns(self):
         rng = np.random.default_rng(11)
@@ -416,6 +417,22 @@ def test_field_invariants_raise_row_error(tmp_path):
         with pytest.raises(RowError, match=field) as err:
             ingest_csv(path, default_schema(), survey_year=2000)
         assert err.value.line_number == 3
+
+
+@pytest.mark.parametrize(
+    "codes, n_clusters",
+    [([0, 1, -1], 2), ([0, 1, 2], 2), ([0, 2, 2], 3), ([0, 0, 1], 3), ([1, 0, 1], 2)],
+    ids=["negative", "not_below_n_clusters", "skipped", "unused", "out_of_first_appearance_order"],
+)
+def test_bad_cluster_codes_are_refused(codes, n_clusters):
+    # the sampler's np.take(gamma, cluster, mode="clip") would clip an out-of-range code without a word
+    def sample(codes, n_clusters):
+        return SurveySample("S1", 2000, np.zeros(len(codes), dtype=np.int64), np.array(codes),
+                            tuple(f"c{k}" for k in range(n_clusters)), {})
+
+    assert sample([0, 1, 0, 2, 1], 3).n_clusters == 3  # interleaved, in first-appearance order
+    with pytest.raises(ValueError, match="first-appearance order"):
+        sample(codes, n_clusters)
 
 
 def test_field_invariants_hold_for_samples_built_in_code():
@@ -590,7 +607,7 @@ def test_bulk_parse_matches_the_per_cell_parse(cells):
 # dataset._BLOCK_ROWS rows, and a design is filled in place.  The bounds are for
 # the 20000-birth surveys of the large_dgp fixture, and each lies between the
 # peak of a whole-file reader or writer, or of an hstacked design (21.2 MB,
-# 11.0 MB, x + 5.1 MB), and that of the block code (10.5 MB, 2.4 MB, x + 1.3 MB).
+# 11.0 MB, x + 5.1 MB), and that of the block code (9.0 MB, 2.4 MB, x + 1.3 MB).
 
 
 @pytest.fixture(scope="module")
@@ -618,6 +635,39 @@ def test_large_csv_reads_alike_in_any_blocks(large_csv, monkeypatch):
         monkeypatch.setattr(dataset, "_BLOCK_ROWS", block_rows)
         pickles.append(pickle.dumps(ingest_csv(large_csv, default_schema(), 1998)))
     assert pickles[0] == pickles[1] == pickles[2]
+
+
+def test_ingest_peak_grows_with_the_kept_columns_only(large_csv, tmp_path):
+    # the same births twice: the peak grows by the extra kept columns, not by copies of them
+    header, body = large_csv.read_text(encoding="utf-8").split("\n", 1)
+    double = tmp_path / "double.csv"
+    double.write_text(header + "\n" + body + body, encoding="utf-8")
+    peaks, kept = [], []
+    for path in (large_csv, double):
+        sample, peak = traced_peak(ingest_csv, path, default_schema(), 1998)
+        peaks.append(peak)
+        kept.append(sum(a.nbytes for a in (sample.outcome, sample.cluster, *sample.columns.values())) / 1e6)
+    assert kept[1] == pytest.approx(2 * kept[0])
+    growth = (peaks[1] - peaks[0]) / (kept[1] - kept[0])
+    assert growth < 2.0, f"ingest_csv peaked {peaks[0]:.1f} MB, then {peaks[1]:.1f} MB: {growth:.2f}x the extra columns"
+
+
+def test_a_bad_row_ends_the_parse(tmp_path, monkeypatch):
+    # two rows a block: the header and the bad row, then two blocks of good rows
+    monkeypatch.setattr(dataset, "_BLOCK_ROWS", 2)
+    calls = []
+
+    def counted(cells):
+        calls.append(len(cells))
+        return _parse_numbers(cells)
+
+    monkeypatch.setattr(dataset, "_parse_numbers", counted)
+    path = write_csv(tmp_path, ["0,banana,6,2,24,female,rural,0.3,a\n"] + [GOOD] * 4)
+    assert ingested(path) == ("RowError", f"{path}, line 2: could not parse maternal_age='banana'")
+    assert calls == [1] * 5  # block 1 only, one call per numeric field
+    path = write_csv(tmp_path, ["0,banana,6,2,24,female,rural,0.3,a\n"] + [GOOD] * 3
+                     + ["0,25,6,2,24," + "x" * 200_000 + ",rural,0.3,a\n"])
+    assert ingested(path) == ("ConfigError", f"{path}, line 6: field larger than field limit (131072)")
 
 
 def test_write_peak_memory_does_not_grow_with_the_sample(large_pair, tmp_path):
