@@ -65,8 +65,8 @@ from .dataset import (
     write_survey_csv,
 )
 from .decompose import _one_blas_thread, _workers, posterior_decompose, validate_order
-from .errors import ConfigError, MortdecompError, read_json, write_json
-from .errors import require_bool, require_number, require_object, require_str
+from .errors import ConfigError, MortdecompError, read_fields, read_json, write_json
+from .errors import require_number, require_object, require_seed, require_str
 # diagnostics, mean_mortality and variance_collapse are not called in this
 # module; perfbench/tracing.py wraps them here by name, so they stay imported.
 from .marginal import CONVENTIONS, mean_mortality  # noqa: F401
@@ -94,23 +94,71 @@ from .simulate import SyntheticConfig, SyntheticSurveySpec, synthesize
 from .validation import VarianceCollapseProfile, validate_suite, variance_collapse  # noqa: F401
 
 
+def _read_years(value) -> tuple[int, int]:
+    """The ``survey_years`` section: the two surveys' years, each a whole number."""
+    years = require_object(value, "survey_years", ("s1", "s2"), ())
+    return tuple(require_number(years[s], f"survey_years.{s}", int) for s in ("s1", "s2"))
+
+
+def _read_order(value) -> tuple[str, ...]:
+    """The ``order`` list of group names, which ``RunConfig`` checks against its schema."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"order must be a list of group names, got {value!r}")
+    return tuple(require_str(name, f"order[{i}]") for i, name in enumerate(value))
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run configuration (one input mode, ordered survey years)."""
+    """A run configuration: the keys of the JSON config, read by ``from_dict``.
 
-    seed: int
-    out_dir: str
-    dgp: SyntheticConfig | None  # None in csv mode
-    csv_paths: tuple[str, str] | None  # None in synthetic mode
-    survey_years: tuple[int, int]
-    schema: CovariateSchema
-    prior: PriorSpec
-    mcmc: McmcConfig  # each survey's chain runs it under its own derived seed
-    order: tuple[str, ...]  # the intercept and every schema covariate
-    marginalization: str
-    poor_quantile: float
-    auto_extend: bool
-    echo: dict
+    ``__post_init__`` reads the ``input`` and ``mcmc`` sections and checks the rules that span keys:
+    exactly one input mode, survey years that increase (by default the generator's), an ``order``
+    that permutes the schema's groups, and no ``mcmc.seed``.
+    """
+
+    input: SyntheticConfig | tuple[str, str]  # read from its section: the generator, or the two CSV paths
+    seed: int = 0
+    out_dir: str = "out"
+    schema: CovariateSchema = field(default_factory=default_schema)
+    survey_years: tuple[int, int] = ()  # () for the generator's years
+    poor_quantile: float = 0.2
+    prior: PriorSpec = PriorSpec()
+    mcmc: McmcConfig = field(default_factory=dict)  # read from its section; each survey's chain runs it on its own seed
+    order: tuple[str, ...] | None = None  # the intercept and every schema covariate; None for the schema's order
+    marginalization: str = "appendix_divide"
+    auto_extend: bool = True
+    echo: dict = field(init=False, default_factory=dict)  # the config as given, overrides merged, for the manifest
+
+    def __post_init__(self):
+        if not 0.0 < self.poor_quantile <= 1.0:
+            raise ConfigError(f"poor_quantile must lie in (0, 1], got {self.poor_quantile}")
+        if self.marginalization not in CONVENTIONS:
+            raise ConfigError(f"marginalization must be one of {CONVENTIONS}")
+        inp = require_object(self.input, "input", ("mode",), ("dgp", "s1_path", "s2_path"))
+        if "dgp" in inp and ("s1_path" in inp or "s2_path" in inp):
+            raise ConfigError("config sets both synthetic and csv inputs; choose one mode")
+        years = self.survey_years
+        if inp["mode"] == "synthetic":
+            dgp = require_object(inp, "input", ("dgp",))["dgp"]
+            surveys = require_object(dgp, "input.dgp", ("s1", "s2"), ())
+            s1, s2 = (SyntheticSurveySpec.from_dict(surveys[s], f"input.dgp.{s}") for s in ("s1", "s2"))
+            source = SyntheticConfig(self.schema, s1, s2, self.poor_quantile)
+            years = years or (s1.survey_year, s2.survey_year)
+        elif inp["mode"] == "csv":
+            paths = require_object(inp, "input", ("s1_path", "s2_path"))
+            source = tuple(require_str(paths[k], f"input.{k}") for k in ("s1_path", "s2_path"))
+        else:
+            raise ConfigError(f"input.mode must be 'synthetic' or 'csv', got {inp['mode']!r}")
+        if not years:
+            raise ConfigError("csv mode needs survey_years.s1 and survey_years.s2")
+        if years[1] <= years[0]:
+            raise ConfigError(f"survey 2 year must exceed survey 1 year, got {years}")
+        mcmc = McmcConfig.from_dict(self.mcmc)
+        if "seed" in self.mcmc:
+            raise ConfigError("set the top-level seed; per-chain seeds are derived from it")
+        order = tuple(validate_order(self.order, self.schema.names))
+        for name, value in dict(input=source, survey_years=years, mcmc=mcmc, order=order).items():
+            object.__setattr__(self, name, value)
 
     @property
     def years_between(self) -> float:
@@ -124,99 +172,16 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict, overrides: dict | None = None) -> "RunConfig":
-        optional = ("seed", "out_dir", "schema", "survey_years", "poor_quantile", "prior", "mcmc", "order",
-                    "marginalization", "auto_extend")
-        raw = dict(require_object(raw, "config", ("input",), optional))
-        overrides = overrides or {}
-        for key in ("seed", "out_dir", "order", "marginalization"):
-            if overrides.get(key) is not None:
-                raw[key] = overrides[key]
-
-        inp = require_object(raw["input"], "input", ("mode",), ("dgp", "s1_path", "s2_path"))
-        mode = inp["mode"]
-        has_dgp = "dgp" in inp
-        has_csv = "s1_path" in inp or "s2_path" in inp
-        if has_dgp and has_csv:
-            raise ConfigError("config sets both synthetic and csv inputs; choose one mode")
-        if mode not in ("synthetic", "csv"):
-            raise ConfigError(f"input.mode must be 'synthetic' or 'csv', got {mode!r}")
-
-        if "schema" in raw:
-            schema = CovariateSchema.from_dict(require_object(raw["schema"], "schema", ("covariates",), ()))
-        else:
-            schema = default_schema()
-        poor_quantile = require_number(raw.get("poor_quantile", 0.2), "poor_quantile")
-        if not 0.0 < poor_quantile <= 1.0:
-            raise ConfigError(f"poor_quantile must lie in (0, 1], got {poor_quantile}")
-
-        dgp = None
-        csv_paths = None
-        if mode == "synthetic":
-            if not has_dgp:
-                raise ConfigError("synthetic mode needs input.dgp")
-            dgp_raw = require_object(inp["dgp"], "input.dgp", ("s1", "s2"), ())
-            dgp = SyntheticConfig(
-                schema=schema,
-                s1=SyntheticSurveySpec.from_dict(dgp_raw["s1"], "input.dgp.s1"),
-                s2=SyntheticSurveySpec.from_dict(dgp_raw["s2"], "input.dgp.s2"),
-                poor_quantile=poor_quantile,
-            )
-            default_years = (dgp.s1.survey_year, dgp.s2.survey_year)
-        else:
-            if "s1_path" not in inp or "s2_path" not in inp:
-                raise ConfigError("csv mode needs input.s1_path and input.s2_path")
-            csv_paths = (inp["s1_path"], inp["s2_path"])
-            if not all(isinstance(path, str) for path in csv_paths):
-                raise ConfigError(f"input.s1_path and input.s2_path must be strings, got {csv_paths}")
-            default_years = None
-
-        if "survey_years" in raw:
-            years_raw = require_object(raw["survey_years"], "survey_years", ("s1", "s2"), ())
-            try:
-                years = tuple(require_number(years_raw[k], "survey_years", int) for k in ("s1", "s2"))
-            except ConfigError:
-                raise ConfigError(f"survey_years must be integers, got {years_raw}") from None
-        elif default_years is not None:
-            years = default_years
-        else:
-            raise ConfigError("csv mode needs survey_years.s1 and survey_years.s2")
-        if years[1] <= years[0]:
-            raise ConfigError(f"survey 2 year must exceed survey 1 year, got {years}")
-
-        mcmc_raw = require_object(raw.get("mcmc", {}), "mcmc")
-        if "seed" in mcmc_raw:
-            raise ConfigError("set the top-level seed; per-chain seeds are derived from it")
-        mcmc = McmcConfig.from_dict(mcmc_raw)
-
-        marginalization = raw.get("marginalization", "appendix_divide")
-        if marginalization not in CONVENTIONS:
-            raise ConfigError(f"marginalization must be one of {CONVENTIONS}")
-
-        order = raw.get("order")
-        if order is not None:
-            if not isinstance(order, (list, tuple)):
-                raise ConfigError(f"order must be a list of group names, got {order!r}")
-            order = tuple(require_str(o, f"order[{i}]") for i, o in enumerate(order))
-
-        seed = require_number(raw.get("seed", 0), "seed", int)
-        if seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {seed}")
-
-        return cls(
-            seed=seed,
-            out_dir=require_str(raw.get("out_dir", "out"), "out_dir"),
-            dgp=dgp,
-            csv_paths=csv_paths,
-            survey_years=years,
-            schema=schema,
-            prior=PriorSpec.from_dict(raw.get("prior", {})),
-            mcmc=mcmc,
-            order=tuple(validate_order(order, schema.names)),
-            marginalization=marginalization,
-            poor_quantile=poor_quantile,
-            auto_extend=require_bool(raw.get("auto_extend", True), "auto_extend"),
-            echo=raw,
-        )
+        """The config in the JSON object ``raw``, each key of ``overrides`` in place of its own, read by
+        ``read_fields``: each top-level key by its kind, and each section but ``input`` and ``mcmc`` by its reader."""
+        echo = {**require_object(raw, "config"), **(overrides or {})}
+        config = read_fields(cls, echo, "", {
+            "seed": require_seed, "out_dir": str, "poor_quantile": float, "marginalization": str, "auto_extend": bool,
+            "schema": lambda value: CovariateSchema.from_dict(require_object(value, "schema", ("covariates",), ())),
+            "survey_years": _read_years, "prior": PriorSpec.from_dict, "order": _read_order,
+        })
+        object.__setattr__(config, "echo", echo)
+        return config
 
     @classmethod
     def from_file(cls, path, overrides: dict | None = None) -> "RunConfig":
@@ -269,11 +234,11 @@ class _Outputs:
 
 def _load_samples(config: RunConfig):
     """Both surveys' samples: synthesized, or each survey's CSV read by ``_per_survey``."""
-    if config.dgp is not None:
-        return synthesize(config.dgp, seed=config.seeds[0])
+    if isinstance(config.input, SyntheticConfig):
+        return synthesize(config.input, seed=config.seeds[0])
     jobs = [
         (path, config.schema, year, sid)
-        for path, year, sid in zip(config.csv_paths, config.survey_years, ("S1", "S2"))
+        for path, year, sid in zip(config.input, config.survey_years, ("S1", "S2"))
     ]
     return tuple(_per_survey(ingest_csv, jobs))
 
@@ -494,26 +459,22 @@ def run_pipeline(config: RunConfig) -> dict:
     return {p.name: p for p in out.written}
 
 
-def _overrides(args) -> dict:
-    order = getattr(args, "order", None)
-    return {
-        "seed": args.seed,
-        "out_dir": args.out,
-        "order": order.split(",") if order else None,
-        "marginalization": getattr(args, "marginalization", None),
-    }
+def _config(args) -> RunConfig:
+    """The run config in ``--config``; a flag named after one of its keys, when given, replaces that key."""
+    flags = {key: getattr(args, key, None) for key in ("seed", "out_dir", "order", "marginalization")}
+    return RunConfig.from_file(args.config, {key: value for key, value in flags.items() if value is not None})
 
 
 def _cmd_run(args) -> int:
-    files = run_pipeline(RunConfig.from_file(args.config, _overrides(args)))
+    files = run_pipeline(_config(args))
     for name in sorted(files):
         print(f"wrote {files[name]}")
     return 0
 
 
 def _cmd_simulate(args) -> int:
-    config = RunConfig.from_file(args.config, _overrides(args))
-    if config.dgp is None:
+    config = _config(args)
+    if not isinstance(config.input, SyntheticConfig):
         raise ConfigError("simulate needs a config with input.mode = 'synthetic'")
     with _Outputs(Path(config.out_dir)) as out:
         out.stage = "load_samples"
@@ -527,7 +488,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    config = RunConfig.from_file(args.config, _overrides(args))
+    config = _config(args)
     with _Outputs(Path(config.out_dir)) as out:
         designs = _designs(config, out)
         out.stage = "fit"
@@ -549,7 +510,7 @@ def _load_draws_for(csv_path: Path) -> PosteriorDraws:
 
 
 def _cmd_decompose(args) -> int:
-    config = RunConfig.from_file(args.config, _overrides(args))
+    config = _config(args)
     out_dir = Path(config.out_dir)
     with _Outputs(out_dir) as out:
         d1, d2 = _designs(config, out)
@@ -599,8 +560,8 @@ _MARGINALIZATION_HELP = "coefficient rescaling convention for integrating cluste
 _CONFIG_FLAGS = {
     "--config": dict(required=True, help="JSON run configuration"),
     "--seed": dict(type=int, default=None, help="override the config seed"),
-    "--out": dict(default=None, help="override the output directory"),
-    "--order": dict(default=None, help="comma-separated decomposition order"),
+    "--out": dict(dest="out_dir", default=None, help="override the output directory"),
+    "--order": dict(type=lambda order: order.split(","), default=None, help="comma-separated decomposition order"),
     "--marginalization": dict(choices=list(CONVENTIONS), default=None, help=_MARGINALIZATION_HELP),
 }
 

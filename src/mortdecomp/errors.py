@@ -1,4 +1,4 @@
-"""Exception types, the ``require_*`` checks on input values, the one reader of a config section
+"""Exception types, the ``require_*`` checks on input values, the one reader of a config and its sections
 (:func:`read_fields`), and the package's one JSON reader (:func:`read_json`) and writer (:func:`write_json`)
 and one CSV reader (:func:`read_csv_blocks`, whole-file as :func:`read_csv`, with :func:`csv_line`, the one
 rule for a bad record's line) and writer (:func:`write_csv`): every config section, JSON file and CSV file the
@@ -129,23 +129,32 @@ def require_str(value, where: str) -> str:
     raise ConfigError(f"{where} must be a string, got {value!r}")
 
 
-def read_fields(cls, value, where: str, kinds: dict):
-    """``cls(**value)`` for the dataclass ``cls`` and the JSON object ``value``, config section ``where``.
+def require_seed(value) -> int:
+    """``value`` if it is a whole number >= 0, as a seed must be; ``ConfigError`` naming ``seed`` otherwise."""
+    seed = require_number(value, "seed", int)
+    if seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
+    return seed
 
-    The fields without a default are required, and no other key is taken.  ``kinds`` maps a field to
-    ``int``, ``float``, ``bool``, ``str`` or ``tuple`` (a list of finite numbers); a field whose default
-    is ``None`` also takes ``null``.  ``ConfigError`` naming ``<where>.<key>`` otherwise, and prefixed
-    ``<where>:`` when ``cls`` refuses the values."""
-    fields = dataclasses.fields(cls)
+
+def read_fields(cls, value, where: str, kinds: dict):
+    """``cls(**value)`` for the dataclass ``cls`` and the JSON object ``value``, the config section at path ``where``
+    (``""`` for the whole config).  The fields without a default are required, and no other key is taken (nor an
+    ``init=False`` field).  ``kinds`` maps a field to ``int``, ``float``, ``bool``, ``str``, ``tuple`` (a list of
+    finite numbers) or a section's reader; a field whose default is ``None`` also takes ``null``.  ``ConfigError``
+    naming the key's path otherwise, and prefixed ``<where>:`` in a section when ``cls`` refuses the values."""
+    fields = [f for f in dataclasses.fields(cls) if f.init]
     required = [f.name for f in fields if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING]
-    values = dict(require_object(value, where, required, [f.name for f in fields]))
+    values = dict(require_object(value, where or "config", required, [f.name for f in fields]))
     nullable = {f.name for f in fields if f.default is None}
     for key, kind in kinds.items():
         if key in values and not (values[key] is None and key in nullable):
-            values[key] = _read_kind(values[key], f"{where}.{key}", kind)
+            values[key] = _read_kind(values[key], f"{where}.{key}" if where else key, kind)
     try:
         return cls(**values)
     except MortdecompError as exc:
+        if not where:
+            raise
         raise ConfigError(f"{where}: {exc}") from None
 
 
@@ -154,8 +163,10 @@ def _read_kind(value, where: str, kind):
         return require_bool(value, where)
     if kind is str:
         return require_str(value, where)
-    if kind is not tuple:
+    if kind in (int, float):
         return require_number(value, where, kind)
+    if kind is not tuple:
+        return kind(value)
     if not isinstance(value, (list, tuple)):
         raise ConfigError(f"{where} must be a list of numbers, got {value!r}")
     return tuple(require_number(v, where) for v in value)

@@ -119,8 +119,7 @@ class SyntheticSurveySpec:
 class SyntheticConfig:
     """Full data-generating process for a pair of surveys.
 
-    A run config's ``input.dgp`` object is read into one by
-    ``mortdecomp.cli.RunConfig.from_dict``.
+    ``mortdecomp.cli.RunConfig`` reads a run config's ``input.dgp`` object into one, with its schema and poor_quantile.
     """
 
     schema: CovariateSchema

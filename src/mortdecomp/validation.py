@@ -23,7 +23,7 @@ import numpy as np
 from ._phi import log_ndtr, ndtr, ndtri
 from .dataset import CovariateSchema, CovariateSpec, DesignMatrix, build_design, compute_centering
 from .decompose import decompose_draws
-from .errors import ConfigError, NonConvergenceError
+from .errors import NonConvergenceError, require_seed
 from .marginal import marginal_prob, marginalize
 from .sampler import ChainQualityWarning, McmcConfig, PriorSpec, diagnostics, fit
 from .simulate import SyntheticConfig, SyntheticSurveySpec, synthesize
@@ -230,9 +230,8 @@ class CheckResult:
 
 
 def validate_suite(convention: str = "appendix_divide", seed: int = 0) -> list[CheckResult]:
-    """The ``mortdecomp validate`` checks, seeded from ``seed`` (a ``ConfigError`` if negative)."""
-    if seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
+    """The ``mortdecomp validate`` checks, seeded from ``seed`` (a ``ConfigError`` unless ``require_seed`` takes it)."""
+    seed = require_seed(seed)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     linear = linear_triangle_deviation(rng, 100)
     grid = marginalization_grid_deviation(200_000, seed + 12345, convention)

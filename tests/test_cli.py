@@ -1,3 +1,4 @@
+import copy
 import json
 import multiprocessing
 import os
@@ -135,11 +136,10 @@ class TestRunConfig:
             RunConfig.from_file(path)
 
     def test_overrides_applied(self, tmp_path):
-        config = RunConfig.from_dict(
-            base_config(tmp_path / "out"),
-            overrides={"seed": 9, "out_dir": str(tmp_path / "other"), "order": ["sex", "intercept"],
-                       "marginalization": "maintext_multiply"},
-        )
+        overrides = {"seed": 9, "out_dir": str(tmp_path / "other"), "order": ["sex", "intercept"],
+                     "marginalization": "maintext_multiply"}
+        config = RunConfig.from_dict(base_config(tmp_path / "out"), overrides=overrides)
+        assert config.echo == {**base_config(tmp_path / "out"), **overrides}
         assert config.seed == 9
         assert config.out_dir.endswith("other")
         assert config.order == ("sex", "intercept")
@@ -791,7 +791,7 @@ class TestCommands:
         "malform, words",
         [
             (lambda cfg: cfg.update(survey_years={"s1": 2000}), "s2"),
-            (lambda cfg: cfg.update(survey_years={"s1": 2000, "s2": "later"}), "integers"),
+            (lambda cfg: cfg.update(survey_years={"s1": 2000, "s2": "later"}), "survey_years.s2"),
             (lambda cfg: cfg["input"]["dgp"].pop("s2"), "s2"),
             (lambda cfg: cfg.update(mcmc=5), "mcmc must be an object"),
             (lambda cfg: cfg.update(prior=[1.0]), "prior must be an object"),
@@ -823,12 +823,15 @@ class TestCommands:
             (lambda cfg: cfg.update(auto_extend="false"), "auto_extend"),
             (lambda cfg: cfg.update(out_dir=5), "out_dir"),
             (lambda cfg: cfg.update(order=["intercept", 5]), "order[1]"),
+            # null stands for a default only where that default is null: a section takes none
+            *((lambda cfg, key=key: cfg.update({key: None}), f"{key} must be an object")
+              for key in ("schema", "survey_years", "prior", "mcmc", "input")),
             # the order is checked against the schema when the config is read, before any fit
             (lambda cfg: cfg.update(order=["intercept", "bogus"]), "order must be a permutation"),
             (lambda cfg: cfg.update(order=["sex"]), "order must be a permutation"),
             (lambda cfg: cfg.update(order=["intercept", "sex", "sex"]), "order must be a permutation"),
-            (lambda cfg: cfg.update(survey_years={"s1": "2000", "s2": 2014}), "integers"),
-            (lambda cfg: cfg.update(survey_years={"s1": 2000, "s2": 2014.7}), "integers"),
+            (lambda cfg: cfg.update(survey_years={"s1": "2000", "s2": 2014}), "survey_years.s1"),
+            (lambda cfg: cfg.update(survey_years={"s1": 2000, "s2": 2014.7}), "survey_years.s2"),
             (lambda cfg: cfg["schema"]["covariates"][0].update(name=["sex"]), "schema.covariates[0].name"),
             (lambda cfg: cfg["schema"]["covariates"][0].update(allow_missing="yes"), "schema.covariates[0].allow_missing"),
             # a binary reference must be one of the field's levels, not a list, number or misspelling
@@ -865,6 +868,7 @@ class TestCommands:
             "prior_beta_sd_nan_string",
             "prior_beta_sd_nan", "dgp_n_clusters_fractional", "csv_path_not_string",
             "auto_extend_string", "out_dir_number", "order_entry_number",
+            "schema_null", "survey_years_null", "prior_null", "mcmc_null", "input_null",
             "order_unknown_group", "order_without_intercept", "order_duplicate_group",
             "survey_year_string", "survey_year_fractional", "schema_name_not_string", "schema_allow_missing_string",
             "schema_reference_list", "schema_reference_number", "schema_reference_misspelt",
@@ -1005,6 +1009,17 @@ class TestCommands:
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_empty_order_flag_is_refused_as_in_the_file(self, tmp_path, capsys):
+        cfg = base_config(tmp_path / "out")
+        assert main(["run", "--config", str(write_config(tmp_path, cfg)), "--order", ""]) == 2
+        flag = self.error_record(capsys)
+        cfg["order"] = [""]
+        assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 2
+        assert flag == self.error_record(capsys)
+        assert flag["stage"] == "configure" and flag["type"] == "ConfigError"
+        assert flag["message"] == "order must be a permutation of ['intercept', 'sex'], got ['']"
+        assert not (tmp_path / "out").exists()
 
     def test_missing_config_exits_2(self, capsys):
         assert main(["run", "--config", "/nonexistent/config.json"]) == 2
@@ -1180,6 +1195,25 @@ def mutated_configs(draw):
         else:
             parent.insert(path[-1], draw(json_values))
     return cfg
+
+
+# Every top-level default of a run config as JSON; mcmc's is the one key of that section whose default is null.
+_SPELLED_DEFAULTS = {"order": None, "poor_quantile": 0.2, "auto_extend": True, "marginalization": "appendix_divide",
+                     "prior": {}, "mcmc": {"thin": None}}
+
+
+@pytest.mark.parametrize("chain", ["given", "default"])
+@pytest.mark.parametrize("index", range(len(_valid_configs())), ids=["synthetic", "csv"])
+def test_config_reader_reads_spelled_out_defaults_alike(index, chain):
+    cfg = _valid_configs()[index]
+    if chain == "default":
+        del cfg["mcmc"]
+    spelled = {**copy.deepcopy(_SPELLED_DEFAULTS), **copy.deepcopy(cfg)}
+    spelled["mcmc"] = {"thin": None, **spelled["mcmc"]}
+    plain, full = RunConfig.from_dict(cfg), RunConfig.from_dict(spelled)
+    for name in (f.name for f in fields(RunConfig) if f.name != "echo"):
+        assert getattr(full, name) == getattr(plain, name), name
+    assert full.echo == spelled and plain.echo == cfg
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,6 +1,6 @@
 import json
 import pickle
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -94,6 +94,42 @@ def test_read_fields_names_the_section_and_key(value, words):
     with pytest.raises(ConfigError) as err:
         read_fields(Section, value, "sec", SECTION_KINDS)
     assert words in str(err.value)
+
+
+@dataclass(frozen=True)
+class Document:
+    section: Section
+    seed: int = 0
+    derived: int = field(init=False, default=0)
+
+    def __post_init__(self):
+        if self.seed == 7:
+            raise ConfigError("seed 7 is refused")
+
+
+DOCUMENT_KINDS = {"section": lambda value: read_fields(Section, value, "section", SECTION_KINDS), "seed": int}
+
+
+def test_read_fields_reads_a_whole_config_with_a_reader_per_section():
+    assert read_fields(Document, {"section": {"size": 2}, "seed": 3}, "", DOCUMENT_KINDS) == Document(Section(2), 3)
+
+
+@pytest.mark.parametrize(
+    "value, words",
+    [
+        ([], "config must be an object, got list"),
+        ({}, "missing key(s): config.section"),
+        ({"section": {"size": 2}, "derived": 1}, "config has unknown key(s): derived"),  # set by the class, not a key
+        ({"section": {"size": 2}, "seed": "3"}, "seed must be a whole number, got '3'"),
+        ({"section": {"size": 0}}, "section: size must be >= 1, got 0"),
+        ({"section": {"size": 2}, "seed": 7}, "seed 7 is refused"),
+    ],
+    ids=["not_object", "missing", "init_false_field", "top_level_key", "section_refused", "refused_by_the_class"],
+)
+def test_read_fields_names_top_level_keys_by_path_and_prefixes_no_message(value, words):
+    with pytest.raises(ConfigError) as err:
+        read_fields(Document, value, "", DOCUMENT_KINDS)
+    assert str(err.value) == words
 
 
 def test_write_json_layout_and_read_json_round_trip(tmp_path):
