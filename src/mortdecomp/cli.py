@@ -177,7 +177,7 @@ class RunConfig:
         echo = {**require_object(raw, "config"), **(overrides or {})}
         config = read_fields(cls, echo, "", {
             "seed": require_seed, "out_dir": str, "poor_quantile": float, "marginalization": str, "auto_extend": bool,
-            "schema": lambda value: CovariateSchema.from_dict(require_object(value, "schema", ("covariates",), ())),
+            "schema": CovariateSchema.from_dict,
             "survey_years": _read_years, "prior": PriorSpec.from_dict, "order": _read_order,
         })
         object.__setattr__(config, "echo", echo)

@@ -6,8 +6,9 @@ column, B-spline-expanded continuous covariates (each value and the
 knots shifted by a reference-population mean, which leaves the basis
 unchanged), 0/1 coded binary covariates, and a map from covariate name
 to its contiguous column block.  Both surveys of a pair must be built
-against one shared knot source so their bases are identical and
-coefficient blocks can be swapped between them.
+against one shared knot source, the pair's pooled numeric columns from
+``pool_samples`` (one survey alone is its own, ``sample.columns``), so
+their bases are identical and coefficient blocks can be swapped.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .errors import (
     read_csv_blocks,
     read_fields,
     require_number,
+    require_object,
     write_csv,
 )
 from .splines import bspline_basis, quantile_knots
@@ -205,6 +207,8 @@ class CovariateSpec:
         if self.kind not in _KIND_KEYS:
             raise SchemaError(f"unknown covariate kind {self.kind!r} for {self.name!r}")
         if self.kind == "continuous_spline":
+            if self.name in _LEVELS:
+                raise SchemaError(f"{self.name}: a spline needs a numeric field, not the levels {_LEVELS[self.name]}")
             if self.degree < 0:
                 raise SchemaError(f"{self.name}: spline degree must be >= 0")
             if self.df < max(self.degree, 1):
@@ -256,9 +260,9 @@ class CovariateSchema:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CovariateSchema":
-        covariates = d["covariates"]
+        covariates = require_object(d, "schema", ("covariates",), ())["covariates"]
         if not isinstance(covariates, (list, tuple)):
-            raise SchemaError(f"schema covariates must be a list, got {covariates!r}")
+            raise ConfigError(f"schema.covariates must be a list, got {covariates!r}")
         return cls(tuple(CovariateSpec.from_dict(c, f"schema.covariates[{i}]") for i, c in enumerate(covariates)))
 
     def to_dict(self) -> dict:
@@ -287,14 +291,9 @@ def default_schema() -> CovariateSchema:
 
 @dataclass(frozen=True)
 class CenteringConstants:
-    """Reference-population means for the schema's continuous covariates.
-
-    ``fallback`` names covariates whose reference subset was empty, for
-    which the full-sample mean was used instead.
-    """
+    """Reference-population means for the schema's continuous covariates."""
 
     values: dict[str, float]
-    fallback: frozenset[str] = frozenset()
 
     @classmethod
     def zeros(cls, schema: CovariateSchema) -> "CenteringConstants":
@@ -512,24 +511,16 @@ def write_survey_csv(sample: SurveySample, path) -> None:
     write_csv(path, ["outcome", *fields, "cluster_id"], itertools.chain.from_iterable(blocks))
 
 
-def pool_samples(*samples: SurveySample) -> SurveySample:
-    """Concatenate samples into one pooled sample for knot placement.
-
-    Cluster ids are prefixed with their survey id so clusters never
-    merge across surveys.  The pool keeps the fields every sample has.
-    """
+def pool_samples(*samples: SurveySample) -> dict[str, np.ndarray]:
+    """The knot source of a pair of surveys: each numeric field every sample
+    carries, as one read-only column of the samples' values in sample order."""
     if not samples:
         raise ValueError("need at least one sample to pool")
-    offsets = np.cumsum([0] + [s.n_clusters for s in samples[:-1]])
-    shared = [name for name in samples[0].columns if all(name in s.columns for s in samples)]
-    return SurveySample(
-        survey_id="pooled",
-        survey_year=samples[0].survey_year,
-        outcome=np.concatenate([s.outcome for s in samples]),
-        cluster=np.concatenate([s.cluster + offset for s, offset in zip(samples, offsets)]),
-        cluster_ids=tuple(f"{s.survey_id}:{cid}" for s in samples for cid in s.cluster_ids),
-        columns={name: np.concatenate([s.columns[name] for s in samples]) for name in shared},
-    )
+    shared = [name for name in samples[0].columns if name not in _LEVELS and all(name in s.columns for s in samples)]
+    pooled = {name: np.concatenate([s.columns[name] for s in samples]) for name in shared}
+    for column in pooled.values():
+        column.setflags(write=False)
+    return pooled
 
 
 def _numeric(sample: SurveySample, name: str) -> np.ndarray:
@@ -544,9 +535,8 @@ def compute_centering(
 
     A household is in the reference population when its wealth rank is
     at or below ``poor_quantile``.  If no birth qualifies for a
-    covariate, its full-sample mean is used and the covariate is
-    flagged as a fallback.  Missing values (allowed for birth
-    intervals) are excluded from the means.
+    covariate, its full-sample mean is used instead.  Missing values
+    (allowed for birth intervals) are excluded from the means.
     """
     if not 0.0 < poor_quantile <= 1.0:
         raise ValueError(f"poor_quantile must lie in (0, 1], got {poor_quantile}")
@@ -562,25 +552,23 @@ def compute_centering(
     poor = wealth <= poor_quantile
 
     values: dict[str, float] = {}
-    fallback: set[str] = set()
     for cov in continuous:
         col = _numeric(sample1, cov.name)
         observed = ~np.isnan(col)
         vals = col[poor & observed]
         if not vals.size:
-            fallback.add(cov.name)
             vals = col[observed]
             if not vals.size:
                 raise SchemaError(f"covariate {cov.name!r} has no observed values")
         values[cov.name] = float(np.mean(vals))
-    return CenteringConstants(values, frozenset(fallback))
+    return CenteringConstants(values)
 
 
 def _continuous_columns(
     cov: CovariateSpec,
     sample: SurveySample,
     centering: CenteringConstants,
-    knot_source: SurveySample,
+    knot_source: dict[str, np.ndarray],
     out: np.ndarray,
 ) -> None:
     """Write one continuous covariate's centered, spline-expanded columns into ``out``."""
@@ -588,7 +576,7 @@ def _continuous_columns(
     if center is None:
         raise SchemaError(f"no centering constant for continuous covariate {cov.name!r}")
     raw = _numeric(sample, cov.name)
-    src_raw = _numeric(knot_source, cov.name)
+    src_raw = knot_source.get(cov.name, np.full(1, np.nan))  # an absent field has no observed value
     missing = np.isnan(raw)
     src_missing = np.isnan(src_raw)
     if missing.any() and not cov.allow_missing:
@@ -614,13 +602,15 @@ def build_design(
     sample: SurveySample,
     schema: CovariateSchema,
     centering: CenteringConstants,
-    knot_source: SurveySample,
+    knot_source: dict[str, np.ndarray],
 ) -> DesignMatrix:
     """Assemble the design matrix for one survey.
 
-    ``knot_source`` fixes the spline knots (normally the pooled pair of
-    surveys) so that designs built for different samples share one
-    basis.  Cluster ordinals follow first appearance.  Raises
+    ``knot_source`` maps each continuous covariate to the values its
+    spline knots are placed on: the pair's pooled columns from
+    ``pool_samples``, or ``sample.columns`` for one survey alone, so that
+    designs built for different samples share one basis.  Cluster
+    ordinals follow first appearance.  Raises
     ``DegenerateDesignError`` if any produced column is constant.  Each
     covariate's columns are written into one preallocated ``x``: a binary
     takes one column, a spline ``df`` and one more for its missingness

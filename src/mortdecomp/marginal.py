@@ -62,7 +62,6 @@ def marginal_prob(x, coefficients) -> float | np.ndarray:
 class MortalitySummary:
     """Posterior of the sample-average marginal mortality rate, per 1000 births."""
 
-    per_draw: np.ndarray  # probability units, one entry per retained draw
     mean: float
     lower: float
     upper: float
@@ -70,7 +69,7 @@ class MortalitySummary:
     @classmethod
     def from_draws(cls, rates: np.ndarray) -> "MortalitySummary":
         lo, hi = np.percentile(rates, [2.5, 97.5])
-        return cls(per_draw=rates, mean=float(rates.mean() * 1000), lower=float(lo * 1000), upper=float(hi * 1000))
+        return cls(mean=float(rates.mean() * 1000), lower=float(lo * 1000), upper=float(hi * 1000))
 
 
 def mean_mortality(design, draws, convention: str = "appendix_divide") -> MortalitySummary:

@@ -66,7 +66,7 @@ def _clean(value):
 _COMPONENT_KEYS = tuple(f.name for f in fields(ComponentSummary) if f.name != "name")
 _ANNUALIZED_FIELDS = ("annualized", "annualized_lower", "annualized_upper")
 _PERCENT_FIELDS = ("percent", "percent_lower", "percent_upper")
-_RATE_FIELDS = ("mean", "lower", "upper")  # MortalitySummary's per_draw is not written
+_RATE_FIELDS = ("mean", "lower", "upper")
 
 
 def summary_to_dict(summary) -> dict:

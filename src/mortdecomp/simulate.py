@@ -194,7 +194,7 @@ def _with_outcomes(
     sid: str,
     schema: CovariateSchema,
     centering: CenteringConstants,
-    knot_source: SurveySample,
+    knot_source: dict[str, np.ndarray],
     rng: np.random.Generator,
 ) -> SurveySample:
     """``sample`` with outcomes drawn on its design from ``spec``'s truth; the design lives only in this call."""

@@ -191,7 +191,7 @@ def prior_limit_deviation(births_per_cluster: int, data_seed: int, chain_seed: i
         covariates={"sex": {"dist": "choice", "values": ["female", "male"], "probs": [0.5, 0.5]}},
     )
     sample, _ = synthesize(SyntheticConfig(schema, spec, replace(spec, survey_year=2014)), seed=data_seed)
-    design = build_design(sample, schema, compute_centering(sample, schema), sample)
+    design = build_design(sample, schema, compute_centering(sample, schema), sample.columns)
     flat = PriorSpec(beta_sd=1e6, sigma2_shape=1e6, sigma2_scale=10.0)
     mcmc = McmcConfig(total=1000 + 1500 * 2, burnin=1000, thin=2, target_retained=1500, seed=chain_seed)
     with warnings.catch_warnings():

@@ -78,7 +78,7 @@ def recovery_dgp(truth=(-1.2, 0.4, -0.35, 0.3), sigma2=0.25, n_clusters=200, bir
 def design_for(dgp, seed, pooled_knots=False):
     s1, s2 = synthesize(dgp, seed=seed)
     centering = compute_centering(s1, dgp.schema)
-    knots = pool_samples(s1, s2) if pooled_knots else s1
+    knots = pool_samples(s1, s2) if pooled_knots else s1.columns
     return build_design(s1, dgp.schema, centering, knots)
 
 
@@ -172,7 +172,7 @@ def coverage_counts(dgp, truth, children):
     for child in children:
         data_seed, chain_seed = (int(s) for s in child.generate_state(2))
         s1, _ = synthesize(dgp, seed=data_seed)
-        design = build_design(s1, dgp.schema, compute_centering(s1, dgp.schema), s1)
+        design = build_design(s1, dgp.schema, compute_centering(s1, dgp.schema), s1.columns)
         config = McmcConfig(total=1000 + 1250 * 4, burnin=1000, thin=4, seed=chain_seed)
         draws = fit(design, PriorSpec(), config)
         lo, hi = np.percentile(draws.beta, [2.5, 97.5], axis=0)

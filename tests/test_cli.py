@@ -18,10 +18,10 @@ import mortdecomp.decompose as decompose_module
 import mortdecomp.report
 from mortdecomp._phi import ndtr
 from mortdecomp.cli import RunConfig, main, run_pipeline
-from mortdecomp.dataset import CovariateSchema, ingest_csv
+from mortdecomp.dataset import CovariateSchema, build_design, compute_centering, default_schema, ingest_csv, pool_samples
 from mortdecomp.decompose import ComponentSummary, _openblas_threads
 from mortdecomp.errors import ConfigError, MortdecompError, SingularDesignError
-from mortdecomp.sampler import ChainQualityWarning, GibbsChain
+from mortdecomp.sampler import ChainQualityWarning, GibbsChain, load_draws
 from mortdecomp.validation import validate_suite
 
 
@@ -858,6 +858,12 @@ class TestCommands:
                 ),
                 "schema.covariates[1]: a continuous_spline covariate takes no reference",
             ),
+            # a spline needs a numeric field, and the covariates a list
+            (
+                lambda cfg: cfg.update(schema={"covariates": [{"name": "sex", "kind": "continuous_spline"}]}),
+                "schema.covariates[0]: sex: a spline needs a numeric field",
+            ),
+            (lambda cfg: cfg.update(schema={"covariates": -5970}), "schema.covariates must be a list, got -5970"),
         ],
         ids=[
             "survey_years_without_s2", "survey_years_not_integers", "dgp_without_s2",
@@ -876,6 +882,7 @@ class TestCommands:
             "top_level_unknown_key", "input_unknown_key", "dgp_unknown_survey", "dgp_survey_unknown_key",
             "survey_years_unknown_key", "schema_unknown_key", "dist_unknown_key", "dgp_covariate_unknown_field",
             "dgp_poor_quantile", "mcmc_allow_short_string", "binary_degree", "spline_reference",
+            "spline_on_levels", "schema_covariates_not_list",
         ],
     )
     def test_run_on_malformed_config_shape_exits_2(self, tmp_path, capsys, malform, words):
@@ -1238,3 +1245,24 @@ def test_names_the_benchmark_reaches_still_exist(monkeypatch):
     finally:
         tracer.restore()
     from mortdecomp import sample_truncated_normal  # noqa: F401
+
+
+def test_the_decompose_benchmark_set_up_writes_its_inputs(monkeypatch, tmp_path):
+    # the set-up calls build_design on pool_samples(s1, s2) in process, so a
+    # change to either call shape breaks it here, not only in a benchmark
+    # run; at 20 x 10 births a survey
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.syspath_prepend(str(root / "perfbench"))
+    import workloads
+
+    write = workloads._write_surveys
+    monkeypatch.setattr(workloads, "_write_surveys", lambda work, seed, *size: write(work, seed, 20, 10))
+    prepared = workloads._setup_decompose(tmp_path, 1, root)
+    assert len(prepared.inputs) == 7
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(prepared.inputs)
+    schema = default_schema()
+    s1, s2 = (ingest_csv(tmp_path / f"s{k}.csv", schema, year) for k, year in zip((1, 2), workloads.YEARS))
+    groups = build_design(s1, schema, compute_centering(s1, schema), pool_samples(s1, s2)).column_groups
+    for k in (1, 2):
+        draws = load_draws(tmp_path / f"draws_s{k}.csv", tmp_path / f"draws_s{k}.json")
+        assert draws.column_groups == groups and draws.n_draws == workloads.DECOMPOSE_DRAWS

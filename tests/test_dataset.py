@@ -190,7 +190,6 @@ class TestCentering:
         )
         constants = compute_centering(sample, schema)
         assert constants.values == {"maternal_age": 20.0}
-        assert not constants.fallback
 
     def test_quantile_one_gives_full_sample_mean(self):
         schema = CovariateSchema((CovariateSpec("maternal_age", "continuous_spline", degree=1, df=1),))
@@ -213,7 +212,6 @@ class TestCentering:
             ]
         )
         constants = compute_centering(sample, schema)
-        assert constants.fallback == {"maternal_age"}
         np.testing.assert_allclose(constants.values["maternal_age"], 30.0)
 
     def test_empty_sample_errors(self):
@@ -235,7 +233,7 @@ class TestBuildDesign:
     def test_sex_only_reference_coding(self):
         schema = CovariateSchema((CovariateSpec("sex", "binary", reference="female"),))
         sample = make_sample(binary_rows(4))
-        design = build_design(sample, schema, CenteringConstants.zeros(schema), sample)
+        design = build_design(sample, schema, CenteringConstants.zeros(schema), sample.columns)
         assert design.n_cols == 2
         sexes = sample.columns["sex"]
         np.testing.assert_array_equal(design.x[:, 1], [1.0 if s == "male" else 0.0 for s in sexes])
@@ -276,14 +274,14 @@ class TestBuildDesign:
         rows = [{"outcome": i % 2, "cluster_id": "a", "sex": "female"} for i in range(6)]
         sample = make_sample(rows)
         with pytest.raises(DegenerateDesignError, match="sex"):
-            build_design(sample, schema, CenteringConstants.zeros(schema), sample)
+            build_design(sample, schema, CenteringConstants.zeros(schema), sample.columns)
 
     def test_design_is_deterministic_and_frozen(self):
         schema = CovariateSchema((CovariateSpec("sex", "binary", reference="female"),))
         sample = make_sample(binary_rows(5))
         c = CenteringConstants.zeros(schema)
-        d1 = build_design(sample, schema, c, sample)
-        d2 = build_design(sample, schema, c, sample)
+        d1 = build_design(sample, schema, c, sample.columns)
+        d2 = build_design(sample, schema, c, sample.columns)
         assert d1.x.tobytes() == d2.x.tobytes()
         assert d1.outcome.tobytes() == d2.outcome.tobytes()
         with pytest.raises(ValueError):
@@ -298,8 +296,8 @@ class TestBuildDesign:
         ]
         sample = make_sample(rows)
         zeros = CenteringConstants.zeros(schema)
-        d_zero = build_design(sample, schema, zeros, sample)
-        d_zero_again = build_design(sample, schema, zeros, sample)
+        d_zero = build_design(sample, schema, zeros, sample.columns)
+        d_zero_again = build_design(sample, schema, zeros, sample.columns)
         np.testing.assert_array_equal(d_zero.x, d_zero_again.x)
 
     def test_cluster_ordinals_follow_first_appearance(self):
@@ -310,7 +308,7 @@ class TestBuildDesign:
             {"outcome": 0, "cluster_id": "z", "sex": "female"},
         ]
         sample = make_sample(rows)
-        design = build_design(sample, schema, CenteringConstants.zeros(schema), sample)
+        design = build_design(sample, schema, CenteringConstants.zeros(schema), sample.columns)
         # births keep their order; z, seen first, is cluster 0
         np.testing.assert_array_equal(design.cluster_index, [0, 1, 0])
         np.testing.assert_array_equal(design.x[:, 1], [1.0, 0.0, 0.0])
@@ -334,7 +332,7 @@ class TestBuildDesign:
                 }
             )
         sample = make_sample(rows)
-        design = build_design(sample, schema, compute_centering(sample, schema), sample)
+        design = build_design(sample, schema, compute_centering(sample, schema), sample.columns)
         covered = []
         for lo, hi in design.column_groups.values():
             assert hi > lo
@@ -350,7 +348,7 @@ class TestBuildDesign:
         sample = make_sample(rows)
         centering = CenteringConstants({"maternal_education": 0.0})
         with pytest.raises(SchemaError):
-            build_design(sample, schema, centering, sample)
+            build_design(sample, schema, centering, sample.columns)
 
 
 def test_binary_reference_is_checked_whenever_a_spec_is_built():
@@ -383,7 +381,7 @@ def test_samples_and_designs_stay_read_only_across_a_pickle():
          for k in range(8)]
     )
     schema = CovariateSchema((CovariateSpec("sex", "binary", reference="female"),))
-    design = build_design(sample, schema, CenteringConstants.zeros(schema), sample)
+    design = build_design(sample, schema, CenteringConstants.zeros(schema), sample.columns)
     sample_back, design_back = pickle.loads(pickle.dumps((sample, design)))
     for arr in (sample_back.outcome, sample_back.cluster, *sample_back.columns.values(),
                 design_back.x, design_back.outcome, design_back.cluster_index):
@@ -685,6 +683,21 @@ def test_design_is_built_in_place(large_pair):
     assert peak < x_mb + 2.5, f"build_design peaked {peak:.1f} MB for a {x_mb:.1f} MB x"
 
 
+def test_knot_source_holds_the_numeric_columns_only(large_pair):
+    s1, s2 = large_pair
+    knot_source, peak = traced_peak(pool_samples, s1, s2)
+    numeric = [name for name, col in s1.columns.items() if col.dtype.kind == "f" and name in s2.columns]
+    assert list(knot_source) == numeric
+    for name, col in knot_source.items():
+        assert np.array_equal(col, np.concatenate([s1.columns[name], s2.columns[name]]), equal_nan=True)
+        assert not col.flags.writeable
+    held = sum(col.nbytes for col in knot_source.values()) / 1e6
+    assert peak <= 1.05 * held, f"pool_samples peaked {peak:.1f} MB for {held:.1f} MB of columns"
+    schema = default_schema()
+    with pytest.raises(SchemaError, match="covariate 'wealth_rank' has no observed values in the sample"):
+        build_design(s1, schema, compute_centering(s1, schema), {})
+
+
 def hstacked_x(sample, schema, centering, knot_source):
     """The design's ``x`` as one block per covariate, joined by ``np.hstack``: the reference for the in-place fill."""
     blocks = [np.ones((sample.n_births, 1))]
@@ -692,7 +705,7 @@ def hstacked_x(sample, schema, centering, knot_source):
         if cov.kind == "binary":
             blocks.append((sample.columns[cov.name] != cov.reference).astype(float)[:, None])
             continue
-        raw, src = sample.columns[cov.name], knot_source.columns[cov.name]
+        raw, src = sample.columns[cov.name], knot_source[cov.name]
         missing, src_missing = np.isnan(raw), np.isnan(src)
         center = centering.values[cov.name]
         src_median, median = float(np.median(src[~src_missing])), float(np.median(raw[~missing]))

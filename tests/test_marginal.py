@@ -4,6 +4,7 @@ from scipy.special import ndtri
 
 from mortdecomp.errors import ConfigError
 from mortdecomp.marginal import (
+    MortalitySummary,
     marginal_prob,
     marginalize,
     mean_mortality,
@@ -24,6 +25,13 @@ def simple_design(x):
         column_groups=groups,
         n_clusters=1,
     )
+
+
+def summarized(monkeypatch):
+    """The per-draw rates each ``MortalitySummary.from_draws`` call is given, in call order."""
+    seen, from_draws = [], MortalitySummary.from_draws
+    monkeypatch.setattr(MortalitySummary, "from_draws", lambda rates: seen.append(rates) or from_draws(rates))
+    return seen
 
 
 class TestMarginalize:
@@ -122,7 +130,7 @@ class TestMeanMortality:
         out = mean_mortality(design, draws)
         np.testing.assert_allclose(out.mean, 500.0, atol=1e-9)
 
-    def test_matches_row_by_row_oracle(self):
+    def test_matches_row_by_row_oracle(self, monkeypatch):
         from scipy.special import ndtr
 
         rng = np.random.default_rng(9)
@@ -131,6 +139,7 @@ class TestMeanMortality:
         beta = rng.normal(size=(37, 3))
         sigma2 = rng.gamma(1.0, 0.5, size=37)
         draws = PosteriorDraws(survey_id="S1", beta=beta, sigma2=sigma2, column_groups={})
+        rates = summarized(monkeypatch)
         out = mean_mortality(design, draws)
         # independent per-row, per-draw re-summation
         want = np.empty(37)
@@ -140,7 +149,7 @@ class TestMeanMortality:
             for i in range(13):
                 acc += ndtr(float(x[i] @ scaled))
             want[ell] = acc / 13
-        np.testing.assert_allclose(out.per_draw, want, atol=1e-12)
+        np.testing.assert_allclose(rates[0], want, atol=1e-12)
         np.testing.assert_allclose(out.mean, want.mean() * 1000, atol=1e-9)
 
     def test_one_link_evaluation_per_row_per_draw(self, monkeypatch):
@@ -161,10 +170,11 @@ class TestMeanMortality:
             return ndtr(v, out=out)
 
         monkeypatch.setattr(decompose_module, "ndtr", counting_ndtr)
-        out = mean_mortality(design, draws)
+        rates = summarized(monkeypatch)
+        mean_mortality(design, draws)
         assert sum(evaluated) == 500 * 32
         tilde = marginalize(draws.beta, draws.sigma2)
-        np.testing.assert_allclose(out.per_draw, ndtr(design.x @ tilde.T).mean(axis=0), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(rates[0], ndtr(design.x @ tilde.T).mean(axis=0), rtol=0, atol=1e-15)
 
     def test_dimension_mismatch_rejected(self):
         design = simple_design(np.ones((5, 1)))

@@ -59,7 +59,7 @@ def sex_dgp(beta, sigma2, n_clusters, births):
 def design_for(dgp, seed):
     s1, _ = synthesize(dgp, seed=seed)
     schema = dgp.schema
-    return build_design(s1, schema, compute_centering(s1, schema), s1)
+    return build_design(s1, schema, compute_centering(s1, schema), s1.columns)
 
 
 class TestTruncatedNormal:
@@ -300,7 +300,7 @@ class TestFit:
             columns={"sex": ["male" if rng.random() < 0.5 else "female" for _ in range(40)]},
         )
         schema = CovariateSchema((CovariateSpec("sex", "binary", reference="female"),))
-        design = build_design(sample, schema, CenteringConstants.zeros(schema), sample)
+        design = build_design(sample, schema, CenteringConstants.zeros(schema), sample.columns)
         config = McmcConfig(total=3000, burnin=500, thin=2, seed=3)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ChainQualityWarning)
@@ -331,7 +331,7 @@ class TestFit:
             cluster_id=["only"] * 10,
             columns={"sex": ["female", "male"] * 5},
         )
-        design = build_design(sample, schema, CenteringConstants.zeros(schema), sample)
+        design = build_design(sample, schema, CenteringConstants.zeros(schema), sample.columns)
         with pytest.raises(ConfigError, match="clusters"):
             fit(design, PriorSpec(), McmcConfig(total=200, burnin=10, thin=1, target_retained=190))
 
