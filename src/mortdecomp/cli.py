@@ -69,7 +69,7 @@ from .errors import ConfigError, MortdecompError, read_fields, read_json, write_
 from .errors import require_number, require_object, require_seed, require_str
 # diagnostics, mean_mortality and variance_collapse are not called in this
 # module; perfbench/tracing.py wraps them here by name, so they stay imported.
-from .marginal import CONVENTIONS, mean_mortality  # noqa: F401
+from .marginal import CONVENTIONS, mean_mortality, require_convention  # noqa: F401
 from .report import (
     TABLE_FILES,
     load_results,
@@ -121,7 +121,6 @@ class RunConfig:
     out_dir: str = "out"
     schema: CovariateSchema = field(default_factory=default_schema)
     survey_years: tuple[int, int] = ()  # () for the generator's years
-    poor_quantile: float = 0.2
     prior: PriorSpec = PriorSpec()
     mcmc: McmcConfig = field(default_factory=dict)  # read from its section; each survey's chain runs it on its own seed
     order: tuple[str, ...] | None = None  # the intercept and every schema covariate; None for the schema's order
@@ -130,10 +129,6 @@ class RunConfig:
     echo: dict = field(init=False, default_factory=dict)  # the config as given, overrides merged, for the manifest
 
     def __post_init__(self):
-        if not 0.0 < self.poor_quantile <= 1.0:
-            raise ConfigError(f"poor_quantile must lie in (0, 1], got {self.poor_quantile}")
-        if self.marginalization not in CONVENTIONS:
-            raise ConfigError(f"marginalization must be one of {CONVENTIONS}")
         inp = require_object(self.input, "input", ("mode",), ("dgp", "s1_path", "s2_path"))
         if "dgp" in inp and ("s1_path" in inp or "s2_path" in inp):
             raise ConfigError("config sets both synthetic and csv inputs; choose one mode")
@@ -142,7 +137,7 @@ class RunConfig:
             dgp = require_object(inp, "input", ("dgp",))["dgp"]
             surveys = require_object(dgp, "input.dgp", ("s1", "s2"), ())
             s1, s2 = (SyntheticSurveySpec.from_dict(surveys[s], f"input.dgp.{s}") for s in ("s1", "s2"))
-            source = SyntheticConfig(self.schema, s1, s2, self.poor_quantile)
+            source = SyntheticConfig(self.schema, s1, s2)
             years = years or (s1.survey_year, s2.survey_year)
         elif inp["mode"] == "csv":
             paths = require_object(inp, "input", ("s1_path", "s2_path"))
@@ -176,7 +171,7 @@ class RunConfig:
         ``read_fields``: each top-level key by its kind, and each section but ``input`` and ``mcmc`` by its reader."""
         echo = {**require_object(raw, "config"), **(overrides or {})}
         config = read_fields(cls, echo, "", {
-            "seed": require_seed, "out_dir": str, "poor_quantile": float, "marginalization": str, "auto_extend": bool,
+            "seed": require_seed, "out_dir": str, "marginalization": require_convention, "auto_extend": bool,
             "schema": CovariateSchema.from_dict,
             "survey_years": _read_years, "prior": PriorSpec.from_dict, "order": _read_order,
         })
@@ -244,7 +239,7 @@ def _load_samples(config: RunConfig):
 
 
 def _build_designs(config: RunConfig, s1, s2):
-    centering = compute_centering(s1, config.schema, config.poor_quantile)
+    centering = compute_centering(s1, config.schema)
     pooled = pool_samples(s1, s2)
     return build_design(s1, config.schema, centering, pooled), build_design(s2, config.schema, centering, pooled)
 

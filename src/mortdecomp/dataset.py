@@ -58,6 +58,8 @@ _FIELDS = ("maternal_age", "maternal_education", "birth_order", "birth_interval"
 _LEVELS = {"sex": ("female", "male"), "residence": ("rural", "urban")}
 # The keys a covariate spec of each kind takes besides ``name`` and ``kind``.
 _KIND_KEYS = {"continuous_spline": ("degree", "df", "allow_missing"), "binary": ("reference",)}
+# The share of survey 1's households, poorest first, whose births are the centering reference.
+_POOR_QUANTILE = 0.2
 # Rows the data layer handles at a time: ``ingest_csv`` parses this many CSV rows, ``write_survey_csv``
 # formats this many births, and ``build_design`` evaluates a spline basis on this many.  One block's
 # cells are the only per-cell Python objects the CSV functions hold.
@@ -391,12 +393,16 @@ def _read_block(rows: list[list[str]], start: int, width: int, position: dict, f
     """Non-blank CSV rows ``start``, ``start + 1``, ... under a ``width``-column header, parsed and checked:
     ``(kept, None)``, with the columns of the rows the age filter keeps (``outcome`` as 0/1, ``cluster_id``
     and the leveled fields as stripped str, the numeric fields as floats), or ``({}, (row, message))`` for
-    the first bad row; within a row the first check wins."""
+    the first bad row; within a row the first check wins, and a row with more cells than the header fails first."""
     table = list(itertools.zip_longest(*rows, fillvalue=""))  # short rows read as empty cells
+    checks = []
+    if len(table) > width:  # some row has cells past the header's
+        wide = np.array([len(row) for row in rows]) > width
+        checks.append((wide, lambda i: f"{len(rows[i])} cells under a {width}-column header"))
     table += [("",) * len(rows)] * (width - len(table))
     outcome = np.array([c.strip() for c in table[position["outcome"]]])
     cluster_id = np.array([c.strip() for c in table[position["cluster_id"]]])
-    checks = [
+    checks += [
         (~np.isin(outcome, ("0", "1")), lambda i: f"outcome must be 0 or 1, got {str(outcome[i])!r}"),
         (cluster_id == "", lambda i: "empty cluster_id"),
     ]
@@ -528,31 +534,21 @@ def _numeric(sample: SurveySample, name: str) -> np.ndarray:
     return sample.columns.get(name, np.full(sample.n_births, np.nan))
 
 
-def compute_centering(
-    sample1: SurveySample, schema: CovariateSchema, poor_quantile: float = 0.2
-) -> CenteringConstants:
+def compute_centering(sample1: SurveySample, schema: CovariateSchema) -> CenteringConstants:
     """Mean of each continuous covariate over the poorest households of survey 1.
 
-    A household is in the reference population when its wealth rank is
-    at or below ``poor_quantile``.  If no birth qualifies for a
-    covariate, its full-sample mean is used instead.  Missing values
-    (allowed for birth intervals) are excluded from the means.
+    A birth is in the reference population when its wealth rank is
+    recorded and at or below ``_POOR_QUANTILE``.  If no birth qualifies
+    for a covariate (say, the survey records no wealth rank), its
+    full-sample mean is used instead.  Missing values (allowed for birth
+    intervals) are excluded from the means.
     """
-    if not 0.0 < poor_quantile <= 1.0:
-        raise ValueError(f"poor_quantile must lie in (0, 1], got {poor_quantile}")
     if sample1.n_births == 0:
         raise EmptyInputError("cannot compute centering constants on an empty sample")
-    continuous = schema.continuous
-    if not continuous:
-        return CenteringConstants({})
-
-    wealth = _numeric(sample1, "wealth_rank")
-    if np.isnan(wealth).any():
-        raise SchemaError("centering needs wealth_rank on every birth")
-    poor = wealth <= poor_quantile
+    poor = _numeric(sample1, "wealth_rank") <= _POOR_QUANTILE  # False where the rank is missing
 
     values: dict[str, float] = {}
-    for cov in continuous:
+    for cov in schema.continuous:
         col = _numeric(sample1, cov.name)
         observed = ~np.isnan(col)
         vals = col[poor & observed]

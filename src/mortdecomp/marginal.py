@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._phi import ndtr
-from .errors import ConfigError
+from .errors import ConfigError, require_str
 
 __all__ = [
     "CONVENTIONS",
@@ -28,10 +28,16 @@ __all__ = [
 CONVENTIONS = ("appendix_divide", "maintext_multiply")
 
 
+def require_convention(value) -> str:
+    """``value`` if it names one of ``CONVENTIONS``; ``ConfigError`` naming ``marginalization`` otherwise."""
+    if require_str(value, "marginalization") not in CONVENTIONS:
+        raise ConfigError(f"marginalization must be one of {CONVENTIONS}, got {value!r}")
+    return value
+
+
 def _scale(sigma2, convention: str):
     """Coefficient scale factor for a scalar or an array of ``sigma2`` draws."""
-    if convention not in CONVENTIONS:
-        raise ConfigError(f"unknown marginalization convention {convention!r}")
+    require_convention(convention)
     sigma2 = np.asarray(sigma2, dtype=float)
     if np.any(sigma2 < 0):
         raise ValueError(f"sigma2 must be >= 0, got {sigma2.min()}")

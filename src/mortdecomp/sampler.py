@@ -11,6 +11,7 @@ accept/reject step.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -504,24 +505,22 @@ def load_draws(csv_path, sidecar_path=None) -> PosteriorDraws:
         return f"{csv_path}, line {csv_line(csv_path, i)}"
 
     rows = []
-    for i, row in enumerate(filter(None, lines)):  # blank lines are skipped
+    for i, row in enumerate(filter(None, lines)):  # blank lines are skipped; the first bad draw is named
         if len(row) != len(header):
             raise ConfigError(f"{at(i)}: {len(row)} cells under a {len(header)}-column header")
         try:
-            rows.append([float(v) for v in row])
+            values = [float(v) for v in row]
         except ValueError:
             raise ConfigError(f"{at(i)}: non-numeric cell in {row}") from None
+        col = next((j for j, v in enumerate(values) if not math.isfinite(v)), None)
+        if col is not None:
+            raise ConfigError(f"{at(i)}: non-finite value {header[col]}={values[col]}")
+        if values[-1] < 0.0:
+            raise ConfigError(f"{at(i)}: negative variance sigma2={values[-1]}")
+        rows.append(values)
     if not rows:
         raise ConfigError(f"{csv_path}: no draws below the header")
     arr = np.asarray(rows, dtype=float)
-    bad = np.argwhere(~np.isfinite(arr))
-    if bad.size:
-        row, col = bad[0]
-        raise ConfigError(f"{at(row)}: non-finite value {header[col]}={float(arr[row, col])}")
-    negative = np.flatnonzero(arr[:, -1] < 0.0)
-    if negative.size:
-        row = negative[0]
-        raise ConfigError(f"{at(row)}: negative variance sigma2={float(arr[row, -1])}")
     survey_id = ""
     column_groups: dict[str, tuple[int, int]] = {}
     if sidecar_path is not None:

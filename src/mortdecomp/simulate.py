@@ -119,13 +119,12 @@ class SyntheticSurveySpec:
 class SyntheticConfig:
     """Full data-generating process for a pair of surveys.
 
-    ``mortdecomp.cli.RunConfig`` reads a run config's ``input.dgp`` object into one, with its schema and poor_quantile.
+    ``mortdecomp.cli.RunConfig`` reads a run config's ``input.dgp`` object into one, with its schema.
     """
 
     schema: CovariateSchema
     s1: SyntheticSurveySpec
     s2: SyntheticSurveySpec
-    poor_quantile: float = 0.2
 
 
 def _draw(spec: dict, n: int, rng: np.random.Generator, numeric: bool) -> np.ndarray:
@@ -238,7 +237,7 @@ def synthesize(dgp: SyntheticConfig, seed: int) -> tuple[SurveySample, SurveySam
         _generate_sample(spec, dgp.schema, sid, rng)
         for spec, sid, rng in zip((dgp.s1, dgp.s2), ("S1", "S2"), cov_rngs)
     ]
-    centering = compute_centering(bare[0], dgp.schema, dgp.poor_quantile)
+    centering = compute_centering(bare[0], dgp.schema)
     knot_source = pool_samples(*bare)
 
     s1, s2 = [

@@ -3,6 +3,7 @@ import json
 import multiprocessing
 import os
 import pickle
+import re
 import threading
 import warnings
 from dataclasses import fields
@@ -65,8 +66,8 @@ def covariates(cfg, survey="s1"):
     return cfg["input"]["dgp"][survey]["covariates"]
 
 
-# Generator specs and poor_quantile values that the config reader rejects,
-# each with a word its message must contain.
+# Generator specs and poor_quantile keys that the config reader rejects,
+# each with a word its message must contain; poor_quantile is no key of a run config.
 MALFORMED_GENERATOR = {
     "uniform_low_string": (lambda cfg: covariates(cfg).update(maternal_age={"dist": "uniform", "low": "a", "high": 1}), "low"),
     "uniform_without_bounds": (lambda cfg: covariates(cfg).update(maternal_age={"dist": "uniform"}), "low"),
@@ -78,8 +79,8 @@ MALFORMED_GENERATOR = {
     "choice_probs_sum": (lambda cfg: covariates(cfg)["sex"].update(probs=[0.9, 0.3]), "probs"),
     "missing_prob_string": (lambda cfg: covariates(cfg)["sex"].update(missing_prob="x"), "missing_prob"),
     "missing_prob_numeric_string": (lambda cfg: covariates(cfg)["sex"].update(missing_prob="0.5"), "missing_prob"),
-    "poor_quantile_above_one": (lambda cfg: cfg.update(poor_quantile=5), "poor_quantile"),
-    "poor_quantile_zero": (lambda cfg: cfg.update(poor_quantile=0), "poor_quantile"),
+    "poor_quantile_above_one": (lambda cfg: cfg.update(poor_quantile=5), "config has unknown key(s): poor_quantile"),
+    "poor_quantile_zero": (lambda cfg: cfg.update(poor_quantile=0), "config has unknown key(s): poor_quantile"),
 }
 
 
@@ -148,7 +149,12 @@ class TestRunConfig:
     def test_unknown_marginalization_rejected(self, tmp_path):
         cfg = base_config(tmp_path / "out")
         cfg["marginalization"] = "sideways"
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=re.escape(
+            "marginalization must be one of ('appendix_divide', 'maintext_multiply'), got 'sideways'"
+        )):
+            RunConfig.from_dict(cfg)
+        cfg["marginalization"] = 5
+        with pytest.raises(ConfigError, match="marginalization must be a string, got 5"):
             RunConfig.from_dict(cfg)
 
 
@@ -400,6 +406,19 @@ def test_a_bad_csv_fails_alike_in_every_command(tmp_path, simulated_csvs, capsys
         "stage": "load_samples", "type": "RowError", "message": f"{bad}, line 4: outcome must be 0 or 1, got '7'"
     }
     assert not (tmp_path / "out").exists()
+
+
+def test_a_csv_pair_without_wealth_rank_runs(tmp_path, simulated_csvs):
+    # survey 1's births are then centred on its full-sample means; a spline's design builds as with any centre
+    paths = [tmp_path / "s1.csv", tmp_path / "s2.csv"]
+    for path in paths:
+        rows = [line.split(",") for line in (simulated_csvs / path.name).read_text(encoding="utf-8").splitlines()]
+        drop = rows[0].index("wealth_rank")
+        path.write_text("".join(",".join(row[:drop] + row[drop + 1:]) + "\n" for row in rows), encoding="utf-8")
+    cfg = csv_config(tmp_path / "out", *paths)
+    cfg["schema"]["covariates"].append({"name": "maternal_age", "kind": "continuous_spline"})
+    assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 0
+    assert json.loads((tmp_path / "out" / "decomposition.json").read_text())["order"][-1] == "maternal_age"
 
 
 def test_without_blas_control_one_worker_for_surveys_and_kernel(tmp_path, monkeypatch):
@@ -799,7 +818,7 @@ class TestCommands:
             # values of the wrong type inside a well-shaped config
             (lambda cfg: cfg.update(mcmc={"total": "abc"}), "mcmc.total"),
             (lambda cfg: cfg.update(seed="abc"), "seed"),
-            (lambda cfg: cfg.update(poor_quantile="abc"), "poor_quantile"),
+            (lambda cfg: cfg.update(poor_quantile="abc"), "config has unknown key(s): poor_quantile"),
             (lambda cfg: cfg.update(order=5), "order"),
             (lambda cfg: cfg["input"]["dgp"]["s1"].update(sigma2="x"), "sigma2"),
             (lambda cfg: cfg["input"]["dgp"]["s1"].update(beta=5), "beta"),
@@ -1205,8 +1224,8 @@ def mutated_configs(draw):
 
 
 # Every top-level default of a run config as JSON; mcmc's is the one key of that section whose default is null.
-_SPELLED_DEFAULTS = {"order": None, "poor_quantile": 0.2, "auto_extend": True, "marginalization": "appendix_divide",
-                     "prior": {}, "mcmc": {"thin": None}}
+_SPELLED_DEFAULTS = {"order": None, "auto_extend": True, "marginalization": "appendix_divide", "prior": {},
+                     "mcmc": {"thin": None}}
 
 
 @pytest.mark.parametrize("chain", ["given", "default"])

@@ -191,18 +191,6 @@ class TestCentering:
         constants = compute_centering(sample, schema)
         assert constants.values == {"maternal_age": 20.0}
 
-    def test_quantile_one_gives_full_sample_mean(self):
-        schema = CovariateSchema((CovariateSpec("maternal_age", "continuous_spline", degree=1, df=1),))
-        sample = make_sample(
-            [
-                {"outcome": 0, "cluster_id": "a", "wealth_rank": 0.10, "maternal_age": 18.0},
-                {"outcome": 0, "cluster_id": "a", "wealth_rank": 0.15, "maternal_age": 22.0},
-                {"outcome": 0, "cluster_id": "b", "wealth_rank": 0.50, "maternal_age": 30.0},
-            ]
-        )
-        constants = compute_centering(sample, schema, poor_quantile=1.0)
-        np.testing.assert_allclose(constants.values["maternal_age"], (18 + 22 + 30) / 3)
-
     def test_empty_poor_subset_falls_back(self):
         schema = CovariateSchema((CovariateSpec("maternal_age", "continuous_spline", degree=1, df=1),))
         sample = make_sample(
@@ -213,6 +201,17 @@ class TestCentering:
         )
         constants = compute_centering(sample, schema)
         np.testing.assert_allclose(constants.values["maternal_age"], 30.0)
+
+    def test_sample_without_wealth_rank_takes_full_sample_means(self):
+        # no birth of such a survey is in the reference group, so it falls back as an empty one does
+        schema = CovariateSchema((CovariateSpec("maternal_age", "continuous_spline", degree=1, df=1),))
+        sample = make_sample(
+            [
+                {"outcome": 0, "cluster_id": "a", "maternal_age": 18.0},
+                {"outcome": 0, "cluster_id": "b", "maternal_age": 30.0},
+            ]
+        )
+        assert compute_centering(sample, schema).values == {"maternal_age": 24.0}
 
     def test_empty_sample_errors(self):
         schema = CovariateSchema((CovariateSpec("maternal_age", "continuous_spline", degree=1, df=1),))
@@ -798,10 +797,17 @@ def ingested(path, schema=None):
          ("ConfigError", "{path}: not UTF-8 text (invalid start byte)")),
         (CSV_HEADER.replace("cluster_id", "cluster"), GOOD * 400 + "0,25,6,2,24,f\xffmale,rural,0.3,a\n",
          ("ConfigError", "{path}: not UTF-8 text (invalid start byte)")),
+        (CSV_HEADER, GOOD * 2 + "1,30,2,4,,male,urban,0.1,b,a\n" + GOOD,
+         ("RowError", "{path}, line 4: 10 cells under a 9-column header")),
+        (CSV_HEADER, GOOD + "7,25,6,2,24,female,rural,0.3,a,\n",
+         ("RowError", "{path}, line 3: 10 cells under a 9-column header")),
+        (CSV_HEADER, GOOD + "0,banana,6,2,24,female,rural,0.3,a\n" + GOOD + "0,25,6,2,24,female,rural,0.3,a,b\n",
+         ("RowError", "{path}, line 3: could not parse maternal_age='banana'")),
     ],
     ids=["blank_lines_and_short_rows", "bad_cell_in_the_last_block", "bad_cell_first_in_a_block",
          "row_dropped_by_the_age_filter", "quoted_cell_spanning_lines", "csv_error_in_a_later_block",
-         "bad_byte_in_a_later_block", "bad_byte_after_a_bad_header"],
+         "bad_byte_in_a_later_block", "bad_byte_after_a_bad_header", "row_longer_than_the_header",
+         "long_row_fails_before_its_other_faults", "bad_row_before_a_long_row"],
 )
 def test_block_boundaries_change_nothing(tmp_path, monkeypatch, header, body, want):
     # one block holds the whole file, as the reader held it before blocks

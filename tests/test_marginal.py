@@ -60,7 +60,7 @@ class TestMarginalize:
         assert abs(marginal_prob(x, flipped) - estimate) > 3 * se
 
     def test_unknown_convention_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"marginalization must be one of \(.*\), got 'other'"):
             marginalize(np.array([1.0]), 1.0, convention="other")
 
     def test_negative_variance_rejected(self):

@@ -514,6 +514,24 @@ class TestSerialization:
             with pytest.raises(ConfigError, match=f"line 5: {re.escape(words)}"):
                 load_draws(path)
 
+    @pytest.mark.parametrize(
+        "rows, words",
+        [
+            ("nan,0.2\nabc,0.2\n", "line 3: non-finite value beta_0=nan"),
+            ("0.5,-0.2\n1,0.2,3\n", "line 3: negative variance sigma2=-0.2"),
+            ("0.5,abc\n0.5,-0.2\n", "line 3: non-numeric cell"),
+            ("0.5,inf\n0.5,-0.2\n", "line 3: non-finite value sigma2=inf"),
+        ],
+        ids=["non_finite_before_non_numeric", "negative_before_long_row", "non_numeric_first",
+             "non_finite_sigma2_first"],
+    )
+    def test_the_first_bad_line_is_named(self, tmp_path, rows, words):
+        # as ingest_csv names the first bad row, whatever fault a later row has
+        path = tmp_path / "draws.csv"
+        path.write_text(f"beta_0,sigma2\n0.5,1.0\n{rows}")
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}, {re.escape(words)}"):
+            load_draws(path)
+
     def test_an_error_names_the_line_after_a_quoted_line_break(self, tmp_path):
         # the second draw's first cell spans lines 3 and 4, so the bad draw below it is on line 5
         path = tmp_path / "draws.csv"
