@@ -32,11 +32,12 @@ after the other in this process otherwise; the outputs are the same
 bytes either way.  In csv mode every command that reads the samples
 reads the two CSV files that way, and ``run`` fits the two surveys that
 way too.  A survey process inherits its inputs (a CSV path, or a design
-and chain settings) through the fork and sends back its
-``SurveySample`` or ``SurveyFit``, or the error it raised, with the
-warnings it caught.  ``run`` holds OpenBLAS at one thread from reading
-the samples through the decomposition.  A command that fails removes
-every file it started to write and the output directories it made.
+and chain settings) through the fork and sends back its ``SurveySample``
+or ``SurveyFit``, or the error it raised, with the warnings it caught.
+``main`` holds OpenBLAS at one thread around every command, so the
+survey processes do not oversubscribe the cores and a sweep runs alike
+in ``run`` and ``fit``.  A command that fails removes every file it
+started to write and the output directories it made.
 """
 
 from __future__ import annotations
@@ -423,16 +424,10 @@ def run_pipeline(config: RunConfig) -> dict:
     leaves with the stage it was raised in as its ``stage``.
     """
     with _Outputs(Path(config.out_dir)) as out:
-        # One BLAS thread from the samples through the decomposition: the
-        # survey processes then share the cores without oversubscribing
-        # them, and the parent's OpenBLAS pool, which each fork shuts down,
-        # is not rebuilt between the forks or for the decomposition.  The
-        # kernel's own hold nests inside this one.
-        with _one_blas_thread():
-            d1, d2 = _designs(config, out)
-            out.stage = "fit"
-            fit1, fit2 = _per_survey(_fit_survey, _fit_jobs(config, (d1, d2)))
-            summary = _decompose_and_write(config, d1, d2, fit1.draws, fit2.draws, out)
+        d1, d2 = _designs(config, out)
+        out.stage = "fit"
+        fit1, fit2 = _per_survey(_fit_survey, _fit_jobs(config, (d1, d2)))
+        summary = _decompose_and_write(config, d1, d2, fit1.draws, fit2.draws, out)
 
         _save_fit(fit1, "s1", out)
         _save_fit(fit2, "s2", out)
@@ -614,7 +609,8 @@ def main(argv=None) -> int:
     ``SystemExit`` are not caught."""
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        with _one_blas_thread():
+            return _COMMANDS[args.command](args)
     except Exception as exc:
         stage = getattr(exc, "stage", "configure")
         record = {"stage": stage, "type": type(exc).__name__, "message": str(exc)}

@@ -11,15 +11,19 @@ retained posterior draw turns those point identities into posterior
 distributions for every component.
 
 :func:`decompose_draws` is the one kernel: it decomposes a matrix of
-coefficient pairs, or a single pair, with at most K + 3 link passes per
-pair for K swapped groups.  Every mean is one weighted sum over a
-design's rows: over its distinct rows, each weighted by its count, when
-at most half of the rows are distinct (categorical covariates repeat
-rows); otherwise over every row, each weighted ``1 / n``.  Both designs'
-rows are walked in one order: sorted by which swap groups are zero on
-the row, then by a reference linear predictor, so a swap moves the
-linear predictor on contiguous runs of rows, and within a run the link
-meets its arguments in rising order, which ``ndtr``'s branches favour.
+coefficient pairs, or a single pair, with K + 3 link passes per pair
+for K swapped groups, whatever the inputs share: every block of draws
+runs every pass on every tile.  Equal inputs still give exact zeros,
+because a zero coefficient difference adds only ``+-0.0`` to a linear
+predictor, so its pass repeats the previous one bit for bit.  Every
+mean is one weighted sum over a design's rows: over its distinct rows,
+each weighted by its count, when at most half of the rows are distinct
+(categorical covariates repeat rows); otherwise over every row, each
+weighted ``1 / n``.  Both designs' rows are walked in one order: sorted
+by which swap groups are zero on the row, then by a reference linear
+predictor, so a swap moves the linear predictor on contiguous runs of
+rows, and within a run the link meets its arguments in rising order,
+which ``ndtr``'s branches favour.
 Every pass writes the link into the worker's buffer over the rows it
 moves (a whole tile, or a swap's runs) and takes the mean of the whole
 buffer.  The kernel takes the draws in blocks of 16 and walks each block
@@ -105,11 +109,10 @@ def _openblas_threads():
 class _OneBlasThread:
     """Holds OpenBLAS at one thread while any holder runs in this process.
 
-    Holders are the decomposition kernel and ``cli.run_pipeline``, which
-    holds from its fits through its decomposition.  The thread count is
-    process-wide, so concurrent and nested holders share one hold: the
-    first to enter saves the count and sets 1, the last to leave
-    restores it.
+    Holders are the decomposition kernel and ``cli.main``, which holds
+    around every command.  The thread count is process-wide, so concurrent
+    and nested holders share one hold: the first to enter saves the count
+    and sets 1, the last to leave restores it.
     """
 
     def __init__(self, controls):
@@ -159,8 +162,8 @@ _FOLD = np.uint64(0x9E3779B97F4A7C15)  # odd multiplier for the row-key fold
 # predictor and its link values stay in a core's L2 cache (about 1 MB in
 # all) while every link pass of the block runs on the tile.  A worker
 # gathers each tile's rows once, in the walk's row order, into a buffer of
-# its own and walks all of its blocks over it, with its own predictor and
-# link buffers.
+# its own and walks all of its blocks over it, with its own predictor, link
+# and swap-step buffers.
 _DRAW_BLOCK = 16
 _ROW_TILE = 1024
 
@@ -276,20 +279,19 @@ def decompose_draws(design1, design2, tilde1, tilde2, order=None, link="probit")
     the entries sum to ``beta_effect``, and the order changes the split
     but not the sum.
 
-    Per pair, at most K + 3 link passes for K groups: ``rate1``; the
-    crossed mean that starts the swap walk; one per swapped group; and
-    ``rate2`` straight from ``x2 @ b2``, so the group-sum identity
-    compares two routes.  When ``design1`` is ``design2`` the crossed
-    mean is ``rate1``'s pass, and a block of draws whose coefficients are
-    equal in every group takes ``rate2`` from the crossed mean.  A
-    group's pass is skipped for a block of draws only when every draw in
-    the block has equal coefficients for it; a draw whose coefficients
-    are equal in a block that does run the pass takes the previous walk
-    entry after the block, so its group effect is exactly ``0.0`` either
-    way.  Each design's distinct rows are found once per call: when at
-    most half of its rows are distinct, its passes evaluate only those
-    rows and each mean weights them by count over the row total;
-    otherwise its passes evaluate every row, each weighted ``1 / n``.
+    Per pair, K + 3 link passes for K groups: ``rate1``; the crossed
+    mean that starts the swap walk; one per swapped group; and ``rate2``
+    straight from ``x2 @ b2``, so the group-sum identity compares two
+    routes.  Every block of draws runs all of them, on equal designs and
+    equal coefficients too: a draw whose coefficients are equal in a
+    group adds ``+-0.0`` to its linear predictor, so the link, the mean
+    and the walk entry repeat bit for bit and its group effect is
+    exactly ``0.0``; equal coefficients in every group make ``rate2``
+    the crossed mean, and so ``beta_effect`` exactly ``0.0``.  Each
+    design's distinct rows are found once per call: when at most half of
+    its rows are distinct, its passes evaluate only those rows and each
+    mean weights them by count over the row total; otherwise its passes
+    evaluate every row, each weighted ``1 / n``.
 
     Both designs' rows are walked in one order, sorted by which groups
     are all zero on the row and then by the linear predictor under the
@@ -334,19 +336,16 @@ def decompose_draws(design1, design2, tilde1, tilde2, order=None, link="probit")
     f = _link_fn(link)
     group_cols = [design2.group_columns(name) for name in order]
     n_draws, p = tilde1.shape
-    one_design = design1 is design2  # the crossed pass is then rate1's
     rate1 = np.zeros(n_draws)
     rate2 = np.zeros(n_draws)
     walk = np.zeros((n_draws, len(order) + 1))  # column 0: crossed mean; column j: after swap j
 
-    def walk_blocks(first, last, xbuf, etaphi):  # blocks first..last-1, over every tile
+    def walk_blocks(first, last, xbuf, work):  # blocks first..last-1, over every tile
         blocks = []
         for lo in range(first * _DRAW_BLOCK, min(last * _DRAW_BLOCK, n_draws), _DRAW_BLOCK):
             hi = min(lo + _DRAW_BLOCK, n_draws)
             b1, b2 = tilde1[lo:hi], tilde2[lo:hi]
-            deltas = [b2[:, cols] - b1[:, cols] for cols in group_cols]
-            swaps = [(j, cols, d) for j, (cols, d) in enumerate(zip(group_cols, deltas), start=1) if np.any(d)]
-            blocks.append((lo, hi, b1, b2, deltas, swaps))
+            blocks.append((lo, hi, b1, b2, [b2[:, cols] - b1[:, cols] for cols in group_cols]))
 
         def gather(x, index):  # the tile's rows of x in this worker's buffer, as a (p, m) view
             return np.take(x, index, axis=0, out=xbuf[: index.size]).T
@@ -359,41 +358,33 @@ def decompose_draws(design1, design2, tilde1, tilde2, order=None, link="probit")
         for index, w, _ in tiles1:
             xt, m = gather(x1, index), index.size
             for lo, hi, b1, *_ in blocks:
-                eta, phi = etaphi[:, : (hi - lo) * m].reshape(2, hi - lo, m)  # contiguous views
+                eta, phi, _ = work[:, : (hi - lo) * m].reshape(3, hi - lo, m)  # contiguous views
                 rate1[lo:hi] += link(np.matmul(b1, xt, out=eta), phi, [(0, m)]) @ w
         for index, w, runs in tiles2:
             xt, m = gather(x2, index), index.size
-            for lo, hi, b1, b2, _, swaps in blocks:
-                eta, phi = etaphi[:, : (hi - lo) * m].reshape(2, hi - lo, m)
+            for lo, hi, b1, b2, deltas in blocks:
+                eta, phi, _ = work[:, : (hi - lo) * m].reshape(3, hi - lo, m)
                 walk[lo:hi, 0] += link(np.matmul(b1, xt, out=eta), phi, [(0, m)]) @ w
-                for j, cols, delta in swaps:
-                    for a, b in runs[j - 1]:  # the rows the group moves; the others keep eta and phi
-                        eta[:, a:b] += delta @ xt[cols, a:b]
-                    walk[lo:hi, j] += link(eta, phi, runs[j - 1]) @ w
-                if swaps:
-                    rate2[lo:hi] += link(np.matmul(b2, xt, out=eta), phi, [(0, m)]) @ w
-        for lo, hi, _, _, deltas, swaps in blocks:
-            for j, delta in enumerate(deltas, start=1):
-                same = lo + np.flatnonzero(~np.any(delta, axis=1))
-                walk[same, j] = walk[same, j - 1]
-            if not swaps:  # b2 equals b1 on every draw of the block
-                rate2[lo:hi] = walk[lo:hi, 0]
+                for j, (cols, delta, moved) in enumerate(zip(group_cols, deltas, runs), start=1):
+                    for a, b in moved:  # the rows the group moves; the others keep eta and phi
+                        step = work[2, : (hi - lo) * (b - a)].reshape(hi - lo, b - a)
+                        eta[:, a:b] += np.matmul(delta, xt[cols, a:b], out=step)
+                    walk[lo:hi, j] += link(eta, phi, moved) @ w
+                rate2[lo:hi] += link(np.matmul(b2, xt, out=eta), phi, [(0, m)]) @ w
 
     n_blocks = -(-n_draws // _DRAW_BLOCK)
     n_chunks = max(_workers(n_blocks), 1)
     bounds = [n_blocks * c // n_chunks for c in range(n_chunks + 1)]
-    buffers = [(np.empty((_ROW_TILE, p)), np.empty((2, _DRAW_BLOCK * _ROW_TILE))) for _ in range(n_chunks)]
+    buffers = [(np.empty((_ROW_TILE, p)), np.empty((3, _DRAW_BLOCK * _ROW_TILE))) for _ in range(n_chunks)]
     with _one_blas_thread():
         ref = (tilde1 + tilde2).mean(axis=0) / 2 if n_draws else np.zeros(p)
+        x1, tiles1 = _tiles(design1.x, group_cols, ref)
         x2, tiles2 = _tiles(design2.x, group_cols, ref)
-        x1, tiles1 = (x2, []) if one_design else _tiles(design1.x, group_cols, ref)
         if n_chunks == 1:
             walk_blocks(0, n_blocks, *buffers[0])
         else:
             with ThreadPoolExecutor(n_chunks) as pool:
                 list(pool.map(walk_blocks, bounds[:-1], bounds[1:], *zip(*buffers)))
-    if one_design:
-        rate1[:] = walk[:, 0]
 
     crossed = walk[:, 0]
     x_effect = rate1 - crossed

@@ -82,10 +82,9 @@ def mean_mortality(design, draws, convention: str = "appendix_divide") -> Mortal
     """Posterior summary of ``mean_i Phi(x_i' beta_tilde)`` scaled to per-1000.
 
     Each retained draw is marginalized and averaged over the design's
-    rows by ``decompose_draws``, which, given one design and equal
-    coefficients on both sides, evaluates the link once per row per draw;
-    the summary reports the posterior mean and the 95% equal-tailed
-    interval of that average.
+    rows by ``decompose_draws``, given one design and equal coefficients
+    on both sides, whose ``rate1`` it keeps; the summary reports the
+    posterior mean and the 95% equal-tailed interval of that average.
     """
     from .decompose import decompose_draws  # decompose imports this module
 

@@ -421,6 +421,31 @@ def test_a_csv_pair_without_wealth_rank_runs(tmp_path, simulated_csvs):
     assert json.loads((tmp_path / "out" / "decomposition.json").read_text())["order"][-1] == "maternal_age"
 
 
+@pytest.mark.skipif(_openblas_threads() is None, reason="numpy's BLAS exports no thread control")
+def test_every_command_sweeps_with_blas_at_one(tmp_path, monkeypatch):
+    # main holds OpenBLAS at one thread around the command, not only run's pipeline
+    import mortdecomp.sampler as sampler_module
+
+    get, set_ = _openblas_threads()
+    saved = get()
+    seen = []
+    latent_draw = sampler_module._latent_draw
+
+    def recording_latent_draw(*args):
+        seen.append(get())
+        return latent_draw(*args)
+
+    monkeypatch.setattr(sampler_module, "_latent_draw", recording_latent_draw)
+    cfg = base_config(tmp_path / "out", mcmc={"total": 60, "burnin": 20, "thin": 1, "target_retained": 40})
+    try:
+        set_(3)
+        assert main(["fit", "--config", str(write_config(tmp_path, cfg)), "--survey", "s1"]) == 0
+        assert get() == 3
+    finally:
+        set_(saved)
+    assert seen and set(seen) == {1}
+
+
 def test_without_blas_control_one_worker_for_surveys_and_kernel(tmp_path, monkeypatch):
     # decompose._workers is the one rule both callers ask: no thread control means one worker
     decompose_module._one_blas_thread()  # the shared hold, built while the real controls resolve

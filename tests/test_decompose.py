@@ -89,6 +89,16 @@ class TestCoefficientDecompose:
         d = decompose_draws(d2, d2, b, b.copy())
         assert all(v == 0.0 for v in d.group_effects[0])
 
+    def test_equal_draw_matrices_on_one_design_all_zero(self):
+        # a zero delta adds +-0.0 to the linear predictor, so every pass repeats the crossed mean bit for bit
+        rng = np.random.default_rng(5)
+        d2 = random_design(rng, 40, [1, 2])
+        b = rng.normal(size=(2 * decompose_module._DRAW_BLOCK + 3, 4))
+        d = decompose_draws(d2, d2, b, b.copy())
+        assert np.all(d.x_effect == 0.0) and np.all(d.beta_effect == 0.0)
+        assert np.all(d.group_effects == 0.0)
+        assert np.array_equal(d.rate1, d.rate2)
+
     def test_intercept_only_difference_collapses(self):
         rng = np.random.default_rng(6)
         d2 = random_design(rng, 25, [1, 2])
@@ -401,7 +411,7 @@ class TestThreadedKernel:
         center = np.array([-1.1, 0.3, -0.2, 0.1, 0.2, -0.1, 0.05])
         self.draws1 = random_draws(rng, center, 0.1, 25)
         beta2 = self.draws1.beta + rng.normal(scale=0.1, size=self.draws1.beta.shape)
-        beta2[:, 2:4] = self.draws1.beta[:, 2:4]  # g1 keeps survey 1's coefficients: the zero-delta skip
+        beta2[:, 2:4] = self.draws1.beta[:, 2:4]  # g1 keeps survey 1's coefficients: a zero delta
         beta2[::3, 0] = self.draws1.beta[::3, 0]  # and the intercept on every third draw
         self.draws2 = PosteriorDraws(survey_id="S2", beta=beta2, sigma2=self.draws1.sigma2, column_groups={})
         self.order = ["g1", "g2", "intercept", "g0"]
@@ -424,7 +434,7 @@ class TestThreadedKernel:
     def test_threads_give_the_one_chunk_bytes(self, monkeypatch, cores, n_draws):
         serial = self.draws_on(monkeypatch, 1, n_draws)
         threaded = self.draws_on(monkeypatch, cores, n_draws)
-        assert np.any(serial.group_effects[:, 0] == 0.0)  # the skip path ran
+        assert np.any(serial.group_effects[:, 0] == 0.0)  # a zero delta swapped nothing
         for name in ("rate1", "rate2", "x_effect", "beta_effect", "group_effects"):
             assert np.array_equal(getattr(threaded, name), getattr(serial, name)), name
 
@@ -611,7 +621,7 @@ class TestDistinctRows:
         self.order = ["g2", "intercept", "g3", "g1"]
 
     def test_repeated_rows_match_the_per_row_reference(self):
-        self.tilde2[::4, 2] = self.tilde1[::4, 2]  # the zero-delta skip runs too
+        self.tilde2[::4, 2] = self.tilde1[::4, 2]  # zero deltas too
         out = decompose_draws(self.d1, self.d2, self.tilde1, self.tilde2, self.order)
         want = per_row_reference(self.d1, self.d2, self.tilde1, self.tilde2, self.order)
         for name, value in want.items():
@@ -677,7 +687,7 @@ class TestTiledWalk:
         d1, d2 = self.designs(rng, n_distinct)
         tilde1, tilde2 = self.coefficients(rng, d1.n_cols)
         order = ["intercept"] + list(d2.column_groups) if n_distinct else self.order
-        tilde2[::5, 1] = tilde1[::5, 1]  # the zero-delta copy runs too
+        tilde2[::5, 1] = tilde1[::5, 1]  # zero deltas too
         out = decompose_draws(d1, d2, tilde1, tilde2, order)
         for name, value in per_row_reference(d1, d2, tilde1, tilde2, order).items():
             np.testing.assert_allclose(getattr(out, name), value, rtol=0, atol=1e-15, err_msg=name)
@@ -695,10 +705,17 @@ class TestTiledWalk:
         for name in ("rate1", "rate2", "x_effect", "beta_effect", "group_effects"):
             assert np.array_equal(getattr(runs[cores], name), getattr(runs[1], name)), name
 
-    def test_link_passes_per_draw_over_tiles(self, monkeypatch):
+    @pytest.mark.parametrize("inputs", ["two_designs", "equal_designs_and_draws", "one_group_equal"])
+    def test_link_passes_per_draw_over_tiles(self, monkeypatch, inputs):
+        # every block runs every pass on every tile, whatever the inputs share
         rng = np.random.default_rng(72)
         d1, d2 = self.designs(rng)
         tilde1, tilde2 = self.coefficients(rng, d1.n_cols)
+        if inputs == "equal_designs_and_draws":
+            d1, tilde2 = d2, tilde1
+        elif inputs == "one_group_equal":
+            g0 = d2.group_columns("g0")
+            tilde2[:, g0] = tilde1[:, g0]
         per_draw = ndtr_evals_per_draw(monkeypatch, d1, d2, tilde1, tilde2)
         assert per_draw == d1.n_rows + (len(self.order) + 2) * d2.n_rows
 
@@ -714,8 +731,7 @@ class TestTiledWalk:
         j = self.order.index("g0")
 
         per_draw = ndtr_evals_per_draw(monkeypatch, d1, d2, tilde1, tilde2)
-        skipped = block * d2.n_rows  # g0's pass over block 0 only
-        assert per_draw * self.n_draws == self.n_draws * (d1.n_rows + (len(self.order) + 2) * d2.n_rows) - skipped
+        assert per_draw == d1.n_rows + (len(self.order) + 2) * d2.n_rows
 
         out = decompose_draws(d1, d2, tilde1, tilde2, self.order)
         zero = np.zeros(self.n_draws, dtype=bool)

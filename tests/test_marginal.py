@@ -152,8 +152,9 @@ class TestMeanMortality:
         np.testing.assert_allclose(rates[0], want, atol=1e-12)
         np.testing.assert_allclose(out.mean, want.mean() * 1000, atol=1e-9)
 
-    def test_one_link_evaluation_per_row_per_draw(self, monkeypatch):
-        # 500 distinct rows (no collapse) and 32 draws: two blocks of 16
+    def test_k_plus_three_link_passes_per_draw(self, monkeypatch):
+        # 500 distinct rows (no collapse) and 32 draws: two blocks of 16; the kernel runs
+        # rate1, the crossed mean, one pass per group (the intercept and two) and rate2
         import mortdecomp.decompose as decompose_module
         from scipy.special import ndtr
 
@@ -172,7 +173,8 @@ class TestMeanMortality:
         monkeypatch.setattr(decompose_module, "ndtr", counting_ndtr)
         rates = summarized(monkeypatch)
         mean_mortality(design, draws)
-        assert sum(evaluated) == 500 * 32
+        k = 1 + len(design.column_groups)
+        assert sum(evaluated) == (500 + (k + 2) * 500) * 32
         tilde = marginalize(draws.beta, draws.sigma2)
         np.testing.assert_allclose(rates[0], ndtr(design.x @ tilde.T).mean(axis=0), rtol=0, atol=1e-15)
 
