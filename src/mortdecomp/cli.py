@@ -36,11 +36,21 @@ and chain settings) through the fork and sends back its ``SurveySample``
 or ``SurveyFit``, or the error it raised, with the warnings it caught.
 ``main`` holds OpenBLAS at one thread around every command, so the
 survey processes do not oversubscribe the cores and a sweep runs alike
-in ``run`` and ``fit``.  A command that fails removes every file it
-started to write and the output directories it made.
+in ``run`` and ``fit``.  A command started from the shell (the
+``mortdecomp`` console script, or ``python -m mortdecomp.cli``) also
+sets ``OPENBLAS_NUM_THREADS=1`` before numpy loads, unless the user set
+it, so numpy's and scipy's OpenBLAS start no thread pool that would
+only spin; importing this module changes no environment variable.
+A command that fails removes every file it started to write and the
+output directories it made.
 """
 
 from __future__ import annotations
+
+if __name__ == "__main__":  # ``python -m mortdecomp.cli``: start BLAS at one thread before numpy loads
+    from . import _one_blas_thread_from_the_shell
+
+    _one_blas_thread_from_the_shell()
 
 import argparse
 import contextlib
@@ -509,14 +519,16 @@ def _cmd_decompose(args) -> int:
                  Path(args.draws2) if args.draws2 else out_dir / "draws_s2.csv"]
         draws1, draws2 = (_load_draws_for(path) for path in paths)
         # A sidecar records the survey its draws were fitted to; draws without one cannot be checked.
-        for path, draws, design, other in zip(paths, (draws1, draws2), (d1, d2), (d2, d1)):
+        # The hint names a swap only when each file records the other design's survey.
+        crossed = (draws1.survey_id, draws2.survey_id) == (d2.survey_id, d1.survey_id)
+        for path, draws, design in zip(paths, (draws1, draws2), (d1, d2)):
             if not draws.survey_id:
                 warnings.warn(
                     f"{path} records no survey (no sidecar, or none with a survey_id), "
                     f"so decompose cannot check that it was fitted to survey {design.survey_id}"
                 )
             elif draws.survey_id != design.survey_id:
-                hint = "; the two draws files look swapped" if draws.survey_id == other.survey_id else ""
+                hint = "; the two draws files look swapped" if crossed else ""
                 raise ConfigError(
                     f"{path} holds draws fitted to survey {draws.survey_id}, "
                     f"but decompose pairs it with survey {design.survey_id}{hint}"

@@ -39,10 +39,12 @@ contiguous runs, one per available core, and walks each on its own
 thread (``ndtr`` releases the GIL).  While it walks, on one thread or
 several, it holds numpy's OpenBLAS to one thread, so the matrix
 products do not spin the cores the runs need and split no product
-across threads, and then restores the previous count; no environment
-variable is read or written.  Blocks are counted from draw 0 whatever
-the core count, so every draw's arithmetic is the same as on one thread
-and the outputs are identical bytes.  Where numpy's BLAS exports no
+across threads, and then restores the previous count; the kernel reads
+and writes no environment variable.  Only a command started from the
+shell sets one: ``OPENBLAS_NUM_THREADS=1`` before numpy loads, unless
+the user set it (see :mod:`mortdecomp.cli`).  Blocks are counted from
+draw 0 whatever the core count, so every draw's arithmetic is the same
+as on one thread and the outputs are identical bytes.  Where numpy's BLAS exports no
 thread control, the kernel walks all blocks on the calling thread.
 ``_workers`` owns that rule, and the CLI asks it before it forks.
 """
@@ -112,7 +114,10 @@ class _OneBlasThread:
     Holders are the decomposition kernel and ``cli.main``, which holds
     around every command.  The thread count is process-wide, so concurrent
     and nested holders share one hold: the first to enter saves the count
-    and sets 1, the last to leave restores it.
+    and sets 1, the last to leave restores it.  A command started from the
+    shell has already started OpenBLAS at one thread through
+    ``OPENBLAS_NUM_THREADS`` (unless the user set it), so there the hold
+    changes nothing; library callers and an in-process ``cli.main`` need it.
     """
 
     def __init__(self, controls):

@@ -4,6 +4,8 @@ import multiprocessing
 import os
 import pickle
 import re
+import subprocess
+import sys
 import threading
 import warnings
 from dataclasses import fields
@@ -667,6 +669,19 @@ class TestCommands:
         )
         assert not (tmp_path / "out" / "decomposition.json").exists()
 
+    def test_decompose_refuses_one_draws_file_given_twice_without_a_swap_hint(self, tmp_path, capsys, finished_run):
+        # both files record survey 1: only the second is wrong, and nothing is swapped
+        config, run_out = finished_run
+        argv = ["decompose", "--config", str(config), "--out", str(tmp_path / "out"),
+                "--draws1", str(run_out / "draws_s1.csv"), "--draws2", str(run_out / "draws_s1.csv")]
+        assert main(argv) == 2
+        record = self.error_record(capsys)
+        assert record["type"] == "ConfigError"
+        assert record["message"] == (
+            f"{run_out / 'draws_s1.csv'} holds draws fitted to survey S1, but decompose pairs it with survey S2"
+        )
+        assert not (tmp_path / "out" / "decomposition.json").exists()
+
     def test_decompose_reads_draws_without_a_sidecar(self, tmp_path, capsys, finished_run):
         # no sidecar records a survey, so nothing can be checked against it
         config, run_out = finished_run
@@ -1310,3 +1325,22 @@ def test_the_decompose_benchmark_set_up_writes_its_inputs(monkeypatch, tmp_path)
     for k in (1, 2):
         draws = load_draws(tmp_path / f"draws_s{k}.csv", tmp_path / f"draws_s{k}.json")
         assert draws.column_groups == groups and draws.n_draws == workloads.DECOMPOSE_DRAWS
+
+
+def test_shell_start_writes_the_same_bytes_as_main(tmp_path, capsys):
+    # a shell start sets OPENBLAS_NUM_THREADS=1 before numpy loads; main in
+    # this process holds one thread instead; every hashed output must match
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    shell = write_config(tmp_path, base_config(tmp_path / "shell"), "shell.json")
+    proc = subprocess.run([sys.executable, "-m", "mortdecomp.cli", "run", "--config", str(shell)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    in_process = write_config(tmp_path, base_config(tmp_path / "in_process"), "in_process.json")
+    assert main(["run", "--config", str(in_process)]) == 0
+    capsys.readouterr()
+    hashed = json.loads((tmp_path / "shell" / "run_manifest.json").read_text())["files"]
+    assert set(hashed) == EXPECTED_FILES - {"run_manifest.json"}
+    for name in hashed:
+        assert (tmp_path / "shell" / name).read_bytes() == (tmp_path / "in_process" / name).read_bytes(), name
