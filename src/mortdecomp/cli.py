@@ -54,7 +54,6 @@ if __name__ == "__main__":  # ``python -m mortdecomp.cli``: start BLAS at one th
 
 import argparse
 import contextlib
-import hashlib
 import json
 import multiprocessing
 import signal
@@ -72,6 +71,7 @@ from .dataset import (
     compute_centering,
     default_schema,
     ingest_csv,
+    place_knots,
     pool_samples,
     write_survey_csv,
 )
@@ -250,9 +250,10 @@ def _load_samples(config: RunConfig):
 
 
 def _build_designs(config: RunConfig, s1, s2):
+    """Both designs, on one set of knots placed from the pair's pooled columns, which are then dropped."""
     centering = compute_centering(s1, config.schema)
-    pooled = pool_samples(s1, s2)
-    return build_design(s1, config.schema, centering, pooled), build_design(s2, config.schema, centering, pooled)
+    layout = place_knots(config.schema, centering, pool_samples(s1, s2))
+    return build_design(s1, config.schema, centering, layout), build_design(s2, config.schema, centering, layout)
 
 
 def _designs(config: RunConfig, out: _Outputs):
@@ -448,6 +449,8 @@ def run_pipeline(config: RunConfig) -> dict:
         write_json(diag_doc, out.path("diagnostics.json"))
 
         out.stage = "manifest"
+        import hashlib  # here only: it loads OpenSSL's libcrypto, which no other stage needs
+
         manifest = {
             "config": config.echo,
             "seed": config.seed,

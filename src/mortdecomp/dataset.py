@@ -560,90 +560,178 @@ def compute_centering(sample1: SurveySample, schema: CovariateSchema) -> Centeri
     return CenteringConstants(values)
 
 
-def _continuous_columns(
-    cov: CovariateSpec,
-    sample: SurveySample,
-    centering: CenteringConstants,
-    knot_source: dict[str, np.ndarray],
-    out: np.ndarray,
-) -> None:
-    """Write one continuous covariate's centered, spline-expanded columns into ``out``."""
-    center = centering.values.get(cov.name)
-    if center is None:
-        raise SchemaError(f"no centering constant for continuous covariate {cov.name!r}")
-    raw = _numeric(sample, cov.name)
-    src_raw = knot_source.get(cov.name, np.full(1, np.nan))  # an absent field has no observed value
-    missing = np.isnan(raw)
-    src_missing = np.isnan(src_raw)
-    if missing.any() and not cov.allow_missing:
-        raise SchemaError(f"covariate {cov.name!r} has missing values but allow_missing is off")
-    if missing.all() or src_missing.all():
-        raise SchemaError(f"covariate {cov.name!r} has no observed values in the sample")
-    median = float(np.median(raw[~missing]))
-    src_median = float(np.median(src_raw[~src_missing]))
+@dataclass(frozen=True, eq=False)
+class DesignLayout(FrozenArrays):
+    """What both designs of a pair share, placed once by ``place_knots``.
 
-    src = np.where(src_missing, src_median, src_raw)
-    src -= center
-    knots = quantile_knots(src, cov.degree, cov.df)
-    del src
+    ``column_groups`` is each covariate's half-open column range, as in
+    ``DesignMatrix``; ``splines`` maps each continuous covariate to its
+    centre and its knots, on the centred scale.  Knot arrays are frozen
+    read-only.
+    """
+
+    schema: CovariateSchema
+    centering: CenteringConstants
+    column_groups: dict[str, tuple[int, int]]
+    splines: dict[str, tuple[float, np.ndarray]]
+
+    def __post_init__(self):
+        self._freeze()
+
+    def _arrays(self):
+        return tuple(knots for _, knots in self.splines.values())
+
+    @property
+    def n_cols(self) -> int:
+        return 1 + sum(hi - lo for lo, hi in self.column_groups.values())
+
+
+def place_knots(
+    schema: CovariateSchema, centering: CenteringConstants, knot_source: dict[str, np.ndarray]
+) -> DesignLayout:
+    """The pair-level half of a design: each covariate's columns, and each spline's centre and knots.
+
+    The knots sit at quantiles of ``knot_source``'s values (see
+    ``build_design``), a missing one imputed at their median, each shifted
+    by the covariate's centre.  A binary takes one column, a spline ``df``
+    and one more for its missingness indicator.
+    """
+    column_groups: dict[str, tuple[int, int]] = {}
+    splines: dict[str, tuple[float, np.ndarray]] = {}
+    col = 1
+    for cov in schema.covariates:
+        width = 1 if cov.kind == "binary" else cov.df + cov.allow_missing
+        column_groups[cov.name] = (col, col + width)
+        col += width
+        if cov.kind == "binary":
+            continue
+        center = centering.values.get(cov.name)
+        if center is None:
+            raise SchemaError(f"no centering constant for continuous covariate {cov.name!r}")
+        src_raw = knot_source.get(cov.name, np.full(1, np.nan))  # an absent field has no observed value
+        src_missing = np.isnan(src_raw)
+        if src_missing.all():
+            raise SchemaError(f"covariate {cov.name!r} has no observed values in the sample")
+        src_median = float(np.median(src_raw[~src_missing], overwrite_input=True))  # on its own copy
+        src = np.where(src_missing, src_median, src_raw)
+        del src_missing
+        src -= center
+        splines[cov.name] = (center, quantile_knots(src, cov.degree, cov.df, overwrite_input=True))
+        del src  # else it lives on beside the next covariate's copies
+    return DesignLayout(schema, centering, column_groups, splines)
+
+
+def _continuous_columns(cov: CovariateSpec, raw: np.ndarray, median: float, spline: tuple, out: np.ndarray) -> None:
+    """Write one continuous covariate's centred, spline-expanded columns for the births ``raw`` into ``out``.
+
+    A missing value is imputed at ``median``, the survey's own median,
+    while the knots sit on the pooled values with their missing ones
+    imputed at the pooled median.  The paper's abstract, the only part
+    of it to hand, states no rule for this, so that choice is not
+    checked against the paper.
+    """
+    center, knots = spline
+    missing = np.isnan(raw)
     values = np.where(missing, median, raw)
     values -= center
-    for a in range(0, values.size, _BLOCK_ROWS):  # the first basis function is dropped: the intercept is explicit
-        out[a : a + _BLOCK_ROWS, : cov.df] = bspline_basis(values[a : a + _BLOCK_ROWS], knots, cov.degree)[:, 1:]
+    out[:, : cov.df] = bspline_basis(values, knots, cov.degree)[:, 1:]  # the intercept is explicit
     if cov.allow_missing:
         out[:, cov.df] = missing
+
+
+class DesignRows:
+    """One survey's design rows under a pair's ``DesignLayout``, written a row block at a time.
+
+    Creating it checks the survey's own columns: a binary covariate
+    missing from some births, and a spline covariate with missing values
+    while ``allow_missing`` is off, or with no observed value.  ``write``
+    fills rows ``a:a + len(out)`` into ``out`` and gathers each column's
+    minimum and maximum; once every row is written, ``check`` raises
+    ``DegenerateDesignError``, naming the survey, if a non-intercept
+    column is constant.
+    """
+
+    def __init__(self, sample: SurveySample, layout: DesignLayout):
+        self.sample, self.layout = sample, layout
+        self.medians: dict[str, float] = {}
+        for cov in layout.schema.covariates:
+            if cov.kind == "binary":
+                vals = sample.columns.get(cov.name)
+                if vals is None or (vals.dtype.kind == "f" and np.isnan(vals).any()):
+                    raise SchemaError(f"covariate {cov.name!r} is missing from some births")
+                continue
+            raw = _numeric(sample, cov.name)
+            missing = np.isnan(raw)
+            if missing.any() and not cov.allow_missing:
+                raise SchemaError(f"covariate {cov.name!r} has missing values but allow_missing is off")
+            if missing.all():
+                raise SchemaError(f"covariate {cov.name!r} has no observed values in the sample")
+            self.medians[cov.name] = float(np.median(raw[~missing]))
+        self.low = np.full(layout.n_cols, np.inf)
+        self.high = np.full(layout.n_cols, -np.inf)
+
+    def write(self, a: int, out: np.ndarray) -> np.ndarray:
+        """Rows ``a:a + len(out)`` of the design, written into ``out`` and returned."""
+        rows = slice(a, a + out.shape[0])
+        out[:, 0] = 1.0
+        for cov in self.layout.schema.covariates:
+            lo, hi = self.layout.column_groups[cov.name]
+            if cov.kind == "binary":
+                out[:, lo] = self.sample.columns[cov.name][rows] != cov.reference
+            else:
+                raw = self.sample.columns[cov.name][rows]
+                _continuous_columns(cov, raw, self.medians[cov.name], self.layout.splines[cov.name], out[:, lo:hi])
+        np.minimum(self.low, out.min(axis=0), out=self.low)
+        np.maximum(self.high, out.max(axis=0), out=self.high)
+        return out
+
+    def check(self) -> None:
+        """``DegenerateDesignError`` naming the survey and the group of the first constant column."""
+        constant = np.flatnonzero((self.high == self.low)[1:]) + 1
+        if constant.size:
+            j = int(constant[0])
+            name = next(name for name, (lo, hi) in self.layout.column_groups.items() if lo <= j < hi)
+            message = f"survey {self.sample.survey_id}: column {j} of group {name!r} is constant"
+            raise DegenerateDesignError(name, message)
 
 
 def build_design(
     sample: SurveySample,
     schema: CovariateSchema,
     centering: CenteringConstants,
-    knot_source: dict[str, np.ndarray],
+    knot_source: dict[str, np.ndarray] | DesignLayout,
 ) -> DesignMatrix:
     """Assemble the design matrix for one survey.
 
     ``knot_source`` maps each continuous covariate to the values its
     spline knots are placed on: the pair's pooled columns from
     ``pool_samples``, or ``sample.columns`` for one survey alone, so that
-    designs built for different samples share one basis.  Cluster
-    ordinals follow first appearance.  Raises
-    ``DegenerateDesignError`` if any produced column is constant.  Each
-    covariate's columns are written into one preallocated ``x``: a binary
-    takes one column, a spline ``df`` and one more for its missingness
-    indicator.
+    designs built for different samples share one basis.  It may also be
+    the ``DesignLayout`` that ``place_knots`` made from ``schema`` and
+    ``centering``, so a pair's knots are placed once for both designs.
+    Cluster ordinals follow first appearance.  Raises
+    ``DegenerateDesignError`` if any produced column is constant.  The
+    rows are written ``_BLOCK_ROWS`` at a time by ``DesignRows`` into one
+    preallocated ``x``.
     """
     if sample.n_births == 0:
         raise EmptyInputError("cannot build a design from an empty sample")
-
-    column_groups: dict[str, tuple[int, int]] = {}
-    col = 1
-    for cov in schema.covariates:
-        width = 1 if cov.kind == "binary" else cov.df + cov.allow_missing
-        column_groups[cov.name] = (col, col + width)
-        col += width
-    x = np.empty((sample.n_births, col))
-    x[:, 0] = 1.0
-    for cov in schema.covariates:
-        lo, hi = column_groups[cov.name]
-        if cov.kind == "binary":
-            vals = sample.columns.get(cov.name)
-            if vals is None or (vals.dtype.kind == "f" and np.isnan(vals).any()):
-                raise SchemaError(f"covariate {cov.name!r} is missing from some births")
-            x[:, lo] = vals != cov.reference
-        else:
-            _continuous_columns(cov, sample, centering, knot_source, x[:, lo:hi])
-
-    constant = np.flatnonzero((x.max(axis=0) == x.min(axis=0))[1:]) + 1
-    if constant.size:
-        j = int(constant[0])
-        name = next(name for name, (lo, hi) in column_groups.items() if lo <= j < hi)
-        raise DegenerateDesignError(name, f"column {j} of group {name!r} is constant")
-
+    if isinstance(knot_source, DesignLayout):
+        if knot_source.schema != schema or knot_source.centering != centering:
+            raise ValueError("the layout was placed under another schema or centering")
+        layout = knot_source
+    else:
+        layout = place_knots(schema, centering, knot_source)
+    writer = DesignRows(sample, layout)
+    x = np.empty((sample.n_births, layout.n_cols))
+    for a in range(0, sample.n_births, _BLOCK_ROWS):
+        writer.write(a, x[a : a + _BLOCK_ROWS])
+    writer.check()
     return DesignMatrix(
         x=x,
         outcome=sample.outcome,
         cluster_index=sample.cluster,
-        column_groups=column_groups,
+        column_groups=dict(layout.column_groups),
         n_clusters=sample.n_clusters,
         survey_id=sample.survey_id,
     )

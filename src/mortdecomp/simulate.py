@@ -17,15 +17,17 @@ import numpy as np
 
 from ._phi import ndtr
 from .dataset import (
+    _BLOCK_ROWS,
     _FIELDS,
     _LEVELS,
     AGE_RANGE,
-    CenteringConstants,
     CovariateSchema,
+    DesignLayout,
+    DesignRows,
     SurveySample,
-    build_design,
     compute_centering,
     in_age_range,
+    place_knots,
     pool_samples,
 )
 from .errors import ConfigError, read_fields, require_number, require_object
@@ -177,35 +179,47 @@ def _generate_sample(
         if "birth_order" in columns:
             columns["birth_order"] = np.trunc(columns["birth_order"].astype(float))
         kept = in_age_range(columns, n)
-        if not kept.any():
+        n_kept = int(kept.sum())
+        if not n_kept:
             raise ValueError(f"no maternal age lies in {list(AGE_RANGE)}")
+        if n_kept < n:  # a column is copied only when the filter drops a birth
+            cluster_id = cluster_id[kept]
+            columns = {name: values[kept] for name, values in columns.items()}
         return SurveySample.from_columns(
-            survey_id, spec.survey_year, np.zeros(int(kept.sum()), dtype=np.int64), cluster_id[kept],
-            {name: values[kept] for name, values in columns.items()}, dropped_rows=n - int(kept.sum()),
+            survey_id, spec.survey_year, np.zeros(n_kept, dtype=np.int64), cluster_id, columns, n - n_kept
         )
     except ValueError as exc:
         raise ConfigError(f"survey {survey_id}: the generated covariates are not a valid sample ({exc})") from None
 
 
 def _with_outcomes(
-    spec: SyntheticSurveySpec,
-    sample: SurveySample,
-    sid: str,
-    schema: CovariateSchema,
-    centering: CenteringConstants,
-    knot_source: dict[str, np.ndarray],
-    rng: np.random.Generator,
+    spec: SyntheticSurveySpec, sample: SurveySample, layout: DesignLayout, rng: np.random.Generator
 ) -> SurveySample:
-    """``sample`` with outcomes drawn on its design from ``spec``'s truth; the design lives only in this call."""
-    design = build_design(sample, schema, centering, knot_source)
+    """``sample`` with outcomes drawn on its design from ``spec``'s truth.
+
+    The design is written one row block at a time into one reused
+    buffer, and only its product with ``beta`` is kept, so no whole
+    design matrix exists.  A constant design column is reported before a
+    ``beta`` of the wrong length.
+    """
+    rows = DesignRows(sample, layout)
     beta = np.asarray(spec.beta, dtype=float)
-    if beta.shape != (design.n_cols,):
+    fits = beta.shape == (layout.n_cols,)
+    n = sample.n_births
+    eta = np.empty(n)
+    buffer = np.empty((min(n, _BLOCK_ROWS), layout.n_cols))
+    for a in range(0, n, _BLOCK_ROWS):
+        block = rows.write(a, buffer[: n - a])
+        if fits:
+            np.matmul(block, beta, out=eta[a : a + block.shape[0]])
+    rows.check()
+    if not fits:
         raise ConfigError(
-            f"{sid}: beta has length {beta.size} but the design has "
-            f"{design.n_cols} columns (intercept + expanded covariates)"
+            f"{sample.survey_id}: beta has length {beta.size} but the design has "
+            f"{layout.n_cols} columns (intercept + expanded covariates)"
         )
     gamma = rng.normal(0.0, np.sqrt(spec.sigma2), size=spec.n_clusters)
-    eta = design.x @ beta + gamma[design.cluster_index]
+    eta += gamma[sample.cluster]
     probs = ndtr(eta)
     if probs.min() <= 0.0 or probs.max() >= 1.0:
         raise ConfigError(
@@ -238,10 +252,9 @@ def synthesize(dgp: SyntheticConfig, seed: int) -> tuple[SurveySample, SurveySam
         for spec, sid, rng in zip((dgp.s1, dgp.s2), ("S1", "S2"), cov_rngs)
     ]
     centering = compute_centering(bare[0], dgp.schema)
-    knot_source = pool_samples(*bare)
-
+    layout = place_knots(dgp.schema, centering, pool_samples(*bare))  # the pooled columns go once knots exist
     s1, s2 = [
-        _with_outcomes(spec, sample, sid, dgp.schema, centering, knot_source, rng)
-        for spec, sample, sid, rng in zip((dgp.s1, dgp.s2), bare, ("S1", "S2"), effect_rngs)
+        _with_outcomes(spec, sample, layout, rng)
+        for spec, sample, rng in zip((dgp.s1, dgp.s2), bare, effect_rngs)
     ]
     return s1, s2

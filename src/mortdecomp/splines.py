@@ -86,14 +86,16 @@ def bspline_basis(x, knots, degree: int) -> np.ndarray:
     return basis[0] if scalar else basis
 
 
-def quantile_knots(values, degree: int, df: int) -> np.ndarray:
+def quantile_knots(values, degree: int, df: int, *, overwrite_input: bool = False) -> np.ndarray:
     """Build a clamped knot vector with interior knots at equally spaced
     quantiles of ``values``.
 
     ``df`` is the number of design columns the covariate contributes
     after the first basis function is dropped for identifiability with
     an intercept, so the full basis has ``df + 1`` functions and
-    ``df - degree`` interior knots.
+    ``df - degree`` interior knots.  With ``overwrite_input``, as in
+    ``np.quantile``, a float array ``values`` is reordered in place
+    instead of copied; the knots are the same.
     """
     if df < max(degree, 1):
         raise SchemaError(f"df must be >= max(degree, 1); got df={df}, degree={degree}")
@@ -105,5 +107,5 @@ def quantile_knots(values, degree: int, df: int) -> np.ndarray:
         raise SchemaError("knot source values are constant; spline basis would be degenerate")
     n_interior = df - degree
     probs = np.arange(1, n_interior + 1) / (n_interior + 1)
-    interior = np.quantile(v, probs) if n_interior > 0 else np.empty(0)
+    interior = np.quantile(v, probs, overwrite_input=overwrite_input) if n_interior > 0 else np.empty(0)
     return np.concatenate([np.full(degree + 1, lo), interior, np.full(degree + 1, hi)])

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mortdecomp.cli as cli
+import mortdecomp.dataset as dataset_module
 import mortdecomp.decompose as decompose_module
 import mortdecomp.report
 from mortdecomp._phi import ndtr
@@ -25,6 +26,7 @@ from mortdecomp.dataset import CovariateSchema, build_design, compute_centering,
 from mortdecomp.decompose import ComponentSummary, _openblas_threads
 from mortdecomp.errors import ConfigError, MortdecompError, SingularDesignError
 from mortdecomp.sampler import ChainQualityWarning, GibbsChain, load_draws
+from mortdecomp.splines import quantile_knots
 from mortdecomp.validation import validate_suite
 
 
@@ -421,6 +423,48 @@ def test_a_csv_pair_without_wealth_rank_runs(tmp_path, simulated_csvs):
     cfg["schema"]["covariates"].append({"name": "maternal_age", "kind": "continuous_spline"})
     assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 0
     assert json.loads((tmp_path / "out" / "decomposition.json").read_text())["order"][-1] == "maternal_age"
+
+
+def test_a_constant_column_names_its_survey_in_csv_input(tmp_path, simulated_csvs, capsys):
+    # fit builds both designs, so a survey 2 of male births only stops fitting survey 1 too
+    s2 = tmp_path / "s2.csv"
+    s2.write_text((simulated_csvs / "s2.csv").read_text(encoding="utf-8").replace("female", "male"), encoding="utf-8")
+    config = write_config(tmp_path, csv_config(tmp_path / "out", simulated_csvs / "s1.csv", s2))
+    assert main(["fit", "--survey", "s1", "--config", str(config)]) == 2
+    assert first_error_record(capsys) == {
+        "stage": "build_design", "type": "DegenerateDesignError",
+        "message": "survey S2: column 1 of group 'sex' is constant",
+    }
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_constant_column_names_its_survey_in_synthetic_input(tmp_path, capsys):
+    cfg = base_config(tmp_path / "out")
+    covariates(cfg, "s2")["sex"] = {"dist": "choice", "values": ["male"]}
+    assert main(["simulate", "--config", str(write_config(tmp_path, cfg))]) == 2
+    assert first_error_record(capsys) == {
+        "stage": "load_samples", "type": "DegenerateDesignError",
+        "message": "survey S2: column 1 of group 'sex' is constant",
+    }
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_pair_places_its_knots_once(tmp_path, monkeypatch):
+    # one quantile_knots call per spline covariate, for both designs
+    cfg = base_config(tmp_path / "out")
+    cfg["schema"]["covariates"].append({"name": "maternal_age", "kind": "continuous_spline"})
+    cfg["input"]["dgp"]["s1"]["beta"] += [0.1, 0.0, -0.1, 0.05]
+    cfg["input"]["dgp"]["s2"]["beta"] += [0.1, 0.0, -0.1, 0.05]
+    config = RunConfig.from_file(write_config(tmp_path, cfg))
+    samples = cli._load_samples(config)
+    placed = []
+    monkeypatch.setattr(dataset_module, "quantile_knots", lambda *a, **kw: placed.append(a) or quantile_knots(*a, **kw))
+    d1, d2 = cli._build_designs(config, *samples)
+    assert len(placed) == 1
+    pooled = pool_samples(*samples)
+    for sample, design in zip(samples, (d1, d2)):
+        alone = build_design(sample, config.schema, compute_centering(samples[0], config.schema), pooled)
+        assert design.x.tobytes() == alone.x.tobytes() and design.column_groups == alone.column_groups
 
 
 @pytest.mark.skipif(_openblas_threads() is None, reason="numpy's BLAS exports no thread control")

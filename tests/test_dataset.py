@@ -20,6 +20,7 @@ from mortdecomp.dataset import (
     compute_centering,
     default_schema,
     ingest_csv,
+    place_knots,
     pool_samples,
     SurveySample,
     write_survey_csv,
@@ -267,12 +268,18 @@ class TestBuildDesign:
         d2 = build_design(s2, schema, centering, pooled)
         assert d1.column_groups == d2.column_groups
         assert d1.n_cols == d2.n_cols == 1 + 4 + 1
+        # the knots placed once give the same designs; a layout placed under another schema is refused
+        layout = place_knots(schema, centering, pooled)
+        for sample, design in ((s1, d1), (s2, d2)):
+            assert build_design(sample, schema, centering, layout).x.tobytes() == design.x.tobytes()
+        with pytest.raises(ValueError, match="another schema or centering"):
+            build_design(s1, CovariateSchema(schema.covariates[:1]), centering, layout)
 
     def test_constant_binary_column_is_degenerate(self):
         schema = CovariateSchema((CovariateSpec("sex", "binary", reference="female"),))
         rows = [{"outcome": i % 2, "cluster_id": "a", "sex": "female"} for i in range(6)]
         sample = make_sample(rows)
-        with pytest.raises(DegenerateDesignError, match="sex"):
+        with pytest.raises(DegenerateDesignError, match="^survey S1: column 1 of group 'sex' is constant$"):
             build_design(sample, schema, CenteringConstants.zeros(schema), sample.columns)
 
     def test_design_is_deterministic_and_frozen(self):

@@ -29,7 +29,7 @@ from mortdecomp.errors import (
         EmptyInputError("no rows"),
         RowError("s2.csv", 7, "non-numeric cell 'x'"),
         DegenerateDesignError("sex"),
-        DegenerateDesignError("sex", "column 3 of group 'sex' is constant"),
+        DegenerateDesignError("sex", "survey S2: column 3 of group 'sex' is constant"),
         SingularDesignError(1.25e-19),
         NonConvergenceError("no convergence after 50 iterations", last_iterate=np.array([0.5, -1.0])),
     ],

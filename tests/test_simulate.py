@@ -1,10 +1,14 @@
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.special import ndtr, ndtri
 
-from conftest import traced_peak
+from conftest import _FIELD_DISTRIBUTIONS, traced_peak
+from mortdecomp import dataset
 from mortdecomp.dataset import CovariateSchema, CovariateSpec, write_survey_csv
-from mortdecomp.errors import ConfigError
+from mortdecomp.errors import ConfigError, DegenerateDesignError
 from mortdecomp.simulate import SyntheticConfig, SyntheticSurveySpec, _draw, synthesize
 
 
@@ -148,10 +152,47 @@ def test_missing_prob_produces_missing_intervals():
 
 
 def test_synthesize_peak_memory_is_bounded(large_dgp):
-    # object draws and two designs alive at once peak at 21.4 MB; typed draws and one design, 13.5 MB
+    # object draws and two designs alive at once peaked at 21.4 MB; typed draws and one whole design, 11.0 MB
+    # (13.5 MB when the bound was set); the design a row block at a time and the pair's knots placed once, 6.3 MB
     (s1, s2), peak = traced_peak(synthesize, large_dgp, 2)
     assert s1.n_births == s2.n_births == 20_000
-    assert peak < 17.5, f"synthesize peaked {peak:.1f} MB above its start"
+    assert peak < 10.1, f"synthesize peaked {peak:.1f} MB above its start"
+
+
+# SHA-256 of the two CSVs that ``pinned_pair`` writes, recorded when each design was still built whole
+# before its product with beta: drawing outcomes from row blocks must move no byte.
+PINNED_CSV_SHA256 = {
+    "s1.csv": "c29e11ae42bc551087ecefbe4d163d1b77d4f4f935ea3bb426d815e292b518bb",
+    "s2.csv": "65ffc4e445399fd048e7cb8928da2ba528be71ec6d20bb5ec49be096d34e919c",
+}
+
+
+def pinned_pair(large_dgp):
+    """Two default-schema surveys of 601 x 15 births, so each design spans three row blocks and ends in a
+    short one; survey 2's mothers are 14 to 46, so the age filter drops some of its births."""
+    wide_ages = {**_FIELD_DISTRIBUTIONS, "maternal_age": {"dist": "uniform", "low": 14.0, "high": 46.0}}
+    s1 = replace(large_dgp.s1, n_clusters=601, births_per_cluster=15)
+    s2 = replace(large_dgp.s2, n_clusters=601, births_per_cluster=15, covariates=wide_ages)
+    return synthesize(replace(large_dgp, s1=s1, s2=s2), 5)
+
+
+def test_synthesized_bytes_are_pinned(large_dgp, tmp_path):
+    s1, s2 = pinned_pair(large_dgp)
+    assert (s1.n_births, s1.dropped_rows) == (9015, 0)
+    assert (s2.n_births, s2.dropped_rows) == (8479, 536)
+    assert s1.n_births > 2 * dataset._BLOCK_ROWS and s2.n_births % dataset._BLOCK_ROWS
+    for sample, name in ((s1, "s1.csv"), (s2, "s2.csv")):
+        write_survey_csv(sample, tmp_path / name)
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == PINNED_CSV_SHA256[name], name
+
+
+def test_a_constant_generated_covariate_names_its_group_and_survey(large_dgp):
+    # every survey-1 birth urban: the residence column (the design's last, 23) is constant
+    urban = {**_FIELD_DISTRIBUTIONS, "residence": {"dist": "choice", "values": ["urban"]}}
+    dgp = replace(large_dgp, s1=replace(large_dgp.s1, n_clusters=40, covariates=urban))
+    with pytest.raises(DegenerateDesignError, match="^survey S1: column 23 of group 'residence' is constant$") as caught:
+        synthesize(dgp, 1)
+    assert caught.value.column_name == "residence"
 
 
 def test_numeric_draws_are_typed_and_other_values_are_converted_as_given():

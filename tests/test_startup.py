@@ -78,6 +78,24 @@ def test_cli_import_changes_no_environment():
     )
 
 
+def test_cli_import_loads_no_openssl():
+    # hashlib loads OpenSSL's libcrypto (about 3.4 MB of RSS); only run's manifest hashes.
+    # numpy 1.x imports numpy.random (and so hashlib) with numpy itself, so only what cli adds is checked.
+    run_fresh(
+        """
+        import sys
+
+        import numpy
+        import scipy.special
+
+        before = "_hashlib" in sys.modules
+        import mortdecomp.cli
+
+        assert ("_hashlib" in sys.modules) == before
+        """
+    )
+
+
 def test_every_export_resolves_and_is_listed():
     run_fresh(
         """
