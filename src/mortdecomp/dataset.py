@@ -60,10 +60,18 @@ _LEVELS = {"sex": ("female", "male"), "residence": ("rural", "urban")}
 _KIND_KEYS = {"continuous_spline": ("degree", "df", "allow_missing"), "binary": ("reference",)}
 # The share of survey 1's households, poorest first, whose births are the centering reference.
 _POOR_QUANTILE = 0.2
-# Rows the data layer handles at a time: ``ingest_csv`` parses this many CSV rows, ``write_survey_csv``
-# formats this many births, and ``build_design`` evaluates a spline basis on this many.  One block's
-# cells are the only per-cell Python objects the CSV functions hold.
+# Rows the data layer handles at a time: ``ingest_csv`` parses this many CSV rows and ``build_design``
+# evaluates a spline basis on this many.  One block's cells are the only per-cell Python objects the
+# CSV reader holds.
 _BLOCK_ROWS = 4096
+# Cells a CSV file is formatted in at a time: ``write_survey_csv`` and ``save_draws`` take as many
+# rows as hold this many cells, a column at a time, and ``write_csv`` joins and writes them as one
+# string (for numbers, under glibc's 128 KiB mmap threshold).  A design built after a write piles its
+# peak on what the write left resident: the decompose benchmark's set-up, run three times in one
+# process, peaked at 53.7 MB with a ``csv.writer`` row at a time, 54.5 MB formatting 1024 births
+# (9 cells each) at a time and 52.8 MB formatting 4096 cells; ``run``'s peak rose 2.3 MB when it
+# formatted 1024 draws of 25 cells at a time.
+_WRITE_CELLS = 4096
 
 
 def _field_checks(columns: dict) -> list:
@@ -124,8 +132,10 @@ class SurveySample(FrozenArrays):
     ``cluster`` holds each birth's code into ``cluster_ids``, which lists
     the clusters in first-appearance order: the first birth's code is 0,
     and each later code is at most one above the highest code before it.
-    ``columns`` holds one array per ingested or generated field (see
-    ``_FIELDS``).  Arrays are frozen read-only.
+    No cluster id is empty or has surrounding whitespace, so every id
+    reads back from a written CSV as itself.  ``columns`` holds one array
+    per ingested or generated field (see ``_FIELDS``).  Arrays are frozen
+    read-only.
     """
 
     survey_id: str
@@ -146,6 +156,9 @@ class SurveySample(FrozenArrays):
         highest = np.maximum.accumulate(np.concatenate(([-1], self.cluster)))  # the highest code up to each birth
         if np.any(self.cluster < 0) or np.any(self.cluster > highest[:-1] + 1) or highest[-1] != self.n_clusters - 1:
             raise ValueError("cluster codes must run 0..n_clusters-1 in first-appearance order")
+        unreadable = next((c for c in self.cluster_ids if not c or c != c.strip()), None)
+        if unreadable is not None:  # ingest_csv strips each cell and refuses an empty one
+            raise ValueError(f"cluster id {unreadable!r} is empty or has surrounding whitespace")
         outcome = ((self.outcome != 0) & (self.outcome != 1), lambda i: f"outcome must be 0 or 1, got {self.outcome[i]}")
         failure = _first_failure([outcome, *_field_checks(self.columns)])
         if failure is not None:
@@ -487,34 +500,55 @@ def ingest_csv(path, schema: CovariateSchema, survey_year: int, survey_id: str =
     return SurveySample.from_columns(survey_id, survey_year, outcome, cluster_id, columns, n - outcome.size)
 
 
+def _table_cells(table, codes: np.ndarray) -> list[str]:
+    """``table[code]`` for each of ``codes``: cells that share the table's strings."""
+    return list(map(table.__getitem__, codes.tolist()))
+
+
+def _number_cells(values: np.ndarray, integer: bool) -> list[str]:
+    """``values`` as CSV cells: ``repr`` of each float, or of its ``int`` when ``integer``; NaN as an empty cell."""
+    missing = np.isnan(values)
+    if integer:
+        cells = list(map(repr, map(int, np.where(missing, 0.0, values).tolist())))
+    else:
+        cells = list(map(repr, values.tolist()))
+    for i in np.flatnonzero(missing).tolist():
+        cells[i] = ""
+    return cells
+
+
 def write_survey_csv(sample: SurveySample, path) -> None:
     """Write a sample in the CSV layout :func:`ingest_csv` reads.
 
     Columns missing on every birth are omitted; other missing values are
     empty cells.  Numbers are written as ``repr(float)``, birth orders as
-    integers.  Births are formatted and written ``_BLOCK_ROWS`` at a time.
+    integers.  Births are formatted as many at a time as hold
+    ``_WRITE_CELLS`` cells, a column at once: each numeric column through
+    one ``map(repr, ...)``, and the outcome, the two-level fields and the
+    cluster ids by looking each code up in a table of their strings;
+    :func:`write_csv` quotes the cells that need it and writes the rows.
     """
     if sample.n_births == 0:
         raise EmptyInputError("cannot write an empty sample")
     cols = sample.columns
     fields = [f for f in _FIELDS if f in cols and (f in _LEVELS or not np.isnan(cols[f]).all())]
-    ids = np.asarray(sample.cluster_ids)
 
     def cells(name, rows):
-        values = cols[name][rows].tolist()
-        if name in _LEVELS:
-            return values
-        fmt = (lambda v: str(int(v))) if name == "birth_order" else repr
-        return ["" if v != v else fmt(v) for v in values]  # NaN is missing
+        if name in _LEVELS:  # every value is one of the two levels
+            return _table_cells(_LEVELS[name], cols[name][rows] == _LEVELS[name][1])
+        return _number_cells(cols[name][rows], integer=name == "birth_order")
+
+    size = max(1, _WRITE_CELLS // (len(fields) + 2))
 
     def block(start):
-        rows = slice(start, start + _BLOCK_ROWS)
-        table = [sample.outcome[rows].tolist(), *(cells(name, rows) for name in fields)]
-        table.append(ids[sample.cluster[rows]].tolist())
-        return zip(*table)
+        rows = slice(start, start + size)
+        return [
+            _table_cells(("0", "1"), sample.outcome[rows]),
+            *(cells(name, rows) for name in fields),
+            _table_cells(sample.cluster_ids, sample.cluster[rows]),
+        ]
 
-    blocks = map(block, range(0, sample.n_births, _BLOCK_ROWS))
-    write_csv(path, ["outcome", *fields, "cluster_id"], itertools.chain.from_iterable(blocks))
+    write_csv(path, ["outcome", *fields, "cluster_id"], map(block, range(0, sample.n_births, size)))
 
 
 def pool_samples(*samples: SurveySample) -> dict[str, np.ndarray]:

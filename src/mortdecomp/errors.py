@@ -1,8 +1,8 @@
 """Exception types, the ``require_*`` checks on input values, the one reader of a config and its sections
 (:func:`read_fields`), and the package's one JSON reader (:func:`read_json`) and writer (:func:`write_json`)
 and one CSV reader (:func:`read_csv_blocks`, whole-file as :func:`read_csv`, with :func:`csv_line`, the one
-rule for a bad record's line) and writer (:func:`write_csv`): every config section, JSON file and CSV file the
-package reads or writes goes through them."""
+rule for a bad record's line) and column-wise writer (:func:`write_csv`): every config section, JSON file and
+CSV file the package reads or writes goes through them."""
 
 from __future__ import annotations
 
@@ -225,9 +225,35 @@ def csv_line(path, index: int) -> int:
         return next(itertools.islice(ends, index, None))
 
 
-def write_csv(path, header, rows) -> None:
-    """Write ``header``, then every row of ``rows``, to ``path`` as UTF-8 CSV in the csv module's default dialect."""
+# A cell holding any of these is quoted; so is an empty cell that is its row's only field.
+_SPECIAL = (",", '"', "\r", "\n")
+
+
+def _csv_cells(cells: list[str], alone: bool) -> list[str]:
+    """``cells`` as the excel dialect writes them: a cell that holds a delimiter, a quote or a line
+    break, or that is empty and ``alone`` in its row, quoted with its quotes doubled; others as they are.
+    The whole column is checked once, and only when it holds such a cell are its cells checked."""
+    text = "".join(cells)
+    if not any(ch in text for ch in _SPECIAL) and not (alone and "" in cells):
+        return cells
+    return [
+        '"' + cell.replace('"', '""') + '"' if (alone and not cell) or any(ch in cell for ch in _SPECIAL) else cell
+        for cell in cells
+    ]
+
+
+def write_csv(path, header, blocks) -> None:
+    """Write ``header``, then the rows of every block of ``blocks``, to ``path`` as UTF-8 CSV in the
+    csv module's default (excel) dialect, byte for byte as ``csv.writer`` writes it.
+
+    A block is a list of ``len(header)`` equal-length columns of ``str`` cells; its rows follow the
+    previous block's.  Each column is quoted as :func:`_csv_cells` says, and each block's rows are
+    joined, each ending in CRLF, and written as one string: a caller bounds the writer's memory by the
+    size of its blocks."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        for columns in itertools.chain([[[name] for name in header]], blocks):
+            alone = len(columns) == 1
+            lines = list(map(",".join, zip(*(_csv_cells(cells, alone) for cells in columns), strict=True)))
+            lines.append("")  # the last line's CRLF
+            fh.write("\r\n".join(lines))
+            del columns, lines  # this block's cells go before the next block's are formatted

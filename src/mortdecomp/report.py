@@ -141,23 +141,21 @@ def write_mortality_table(doc: dict, path) -> None:
         *(overall[key] * 1000 for key in _RATE_FIELDS),
         *(overall[key] for key in _ANNUALIZED_FIELDS),
     ]
-    write_csv(path, header, [[format_rate(value) for value in row]])
+    write_csv(path, header, [[[format_rate(value)] for value in row]])
 
 
 def _write_component_table(doc: dict, path, names, percents: bool) -> None:
     """One row per component in ``names``: its annualized effect, the percent
     columns when ``percents``, and its significance flag."""
     percent_keys = _PERCENT_FIELDS if percents else ()
-    rows = []
-    for name in names:
-        comp = doc["components"][name]
-        rows.append([
-            name,
-            *(format_rate(comp[key]) for key in _ANNUALIZED_FIELDS),
-            *(format_percent(comp[key]) for key in percent_keys),
-            format_flag(comp["significant"]),
-        ])
-    write_csv(path, ["component", "effect_per_year", "lower", "upper", *percent_keys, "significant"], rows)
+    comps = [doc["components"][name] for name in names]
+    columns = [
+        list(names),
+        *([format_rate(comp[key]) for comp in comps] for key in _ANNUALIZED_FIELDS),
+        *([format_percent(comp[key]) for comp in comps] for key in percent_keys),
+        [format_flag(comp["significant"]) for comp in comps],
+    ]
+    write_csv(path, ["component", "effect_per_year", "lower", "upper", *percent_keys, "significant"], [columns])
 
 
 def write_overall_table(doc: dict, path) -> None:
@@ -172,12 +170,9 @@ def write_coef_table(doc: dict, path) -> None:
 
 def write_variance_profile(profile, path) -> None:
     """Partial-sum variance per added group, full precision for plotting."""
-    header = ["m", "group_added", "partial_sum_variance"]
-    rows = [
-        [m + 1, name, repr(float(var))]
-        for m, (name, var) in enumerate(zip(profile.order, profile.partial_sum_variance))
-    ]
-    write_csv(path, header, rows)
+    variances = [repr(float(var)) for var in profile.partial_sum_variance]
+    columns = [[str(m) for m in range(1, len(variances) + 1)], list(profile.order), variances]
+    write_csv(path, ["m", "group_added", "partial_sum_variance"], [columns])
 
 
 def write_all_tables(doc: dict, out_dir) -> list[Path]:

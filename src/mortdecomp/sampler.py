@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from ._phi import ndtr, ndtri
-from .dataset import DesignMatrix, FrozenArrays
+from .dataset import _WRITE_CELLS, DesignMatrix, FrozenArrays
 from .errors import ConfigError, SingularDesignError, csv_line, read_csv, read_json, write_csv, write_json
 from .errors import read_fields, require_number, require_object, require_str
 
@@ -468,11 +468,19 @@ def diagnostics(draws: PosteriorDraws) -> FitDiagnostics:
 def save_draws(draws: PosteriorDraws, csv_path, sidecar_path=None, config_echo: dict | None = None) -> None:
     """Write draws as CSV (one row per draw) plus a JSON sidecar.
 
-    The CSV carries full round-trip precision; the sidecar records the
-    survey id, column groups and whatever configuration echo is passed.
+    The CSV carries full round-trip precision, ``repr(float)`` of each
+    value; draws are formatted as many at a time as hold ``_WRITE_CELLS``
+    cells, each parameter column through one ``map(repr, ...)``.  The
+    sidecar records the survey id, column groups and whatever
+    configuration echo is passed.
     """
-    rows = ([repr(float(v)) for v in b] + [repr(float(s2))] for b, s2 in zip(draws.beta, draws.sigma2))
-    write_csv(csv_path, draws.parameter_names(), rows)
+    table = np.column_stack([draws.beta, draws.sigma2]).astype(float, copy=False)
+    size = max(1, _WRITE_CELLS // table.shape[1])
+    blocks = (
+        [list(map(repr, column)) for column in table[a : a + size].T.tolist()]
+        for a in range(0, draws.n_draws, size)
+    )
+    write_csv(csv_path, draws.parameter_names(), blocks)
     if sidecar_path is not None:
         sidecar = {
             "survey_id": draws.survey_id,

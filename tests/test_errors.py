@@ -1,9 +1,12 @@
+import csv
 import json
 import pickle
 from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mortdecomp.errors import (
     ConfigError,
@@ -161,9 +164,44 @@ def test_read_json_names_the_file(tmp_path, data, words):
 def test_write_csv_and_read_csv_round_trip(tmp_path):
     rows = [["1", "a,b", 'say "hi"'], ["2", "", "\u00e9"]]
     path = tmp_path / "table.csv"
-    write_csv(path, ["n", "text", "quote"], iter(rows))
+    write_csv(path, ["n", "text", "quote"], iter([[list(column) for column in zip(*rows)]]))
     assert path.read_bytes() == 'n,text,quote\r\n1,"a,b","say ""hi"""\r\n2,,\u00e9\r\n'.encode("utf-8")
     assert read_csv(path) == [["n", "text", "quote"], *rows]
+
+
+def reference_csv(path, header, rows):
+    """``header`` and ``rows`` written a row at a time by ``csv.writer``: the bytes ``write_csv`` must give."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+# Cells with every character the excel dialect quotes for, blanks, and other text; not NUL, which
+# csv.writer on Python 3.10 refuses to write unescaped.
+_cell = st.text(st.sampled_from([",", '"', "\r", "\n", " ", "\t", "a", "1", "\u00e9", "\u4e2d", "\U0001f600"])
+                | st.characters(exclude_categories=("Cs",), exclude_characters="\x00"), max_size=5)
+
+
+@st.composite
+def _tables(draw):
+    """A header and the rows below it, cut into blocks of columns as ``write_csv`` takes them."""
+    width = draw(st.integers(1, 4))
+    header = draw(st.lists(_cell, min_size=width, max_size=width))
+    blocks = draw(st.lists(st.lists(st.lists(_cell, min_size=width, max_size=width), max_size=5), max_size=3))
+    return header, [row for block in blocks for row in block], [[list(c) for c in zip(*b)] for b in blocks if b]
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=_tables())
+@example(table=(["only"], [[""], ["x"], [""]], [[["", "x"]], [[""]]]))
+@example(table=([""], [[""]], [[[""]]]))
+def test_write_csv_writes_the_bytes_of_csv_writer(tmp_path_factory, table):
+    header, rows, blocks = table
+    folder = tmp_path_factory.mktemp("csv")
+    write_csv(folder / "columns.csv", header, iter(blocks))
+    reference_csv(folder / "rows.csv", header, rows)
+    assert (folder / "columns.csv").read_bytes() == (folder / "rows.csv").read_bytes()
 
 
 def test_read_csv_reads_blank_lines_as_empty_rows(tmp_path):

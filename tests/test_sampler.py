@@ -469,7 +469,7 @@ class TestDiagnostics:
 
 
 class TestSerialization:
-    def test_round_trip_is_lossless(self, tmp_path):
+    def test_round_trip_is_lossless(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(6)
         draws = PosteriorDraws(
             survey_id="S2",
@@ -485,6 +485,13 @@ class TestSerialization:
         np.testing.assert_array_equal(loaded.sigma2, draws.sigma2)
         assert loaded.survey_id == "S2"
         assert loaded.column_groups == draws.column_groups
+        # one block or blocks of 7 draws: the bytes of repr(float(value)) written a row at a time
+        want = "beta_0,beta_1,beta_2,sigma2\r\n" + "".join(
+            ",".join(repr(float(v)) for v in (*b, s2)) + "\r\n" for b, s2 in zip(draws.beta, draws.sigma2)
+        )
+        monkeypatch.setattr(sampler_module, "_WRITE_CELLS", 28)  # 4 columns a draw
+        save_draws(draws, tmp_path / "blocks.csv")
+        assert csv_path.read_bytes() == (tmp_path / "blocks.csv").read_bytes() == want.encode()
 
     def test_header_validation(self, tmp_path):
         bad = tmp_path / "bad.csv"
