@@ -4,8 +4,8 @@ The fitted model conditions on a per-cluster effect; two surveys have
 different, non-aligned clusters, so comparisons must integrate the
 effect out.  For a probit model the integral has a closed form: scale
 the coefficients by 1/sqrt(1 + sigma2).  This script checks that scaling
-against brute-force Monte-Carlo integration, and shows what adopting
-the (wrong) multiply convention would do.
+against brute-force Monte-Carlo integration, and shows what the wrong
+rule, multiplying by sqrt(1 + sigma2) instead, would do.
 
 Run with:  python demos/02_marginal_vs_conditional.py
 """
@@ -21,7 +21,7 @@ for eta in (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0):
     x = np.array([1.0])
     conditional = marginal_prob(x, beta)
     divide = marginal_prob(x, marginalize(beta, 1.0))
-    multiply = marginal_prob(x, marginalize(beta, 1.0, convention="maintext_multiply"))
+    multiply = marginal_prob(x, beta * np.sqrt(1.0 + 1.0))
     mc, se = mc_marginalization_oracle(beta, 1.0, x, n_draws=10**6, seed=int(10 * eta) + 99)
     print(f"{eta:8.1f}{conditional:13.4f}{divide:10.4f}{mc:10.4f}+-{3*se:.4f}{multiply:10.4f}")
 

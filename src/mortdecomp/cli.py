@@ -10,11 +10,10 @@ Subcommands:
 * ``validate``  run the internal cross-check suite and print pass/fail lines
 
 Each takes only the flags it reads: ``--config``, ``--seed`` and
-``--out`` for the four that read a run config, plus ``--order`` and
-``--marginalization`` for ``run`` and ``decompose``, ``--survey`` for
-``fit`` and ``--draws1``/``--draws2`` for ``decompose``; ``report``
-takes ``--results`` and ``--out``, ``validate`` ``--seed`` and
-``--marginalization``.
+``--out`` for the four that read a run config, plus ``--order`` for
+``run`` and ``decompose``, ``--survey`` for ``fit`` and
+``--draws1``/``--draws2`` for ``decompose``; ``report`` takes
+``--results`` and ``--out``, ``validate`` ``--seed``.
 
 ``run`` is ``fit --survey s1``, ``fit --survey s2`` and ``decompose`` in
 one process.  The commands share one function per stage (load the
@@ -80,7 +79,7 @@ from .errors import ConfigError, MortdecompError, read_fields, read_json, write_
 from .errors import require_number, require_object, require_seed, require_str
 # diagnostics, mean_mortality and variance_collapse are not called in this
 # module; perfbench/tracing.py wraps them here by name, so they stay imported.
-from .marginal import CONVENTIONS, mean_mortality, require_convention  # noqa: F401
+from .marginal import mean_mortality  # noqa: F401
 from .report import (
     TABLE_FILES,
     load_results,
@@ -135,7 +134,6 @@ class RunConfig:
     prior: PriorSpec = PriorSpec()
     mcmc: McmcConfig = field(default_factory=dict)  # read from its section; each survey's chain runs it on its own seed
     order: tuple[str, ...] | None = None  # the intercept and every schema covariate; None for the schema's order
-    marginalization: str = "appendix_divide"
     auto_extend: bool = True
     echo: dict = field(init=False, default_factory=dict)  # the config as given, overrides merged, for the manifest
 
@@ -182,7 +180,7 @@ class RunConfig:
         ``read_fields``: each top-level key by its kind, and each section but ``input`` and ``mcmc`` by its reader."""
         echo = {**require_object(raw, "config"), **(overrides or {})}
         config = read_fields(cls, echo, "", {
-            "seed": require_seed, "out_dir": str, "marginalization": require_convention, "auto_extend": bool,
+            "seed": require_seed, "out_dir": str, "auto_extend": bool,
             "schema": CovariateSchema.from_dict,
             "survey_years": _read_years, "prior": PriorSpec.from_dict, "order": _read_order,
         })
@@ -380,10 +378,7 @@ def _decompose_and_write(config: RunConfig, d1, d2, draws1, draws2, out: _Output
     from the first write on.  Returns the ``DecompositionSummary``.
     """
     out.stage = "decompose"
-    summary = posterior_decompose(
-        d1, d2, draws1, draws2, years_between=config.years_between, order=config.order,
-        convention=config.marginalization,
-    )
+    summary = posterior_decompose(d1, d2, draws1, draws2, years_between=config.years_between, order=config.order)
     profile = VarianceCollapseProfile.from_draws(summary.draws)
 
     out.stage = "emit"
@@ -464,7 +459,7 @@ def run_pipeline(config: RunConfig) -> dict:
 
 def _config(args) -> RunConfig:
     """The run config in ``--config``; a flag named after one of its keys, when given, replaces that key."""
-    flags = {key: getattr(args, key, None) for key in ("seed", "out_dir", "order", "marginalization")}
+    flags = {key: getattr(args, key, None) for key in ("seed", "out_dir", "order")}
     return RunConfig.from_file(args.config, {key: value for key, value in flags.items() if value is not None})
 
 
@@ -551,7 +546,7 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    results = validate_suite(convention=args.marginalization, seed=args.seed)
+    results = validate_suite(seed=args.seed)
     for check in results:
         status = "PASS" if check.passed else "FAIL"
         print(f"{status} {check.name}: {check.detail}")
@@ -559,15 +554,12 @@ def _cmd_validate(args) -> int:
     return 0 if all(c.passed for c in results) else 1
 
 
-_MARGINALIZATION_HELP = "coefficient rescaling convention for integrating cluster effects"
-
 # The flags of the subcommands that read a run configuration.
 _CONFIG_FLAGS = {
     "--config": dict(required=True, help="JSON run configuration"),
     "--seed": dict(type=int, default=None, help="override the config seed"),
     "--out": dict(dest="out_dir", default=None, help="override the output directory"),
     "--order": dict(type=lambda order: order.split(","), default=None, help="comma-separated decomposition order"),
-    "--marginalization": dict(choices=list(CONVENTIONS), default=None, help=_MARGINALIZATION_HELP),
 }
 
 
@@ -586,10 +578,10 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(flag, **_CONFIG_FLAGS[flag])
         return p
 
-    add("run", "full pipeline", "--order", "--marginalization")
+    add("run", "full pipeline", "--order")
     add("simulate", "write synthetic survey CSVs")
     add("fit", "fit one survey").add_argument("--survey", choices=["s1", "s2"], required=True)
-    p_dec = add("decompose", "decompose saved draws", "--order", "--marginalization")
+    p_dec = add("decompose", "decompose saved draws", "--order")
     p_dec.add_argument("--draws1", default=None, help="survey 1 draws CSV (default <out>/draws_s1.csv)")
     p_dec.add_argument("--draws2", default=None, help="survey 2 draws CSV (default <out>/draws_s2.csv)")
     p_rep = sub.add_parser("report", help="re-render tables from a decomposition JSON")
@@ -597,8 +589,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--out", default=None, help="output directory (default: alongside results)")
     p_val = sub.add_parser("validate", help="run the cross-check suite")
     p_val.add_argument("--seed", type=int, default=0, help="seed of the randomized checks")
-    p_val.add_argument("--marginalization", choices=list(CONVENTIONS), default="appendix_divide",
-                       help=_MARGINALIZATION_HELP)
 
     return parser
 

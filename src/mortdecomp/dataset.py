@@ -91,6 +91,21 @@ def _field_checks(columns: dict) -> list:
     return checks
 
 
+def _nul_checks(name: str, cells) -> list:
+    """The check refusing a NUL character in column ``name``'s raw ``cells``; none when no cell holds one.
+    numpy's str dtype drops a NUL from a cell's end, so ``"a\\x00"`` would silently read as ``"a"``."""
+    if "\x00" not in "".join(cells):
+        return []
+    return [(np.array(["\x00" in c for c in cells]), lambda i: f"NUL character in {name}={cells[i].strip()!r}")]
+
+
+def _refuse_nul_id(ids) -> None:
+    """``ValueError`` naming the first of the cluster ``ids`` that holds a NUL character (see ``_nul_checks``)."""
+    nul = next((c for c in ids if "\x00" in c), None)
+    if nul is not None:
+        raise ValueError(f"cluster id {nul!r} holds a NUL character")
+
+
 def in_age_range(columns: dict, n: int) -> np.ndarray:
     """Mask of the births whose mother's age lies in ``AGE_RANGE``; every birth when no age is recorded."""
     if "maternal_age" not in columns:
@@ -132,10 +147,10 @@ class SurveySample(FrozenArrays):
     ``cluster`` holds each birth's code into ``cluster_ids``, which lists
     the clusters in first-appearance order: the first birth's code is 0,
     and each later code is at most one above the highest code before it.
-    No cluster id is empty or has surrounding whitespace, so every id
-    reads back from a written CSV as itself.  ``columns`` holds one array
-    per ingested or generated field (see ``_FIELDS``).  Arrays are frozen
-    read-only.
+    No cluster id is empty, has surrounding whitespace or holds a NUL
+    character, so every id reads back from a written CSV as itself.
+    ``columns`` holds one array per ingested or generated field (see
+    ``_FIELDS``).  Arrays are frozen read-only.
     """
 
     survey_id: str
@@ -159,6 +174,7 @@ class SurveySample(FrozenArrays):
         unreadable = next((c for c in self.cluster_ids if not c or c != c.strip()), None)
         if unreadable is not None:  # ingest_csv strips each cell and refuses an empty one
             raise ValueError(f"cluster id {unreadable!r} is empty or has surrounding whitespace")
+        _refuse_nul_id(self.cluster_ids)
         outcome = ((self.outcome != 0) & (self.outcome != 1), lambda i: f"outcome must be 0 or 1, got {self.outcome[i]}")
         failure = _first_failure([outcome, *_field_checks(self.columns)])
         if failure is not None:
@@ -177,8 +193,13 @@ class SurveySample(FrozenArrays):
         ``cluster_id`` labels each birth's cluster; clusters are coded in
         first-appearance order.  Numeric columns become float64 (``None``
         reads as missing), ``sex`` and ``residence`` str.  An array already
-        of its column's dtype is taken as it is, and frozen read-only.
+        of its column's dtype is taken as it is, and frozen read-only.  A
+        cluster id holding a NUL character raises ``ValueError``.
         """
+        if not (isinstance(cluster_id, np.ndarray) and cluster_id.dtype.kind == "U"):
+            # the str conversion below drops a trailing NUL (a str array has lost its own already);
+            # __post_init__ refuses a NUL left inside an id
+            _refuse_nul_id([str(c) for c in cluster_id])
         ids, first, inverse = np.unique(np.asarray(cluster_id, dtype=str), return_index=True, return_inverse=True)
         by_first = np.argsort(first)
         return cls(
@@ -413,6 +434,8 @@ def _read_block(rows: list[list[str]], start: int, width: int, position: dict, f
         wide = np.array([len(row) for row in rows]) > width
         checks.append((wide, lambda i: f"{len(rows[i])} cells under a {width}-column header"))
     table += [("",) * len(rows)] * (width - len(table))
+    for name in ("outcome", "cluster_id", *(f for f in fields if f in _LEVELS)):  # str columns, which drop NULs
+        checks += _nul_checks(name, table[position[name]])
     outcome = np.array([c.strip() for c in table[position["outcome"]]])
     cluster_id = np.array([c.strip() for c in table[position["cluster_id"]]])
     checks += [
@@ -455,8 +478,9 @@ def ingest_csv(path, schema: CovariateSchema, survey_year: int, survey_id: str =
     of dropped rows is recorded on the sample, and a file with no row
     left raises ``EmptyInputError``.  A bad row raises ``RowError`` naming
     the file and the row's CSV line: parse errors (empty, unparseable or
-    non-finite cells) count on every row, range and level errors only on
-    rows that are kept.  A file that is not UTF-8, or that the CSV reader
+    non-finite cells, and a NUL character in ``outcome``, ``cluster_id``,
+    ``sex`` or ``residence``) count on every row, range and level errors
+    only on rows that are kept.  A file that is not UTF-8, or that the CSV reader
     rejects (a field over its size limit, say), raises ``ConfigError``
     naming the file, and the line for the CSV reader; those faults come
     first, wherever they are in the file.

@@ -78,8 +78,6 @@ _ADDITIVITY_TOL = 1e-12
 
 
 def _link_fn(link):
-    if callable(link):
-        return link
     if link == "probit":
         return ndtr
     if link == "identity":
@@ -314,9 +312,7 @@ def decompose_draws(design1, design2, tilde1, tilde2, order=None, link="probit")
     its blocks, so a draw's arithmetic does not depend on the core
     count.  Both identities are checked to 1e-12 on the full arrays, and
     a NaN fails them.  A non-finite draw raises ``ConfigError``.
-    ``link`` is ``"probit"``, ``"identity"`` or a callable with the
-    ufunc protocol ``f(v, out=None)`` that writes into ``out`` and
-    returns it.
+    ``link`` is ``"probit"`` (``ndtr``) or ``"identity"``.
     """
     tilde1, tilde2 = np.atleast_2d(tilde1, tilde2)
     if design1.n_cols != design2.n_cols or design1.column_groups != design2.column_groups:
@@ -434,7 +430,6 @@ class DecompositionSummary:
     components: dict[str, ComponentSummary]
     rate_s1: MortalitySummary
     rate_s2: MortalitySummary
-    convention: str = "appendix_divide"
     draws: DecompositionDraws | None = field(default=None, repr=False, compare=False)
 
 
@@ -456,7 +451,6 @@ def _summarize(
     name: str, values: np.ndarray, overall: np.ndarray, years_between: float
 ) -> ComponentSummary:
     lo, hi = np.percentile(values, [2.5, 97.5])
-    scale = 1000.0 / years_between
     overall_mean = float(overall.mean())
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(overall != 0.0, 100.0 * values / overall, np.nan)
@@ -469,9 +463,9 @@ def _summarize(
         mean=float(values.mean()),
         lower=float(lo),
         upper=float(hi),
-        annualized=float(values.mean() * scale),
-        annualized_lower=float(lo * scale),
-        annualized_upper=float(hi * scale),
+        annualized=annualize(float(values.mean()) * 1000.0, years_between),
+        annualized_lower=annualize(float(lo) * 1000.0, years_between),
+        annualized_upper=annualize(float(hi) * 1000.0, years_between),
         percent=percent_of(float(values.mean()), overall_mean),
         percent_lower=float(p_lo),
         percent_upper=float(p_hi),
@@ -486,8 +480,6 @@ def posterior_decompose(
     draws2,
     years_between: float,
     order=None,
-    convention: str = "appendix_divide",
-    link="probit",
 ) -> DecompositionSummary:
     """Run the full decomposition on every paired posterior draw.
 
@@ -507,9 +499,9 @@ def posterior_decompose(
                 f"survey {k}: draws were fitted under column groups {draws.column_groups}, "
                 f"but the design has {design.column_groups}"
             )
-    tilde1 = marginalize(draws1.beta, draws1.sigma2, convention)
-    tilde2 = marginalize(draws2.beta, draws2.sigma2, convention)
-    per_draw = decompose_draws(design1, design2, tilde1, tilde2, order, link)
+    tilde1 = marginalize(draws1.beta, draws1.sigma2)
+    tilde2 = marginalize(draws2.beta, draws2.sigma2)
+    per_draw = decompose_draws(design1, design2, tilde1, tilde2, order)
     overall = per_draw.overall_diff
     components = {
         "overall_diff": _summarize("overall_diff", overall, overall, years_between),
@@ -525,6 +517,5 @@ def posterior_decompose(
         components=components,
         rate_s1=MortalitySummary.from_draws(per_draw.rate1),
         rate_s2=MortalitySummary.from_draws(per_draw.rate2),
-        convention=convention,
         draws=per_draw,
     )

@@ -2,10 +2,8 @@
 
 Integrating a normal random intercept with variance ``sigma2`` out of a
 probit model leaves another probit model whose coefficients are scaled
-by ``1 / sqrt(1 + sigma2)``.  That rescaling is the default here; the
-``maintext_multiply`` convention (scaling by ``sqrt(1 + sigma2)``) is
-exposed only so its effect can be examined, and fails the Monte-Carlo
-cross-check in :mod:`mortdecomp.validation` by construction.
+by ``1 / sqrt(1 + sigma2)``; :mod:`mortdecomp.validation` checks that
+closed form against direct Monte-Carlo integration.
 """
 
 from __future__ import annotations
@@ -15,43 +13,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._phi import ndtr
-from .errors import ConfigError, require_str
 
 __all__ = [
-    "CONVENTIONS",
     "MortalitySummary",
     "marginalize",
     "marginal_prob",
     "mean_mortality",
 ]
 
-CONVENTIONS = ("appendix_divide", "maintext_multiply")
 
-
-def require_convention(value) -> str:
-    """``value`` if it names one of ``CONVENTIONS``; ``ConfigError`` naming ``marginalization`` otherwise."""
-    if require_str(value, "marginalization") not in CONVENTIONS:
-        raise ConfigError(f"marginalization must be one of {CONVENTIONS}, got {value!r}")
-    return value
-
-
-def _scale(sigma2, convention: str):
-    """Coefficient scale factor for a scalar or an array of ``sigma2`` draws."""
-    require_convention(convention)
-    sigma2 = np.asarray(sigma2, dtype=float)
-    if np.any(sigma2 < 0):
-        raise ValueError(f"sigma2 must be >= 0, got {sigma2.min()}")
-    root = np.sqrt(1.0 + sigma2)
-    return 1.0 / root if convention == "appendix_divide" else root
-
-
-def marginalize(beta, sigma2, convention: str = "appendix_divide") -> np.ndarray:
+def marginalize(beta, sigma2) -> np.ndarray:
     """Rescale conditional coefficients into marginal-model coefficients.
 
     ``beta`` is one coefficient vector with a scalar ``sigma2``, or an
     ``(L, p)`` draw matrix with one ``sigma2`` per row.
     """
-    tilde = np.asarray(beta, dtype=float) * _scale(sigma2, convention)[..., None]
+    sigma2 = np.asarray(sigma2, dtype=float)
+    if np.any(sigma2 < 0):
+        raise ValueError(f"sigma2 must be >= 0, got {sigma2.min()}")
+    tilde = np.asarray(beta, dtype=float) * (1.0 / np.sqrt(1.0 + sigma2))[..., None]
     if not np.all(np.isfinite(tilde)):
         raise ValueError("marginal coefficients must be finite")
     return tilde
@@ -78,7 +58,7 @@ class MortalitySummary:
         return cls(mean=float(rates.mean() * 1000), lower=float(lo * 1000), upper=float(hi * 1000))
 
 
-def mean_mortality(design, draws, convention: str = "appendix_divide") -> MortalitySummary:
+def mean_mortality(design, draws) -> MortalitySummary:
     """Posterior summary of ``mean_i Phi(x_i' beta_tilde)`` scaled to per-1000.
 
     Each retained draw is marginalized and averaged over the design's
@@ -88,5 +68,5 @@ def mean_mortality(design, draws, convention: str = "appendix_divide") -> Mortal
     """
     from .decompose import decompose_draws  # decompose imports this module
 
-    tilde = marginalize(draws.beta, draws.sigma2, convention)
+    tilde = marginalize(draws.beta, draws.sigma2)
     return MortalitySummary.from_draws(decompose_draws(design, design, tilde, tilde).rate1)

@@ -74,7 +74,6 @@ def summary_to_dict(summary) -> dict:
     return {
         "years_between": summary.years_between,
         "order": list(summary.order),
-        "convention": summary.convention,
         "rates_per_1000": {
             sid: {key: getattr(rate, key) for key in _RATE_FIELDS}
             for sid, rate in (("s1", summary.rate_s1), ("s2", summary.rate_s2))

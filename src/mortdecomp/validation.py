@@ -153,7 +153,7 @@ def linear_triangle_deviation(rng: np.random.Generator, n_fixtures: int) -> floa
     return worst
 
 
-def marginalization_grid_deviation(n_draws: int, seed: int, convention: str = "appendix_divide") -> float:
+def marginalization_grid_deviation(n_draws: int, seed: int) -> float:
     """Worst gap, in Monte-Carlo standard errors, between ``marginalize`` and
     ``mc_marginalization_oracle`` over x'beta in -2..2 and sigma2 in {0, 0.25, 1, 4}.
 
@@ -165,7 +165,7 @@ def marginalization_grid_deviation(n_draws: int, seed: int, convention: str = "a
     grid = [(eta, sigma2) for eta in (-2.0, -1.0, 0.0, 1.0, 2.0) for sigma2 in (0.0, 0.25, 1.0, 4.0)]
     for k, (eta, sigma2) in enumerate(grid):
         estimate, se = mc_marginalization_oracle([eta], sigma2, [1.0], n_draws, seed=(seed, k))
-        prob = marginal_prob([1.0], marginalize([eta], sigma2, convention))
+        prob = marginal_prob([1.0], marginalize([eta], sigma2))
         if se == 0.0:
             worst = max(worst, 0.0 if prob == estimate else np.inf)
         else:
@@ -229,18 +229,18 @@ class CheckResult:
     detail: str
 
 
-def validate_suite(convention: str = "appendix_divide", seed: int = 0) -> list[CheckResult]:
+def validate_suite(seed: int = 0) -> list[CheckResult]:
     """The ``mortdecomp validate`` checks, seeded from ``seed`` (a ``ConfigError`` unless ``require_seed`` takes it)."""
     seed = require_seed(seed)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     linear = linear_triangle_deviation(rng, 100)
-    grid = marginalization_grid_deviation(200_000, seed + 12345, convention)
+    grid = marginalization_grid_deviation(200_000, seed + 12345)
     prior = prior_limit_deviation(100, seed + 1, seed + 2)
     overall, groups = additivity_deviation(rng, 200)
     return [
         CheckResult("linear_triangle", linear < 1e-12, f"max deviation {linear:.2e} (tol 1e-12)"),
         CheckResult("mc_marginalization_grid", bool(grid <= 3.0),
-                    f"max deviation {grid:.2f} MC standard errors (tol 3), convention {convention}"),
+                    f"max deviation {grid:.2f} MC standard errors (tol 3)"),
         CheckResult("ml_prior_limit", bool(prior <= 2.0), f"max deviation {prior:.2f} MC standard errors (tol 2)"),
         CheckResult("collapsing_sum_fuzz", overall < 1e-12 and groups < 1e-12,
                     f"max |sum(groups)-beta| {groups:.2e}, max |x+beta-overall| {overall:.2e} (tol 1e-12)"),
@@ -289,7 +289,7 @@ class VarianceCollapseProfile:
         )
 
 
-def variance_collapse(design2, draws1, draws2, order=None, convention: str = "appendix_divide") -> VarianceCollapseProfile:
+def variance_collapse(design2, draws1, draws2, order=None) -> VarianceCollapseProfile:
     """Profile of posterior variances as group effects accumulate.
 
     For every paired draw the per-group effects are computed in
@@ -298,6 +298,6 @@ def variance_collapse(design2, draws1, draws2, order=None, convention: str = "ap
     matrix of the individual effects.  For draws already decomposed,
     ``VarianceCollapseProfile.from_draws`` gives it without a second walk.
     """
-    tilde1 = marginalize(draws1.beta, draws1.sigma2, convention)
-    tilde2 = marginalize(draws2.beta, draws2.sigma2, convention)
+    tilde1 = marginalize(draws1.beta, draws1.sigma2)
+    tilde2 = marginalize(draws2.beta, draws2.sigma2)
     return VarianceCollapseProfile.from_draws(decompose_draws(design2, design2, tilde1, tilde2, order))

@@ -20,6 +20,7 @@ import mortdecomp.cli as cli
 import mortdecomp.dataset as dataset_module
 import mortdecomp.decompose as decompose_module
 import mortdecomp.report
+import mortdecomp.validation as validation
 from mortdecomp._phi import ndtr
 from mortdecomp.cli import RunConfig, main, run_pipeline
 from mortdecomp.dataset import CovariateSchema, build_design, compute_centering, default_schema, ingest_csv, pool_samples
@@ -141,25 +142,28 @@ class TestRunConfig:
             RunConfig.from_file(path)
 
     def test_overrides_applied(self, tmp_path):
-        overrides = {"seed": 9, "out_dir": str(tmp_path / "other"), "order": ["sex", "intercept"],
-                     "marginalization": "maintext_multiply"}
+        overrides = {"seed": 9, "out_dir": str(tmp_path / "other"), "order": ["sex", "intercept"]}
         config = RunConfig.from_dict(base_config(tmp_path / "out"), overrides=overrides)
         assert config.echo == {**base_config(tmp_path / "out"), **overrides}
         assert config.seed == 9
         assert config.out_dir.endswith("other")
         assert config.order == ("sex", "intercept")
-        assert config.marginalization == "maintext_multiply"
 
     def test_unknown_marginalization_rejected(self, tmp_path):
+        # marginalization has one rule, so the key is gone: any value is refused as an unknown key
         cfg = base_config(tmp_path / "out")
-        cfg["marginalization"] = "sideways"
-        with pytest.raises(ConfigError, match=re.escape(
-            "marginalization must be one of ('appendix_divide', 'maintext_multiply'), got 'sideways'"
-        )):
-            RunConfig.from_dict(cfg)
-        cfg["marginalization"] = 5
-        with pytest.raises(ConfigError, match="marginalization must be a string, got 5"):
-            RunConfig.from_dict(cfg)
+        for value in ("appendix_divide", "maintext_multiply", "sideways", 5):
+            cfg["marginalization"] = value
+            with pytest.raises(ConfigError, match=re.escape("config has unknown key(s): marginalization")):
+                RunConfig.from_dict(cfg)
+
+    def test_readme_example_config_is_read(self):
+        # the README's JSON example is a config the reader takes as it stands
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"^```json\n(.*?)^```", readme, flags=re.S | re.M)
+        assert len(blocks) == 1
+        config = RunConfig.from_dict(json.loads(blocks[0]))
+        assert config.seed == 20240810 and config.years_between == 14.0
 
 
 class TestPipeline:
@@ -508,7 +512,8 @@ def test_without_blas_control_one_worker_for_surveys_and_kernel(tmp_path, monkey
         threads.add(threading.get_ident())
         return ndtr(v, out=out)
 
-    decompose_module.decompose_draws(d1, d2, tilde, tilde + 0.1, link=recording_ndtr)
+    monkeypatch.setattr(decompose_module, "ndtr", recording_ndtr)
+    decompose_module.decompose_draws(d1, d2, tilde, tilde + 0.1)
     assert threads == {threading.get_ident()}
 
 
@@ -1081,11 +1086,13 @@ class TestCommands:
         assert (rendered / "mortality.csv").read_text() == (out / "mortality.csv").read_text()
         assert (rendered / "overall_decomp.csv").read_text() == (out / "overall_decomp.csv").read_text()
 
-    def test_validate_reports_convention_failure(self, capsys):
+    def test_validate_reports_convention_failure(self, capsys, monkeypatch):
         assert main(["validate"]) == 0
         out = capsys.readouterr().out
         assert out.count("PASS") == 4
-        assert main(["validate", "--marginalization", "maintext_multiply"]) == 1
+        # scaling by sqrt(1 + sigma2) instead of dividing by it must fail the grid
+        monkeypatch.setattr(validation, "marginalize", lambda beta, sigma2: np.asarray(beta) * np.sqrt(1.0 + sigma2))
+        assert main(["validate"]) == 1
         out = capsys.readouterr().out
         assert "FAIL mc_marginalization_grid" in out
 
@@ -1110,9 +1117,13 @@ class TestCommands:
             ["validate", "--config", "c.json"],
             ["validate", "--out", "out"],
             ["validate", "--order", "sex"],
+            ["run", "--config", "c.json", "--marginalization", "appendix_divide"],
+            ["decompose", "--config", "c.json", "--marginalization", "appendix_divide"],
+            ["validate", "--marginalization", "appendix_divide"],
         ],
         ids=["simulate_order", "simulate_marginalization", "fit_order", "fit_marginalization",
-             "validate_config", "validate_out", "validate_order"],
+             "validate_config", "validate_out", "validate_order",
+             "run_marginalization", "decompose_marginalization", "validate_marginalization"],
     )
     def test_flag_the_subcommand_does_not_read_exits_2(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -1308,8 +1319,7 @@ def mutated_configs(draw):
 
 
 # Every top-level default of a run config as JSON; mcmc's is the one key of that section whose default is null.
-_SPELLED_DEFAULTS = {"order": None, "auto_extend": True, "marginalization": "appendix_divide", "prior": {},
-                     "mcmc": {"thin": None}}
+_SPELLED_DEFAULTS = {"order": None, "auto_extend": True, "prior": {}, "mcmc": {"thin": None}}
 
 
 @pytest.mark.parametrize("chain", ["given", "default"])

@@ -2,6 +2,7 @@ import csv
 import json
 import pickle
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -445,6 +446,37 @@ def test_a_cluster_id_that_would_not_read_back_is_refused(bad_id):
     with pytest.raises(ValueError, match=f"^cluster id {re.escape(repr(bad_id))} is empty or has surrounding"):
         make_sample([{"outcome": 0, "cluster_id": "a"}, {"outcome": 1, "cluster_id": bad_id}])
     assert make_sample([{"outcome": 0, "cluster_id": "a b"}, {"outcome": 1, "cluster_id": 'q"3'}]).n_clusters == 2
+
+
+@pytest.mark.parametrize("bad_id", ["a\x00", "a\x00b", "\x00"])
+def test_a_cluster_id_holding_a_nul_is_refused(bad_id):
+    # numpy's str dtype drops a trailing NUL, so "a\x00" would silently join cluster "a"
+    with pytest.raises(ValueError, match=f"^cluster id {re.escape(repr(bad_id))} holds a NUL character"):
+        make_sample([{"outcome": 0, "cluster_id": "a"}, {"outcome": 1, "cluster_id": bad_id}])
+    with pytest.raises(ValueError, match=f"^cluster id {re.escape(repr(bad_id))} holds a NUL character"):
+        SurveySample("S1", 2000, np.zeros(2, dtype=np.int64), np.array([0, 1]), ("a", bad_id), {})
+
+
+@pytest.mark.parametrize(
+    "row, field",
+    [
+        ("1\x00,25,6,2,24,female,rural,0.3,b\n", "outcome"),
+        ("0,25,6,2,24,female,rural,0.3,a\x00\n", "cluster_id"),
+        ("0,25,6,2,24,male\x00,rural,0.3,b\n", "sex"),
+        ("0,25,6,2,24,female,urban\x00,0.3,b\n", "residence"),
+    ],
+    ids=["outcome", "cluster_id", "sex", "residence"],
+)
+def test_a_nul_character_in_a_str_cell_is_refused(tmp_path, row, field):
+    # Python 3.11's CSV reader accepts NUL and numpy's str dtype drops one from a cell's end: cluster
+    # "a\x00" merged into "a", "male\x00" read as male and outcome "1\x00" as 1; Python 3.10's reader
+    # refuses the file itself
+    path = write_csv(tmp_path, ["0,25,6,2,24,female,rural,0.3,a\n", row, "1,30,2,4,,male,urban,0.1,b\n"])
+    with pytest.raises(MortdecompError) as err:
+        ingest_csv(path, default_schema(), survey_year=2000)
+    if sys.version_info >= (3, 11):
+        assert isinstance(err.value, RowError) and err.value.line_number == 3
+        assert f"NUL character in {field}=" in str(err.value)
 
 
 def test_field_invariants_hold_for_samples_built_in_code():

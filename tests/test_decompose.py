@@ -202,19 +202,21 @@ class TestDecomposeDraw:
         with pytest.raises(ConfigError, match=f"survey {survey}: draw 3 has a non-finite coefficient"):
             decompose_draws(d1, d2, *tilde)
 
-    def test_nan_link_values_fail_the_identity_checks(self):
+    def test_nan_link_values_fail_the_identity_checks(self, monkeypatch):
         rng = np.random.default_rng(15)
         d1, d2 = random_design(rng, 15, [1, 2]), random_design(rng, 15, [1, 2])
         b1, b2 = rng.normal(size=4), rng.normal(size=4)
+        monkeypatch.setattr(decompose_module, "ndtr", lambda v, out=None: np.multiply(ndtr(v), np.nan, out=out))
         with pytest.raises(ValueError, match="must equal the overall difference"):
-            decompose_draws(d1, d2, b1, b2, link=lambda v, out=None: np.multiply(ndtr(v), np.nan, out=out))
+            decompose_draws(d1, d2, b1, b2)
         calls = itertools.count()
 
         def nan_on_the_first_swap(v, out=None):  # calls: rate1, the crossed mean, then the intercept's swap
             return np.multiply(ndtr(v), np.nan if next(calls) == 2 else 1.0, out=out)
 
+        monkeypatch.setattr(decompose_module, "ndtr", nan_on_the_first_swap)
         with pytest.raises(ValueError, match="group effects must sum"):
-            decompose_draws(d1, d2, b1, b2, link=nan_on_the_first_swap)
+            decompose_draws(d1, d2, b1, b2)
 
 
 def constant_draws(beta_row, sigma2, n):
@@ -257,6 +259,11 @@ class TestPosteriorDecompose:
         b = out.components["beta_effect"]
         assert abs(x.percent + b.percent - 100.0) < 1e-9
         assert out.components["overall_diff"].percent == 100.0
+        # the tables' per-year figures are annualize's, the arithmetic the paper fixtures check
+        for comp in out.components.values():
+            pairs = ((comp.annualized, comp.mean), (comp.annualized_lower, comp.lower), (comp.annualized_upper, comp.upper))
+            for per_year, value in pairs:
+                assert per_year == annualize(value * 1000.0, 14.0), comp.name
 
     def test_offsetting_effects_can_exceed_100_percent(self):
         # Colombia-style row: positive covariate effect, negative
@@ -350,10 +357,9 @@ class TestKernel:
         n1, n2, k = self.d1.n_rows, self.d2.n_rows, len(self.order)
         assert sum(evaluated) == self.draws1.n_draws * (n1 + (k + 2) * n2)
 
-    def test_identity_link_matches_linear_oracle_per_draw(self):
-        out = posterior_decompose(
-            self.d1, self.d2, self.draws1, self.draws2, years_between=10.0, link="identity"
-        )
+    def test_identity_link_matches_linear_oracle_per_draw(self, monkeypatch):
+        monkeypatch.setattr(decompose_module, "ndtr", np.positive)  # the identity link in place of Phi
+        out = posterior_decompose(self.d1, self.d2, self.draws1, self.draws2, years_between=10.0)
         tilde1 = marginalize(self.draws1.beta, self.draws1.sigma2)
         tilde2 = marginalize(self.draws2.beta, self.draws2.sigma2)
         xbar1, xbar2 = self.d1.x.mean(axis=0), self.d2.x.mean(axis=0)
@@ -416,19 +422,20 @@ class TestThreadedKernel:
         self.draws2 = PosteriorDraws(survey_id="S2", beta=beta2, sigma2=self.draws1.sigma2, column_groups={})
         self.order = ["g1", "g2", "intercept", "g0"]
 
-    def decompose(self, n_draws=None, **kwargs):
+    def decompose(self, n_draws=None):
         take = slice(None, n_draws)
         draws1, draws2 = (
             PosteriorDraws(survey_id=d.survey_id, beta=d.beta[take].copy(), sigma2=d.sigma2[take].copy())
             for d in (self.draws1, self.draws2)
         )
-        return posterior_decompose(
-            self.d1, self.d2, draws1, draws2, years_between=10.0, order=self.order, **kwargs
-        ).draws
+        return posterior_decompose(self.d1, self.d2, draws1, draws2, years_between=10.0, order=self.order).draws
 
-    def draws_on(self, monkeypatch, cores, n_draws=None, **kwargs):
+    def draws_on(self, monkeypatch, cores, n_draws=None, link=None):
+        """The draws decomposed on ``cores`` cores; ``link``, when given, stands in for Phi."""
         monkeypatch.setattr(decompose_module, "_available_cores", lambda: cores)
-        return self.decompose(n_draws, **kwargs)
+        if link is not None:
+            monkeypatch.setattr(decompose_module, "ndtr", link)
+        return self.decompose(n_draws)
 
     @pytest.mark.parametrize("cores, n_draws", [(2, None), (3, None), (7, None), (8, 3), (4, 1)])
     def test_threads_give_the_one_chunk_bytes(self, monkeypatch, cores, n_draws):

@@ -9,6 +9,7 @@ from mortdecomp.report import (
     format_flag,
     format_percent,
     format_rate,
+    load_results,
     summary_to_dict,
     write_all_tables,
     write_decomposition_json,
@@ -77,6 +78,10 @@ class TestTables:
         write_decomposition_json(doc, tmp_path / "decomposition.json")
         loaded = json.loads((tmp_path / "decomposition.json").read_text())
         assert loaded == json.loads(json.dumps(doc))
+        assert "convention" not in loaded
+        # a document that still carries the dropped "convention" key loads as before
+        write_decomposition_json({**doc, "convention": "appendix_divide"}, tmp_path / "old.json")
+        assert load_results(tmp_path / "old.json")["components"] == loaded["components"]
 
         paths = write_all_tables(loaded, tmp_path)
         assert sorted(p.name for p in paths) == ["coef_decomp.csv", "mortality.csv", "overall_decomp.csv"]

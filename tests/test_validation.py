@@ -78,9 +78,9 @@ class TestMcMarginalizationOracle:
         marginalize, marginal_prob = validation.marginalize, validation.marginal_prob
         exact = []
 
-        def tracking_marginalize(beta, sigma2, convention):
+        def tracking_marginalize(beta, sigma2):
             exact.append(sigma2 == 0.0)
-            return marginalize(beta, sigma2, convention)
+            return marginalize(beta, sigma2)
 
         def perturbed_prob(x, coefficients):
             return marginal_prob(x, coefficients) + (1e-15 if exact[-1] else 0.0)
