@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 # Each exported name and the submodule that defines it.
 _EXPORTS = {
     **dict.fromkeys((
-        "CenteringConstants", "CovariateSchema", "CovariateSpec", "DesignMatrix", "SurveySample",
+        "CovariateSchema", "CovariateSpec", "DesignMatrix", "SurveySample",
         "build_design", "compute_centering", "default_schema", "ingest_csv", "pool_samples",
         "write_survey_csv",
     ), "dataset"),

@@ -187,10 +187,6 @@ class RunConfig:
         object.__setattr__(config, "echo", echo)
         return config
 
-    @classmethod
-    def from_file(cls, path, overrides: dict | None = None) -> "RunConfig":
-        return cls.from_dict(read_json(path), overrides)
-
 
 @dataclass
 class _Outputs:
@@ -460,7 +456,7 @@ def run_pipeline(config: RunConfig) -> dict:
 def _config(args) -> RunConfig:
     """The run config in ``--config``; a flag named after one of its keys, when given, replaces that key."""
     flags = {key: getattr(args, key, None) for key in ("seed", "out_dir", "order")}
-    return RunConfig.from_file(args.config, {key: value for key, value in flags.items() if value is not None})
+    return RunConfig.from_dict(read_json(args.config), {k: v for k, v in flags.items() if v is not None})
 
 
 def _cmd_run(args) -> int:

@@ -39,7 +39,6 @@ __all__ = [
     "SurveySample",
     "CovariateSpec",
     "CovariateSchema",
-    "CenteringConstants",
     "DesignMatrix",
     "default_schema",
     "ingest_csv",
@@ -326,17 +325,6 @@ def default_schema() -> CovariateSchema:
 
 
 @dataclass(frozen=True)
-class CenteringConstants:
-    """Reference-population means for the schema's continuous covariates."""
-
-    values: dict[str, float]
-
-    @classmethod
-    def zeros(cls, schema: CovariateSchema) -> "CenteringConstants":
-        return cls({c.name: 0.0 for c in schema.continuous})
-
-
-@dataclass(frozen=True)
 class DesignMatrix(FrozenArrays):
     """Expanded covariate matrix with named column groups.
 
@@ -575,13 +563,11 @@ def write_survey_csv(sample: SurveySample, path) -> None:
     write_csv(path, ["outcome", *fields, "cluster_id"], map(block, range(0, sample.n_births, size)))
 
 
-def pool_samples(*samples: SurveySample) -> dict[str, np.ndarray]:
-    """The knot source of a pair of surveys: each numeric field every sample
-    carries, as one read-only column of the samples' values in sample order."""
-    if not samples:
-        raise ValueError("need at least one sample to pool")
-    shared = [name for name in samples[0].columns if name not in _LEVELS and all(name in s.columns for s in samples)]
-    pooled = {name: np.concatenate([s.columns[name] for s in samples]) for name in shared}
+def pool_samples(s1: SurveySample, s2: SurveySample) -> dict[str, np.ndarray]:
+    """The knot source of a pair of surveys: each numeric field both samples
+    carry, as one read-only column of survey 1's values, then survey 2's."""
+    shared = [name for name in s1.columns if name not in _LEVELS and name in s2.columns]
+    pooled = {name: np.concatenate([s1.columns[name], s2.columns[name]]) for name in shared}
     for column in pooled.values():
         column.setflags(write=False)
     return pooled
@@ -592,8 +578,8 @@ def _numeric(sample: SurveySample, name: str) -> np.ndarray:
     return sample.columns.get(name, np.full(sample.n_births, np.nan))
 
 
-def compute_centering(sample1: SurveySample, schema: CovariateSchema) -> CenteringConstants:
-    """Mean of each continuous covariate over the poorest households of survey 1.
+def compute_centering(sample1: SurveySample, schema: CovariateSchema) -> dict[str, float]:
+    """Mean of each continuous covariate over the poorest households of survey 1, keyed by its name.
 
     A birth is in the reference population when its wealth rank is
     recorded and at or below ``_POOR_QUANTILE``.  If no birth qualifies
@@ -615,7 +601,7 @@ def compute_centering(sample1: SurveySample, schema: CovariateSchema) -> Centeri
             if not vals.size:
                 raise SchemaError(f"covariate {cov.name!r} has no observed values")
         values[cov.name] = float(np.mean(vals))
-    return CenteringConstants(values)
+    return values
 
 
 @dataclass(frozen=True, eq=False)
@@ -629,7 +615,7 @@ class DesignLayout(FrozenArrays):
     """
 
     schema: CovariateSchema
-    centering: CenteringConstants
+    centering: dict[str, float]
     column_groups: dict[str, tuple[int, int]]
     splines: dict[str, tuple[float, np.ndarray]]
 
@@ -645,7 +631,7 @@ class DesignLayout(FrozenArrays):
 
 
 def place_knots(
-    schema: CovariateSchema, centering: CenteringConstants, knot_source: dict[str, np.ndarray]
+    schema: CovariateSchema, centering: dict[str, float], knot_source: dict[str, np.ndarray]
 ) -> DesignLayout:
     """The pair-level half of a design: each covariate's columns, and each spline's centre and knots.
 
@@ -663,7 +649,7 @@ def place_knots(
         col += width
         if cov.kind == "binary":
             continue
-        center = centering.values.get(cov.name)
+        center = centering.get(cov.name)
         if center is None:
             raise SchemaError(f"no centering constant for continuous covariate {cov.name!r}")
         src_raw = knot_source.get(cov.name, np.full(1, np.nan))  # an absent field has no observed value
@@ -756,7 +742,7 @@ class DesignRows:
 def build_design(
     sample: SurveySample,
     schema: CovariateSchema,
-    centering: CenteringConstants,
+    centering: dict[str, float],
     knot_source: dict[str, np.ndarray] | DesignLayout,
 ) -> DesignMatrix:
     """Assemble the design matrix for one survey.

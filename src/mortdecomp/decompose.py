@@ -194,7 +194,7 @@ def _distinct_rows(x: np.ndarray):
         return x, np.full(n, 1.0 / n)
     view = x.view(np.dtype((np.void, x.itemsize * p))).ravel()
     _, first, counts = np.unique(view, return_index=True, return_counts=True)
-    if 2 * first.size > n:  # keys collided: the rows are still mostly distinct
+    if 2 * first.size > n:  # keys collided, as rows two sign flips apart always do: a flip adds 2**63
         return x, np.full(n, 1.0 / n)
     return x[first], counts / n
 

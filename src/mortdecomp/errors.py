@@ -123,10 +123,12 @@ def require_bool(value, where: str) -> bool:
 
 
 def require_str(value, where: str) -> str:
-    """``value`` if it is a string; ``ConfigError`` otherwise, never converted."""
-    if isinstance(value, str):
-        return value
-    raise ConfigError(f"{where} must be a string, got {value!r}")
+    """``value`` if it is a string that holds no NUL character; ``ConfigError`` otherwise, never converted."""
+    if not isinstance(value, str):
+        raise ConfigError(f"{where} must be a string, got {value!r}")
+    if "\x00" in value:
+        raise ConfigError(f"{where} holds a NUL character: {value!r}")
+    return value
 
 
 def require_seed(value) -> int:

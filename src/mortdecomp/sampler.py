@@ -185,21 +185,18 @@ class _LatentLayout:
         self.high, self.far = (np.empty(death.size, dtype=bool) for _ in range(2))
 
 
-def _truncated_std_normal_above(a: np.ndarray, rng: np.random.Generator, layout: _LatentLayout | None = None):
+def _truncated_std_normal_above(a: np.ndarray, rng: np.random.Generator, layout: _LatentLayout):
     """Draw standard normals conditioned on X > a, elementwise.
 
-    The random stream is taken group by group in ``layout.groups``
-    (default: one group of every element): the group's uniforms for its
-    inverse-CDF draws, then its far-tail rejection draws.  Drawing several
-    groups in one call therefore gives exactly the draws, and leaves
-    ``rng`` in exactly the state, of one call per group.  When no element
-    reaches the far tail, one ``random`` call draws every uniform, each
-    element taking the one at its ``layout.position``; it yields the
-    doubles of the per-group calls.  Returns a buffer of ``layout``.
+    The random stream is taken group by group in ``layout.groups``: the
+    group's uniforms for its inverse-CDF draws, then its far-tail
+    rejection draws.  Drawing several groups in one call therefore gives
+    exactly the draws, and leaves ``rng`` in exactly the state, of one
+    call per group.  When no element reaches the far tail, one ``random``
+    call draws every uniform, each element taking the one at its
+    ``layout.position``; it yields the doubles of the per-group calls.
+    Returns a buffer of ``layout``.
     """
-    a = np.asarray(a, dtype=float)
-    if layout is None:
-        layout = _LatentLayout(np.ones(a.size))  # every element a death: one group
     t, u, high, far = layout.t, layout.u, layout.high, layout.far
     # ndtr(a) where a <= 0 (the lower CDF, well conditioned there) and the
     # upper tail ndtr(-a) where a > 0; a <= 0 leaves an upper tail >= 1/2
@@ -262,12 +259,13 @@ def sample_truncated_normal(mean, sd, side: str, rng: np.random.Generator):
     sd = np.broadcast_to(np.asarray(sd, dtype=float), mean.shape)
     if np.any(sd <= 0):
         raise ValueError("sd must be > 0")
+    layout = _LatentLayout(np.ones(mean.size))  # every element a death: one group
     if side == "left_of_zero":
-        x = _truncated_std_normal_above(-mean / sd, rng)
+        x = _truncated_std_normal_above(-mean / sd, rng, layout)
         w = mean + sd * x
         w = np.where(w <= 0.0, np.nextafter(0.0, 1.0), w)
     elif side == "right_of_zero":
-        x = _truncated_std_normal_above(mean / sd, rng)
+        x = _truncated_std_normal_above(mean / sd, rng, layout)
         w = mean - sd * x
         w = np.where(w >= 0.0, np.nextafter(0.0, -1.0), w)
     else:
@@ -465,7 +463,7 @@ def diagnostics(draws: PosteriorDraws) -> FitDiagnostics:
     )
 
 
-def save_draws(draws: PosteriorDraws, csv_path, sidecar_path=None, config_echo: dict | None = None) -> None:
+def save_draws(draws: PosteriorDraws, csv_path, sidecar_path, config_echo: dict | None = None) -> None:
     """Write draws as CSV (one row per draw) plus a JSON sidecar.
 
     The CSV carries full round-trip precision, ``repr(float)`` of each
@@ -481,15 +479,14 @@ def save_draws(draws: PosteriorDraws, csv_path, sidecar_path=None, config_echo: 
         for a in range(0, draws.n_draws, size)
     )
     write_csv(csv_path, draws.parameter_names(), blocks)
-    if sidecar_path is not None:
-        sidecar = {
-            "survey_id": draws.survey_id,
-            "column_groups": {k: [lo, hi] for k, (lo, hi) in draws.column_groups.items()},
-            "n_draws": draws.n_draws,
-            "n_coefficients": draws.n_coefficients,
-            "config": config_echo or {},
-        }
-        write_json(sidecar, sidecar_path)
+    sidecar = {
+        "survey_id": draws.survey_id,
+        "column_groups": {k: [lo, hi] for k, (lo, hi) in draws.column_groups.items()},
+        "n_draws": draws.n_draws,
+        "n_coefficients": draws.n_coefficients,
+        "config": config_echo or {},
+    }
+    write_json(sidecar, sidecar_path)
 
 
 def load_draws(csv_path, sidecar_path=None) -> PosteriorDraws:

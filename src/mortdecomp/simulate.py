@@ -30,7 +30,7 @@ from .dataset import (
     place_knots,
     pool_samples,
 )
-from .errors import ConfigError, read_fields, require_number, require_object
+from .errors import ConfigError, read_fields, require_number, require_object, require_str
 
 __all__ = ["SyntheticSurveySpec", "SyntheticConfig", "synthesize"]
 
@@ -53,8 +53,8 @@ def _check_distribution(spec, where: str) -> dict:
 
     Values are finite numbers, with ``high - low`` finite, ``sd >= 0``,
     ``a, b > 0`` and ``missing_prob`` in [0, 1]; ``choice`` ``values`` are
-    strings or numbers, and ``probs`` are non-negative, one per value,
-    summing to 1.
+    numbers or strings that hold no NUL, and ``probs`` are non-negative,
+    one per value, summing to 1.
     """
     kind = require_object(spec, where, ("dist",))["dist"]
     if not isinstance(kind, str) or kind not in _DIST_KEYS:
@@ -77,8 +77,7 @@ def _check_distribution(spec, where: str) -> dict:
     if not isinstance(values, list) or not values:
         raise ConfigError(f"{where}.values must be a non-empty list, got {values!r}")
     for value in values:
-        if not isinstance(value, str):
-            require_number(value, f"{where}.values")
+        (require_str if isinstance(value, str) else require_number)(value, f"{where}.values")
     if probs is not None:
         if not isinstance(probs, list) or len(probs) != len(values):
             raise ConfigError(f"{where}.probs must be a list of {len(values)} numbers, got {probs!r}")

@@ -21,10 +21,11 @@ def bspline_basis(x, knots, degree: int) -> np.ndarray:
 
     Parameters
     ----------
-    x : float or array_like
-        Evaluation points.  Values are clamped to the interval spanned
-        by the first and last knot, and the final interval is treated
-        as closed so the basis sums to one at the right boundary.
+    x : array_like
+        One-dimensional evaluation points.  Values are clamped to the
+        interval spanned by the first and last knot, and the final
+        interval is treated as closed so the basis sums to one at the
+        right boundary.
     knots : array_like
         Full non-decreasing knot vector, boundary multiplicities
         included.
@@ -34,9 +35,9 @@ def bspline_basis(x, knots, degree: int) -> np.ndarray:
     Returns
     -------
     ndarray
-        Shape ``(n_basis,)`` for scalar ``x`` or ``(len(x), n_basis)``
-        otherwise, where ``n_basis = len(knots) - degree - 1``.  Values
-        are non-negative and, on a clamped vector, sum to one.
+        Shape ``(len(x), n_basis)``, where ``n_basis = len(knots) -
+        degree - 1``.  Values are non-negative and, on a clamped vector,
+        sum to one.
     """
     if degree < 0:
         raise SchemaError(f"spline degree must be >= 0, got {degree}")
@@ -51,9 +52,7 @@ def bspline_basis(x, knots, degree: int) -> np.ndarray:
             f"need at least degree + 2 = {degree + 2} knots, got {t.size}"
         )
 
-    scalar = np.isscalar(x) or np.ndim(x) == 0
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
-    xv = np.clip(xv, t[0], t[-1])
+    xv = np.clip(np.asarray(x, dtype=float), t[0], t[-1])
 
     # Knot span: rightmost index i with t[i] <= x, restricted to spans
     # that carry basis functions.  x == t[-1] falls into the last span,
@@ -83,7 +82,7 @@ def bspline_basis(x, knots, degree: int) -> np.ndarray:
     basis = np.zeros((npts, n_basis))
     cols = span[:, None] - degree + np.arange(degree + 1)[None, :]
     basis[np.arange(npts)[:, None], cols] = active
-    return basis[0] if scalar else basis
+    return basis
 
 
 def quantile_knots(values, degree: int, df: int, *, overwrite_input: bool = False) -> np.ndarray:

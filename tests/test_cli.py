@@ -8,7 +8,7 @@ import subprocess
 import sys
 import threading
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,10 +23,13 @@ import mortdecomp.report
 import mortdecomp.validation as validation
 from mortdecomp._phi import ndtr
 from mortdecomp.cli import RunConfig, main, run_pipeline
-from mortdecomp.dataset import CovariateSchema, build_design, compute_centering, default_schema, ingest_csv, pool_samples
+from mortdecomp.dataset import (
+    CovariateSchema, build_design, compute_centering, default_schema, ingest_csv, pool_samples, write_survey_csv,
+)
 from mortdecomp.decompose import ComponentSummary, _openblas_threads
-from mortdecomp.errors import ConfigError, MortdecompError, SingularDesignError
+from mortdecomp.errors import ConfigError, MortdecompError, SingularDesignError, read_json
 from mortdecomp.sampler import ChainQualityWarning, GibbsChain, load_draws
+from mortdecomp.simulate import synthesize
 from mortdecomp.splines import quantile_knots
 from mortdecomp.validation import validate_suite
 
@@ -139,7 +142,7 @@ class TestRunConfig:
         path = tmp_path / "empty.json"
         path.write_text("")
         with pytest.raises(ConfigError, match="empty"):
-            RunConfig.from_file(path)
+            RunConfig.from_dict(read_json(path))
 
     def test_overrides_applied(self, tmp_path):
         overrides = {"seed": 9, "out_dir": str(tmp_path / "other"), "order": ["sex", "intercept"]}
@@ -164,6 +167,19 @@ class TestRunConfig:
         assert len(blocks) == 1
         config = RunConfig.from_dict(json.loads(blocks[0]))
         assert config.seed == 20240810 and config.years_between == 14.0
+
+
+def test_readme_library_quick_start_runs(tmp_path, monkeypatch, capsys, large_dgp):
+    # the README's Python example runs as it stands, on two small default-schema surveys in its working directory
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.S | re.M)
+    assert len(blocks) == 1
+    small = replace(large_dgp, s1=replace(large_dgp.s1, n_clusters=20), s2=replace(large_dgp.s2, n_clusters=20))
+    for sample, name in zip(synthesize(small, seed=5), ("survey1.csv", "survey2.csv")):
+        write_survey_csv(sample, tmp_path / name)
+    monkeypatch.chdir(tmp_path)
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    assert np.isfinite(float(capsys.readouterr().out))
 
 
 class TestPipeline:
@@ -459,7 +475,7 @@ def test_a_pair_places_its_knots_once(tmp_path, monkeypatch):
     cfg["schema"]["covariates"].append({"name": "maternal_age", "kind": "continuous_spline"})
     cfg["input"]["dgp"]["s1"]["beta"] += [0.1, 0.0, -0.1, 0.05]
     cfg["input"]["dgp"]["s2"]["beta"] += [0.1, 0.0, -0.1, 0.05]
-    config = RunConfig.from_file(write_config(tmp_path, cfg))
+    config = RunConfig.from_dict(read_json(write_config(tmp_path, cfg)))
     samples = cli._load_samples(config)
     placed = []
     monkeypatch.setattr(dataset_module, "quantile_knots", lambda *a, **kw: placed.append(a) or quantile_knots(*a, **kw))
@@ -841,6 +857,26 @@ class TestCommands:
         assert main(["simulate", "--config", str(write_config(tmp_path, cfg))]) == 2
         record = self.error_record(capsys)
         assert record["type"] == "ConfigError" and words in record["message"]
+
+    @pytest.mark.parametrize(
+        "command, malform, where",
+        [
+            # open() raises ValueError, not OSError, for an embedded NUL: this exited 1 at load_samples
+            ("run", lambda cfg: cfg.update(csv_config(cfg["out_dir"], "s1\x00.csv", "s2.csv")), "input.s1_path"),
+            ("simulate", lambda cfg: cfg.update(out_dir="o\x00"), "out_dir"),
+            # numpy's str dtype drops a trailing NUL, so "male\x00" was silently read as male
+            ("simulate", lambda cfg: covariates(cfg)["sex"].update(values=["female", "male\x00"]), "sex.values"),
+        ],
+        ids=["csv_path", "out_dir", "choice_value"],
+    )
+    def test_a_config_string_holding_a_nul_exits_2(self, tmp_path, capsys, command, malform, where):
+        cfg = base_config(tmp_path / "out")
+        malform(cfg)
+        assert main([command, "--config", str(write_config(tmp_path, cfg))]) == 2
+        record = self.error_record(capsys)
+        assert record["stage"] == "configure" and record["type"] == "ConfigError"
+        assert f"{where} holds a NUL character" in record["message"]
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_mcmc_key_exits_2(self, tmp_path, capsys):
         cfg = base_config(tmp_path / "out")

@@ -14,7 +14,6 @@ from mortdecomp import dataset
 from mortdecomp.dataset import (
     _number,
     _parse_numbers,
-    CenteringConstants,
     CovariateSchema,
     CovariateSpec,
     build_design,
@@ -191,7 +190,7 @@ class TestCentering:
             ]
         )
         constants = compute_centering(sample, schema)
-        assert constants.values == {"maternal_age": 20.0}
+        assert constants == {"maternal_age": 20.0}
 
     def test_empty_poor_subset_falls_back(self):
         schema = CovariateSchema((CovariateSpec("maternal_age", "continuous_spline", degree=1, df=1),))
@@ -202,7 +201,7 @@ class TestCentering:
             ]
         )
         constants = compute_centering(sample, schema)
-        np.testing.assert_allclose(constants.values["maternal_age"], 30.0)
+        np.testing.assert_allclose(constants["maternal_age"], 30.0)
 
     def test_sample_without_wealth_rank_takes_full_sample_means(self):
         # no birth of such a survey is in the reference group, so it falls back as an empty one does
@@ -213,7 +212,7 @@ class TestCentering:
                 {"outcome": 0, "cluster_id": "b", "maternal_age": 30.0},
             ]
         )
-        assert compute_centering(sample, schema).values == {"maternal_age": 24.0}
+        assert compute_centering(sample, schema) == {"maternal_age": 24.0}
 
     def test_empty_sample_errors(self):
         schema = CovariateSchema((CovariateSpec("maternal_age", "continuous_spline", degree=1, df=1),))
@@ -234,7 +233,7 @@ class TestBuildDesign:
     def test_sex_only_reference_coding(self):
         schema = CovariateSchema((CovariateSpec("sex", "binary", reference="female"),))
         sample = make_sample(binary_rows(4))
-        design = build_design(sample, schema, CenteringConstants.zeros(schema), sample.columns)
+        design = build_design(sample, schema, {}, sample.columns)
         assert design.n_cols == 2
         sexes = sample.columns["sex"]
         np.testing.assert_array_equal(design.x[:, 1], [1.0 if s == "male" else 0.0 for s in sexes])
@@ -281,12 +280,12 @@ class TestBuildDesign:
         rows = [{"outcome": i % 2, "cluster_id": "a", "sex": "female"} for i in range(6)]
         sample = make_sample(rows)
         with pytest.raises(DegenerateDesignError, match="^survey S1: column 1 of group 'sex' is constant$"):
-            build_design(sample, schema, CenteringConstants.zeros(schema), sample.columns)
+            build_design(sample, schema, {}, sample.columns)
 
     def test_design_is_deterministic_and_frozen(self):
         schema = CovariateSchema((CovariateSpec("sex", "binary", reference="female"),))
         sample = make_sample(binary_rows(5))
-        c = CenteringConstants.zeros(schema)
+        c = {}
         d1 = build_design(sample, schema, c, sample.columns)
         d2 = build_design(sample, schema, c, sample.columns)
         assert d1.x.tobytes() == d2.x.tobytes()
@@ -302,7 +301,7 @@ class TestBuildDesign:
             for a in (18, 25, 33, 41)
         ]
         sample = make_sample(rows)
-        zeros = CenteringConstants.zeros(schema)
+        zeros = {"maternal_age": 0.0}
         d_zero = build_design(sample, schema, zeros, sample.columns)
         d_zero_again = build_design(sample, schema, zeros, sample.columns)
         np.testing.assert_array_equal(d_zero.x, d_zero_again.x)
@@ -315,7 +314,7 @@ class TestBuildDesign:
             {"outcome": 0, "cluster_id": "z", "sex": "female"},
         ]
         sample = make_sample(rows)
-        design = build_design(sample, schema, CenteringConstants.zeros(schema), sample.columns)
+        design = build_design(sample, schema, {}, sample.columns)
         # births keep their order; z, seen first, is cluster 0
         np.testing.assert_array_equal(design.cluster_index, [0, 1, 0])
         np.testing.assert_array_equal(design.x[:, 1], [1.0, 0.0, 0.0])
@@ -353,7 +352,7 @@ class TestBuildDesign:
         schema = CovariateSchema((CovariateSpec("maternal_education", "continuous_spline", degree=1, df=1),))
         rows = [{"outcome": 0, "cluster_id": "a", "wealth_rank": 0.1} for _ in range(4)]
         sample = make_sample(rows)
-        centering = CenteringConstants({"maternal_education": 0.0})
+        centering = {"maternal_education": 0.0}
         with pytest.raises(SchemaError):
             build_design(sample, schema, centering, sample.columns)
 
@@ -388,7 +387,7 @@ def test_samples_and_designs_stay_read_only_across_a_pickle():
          for k in range(8)]
     )
     schema = CovariateSchema((CovariateSpec("sex", "binary", reference="female"),))
-    design = build_design(sample, schema, CenteringConstants.zeros(schema), sample.columns)
+    design = build_design(sample, schema, {}, sample.columns)
     sample_back, design_back = pickle.loads(pickle.dumps((sample, design)))
     for arr in (sample_back.outcome, sample_back.cluster, *sample_back.columns.values(),
                 design_back.x, design_back.outcome, design_back.cluster_index):
@@ -756,7 +755,7 @@ def hstacked_x(sample, schema, centering, knot_source):
             continue
         raw, src = sample.columns[cov.name], knot_source[cov.name]
         missing, src_missing = np.isnan(raw), np.isnan(src)
-        center = centering.values[cov.name]
+        center = centering[cov.name]
         src_median, median = float(np.median(src[~src_missing])), float(np.median(raw[~missing]))
         knots = quantile_knots(np.where(src_missing, src_median, src) - center, cov.degree, cov.df)
         cols = bspline_basis(np.where(missing, median, raw) - center, knots, cov.degree)[:, 1:]

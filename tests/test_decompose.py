@@ -664,6 +664,29 @@ class TestDistinctRows:
         for name, value in per_row_reference(d1, d2, tilde1, tilde2, order).items():
             np.testing.assert_allclose(getattr(out, name), value, rtol=0, atol=1e-15, err_msg=name)
 
+    @staticmethod
+    def colliding_design(pairs):
+        """Rows ``[1, a, b]`` and ``[1, -a, -b]`` for each ``(a, b)``: each pair's row keys collide."""
+        return design_from([[1.0, sign * a, sign * b] for a, b in pairs for sign in (1.0, -1.0)])
+
+    def test_colliding_keys_keep_every_row(self):
+        # 2 keys for 4 distinct rows: the byte comparison finds the rows mostly distinct
+        x = self.colliding_design([(1.5, 0.1), (2.5, 0.3)]).x
+        rows, weights = decompose_module._distinct_rows(x)
+        assert np.array_equal(rows, x)
+        assert np.array_equal(weights, np.full(4, 0.25))
+
+    def test_colliding_keys_match_the_per_row_reference(self):
+        rng = np.random.default_rng(63)
+        d1 = self.colliding_design([(1.5, 0.1), (2.5, 0.3)])
+        d2 = self.colliding_design([(0.5, -0.7), (1.2, 0.4), (-0.8, 0.9)])
+        tilde1 = rng.normal(-1.0, 0.4, size=(20, 3))
+        tilde2 = tilde1 + rng.normal(0.0, 0.2, size=(20, 3))
+        order = ["g2", "intercept", "g1"]
+        out = decompose_draws(d1, d2, tilde1, tilde2, order)
+        for name, value in per_row_reference(d1, d2, tilde1, tilde2, order).items():
+            np.testing.assert_allclose(getattr(out, name), value, rtol=0, atol=1e-15, err_msg=name)
+
 
 class TestTiledWalk:
     """Blocks of draws walk tiles of design rows: more than one of each, neither a whole multiple."""

@@ -29,21 +29,21 @@ def naive_cox_de_boor(i, degree, x, t):
 
 
 def test_degree0_indicator_basis():
-    out = bspline_basis(0.5, [0.0, 1.0, 2.0], degree=0)
-    assert out.shape == (2,)
-    np.testing.assert_allclose(out, [1.0, 0.0])
-    np.testing.assert_allclose(bspline_basis(1.5, [0.0, 1.0, 2.0], 0), [0.0, 1.0])
+    out = bspline_basis([0.5], [0.0, 1.0, 2.0], degree=0)
+    assert out.shape == (1, 2)
+    np.testing.assert_allclose(out, [[1.0, 0.0]])
+    np.testing.assert_allclose(bspline_basis([1.5], [0.0, 1.0, 2.0], 0), [[0.0, 1.0]])
     # right boundary belongs to the last interval
-    np.testing.assert_allclose(bspline_basis(2.0, [0.0, 1.0, 2.0], 0), [0.0, 1.0])
+    np.testing.assert_allclose(bspline_basis([2.0], [0.0, 1.0, 2.0], 0), [[0.0, 1.0]])
 
 
 def test_degree3_matches_independent_recursion_at_midpoint():
     # clamped cubic with one interior knot: 5 basis functions
     t = np.array([0.0, 0.0, 0.0, 0.0, 0.4, 1.0, 1.0, 1.0, 1.0])
     x = 0.5
-    got = bspline_basis(x, t, degree=3)
-    assert got.shape == (5,)
-    want = [naive_cox_de_boor(i, 3, x, t) for i in range(5)]
+    got = bspline_basis([x], t, degree=3)
+    assert got.shape == (1, 5)
+    want = [[naive_cox_de_boor(i, 3, x, t) for i in range(5)]]
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
@@ -74,13 +74,13 @@ def test_partition_of_unity_fuzz():
 
 def test_values_clamped_to_boundary_interval():
     t = np.array([0.0, 0.0, 1.0, 1.0])
-    np.testing.assert_allclose(bspline_basis(-3.0, t, 1), bspline_basis(0.0, t, 1))
-    np.testing.assert_allclose(bspline_basis(7.0, t, 1), bspline_basis(1.0, t, 1))
+    np.testing.assert_allclose(bspline_basis([-3.0], t, 1), bspline_basis([0.0], t, 1))
+    np.testing.assert_allclose(bspline_basis([7.0], t, 1), bspline_basis([1.0], t, 1))
 
 
 def test_non_ascending_knots_rejected():
     with pytest.raises(SchemaError):
-        bspline_basis(0.5, [0.0, 1.0, 0.5, 2.0], degree=1)
+        bspline_basis([0.5], [0.0, 1.0, 0.5, 2.0], degree=1)
 
 
 def test_repeated_interior_knot_is_handled():
