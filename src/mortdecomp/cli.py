@@ -402,7 +402,7 @@ def _survey_diagnostics(fitted, survey: SurveyFit, design):
     if diag is not None:
         out["ess"] = dict(diag.ess)  # write_json sorts the keys
         out["min_ess"] = diag.min_ess
-        out["lag1_autocorrelation"] = {k: float(v[0]) for k, v in diag.autocorrelations.items()}
+        out["lag1_autocorrelation"] = dict(diag.lag1)
         out["degenerate"] = sorted(diag.degenerate)
     return out
 
@@ -440,7 +440,9 @@ def run_pipeline(config: RunConfig) -> dict:
         write_json(diag_doc, out.path("diagnostics.json"))
 
         out.stage = "manifest"
-        import hashlib  # here only: it loads OpenSSL's libcrypto, which no other stage needs
+        # Imported here, not with the module, so decompose, report and --version never load OpenSSL's
+        # libcrypto.  In run that saves nothing: numpy.random has loaded hashlib, through secrets, by now.
+        import hashlib
 
         manifest = {
             "config": config.echo,

@@ -630,6 +630,14 @@ class DesignLayout(FrozenArrays):
         return 1 + sum(hi - lo for lo, hi in self.column_groups.values())
 
 
+def _median(values: np.ndarray) -> float:
+    """The median of a 1-D array with no NaN, as ``np.median`` gives it, partitioning ``values`` in
+    place; ``np.median``'s NaN check would load ``numpy.ma``."""
+    lo, hi = (values.size - 1) // 2, values.size // 2
+    values.partition([lo, hi])
+    return float(values[lo : hi + 1].mean())
+
+
 def place_knots(
     schema: CovariateSchema, centering: dict[str, float], knot_source: dict[str, np.ndarray]
 ) -> DesignLayout:
@@ -656,7 +664,7 @@ def place_knots(
         src_missing = np.isnan(src_raw)
         if src_missing.all():
             raise SchemaError(f"covariate {cov.name!r} has no observed values in the sample")
-        src_median = float(np.median(src_raw[~src_missing], overwrite_input=True))  # on its own copy
+        src_median = _median(src_raw[~src_missing])  # on its own copy
         src = np.where(src_missing, src_median, src_raw)
         del src_missing
         src -= center
@@ -710,7 +718,7 @@ class DesignRows:
                 raise SchemaError(f"covariate {cov.name!r} has missing values but allow_missing is off")
             if missing.all():
                 raise SchemaError(f"covariate {cov.name!r} has no observed values in the sample")
-            self.medians[cov.name] = float(np.median(raw[~missing]))
+            self.medians[cov.name] = _median(raw[~missing])
         self.low = np.full(layout.n_cols, np.inf)
         self.high = np.full(layout.n_cols, -np.inf)
 

@@ -62,7 +62,8 @@ import numpy as np
 
 from ._phi import ndtr
 from .errors import ConfigError
-from .marginal import MortalitySummary, marginalize
+from .marginal import INTERVAL_PROBS, MortalitySummary, marginalize
+from .splines import quantiles
 
 __all__ = [
     "DecompositionDraws",
@@ -190,7 +191,8 @@ def _distinct_rows(x: np.ndarray):
     for col in x.view(np.uint64).T:
         key *= _FOLD
         key += col
-    if 2 * np.unique(key).size > n:
+    key.sort()  # equal keys now lie together; np.unique would count them too, but it loads numpy.ma
+    if 2 * (n - np.count_nonzero(key[1:] == key[:-1])) > n:
         return x, np.full(n, 1.0 / n)
     view = x.view(np.dtype((np.void, x.itemsize * p))).ravel()
     _, first, counts = np.unique(view, return_index=True, return_counts=True)
@@ -450,14 +452,11 @@ def percent_of(component: float, overall: float) -> float:
 def _summarize(
     name: str, values: np.ndarray, overall: np.ndarray, years_between: float
 ) -> ComponentSummary:
-    lo, hi = np.percentile(values, [2.5, 97.5])
+    lo, hi = quantiles(values.copy(), INTERVAL_PROBS)
     overall_mean = float(overall.mean())
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(overall != 0.0, 100.0 * values / overall, np.nan)
-    if np.any(np.isnan(ratios)):
-        p_lo, p_hi = float("nan"), float("nan")
-    else:
-        p_lo, p_hi = np.percentile(ratios, [2.5, 97.5])
+    p_lo, p_hi = quantiles(ratios, INTERVAL_PROBS)  # NaN when a draw's overall change is zero
     return ComponentSummary(
         name=name,
         mean=float(values.mean()),

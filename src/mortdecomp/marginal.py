@@ -13,6 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._phi import ndtr
+from .splines import quantiles
+
+# The ends of a 95% posterior interval, where ``np.percentile(v, [2.5, 97.5])`` places them.
+INTERVAL_PROBS = np.array([2.5, 97.5]) / 100
 
 __all__ = [
     "MortalitySummary",
@@ -54,7 +58,7 @@ class MortalitySummary:
 
     @classmethod
     def from_draws(cls, rates: np.ndarray) -> "MortalitySummary":
-        lo, hi = np.percentile(rates, [2.5, 97.5])
+        lo, hi = quantiles(rates.copy(), INTERVAL_PROBS)
         return cls(mean=float(rates.mean() * 1000), lower=float(lo * 1000), upper=float(hi * 1000))
 
 

@@ -21,13 +21,9 @@ from .errors import ConfigError, read_json, require_bool, require_number, requir
 __all__ = [
     "format_rate",
     "format_percent",
-    "format_flag",
     "summary_to_dict",
     "write_decomposition_json",
     "load_results",
-    "write_mortality_table",
-    "write_overall_table",
-    "write_coef_table",
     "write_variance_profile",
     "TABLE_FILES",
     "write_all_tables",
@@ -49,10 +45,6 @@ def format_percent(value: float) -> str:
     if value is None or not math.isfinite(value):
         return ""
     return str(math.trunc(value))
-
-
-def format_flag(significant: bool) -> str:
-    return "true" if significant else "false"
 
 
 def _clean(value):
@@ -123,7 +115,7 @@ def load_results(path) -> dict:
     return doc
 
 
-def write_mortality_table(doc: dict, path) -> None:
+def _write_mortality_table(doc: dict, path) -> None:
     """Per-survey rates, their difference, and the annualized decline."""
     overall = doc["components"]["overall_diff"]
     rates = doc["rates_per_1000"]
@@ -152,19 +144,9 @@ def _write_component_table(doc: dict, path, names, percents: bool) -> None:
         list(names),
         *([format_rate(comp[key]) for comp in comps] for key in _ANNUALIZED_FIELDS),
         *([format_percent(comp[key]) for comp in comps] for key in percent_keys),
-        [format_flag(comp["significant"]) for comp in comps],
+        ["true" if comp["significant"] else "false" for comp in comps],
     ]
     write_csv(path, ["component", "effect_per_year", "lower", "upper", *percent_keys, "significant"], [columns])
-
-
-def write_overall_table(doc: dict, path) -> None:
-    """Covariate-distribution and coefficient effects with percent shares."""
-    _write_component_table(doc, path, ("x_effect", "beta_effect"), percents=True)
-
-
-def write_coef_table(doc: dict, path) -> None:
-    """Per-covariate coefficient effects in decomposition order."""
-    _write_component_table(doc, path, ("beta_effect", *doc["order"]), percents=False)
 
 
 def write_variance_profile(profile, path) -> None:
@@ -175,8 +157,10 @@ def write_variance_profile(profile, path) -> None:
 
 
 def write_all_tables(doc: dict, out_dir) -> list[Path]:
-    """Write the three tables under ``out_dir`` as ``TABLE_FILES``; returns their paths."""
-    paths = [Path(out_dir) / name for name in TABLE_FILES]
-    for path, writer in zip(paths, (write_mortality_table, write_overall_table, write_coef_table)):
-        writer(doc, path)
+    """Write the three tables under ``out_dir`` as ``TABLE_FILES``; returns their paths.  The overall
+    table has percent shares; the coefficient table splits ``beta_effect`` in decomposition order."""
+    mortality, overall, coef = paths = [Path(out_dir) / name for name in TABLE_FILES]
+    _write_mortality_table(doc, mortality)
+    _write_component_table(doc, overall, ("x_effect", "beta_effect"), percents=True)
+    _write_component_table(doc, coef, ("beta_effect", *doc["order"]), percents=False)
     return paths

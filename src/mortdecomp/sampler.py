@@ -45,8 +45,6 @@ MIN_ESS_TARGET = 1000.0
 # tail-robust exponential rejection sampler.
 _TAIL_SWITCH = 1e-10
 
-_ACF_MAX_LAG = 50
-
 
 class ChainQualityWarning(UserWarning):
     """Retained draws fall short of the independence target."""
@@ -336,8 +334,8 @@ class GibbsChain:
         layout = self._layout
         counts = np.bincount(cl, minlength=n_clusters).astype(float)
         ig_shape = prior.sigma2_shape + 0.5 * n_clusters
-        xb = x @ beta
-        gc, eta, resid = (np.empty(x.shape[0]) for _ in range(3))
+        xb, gc, eta, resid = (np.empty(x.shape[0]) for _ in range(4))
+        np.matmul(x, beta, out=xb)
 
         for it in range(self.sweeps + 1, total + 1):
             np.take(gamma, cl, out=gc, mode="clip")  # codes are in range, as in the latent step
@@ -345,7 +343,7 @@ class GibbsChain:
 
             beta = cov @ (x.T @ np.subtract(z, gc, out=resid)) + cov_chol @ rng.standard_normal(p)
 
-            xb = x @ beta
+            np.matmul(x, beta, out=xb)
             prec = counts + 1.0 / sigma2
             gamma = np.bincount(cl, weights=np.subtract(z, xb, out=resid), minlength=n_clusters) / prec
             gamma += rng.standard_normal(n_clusters) / np.sqrt(prec)
@@ -417,7 +415,7 @@ class FitDiagnostics:
     """Per-parameter mixing summaries for a set of retained draws."""
 
     ess: dict[str, float]
-    autocorrelations: dict[str, np.ndarray]  # lags 1..50
+    lag1: dict[str, float]  # lag-1 autocorrelation
     degenerate: frozenset[str]
 
     @property
@@ -426,15 +424,15 @@ class FitDiagnostics:
 
 
 def diagnostics(draws: PosteriorDraws) -> FitDiagnostics:
-    """ESS and short-lag autocorrelations for every monitored parameter.
+    """ESS and lag-1 autocorrelation for every monitored parameter.
 
     One real FFT of the zero-padded (draws x parameters) trace matrix
     gives every parameter's autocovariances at lags 0..n-1.  ESS is
     ``n / tau`` with ``tau = -1 + 2 * sum_m (rho(2m) + rho(2m+1))``, the
     sum stopped before the first non-positive pair past the first
     (Geyer's initial positive sequence).  A constant trace is flagged
-    degenerate; its autocorrelations are zero, so its ESS is the full
-    draw count.
+    degenerate; its autocorrelation is zero at every lag, so its ESS is
+    the full draw count.
     """
     n = draws.n_draws
     if n < 100:
@@ -455,10 +453,9 @@ def diagnostics(draws: PosteriorDraws) -> FitDiagnostics:
     ess = np.minimum(n / np.maximum(tau, 1e-12), n)
 
     names = draws.parameter_names()
-    acf = np.ascontiguousarray(rho[1 : min(_ACF_MAX_LAG, n - 2) + 1].T)
     return FitDiagnostics(
         ess=dict(zip(names, ess.tolist())),
-        autocorrelations=dict(zip(names, acf)),
+        lag1=dict(zip(names, rho[1].tolist())),
         degenerate=frozenset(name for name, flat in zip(names, degenerate) if flat),
     )
 

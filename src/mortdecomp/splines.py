@@ -52,7 +52,10 @@ def bspline_basis(x, knots, degree: int) -> np.ndarray:
             f"need at least degree + 2 = {degree + 2} knots, got {t.size}"
         )
 
-    xv = np.clip(np.asarray(x, dtype=float), t[0], t[-1])
+    xv = np.asarray(x, dtype=float)
+    if xv.ndim != 1:
+        raise SchemaError(f"evaluation points must be one-dimensional, got shape {xv.shape}")
+    xv = np.clip(xv, t[0], t[-1])
 
     # Knot span: rightmost index i with t[i] <= x, restricted to spans
     # that carry basis functions.  x == t[-1] falls into the last span,
@@ -92,9 +95,9 @@ def quantile_knots(values, degree: int, df: int, *, overwrite_input: bool = Fals
     ``df`` is the number of design columns the covariate contributes
     after the first basis function is dropped for identifiability with
     an intercept, so the full basis has ``df + 1`` functions and
-    ``df - degree`` interior knots.  With ``overwrite_input``, as in
-    ``np.quantile``, a float array ``values`` is reordered in place
-    instead of copied; the knots are the same.
+    ``df - degree`` interior knots.  With ``overwrite_input`` a float
+    array ``values`` is reordered in place instead of copied; the knots
+    are the same.
     """
     if df < max(degree, 1):
         raise SchemaError(f"df must be >= max(degree, 1); got df={df}, degree={degree}")
@@ -105,6 +108,25 @@ def quantile_knots(values, degree: int, df: int, *, overwrite_input: bool = Fals
     if hi <= lo:
         raise SchemaError("knot source values are constant; spline basis would be degenerate")
     n_interior = df - degree
-    probs = np.arange(1, n_interior + 1) / (n_interior + 1)
-    interior = np.quantile(v, probs, overwrite_input=overwrite_input) if n_interior > 0 else np.empty(0)
+    interior = quantiles(v if overwrite_input else v.copy(), np.arange(1, n_interior + 1) / (n_interior + 1))
     return np.concatenate([np.full(degree + 1, lo), interior, np.full(degree + 1, hi)])
+
+
+def quantiles(values: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """``np.quantile(values, probs)`` of a 1-D float array, bit for bit, reordering ``values`` in place:
+    ``np.quantile`` gathers its indexes with ``np.unique``, which loads ``numpy.ma`` on numpy 2."""
+    virtual = (values.size - 1) * probs
+    below = np.floor(virtual)
+    above = below + 1
+    top = virtual >= values.size - 1  # as numpy does: both neighbours are the maximum
+    below[top] = above[top] = -1
+    gamma = virtual - below
+    below, above = below.astype(np.intp), above.astype(np.intp)
+    values.partition(np.concatenate((below, above, [-1])))  # a NaN sorts last
+    if np.isnan(values[-1]):
+        return np.full(probs.shape, np.nan)
+    a, b = values[below], values[above]
+    diff = b - a
+    out = a + diff * gamma
+    np.subtract(b, diff * (1 - gamma), out=out, where=gamma >= 0.5)
+    return out

@@ -210,20 +210,27 @@ class TestPipeline:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "module, writer",
-        [(cli, "write_variance_profile"), (mortdecomp.report, "write_overall_table")],
+        "module, writer, written",
+        [
+            (cli, "write_variance_profile", "coef_decomp.csv"),
+            (mortdecomp.report, "_write_component_table", "mortality.csv"),
+        ],
         ids=["variance_profile", "overall_table"],
     )
-    def test_failure_after_emission_starts_cleans_up(self, tmp_path, monkeypatch, module, writer):
+    def test_failure_after_emission_starts_cleans_up(self, tmp_path, monkeypatch, module, writer, written):
+        # ``writer`` fails once ``written`` and the files before it are on disk
         config = RunConfig.from_dict(base_config(tmp_path / "out"))
+        seen = []
 
         def boom(*args, **kwargs):
+            seen.append((tmp_path / "out" / written).exists())
             raise RuntimeError(f"{writer} exploded")
 
         monkeypatch.setattr(module, writer, boom)
         with pytest.raises(RuntimeError) as err:
             run_pipeline(config)
         assert err.value.stage == "emit"
+        assert seen == [True]
         assert not (tmp_path / "out").exists()
 
 

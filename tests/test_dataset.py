@@ -357,6 +357,13 @@ class TestBuildDesign:
             build_design(sample, schema, centering, sample.columns)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 999, 1000])
+def test_median_matches_numpy_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    for v in (rng.standard_normal(n), rng.integers(15, 49, n).astype(float), rng.exponential(1e300, n)):
+        assert np.float64(dataset._median(v.copy())).tobytes() == np.median(v).tobytes()
+
+
 def test_binary_reference_is_checked_whenever_a_spec_is_built():
     # built in code as when read from a config: a misspelt level would leave the column constant
     with pytest.raises(SchemaError, match=r"sex: reference must be one of \('female', 'male'\), got 'femal'"):

@@ -6,7 +6,6 @@ import numpy as np
 from mortdecomp.dataset import DesignMatrix
 from mortdecomp.decompose import annualize, percent_of, posterior_decompose
 from mortdecomp.report import (
-    format_flag,
     format_percent,
     format_rate,
     load_results,
@@ -48,9 +47,16 @@ class TestPaperArithmetic:
         assert format_percent(float("nan")) == ""
         assert format_percent(131.2) == "131"
 
-    def test_flag(self):
-        assert format_flag(True) == "true"
-        assert format_flag(False) == "false"
+    def test_flag(self, tmp_path):
+        # the significant column of both component tables reads true or false
+        doc = summary_to_dict(small_summary()[0])
+        for name, flag in zip(("x_effect", "beta_effect", "intercept", "wealth", "sex"), (True, False, False, True, True)):
+            doc["components"][name]["significant"] = flag
+        write_all_tables(doc, tmp_path)
+        overall = read_csv(tmp_path / "overall_decomp.csv")
+        coef = read_csv(tmp_path / "coef_decomp.csv")
+        assert [r[-1] for r in overall] == ["significant", "true", "false"]
+        assert [r[-1] for r in coef] == ["significant", "false", "false", "true", "true"]
 
 
 def small_summary():

@@ -457,10 +457,11 @@ class TestDiagnostics:
         rng = np.random.default_rng(3)
         x = rng.standard_normal(2000)
         diag = diagnostics(self.draws_from_trace(x))
-        acf = diag.autocorrelations["beta_0"]
-        assert acf.shape == (50,)
-        assert np.all(np.abs(acf) <= 1.0)
-        assert np.all(np.abs(acf) < 0.1)  # white noise
+        assert set(diag.lag1) == {"beta_0", "sigma2"}
+        xc = x - x.mean()
+        assert diag.lag1["beta_0"] == pytest.approx((xc[:-1] @ xc[1:]) / (xc @ xc), abs=1e-12)
+        assert abs(diag.lag1["beta_0"]) < 0.1  # white noise
+        assert diag.lag1["sigma2"] == 0.0  # a constant trace
 
     def test_requires_100_draws(self):
         rng = np.random.default_rng(3)

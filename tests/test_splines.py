@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from mortdecomp.errors import SchemaError
-from mortdecomp.splines import bspline_basis, quantile_knots
+from mortdecomp.marginal import INTERVAL_PROBS
+from mortdecomp.splines import bspline_basis, quantile_knots, quantiles
 
 
 def naive_cox_de_boor(i, degree, x, t):
@@ -83,6 +86,12 @@ def test_non_ascending_knots_rejected():
         bspline_basis([0.5], [0.0, 1.0, 0.5, 2.0], degree=1)
 
 
+@pytest.mark.parametrize("x, shape", [(0.5, "()"), ([[0.5, 0.7]], "(1, 2)")], ids=["scalar", "2d"])
+def test_points_that_are_not_1d_rejected(x, shape):
+    with pytest.raises(SchemaError, match=re.escape(f"got shape {shape}")):
+        bspline_basis(x, [0.0, 0.0, 1.0, 1.0], degree=1)
+
+
 def test_repeated_interior_knot_is_handled():
     t = np.array([0.0, 0.0, 0.0, 0.5, 0.5, 1.0, 1.0, 1.0])
     xs = np.linspace(0, 1, 101)
@@ -117,3 +126,16 @@ def test_quantile_knots_rejects_bad_input():
         quantile_knots([1.0, 1.0, 1.0], degree=3, df=4)
     with pytest.raises(SchemaError):
         quantile_knots([0.0, 1.0], degree=3, df=2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 1001])
+def test_quantiles_match_numpy_bit_for_bit(n):
+    # INTERVAL_PROBS stands for np.percentile's [2.5, 97.5] in every 95% interval
+    rng = np.random.default_rng(n)
+    for v in (rng.standard_normal(n), rng.integers(0, 4, n).astype(float), rng.exponential(1e300, n)):
+        for probs in (INTERVAL_PROBS, np.arange(1, 4) / 4, np.array([0.0, 0.5, 1.0]), np.empty(0)):
+            want = np.percentile(v, [2.5, 97.5]) if probs is INTERVAL_PROBS else np.quantile(v, probs)
+            assert quantiles(v.copy(), probs).tobytes() == want.tobytes()
+    v = rng.standard_normal(n)
+    v[n // 2] = np.nan
+    assert np.isnan(quantiles(v, INTERVAL_PROBS)).all()
