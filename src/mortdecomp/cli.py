@@ -499,12 +499,6 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _load_draws_for(csv_path: Path) -> PosteriorDraws:
-    """Load saved draws, with the sidecar next to them when there is one."""
-    sidecar = csv_path.with_suffix(".json")
-    return load_draws(csv_path, sidecar if sidecar.exists() else None)
-
-
 def _cmd_decompose(args) -> int:
     config = _config(args)
     out_dir = Path(config.out_dir)
@@ -513,17 +507,11 @@ def _cmd_decompose(args) -> int:
         out.stage = "load_draws"
         paths = [Path(args.draws1) if args.draws1 else out_dir / "draws_s1.csv",
                  Path(args.draws2) if args.draws2 else out_dir / "draws_s2.csv"]
-        draws1, draws2 = (_load_draws_for(path) for path in paths)
-        # A sidecar records the survey its draws were fitted to; draws without one cannot be checked.
+        draws1, draws2 = (load_draws(path, path.with_suffix(".json")) for path in paths)
         # The hint names a swap only when each file records the other design's survey.
         crossed = (draws1.survey_id, draws2.survey_id) == (d2.survey_id, d1.survey_id)
         for path, draws, design in zip(paths, (draws1, draws2), (d1, d2)):
-            if not draws.survey_id:
-                warnings.warn(
-                    f"{path} records no survey (no sidecar, or none with a survey_id), "
-                    f"so decompose cannot check that it was fitted to survey {design.survey_id}"
-                )
-            elif draws.survey_id != design.survey_id:
+            if draws.survey_id != design.survey_id:
                 hint = "; the two draws files look swapped" if crossed else ""
                 raise ConfigError(
                     f"{path} holds draws fitted to survey {draws.survey_id}, "

@@ -432,7 +432,7 @@ class DecompositionSummary:
     components: dict[str, ComponentSummary]
     rate_s1: MortalitySummary
     rate_s2: MortalitySummary
-    draws: DecompositionDraws | None = field(default=None, repr=False, compare=False)
+    draws: DecompositionDraws = field(repr=False, compare=False)
 
 
 def annualize(total_per_1000: float, years_between: float) -> float:
@@ -487,13 +487,13 @@ def posterior_decompose(
     decomposed, and every component is summarized by its posterior
     mean, 95% equal-tailed interval, annualized per-1000 value, percent
     of the overall change, and a significance flag (interval excludes
-    zero).  Draws that record column groups must have been fitted under
-    their design's.
+    zero).  Each survey's draws must carry its design's column groups;
+    ``ConfigError`` otherwise.
     """
     if years_between <= 0:
         raise ConfigError(f"years_between must be > 0, got {years_between}")
     for k, design, draws in ((1, design1, draws1), (2, design2, draws2)):
-        if draws.column_groups and draws.column_groups != design.column_groups:
+        if draws.column_groups != design.column_groups:
             raise ConfigError(
                 f"survey {k}: draws were fitted under column groups {draws.column_groups}, "
                 f"but the design has {design.column_groups}"

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -123,7 +123,7 @@ class PosteriorDraws(FrozenArrays):
     survey_id: str
     beta: np.ndarray  # (L, p)
     sigma2: np.ndarray  # (L,)
-    column_groups: dict[str, tuple[int, int]] = field(default_factory=dict)
+    column_groups: dict[str, tuple[int, int]]
 
     def __post_init__(self):
         self._freeze()
@@ -486,13 +486,14 @@ def save_draws(draws: PosteriorDraws, csv_path, sidecar_path, config_echo: dict 
     write_json(sidecar, sidecar_path)
 
 
-def load_draws(csv_path, sidecar_path=None) -> PosteriorDraws:
-    """Read draws written by :func:`save_draws`.
+def load_draws(csv_path, sidecar_path) -> PosteriorDraws:
+    """Read draws and their sidecar, as written by :func:`save_draws`.
 
     The header must be ``beta_0, ..., beta_{p-1}, sigma2`` in that order;
-    blank lines below it are skipped, as ``ingest_csv`` skips them.  A
-    sidecar that records ``n_draws`` or ``n_coefficients`` must agree with
-    the CSV; each mismatch raises ``ConfigError`` naming the file.
+    blank lines below it are skipped, as ``ingest_csv`` skips them.  The
+    CSV is checked first.  The sidecar must record ``survey_id``,
+    ``column_groups``, ``n_draws`` and ``n_coefficients``, the two counts
+    agreeing with the CSV; each fault raises ``ConfigError`` naming the file.
     """
     csv_path = Path(csv_path)
     header, *lines = read_csv(csv_path) or [[]]
@@ -523,27 +524,25 @@ def load_draws(csv_path, sidecar_path=None) -> PosteriorDraws:
     if not rows:
         raise ConfigError(f"{csv_path}: no draws below the header")
     arr = np.asarray(rows, dtype=float)
-    survey_id = ""
-    column_groups: dict[str, tuple[int, int]] = {}
-    if sidecar_path is not None:
-        meta = require_object(read_json(sidecar_path), str(sidecar_path))
-        n_coefficients = arr.shape[1] - 1
-        for noun, count in (("coefficients", n_coefficients), ("draws", arr.shape[0])):
-            key = f"n_{noun}"
-            if key in meta and require_number(meta[key], f"{sidecar_path}: {key}", int) != count:
-                raise ConfigError(f"{sidecar_path}: sidecar records {meta[key]} {noun} but {csv_path} has {count}")
-        survey_id = require_str(meta.get("survey_id", ""), f"{sidecar_path}: survey_id")
-        groups = require_object(meta.get("column_groups", {}), f"{sidecar_path}: column_groups")
-        for name, span in groups.items():
-            where = f"{sidecar_path}: column_groups.{name}"
-            if not (isinstance(span, list) and len(span) == 2):
-                raise ConfigError(f"{where} must be a [lo, hi] pair, got {span!r}")
-            lo, hi = (require_number(v, where, int) for v in span)
-            if not 0 <= lo < hi <= n_coefficients:
-                raise ConfigError(f"{where} must satisfy 0 <= lo < hi <= {n_coefficients}, got {span}")
-            column_groups[name] = (lo, hi)
+    meta = require_object(
+        read_json(sidecar_path), str(sidecar_path), ("survey_id", "column_groups", "n_draws", "n_coefficients")
+    )
+    n_coefficients = arr.shape[1] - 1
+    for noun, count in (("coefficients", n_coefficients), ("draws", arr.shape[0])):
+        key = f"n_{noun}"
+        if require_number(meta[key], f"{sidecar_path}: {key}", int) != count:
+            raise ConfigError(f"{sidecar_path}: sidecar records {meta[key]} {noun} but {csv_path} has {count}")
+    column_groups = {}
+    for name, span in require_object(meta["column_groups"], f"{sidecar_path}: column_groups").items():
+        where = f"{sidecar_path}: column_groups.{name}"
+        if not (isinstance(span, list) and len(span) == 2):
+            raise ConfigError(f"{where} must be a [lo, hi] pair, got {span!r}")
+        lo, hi = (require_number(v, where, int) for v in span)
+        if not 0 <= lo < hi <= n_coefficients:
+            raise ConfigError(f"{where} must satisfy 0 <= lo < hi <= {n_coefficients}, got {span}")
+        column_groups[name] = (lo, hi)
     return PosteriorDraws(
-        survey_id=survey_id,
+        survey_id=require_str(meta["survey_id"], f"{sidecar_path}: survey_id"),
         beta=arr[:, :-1],
         sigma2=arr[:, -1],
         column_groups=column_groups,

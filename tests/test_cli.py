@@ -98,8 +98,8 @@ def write_config(tmp_path, cfg, name="config.json"):
     return path
 
 
-EXPECTED_FILES = {
-    "draws_s1.csv", "draws_s1.json", "draws_s2.csv", "draws_s2.json",
+DRAWS_FILES = {"draws_s1.csv", "draws_s1.json", "draws_s2.csv", "draws_s2.json"}
+EXPECTED_FILES = DRAWS_FILES | {
     "decomposition.json", "mortality.csv", "overall_decomp.csv", "coef_decomp.csv",
     "variance_profile.csv", "diagnostics.json", "run_manifest.json",
 }
@@ -699,21 +699,34 @@ class TestCommands:
         assert record["error"]["type"] == "ConfigError"
         assert "column groups" in record["error"]["message"]
         assert not (out / "decomposition.json").exists()
+        # sidecars that record no layout are refused as well, not decomposed unchecked
+        for k in (1, 2):
+            sidecar = out / f"draws_s{k}.json"
+            sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "column_groups": {}}))
+        assert main(["decompose", "--config", str(swapped)]) == 2
+        record = self.error_record(capsys)
+        assert (record["stage"], record["type"]) == ("decompose", "ConfigError")
+        assert "survey 1: draws were fitted under column groups {}" in record["message"]
+        assert not (out / "decomposition.json").exists()
 
-    def test_decompose_rejects_draw_width_without_sidecar(self, tmp_path, capsys):
-        out = tmp_path / "out"
-        fitted = write_config(tmp_path, self.two_covariate_config(out, ["sex", "residence"]), "fitted.json")
-        assert main(["fit", "--config", str(fitted), "--survey", "s1"]) == 0
-        assert main(["fit", "--config", str(fitted), "--survey", "s2"]) == 0
-        (out / "draws_s1.json").unlink()
-        (out / "draws_s2.json").unlink()
-        capsys.readouterr()
-        narrow = write_config(tmp_path, base_config(out), "narrow.json")
-        with pytest.warns(UserWarning, match="records no survey"):
-            assert main(["decompose", "--config", str(narrow)]) == 2
-        record = json.loads(capsys.readouterr().err.strip().splitlines()[0])
-        assert record["error"]["type"] == "ConfigError"
-        assert "coefficients per draw" in record["error"]["message"]
+    def test_decompose_rejects_draw_width_without_sidecar(self, tmp_path, capsys, finished_run):
+        # the width is refused without the sidecar's help: its groups match the
+        # design and its count matches a CSV with one coefficient too many
+        config, run_out = finished_run
+        self.copy_draws(run_out, tmp_path)
+        csv_path, sidecar = tmp_path / "draws_s1.csv", tmp_path / "draws_s1.json"
+        rows = [line.split(",") for line in csv_path.read_text().splitlines()]
+        rows[0][-1:] = [f"beta_{len(rows[0]) - 1}", "sigma2"]
+        for row in rows[1:]:
+            row[-1:] = ["0.0", row[-1]]
+        csv_path.write_text("".join(",".join(row) + "\n" for row in rows))
+        meta = json.loads(sidecar.read_text())
+        sidecar.write_text(json.dumps({**meta, "n_coefficients": meta["n_coefficients"] + 1}))
+        assert main(["decompose", "--config", str(config), "--out", str(tmp_path)]) == 2
+        record = self.error_record(capsys)
+        assert (record["stage"], record["type"]) == ("decompose", "ConfigError")
+        assert "coefficients per draw" in record["message"]
+        assert not (tmp_path / "decomposition.json").exists()
 
     def test_decompose_rejects_sidecar_width_mismatch(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -754,37 +767,35 @@ class TestCommands:
         )
         assert not (tmp_path / "out" / "decomposition.json").exists()
 
-    def test_decompose_reads_draws_without_a_sidecar(self, tmp_path, capsys, finished_run):
-        # no sidecar records a survey, so nothing can be checked against it
-        config, run_out = finished_run
-        bare = tmp_path / "bare"
-        bare.mkdir()
-        for sid in ("s1", "s2"):
-            (bare / f"draws_{sid}.csv").write_bytes((run_out / f"draws_{sid}.csv").read_bytes())
-        with pytest.warns(UserWarning, match="records no survey"):
-            assert main(["decompose", "--config", str(config), "--out", str(bare)]) == 0
-        capsys.readouterr()
-        assert (bare / "decomposition.json").read_bytes() == (run_out / "decomposition.json").read_bytes()
+    @staticmethod
+    def copy_draws(run_out, folder):
+        """Copy a run's two draws files and their sidecars into ``folder``."""
+        for name in DRAWS_FILES:
+            (folder / name).write_bytes((run_out / name).read_bytes())
 
-    @pytest.mark.parametrize("unchecked", ["no_sidecar", "sidecar_without_survey_id"])
-    def test_decompose_warns_once_per_draws_file_it_cannot_check(self, tmp_path, capsys, finished_run, unchecked):
+    def test_decompose_refuses_draws_without_a_sidecar(self, tmp_path, capsys, finished_run):
         config, run_out = finished_run
-        for sid in ("s1", "s2"):
-            (tmp_path / f"draws_{sid}.csv").write_bytes((run_out / f"draws_{sid}.csv").read_bytes())
-        sidecar = json.loads((run_out / "draws_s1.json").read_text())
-        del sidecar["survey_id"]
-        if unchecked == "sidecar_without_survey_id":
-            (tmp_path / "draws_s1.json").write_text(json.dumps(sidecar))
-        (tmp_path / "draws_s2.json").write_bytes((run_out / "draws_s2.json").read_bytes())
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert main(["decompose", "--config", str(config), "--out", str(tmp_path)]) == 0
-        capsys.readouterr()
-        messages = [str(w.message) for w in caught if "records no survey" in str(w.message)]
-        assert messages == [
-            f"{tmp_path / 'draws_s1.csv'} records no survey (no sidecar, or none with a survey_id), "
-            "so decompose cannot check that it was fitted to survey S1"
-        ]
+        self.copy_draws(run_out, tmp_path)
+        (tmp_path / "draws_s1.json").unlink()
+        assert main(["decompose", "--config", str(config), "--out", str(tmp_path)]) == 2
+        record = self.error_record(capsys)
+        assert (record["stage"], record["type"]) == ("load_draws", "FileNotFoundError")
+        assert str(tmp_path / "draws_s1.json") in record["message"]
+        assert {p.name for p in tmp_path.iterdir()} == DRAWS_FILES - {"draws_s1.json"}
+
+    @pytest.mark.parametrize("key", ["survey_id", "column_groups", "n_draws", "n_coefficients"])
+    def test_decompose_refuses_a_sidecar_missing_a_key(self, tmp_path, capsys, finished_run, key):
+        config, run_out = finished_run
+        self.copy_draws(run_out, tmp_path)
+        sidecar = tmp_path / "draws_s1.json"
+        meta = json.loads(sidecar.read_text())
+        del meta[key]
+        sidecar.write_text(json.dumps(meta))
+        assert main(["decompose", "--config", str(config), "--out", str(tmp_path)]) == 2
+        record = self.error_record(capsys)
+        assert (record["stage"], record["type"]) == ("load_draws", "ConfigError")
+        assert record["message"] == f"missing key(s): {sidecar}.{key}"
+        assert {p.name for p in tmp_path.iterdir()} == DRAWS_FILES
 
     @pytest.mark.parametrize("command", ["decompose_swapped", "fit_missing_csv", "simulate_bad_generator", "run_bad_beta"])
     def test_refused_command_leaves_no_output_directory(self, tmp_path, capsys, finished_run, command):
@@ -1091,7 +1102,10 @@ class TestCommands:
         out = tmp_path / "out"
         path = write_config(tmp_path, base_config(out))
         assert main(["run", "--config", str(path)]) == 0
-        (out / "draws_s1.json").write_text(text)
+        sidecar = out / "draws_s1.json"
+        if text.startswith('{"'):  # one malformed value in an otherwise whole sidecar
+            text = json.dumps({**json.loads(sidecar.read_text()), **json.loads(text)})
+        sidecar.write_text(text)
         capsys.readouterr()
         assert main(["decompose", "--config", str(path)]) == 2
         record = self.error_record(capsys)

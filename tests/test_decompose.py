@@ -219,9 +219,9 @@ class TestDecomposeDraw:
             decompose_draws(d1, d2, b1, b2)
 
 
-def constant_draws(beta_row, sigma2, n):
+def constant_draws(beta_row, sigma2, n, groups):
     beta = np.tile(np.asarray(beta_row, dtype=float), (n, 1))
-    return PosteriorDraws(survey_id="S", beta=beta, sigma2=np.full(n, float(sigma2)), column_groups={})
+    return PosteriorDraws(survey_id="S", beta=beta, sigma2=np.full(n, float(sigma2)), column_groups=dict(groups))
 
 
 class TestPosteriorDecompose:
@@ -231,8 +231,8 @@ class TestPosteriorDecompose:
         d2 = random_design(rng, 30, [1, 1])
         b1 = np.array([-1.0, 0.3, -0.2])
         b2 = np.array([-1.3, 0.2, -0.1])
-        draws1 = constant_draws(b1, 0.5, 150)
-        draws2 = constant_draws(b2, 0.25, 150)
+        draws1 = constant_draws(b1, 0.5, 150, d1.column_groups)
+        draws2 = constant_draws(b2, 0.25, 150, d1.column_groups)
         out = posterior_decompose(d1, d2, draws1, draws2, years_between=10.0)
         point = decompose_draws(
             d1, d2, marginalize(b1, 0.5), marginalize(b2, 0.25)
@@ -252,8 +252,8 @@ class TestPosteriorDecompose:
         d2 = random_design(rng, 40, [1])
         beta1 = rng.normal(size=(120, 2), scale=0.3) - np.array([1.0, 0.0])
         beta2 = rng.normal(size=(120, 2), scale=0.3) - np.array([1.4, 0.0])
-        draws1 = PosteriorDraws(survey_id="S1", beta=beta1, sigma2=np.zeros(120), column_groups={})
-        draws2 = PosteriorDraws(survey_id="S2", beta=beta2, sigma2=np.zeros(120), column_groups={})
+        draws1 = PosteriorDraws(survey_id="S1", beta=beta1, sigma2=np.zeros(120), column_groups=d1.column_groups)
+        draws2 = PosteriorDraws(survey_id="S2", beta=beta2, sigma2=np.zeros(120), column_groups=d1.column_groups)
         out = posterior_decompose(d1, d2, draws1, draws2, years_between=14.0)
         x = out.components["x_effect"]
         b = out.components["beta_effect"]
@@ -272,8 +272,8 @@ class TestPosteriorDecompose:
         d_shift = design_from(np.column_stack([np.ones(60), np.linspace(-0.2, 1.8, 60)]))
         b1 = np.array([-1.1, -0.4])
         b2 = np.array([-1.05, -0.4])
-        draws1 = constant_draws(b1, 0.0, 100)
-        draws2 = constant_draws(b2, 0.0, 100)
+        draws1 = constant_draws(b1, 0.0, 100, d.column_groups)
+        draws2 = constant_draws(b2, 0.0, 100, d.column_groups)
         out = posterior_decompose(d, d_shift, draws1, draws2, years_between=15.0)
         assert out.components["x_effect"].percent > 100.0
         assert out.components["beta_effect"].percent < 0.0
@@ -283,7 +283,8 @@ class TestPosteriorDecompose:
         d = random_design(rng, 10, [1])
         with pytest.raises(ConfigError):
             posterior_decompose(
-                d, d, constant_draws([0.0, 0.0], 0.0, 100), constant_draws([0.0, 0.0], 0.0, 101), 10.0
+                d, d, constant_draws([0.0, 0.0], 0.0, 100, d.column_groups),
+                constant_draws([0.0, 0.0], 0.0, 101, d.column_groups), 10.0
             )
 
     def test_bad_years_between_rejected(self):
@@ -291,7 +292,8 @@ class TestPosteriorDecompose:
         d = random_design(rng, 10, [1])
         with pytest.raises(ConfigError):
             posterior_decompose(
-                d, d, constant_draws([0.0, 0.0], 0.0, 100), constant_draws([0.0, 0.0], 0.0, 100), 0.0
+                d, d, constant_draws([0.0, 0.0], 0.0, 100, d.column_groups),
+                constant_draws([0.0, 0.0], 0.0, 100, d.column_groups), 0.0
             )
 
     def test_significance_flag_matches_interval(self):
@@ -300,8 +302,8 @@ class TestPosteriorDecompose:
         d2 = random_design(rng, 30, [1])
         beta1 = np.column_stack([rng.normal(-1.0, 0.02, 200), rng.normal(0.5, 0.02, 200)])
         beta2 = np.column_stack([rng.normal(-1.6, 0.02, 200), rng.normal(0.5, 0.3, 200)])
-        draws1 = PosteriorDraws(survey_id="S1", beta=beta1, sigma2=np.zeros(200), column_groups={})
-        draws2 = PosteriorDraws(survey_id="S2", beta=beta2, sigma2=np.zeros(200), column_groups={})
+        draws1 = PosteriorDraws(survey_id="S1", beta=beta1, sigma2=np.zeros(200), column_groups=d1.column_groups)
+        draws2 = PosteriorDraws(survey_id="S2", beta=beta2, sigma2=np.zeros(200), column_groups=d1.column_groups)
         out = posterior_decompose(d1, d2, draws1, draws2, years_between=12.0)
         for comp in out.components.values():
             assert comp.significant == (comp.lower > 0 or comp.upper < 0)
@@ -309,9 +311,9 @@ class TestPosteriorDecompose:
         assert not out.components["g0"].significant
 
 
-def random_draws(rng, center, spread, n):
+def random_draws(rng, center, spread, n, groups):
     beta = center + rng.normal(scale=spread, size=(n, len(center)))
-    return PosteriorDraws(survey_id="S", beta=beta, sigma2=rng.gamma(4.0, 0.05, size=n), column_groups={})
+    return PosteriorDraws(survey_id="S", beta=beta, sigma2=rng.gamma(4.0, 0.05, size=n), column_groups=dict(groups))
 
 
 class TestKernel:
@@ -322,8 +324,8 @@ class TestKernel:
         self.d1 = random_design(rng, 17, [1, 2, 3])
         self.d2 = random_design(rng, 23, [1, 2, 3])
         center = np.array([-1.1, 0.3, -0.2, 0.1, 0.2, -0.1, 0.05])
-        self.draws1 = random_draws(rng, center, 0.1, 30)
-        self.draws2 = random_draws(rng, center - 0.2, 0.1, 30)
+        self.draws1 = random_draws(rng, center, 0.1, 30, self.d1.column_groups)
+        self.draws2 = random_draws(rng, center - 0.2, 0.1, 30, self.d1.column_groups)
         self.order = ["g2", "intercept", "g0", "g1"]
 
     def test_matches_decompose_draw_pair_by_pair(self):
@@ -369,7 +371,7 @@ class TestKernel:
             assert abs(out.draws.beta_effect[ell] - want[1]) < 1e-12
 
     def test_draw_width_must_match_design(self):
-        narrow = constant_draws([-1.0, 0.2], 0.1, 5)
+        narrow = constant_draws([-1.0, 0.2], 0.1, 5, self.d1.column_groups)  # the layout agrees, the width does not
         with pytest.raises(ConfigError, match="coefficients per draw"):
             posterior_decompose(self.d1, self.d2, narrow, narrow, years_between=10.0)
         with pytest.raises(ConfigError, match="coefficients per draw"):
@@ -383,12 +385,14 @@ def test_decompose_rejects_draws_fitted_under_another_layout():
     d2 = random_design(rng, 20, [1, 1])
     assert d2.column_groups == {"g0": (1, 2), "g1": (2, 3)}
     center = np.array([-1.0, 0.2, -0.1])
-    fitted = random_draws(rng, center, 0.1, 10)
+    fitted = random_draws(rng, center, 0.1, 10, d2.column_groups)
     swapped = replace(fitted, column_groups={"g1": (1, 2), "g0": (2, 3)})
     with pytest.raises(ConfigError, match="survey 2: draws were fitted under column groups"):
         posterior_decompose(d1, d2, fitted, swapped, years_between=10.0)
-    matching = replace(fitted, column_groups=dict(d2.column_groups))
-    posterior_decompose(d1, d2, matching, matching, years_between=10.0)
+    bare = replace(fitted, column_groups={})  # draws that record no layout are not decomposed unchecked
+    with pytest.raises(ConfigError, match=r"survey 1: draws were fitted under column groups \{\}"):
+        posterior_decompose(d1, d2, bare, fitted, years_between=10.0)
+    posterior_decompose(d1, d2, fitted, fitted, years_between=10.0)
 
 
 blas_threads = decompose_module._openblas_threads()
@@ -415,17 +419,17 @@ class TestThreadedKernel:
         self.d1 = random_design(rng, 31, [1, 2, 3])
         self.d2 = random_design(rng, 37, [1, 2, 3])
         center = np.array([-1.1, 0.3, -0.2, 0.1, 0.2, -0.1, 0.05])
-        self.draws1 = random_draws(rng, center, 0.1, 25)
+        self.draws1 = random_draws(rng, center, 0.1, 25, self.d1.column_groups)
         beta2 = self.draws1.beta + rng.normal(scale=0.1, size=self.draws1.beta.shape)
         beta2[:, 2:4] = self.draws1.beta[:, 2:4]  # g1 keeps survey 1's coefficients: a zero delta
         beta2[::3, 0] = self.draws1.beta[::3, 0]  # and the intercept on every third draw
-        self.draws2 = PosteriorDraws(survey_id="S2", beta=beta2, sigma2=self.draws1.sigma2, column_groups={})
+        self.draws2 = replace(self.draws1, survey_id="S2", beta=beta2)
         self.order = ["g1", "g2", "intercept", "g0"]
 
     def decompose(self, n_draws=None):
         take = slice(None, n_draws)
         draws1, draws2 = (
-            PosteriorDraws(survey_id=d.survey_id, beta=d.beta[take].copy(), sigma2=d.sigma2[take].copy())
+            replace(d, beta=d.beta[take].copy(), sigma2=d.sigma2[take].copy())
             for d in (self.draws1, self.draws2)
         )
         return posterior_decompose(self.d1, self.d2, draws1, draws2, years_between=10.0, order=self.order).draws
@@ -499,7 +503,7 @@ class TestThreadedKernel:
 
     @needs_blas_control
     def test_blas_count_restored_when_the_kernel_raises(self, monkeypatch, blas_at_three):
-        narrow = constant_draws([-1.0, 0.2], 0.1, 5)
+        narrow = constant_draws([-1.0, 0.2], 0.1, 5, self.d1.column_groups)  # the layout agrees, the width does not
         with pytest.raises(ConfigError, match="coefficients per draw"):
             posterior_decompose(self.d1, self.d2, narrow, narrow, years_between=10.0)
         assert blas_threads[0]() == blas_at_three
@@ -558,7 +562,7 @@ def test_additivity_identities_hold_through_threaded_decompose(group_sizes, n_ro
     d1 = random_design(rng, n_rows[0], group_sizes)
     d2 = random_design(rng, n_rows[1], group_sizes)
     p = d1.n_cols
-    draws1, draws2 = (random_draws(rng, rng.normal(scale=0.8, size=p), 0.3, n_draws) for _ in range(2))
+    draws1, draws2 = (random_draws(rng, rng.normal(scale=0.8, size=p), 0.3, n_draws, d1.column_groups) for _ in range(2))
     order = list(rng.permutation(["intercept"] + list(d2.column_groups)))
     out = posterior_decompose(d1, d2, draws1, draws2, years_between=10.0, order=order).draws
     assert out.order == tuple(order)
@@ -884,7 +888,7 @@ def test_sparse_swaps_keep_the_identities_and_the_per_row_reference(group_sizes,
     rng = np.random.default_rng(seed)
     d1, d2 = (zeroed(random_design(rng, n, group_sizes), shares, rng) for n in n_rows)
     p = d1.n_cols
-    draws1, draws2 = (random_draws(rng, rng.normal(scale=0.8, size=p), 0.3, n_draws) for _ in range(2))
+    draws1, draws2 = (random_draws(rng, rng.normal(scale=0.8, size=p), 0.3, n_draws, d1.column_groups) for _ in range(2))
     order = list(rng.permutation(["intercept"] + list(d2.column_groups)))
     out = posterior_decompose(d1, d2, draws1, draws2, years_between=10.0, order=order).draws
     assert np.all(np.abs(out.x_effect + out.beta_effect - out.overall_diff) <= 1e-12)

@@ -470,6 +470,14 @@ class TestDiagnostics:
 
 
 class TestSerialization:
+    @staticmethod
+    def write_sidecar(csv_path, n_draws, n_coefficients=1):
+        """Write beside a hand-written draws CSV the sidecar that save_draws would write for it; return its path."""
+        sidecar = csv_path.with_suffix(".json")
+        meta = {"survey_id": "S1", "column_groups": {}, "n_draws": n_draws, "n_coefficients": n_coefficients}
+        sidecar.write_text(json.dumps({**meta, "config": {}}))
+        return sidecar
+
     def test_round_trip_is_lossless(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(6)
         draws = PosteriorDraws(
@@ -496,31 +504,33 @@ class TestSerialization:
 
     def test_header_validation(self, tmp_path):
         bad = tmp_path / "bad.csv"
+        sidecar = self.write_sidecar(bad, 1)
         bad.write_text("a,b\n1,2\n")
         with pytest.raises(ConfigError):
-            load_draws(bad)
+            load_draws(bad, sidecar)
         bad.write_text("\nbeta_0,sigma2\n1,2\n")  # a blank first line is no header
         with pytest.raises(ConfigError, match="not a draws file"):
-            load_draws(bad)
+            load_draws(bad, sidecar)
         bad.write_text("beta_0,sigma2\n1," + "2" * 200_000 + "\n")  # past the csv module's field limit
         with pytest.raises(ConfigError, match="line 2: field larger than field limit"):
-            load_draws(bad)
+            load_draws(bad, sidecar)
 
     def test_blank_lines_below_the_header_are_skipped(self, tmp_path):
         # as ingest_csv skips them; an error still names the line of the file it is on
         path = tmp_path / "draws.csv"
+        sidecar = self.write_sidecar(path, 2)
         path.write_text("beta_0,sigma2\n0.5,1.0\n-0.5,2.0\n")
-        want = load_draws(path)
+        want = load_draws(path, sidecar)
         for text in ("beta_0,sigma2\n0.5,1.0\n-0.5,2.0\n\n", "beta_0,sigma2\n0.5,1.0\n\n-0.5,2.0\n"):
             path.write_text(text)
-            got = load_draws(path)
+            got = load_draws(path, sidecar)
             np.testing.assert_array_equal(got.beta, want.beta)
             np.testing.assert_array_equal(got.sigma2, want.sigma2)
         for row, words in (("-0.5,abc", "non-numeric cell"), ("nan,2.0", "non-finite value beta_0=nan"),
                            ("-0.5,-2.0", "negative variance sigma2=-2.0"), ("-0.5", "1 cells under a 2-column header")):
             path.write_text(f"beta_0,sigma2\n\n0.5,1.0\n\n{row}\n")
             with pytest.raises(ConfigError, match=f"line 5: {re.escape(words)}"):
-                load_draws(path)
+                load_draws(path, sidecar)
 
     @pytest.mark.parametrize(
         "rows, words",
@@ -538,20 +548,20 @@ class TestSerialization:
         path = tmp_path / "draws.csv"
         path.write_text(f"beta_0,sigma2\n0.5,1.0\n{rows}")
         with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}, {re.escape(words)}"):
-            load_draws(path)
+            load_draws(path, self.write_sidecar(path, 3))
 
     def test_an_error_names_the_line_after_a_quoted_line_break(self, tmp_path):
         # the second draw's first cell spans lines 3 and 4, so the bad draw below it is on line 5
         path = tmp_path / "draws.csv"
         path.write_text('beta_0,sigma2\n0.5,1.0\n"0.25\n",1.0\n-0.5,abc\n')
         with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}, line 5: non-numeric cell"):
-            load_draws(path)
+            load_draws(path, self.write_sidecar(path, 3))
 
     def test_a_leading_byte_order_mark_is_skipped(self, tmp_path):
         path, marked = tmp_path / "draws.csv", tmp_path / "marked.csv"
         path.write_text("beta_0,sigma2\n0.5,1.0\n-0.5,2.0\n")
         marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())  # as Excel's "CSV UTF-8" saves it
-        want, got = load_draws(path), load_draws(marked)
+        want, got = (load_draws(p, self.write_sidecar(p, 2)) for p in (path, marked))
         np.testing.assert_array_equal(got.beta, want.beta)
         np.testing.assert_array_equal(got.sigma2, want.sigma2)
 
@@ -571,11 +581,11 @@ class TestSerialization:
         bad.write_text(f"{header}\n1.0,2.0,0.5\n")
         message = f"{bad}: not a draws file: header column {column} is {got!r}, expected {want!r}"
         with pytest.raises(ConfigError, match=re.escape(message)):
-            load_draws(bad)
+            load_draws(bad, self.write_sidecar(bad, 1, 2))
 
     def test_sidecar_draw_count_must_match_the_csv(self, tmp_path):
         rng = np.random.default_rng(7)
-        draws = PosteriorDraws(survey_id="S1", beta=rng.standard_normal((10, 2)), sigma2=np.ones(10))
+        draws = PosteriorDraws(survey_id="S1", beta=rng.standard_normal((10, 2)), sigma2=np.ones(10), column_groups={})
         csv_path, sidecar = tmp_path / "draws.csv", tmp_path / "draws.json"
         save_draws(draws, csv_path, sidecar)
         csv_path.write_text("".join(csv_path.read_text().splitlines(keepends=True)[:6]))  # header and 5 draws
@@ -586,13 +596,14 @@ class TestSerialization:
         sidecar.write_text(json.dumps(meta))
         with pytest.raises(ConfigError, match="n_draws must be a whole number"):
             load_draws(csv_path, sidecar)
-        del meta["n_draws"]  # a sidecar without the count is still read
+        del meta["n_draws"]  # a sidecar without the count is refused
         sidecar.write_text(json.dumps(meta))
-        assert load_draws(csv_path, sidecar).n_draws == 5
+        with pytest.raises(ConfigError, match=re.escape(f"missing key(s): {sidecar}.n_draws")):
+            load_draws(csv_path, sidecar)
 
     @pytest.mark.parametrize("count", ["1", True], ids=["string", "boolean"])
     def test_sidecar_coefficient_count_must_be_a_whole_number(self, tmp_path, count):
-        draws = PosteriorDraws(survey_id="S1", beta=np.zeros((3, 1)), sigma2=np.ones(3))
+        draws = PosteriorDraws(survey_id="S1", beta=np.zeros((3, 1)), sigma2=np.ones(3), column_groups={})
         csv_path, sidecar = tmp_path / "draws.csv", tmp_path / "draws.json"
         save_draws(draws, csv_path, sidecar)
         meta = json.loads(sidecar.read_text())
@@ -604,9 +615,9 @@ class TestSerialization:
 
 def test_posterior_draws_invariants():
     with pytest.raises(ValueError):
-        PosteriorDraws(survey_id="S1", beta=np.zeros((5, 2)), sigma2=-np.ones(5))
+        PosteriorDraws(survey_id="S1", beta=np.zeros((5, 2)), sigma2=-np.ones(5), column_groups={})
     with pytest.raises(ValueError):
-        PosteriorDraws(survey_id="S1", beta=np.full((5, 2), np.nan), sigma2=np.ones(5))
+        PosteriorDraws(survey_id="S1", beta=np.full((5, 2), np.nan), sigma2=np.ones(5), column_groups={})
 
 
 def test_posterior_draws_stay_read_only_across_a_pickle():
@@ -658,6 +669,7 @@ _sidecar = st.text() | _json_values.map(json.dumps) | st.fixed_dictionaries(
     {},
     optional={
         "survey_id": _json_values,
+        "n_draws": _json_values | st.integers(0, 5),
         "n_coefficients": _json_values | st.just(2),
         "column_groups": _json_values | st.dictionaries(st.text(max_size=4), _json_values | st.lists(st.integers(-1, 3), max_size=3)),
     },
@@ -665,14 +677,12 @@ _sidecar = st.text() | _json_values.map(json.dumps) | st.fixed_dictionaries(
 
 
 @settings(max_examples=300, deadline=None)
-@given(csv_text=_draws_csv, sidecar_text=_sidecar | st.none())
+@given(csv_text=_draws_csv, sidecar_text=_sidecar)
 def test_draws_reader_returns_or_raises_mortdecomp_error(tmp_path_factory, csv_text, sidecar_text):
     folder = tmp_path_factory.mktemp("draws")
     (folder / "draws.csv").write_text(csv_text, encoding="utf-8")
-    sidecar = None
-    if sidecar_text is not None:
-        sidecar = folder / "draws.json"
-        sidecar.write_text(sidecar_text, encoding="utf-8")
+    sidecar = folder / "draws.json"
+    sidecar.write_text(sidecar_text, encoding="utf-8")
     try:
         load_draws(folder / "draws.csv", sidecar)
     except MortdecompError:

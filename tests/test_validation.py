@@ -156,15 +156,15 @@ class TestMlProbit:
         assert beta[1] > 5.0
 
 
-def constant_draws(beta_row, sigma2, n):
+def constant_draws(beta_row, sigma2, n, groups):
     beta = np.tile(np.asarray(beta_row, dtype=float), (n, 1))
-    return PosteriorDraws(survey_id="S", beta=beta, sigma2=np.full(n, float(sigma2)), column_groups={})
+    return PosteriorDraws(survey_id="S", beta=beta, sigma2=np.full(n, float(sigma2)), column_groups=dict(groups))
 
 
-def random_draws(rng, center, spread, sigma2_mean, n):
+def random_draws(rng, center, spread, sigma2_mean, n, groups):
     beta = center + rng.normal(scale=spread, size=(n, len(center)))
     sigma2 = rng.gamma(4.0, sigma2_mean / 4.0, size=n)
-    return PosteriorDraws(survey_id="S", beta=beta, sigma2=sigma2, column_groups={})
+    return PosteriorDraws(survey_id="S", beta=beta, sigma2=sigma2, column_groups=dict(groups))
 
 
 class TestVarianceCollapse:
@@ -179,8 +179,8 @@ class TestVarianceCollapse:
     def test_single_group_profile(self):
         rng = np.random.default_rng(31)
         design = design_from(np.ones((20, 1)), groups={})
-        draws1 = random_draws(rng, np.array([-1.0]), 0.1, 0.2, 300)
-        draws2 = random_draws(rng, np.array([-1.5]), 0.1, 0.2, 300)
+        draws1 = random_draws(rng, np.array([-1.0]), 0.1, 0.2, 300, design.column_groups)
+        draws2 = random_draws(rng, np.array([-1.5]), 0.1, 0.2, 300, design.column_groups)
         profile = variance_collapse(design, draws1, draws2)
         assert profile.order == ("intercept",)
         assert profile.partial_sum_variance.shape == (1,)
@@ -189,8 +189,8 @@ class TestVarianceCollapse:
         )
 
     def test_degenerate_draws_all_zero(self):
-        draws1 = constant_draws([-1.0, 0.2, -0.1], 0.3, 200)
-        draws2 = constant_draws([-1.2, 0.1, 0.0], 0.2, 200)
+        draws1 = constant_draws([-1.0, 0.2, -0.1], 0.3, 200, self.design.column_groups)
+        draws2 = constant_draws([-1.2, 0.1, 0.0], 0.2, 200, self.design.column_groups)
         profile = variance_collapse(self.design, draws1, draws2)
         np.testing.assert_allclose(profile.partial_sum_variance, 0.0, atol=1e-30)
         assert profile.beta_effect_variance < 1e-30
@@ -199,8 +199,8 @@ class TestVarianceCollapse:
         import itertools
 
         rng = np.random.default_rng(32)
-        draws1 = random_draws(rng, np.array([-1.0, 0.2, -0.1]), 0.08, 0.2, 250)
-        draws2 = random_draws(rng, np.array([-1.4, 0.1, 0.1]), 0.08, 0.3, 250)
+        draws1 = random_draws(rng, np.array([-1.0, 0.2, -0.1]), 0.08, 0.2, 250, self.design.column_groups)
+        draws2 = random_draws(rng, np.array([-1.4, 0.1, 0.1]), 0.08, 0.3, 250, self.design.column_groups)
         names = ["intercept", "a", "b"]
         final_vars = []
         for order in itertools.permutations(names):
@@ -213,8 +213,8 @@ class TestVarianceCollapse:
 
     def test_correlation_matrix_shape_and_diagonal(self):
         rng = np.random.default_rng(33)
-        draws1 = random_draws(rng, np.array([-1.0, 0.2, -0.1]), 0.05, 0.2, 200)
-        draws2 = random_draws(rng, np.array([-1.4, 0.1, 0.1]), 0.05, 0.3, 200)
+        draws1 = random_draws(rng, np.array([-1.0, 0.2, -0.1]), 0.05, 0.2, 200, self.design.column_groups)
+        draws2 = random_draws(rng, np.array([-1.4, 0.1, 0.1]), 0.05, 0.3, 200, self.design.column_groups)
         profile = variance_collapse(self.design, draws1, draws2)
         assert profile.correlation.shape == (3, 3)
         np.testing.assert_allclose(np.diag(profile.correlation), 1.0)
@@ -226,8 +226,8 @@ class TestVarianceCollapse:
             np.column_stack([np.ones(30), rng.normal(size=(30, 2))]),
             groups={"a": (1, 2), "b": (2, 3)},
         )
-        draws1 = random_draws(rng, np.array([-1.0, 0.2, -0.1]), 0.08, 0.2, 150)
-        draws2 = random_draws(rng, np.array([-1.4, 0.1, 0.1]), 0.08, 0.3, 150)
+        draws1 = random_draws(rng, np.array([-1.0, 0.2, -0.1]), 0.08, 0.2, 150, self.design.column_groups)
+        draws2 = random_draws(rng, np.array([-1.4, 0.1, 0.1]), 0.08, 0.3, 150, self.design.column_groups)
         order = ["b", "intercept", "a"]
         summary = posterior_decompose(design1, self.design, draws1, draws2, years_between=14.0, order=order)
         derived = VarianceCollapseProfile.from_draws(summary.draws)
@@ -238,8 +238,8 @@ class TestVarianceCollapse:
         np.testing.assert_allclose(derived.correlation, direct.correlation, rtol=0, atol=1e-12)
 
     def test_unequal_draw_counts_rejected(self):
-        draws1 = constant_draws([-1.0, 0.2, -0.1], 0.3, 200)
-        draws2 = constant_draws([-1.2, 0.1, 0.0], 0.2, 201)
+        draws1 = constant_draws([-1.0, 0.2, -0.1], 0.3, 200, self.design.column_groups)
+        draws2 = constant_draws([-1.2, 0.1, 0.0], 0.2, 201, self.design.column_groups)
         with pytest.raises(ConfigError):
             variance_collapse(self.design, draws1, draws2)
 
