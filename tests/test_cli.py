@@ -774,14 +774,27 @@ class TestCommands:
             (folder / name).write_bytes((run_out / name).read_bytes())
 
     def test_decompose_refuses_draws_without_a_sidecar(self, tmp_path, capsys, finished_run):
+        # neither draws file has its sidecar: the first one read is named
         config, run_out = finished_run
         self.copy_draws(run_out, tmp_path)
-        (tmp_path / "draws_s1.json").unlink()
+        for sid in ("s1", "s2"):
+            (tmp_path / f"draws_{sid}.json").unlink()
         assert main(["decompose", "--config", str(config), "--out", str(tmp_path)]) == 2
         record = self.error_record(capsys)
         assert (record["stage"], record["type"]) == ("load_draws", "FileNotFoundError")
         assert str(tmp_path / "draws_s1.json") in record["message"]
-        assert {p.name for p in tmp_path.iterdir()} == DRAWS_FILES - {"draws_s1.json"}
+        assert {p.name for p in tmp_path.iterdir()} == {"draws_s1.csv", "draws_s2.csv"}
+
+    @pytest.mark.parametrize("sid", ["s1", "s2"])
+    def test_decompose_refuses_one_draws_file_without_a_sidecar(self, tmp_path, capsys, finished_run, sid):
+        config, run_out = finished_run
+        self.copy_draws(run_out, tmp_path)
+        (tmp_path / f"draws_{sid}.json").unlink()
+        assert main(["decompose", "--config", str(config), "--out", str(tmp_path)]) == 2
+        record = self.error_record(capsys)
+        assert (record["stage"], record["type"]) == ("load_draws", "FileNotFoundError")
+        assert str(tmp_path / f"draws_{sid}.json") in record["message"]
+        assert {p.name for p in tmp_path.iterdir()} == DRAWS_FILES - {f"draws_{sid}.json"}
 
     @pytest.mark.parametrize("key", ["survey_id", "column_groups", "n_draws", "n_coefficients"])
     def test_decompose_refuses_a_sidecar_missing_a_key(self, tmp_path, capsys, finished_run, key):
