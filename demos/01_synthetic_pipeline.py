@@ -61,9 +61,9 @@ dgp = SyntheticConfig(
 
 print("generating two synthetic surveys ...")
 s1, s2 = synthesize(dgp, seed=20240810)
-for s in (s1, s2):
+for s, spec in ((s1, dgp.s1), (s2, dgp.s2)):
     rate = 1000 * int(s.outcome.sum()) / s.n_births
-    print(f"  {s.survey_id} ({s.survey_year}): {s.n_births} births, "
+    print(f"  {s.survey_id} ({spec.survey_year}): {s.n_births} births, "
           f"{s.n_clusters} clusters, empirical rate {rate:.1f} per 1000")
 
 print("\nbuilding shared-basis designs (centering from survey 1's poorest 20%) ...")

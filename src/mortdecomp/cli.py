@@ -236,11 +236,8 @@ def _load_samples(config: RunConfig):
     """Both surveys' samples: synthesized, or each survey's CSV read by ``_per_survey``."""
     if isinstance(config.input, SyntheticConfig):
         return synthesize(config.input, seed=config.seeds[0])
-    jobs = [
-        (path, config.schema, year, sid)
-        for path, year, sid in zip(config.input, config.survey_years, ("S1", "S2"))
-    ]
-    return tuple(_per_survey(ingest_csv, jobs))
+    read = lambda path, sid: ingest_csv(path, config.schema, survey_id=sid)  # noqa: E731
+    return tuple(_per_survey(read, list(zip(config.input, ("S1", "S2")))))
 
 
 def _build_designs(config: RunConfig, s1, s2):
@@ -272,9 +269,8 @@ class SurveyFit:
 
     draws: PosteriorDraws
     diagnostics: FitDiagnostics | None  # None below 100 retained draws
-    mcmc: McmcConfig  # the configuration the draws were retained under
+    mcmc: McmcConfig  # the configuration the draws were retained under; the chain ran its total sweeps
     extended: bool
-    sweeps: int
     target_met: bool
 
 
@@ -291,7 +287,6 @@ def _fit_survey(design, prior, mcmc, auto_extend) -> SurveyFit:
         diagnostics=chain.diagnostics,
         mcmc=mcmc,
         extended=extended,
-        sweeps=chain.sweeps,
         target_met=chain.diagnostics is not None and chain.shortfall is None,
     )
 
@@ -391,7 +386,7 @@ def _survey_diagnostics(fitted, survey: SurveyFit, design):
         "retained": survey.draws.n_draws,
         "acceptance_rate": 1.0,  # Gibbs sweeps always accept
         "extended": survey.extended,
-        "sweeps": survey.sweeps,
+        "sweeps": survey.mcmc.total,
         "ess_target": MIN_ESS_TARGET,
         "target_met": survey.target_met,
         "empirical_rate_per_1000": empirical,

@@ -54,6 +54,8 @@ AGE_RANGE = (15.0, 45.0)
 # order.  Numeric fields are float64 with NaN as the missing marker; the
 # leveled fields are str.
 _FIELDS = ("maternal_age", "maternal_education", "birth_order", "birth_interval", "wealth_rank", "sex", "residence")
+# The one field a birth may lack: a first birth has no previous interval.
+MAY_BE_MISSING = "birth_interval"
 _LEVELS = {"sex": ("female", "male"), "residence": ("rural", "urban")}
 # The keys a covariate spec of each kind takes besides ``name`` and ``kind``.
 _KIND_KEYS = {"continuous_spline": ("degree", "df", "allow_missing"), "binary": ("reference",)}
@@ -75,7 +77,11 @@ _WRITE_CELLS = 4096
 
 def _field_checks(columns: dict) -> list:
     """``(bad-row mask, message for row i)`` for each per-birth field invariant."""
-    checks = []
+    checks = [
+        (np.isnan(col), lambda i, name=name: f"{name} is missing, and only {MAY_BE_MISSING} may be")
+        for name, col in columns.items()
+        if name not in _LEVELS and name != MAY_BE_MISSING
+    ]
     if "wealth_rank" in columns:
         w = columns["wealth_rank"]
         checks.append(((w < 0.0) | (w > 1.0), lambda i: f"wealth_rank must lie in [0, 1], got {float(w[i])}"))
@@ -98,19 +104,20 @@ def _nul_checks(name: str, cells) -> list:
     return [(np.array(["\x00" in c for c in cells]), lambda i: f"NUL character in {name}={cells[i].strip()!r}")]
 
 
-def _refuse_nul_id(ids) -> None:
-    """``ValueError`` naming the first of the cluster ``ids`` that holds a NUL character (see ``_nul_checks``)."""
-    nul = next((c for c in ids if "\x00" in c), None)
+def _refuse_nul(what: str, values) -> None:
+    """``ValueError`` naming the first of the str ``values`` that holds a NUL character (see ``_nul_checks``)."""
+    nul = next((c for c in values if "\x00" in c), None)
     if nul is not None:
-        raise ValueError(f"cluster id {nul!r} holds a NUL character")
+        raise ValueError(f"{what} {nul!r} holds a NUL character")
 
 
 def in_age_range(columns: dict, n: int) -> np.ndarray:
-    """Mask of the births whose mother's age lies in ``AGE_RANGE``; every birth when no age is recorded."""
+    """Mask of the births whose mother's age does not lie outside ``AGE_RANGE``: a missing age is kept, for
+    ``SurveySample`` to refuse; every birth when no age is recorded."""
     if "maternal_age" not in columns:
         return np.ones(n, dtype=bool)
     age = np.asarray(columns["maternal_age"], dtype=float)
-    return (age >= AGE_RANGE[0]) & (age <= AGE_RANGE[1])
+    return ~((age < AGE_RANGE[0]) | (age > AGE_RANGE[1]))
 
 
 class FrozenArrays:
@@ -149,11 +156,11 @@ class SurveySample(FrozenArrays):
     No cluster id is empty, has surrounding whitespace or holds a NUL
     character, so every id reads back from a written CSV as itself.
     ``columns`` holds one array per ingested or generated field (see
-    ``_FIELDS``).  Arrays are frozen read-only.
+    ``_FIELDS``); only ``MAY_BE_MISSING`` may hold NaN.  A sample holds
+    at least one birth.  Arrays are frozen read-only.
     """
 
     survey_id: str
-    survey_year: int
     outcome: np.ndarray
     cluster: np.ndarray
     cluster_ids: tuple[str, ...]
@@ -162,6 +169,9 @@ class SurveySample(FrozenArrays):
 
     def __post_init__(self):
         n = self.n_births
+        if not n:
+            filtered = f"the maternal_age filter [{AGE_RANGE[0]:g}, {AGE_RANGE[1]:g}]"
+            raise EmptyInputError(f"no births left after {filtered}: all {self.dropped_rows} rows dropped")
         if self.cluster.shape != (n,) or any(col.shape != (n,) for col in self.columns.values()):
             raise ValueError("every column needs one entry per birth")
         for name, col in self.columns.items():
@@ -173,7 +183,7 @@ class SurveySample(FrozenArrays):
         unreadable = next((c for c in self.cluster_ids if not c or c != c.strip()), None)
         if unreadable is not None:  # ingest_csv strips each cell and refuses an empty one
             raise ValueError(f"cluster id {unreadable!r} is empty or has surrounding whitespace")
-        _refuse_nul_id(self.cluster_ids)
+        _refuse_nul("cluster id", self.cluster_ids)
         outcome = ((self.outcome != 0) & (self.outcome != 1), lambda i: f"outcome must be 0 or 1, got {self.outcome[i]}")
         failure = _first_failure([outcome, *_field_checks(self.columns)])
         if failure is not None:
@@ -185,7 +195,7 @@ class SurveySample(FrozenArrays):
 
     @classmethod
     def from_columns(
-        cls, survey_id: str, survey_year: int, outcome, cluster_id, columns: dict, dropped_rows: int = 0
+        cls, survey_id: str, outcome, cluster_id, columns: dict, dropped_rows: int = 0
     ) -> "SurveySample":
         """Sample from per-birth values, kept in the order given.
 
@@ -193,17 +203,18 @@ class SurveySample(FrozenArrays):
         first-appearance order.  Numeric columns become float64 (``None``
         reads as missing), ``sex`` and ``residence`` str.  An array already
         of its column's dtype is taken as it is, and frozen read-only.  A
-        cluster id holding a NUL character raises ``ValueError``.
+        cluster id, ``sex`` or ``residence`` value holding a NUL character
+        raises ``ValueError``.
         """
-        if not (isinstance(cluster_id, np.ndarray) and cluster_id.dtype.kind == "U"):
-            # the str conversion below drops a trailing NUL (a str array has lost its own already);
-            # __post_init__ refuses a NUL left inside an id
-            _refuse_nul_id([str(c) for c in cluster_id])
+        for what, values in (("cluster id", cluster_id), *((n, columns[n]) for n in _LEVELS if n in columns)):
+            if not (isinstance(values, np.ndarray) and values.dtype.kind == "U"):
+                # the str conversion below drops a trailing NUL (a str array has lost its own already);
+                # __post_init__ refuses a NUL left inside an id, and the level check one inside a level
+                _refuse_nul(what, [str(c) for c in values])
         ids, first, inverse = np.unique(np.asarray(cluster_id, dtype=str), return_index=True, return_inverse=True)
         by_first = np.argsort(first)
         return cls(
             survey_id=survey_id,
-            survey_year=survey_year,
             outcome=np.asarray(outcome, dtype=np.int64),
             cluster=np.argsort(by_first)[inverse.reshape(-1)],  # rank of each cluster's first appearance
             cluster_ids=tuple(ids[by_first].tolist()),
@@ -227,8 +238,8 @@ class CovariateSpec:
     ``df`` counts design columns contributed by the spline expansion;
     ``allow_missing`` turns on median imputation plus a missingness
     indicator column (the indicator belongs to the covariate's column
-    group).  A binary's ``reference`` is one of its field's levels, or a
-    number for a numeric field.
+    group); only ``MAY_BE_MISSING`` takes it.  A binary's ``reference``
+    is one of its field's levels, or a number for a numeric field.
     """
 
     name: str
@@ -248,6 +259,8 @@ class CovariateSpec:
                 raise SchemaError(f"{self.name}: spline degree must be >= 0")
             if self.df < max(self.degree, 1):
                 raise SchemaError(f"{self.name}: df must be >= max(degree, 1), got df={self.df} degree={self.degree}")
+            if self.allow_missing and self.name != MAY_BE_MISSING:
+                raise SchemaError(f"{self.name}: allow_missing is for {MAY_BE_MISSING} alone, which a birth may lack")
         elif self.reference is None:
             raise SchemaError(f"{self.name}: binary covariate needs a reference level")
         elif self.name not in _LEVELS:
@@ -439,7 +452,7 @@ def _read_block(rows: list[list[str]], start: int, width: int, position: dict, f
             continue
         values, bad, empty = _parse_numbers(cells)
         columns[name] = values
-        if name != "birth_interval":
+        if name != MAY_BE_MISSING:
             checks.append((empty, lambda i, name=name: f"empty value for {name!r}"))
         if name == "birth_order":  # "3.0" reads as 3; "2.5" does not parse
             bad |= np.isfinite(values) & (values != np.trunc(values))
@@ -456,7 +469,7 @@ def _read_block(rows: list[list[str]], start: int, width: int, position: dict, f
     return part, None
 
 
-def ingest_csv(path, schema: CovariateSchema, survey_year: int, survey_id: str = "S1") -> SurveySample:
+def ingest_csv(path, schema: CovariateSchema, *, survey_id: str = "S1") -> SurveySample:
     """Read one survey's births from CSV, in file order.
 
     The header must name every schema covariate plus ``outcome`` and
@@ -504,12 +517,10 @@ def ingest_csv(path, schema: CovariateSchema, survey_year: int, survey_id: str =
     columns = {key: np.concatenate([part.pop(key) for part in parts]) for key in list(parts[0])}
     del parts
     outcome, cluster_id = columns.pop("outcome"), columns.pop("cluster_id")
-    if not outcome.size:
-        raise EmptyInputError(
-            f"{path}: no births left after the maternal_age filter "
-            f"[{AGE_RANGE[0]:g}, {AGE_RANGE[1]:g}]: all {n} rows dropped"
-        )
-    return SurveySample.from_columns(survey_id, survey_year, outcome, cluster_id, columns, n - outcome.size)
+    try:
+        return SurveySample.from_columns(survey_id, outcome, cluster_id, columns, n - outcome.size)
+    except EmptyInputError as exc:  # every row was dropped
+        raise EmptyInputError(f"{path}: {exc}") from None
 
 
 def _table_cells(table, codes: np.ndarray) -> list[str]:
@@ -540,8 +551,6 @@ def write_survey_csv(sample: SurveySample, path) -> None:
     cluster ids by looking each code up in a table of their strings;
     :func:`write_csv` quotes the cells that need it and writes the rows.
     """
-    if sample.n_births == 0:
-        raise EmptyInputError("cannot write an empty sample")
     cols = sample.columns
     fields = [f for f in _FIELDS if f in cols and (f in _LEVELS or not np.isnan(cols[f]).all())]
 
@@ -587,8 +596,6 @@ def compute_centering(sample1: SurveySample, schema: CovariateSchema) -> dict[st
     full-sample mean is used instead.  Missing values (allowed for birth
     intervals) are excluded from the means.
     """
-    if sample1.n_births == 0:
-        raise EmptyInputError("cannot compute centering constants on an empty sample")
     poor = _numeric(sample1, "wealth_rank") <= _POOR_QUANTILE  # False where the rank is missing
 
     values: dict[str, float] = {}
@@ -766,8 +773,6 @@ def build_design(
     rows are written ``_BLOCK_ROWS`` at a time by ``DesignRows`` into one
     preallocated ``x``.
     """
-    if sample.n_births == 0:
-        raise EmptyInputError("cannot build a design from an empty sample")
     if isinstance(knot_source, DesignLayout):
         if knot_source.schema != schema or knot_source.centering != centering:
             raise ValueError("the layout was placed under another schema or centering")

@@ -20,7 +20,6 @@ from .dataset import (
     _BLOCK_ROWS,
     _FIELDS,
     _LEVELS,
-    AGE_RANGE,
     CovariateSchema,
     DesignLayout,
     DesignRows,
@@ -163,7 +162,8 @@ def _generate_sample(
     Births to mothers outside ``AGE_RANGE`` are dropped after the draws,
     as ``ingest_csv`` drops them, and counted in ``dropped_rows``.
     ``ConfigError`` naming the survey when the generated values break an
-    invariant of ``SurveySample`` or no birth is kept.
+    invariant of ``SurveySample``: a missing value outside
+    ``MAY_BE_MISSING``, say, or no birth kept.
     """
     n = spec.n_clusters * spec.births_per_cluster
     columns = {}
@@ -179,14 +179,10 @@ def _generate_sample(
             columns["birth_order"] = np.trunc(columns["birth_order"].astype(float))
         kept = in_age_range(columns, n)
         n_kept = int(kept.sum())
-        if not n_kept:
-            raise ValueError(f"no maternal age lies in {list(AGE_RANGE)}")
         if n_kept < n:  # a column is copied only when the filter drops a birth
             cluster_id = cluster_id[kept]
             columns = {name: values[kept] for name, values in columns.items()}
-        return SurveySample.from_columns(
-            survey_id, spec.survey_year, np.zeros(n_kept, dtype=np.int64), cluster_id, columns, n - n_kept
-        )
+        return SurveySample.from_columns(survey_id, np.zeros(n_kept, dtype=np.int64), cluster_id, columns, n - n_kept)
     except ValueError as exc:
         raise ConfigError(f"survey {survey_id}: the generated covariates are not a valid sample ({exc})") from None
 

@@ -367,7 +367,8 @@ class TestIngestProcesses:
     def test_samples_match_in_process_reads_and_are_read_only(self, tmp_path, simulated_csvs, monkeypatch):
         config = RunConfig.from_dict(csv_config(tmp_path / "out", simulated_csvs / "s1.csv", simulated_csvs / "s2.csv"))
         read = cli.ingest_csv
-        monkeypatch.setattr(cli, "ingest_csv", lambda *args: (read(*args), os.getpid()))  # and the reading process
+        # each sample comes back with the reading process
+        monkeypatch.setattr(cli, "ingest_csv", lambda *args, **kwargs: (read(*args, **kwargs), os.getpid()))
         samples = {}
         for cores in (2, 1):
             self.use_cores(monkeypatch, cores)
@@ -595,16 +596,34 @@ class TestCommands:
         assert "error" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "maternal_age", [None, {"dist": "uniform", "low": 10, "high": 50}], ids=["default", "ages_10_to_50"]
+        "name, spec",
+        [
+            (None, None),
+            ("maternal_age", {"dist": "uniform", "low": 10, "high": 50}),
+            ("wealth_rank", {"dist": "uniform", "low": 0, "high": 1, "missing_prob": 0.2}),
+            ("maternal_age", {"dist": "uniform", "low": 18, "high": 40, "missing_prob": 0.3}),
+        ],
+        ids=["default", "ages_10_to_50", "wealth_rank_missing", "maternal_age_missing"],
     )
-    def test_simulate_then_csv_run_round_trip(self, tmp_path, capsys, maternal_age):
+    def test_simulate_then_csv_run_round_trip(self, tmp_path, capsys, name, spec):
         # synthetic births to mothers outside ages 15-45 are dropped as
-        # ingest_csv drops them, so both routes fit the same samples
+        # ingest_csv drops them, so both routes fit the same samples; a value
+        # missing from a field other than birth_interval, which the CSV reader
+        # refuses as an empty cell, is refused on both routes too: simulate
+        # wrote a pair that csv-mode run refused, and a missing age was dropped
         sim_dir = tmp_path / "sim"
         cfg = base_config(sim_dir)
-        if maternal_age is not None:
-            covariates(cfg)["maternal_age"] = maternal_age
+        if name is not None:
+            covariates(cfg)[name] = spec
         path = write_config(tmp_path, cfg)
+        if "missing_prob" in (spec or {}):
+            for argv in (["simulate"], ["run", "--out", str(tmp_path / "synthetic_out")]):
+                assert main([*argv, "--config", str(path)]) == 2
+                record = self.error_record(capsys)
+                assert record["stage"] == "load_samples" and record["type"] == "ConfigError"
+                assert "survey S1: " in record["message"] and f"{name} is missing" in record["message"]
+            assert not sim_dir.exists() and not (tmp_path / "synthetic_out").exists()
+            return
         assert main(["simulate", "--config", str(path)]) == 0
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "synthetic_out")]) == 0
         capsys.readouterr()
@@ -630,7 +649,7 @@ class TestCommands:
             header, *body = (simulated_csvs / f"{survey}.csv").read_text(encoding="utf-8").splitlines(keepends=True)
             (tmp_path / f"{survey}.csv").write_text(header + "".join(body[::2] + body[1::2]), encoding="utf-8")
         schema = CovariateSchema.from_dict(base_config(tmp_path)["schema"])
-        assert np.any(np.diff(ingest_csv(tmp_path / "s1.csv", schema, 2000).cluster) < 0)
+        assert np.any(np.diff(ingest_csv(tmp_path / "s1.csv", schema).cluster) < 0)
         configs = {
             "synthetic": base_config,
             "interleaved_csv": lambda out: csv_config(out, tmp_path / "s1.csv", tmp_path / "s2.csv"),
@@ -907,6 +926,18 @@ class TestCommands:
         record = self.error_record(capsys)
         assert record["stage"] == "configure" and record["type"] == "ConfigError"
         assert f"{where} holds a NUL character" in record["message"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "simulate"])
+    def test_allow_missing_on_a_spline_other_than_birth_interval_exits_2(self, tmp_path, capsys, command):
+        # only birth_interval may be missing, so allow_missing on another spline could only end in a
+        # constant indicator column; a csv-mode run ended that way at build_design
+        cfg = csv_config(tmp_path / "out", "s1.csv", "s2.csv") if command == "run" else base_config(tmp_path / "out")
+        cfg["schema"]["covariates"].append({"name": "wealth_rank", "kind": "continuous_spline", "allow_missing": True})
+        assert main([command, "--config", str(write_config(tmp_path, cfg))]) == 2
+        record = self.error_record(capsys)
+        assert record["stage"] == "configure" and record["type"] == "ConfigError"
+        assert "schema.covariates[1]: wealth_rank: allow_missing is for birth_interval alone" in record["message"]
         assert not (tmp_path / "out").exists()
 
     def test_unknown_mcmc_key_exits_2(self, tmp_path, capsys):
@@ -1444,7 +1475,7 @@ def test_the_decompose_benchmark_set_up_writes_its_inputs(monkeypatch, tmp_path)
     assert len(prepared.inputs) == 7
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(prepared.inputs)
     schema = default_schema()
-    s1, s2 = (ingest_csv(tmp_path / f"s{k}.csv", schema, year) for k, year in zip((1, 2), workloads.YEARS))
+    s1, s2 = (ingest_csv(tmp_path / f"s{k}.csv", schema) for k in (1, 2))
     groups = build_design(s1, schema, compute_centering(s1, schema), pool_samples(s1, s2)).column_groups
     for k in (1, 2):
         draws = load_draws(tmp_path / f"draws_s{k}.csv", tmp_path / f"draws_s{k}.json")

@@ -46,11 +46,10 @@ def write_csv(tmp_path, rows, header=CSV_HEADER, name="survey.csv"):
     return path
 
 
-def make_sample(rows, survey_id="S1", survey_year=2000):
+def make_sample(rows, survey_id="S1"):
     fields = sorted({k for r in rows for k in r} - {"outcome", "cluster_id"})
     return SurveySample.from_columns(
         survey_id,
-        survey_year,
         outcome=[r["outcome"] for r in rows],
         cluster_id=[r["cluster_id"] for r in rows],
         columns={name: [r.get(name) for r in rows] for name in fields},
@@ -67,7 +66,7 @@ class TestIngest:
                 "0,22,8,1,,female,rural,0.9,b\n",
             ],
         )
-        sample = ingest_csv(path, default_schema(), survey_year=2000)
+        sample = ingest_csv(path, default_schema())
         assert sample.n_clusters == 2 and sample.cluster_ids == ("a", "b")
         assert sample.n_births == 3
         assert sample.dropped_rows == 0
@@ -87,7 +86,7 @@ class TestIngest:
                 "0,22,8,1,,female,rural,0.9,z\n",
             ],
         )
-        sample = ingest_csv(path, default_schema(), survey_year=2000)
+        sample = ingest_csv(path, default_schema())
         assert sample.cluster_ids == ("z", "a")
         np.testing.assert_array_equal(sample.cluster, [0, 1, 0])
         # births keep their file order
@@ -97,14 +96,14 @@ class TestIngest:
     def test_header_names_are_stripped(self, tmp_path):
         header = CSV_HEADER.replace(",", ", ")
         path = write_csv(tmp_path, ["0, 25,6,2,24,female,rural,0.3,a\n"], header=header)
-        sample = ingest_csv(path, default_schema(), survey_year=2000)
+        sample = ingest_csv(path, default_schema())
         assert sample.columns["maternal_age"][0] == 25.0
 
     def test_missing_cluster_id_column(self, tmp_path):
         header = CSV_HEADER.replace(",cluster_id", "")
         path = write_csv(tmp_path, ["0,25,6,2,24,female,rural,0.3\n"], header=header)
         with pytest.raises(SchemaError, match="cluster_id"):
-            ingest_csv(path, default_schema(), survey_year=2000)
+            ingest_csv(path, default_schema())
 
     @pytest.mark.parametrize(
         "header, row, name",
@@ -118,7 +117,7 @@ class TestIngest:
         # reading one copy of the name would silently ignore the other
         path = write_csv(tmp_path, [row], header=header)
         with pytest.raises(SchemaError, match=f"{re.escape(str(path))}: column '{name}' appears more than once"):
-            ingest_csv(path, default_schema(), survey_year=2000)
+            ingest_csv(path, default_schema())
 
     def test_underage_row_dropped_and_counted(self, tmp_path):
         path = write_csv(
@@ -128,7 +127,7 @@ class TestIngest:
                 "0,25,6,2,24,female,rural,0.3,a\n",
             ],
         )
-        sample = ingest_csv(path, default_schema(), survey_year=2000)
+        sample = ingest_csv(path, default_schema())
         assert sample.n_births == 1
         assert sample.dropped_rows == 1
 
@@ -141,7 +140,7 @@ class TestIngest:
                 "0,45.1,6,2,24,female,rural,0.3,a\n",
             ],
         )
-        sample = ingest_csv(path, default_schema(), survey_year=2000)
+        sample = ingest_csv(path, default_schema())
         assert sample.n_births == 2 and sample.dropped_rows == 1
 
     def test_unparseable_cell_reports_line(self, tmp_path):
@@ -153,28 +152,28 @@ class TestIngest:
             ],
         )
         with pytest.raises(RowError) as err:
-            ingest_csv(path, default_schema(), survey_year=2000)
+            ingest_csv(path, default_schema())
         assert err.value.line_number == 3
 
     def test_empty_file_distinct_error(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
         with pytest.raises(EmptyInputError):
-            ingest_csv(path, default_schema(), survey_year=2000)
+            ingest_csv(path, default_schema())
         path.write_text(CSV_HEADER)
         with pytest.raises(EmptyInputError):
-            ingest_csv(path, default_schema(), survey_year=2000)
+            ingest_csv(path, default_schema())
 
     def test_bad_enum_value_reports_line(self, tmp_path):
         path = write_csv(tmp_path, ["0,25,6,2,24,FEMALE,rural,0.3,a\n"])
         with pytest.raises(RowError):
-            ingest_csv(path, default_schema(), survey_year=2000)
+            ingest_csv(path, default_schema())
 
     def test_minimal_header_for_reduced_schema(self, tmp_path):
         schema = CovariateSchema((CovariateSpec("sex", "binary", reference="female"),))
         path = tmp_path / "mini.csv"
         path.write_text("outcome,sex,cluster_id\n0,female,a\n1,male,b\n")
-        sample = ingest_csv(path, schema, survey_year=2000)
+        sample = ingest_csv(path, schema)
         assert sample.n_births == 2
         assert set(sample.columns) == {"sex"}
 
@@ -215,10 +214,9 @@ class TestCentering:
         assert compute_centering(sample, schema) == {"maternal_age": 24.0}
 
     def test_empty_sample_errors(self):
-        schema = CovariateSchema((CovariateSpec("maternal_age", "continuous_spline", degree=1, df=1),))
-        sample = make_sample([])
-        with pytest.raises(EmptyInputError):
-            compute_centering(sample, schema)
+        # a sample of no births is refused where it is made, so centering never sees one
+        with pytest.raises(EmptyInputError, match="^no births left after the maternal_age filter .*: all 0 rows dropped$"):
+            make_sample([])
 
 
 def binary_rows(n_per_level):
@@ -261,7 +259,7 @@ class TestBuildDesign:
             ]
 
         s1 = make_sample(rows(60, 0), survey_id="S1")
-        s2 = make_sample(rows(80, 1), survey_id="S2", survey_year=2014)
+        s2 = make_sample(rows(80, 1), survey_id="S2")
         centering = compute_centering(s1, schema)
         pooled = pool_samples(s1, s2)
         d1 = build_design(s1, schema, centering, pooled)
@@ -406,15 +404,15 @@ def test_samples_and_designs_stay_read_only_across_a_pickle():
 def test_csv_reader_error_names_the_file_and_line(tmp_path):
     path = write_csv(tmp_path, ["0,25,6,2,24,female,rural,0.3,a\n", "1,30,2,4,," + "x" * 200_000 + ",urban,0.1,a\n"])
     with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}, line 3: field larger than field limit"):
-        ingest_csv(path, default_schema(), survey_year=2000)
+        ingest_csv(path, default_schema())
 
 
 def test_a_leading_byte_order_mark_is_skipped(tmp_path):
     path = write_csv(tmp_path, ["0,25,6,2,24,female,rural,0.3,a\n", "1,30,2,4,,male,urban,0.1,b\n"])
     marked = tmp_path / "marked.csv"
     marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())  # as Excel's "CSV UTF-8" saves it
-    want = ingest_csv(path, default_schema(), survey_year=2000)
-    assert pickle.dumps(ingest_csv(marked, default_schema(), survey_year=2000)) == pickle.dumps(want)
+    want = ingest_csv(path, default_schema())
+    assert pickle.dumps(ingest_csv(marked, default_schema())) == pickle.dumps(want)
 
 
 def test_field_invariants_raise_row_error(tmp_path):
@@ -426,7 +424,7 @@ def test_field_invariants_raise_row_error(tmp_path):
     ]:
         path = write_csv(tmp_path, ["0,25,6,2,24,female,rural,0.3,a\n", row])
         with pytest.raises(RowError, match=field) as err:
-            ingest_csv(path, default_schema(), survey_year=2000)
+            ingest_csv(path, default_schema())
         assert err.value.line_number == 3
 
 
@@ -438,7 +436,7 @@ def test_field_invariants_raise_row_error(tmp_path):
 def test_bad_cluster_codes_are_refused(codes, n_clusters):
     # the sampler's np.take(gamma, cluster, mode="clip") would clip an out-of-range code without a word
     def sample(codes, n_clusters):
-        return SurveySample("S1", 2000, np.zeros(len(codes), dtype=np.int64), np.array(codes),
+        return SurveySample("S1", np.zeros(len(codes), dtype=np.int64), np.array(codes),
                             tuple(f"c{k}" for k in range(n_clusters)), {})
 
     assert sample([0, 1, 0, 2, 1], 3).n_clusters == 3  # interleaved, in first-appearance order
@@ -460,7 +458,46 @@ def test_a_cluster_id_holding_a_nul_is_refused(bad_id):
     with pytest.raises(ValueError, match=f"^cluster id {re.escape(repr(bad_id))} holds a NUL character"):
         make_sample([{"outcome": 0, "cluster_id": "a"}, {"outcome": 1, "cluster_id": bad_id}])
     with pytest.raises(ValueError, match=f"^cluster id {re.escape(repr(bad_id))} holds a NUL character"):
-        SurveySample("S1", 2000, np.zeros(2, dtype=np.int64), np.array([0, 1]), ("a", bad_id), {})
+        SurveySample("S1", np.zeros(2, dtype=np.int64), np.array([0, 1]), ("a", bad_id), {})
+
+
+@pytest.mark.parametrize("field, level", [("sex", "male\x00"), ("sex", "fe\x00male"), ("residence", "urban\x00")])
+def test_a_level_holding_a_nul_is_refused(field, level):
+    # numpy's str dtype drops a trailing NUL, so from_columns read "male\x00" as "male"
+    other = "female" if field == "sex" else "rural"
+    with pytest.raises(ValueError, match=f"^{field} {re.escape(repr(level))} holds a NUL character"):
+        make_sample([{"outcome": 0, "cluster_id": "a", field: other}, {"outcome": 1, "cluster_id": "b", field: level}])
+
+
+@pytest.mark.parametrize("field", ["maternal_age", "maternal_education", "birth_order", "wealth_rank"])
+def test_a_missing_value_outside_birth_interval_is_refused(field):
+    # birth_interval is the one field a birth may lack; the CSV reader refuses any other empty cell,
+    # and a sample made from columns now refuses the same births
+    rows = [{"outcome": 0, "cluster_id": "a", field: 0.5 if field == "wealth_rank" else 20.0} for _ in range(3)]
+    rows[2][field] = None
+    with pytest.raises(ValueError, match=f"^birth 2: {field} is missing, and only birth_interval may be$"):
+        make_sample(rows)
+    rows[2].pop(field)
+    rows[2]["birth_interval"] = None
+    with pytest.raises(ValueError, match=f"^birth 2: {field} is missing"):
+        make_sample(rows)  # a field absent from one birth's row reads as missing there
+    kept = make_sample([{**row, field: 20.0 if field != "wealth_rank" else 0.5} for row in rows])
+    assert np.isnan(kept.columns["birth_interval"][2])
+
+
+def test_allow_missing_is_for_birth_interval_alone():
+    assert CovariateSpec("birth_interval", "continuous_spline", allow_missing=True).allow_missing
+    with pytest.raises(SchemaError, match="^wealth_rank: allow_missing is for birth_interval alone"):
+        CovariateSpec("wealth_rank", "continuous_spline", allow_missing=True)
+
+
+def test_ingest_csv_takes_no_survey_year(tmp_path):
+    # survey_year was the third positional parameter: an old call must not read the year as the survey id
+    path = write_csv(tmp_path, ["0,25,6,2,24,female,rural,0.3,a\n"])
+    with pytest.raises(TypeError):
+        ingest_csv(path, default_schema(), 2000)
+    assert ingest_csv(path, default_schema(), survey_id="S2").survey_id == "S2"
+    assert not hasattr(ingest_csv(path, default_schema()), "survey_year")
 
 
 @pytest.mark.parametrize(
@@ -479,7 +516,7 @@ def test_a_nul_character_in_a_str_cell_is_refused(tmp_path, row, field):
     # refuses the file itself
     path = write_csv(tmp_path, ["0,25,6,2,24,female,rural,0.3,a\n", row, "1,30,2,4,,male,urban,0.1,b\n"])
     with pytest.raises(MortdecompError) as err:
-        ingest_csv(path, default_schema(), survey_year=2000)
+        ingest_csv(path, default_schema())
     if sys.version_info >= (3, 11):
         assert isinstance(err.value, RowError) and err.value.line_number == 3
         assert f"NUL character in {field}=" in str(err.value)
@@ -496,11 +533,11 @@ def test_field_invariants_hold_for_samples_built_in_code():
 
 def test_dropped_rows_are_exempt_from_range_checks_but_not_parse_checks(tmp_path):
     path = write_csv(tmp_path, ["0,14,6,0,24,female,rural,1.5,a\n", "0,25,6,2,24,female,rural,0.3,a\n"])
-    sample = ingest_csv(path, default_schema(), survey_year=2000)
+    sample = ingest_csv(path, default_schema())
     assert sample.n_births == 1 and sample.dropped_rows == 1
     path = write_csv(tmp_path, ["0,14,six,2,24,female,rural,0.3,a\n", "0,25,6,2,24,female,rural,0.3,a\n"])
     with pytest.raises(RowError, match="maternal_education") as err:
-        ingest_csv(path, default_schema(), survey_year=2000)
+        ingest_csv(path, default_schema())
     assert err.value.line_number == 2
 
 
@@ -514,7 +551,7 @@ def test_first_offending_row_wins_across_check_kinds(tmp_path):
         ],
     )
     with pytest.raises(RowError, match="wealth_rank") as err:
-        ingest_csv(path, default_schema(), survey_year=2000)
+        ingest_csv(path, default_schema())
     assert err.value.line_number == 3
 
 
@@ -531,7 +568,7 @@ def test_first_offending_row_wins_across_check_kinds(tmp_path):
 def test_non_finite_cell_raises_row_error(tmp_path, field, row):
     path = write_csv(tmp_path, ["0,25,6,2,24,female,rural,0.3,a\n", row])
     with pytest.raises(RowError, match=f"non-finite value {field}=") as err:
-        ingest_csv(path, default_schema(), survey_year=2000)
+        ingest_csv(path, default_schema())
     assert err.value.line_number == 3
 
 
@@ -562,7 +599,7 @@ def test_write_then_ingest_round_trips_every_column(tmp_path_factory, rows):
     path = tmp_path_factory.mktemp("round_trip") / "s.csv"
     write_survey_csv(sample, path)
     schema = CovariateSchema((CovariateSpec("sex", "binary", reference="female"),))
-    again = ingest_csv(path, schema, survey_year=2000)
+    again = ingest_csv(path, schema)
     assert again.dropped_rows == 0
     assert again.cluster_ids == sample.cluster_ids
     np.testing.assert_array_equal(again.outcome, sample.outcome)
@@ -579,7 +616,7 @@ def test_row_error_lines_count_blank_lines_short_rows_and_quoted_line_breaks(tmp
     header = "outcome,sex,cluster_id\n"
     path = write_csv(tmp_path, ["0,female,a\n", "\n", "1,female\n"], header=header)
     with pytest.raises(RowError, match=f"^{re.escape(str(path))}, line 4: empty cluster_id$"):
-        ingest_csv(path, schema, survey_year=2000)
+        ingest_csv(path, schema)
     path = write_csv(
         tmp_path,
         ["0,female,a\n", "\n", "1,male,b\n", '0,female,"c\nd"\n', "0,mal,e\n"],
@@ -587,14 +624,14 @@ def test_row_error_lines_count_blank_lines_short_rows_and_quoted_line_breaks(tmp
         name="quoted.csv",
     )
     with pytest.raises(RowError, match=f"^{re.escape(str(path))}, line 7: sex must be one of") as err:
-        ingest_csv(path, schema, survey_year=2000)
+        ingest_csv(path, schema)
     assert err.value.line_number == 7
 
 
 def test_every_row_outside_the_age_filter_raises_at_ingest(tmp_path):
     path = write_csv(tmp_path, ["0,50,6,2,24,female,rural,0.3,a\n", "1,14,6,2,24,male,urban,0.5,b\n"])
     with pytest.raises(EmptyInputError, match="maternal_age filter \\[15, 45\\]: all 2 rows dropped") as err:
-        ingest_csv(path, default_schema(), survey_year=2000)
+        ingest_csv(path, default_schema())
     assert str(path) in str(err.value)
 
 
@@ -674,7 +711,7 @@ def large_csv(large_pair, tmp_path_factory):
 
 
 def test_ingest_peak_memory_is_bounded(large_csv):
-    sample, peak = traced_peak(ingest_csv, large_csv, default_schema(), 1998)
+    sample, peak = traced_peak(ingest_csv, large_csv, default_schema())
     assert sample.n_births == 20_000
     assert peak < 15.0, f"ingest_csv peaked {peak:.1f} MB above its start"
 
@@ -684,7 +721,7 @@ def test_large_csv_reads_alike_in_any_blocks(large_csv, monkeypatch):
     pickles = []
     for block_rows in (4096, 1000, 10**6):
         monkeypatch.setattr(dataset, "_BLOCK_ROWS", block_rows)
-        pickles.append(pickle.dumps(ingest_csv(large_csv, default_schema(), 1998)))
+        pickles.append(pickle.dumps(ingest_csv(large_csv, default_schema())))
     assert pickles[0] == pickles[1] == pickles[2]
 
 
@@ -695,7 +732,7 @@ def test_ingest_peak_grows_with_the_kept_columns_only(large_csv, tmp_path):
     double.write_text(header + "\n" + body + body, encoding="utf-8")
     peaks, kept = [], []
     for path in (large_csv, double):
-        sample, peak = traced_peak(ingest_csv, path, default_schema(), 1998)
+        sample, peak = traced_peak(ingest_csv, path, default_schema())
         peaks.append(peak)
         kept.append(sum(a.nbytes for a in (sample.outcome, sample.cluster, *sample.columns.values())) / 1e6)
     assert kept[1] == pytest.approx(2 * kept[0])
@@ -827,7 +864,7 @@ GOOD = "0,25,6,2,24,female,rural,0.3,a\n"
 def ingested(path, schema=None):
     """The pickled sample that ``ingest_csv`` reads from ``path``, or the type and text of its error."""
     try:
-        return pickle.dumps(ingest_csv(path, schema or default_schema(), survey_year=2000))
+        return pickle.dumps(ingest_csv(path, schema or default_schema()))
     except MortdecompError as exc:
         return type(exc).__name__, str(exc)
 

@@ -294,7 +294,6 @@ class TestFit:
         rng = np.random.default_rng(0)
         sample = SurveySample.from_columns(
             "S1",
-            2000,
             outcome=np.zeros(40, dtype=np.int64),
             cluster_id=[f"c{j}" for j in range(4) for _ in range(10)],
             columns={"sex": ["male" if rng.random() < 0.5 else "female" for _ in range(40)]},
@@ -326,7 +325,6 @@ class TestFit:
         schema = CovariateSchema((CovariateSpec("sex", "binary", reference="female"),))
         sample = SurveySample.from_columns(
             "S1",
-            2000,
             outcome=[i % 2 for i in range(10)],
             cluster_id=["only"] * 10,
             columns={"sex": ["female", "male"] * 5},

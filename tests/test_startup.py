@@ -241,7 +241,7 @@ def test_a_design_and_its_decomposition_load_no_numpy_ma():
                 "birth_interval": interval, "sex": rng.choice(["female", "male"], n),
                 "residence": rng.choice(["rural", "urban"], n),
             }
-            return SurveySample.from_columns(survey_id, 2000, rng.integers(0, 2, n), np.arange(n) % 20, columns)
+            return SurveySample.from_columns(survey_id, rng.integers(0, 2, n), np.arange(n) % 20, columns)
 
         schema = default_schema()
         s1, s2 = sample("S1", 300), sample("S2", 300)
