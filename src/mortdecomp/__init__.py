@@ -22,8 +22,8 @@ _EXPORTS = {
         "write_survey_csv",
     ), "dataset"),
     **dict.fromkeys((
-        "ComponentSummary", "DecompositionDraws", "DecompositionSummary", "annualize",
-        "decompose_draws", "percent_of", "posterior_decompose",
+        "ComponentSummary", "DecompositionDraws", "DecompositionSummary", "decompose_draws",
+        "posterior_decompose",
     ), "decompose"),
     **dict.fromkeys((
         "ConfigError", "DegenerateDesignError", "EmptyInputError", "MortdecompError",
@@ -35,11 +35,7 @@ _EXPORTS = {
         "fit", "load_draws", "sample_truncated_normal", "save_draws",
     ), "sampler"),
     **dict.fromkeys(("SyntheticConfig", "SyntheticSurveySpec", "synthesize"), "simulate"),
-    **dict.fromkeys(("bspline_basis", "quantile_knots"), "splines"),
-    **dict.fromkeys((
-        "VarianceCollapseProfile", "linear_oracle", "mc_marginalization_oracle", "ml_probit_fit",
-        "variance_collapse",
-    ), "validation"),
+    **dict.fromkeys(("VarianceCollapseProfile", "mc_marginalization_oracle", "variance_collapse"), "validation"),
 }
 
 __all__ = list(_EXPORTS)

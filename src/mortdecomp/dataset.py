@@ -104,10 +104,15 @@ def _nul_checks(name: str, cells) -> list:
     return [(np.array(["\x00" in c for c in cells]), lambda i: f"NUL character in {name}={cells[i].strip()!r}")]
 
 
-def _refuse_nul(what: str, values) -> None:
-    """``ValueError`` naming the first of the str ``values`` that holds a NUL character (see ``_nul_checks``)."""
-    nul = next((c for c in values if "\x00" in c), None)
-    if nul is not None:
+def _refuse_missing_or_nul(what: str, values) -> None:
+    """``ValueError`` naming the first birth whose entry of ``values`` is ``None``, else the first value that holds
+    a NUL character (see ``_nul_checks``).  ``str(None)`` would read as the cluster id or level ``"None"``."""
+    cells = [None if c is None else str(c) for c in values]
+    if None in cells:
+        only = "" if what == "cluster id" else f", and only {MAY_BE_MISSING} may be"
+        raise ValueError(f"birth {cells.index(None)}: {what} is missing{only}")
+    if "\x00" in "".join(cells):
+        nul = next(c for c in cells if "\x00" in c)
         raise ValueError(f"{what} {nul!r} holds a NUL character")
 
 
@@ -183,7 +188,7 @@ class SurveySample(FrozenArrays):
         unreadable = next((c for c in self.cluster_ids if not c or c != c.strip()), None)
         if unreadable is not None:  # ingest_csv strips each cell and refuses an empty one
             raise ValueError(f"cluster id {unreadable!r} is empty or has surrounding whitespace")
-        _refuse_nul("cluster id", self.cluster_ids)
+        _refuse_missing_or_nul("cluster id", self.cluster_ids)
         outcome = ((self.outcome != 0) & (self.outcome != 1), lambda i: f"outcome must be 0 or 1, got {self.outcome[i]}")
         failure = _first_failure([outcome, *_field_checks(self.columns)])
         if failure is not None:
@@ -200,22 +205,29 @@ class SurveySample(FrozenArrays):
         """Sample from per-birth values, kept in the order given.
 
         ``cluster_id`` labels each birth's cluster; clusters are coded in
-        first-appearance order.  Numeric columns become float64 (``None``
-        reads as missing), ``sex`` and ``residence`` str.  An array already
-        of its column's dtype is taken as it is, and frozen read-only.  A
-        cluster id, ``sex`` or ``residence`` value holding a NUL character
-        raises ``ValueError``.
+        first-appearance order.  Outcomes become int64, numeric columns
+        float64, ``sex`` and ``residence`` str; ``None`` reads as missing.
+        An array already of its column's dtype is taken as it is, and
+        frozen read-only.  ``ValueError`` naming the birth refuses an
+        outcome other than 0 or 1 (``0.7`` is not cast to 0) and a missing
+        cluster id, ``sex`` or ``residence``; a value of those three
+        holding a NUL character is refused too.
         """
         for what, values in (("cluster id", cluster_id), *((n, columns[n]) for n in _LEVELS if n in columns)):
             if not (isinstance(values, np.ndarray) and values.dtype.kind == "U"):
                 # the str conversion below drops a trailing NUL (a str array has lost its own already);
                 # __post_init__ refuses a NUL left inside an id, and the level check one inside a level
-                _refuse_nul(what, [str(c) for c in values])
+                _refuse_missing_or_nul(what, values)
+        outcome = np.asarray(outcome)
+        if outcome.dtype != np.int64:
+            outcome = np.asarray(outcome, dtype=float)
+            if np.all((outcome == 0.0) | (outcome == 1.0)):  # otherwise __post_init__ names the first other value
+                outcome = outcome.astype(np.int64)
         ids, first, inverse = np.unique(np.asarray(cluster_id, dtype=str), return_index=True, return_inverse=True)
         by_first = np.argsort(first)
         return cls(
             survey_id=survey_id,
-            outcome=np.asarray(outcome, dtype=np.int64),
+            outcome=outcome,
             cluster=np.argsort(by_first)[inverse.reshape(-1)],  # rank of each cluster's first appearance
             cluster_ids=tuple(ids[by_first].tolist()),
             columns={name: np.asarray(v, dtype=str if name in _LEVELS else float) for name, v in columns.items()},

@@ -183,19 +183,23 @@ class _LatentLayout:
         self.high, self.far = (np.empty(death.size, dtype=bool) for _ in range(2))
 
 
-def _truncated_std_normal_above(a: np.ndarray, rng: np.random.Generator, layout: _LatentLayout):
-    """Draw standard normals conditioned on X > a, elementwise.
+def _latent_draw(eta: np.ndarray, layout: _LatentLayout, rng: np.random.Generator) -> np.ndarray:
+    """Latent normals ``z ~ N(eta, 1)`` with ``z > 0`` where ``layout.sign`` is 1 and ``z < 0`` where it is -1.
 
+    One pass draws ``w = sign * z ~ N(sign * eta, 1)`` on (0, inf), that
+    is ``sign * eta`` plus a standard normal ``x`` above ``a = -sign * eta``.
     The random stream is taken group by group in ``layout.groups``: the
     group's uniforms for its inverse-CDF draws, then its far-tail
     rejection draws.  Drawing several groups in one call therefore gives
     exactly the draws, and leaves ``rng`` in exactly the state, of one
-    call per group.  When no element reaches the far tail, one ``random``
-    call draws every uniform, each element taking the one at its
-    ``layout.position``; it yields the doubles of the per-group calls.
-    Returns a buffer of ``layout``.
+    call per group: a ``sample_truncated_normal`` call for the deaths
+    followed by one for the survivors.  When no element reaches the far
+    tail, one ``random`` call draws every uniform, each element taking the
+    one at its ``layout.position``; it yields the doubles of the per-group
+    calls.  Returns a buffer of ``layout``.
     """
-    t, u, high, far = layout.t, layout.u, layout.high, layout.far
+    a, t, u, high, far = layout.a, layout.t, layout.u, layout.high, layout.far
+    np.multiply(eta, layout.neg_sign, out=a)
     # ndtr(a) where a <= 0 (the lower CDF, well conditioned there) and the
     # upper tail ndtr(-a) where a > 0; a <= 0 leaves an upper tail >= 1/2
     ndtr(np.copysign(a, -1.0, out=t), out=t)
@@ -225,22 +229,8 @@ def _truncated_std_normal_above(a: np.ndarray, rng: np.random.Generator, layout:
     x[upper] = -x[upper]
     for idx, draws in tails:
         x[idx] = draws
-    return x
-
-
-def _latent_draw(eta: np.ndarray, layout: _LatentLayout, rng: np.random.Generator) -> np.ndarray:
-    """Latent normals ``z ~ N(eta, 1)`` with ``z > 0`` where ``layout.sign`` is 1 and ``z < 0`` where it is -1.
-
-    One pass draws ``w = sign * z ~ N(sign * eta, 1)`` on (0, inf), that
-    is ``sign * eta`` plus a standard normal above ``a = -sign * eta``.
-    The draws and the random stream equal those of a
-    ``sample_truncated_normal`` call for the deaths followed by one for
-    the survivors.  Returns a buffer of ``layout``.
-    """
-    a = np.multiply(eta, layout.neg_sign, out=layout.a)
-    w = _truncated_std_normal_above(a, rng, layout)
-    np.maximum(np.subtract(w, a, out=w), np.nextafter(0.0, 1.0), out=w)
-    return np.multiply(w, layout.sign, out=layout.z)
+    np.maximum(np.subtract(x, a, out=x), np.nextafter(0.0, 1.0), out=x)
+    return np.multiply(x, layout.sign, out=layout.z)
 
 
 def sample_truncated_normal(mean, sd, side: str, rng: np.random.Generator):
@@ -250,24 +240,20 @@ def sample_truncated_normal(mean, sd, side: str, rng: np.random.Generator):
     leaves support (0, inf), ``"right_of_zero"`` leaves (-inf, 0).
     Inverse-CDF sampling is used while the retained half-line has
     probability at least 1e-10; beyond that an exponential rejection
-    sampler keeps the draw finite without looping forever.
+    sampler keeps the draw finite without looping forever.  The draw is
+    ``sd`` times the chain's latent draw at ``mean / sd``.
     """
     scalar = np.isscalar(mean) and np.isscalar(sd)
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
     sd = np.broadcast_to(np.asarray(sd, dtype=float), mean.shape)
     if np.any(sd <= 0):
         raise ValueError("sd must be > 0")
-    layout = _LatentLayout(np.ones(mean.size))  # every element a death: one group
-    if side == "left_of_zero":
-        x = _truncated_std_normal_above(-mean / sd, rng, layout)
-        w = mean + sd * x
-        w = np.where(w <= 0.0, np.nextafter(0.0, 1.0), w)
-    elif side == "right_of_zero":
-        x = _truncated_std_normal_above(mean / sd, rng, layout)
-        w = mean - sd * x
-        w = np.where(w >= 0.0, np.nextafter(0.0, -1.0), w)
-    else:
+    if side not in ("left_of_zero", "right_of_zero"):
         raise ValueError(f"side must be 'left_of_zero' or 'right_of_zero', got {side!r}")
+    layout = _LatentLayout(np.full(mean.size, side == "left_of_zero"))  # one group, all on one side
+    w = sd * _latent_draw(mean / sd, layout, rng)
+    # sd times the smallest positive double can round to 0: keep the draw on its side
+    w = np.copysign(np.maximum(np.abs(w), np.nextafter(0.0, 1.0)), layout.sign)
     return float(w[0]) if scalar else w
 
 

@@ -485,6 +485,32 @@ def test_a_missing_value_outside_birth_interval_is_refused(field):
     assert np.isnan(kept.columns["birth_interval"][2])
 
 
+def test_a_missing_cluster_id_is_refused_not_pooled_into_a_cluster_named_none():
+    # str(None) made two births with no cluster one cluster "None"
+    with pytest.raises(ValueError, match="^birth 1: cluster id is missing$"):
+        make_sample([{"outcome": 0, "cluster_id": c} for c in ("a", None, None)])
+    named = make_sample([{"outcome": 0, "cluster_id": c} for c in ("a", "None")])
+    assert named.cluster_ids == ("a", "None")
+
+
+@pytest.mark.parametrize("outcome, got", [([0.7, 1.9], "0.7"), ([1.0, 0.0, 2.5], "2.5"), ([0, None], "nan")])
+def test_an_outcome_other_than_zero_or_one_is_refused_not_truncated(outcome, got):
+    # the int64 cast truncated 0.7 to 0 and 1.9 to 1
+    rows = [{"outcome": o, "cluster_id": "a"} for o in outcome]
+    birth = next(i for i, o in enumerate(outcome) if o not in (0, 1))
+    with pytest.raises(ValueError, match=f"^birth {birth}: outcome must be 0 or 1, got {got}$"):
+        make_sample(rows)
+    kept = make_sample([{"outcome": o, "cluster_id": "a"} for o in (1.0, 0.0, True)])
+    assert kept.outcome.dtype == np.int64 and kept.outcome.tolist() == [1, 0, 1]
+
+
+@pytest.mark.parametrize("field, level", [("sex", "female"), ("residence", "rural")])
+def test_a_missing_level_is_named_as_missing(field, level):
+    # a None level read as the level "None", refused as not one of the field's levels
+    with pytest.raises(ValueError, match=f"^birth 1: {field} is missing, and only birth_interval may be$"):
+        make_sample([{"outcome": 0, "cluster_id": "a", field: level}, {"outcome": 1, "cluster_id": "b", field: None}])
+
+
 def test_allow_missing_is_for_birth_interval_alone():
     assert CovariateSpec("birth_interval", "continuous_spline", allow_missing=True).allow_missing
     with pytest.raises(SchemaError, match="^wealth_rank: allow_missing is for birth_interval alone"):

@@ -28,7 +28,6 @@ from mortdecomp.sampler import (
     PriorSpec,
     _LatentLayout,
     _latent_draw,
-    _truncated_std_normal_above,
     diagnostics,
     fit,
     load_draws,
@@ -247,14 +246,14 @@ class TestSignedLatentDraw:
         monkeypatch.setattr(sampler_module, "_TAIL_SWITCH", ndtr(-2.0))
         monkeypatch.setitem(globals(), "_TAIL_SWITCH", ndtr(-2.0))  # the oracle's switch
         far_sweeps = []
-        kernel = sampler_module._truncated_std_normal_above
+        latent_draw = sampler_module._latent_draw
 
-        def recording_kernel(a, rng, layout):
-            x = kernel(a, rng, layout)
+        def recording_latent_draw(eta, layout, rng):
+            z = latent_draw(eta, layout, rng)
             far_sweeps.append(bool(layout.far.any()))
-            return x
+            return z
 
-        monkeypatch.setattr(sampler_module, "_truncated_std_normal_above", recording_kernel)
+        monkeypatch.setattr(sampler_module, "_latent_draw", recording_latent_draw)
         design = design_for(sex_dgp((-1.5, 0.5), 0.25, n_clusters=10, births=20), seed=21)
         prior = PriorSpec()
         config = McmcConfig(total=400, burnin=100, thin=1, target_retained=300, seed=4)
@@ -272,9 +271,28 @@ class TestSignedLatentDraw:
     def test_single_group_kernel_equals_the_earlier_kernel(self, mean):
         a = np.random.default_rng(13).normal(mean, 1.0, size=300)
         old_rng, new_rng = np.random.default_rng(3), np.random.default_rng(3)
-        x = _truncated_std_normal_above(a, new_rng, _LatentLayout(np.ones(a.size)))
-        assert np.array_equal(x, oracle_std_normal_above(a, old_rng))
+        w = _latent_draw(-a, _LatentLayout(np.ones(a.size)), new_rng)
+        assert np.array_equal(w, np.maximum(oracle_std_normal_above(a, old_rng) - a, np.nextafter(0.0, 1.0)))
         assert new_rng.bit_generator.state == old_rng.bit_generator.state
+
+    @pytest.mark.parametrize("side", ["left_of_zero", "right_of_zero"])
+    @pytest.mark.parametrize("mean", [-40.0, -7.0, -1.0, 0.0, 0.4, 7.0, 40.0])
+    def test_unit_sd_wrapper_equals_the_earlier_route(self, mean, side):
+        # at sd = 1 the public draw is the earlier kernel's, shifted and clamped, bit for bit
+        means = np.random.default_rng(14).normal(mean, 1.0, size=300)
+        old_rng, new_rng = np.random.default_rng(4), np.random.default_rng(4)
+        w = sample_truncated_normal(means, 1.0, side, new_rng)
+        assert np.array_equal(w, oracle_latent_draw(means, np.full(means.size, side == "left_of_zero"), old_rng))
+        assert new_rng.bit_generator.state == old_rng.bit_generator.state
+
+    def test_a_clamped_draw_stays_on_its_side_after_scaling(self):
+        # a draw clamped to the smallest positive double in standard units
+        # rounds to 0 when scaled by sd < 1; the public draw stays on its side
+        rng = np.random.default_rng(15)
+        assert sample_truncated_normal(-1e20, 0.5, "left_of_zero", rng) > 0.0
+        assert sample_truncated_normal(1e20, 0.5, "right_of_zero", rng) < 0.0
+        w = sample_truncated_normal(np.full(5, -1e20), 0.5, "left_of_zero", rng)
+        assert np.all(w == np.nextafter(0.0, 1.0))
 
 
 class TestFit:

@@ -202,7 +202,7 @@ def test_numeric_draws_are_typed_and_other_values_are_converted_as_given():
     schema = CovariateSchema((CovariateSpec("sex", "binary", reference="female"),))
     for covariates, words in [
         ({"maternal_age": {"dist": "choice", "values": ["a", 20]}}, "could not convert string to float: 'a'"),
-        ({"sex": {"dist": "choice", "values": ["female", "male"], "missing_prob": 0.5}}, "got 'None'"),
+        ({"sex": {"dist": "choice", "values": ["female", "male"], "missing_prob": 0.5}}, "sex is missing, and only birth_interval may be"),
     ]:
         spec = dict(beta=(0.0, 0.1), sigma2=0.0, n_clusters=5, births_per_cluster=4, survey_year=2000,
                     covariates={"sex": {"dist": "choice", "values": ["female", "male"]}, **covariates})
